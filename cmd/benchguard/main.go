@@ -1,23 +1,16 @@
-// Command benchguard is the benchmark regression gate: it compares two
-// `go test -bench` outputs — the tree-walk reference engine (HSMCC_ENGINE=
-// treewalk) and the default coroutine (compiled) engine from the same
-// binary on the same machine — and fails unless the coroutine engine
-// keeps a minimum geomean speedup. Comparing the two engines of one
-// build keeps the guard machine-independent: absolute ns/op vary with
-// CI hardware, the ratio between engines does not. It also emits a
+// Command benchguard is the benchmark overhead gate: it compares two
+// `go test -bench` outputs taken on the same machine — the PR's base
+// commit (-old) and its head (-new) — and fails when head costs more
+// than (1 + overhead) of base by geomean. Comparing two builds on one
+// runner keeps the guard machine-independent: absolute ns/op vary with
+// CI hardware, the ratio between the two runs does not. It is the
+// tracing gate — the same benchmarks with the trace hooks compiled in
+// but disabled must stay within 2% of the base commit — and it emits a
 // benchstat-style delta report for the CI artifact.
 //
 // Usage:
 //
-//	benchguard -old treewalk.txt -new coroutine.txt -min-speedup 1.15 -out delta.txt
-//
-// With -max-overhead the gate inverts into an overhead budget: instead
-// of requiring new to beat old, it requires new to cost at most
-// (1 + overhead) of old by geomean. That is the tracing gate — the
-// same benchmarks with the trace hooks compiled in but disabled must
-// stay within e.g. 2% (-max-overhead 0.02) of the pre-change baseline.
-//
-//	benchguard -old base.txt -new traced-off.txt -max-overhead 0.02
+//	benchguard -old base.txt -new head.txt -max-overhead 0.02 -out delta.txt
 package main
 
 import (
@@ -66,12 +59,9 @@ func median(v []float64) float64 {
 }
 
 func run() error {
-	oldPath := flag.String("old", "", "benchmark output of the reference (tree-walk) engine")
-	newPath := flag.String("new", "", "benchmark output of the coroutine (compiled) engine")
-	minSpeedup := flag.Float64("min-speedup", 1.5, "minimum geomean old/new ratio to pass")
-	maxOverhead := flag.Float64("max-overhead", 0, "overhead-budget mode: pass while geomean new/old <= 1+this (overrides -min-speedup)")
-	oldLabel := flag.String("old-label", "tree-walk", "report column label for -old")
-	newLabel := flag.String("new-label", "coroutine", "report column label for -new")
+	oldPath := flag.String("old", "", "benchmark output at the base commit")
+	newPath := flag.String("new", "", "benchmark output at the head commit")
+	maxOverhead := flag.Float64("max-overhead", 0.02, "pass while geomean new/old <= 1+this")
 	outPath := flag.String("out", "", "optional delta report file")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -96,7 +86,7 @@ func run() error {
 	}
 	sort.Strings(names)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-34s %14s %14s %9s\n", "benchmark", *oldLabel, *newLabel, "speedup")
+	fmt.Fprintf(&sb, "%-34s %14s %14s %9s\n", "benchmark", "old", "new", "speedup")
 	logSum := 0.0
 	for _, name := range names {
 		o, n := median(oldRes[name]), median(newRes[name])
@@ -112,23 +102,15 @@ func run() error {
 			return err
 		}
 	}
-	if *maxOverhead > 0 {
-		// Overhead budget: the geomean is old/new, so new within
-		// (1+overhead)×old means geomean >= 1/(1+overhead).
-		overhead := 1/geomean - 1
-		if floor := 1 / (1 + *maxOverhead); geomean < floor {
-			return fmt.Errorf("benchguard: geomean overhead %.1f%% above the %.1f%% budget — %s regressed against %s",
-				100*overhead, 100**maxOverhead, *newLabel, *oldLabel)
-		}
-		fmt.Printf("benchguard: ok (geomean overhead %.1f%% within the %.1f%% budget)\n",
+	// The geomean is old/new, so new within (1+overhead)×old means
+	// geomean >= 1/(1+overhead).
+	overhead := 1/geomean - 1
+	if floor := 1 / (1 + *maxOverhead); geomean < floor {
+		return fmt.Errorf("benchguard: geomean overhead %.1f%% above the %.1f%% budget — new regressed against old",
 			100*overhead, 100**maxOverhead)
-		return nil
 	}
-	if geomean < *minSpeedup {
-		return fmt.Errorf("benchguard: geomean speedup %.2fx below the %.2fx floor — the coroutine engine regressed",
-			geomean, *minSpeedup)
-	}
-	fmt.Printf("benchguard: ok (geomean %.2fx >= %.2fx)\n", geomean, *minSpeedup)
+	fmt.Printf("benchguard: ok (geomean overhead %.1f%% within the %.1f%% budget)\n",
+		100*overhead, 100**maxOverhead)
 	return nil
 }
 

@@ -47,7 +47,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "grid mode: worker goroutines (0 = GOMAXPROCS)")
 	shard := flag.String("shard", "", "grid mode: run shard i/n of the grid, e.g. 0/4")
 	jsonOut := flag.Bool("json", false, "grid mode: write BENCH_<grid>.json")
-	engine := flag.String("engine", "", "execution engine: compiled (coroutine core) or treewalk; empty = HSMCC_ENGINE/default")
 	outPath := flag.String("out", "", "grid mode: JSON output path override (- = stdout)")
 	doSynth := flag.Bool("synth", false, "grid mode: sweep the synthetic sharing x footprint plane instead of the corpus")
 	synthSharing := flag.String("synth-sharing", "", "-synth: comma-separated degrees of sharing (empty = 1,2,4,8)")
@@ -96,7 +95,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hsmbench grid: %v\n", err)
 			os.Exit(1)
 		}
-		if err := runGrid(*gridName, *workloads, *coresList, *policies, *budgets, *scale, *parallel, *shard, *engine, *machine, *traceDir, *jsonOut, *outPath, synthOpts); err != nil {
+		if err := runGrid(*gridName, *workloads, *coresList, *policies, *budgets, *scale, *parallel, *shard, *machine, *traceDir, *jsonOut, *outPath, synthOpts); err != nil {
 			fmt.Fprintf(os.Stderr, "hsmbench grid: %v\n", err)
 			os.Exit(1)
 		}
@@ -190,7 +189,7 @@ func synthPlaneOptions(on bool, sharing, footprint string) (*bench.SynthPlaneOpt
 }
 
 // runGrid executes the parallel experiment sweep and emits the report.
-func runGrid(name, workloads, cores, policies, budgets string, scale float64, parallel int, shard, engine, machine, traceDir string, jsonOut bool, outPath string, synthOpts *bench.SynthPlaneOptions) error {
+func runGrid(name, workloads, cores, policies, budgets string, scale float64, parallel int, shard, machine, traceDir string, jsonOut bool, outPath string, synthOpts *bench.SynthPlaneOptions) error {
 	g := bench.DefaultGrid()
 	g.Name = name
 	g.Scale = scale
@@ -222,7 +221,7 @@ func runGrid(name, workloads, cores, policies, budgets string, scale float64, pa
 			return fmt.Errorf("-mpb: %w", err)
 		}
 	}
-	opt := bench.RunOptions{Parallel: parallel, Engine: engine, TraceDir: traceDir}
+	opt := bench.RunOptions{Parallel: parallel, TraceDir: traceDir}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return fmt.Errorf("-trace-dir: %w", err)

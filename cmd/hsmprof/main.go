@@ -35,7 +35,6 @@ import (
 	"strings"
 
 	"hsmcc/internal/bench"
-	"hsmcc/internal/interp"
 	"hsmcc/internal/profile"
 )
 
@@ -55,7 +54,6 @@ func main() {
 		cores     = flag.Int("cores", 32, "thread/core count to profile at")
 		scale     = flag.Float64("scale", 1.0, "problem size multiplier")
 		budgets   = flag.String("mpb", "0", "comma-separated MPB byte budgets to optimize for (0 = full MPB)")
-		engine    = flag.String("engine", "", "execution engine: compiled or treewalk; empty = HSMCC_ENGINE/default")
 		jsonOut   = flag.Bool("json", false, "emit the JSON document instead of tables")
 		outPath   = flag.String("out", "", "JSON output path (- or empty = stdout; implies -json)")
 	)
@@ -76,9 +74,6 @@ func main() {
 	cfg.Threads = *cores
 	cfg.Scale = *scale
 	cfg.Cache = bench.NewCache()
-	if cfg.Engine, err = interp.ParseEngine(*engine); err != nil {
-		fatal(err)
-	}
 	fullMPB := cfg.Machine().Config().MPBTotal()
 
 	var doc output

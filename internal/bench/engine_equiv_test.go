@@ -9,19 +9,51 @@ import (
 	"hsmcc/internal/synth"
 )
 
-// The compiled engine's landing invariant: byte-identical program output
-// AND identical simulated-time/cycle statistics versus the tree-walk
-// reference engine, over the whole workload corpus, on both the Pthread
-// baseline and the translated RCCE pipeline. Only host-side work may
-// differ between engines; the virtual-clock model must not.
+// The coroutine engine's standing invariant: byte-identical program
+// output AND identical simulated-time/cycle statistics versus the
+// tree-walk reference, over the whole workload corpus, on both the
+// Pthread baseline and the translated RCCE pipeline. The same source
+// text is compiled twice — interp.Compile and interp.CompileReference —
+// and both Programs go through the Program-taking run seams. Only
+// host-side work may differ; the virtual-clock model must not.
 
-// withEngine runs f with the session default engine forced to e.
-func withEngine(t *testing.T, e interp.Engine, f func()) {
+// baselineBoth runs w's baseline source compiled and as the reference.
+func baselineBoth(t *testing.T, w Workload, cfg Config) (compiled, reference *RunResult) {
 	t.Helper()
-	old := interp.DefaultEngine
-	interp.DefaultEngine = e
-	defer func() { interp.DefaultEngine = old }()
-	f()
+	src := w.Source(cfg.Threads, cfg.Scale)
+	run := func(what string, compile func(name, src string) (*interp.Program, error)) *RunResult {
+		pr, err := compile(w.Key+".c", src)
+		if err != nil {
+			t.Fatalf("%s baseline compile: %v", what, err)
+		}
+		res, err := RunBaselineProgram(w, pr, cfg)
+		if err != nil {
+			t.Fatalf("%s baseline: %v", what, err)
+		}
+		return res
+	}
+	return run("compiled", interp.Compile), run("tree-walk", interp.CompileReference)
+}
+
+// rcceBoth translates w once and runs the emitted source compiled and
+// as the reference.
+func rcceBoth(t *testing.T, w Workload, cfg Config, pol partition.Policy) (compiled, reference *RunResult) {
+	t.Helper()
+	tr, err := TranslateWorkload(w, cfg, pol)
+	if err != nil {
+		t.Fatalf("translate %v: %v", pol, err)
+	}
+	refTr := *tr
+	if refTr.Program, err = interp.CompileReference(w.Key+"_rcce.c", tr.Source); err != nil {
+		t.Fatalf("tree-walk rcce %v compile: %v", pol, err)
+	}
+	if compiled, err = RunRCCEProgram(w, tr, cfg, pol); err != nil {
+		t.Fatalf("compiled rcce %v: %v", pol, err)
+	}
+	if reference, err = RunRCCEProgram(w, &refTr, cfg, pol); err != nil {
+		t.Fatalf("tree-walk rcce %v: %v", pol, err)
+	}
+	return compiled, reference
 }
 
 // equivConfig is a reduced-size configuration that still touches every
@@ -36,7 +68,7 @@ func equivConfig() Config {
 func requireEqualRuns(t *testing.T, what string, compiled, reference *RunResult) {
 	t.Helper()
 	if compiled.Output != reference.Output {
-		t.Errorf("%s: output diverged between engines\n--- compiled\n%s\n--- tree-walk\n%s",
+		t.Errorf("%s: output diverged from the reference\n--- compiled\n%s\n--- tree-walk\n%s",
 			what, compiled.Output, reference.Output)
 	}
 	if compiled.Makespan != reference.Makespan {
@@ -58,28 +90,10 @@ func TestEngineEquivalenceCorpus(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Key, func(t *testing.T) {
-			var cBase, rBase *RunResult
-			var err error
-			withEngine(t, interp.EngineCompiled, func() { cBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("compiled baseline: %v", err)
-			}
-			withEngine(t, interp.EngineTreeWalk, func() { rBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("tree-walk baseline: %v", err)
-			}
+			cBase, rBase := baselineBoth(t, w, cfg)
 			requireEqualRuns(t, "baseline", cBase, rBase)
-
 			for _, pol := range []partition.Policy{partition.PolicyOffChipOnly, partition.PolicySizeAscending} {
-				var cRCCE, rRCCE *RunResult
-				withEngine(t, interp.EngineCompiled, func() { cRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("compiled rcce %v: %v", pol, err)
-				}
-				withEngine(t, interp.EngineTreeWalk, func() { rRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("tree-walk rcce %v: %v", pol, err)
-				}
+				cRCCE, rRCCE := rcceBoth(t, w, cfg, pol)
 				requireEqualRuns(t, "rcce/"+string(rune('0'+int(pol))), cRCCE, rRCCE)
 			}
 		})
@@ -89,7 +103,7 @@ func TestEngineEquivalenceCorpus(t *testing.T) {
 // TestEngineEquivalenceSynth extends the engine-parity invariant from
 // the hand-written corpus to the synthetic plane: a seeded sample of
 // parameter vectors (plus mix extremes) must run byte-identical in
-// output and cycle statistics under both engines, on the baseline and
+// output and cycle statistics compiled and as the reference, on the baseline and
 // on the translated pipeline under both an off-chip and an on-chip
 // policy.
 func TestEngineEquivalenceSynth(t *testing.T) {
@@ -106,28 +120,10 @@ func TestEngineEquivalenceSynth(t *testing.T) {
 		p := p
 		t.Run(p.Key(), func(t *testing.T) {
 			w := SynthWorkload(p)
-			var cBase, rBase *RunResult
-			var err error
-			withEngine(t, interp.EngineCompiled, func() { cBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("compiled baseline: %v", err)
-			}
-			withEngine(t, interp.EngineTreeWalk, func() { rBase, err = RunBaseline(w, cfg) })
-			if err != nil {
-				t.Fatalf("tree-walk baseline: %v", err)
-			}
+			cBase, rBase := baselineBoth(t, w, cfg)
 			requireEqualRuns(t, "baseline", cBase, rBase)
-
 			for _, pol := range []partition.Policy{partition.PolicyOffChipOnly, partition.PolicySizeAscending} {
-				var cRCCE, rRCCE *RunResult
-				withEngine(t, interp.EngineCompiled, func() { cRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("compiled rcce %v: %v", pol, err)
-				}
-				withEngine(t, interp.EngineTreeWalk, func() { rRCCE, err = RunRCCE(w, cfg, pol) })
-				if err != nil {
-					t.Fatalf("tree-walk rcce %v: %v", pol, err)
-				}
+				cRCCE, rRCCE := rcceBoth(t, w, cfg, pol)
 				requireEqualRuns(t, "rcce", cRCCE, rRCCE)
 			}
 		})
@@ -136,7 +132,7 @@ func TestEngineEquivalenceSynth(t *testing.T) {
 
 // TestEngineEquivalenceOversubscribed covers the §7.2 many-to-one
 // scheduler (more UEs than cores), which exercises the manyToOne policy
-// and context-switch charges under the direct-handoff scheduler.
+// and context-switch charges.
 func TestEngineEquivalenceOversubscribed(t *testing.T) {
 	w, ok := ByKey("pi")
 	if !ok {
@@ -150,15 +146,6 @@ func TestEngineEquivalenceOversubscribed(t *testing.T) {
 		o.AllowOversubscribe = true
 		return o
 	}
-	var compiled, reference *RunResult
-	var err error
-	withEngine(t, interp.EngineCompiled, func() { compiled, err = RunRCCE(w, cfg, partition.PolicyOffChipOnly) })
-	if err != nil {
-		t.Fatalf("compiled: %v", err)
-	}
-	withEngine(t, interp.EngineTreeWalk, func() { reference, err = RunRCCE(w, cfg, partition.PolicyOffChipOnly) })
-	if err != nil {
-		t.Fatalf("tree-walk: %v", err)
-	}
+	compiled, reference := rcceBoth(t, w, cfg, partition.PolicyOffChipOnly)
 	requireEqualRuns(t, "oversubscribed", compiled, reference)
 }

@@ -57,10 +57,6 @@ type Config struct {
 	// inject translator faults and prove the differential oracle catches
 	// them; nil is the identity.
 	TransformRCCE func(src string) (string, error)
-	// Engine selects the execution engine for both backends (the zero
-	// value defers to interp.DefaultEngine / HSMCC_ENGINE). Part of the
-	// cell cache identity: mixed-engine sweeps must not share results.
-	Engine interp.Engine
 	// Cache, when non-nil, memoizes the compile-side stages (source
 	// compile and translation) so one compiled Program serves every
 	// cell — and every concurrent worker — with the same source. The
@@ -139,14 +135,13 @@ func (cfg Config) rcceOptions() rcce.Options {
 	if cfg.RCCE != nil {
 		ropts = cfg.RCCE(cfg.Threads)
 	}
-	ropts.Engine = cfg.Engine
 	ropts.Cancel = cfg.Cancel
 	ropts.Trace = cfg.TraceRCCE
 	return ropts
 }
 
 // baselineEnv fingerprints the parts of the environment a baseline run
-// depends on beyond (workload, threads, scale, engine): the machine
+// depends on beyond (workload, threads, scale): the machine
 // configuration and the baseline runtime options. It completes the
 // cross-cell memoization key — two cells may share a baseline result
 // only when every input of that run is identical.
@@ -214,7 +209,6 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 	}
 	defer cfg.span("baseline")()
 	opts := cfg.Baseline
-	opts.Engine = cfg.Engine
 	opts.Cancel = cfg.Cancel
 	res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
 	if err != nil {
@@ -232,7 +226,7 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 
 // RunBaseline measures the unconverted Pthread program. With a Cache in
 // cfg both the compile AND the execution are memoized: the baseline is
-// a pure function of (workload, threads, scale, engine, machine+runtime
+// a pure function of (workload, threads, scale, machine+runtime
 // options), so every policy and budget cell of a sweep at the same
 // configuration shares one run instead of recomputing it.
 func RunBaseline(w Workload, cfg Config) (*RunResult, error) {

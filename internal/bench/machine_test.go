@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/sccsim"
 )
@@ -48,8 +47,8 @@ func TestMachineCacheKeysDistinct(t *testing.T) {
 	}
 
 	cell := Cell{Workload: "hist", Cores: 4, Policy: "size"}
-	ca := semanticKey(cell, 1<<14, interp.EngineCompiled, a.machineEnv)
-	cb := semanticKey(cell, 1<<14, interp.EngineCompiled, b.machineEnv)
+	ca := semanticKey(cell, 1<<14, a.machineEnv)
+	cb := semanticKey(cell, 1<<14, b.machineEnv)
 	if ca == cb {
 		t.Errorf("grid cell keys identical across machine presets")
 	}
@@ -88,7 +87,7 @@ func TestGridMachinePreset(t *testing.T) {
 		Scale:     0.05,
 		Machine:   "mesh256",
 	}
-	rep, err := RunGrid(g, RunOptions{Parallel: 1, Engine: "compiled"})
+	rep, err := RunGrid(g, RunOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,31 +109,22 @@ func TestGridMachinePreset(t *testing.T) {
 // TestMesh1024ThousandContexts runs a corpus workload with 1024 thread
 // contexts time-sharing a mesh1024 machine — the scaling point the
 // resume-path work targets — and pins the engine-equivalence oracle
-// there: the compiled coroutine engine must produce byte-identical
-// output and an identical cycle count to the treewalk reference.
+// there: the coroutine engine must produce byte-identical output and an
+// identical cycle count to the tree-walk reference.
 func TestMesh1024ThousandContexts(t *testing.T) {
 	w, ok := ByKey("hist")
 	if !ok {
 		t.Fatal("histogram workload missing")
 	}
-	run := func(engine interp.Engine) *RunResult {
-		cfg := configFor(t, "mesh1024")
-		cfg.Threads = 1024
-		cfg.Scale = 0.05
-		cfg.Engine = engine
-		res, err := RunBaseline(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(interp.EngineCompiled)
-	ref := run(interp.EngineTreeWalk)
+	cfg := configFor(t, "mesh1024")
+	cfg.Threads = 1024
+	cfg.Scale = 0.05
+	fast, ref := baselineBoth(t, w, cfg)
 	if fast.Output == "" {
 		t.Fatal("1024-context run produced no output")
 	}
 	if fast.Output != ref.Output {
-		t.Errorf("engine output diverges at 1024 contexts")
+		t.Errorf("output diverges from the reference at 1024 contexts")
 	}
 	if fast.Makespan != ref.Makespan {
 		t.Errorf("cycle stats diverge at 1024 contexts: compiled %d ps, treewalk %d ps",

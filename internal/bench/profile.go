@@ -12,6 +12,7 @@ package bench
 import (
 	"fmt"
 
+	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/profile"
 	"hsmcc/internal/rcce"
@@ -21,9 +22,8 @@ import (
 // count and scale: translate with every shared variable off-chip (the
 // uniform reference placement), execute the translated RCCE program
 // once with a profile.Collector attached, and distill the counters into
-// a deterministic profile.Report. The report is byte-identical across
-// execution engines and is memoized via cfg.Cache per (workload,
-// threads, scale, engine, machine+runtime options).
+// a deterministic profile.Report, memoized via cfg.Cache per (workload,
+// threads, scale, machine+runtime options).
 //
 // The profiling run deliberately bypasses cfg.TransformRCCE: the
 // fault-injection seam targets the translation under test, while the
@@ -49,6 +49,12 @@ func profileUncached(w Workload, cfg Config) (*profile.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s profile reparse: %w", w.Key, err)
 	}
+	return profileProgram(w, cfg, tr, pr)
+}
+
+// profileProgram executes pr — the compiled form of the off-chip
+// translation tr — with a collector attached and distills the report.
+func profileProgram(w Workload, cfg Config, tr *translation, pr *interp.Program) (*profile.Report, error) {
 	col := profile.NewCollector(profile.Spec{OffChip: tr.offChipAllocs, OnChip: tr.onChipAllocs})
 	m := cfg.Machine()
 	ropts := cfg.rcceOptions()
@@ -67,7 +73,6 @@ func profileUncached(w Workload, cfg Config) (*profile.Report, error) {
 		Workload: w.Key,
 		Cores:    cfg.Threads,
 		Scale:    cfg.Scale,
-		Engine:   cfg.Engine.Resolve().String(),
 		Vars:     col.Snapshot(),
 		MPB: profile.MPBStats{
 			CapacityBytes:  mcfg.MPBTotal(),

@@ -41,33 +41,39 @@ func TestProfiledPolicyEndToEndCorpus(t *testing.T) {
 }
 
 // TestProfileByteIdenticalAcrossEngines pins the engine-parity contract:
-// the tree-walk reference and the coroutine engine perform the same
+// the compiled Program and its tree-walk reference perform the same
 // memory accesses in the same amounts, so their profiles serialize to
-// identical bytes (modulo the engine label itself).
+// identical bytes.
 func TestProfileByteIdenticalAcrossEngines(t *testing.T) {
 	for _, w := range []string{"pi", "stream", "hist", "prodcons", "lu"} {
 		wl, ok := ByKey(w)
 		if !ok {
 			t.Fatalf("unknown workload %s", w)
 		}
-		run := func(e interp.Engine) []byte {
-			cfg := profCfg(4)
-			cfg.Engine = e
-			rep, err := ProfileWorkload(wl, cfg)
+		cfg := profCfg(4)
+		tr, err := cfg.Cache.translate(wl, cfg.Threads, cfg.Scale, partition.PolicyOffChipOnly, 0, nil, cfg.machineFingerprint(), nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w, err)
+		}
+		run := func(what string, compile func(name, src string) (*interp.Program, error)) []byte {
+			pr, err := compile(wl.Key+"_rcce.c", tr.source)
 			if err != nil {
-				t.Fatalf("%s (%s): %v", w, e, err)
+				t.Fatalf("%s (%s): %v", w, what, err)
 			}
-			rep.Engine = "" // the label is the one intended difference
+			rep, err := profileProgram(wl, cfg, tr, pr)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", w, what, err)
+			}
 			buf, err := rep.JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
 			return buf
 		}
-		compiled := run(interp.EngineCompiled)
-		treewalk := run(interp.EngineTreeWalk)
+		compiled := run("compiled", interp.Compile)
+		treewalk := run("tree-walk", interp.CompileReference)
 		if string(compiled) != string(treewalk) {
-			t.Errorf("%s: profiles differ across engines\ncompiled:\n%s\ntreewalk:\n%s", w, compiled, treewalk)
+			t.Errorf("%s: profiles differ from the reference\ncompiled:\n%s\ntreewalk:\n%s", w, compiled, treewalk)
 		}
 	}
 }
@@ -179,15 +185,6 @@ func TestBaselineRunMemoizedAcrossCells(t *testing.T) {
 	}
 	if n := cfg.Cache.Stats().BaselineRuns; n != 2 {
 		t.Fatalf("baseline runs after second cores value = %d, want 2", n)
-	}
-	// A different engine never shares either.
-	cfg3 := cfg
-	cfg3.Engine = interp.EngineTreeWalk
-	if _, err := RunBaseline(w, cfg3); err != nil {
-		t.Fatal(err)
-	}
-	if n := cfg.Cache.Stats().BaselineRuns; n != 3 {
-		t.Fatalf("baseline runs after engine switch = %d, want 3", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"testing"
 
 	"hsmcc/internal/bench"
@@ -8,6 +9,57 @@ import (
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
+
+// runBothPrograms runs w's baseline source and its size-policy
+// translation on Programs built by compile — interp.Compile for the
+// coroutine engine, interp.CompileReference for the tree-walk oracle —
+// through the Program-taking run seams, so both sides execute the same
+// source text.
+func runBothPrograms(w bench.Workload, cfg bench.Config, compile func(name, src string) (*interp.Program, error)) (base, conv *bench.RunResult, err error) {
+	pr, err := compile(w.Key+".c", w.Source(cfg.Threads, cfg.Scale))
+	if err != nil {
+		return nil, nil, err
+	}
+	if base, err = bench.RunBaselineProgram(w, pr, cfg); err != nil {
+		return nil, nil, err
+	}
+	tr, err := bench.TranslateWorkload(w, cfg, partition.PolicySizeAscending)
+	if err != nil {
+		return nil, nil, err
+	}
+	if tr.Program, err = compile(w.Key+"_rcce.c", tr.Source); err != nil {
+		return nil, nil, err
+	}
+	conv, err = bench.RunRCCEProgram(w, tr, cfg, partition.PolicySizeAscending)
+	return base, conv, err
+}
+
+// requireEnginesAgree runs w compiled and as the reference and fails on
+// any difference in output, makespan or cycle statistics.
+func requireEnginesAgree(t *testing.T, what string, w bench.Workload, cfg bench.Config) {
+	t.Helper()
+	cBase, cConv, err := runBothPrograms(w, cfg, interp.Compile)
+	if err != nil {
+		t.Fatalf("%s compiled: %v", what, err)
+	}
+	rBase, rConv, err := runBothPrograms(w, cfg, interp.CompileReference)
+	if err != nil {
+		t.Fatalf("%s tree-walk: %v", what, err)
+	}
+	for _, pair := range []struct {
+		what string
+		c, r *bench.RunResult
+	}{{"baseline", cBase, rBase}, {"rcce", cConv, rConv}} {
+		if pair.c.Output != pair.r.Output {
+			t.Errorf("%s %s: output diverged\n--- compiled\n%s\n--- tree-walk\n%s",
+				what, pair.what, pair.c.Output, pair.r.Output)
+		}
+		if pair.c.Makespan != pair.r.Makespan || pair.c.Stats != pair.r.Stats {
+			t.Errorf("%s %s: cycle statistics diverged (makespan %d vs %d)",
+				what, pair.what, pair.c.Makespan, pair.r.Makespan)
+		}
+	}
+}
 
 // TestEngineEquivalenceKernels extends the compiled-engine golden
 // invariant to generated conformance kernels: for a sample of seeds
@@ -21,46 +73,14 @@ func TestEngineEquivalenceKernels(t *testing.T) {
 	}
 	const kernels = 24
 	const cores = 4
-	runBoth := func(e interp.Engine, w bench.Workload, cfg bench.Config) (*bench.RunResult, *bench.RunResult, error) {
-		old := interp.DefaultEngine
-		interp.DefaultEngine = e
-		defer func() { interp.DefaultEngine = old }()
-		base, err := bench.RunBaseline(w, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		conv, err := bench.RunRCCE(w, cfg, partition.PolicySizeAscending)
-		if err != nil {
-			return nil, nil, err
-		}
-		return base, conv, nil
-	}
 	for seed := int64(5000); seed < 5000+kernels; seed++ {
 		spec := SpecForSeed(seed, DefaultGenOptions())
 		src := spec.Source(cores)
-		w := kernelWorkload(seed, src)
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
-		cBase, cConv, err := runBoth(interp.EngineCompiled, w, cfg)
-		if err != nil {
-			t.Fatalf("seed %d compiled: %v\n%s", seed, err, src)
-		}
-		rBase, rConv, err := runBoth(interp.EngineTreeWalk, w, cfg)
-		if err != nil {
-			t.Fatalf("seed %d tree-walk: %v\n%s", seed, err, src)
-		}
-		for _, pair := range []struct {
-			what string
-			c, r *bench.RunResult
-		}{{"baseline", cBase, rBase}, {"rcce", cConv, rConv}} {
-			if pair.c.Output != pair.r.Output {
-				t.Errorf("seed %d %s: output diverged\n--- compiled\n%s\n--- tree-walk\n%s",
-					seed, pair.what, pair.c.Output, pair.r.Output)
-			}
-			if pair.c.Makespan != pair.r.Makespan || pair.c.Stats != pair.r.Stats {
-				t.Errorf("seed %d %s: cycle statistics diverged (makespan %d vs %d)",
-					seed, pair.what, pair.c.Makespan, pair.r.Makespan)
-			}
+		requireEnginesAgree(t, fmt.Sprintf("seed %d", seed), kernelWorkload(seed, src), cfg)
+		if t.Failed() {
+			t.Fatalf("seed %d source:\n%s", seed, src)
 		}
 	}
 }
@@ -75,47 +95,12 @@ func TestEngineEquivalenceSynthKernels(t *testing.T) {
 	}
 	const kernels = 8
 	const cores = 4
-	runBoth := func(e interp.Engine, w bench.Workload, cfg bench.Config) (*bench.RunResult, *bench.RunResult, error) {
-		old := interp.DefaultEngine
-		interp.DefaultEngine = e
-		defer func() { interp.DefaultEngine = old }()
-		base, err := bench.RunBaseline(w, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		conv, err := bench.RunRCCE(w, cfg, partition.PolicySizeAscending)
-		if err != nil {
-			return nil, nil, err
-		}
-		return base, conv, nil
-	}
 	for seed := int64(6000); seed < 6000+kernels; seed++ {
 		p := synth.ParamsForSeed(seed)
-		w := bench.SynthWorkload(p)
 		cfg := bench.DefaultConfig()
 		cfg.Threads = cores
 		cfg.Scale = 1.0
-		cBase, cConv, err := runBoth(interp.EngineCompiled, w, cfg)
-		if err != nil {
-			t.Fatalf("%s compiled: %v", p.Key(), err)
-		}
-		rBase, rConv, err := runBoth(interp.EngineTreeWalk, w, cfg)
-		if err != nil {
-			t.Fatalf("%s tree-walk: %v", p.Key(), err)
-		}
-		for _, pair := range []struct {
-			what string
-			c, r *bench.RunResult
-		}{{"baseline", cBase, rBase}, {"rcce", cConv, rConv}} {
-			if pair.c.Output != pair.r.Output {
-				t.Errorf("%s %s: output diverged\n--- compiled\n%s\n--- tree-walk\n%s",
-					p.Key(), pair.what, pair.c.Output, pair.r.Output)
-			}
-			if pair.c.Makespan != pair.r.Makespan || pair.c.Stats != pair.r.Stats {
-				t.Errorf("%s %s: cycle statistics diverged (makespan %d vs %d)",
-					p.Key(), pair.what, pair.c.Makespan, pair.r.Makespan)
-			}
-		}
+		requireEnginesAgree(t, p.Key(), bench.SynthWorkload(p), cfg)
 	}
 }
 

@@ -28,7 +28,7 @@ func (p *Proc) evalCall(n *ast.CallExpr) (Value, error) {
 				if err != nil {
 					return Value{}, err
 				}
-				return p.call(fn, args)
+				return p.callTree(fn, args)
 			}
 		}
 	}
@@ -38,7 +38,7 @@ func (p *Proc) evalCall(n *ast.CallExpr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return p.call(fn, args)
+		return p.callTree(fn, args)
 	}
 
 	args, err := p.evalArgs(n.Args)
@@ -135,7 +135,7 @@ func commonBuiltinID(name string) builtinID {
 }
 
 // commonBuiltin implements the runtime-independent libc subset (the
-// tree-walk engine's string-keyed entry point).
+// tree-walk's string-keyed entry point).
 func (p *Proc) commonBuiltin(name string, args []Value) (Value, bool, error) {
 	return p.commonBuiltinByID(commonBuiltinID(name), args)
 }

@@ -4,20 +4,18 @@ import (
 	"fmt"
 
 	"hsmcc/internal/cc/ast"
+	"hsmcc/internal/cc/token"
 	"hsmcc/internal/cc/types"
 )
 
 // The compile pass lowers each function once, at Load time, into the
 // closure form of ir.go. Lowering is a transcription of eval.go/exec.go:
 // every chargeCycles call, memory access and error message is emitted in
-// the same order as the tree-walk engine, so the compiled engine produces
+// the same order as the tree-walk reference, so the compiled form produces
 // byte-identical output AND identical simulated-time statistics — only
 // host-side work (type switches, map lookups, per-call AST walks) is
-// resolved ahead of time. Anything the compiler cannot resolve statically
-// poisons the whole function, which then routes to the tree-walk engine;
-// mixing engines per function is safe because both operate on the same
-// Proc stack-pointer discipline (a program with any poisoned function
-// falls back to the goroutine scheduler as a whole — see Sim.decideMode).
+// resolved ahead of time. A tree the compiler cannot resolve statically
+// (a nil type sema would never leave behind) fails the Load.
 //
 // Every lowered closure additionally follows the coroutine resumption
 // protocol of coro.go. Each closure's body is a sequence of units
@@ -38,25 +36,23 @@ import (
 // ("inside my first child") also falls through — the child pops its own
 // frame and resumes internally.
 
-// compileProgram lowers every function of a loaded program.
-func compileProgram(pr *Program) {
+// compileProgram lowers every function of a loaded program; the first
+// function that cannot be lowered is the error.
+func compileProgram(pr *Program) error {
 	pr.compiled = make(map[*ast.FuncDecl]*compiledFunc, len(pr.funcList))
 	pr.compiledList = make([]*compiledFunc, len(pr.funcList))
 	// Two phases: layouts first, so call sites can reference any callee's
 	// shell (recursion, forward calls), then bodies.
 	for i, fn := range pr.funcList {
 		cf := &compiledFunc{decl: fn, name: fn.Name}
-		cf.buildLayout()
+		if err := cf.buildLayout(); err != nil {
+			return err
+		}
 		pr.compiled[fn] = cf
 		pr.compiledList[i] = cf
 	}
-	pr.fullyCompiled = true
 	for _, cf := range pr.compiledList {
 		if cf.decl.Body == nil {
-			continue
-		}
-		if cf.fallback {
-			pr.fullyCompiled = false
 			continue
 		}
 		c := &compiler{pr: pr, cf: cf, slotIdx: make(map[*ast.Symbol]int)}
@@ -64,24 +60,30 @@ func compileProgram(pr *Program) {
 			// Last allocation wins, mirroring the reference frame map.
 			c.slotIdx[sd.sym] = i
 		}
-		body := c.compileBlock(cf.decl.Body)
-		if c.poison {
-			cf.fallback = true
-			pr.fullyCompiled = false
-			continue
+		cf.body = c.compileBlock(cf.decl.Body)
+		if c.err != nil {
+			return c.err
 		}
-		cf.body = body
 	}
+	return nil
+}
+
+// unlowerable is the Load error for a tree the compiler cannot resolve.
+func unlowerable(pos token.Pos, fn, what string) error {
+	return fmt.Errorf("%s: interp: cannot lower function %s: %s", pos, fn, what)
 }
 
 // buildLayout computes the frame layout exactly as the reference
 // pushFrame does: one slot per named parameter, then one per local
 // declaration anywhere in the body, in Inspect (source) order.
-func (cf *compiledFunc) buildLayout() {
+func (cf *compiledFunc) buildLayout() error {
 	fn := cf.decl
-	add := func(sym *ast.Symbol, t *types.Type) int {
+	var err error
+	add := func(sym *ast.Symbol, t *types.Type, pos token.Pos) int {
 		if t == nil {
-			cf.fallback = true
+			if err == nil {
+				err = unlowerable(pos, cf.name, sym.Name+" has no type")
+			}
 			return -1
 		}
 		size := uint32(t.Size())
@@ -103,18 +105,19 @@ func (cf *compiledFunc) buildLayout() {
 		cf.paramType[i] = prm.Type
 		cf.paramStore[i] = makeStore(prm.Type)
 		if prm.Sym != nil {
-			cf.paramSlot[i] = add(prm.Sym, prm.Type)
+			cf.paramSlot[i] = add(prm.Sym, prm.Type, prm.Pos())
 		}
 	}
 	if fn.Body == nil {
-		return
+		return err
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if d, ok := n.(*ast.DeclStmt); ok && d.Decl.Sym != nil {
-			add(d.Decl.Sym, d.Decl.Type)
+			add(d.Decl.Sym, d.Decl.Type, d.Decl.Pos())
 		}
 		return true
 	})
+	return err
 }
 
 // compiler lowers one function body.
@@ -122,13 +125,16 @@ type compiler struct {
 	pr      *Program
 	cf      *compiledFunc
 	slotIdx map[*ast.Symbol]int
-	poison  bool
+	err     error
 }
 
-// bail poisons the function; the returned closure is never executed.
-func (c *compiler) bail() evalFn {
-	c.poison = true
-	return func(p *Proc) (Value, error) { return Value{}, fmt.Errorf("interp: poisoned function") }
+// fail records why the function cannot be lowered (the first reason
+// wins). Lowering carries on with nil closures, which never run because
+// the Load fails.
+func (c *compiler) fail(pos token.Pos, what string) {
+	if c.err == nil {
+		c.err = unlowerable(pos, c.cf.name, what)
+	}
 }
 
 func errEval(err error) evalFn {
@@ -147,7 +153,7 @@ func b2i(b bool) int64 {
 // Statements
 // ---------------------------------------------------------------------------
 
-// compileBlock lowers a statement list (no per-block statement tick; the
+// compileBlock lowers a statement list (no per-block statement count; the
 // enclosing BlockStmt node, when there is one, carries its own).
 func (c *compiler) compileBlock(b *ast.BlockStmt) execFn {
 	list := make([]execFn, len(b.List))
@@ -199,29 +205,19 @@ func (c *compiler) compileBlock(b *ast.BlockStmt) execFn {
 	}
 }
 
-// tick is the per-statement prologue of the reference execStmt. It must
-// not yield (Runtime.Tick is documented non-yielding), so statement
-// combinators run it only on fresh entry.
-func (p *Proc) tick() {
-	p.Ops++
-	if rt := p.Sim.Runtime; rt != nil {
-		rt.Tick(p)
-	}
-}
-
 func (c *compiler) compileStmt(s ast.Stmt) execFn {
 	switch n := s.(type) {
 	// BlockStmt and ExprStmt are TRANSPARENT combinators: single-child
 	// pass-throughs whose resume unconditionally re-enters the child and
 	// restores no locals. They push no frame — on a re-descent the
 	// resuming bit alone routes them straight into the child (skipping
-	// the tick, which already ran on fresh entry) — so every suspension
-	// that crosses them saves a frame both ways.
+	// the statement count, which already ran on fresh entry) — so every
+	// suspension that crosses them saves a frame both ways.
 	case *ast.BlockStmt:
 		inner := c.compileBlock(n)
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			if !p.coResuming {
-				p.tick()
+				p.Ops++
 			}
 			return inner(p, ret)
 		}
@@ -233,7 +229,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		x := c.compileExpr(n.X)
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			if !p.coResuming {
-				p.tick()
+				p.Ops++
 			}
 			_, err := x(p)
 			return ctrlNone, err
@@ -254,7 +250,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				fr := p.popKRef()
 				step, cb = fr.step, fr.n != 0
 			} else {
-				p.tick()
+				p.Ops++
 			}
 			if step <= 1 {
 				v, err := cond(p)
@@ -310,7 +306,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				fr := p.popKRef()
 				step, cbSaved = fr.step, fr.n != 0
 			} else {
-				p.tick()
+				p.Ops++
 			}
 			if step <= 1 {
 				if init != nil {
@@ -385,7 +381,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				fr := p.popKRef()
 				step, cbSaved = fr.step, fr.n != 0
 			} else {
-				p.tick()
+				p.Ops++
 			}
 			for {
 				if step <= 1 {
@@ -436,7 +432,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				fr := p.popKRef()
 				step, cbSaved = fr.step, fr.n != 0
 			} else {
-				p.tick()
+				p.Ops++
 			}
 			for {
 				if step <= 1 {
@@ -515,7 +511,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					matched = true
 				}
 			} else {
-				p.tick()
+				p.Ops++
 			}
 			if step <= 1 {
 				tv, err := tag(p)
@@ -573,7 +569,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 	case *ast.ReturnStmt:
 		if n.Result == nil {
 			return func(p *Proc, ret *Value) (ctrl, error) {
-				p.tick()
+				p.Ops++
 				return ctrlReturn, nil
 			}
 		}
@@ -582,7 +578,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		// happens between its completion and the return.
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			if !p.coResuming {
-				p.tick()
+				p.Ops++
 			}
 			v, err := res(p)
 			if err != nil {
@@ -594,24 +590,24 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 
 	case *ast.BreakStmt:
 		return func(p *Proc, ret *Value) (ctrl, error) {
-			p.tick()
+			p.Ops++
 			return ctrlBreak, nil
 		}
 	case *ast.ContinueStmt:
 		return func(p *Proc, ret *Value) (ctrl, error) {
-			p.tick()
+			p.Ops++
 			return ctrlContinue, nil
 		}
 	case *ast.EmptyStmt:
 		return func(p *Proc, ret *Value) (ctrl, error) {
-			p.tick()
+			p.Ops++
 			return ctrlNone, nil
 		}
 
 	default:
 		err := fmt.Errorf("%s: cannot execute %T", s.Pos(), s)
 		return func(p *Proc, ret *Value) (ctrl, error) {
-			p.tick()
+			p.Ops++
 			return ctrlNone, err
 		}
 	}
@@ -629,15 +625,13 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 	d := n.Decl
 	if d.Sym == nil {
 		return func(p *Proc, ret *Value) (ctrl, error) {
-			p.tick()
+			p.Ops++
 			return ctrlNone, nil
 		}
 	}
 	idx, ok := c.slotIdx[d.Sym]
 	if !ok || d.Type == nil {
-		// A local whose symbol is not in its own function's layout cannot
-		// happen for sema-checked trees; keep the reference behaviour.
-		c.poison = true
+		c.fail(d.Pos(), "local "+d.Name+" has no frame slot or no type")
 		return nil
 	}
 	typ := d.Type
@@ -660,7 +654,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 				if p.coResuming {
 					step = p.popKRef().step
 				} else {
-					p.tick()
+					p.Ops++
 				}
 				if init != nil && step <= 1 { // mirrors execStmt order: Init runs first
 					v, ierr := init(p)
@@ -707,7 +701,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 				zFrom = int(fr.n)
 			}
 		} else {
-			p.tick()
+			p.Ops++
 		}
 		if step <= 1 && init != nil {
 			v, err := init(p)

@@ -64,8 +64,8 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 		x := c.compileExpr(n.X)
 		to := n.To
 		if to == nil {
-			c.poison = true
-			return c.bail()
+			c.fail(n.Pos(), "cast to no type")
+			return nil
 		}
 		toInt, toFloat := to.IsInteger(), to.IsFloat()
 		return func(p *Proc) (Value, error) {
@@ -371,8 +371,8 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 	}
 	typ := n.Sym.Type
 	if typ == nil {
-		c.poison = true
-		return c.bail()
+		c.fail(n.Pos(), n.Name+" has no type")
+		return nil
 	}
 	if idx, ok := c.slotIdx[n.Sym]; ok {
 		if typ.Kind == types.Array {
@@ -581,7 +581,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 		if staticT != nil {
 			elem := staticT.Elem
 			if elem == nil {
-				c.poison = true
+				c.fail(n.Pos(), "indexed array has no element type")
 				return nil, nil
 			}
 			elemSize := int64(elem.Size())
@@ -1381,7 +1381,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			var v Value
 			var err error
 			if cf != nil {
-				v, err = p.dispatchCall(cf, argv)
+				v, err = p.callCompiled(cf, argv)
 			} else {
 				v, err = builtinTail(p, argv)
 			}
@@ -1426,7 +1426,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 	if fn := pr.Funcs[name]; fn != nil && fn.Body != nil {
 		cf := pr.compiled[fn]
 		invoke := func(p *Proc, base int, argv []Value) (Value, error) {
-			v, err := p.dispatchCall(cf, argv)
+			v, err := p.callCompiled(cf, argv)
 			if err == errYield {
 				p.pushK(kframe{step: 1, a: uint32(base)})
 				return Value{}, err
@@ -1449,7 +1449,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 				}
 				return Value{}, err
 			}
-			v, err := p.dispatchCall(cf, argv)
+			v, err := p.callCompiled(cf, argv)
 			if err == errYield {
 				p.pushK(kframe{step: 1, a: uint32(base)})
 				return Value{}, err

@@ -1,10 +1,18 @@
 package interp
 
 import (
+	goast "go/ast"
+	goparser "go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hsmcc/internal/cc/ast"
+	"hsmcc/internal/cc/parser"
+	"hsmcc/internal/cc/sema"
 	"hsmcc/internal/sccsim"
 )
 
@@ -55,10 +63,6 @@ int main() {
 func TestFrameLayoutOneSlotPerSymbol(t *testing.T) {
 	for name, pr := range layoutPrograms(t) {
 		for _, cf := range pr.compiledList {
-			if cf.fallback {
-				t.Errorf("%s: %s fell back to the tree-walk engine", name, cf.name)
-				continue
-			}
 			seen := map[*ast.Symbol]int{}
 			for _, sd := range cf.slots {
 				if sd.sym == nil {
@@ -129,13 +133,13 @@ func TestFrameSlotsDoNotOverlap(t *testing.T) {
 		}
 		// Push every function once, then the first twice more (recursion).
 		for _, cf := range pr.compiledList {
-			if cf.decl.Body == nil || cf.fallback {
+			if cf.decl.Body == nil {
 				continue
 			}
 			push(cf)
 		}
 		for _, cf := range pr.compiledList {
-			if cf.decl.Body == nil || cf.fallback {
+			if cf.decl.Body == nil {
 				continue
 			}
 			push(cf)
@@ -145,25 +149,20 @@ func TestFrameSlotsDoNotOverlap(t *testing.T) {
 	}
 }
 
-// TestRecursionEngineParity runs a recursion-heavy program under both
-// engines: identical output and makespan means recursive frames reuse
-// layouts at distinct addresses with identical timing.
+// TestRecursionEngineParity runs a recursion-heavy program compiled and
+// as the tree-walk reference: identical output and makespan means
+// recursive frames reuse layouts at distinct addresses with identical
+// timing.
 func TestRecursionEngineParity(t *testing.T) {
 	src := `
 int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
 int fact(int n) { int acc = 1; if (n > 1) acc = n * fact(n - 1); return acc; }
 int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
-	run := func(e Engine) (*Sim, error) {
-		old := DefaultEngine
-		DefaultEngine = e
-		defer func() { DefaultEngine = old }()
-		return tryRunMain(src)
-	}
-	a, err := run(EngineCompiled)
+	a, err := tryRunMainWith(Compile, src)
 	if err != nil {
 		t.Fatalf("compiled: %v", err)
 	}
-	b, err := run(EngineTreeWalk)
+	b, err := tryRunMainWith(CompileReference, src)
 	if err != nil {
 		t.Fatalf("tree-walk: %v", err)
 	}
@@ -172,5 +171,117 @@ int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
 	}
 	if a.Output() != "1597 3628800\n" {
 		t.Fatalf("wrong answer: %q", a.Output())
+	}
+}
+
+// TestLoadRejectsUnlowerable: a tree the compiler cannot lower — here a
+// checked program whose AST is then stripped of a type sema always fills
+// in — is a Load error naming the function, never a Program that falls
+// back to another way of running.
+func TestLoadRejectsUnlowerable(t *testing.T) {
+	const src = `
+int a[4];
+int ok(int n) { return n + 1; }
+int broken(int n) { int local = n; double d = (double)local; return a[n] + (int)d; }
+int main() { return ok(broken(1)); }`
+	breakers := map[string]func(ast.Node) bool{
+		"local type": func(n ast.Node) bool {
+			d, ok := n.(*ast.DeclStmt)
+			if ok && d.Decl.Name == "local" {
+				d.Decl.Type = nil
+			}
+			return ok && d.Decl.Name == "local"
+		},
+		"cast type": func(n ast.Node) bool {
+			c, ok := n.(*ast.CastExpr)
+			if ok {
+				c.To = nil
+			}
+			return ok
+		},
+		"element type": func(n ast.Node) bool {
+			x, ok := n.(*ast.IndexExpr)
+			if !ok {
+				return false
+			}
+			arr := *x.X.ResultType()
+			arr.Elem = nil
+			x.X.(*ast.Ident).Sym.Type = &arr
+			return true
+		},
+	}
+	for name, breakNode := range breakers {
+		file, err := parser.Parse("u.c", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := sema.Analyze(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		broke := false
+		ast.Inspect(file, func(n ast.Node) bool {
+			if !broke && n != nil && breakNode(n) {
+				broke = true
+			}
+			return !broke
+		})
+		if !broke {
+			t.Fatalf("%s: nothing to break in the test source", name)
+		}
+		pr, err := Load(file, info)
+		if err == nil || pr != nil {
+			t.Fatalf("%s: Load returned (%v, %v), want no Program and an error", name, pr, err)
+		}
+		if !strings.Contains(err.Error(), "cannot lower function broken") {
+			t.Errorf("%s: error %q does not name the function", name, err)
+		}
+	}
+}
+
+// TestReferenceIsTestOnly keeps the tree-walk reference out of every
+// production path: no non-test file of the root module may mention
+// CompileReference or LoadReference, except package interp where they
+// are defined.
+func TestReferenceIsTestOnly(t *testing.T) {
+	reference := map[string]bool{"CompileReference": true, "LoadReference": true}
+	const root = "../.."
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if _, nested := os.Stat(filepath.Join(path, "go.mod")); path != root && (nested == nil || d.Name() == ".git") {
+				return filepath.SkipDir // another module (benchmark/), not this one
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := goparser.ParseFile(token.NewFileSet(), path, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*goast.FuncDecl); ok && f.Name.Name == "interp" && reference[fn.Name.Name] {
+				continue // the definitions themselves
+			}
+			goast.Inspect(decl, func(n goast.Node) bool {
+				if id, ok := n.(*goast.Ident); ok && reference[id.Name] {
+					t.Errorf("%s: non-test code references %s", path, id.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("walked only %d non-test files from %s", files, root)
 	}
 }

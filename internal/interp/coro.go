@@ -9,17 +9,16 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// The coroutine execution core. Under the compiled engine, execution
-// contexts are stackless coroutines stepped from one plain loop on the
-// caller's goroutine: a yield point (memory-op cadence, clock-skew
-// horizon, RCCE/pthread blocking) unwinds the compiled-closure stack
-// with the errYield sentinel while every closure on the path pushes an
-// explicit resumption frame, and the scheduler loop later re-enters the
-// context from the top, each closure popping its frame and jumping
-// straight back to the suspended child. No goroutines are created and
-// no channel is touched on any context switch; the tree-walk reference
-// engine keeps the original goroutine-per-context blocking scheduler
-// behind the HSMCC_ENGINE seam.
+// The coroutine execution core. Execution contexts are stackless
+// coroutines stepped from one plain loop on the caller's goroutine
+// (Sim.Run): a yield point (memory-op cadence, clock-skew horizon,
+// RCCE/pthread blocking) unwinds the compiled-closure stack with the
+// errYield sentinel while every closure on the path pushes an explicit
+// resumption frame, and the loop later re-enters the context from the
+// top, each closure popping its frame and jumping straight back to the
+// suspended child. No goroutines are created and no channel is touched
+// on any context switch. (Only the contexts of a test-only reference
+// Program, which walk the AST, park on goroutines instead.)
 //
 // Frame discipline (the whole protocol):
 //
@@ -206,104 +205,6 @@ func (p *Proc) PopResume() (int, any) {
 	return fr.step, fr.x
 }
 
-// yieldCoro suspends a coroutine-mode context: it stays runnable, the
-// next context is elected with exactly one policy call (matching the
-// goroutine engine's Yield), and when the policy re-elects the yielder
-// the suspension is skipped entirely — no unwind, no frames.
-func (p *Proc) yieldCoro() error {
-	p.State = Runnable
-	p.lastYield = p.Clock
-	s := p.Sim
-	s.noteRunnable(p)
-	next := s.pickNext()
-	if next == p {
-		p.State = Running
-		return nil
-	}
-	if p.trace != nil {
-		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendYield, ReasonNone)
-	}
-	s.elected, s.electedValid = next, true
-	return errYield
-}
-
-// blockCoro parks a coroutine-mode context until Unblock; the caller's
-// builtin resumes after its Block call once re-elected.
-func (p *Proc) blockCoro() error {
-	p.State = Blocked
-	p.lastYield = p.Clock
-	if p.trace != nil {
-		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendBlock, p.takeBlockReason())
-	}
-	s := p.Sim
-	s.elected, s.electedValid = s.pickNext(), true
-	return errYield
-}
-
-// runCoro is the coroutine scheduler: a plain loop that steps whichever
-// context the policy elects until everything is done, something
-// deadlocks, or a context fails. The policy call sequence is identical
-// to the goroutine engine's handoff chain — one Next per yield, block
-// or exit — so stateful policies (round-robin quanta, many-to-one
-// core multiplexing) observe the exact same transitions.
-func (s *Sim) runCoro() error {
-	next := s.pickNext()
-	for next != nil {
-		next.State = Running
-		if next.trace != nil {
-			// The goroutine engine fires the same hook in handoff, the
-			// same Runnable→Running edge with the same clock.
-			next.trace.TraceResume(next.ID, next.Core, next.Clock)
-		}
-		s.elected, s.electedValid = nil, false
-		finished := next.stepCoro()
-		if s.err != nil {
-			break
-		}
-		if finished {
-			next = s.pickNext()
-			continue
-		}
-		if s.electedValid {
-			next = s.elected
-		} else {
-			// A context must suspend through yieldCoro/blockCoro, which
-			// always elect a successor; reaching here is a protocol bug.
-			s.fail(fmt.Errorf("interp: context %d suspended without electing a successor", next.ID))
-			break
-		}
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if s.allDone() {
-		return nil
-	}
-	return fmt.Errorf("interp: deadlock: %s", s.stateSummary())
-}
-
-// stepCoro enters or resumes a context and runs it to its next
-// suspension point; true means the context finished (bookkeeping done).
-// The root callee is resolved once at spawn, so a resume costs no map
-// lookup before the re-descent.
-func (p *Proc) stepCoro() bool {
-	if len(p.kstack) > 0 {
-		p.coResuming = true
-	}
-	var v Value
-	var err error
-	if cf := p.rootCF; cf != nil {
-		v, err = p.callCompiled(cf, p.args)
-	} else {
-		v, err = p.call(p.fn, p.args)
-	}
-	if err == errYield {
-		return false
-	}
-	p.finish(v, err)
-	return true
-}
-
 // procScratch bundles every growable per-context buffer of the compiled
 // engine so one pool hit at spawn replaces seven warm-up allocations
 // (the resumption stacks, the activation arenas and the 6 KB per-depth
@@ -378,8 +279,8 @@ func (p *Proc) releaseScratch() {
 	scratchPool.Put(sc)
 }
 
-// finish is the context completion path shared by both engines: record
-// the result, recycle the stack slot, wake joiners.
+// finish is the context completion path: record the result, recycle the
+// stack slot, wake joiners.
 func (p *Proc) finish(v Value, err error) {
 	switch err {
 	case nil, errThreadExit:

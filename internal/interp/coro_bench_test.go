@@ -36,9 +36,7 @@ int worker(int me) {
 }`
 
 // runSwitchKernel spawns one context per core and runs the session to
-// completion under the session-default engine (the HSMCC_ENGINE seam),
-// so the benchguard gate can drive the same kernel through both engines
-// from one binary.
+// completion.
 func runSwitchKernel(b *testing.B, pr *Program, contexts int) *Sim {
 	cfg := sccsim.DefaultConfig()
 	sim := NewSim(sccsim.MustNew(cfg), pr)
@@ -51,18 +49,12 @@ func runSwitchKernel(b *testing.B, pr *Program, contexts int) *Sim {
 	if err := sim.Run(); err != nil {
 		b.Fatal(err)
 	}
-	if DefaultEngine == EngineCompiled && !sim.Coroutine() {
-		b.Fatal("expected coroutine mode")
-	}
 	return sim
 }
 
 // BenchmarkContextSwitch measures the coroutine resume hot path under
 // scheduler pressure: 32 contexts interleaving at the memory-op yield
-// cadence. It is one of the benchguard gate's inputs — the tree-walk
-// engine runs the same kernel through its goroutine handoff chain, and
-// the coroutine engine must keep a geomean margin over it (see
-// .github/workflows/ci.yml and docs/PERFORMANCE.md).
+// cadence (docs/PERFORMANCE.md).
 func BenchmarkContextSwitch(b *testing.B) {
 	pr, err := Compile("switch.c", switchKernel)
 	if err != nil {

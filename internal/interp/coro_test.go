@@ -21,45 +21,49 @@ int main() {
   return 0;
 }`
 
-// TestCoroutineModeEngaged pins the mode decision: a fully-compiled
-// program under the compiled engine runs as coroutines; the tree-walk
-// reference keeps the goroutine scheduler.
-func TestCoroutineModeEngaged(t *testing.T) {
-	pr, err := Compile("c.c", coroProgram)
+// compileBoth builds src twice: the compiled Program and its tree-walk
+// reference.
+func compileBoth(t *testing.T, name, src string) (compiled, reference *Program) {
+	t.Helper()
+	compiled, err := Compile(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pr.FullyCompiled() {
-		t.Fatal("kernel should compile fully")
-	}
-	sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-	sim.Engine = EngineCompiled
-	if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
+	reference, err = CompileReference(name, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !sim.Coroutine() {
-		t.Error("compiled engine on a fully-compiled program should run coroutines")
-	}
+	return compiled, reference
+}
 
-	ref := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-	ref.Engine = EngineTreeWalk
-	if _, err := ref.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
-		t.Fatal(err)
+// TestCoroutineModeEngaged pins what decides how a session runs: a
+// Compiled program is fully lowered (its contexts are coroutines; the
+// pthreadrt zero-goroutine tests pin that), only a reference Program
+// walks the tree — with the same output and makespan.
+func TestCoroutineModeEngaged(t *testing.T) {
+	pr, refPr := compileBoth(t, "c.c", coroProgram)
+	if !pr.FullyCompiled() {
+		t.Fatal("a compiled Program must be fully lowered")
 	}
-	if err := ref.Run(); err != nil {
-		t.Fatal(err)
+	if refPr.FullyCompiled() {
+		t.Fatal("a reference Program must not report itself compiled")
 	}
-	if ref.Coroutine() {
-		t.Error("tree-walk engine must not run coroutines")
+	run := func(pr *Program) *Sim {
+		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+		if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sim
 	}
+	sim, ref := run(pr), run(refPr)
 	if sim.Output() != ref.Output() {
-		t.Errorf("engine outputs differ: %q vs %q", sim.Output(), ref.Output())
+		t.Errorf("outputs differ: %q vs %q", sim.Output(), ref.Output())
 	}
 	if sim.Makespan() != ref.Makespan() {
-		t.Errorf("engine makespans differ: %d vs %d", sim.Makespan(), ref.Makespan())
+		t.Errorf("makespans differ: %d vs %d", sim.Makespan(), ref.Makespan())
 	}
 }
 
@@ -70,7 +74,7 @@ func TestCoroutineModeEngaged(t *testing.T) {
 // the nested call left in the arena. Needs two contexts so the yields
 // actually suspend.
 func TestCoroutineFallOffEndReturn(t *testing.T) {
-	pr, err := Compile("f.c", `
+	pr, refPr := compileBoth(t, "f.c", `
 int a[64];
 int helper(int n) {
   int i; int s;
@@ -83,12 +87,8 @@ int worker(int me) {
   printf("v%d %d\n", me, noret(20000));
   return 0;
 }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(e Engine) *Sim {
+	run := func(pr *Program) *Sim {
 		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-		sim.Engine = e
 		for core := 0; core < 2; core++ {
 			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
 				t.Fatal(err)
@@ -99,18 +99,14 @@ int worker(int me) {
 		}
 		return sim
 	}
-	coro := run(EngineCompiled)
-	if !coro.Coroutine() {
-		t.Fatal("expected coroutine mode")
-	}
-	ref := run(EngineTreeWalk)
+	coro, ref := run(pr), run(refPr)
 	if coro.Output() != ref.Output() {
 		t.Errorf("fall-off-the-end return diverged:\ncoroutine:\n%s\ntree-walk:\n%s", coro.Output(), ref.Output())
 	}
 }
 
 // TestSchedulerParityHeapVsLinearCoroutine pins the min-clock heap
-// against the linear-scan oracle under the coroutine engine: multiple
+// against the linear-scan oracle: multiple
 // contexts interleaving through yields must produce byte-identical
 // output and identical per-context clocks with either policy.
 func TestSchedulerParityHeapVsLinearCoroutine(t *testing.T) {
@@ -128,7 +124,6 @@ int worker(int me) {
 	}
 	run := func(pol Policy) (*Sim, error) {
 		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-		sim.Engine = EngineCompiled
 		sim.Policy = pol
 		for core := 0; core < 4; core++ {
 			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
@@ -140,9 +135,6 @@ int worker(int me) {
 	heap, err := run(NewMinClockHeap())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !heap.Coroutine() {
-		t.Fatal("expected coroutine mode")
 	}
 	linear, err := run(MinClock{})
 	if err != nil {

@@ -8,10 +8,9 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// evalExpr evaluates e to an rvalue (tree-walk reference engine; runs
-// only under the blocking goroutine scheduler, so the yield-capable
-// primitives suspend internally and the propagated errors here are
-// always real failures).
+// evalExpr evaluates e to an rvalue (tree-walk reference; runs only on
+// a reference context's goroutine, so the yield-capable primitives park
+// internally and the propagated errors here are always real failures).
 func (p *Proc) evalExpr(e ast.Expr) (Value, error) {
 	switch n := e.(type) {
 	case *ast.ParenExpr:
@@ -475,8 +474,8 @@ func (p *Proc) evalBinary(n *ast.BinaryExpr) (Value, error) {
 // applyBinary computes x op y, charging the operation cost. The charges
 // are those of the original per-case table (binCost hoists them without
 // changing any charge or its order relative to the fold), and the single
-// charge site is what makes the function resumable under the coroutine
-// engine: a yield at the charge saves the pure outcome in the frame, so
+// charge site is what makes the function resumable in compiled
+// contexts: a yield at the charge saves the pure outcome in the frame, so
 // re-entry (with any operands) just returns it.
 func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	if p.coResuming {

@@ -33,24 +33,10 @@ const (
 	ctrlReturn
 )
 
-// call runs fn(args) to completion and returns its value, dispatching on
-// the session's engine: the compiled form by default, the tree-walk
-// reference on request or for functions the compiler refused. The
-// dispatch is deterministic in the Program and Engine, so a coroutine
-// re-descent reaches the same callee.
-func (p *Proc) call(fn *ast.FuncDecl, args []Value) (Value, error) {
-	if p.Sim.Engine != EngineTreeWalk {
-		if cf := p.Sim.Program.compiled[fn]; cf != nil && !cf.fallback {
-			return p.callCompiled(cf, args)
-		}
-	}
-	return p.callTree(fn, args)
-}
-
-// callTree runs fn(args) in a fresh tree-walk frame (reference engine).
-// The tree-walk only runs under the blocking goroutine scheduler, where
-// the yield-capable primitives suspend internally and never return the
-// yield sentinel.
+// callTree runs fn(args) to completion in a fresh tree-walk frame. The
+// tree-walk only runs on a reference context's goroutine, where the
+// yield-capable primitives park internally and never return the yield
+// sentinel.
 func (p *Proc) callTree(fn *ast.FuncDecl, args []Value) (Value, error) {
 	if fn.Body == nil {
 		return Value{}, fmt.Errorf("call of undefined function %s", fn.Name)
@@ -98,9 +84,6 @@ func (p *Proc) execBlock(b *ast.BlockStmt, ret *Value) (ctrl, error) {
 
 func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 	p.Ops++
-	if rt := p.Sim.Runtime; rt != nil {
-		rt.Tick(p)
-	}
 	switch n := s.(type) {
 	case *ast.BlockStmt:
 		return p.execBlock(n, ret)

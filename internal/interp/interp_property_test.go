@@ -144,7 +144,7 @@ int main() { return down(0); }`)
 
 // TestDeadlockDetected: a context blocking forever is a scheduler error,
 // not a hang. The block happens through a runtime builtin — the
-// supported suspension path in both engines (Tick must not block).
+// supported suspension path.
 func TestDeadlockDetected(t *testing.T) {
 	pr, err := Compile("d.c", "int park(); int main() { park(); return 0; }")
 	if err != nil {
@@ -179,7 +179,6 @@ func (blockForever) CallBuiltin(p *Proc, name string, args []Value) (Value, bool
 	}
 	return Value{}, true, nil
 }
-func (blockForever) Tick(p *Proc) {}
 func (blockForever) OnExit(p *Proc) {}
 
 func contains(s, sub string) bool {

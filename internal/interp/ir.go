@@ -1,84 +1,16 @@
 package interp
 
 import (
-	"fmt"
-	"os"
-
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 )
 
 // This file defines the compiled (lowered) form of a program: the result
 // of the one-time compile pass in compile.go. The tree-walking evaluator
-// in eval.go/exec.go is kept unchanged as the reference engine; the
-// golden equivalence tests pin the compiled engine to byte-identical
-// output and identical cycle statistics against it.
-
-// Engine selects how execution contexts run function bodies.
-type Engine int
-
-// Engines.
-const (
-	// EngineDefault defers to the session default (DefaultEngine, which
-	// the HSMCC_ENGINE environment variable seeds). It is the zero value
-	// so option structs that embed an Engine inherit the default.
-	EngineDefault Engine = iota
-	// EngineCompiled executes the closure form lowered by compile.go:
-	// frame layouts resolved once per function, locals as dense slot
-	// arrays, expressions pre-bound so the per-node type-switch and all
-	// name re-resolution disappear from the hot loop. On fully-compiled
-	// programs it runs contexts as stackless coroutines (coro.go).
-	EngineCompiled
-	// EngineTreeWalk is the original statement-by-statement AST walk,
-	// retained as the semantic reference for golden tests; its contexts
-	// block on goroutines.
-	EngineTreeWalk
-)
-
-// String names the engine as the CLI flags and HSMCC_ENGINE spell it.
-func (e Engine) String() string {
-	switch e {
-	case EngineCompiled:
-		return "compiled"
-	case EngineTreeWalk:
-		return "treewalk"
-	}
-	return "default"
-}
-
-// ParseEngine maps a CLI/flag name to an engine; the empty string (and
-// "default") selects the session default.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "default":
-		return EngineDefault, nil
-	case "compiled", "coroutine":
-		return EngineCompiled, nil
-	case "treewalk":
-		return EngineTreeWalk, nil
-	}
-	return EngineDefault, fmt.Errorf("unknown engine %q (want compiled or treewalk)", name)
-}
-
-// Resolve replaces EngineDefault with the session default.
-func (e Engine) Resolve() Engine {
-	if e == EngineDefault {
-		return DefaultEngine
-	}
-	return e
-}
-
-// DefaultEngine is the engine NewSim installs. The HSMCC_ENGINE
-// environment variable overrides it ("treewalk" selects the reference
-// engine), which is how CI benchmarks both engines from one binary.
-var DefaultEngine = engineFromEnv()
-
-func engineFromEnv() Engine {
-	if os.Getenv("HSMCC_ENGINE") == "treewalk" {
-		return EngineTreeWalk
-	}
-	return EngineCompiled
-}
+// in eval.go/exec.go is kept unchanged as the reference a test builds
+// with CompileReference; the golden equivalence tests pin the compiled
+// form to byte-identical output and identical cycle statistics against
+// it.
 
 // evalFn is a lowered expression: evaluate to an rvalue.
 type evalFn func(p *Proc) (Value, error)
@@ -91,7 +23,7 @@ type execFn func(p *Proc, ret *Value) (ctrl, error)
 
 // slotDef is one frame slot of a function's layout, in allocation order
 // (parameters first, then every local declaration in source order —
-// exactly the order the reference engine's pushFrame walks).
+// exactly the order the reference's pushFrame walks).
 type slotDef struct {
 	sym   *ast.Symbol
 	size  uint32
@@ -113,11 +45,6 @@ type compiledFunc struct {
 	paramStore []typedStore
 
 	body execFn
-
-	// fallback marks a function the compiler refused (a nil type in its
-	// layout or an unexpected tree shape); calls route to the tree-walk
-	// engine, which reproduces the reference behaviour exactly.
-	fallback bool
 }
 
 // cframe is one compiled-engine activation record. Slot addresses live in

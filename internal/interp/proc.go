@@ -34,12 +34,12 @@ type Proc struct {
 	Slice sccsim.Time
 
 	fn *ast.FuncDecl
-	// rootCF is fn's compiled form, resolved at spawn for coroutine
-	// contexts so every resume skips the map lookup.
+	// rootCF is fn's compiled form, resolved at spawn so every resume
+	// skips the map lookup (nil for a reference context).
 	rootCF *compiledFunc
 	args   []Value
-	// resume is the goroutine-mode wakeup channel; coroutine-mode
-	// contexts have no goroutine and leave it nil.
+	// resume wakes a reference context's goroutine; compiled contexts
+	// have no goroutine and leave it nil.
 	resume chan struct{}
 
 	frames    []*frame
@@ -71,8 +71,8 @@ type Proc struct {
 	kxs        []any
 	kscratch   kframe
 	coResuming bool
-	// scratch is the pooled bundle the buffers above came from (nil in
-	// goroutine mode); finish returns it for the next spawn.
+	// scratch is the pooled bundle the buffers above came from (nil for
+	// a reference context); finish returns it for the next spawn.
 	scratch *procScratch
 	// timer is the machine's cycle-to-time handle for this context's
 	// core (stable across DVFS changes).
@@ -131,7 +131,7 @@ func (p *Proc) chargeCycles(n int) error {
 // Each access is reported exactly once, before any cooperative yield
 // propagates (the coroutine leaf convention: the access has completed
 // and is never re-issued on resume), so counters are byte-identical
-// across the tree-walk and coroutine engines. A nil profiler — the
+// between a compiled Program and its tree-walk reference. A nil profiler — the
 // default — costs a single pointer check per access.
 type MemProfiler interface {
 	NoteAccess(core int, addr uint32, write bool)
@@ -241,7 +241,7 @@ func (p *Proc) heapAlloc(n int) uint32 {
 // slot per parameter and per local declaration anywhere in the body
 // (slots are assigned once, like a compiled frame).
 func (p *Proc) pushFrame(fn *ast.FuncDecl) (*frame, error) {
-	if len(p.frames)+len(p.cframes) >= maxCallDepth {
+	if len(p.frames) >= maxCallDepth {
 		return nil, fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, fn.Name)
 	}
 	fr := &frame{fn: fn, slots: make(map[*ast.Symbol]uint32), saved: p.stackPtr}
@@ -295,10 +295,7 @@ func (p *Proc) slotAddr(idx int) uint32 { return p.slotMem[p.cfp+idx] }
 // align walk pushFrame performs, but over a resolved slot list instead of
 // a fresh AST inspection, into a reused arena instead of a fresh map.
 func (p *Proc) pushCFrame(cf *compiledFunc) error {
-	// Depth counts frames of both engines: a compiled caller can recurse
-	// through a fallback (tree-walk) callee and vice versa, and the limit
-	// must trip at the same combined depth either way.
-	if len(p.cframes)+len(p.frames) >= maxCallDepth {
+	if len(p.cframes) >= maxCallDepth {
 		return fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, cf.name)
 	}
 	base := len(p.slotMem)
@@ -328,16 +325,6 @@ func (p *Proc) popCFrame() {
 	} else {
 		p.cfp = 0
 	}
-}
-
-// dispatchCall routes a resolved callee: compiled body, or the tree-walk
-// reference for functions the compiler refused (goroutine mode only; a
-// coroutine session requires a fully-compiled program).
-func (p *Proc) dispatchCall(cf *compiledFunc, args []Value) (Value, error) {
-	if cf.fallback {
-		return p.callTree(cf.decl, args)
-	}
-	return p.callCompiled(cf, args)
 }
 
 // callCompiled is the compiled twin of callTree: identical cycle charges,
@@ -440,9 +427,6 @@ func (p *Proc) runCompiledBody(cf *compiledFunc) (Value, error) {
 // across a yield, and nothing runs on this context while it is
 // suspended).
 func (p *Proc) runCompiledBodyAt(cf *compiledFunc, depth int) (Value, error) {
-	if p.retSlots == nil {
-		p.retSlots = make([]Value, maxCallDepth+1)
-	}
 	ret := &p.retSlots[depth]
 	if !p.coResuming {
 		*ret = Value{}

@@ -48,15 +48,16 @@ type Program struct {
 	// function values decode to their compiled form without a map lookup.
 	compiled     map[*ast.FuncDecl]*compiledFunc
 	compiledList []*compiledFunc
-	// fullyCompiled reports that no function poisoned back to the
-	// tree-walk reference; only then can a session run its contexts as
-	// stackless coroutines (the tree-walk can only block on a goroutine).
-	fullyCompiled bool
+	// reference marks a Program built by LoadReference: nothing is
+	// lowered, and its contexts walk the AST (eval.go, exec.go) on
+	// goroutines. Tests build one to check the compiled form against.
+	reference bool
 }
 
 // FullyCompiled reports whether every defined function lowered to the
-// compiled form — the precondition for the coroutine execution core.
-func (pr *Program) FullyCompiled() bool { return pr.fullyCompiled }
+// compiled form. Load returns no other kind of Program; only a
+// reference Program reports false.
+func (pr *Program) FullyCompiled() bool { return !pr.reference }
 
 // FuncValue returns the value encoding of a defined function.
 func (pr *Program) FuncValue(fn *ast.FuncDecl) Value {
@@ -89,8 +90,35 @@ func (pr *Program) compiledByValue(v Value) *compiledFunc {
 // GlobalsBase is where the globals segment starts in private memory.
 const GlobalsBase = sccsim.PrivateBase
 
-// Load lays out a checked file into a Program.
+// Load lays out a checked file into a Program and lowers every function
+// to its compiled form. A function the compiler cannot lower (a tree
+// sema would have rejected) is an error naming the function.
 func Load(file *ast.File, info *sema.Info) (*Program, error) {
+	pr, err := layout(file, info)
+	if err != nil {
+		return nil, err
+	}
+	if err := compileProgram(pr); err != nil {
+		return nil, err
+	}
+	return pr, nil
+}
+
+// LoadReference lays out a checked file into a reference Program: the
+// tree-walk oracle of the engine-equivalence suites. Only tests may call
+// it (TestReferenceIsTestOnly).
+func LoadReference(file *ast.File, info *sema.Info) (*Program, error) {
+	pr, err := layout(file, info)
+	if err != nil {
+		return nil, err
+	}
+	pr.reference = true
+	return pr, nil
+}
+
+// layout assigns the globals and string literals of a checked file their
+// private addresses.
+func layout(file *ast.File, info *sema.Info) (*Program, error) {
 	pr := &Program{
 		File:        file,
 		Info:        info,
@@ -133,12 +161,20 @@ func Load(file *ast.File, info *sema.Info) (*Program, error) {
 		return true
 	})
 	pr.ImageEnd = align(cursor, 8)
-	compileProgram(pr)
 	return pr, nil
 }
 
 // Compile parses, checks and loads C source in one step.
 func Compile(name, src string) (*Program, error) {
+	return compileWith(name, src, Load)
+}
+
+// CompileReference is Compile for a reference Program (see LoadReference).
+func CompileReference(name, src string) (*Program, error) {
+	return compileWith(name, src, LoadReference)
+}
+
+func compileWith(name, src string, load func(*ast.File, *sema.Info) (*Program, error)) (*Program, error) {
 	file, err := parser.Parse(name, src)
 	if err != nil {
 		return nil, err
@@ -147,7 +183,7 @@ func Compile(name, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Load(file, info)
+	return load(file, info)
 }
 
 // GlobalAddr returns the private address of a global symbol.

@@ -57,9 +57,6 @@ type Runtime interface {
 	// with PopResume when re-entered with Resuming true, and never
 	// yield before committing to handle the call.
 	CallBuiltin(p *Proc, name string, args []Value) (v Value, handled bool, err error)
-	// Tick runs at statement boundaries (preemption hook). It must not
-	// yield or block.
-	Tick(p *Proc)
 	// OnExit runs when a context finishes (wakes joiners, etc.).
 	OnExit(p *Proc)
 }
@@ -82,17 +79,14 @@ type Sim struct {
 	Program *Program
 	Runtime Runtime
 	Policy  Policy
-	// Engine selects the execution engine (compiled by default; the
-	// tree-walk reference for golden comparisons). Set before Spawn.
-	Engine Engine
 	// Prof, when non-nil, observes every timed data-memory access of the
 	// session (see MemProfiler). Set before Spawn; profiling runs attach
 	// a profile.Collector here, everything else leaves it nil.
 	Prof MemProfiler
 	// Cancel, when non-nil, is polled at every scheduling decision (one
-	// call per context switch, both engines). A non-nil return aborts
-	// the session promptly with that error: in-flight contexts unwind,
-	// Run returns the error, and no further work is scheduled. The
+	// call per context switch). A non-nil return aborts the session
+	// promptly with that error: in-flight contexts unwind, Run returns
+	// the error, and no further work is scheduled. The
 	// serving layer wires a request context's Err here so a wall-clock
 	// deadline or client disconnect stops a simulation mid-flight.
 	Cancel func() error
@@ -115,23 +109,13 @@ type Sim struct {
 	doneMax sccsim.Time
 	done    int // finished contexts still in procs
 	err     error
-	halted  bool
-	// coro is true when contexts run as stackless coroutines stepped by
-	// runCoro (the compiled engine on a fully-compiled program); false
-	// runs the goroutine-per-context handoff chain (tree-walk reference,
-	// or a program with compiler-poisoned functions). Fixed at the first
-	// Spawn, when the engine choice is final.
-	coro    bool
-	modeSet bool
-	// elected carries the successor chosen by a suspending coroutine to
-	// the stepping loop, so each scheduling event makes exactly one
-	// Policy.Next call in both modes.
-	elected      *Proc
-	electedValid bool
-	// ctrl wakes Run when a goroutine-mode session finishes (all done,
-	// deadlock, or error). Contexts hand off to each other directly; Run
-	// only sees the first dispatch and the final signal.
-	ctrl chan struct{}
+	// elected carries the successor a suspending context chose to the
+	// stepping loop, so each scheduling event makes exactly one
+	// Policy.Next call.
+	elected *Proc
+	// parked returns control from a reference context's goroutine to the
+	// stepping loop (reference Programs only; see Proc.suspend).
+	parked chan struct{}
 }
 
 // NewSim builds a session. The runtime must be attached by the caller
@@ -141,32 +125,15 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 		Machine:    m,
 		Program:    pr,
 		Policy:     NewMinClockHeap(),
-		Engine:     DefaultEngine,
 		heaps:      make(map[int]uint32),
 		stacks:     make(map[int]int),
 		freeStacks: make(map[int][]int),
-		ctrl:       make(chan struct{}, 1),
+		parked:     make(chan struct{}),
 	}
 }
 
 // Procs returns the spawned contexts.
 func (s *Sim) Procs() []*Proc { return s.procs }
-
-// Coroutine reports whether the session runs contexts as stackless
-// coroutines (no goroutine, no channel op per context switch).
-func (s *Sim) Coroutine() bool { return s.coro }
-
-// decideMode fixes the execution mode at the first Spawn: coroutines
-// need every function in compiled form (a poisoned function would have
-// to block inside the tree-walk, which only the goroutine engine can).
-func (s *Sim) decideMode() {
-	if s.modeSet {
-		return
-	}
-	s.modeSet = true
-	s.Engine = s.Engine.Resolve()
-	s.coro = s.Engine != EngineTreeWalk && s.Program.FullyCompiled()
-}
 
 // Spawn creates an execution context on core that will run fn(args) when
 // first scheduled, starting at virtual time start. The program image is
@@ -176,7 +143,10 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if core < 0 || core >= s.Machine.Cores() {
 		return nil, fmt.Errorf("interp: spawn on core %d of %d", core, s.Machine.Cores())
 	}
-	s.decideMode()
+	rootCF := s.Program.compiled[fn]
+	if rootCF == nil && !s.Program.reference {
+		return nil, fmt.Errorf("interp: spawn of %s, which is not a function of the program", fn.Name)
+	}
 	if _, loaded := s.heaps[core]; !loaded {
 		if err := s.Program.instantiate(s.Machine, core); err != nil {
 			return nil, err
@@ -203,6 +173,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		State:    Runnable,
 		stackIdx: idx,
 		fn:       fn,
+		rootCF:   rootCF,
 		args:     args,
 		prof:     s.Prof,
 		trace:    s.Trace,
@@ -216,36 +187,48 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if p.trace != nil {
 		p.trace.TraceSpawn(p.ID, p.Core, start)
 	}
-	if s.coro {
-		// Adopt pooled buffers: the resumption stack comes pre-reserved
-		// (growth inside an unwind would add allocation noise to the hot
-		// switch path) and a recycled bundle carries every arena at its
-		// previous high-water capacity, so steady-state spawns allocate
-		// nothing.
-		p.adoptScratch()
-		if cf := s.Program.compiled[fn]; cf != nil && !cf.fallback {
-			p.rootCF = cf
-		}
-	} else {
+	if s.Program.reference {
 		p.resume = make(chan struct{})
 		go p.top()
+		return p, nil
 	}
+	// Adopt pooled buffers: the resumption stack comes pre-reserved
+	// (growth inside an unwind would add allocation noise to the hot
+	// switch path) and a recycled bundle carries every arena at its
+	// previous high-water capacity, so steady-state spawns allocate
+	// nothing.
+	p.adoptScratch()
 	return p, nil
 }
 
 // Run executes the session to completion and returns the first runtime
-// error, if any. Coroutine sessions step contexts from a plain loop on
-// the calling goroutine; goroutine-mode sessions start the handoff
-// chain — contexts pick their successor and resume it directly, and a
-// context that reschedules itself performs no channel operation at all.
+// error, if any: a plain loop on the calling goroutine steps whichever
+// context the policy elects until everything is done, something
+// deadlocks, or a context fails. The policy sees one Next per yield,
+// block or exit, so stateful policies (round-robin quanta, many-to-one
+// core multiplexing) observe the same transitions whichever kind of
+// Program the session runs.
 func (s *Sim) Run() error {
-	s.decideMode()
-	if s.coro {
-		return s.runCoro()
-	}
 	defer s.stopAll()
-	s.handoff(s.pickNext())
-	<-s.ctrl
+	next := s.pickNext()
+	for next != nil {
+		next.State = Running
+		if next.trace != nil {
+			next.trace.TraceResume(next.ID, next.Core, next.Clock)
+		}
+		s.elected = nil
+		finished := next.step()
+		if s.err != nil {
+			// The session stops on the first error without scheduling
+			// more work.
+			break
+		}
+		if finished {
+			next = s.pickNext()
+		} else {
+			next = s.elected
+		}
+	}
 	if s.err != nil {
 		return s.err
 	}
@@ -255,29 +238,10 @@ func (s *Sim) Run() error {
 	return fmt.Errorf("interp: deadlock: %s", s.stateSummary())
 }
 
-// handoff transfers control to next (resuming its goroutine), or signals
-// Run that nothing is runnable. Exactly one goroutine holds control at a
-// time; every transfer is a single channel send.
-func (s *Sim) handoff(next *Proc) {
-	if next == nil {
-		s.ctrl <- struct{}{}
-		return
-	}
-	next.State = Running
-	if next.trace != nil {
-		// The coroutine stepping loop fires the same hook at the same
-		// Runnable→Running edge, after the policy's clock adjustments.
-		next.trace.TraceResume(next.ID, next.Core, next.Clock)
-	}
-	next.resume <- struct{}{}
-}
-
 // pickNext compacts if due and asks the policy for the next context.
-// It is the single choke point every scheduling decision of both
-// engines passes through, so it also polls the session's Cancel hook:
-// on cancellation it records the error and elects nobody, which makes
-// the goroutine engine signal Run (stopAll then unwinds the parked
-// contexts) and the coroutine stepping loop fall out of its loop.
+// It is the single choke point every scheduling decision passes
+// through, so it also polls the session's Cancel hook: on cancellation
+// it records the error and elects nobody, which ends the stepping loop.
 func (s *Sim) pickNext() *Proc {
 	if s.Cancel != nil && s.err == nil {
 		if err := s.Cancel(); err != nil {
@@ -358,9 +322,9 @@ func (s *Sim) stateSummary() string {
 	return buf
 }
 
-// stopAll terminates any still-live context goroutines (error paths).
+// stopAll ends the goroutines of reference contexts the session leaves
+// unfinished (error, cancellation, deadlock); each is parked in acquire.
 func (s *Sim) stopAll() {
-	s.halted = true
 	for _, p := range s.procs {
 		if p.State != Done && p.resume != nil {
 			close(p.resume)
@@ -375,43 +339,65 @@ func (s *Sim) fail(err error) {
 	}
 }
 
-// top is the context goroutine body (goroutine mode only).
-func (p *Proc) top() {
-	if !p.acquire() {
-		return
+// step enters or resumes a context and runs it to its next suspension
+// point; true means the context finished (bookkeeping done). A compiled
+// context re-descends from its root callee, resolved once at spawn; a
+// reference context's goroutine is woken and waited for.
+func (p *Proc) step() bool {
+	if p.resume != nil {
+		p.resume <- struct{}{}
+		<-p.Sim.parked
+		return p.State == Done
 	}
-	v, err := p.call(p.fn, p.args)
+	if len(p.kstack) > 0 {
+		p.coResuming = true
+	}
+	v, err := p.callCompiled(p.rootCF, p.args)
+	if err == errYield {
+		return false
+	}
 	p.finish(v, err)
-	s := p.Sim
-	if s.err != nil {
-		// The session stops on the first error without scheduling more
-		// work, as the original run loop did.
-		s.ctrl <- struct{}{}
-		return
-	}
-	s.handoff(s.pickNext())
+	return true
 }
 
-// acquire waits to be scheduled; false means the session was torn down.
-func (p *Proc) acquire() bool {
-	_, ok := <-p.resume
-	if !ok {
+// top is a reference context's goroutine body.
+func (p *Proc) top() {
+	p.acquire()
+	v, err := p.callTree(p.fn, p.args)
+	p.finish(v, err)
+	p.Sim.parked <- struct{}{}
+}
+
+// acquire parks a reference context's goroutine until the stepping loop
+// steps it; a torn-down session ends the goroutine instead.
+func (p *Proc) acquire() {
+	if _, ok := <-p.resume; !ok {
 		runtime.Goexit()
 	}
-	return ok
+}
+
+// suspend hands control back to the stepping loop with next as the
+// elected successor. A compiled context returns the yield sentinel,
+// which its callers propagate (each pushing its resumption frame); a
+// reference context parks its goroutine here and returns nil once the
+// loop steps it again.
+func (p *Proc) suspend(next *Proc) error {
+	s := p.Sim
+	s.elected = next
+	if p.resume == nil {
+		return errYield
+	}
+	s.parked <- struct{}{}
+	p.acquire()
+	return nil
 }
 
 // Yield cooperatively gives up the processor while staying runnable.
 // When the policy re-elects the yielding context — the common case under
 // both the round-robin baseline (within a quantum) and min-clock once a
 // context owns the smallest time — control returns without suspending at
-// all. In goroutine mode the call blocks until re-elected and returns
-// nil; in coroutine mode it returns the yield sentinel, which the caller
-// propagates (pushing its resumption frame) to the stepping loop.
+// all: no unwind, no frames.
 func (p *Proc) Yield() error {
-	if p.Sim.coro {
-		return p.yieldCoro()
-	}
 	p.State = Runnable
 	p.lastYield = p.Clock
 	s := p.Sim
@@ -424,27 +410,18 @@ func (p *Proc) Yield() error {
 	if p.trace != nil {
 		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendYield, ReasonNone)
 	}
-	s.handoff(next)
-	p.acquire()
-	return nil
+	return p.suspend(next)
 }
 
-// Block parks the context until another context calls Unblock. The same
-// mode split as Yield applies: goroutine mode blocks and returns nil,
-// coroutine mode returns the yield sentinel to propagate.
+// Block parks the context until another context calls Unblock; the
+// caller's builtin resumes after its Block call once re-elected.
 func (p *Proc) Block() error {
-	if p.Sim.coro {
-		return p.blockCoro()
-	}
 	p.State = Blocked
 	p.lastYield = p.Clock
 	if p.trace != nil {
 		p.trace.TraceSuspend(p.ID, p.Core, p.Clock, SuspendBlock, p.takeBlockReason())
 	}
-	s := p.Sim
-	s.handoff(s.pickNext())
-	p.acquire()
-	return nil
+	return p.suspend(p.Sim.pickNext())
 }
 
 // Unblock makes a parked context runnable again, advancing its clock to

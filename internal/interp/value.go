@@ -7,11 +7,11 @@
 // system and the parallel structure rather than interpreter artifacts.
 //
 // Execution contexts (threads or core processes) are stackless
-// coroutines under the compiled engine — stepped from one scheduler
-// loop with zero goroutines and zero channel operations per switch
-// (coro.go) — and goroutines under a strict-handoff scheduler for the
-// tree-walk reference. In both modes exactly one context runs at a time
-// and all virtual-time decisions are deterministic (DESIGN.md §8).
+// coroutines stepped from one scheduler loop with zero goroutines and
+// zero channel operations per switch (coro.go). Exactly one context runs
+// at a time and all virtual-time decisions are deterministic
+// (DESIGN.md §8). The tree-walk evaluator (eval.go, exec.go) survives as
+// the reference Program tests compare the compiled form against.
 package interp
 
 import (

@@ -9,36 +9,8 @@ import (
 	"hsmcc/internal/sccsim"
 )
 
-// countingRuntime wraps the pthread runtime and samples the host
-// goroutine count at every statement boundary — including while threads
-// are being created and joined mid-run.
-type countingRuntime struct {
-	inner   *Runtime
-	samples int
-	min     int
-	max     int
-}
-
-func (c *countingRuntime) CallBuiltin(p *interp.Proc, name string, args []interp.Value) (interp.Value, bool, error) {
-	return c.inner.CallBuiltin(p, name, args)
-}
-
-func (c *countingRuntime) Tick(p *interp.Proc) {
-	n := runtime.NumGoroutine()
-	if c.samples == 0 || n < c.min {
-		c.min = n
-	}
-	if c.samples == 0 || n > c.max {
-		c.max = n
-	}
-	c.samples++
-	c.inner.Tick(p)
-}
-
-func (c *countingRuntime) OnExit(p *interp.Proc) { c.inner.OnExit(p) }
-
-// TestCoroutineZeroGoroutines is the tentpole invariant: under the
-// coroutine engine a multi-context run — threads created, scheduled,
+// TestCoroutineZeroGoroutines is the coroutine core's invariant: a
+// multi-context run of a compiled Program — threads created, scheduled,
 // blocked on joins and mutexes, and exited mid-run — never creates a
 // goroutine or varies the host goroutine count.
 func TestCoroutineZeroGoroutines(t *testing.T) {
@@ -54,7 +26,8 @@ func TestCoroutineZeroGoroutinesMesh1024(t *testing.T) {
 
 // checkZeroGoroutines runs an nthreads-way create/lock/join program on a
 // machine built from mcfg and asserts the host goroutine count never
-// moves, sampled at every statement boundary.
+// moves, sampled at every scheduling decision (Sim.Cancel is polled
+// there) — including while threads are being created and joined mid-run.
 func checkZeroGoroutines(t *testing.T, mcfg sccsim.Config, nthreads int) {
 	t.Helper()
 	src := fmt.Sprintf(`
@@ -87,10 +60,19 @@ int main() {
 		t.Fatal("program should compile fully")
 	}
 	sim := interp.NewSim(sccsim.MustNew(mcfg), pr)
-	sim.Engine = interp.EngineCompiled
 	rt := New(sim, DefaultOptions())
-	counter := &countingRuntime{inner: rt}
-	sim.Runtime = counter
+	var samples, min, max int
+	sim.Cancel = func() error {
+		n := runtime.NumGoroutine()
+		if samples == 0 || n < min {
+			min = n
+		}
+		if samples == 0 || n > max {
+			max = n
+		}
+		samples++
+		return nil
+	}
 
 	root, err := sim.Spawn(0, pr.Funcs["main"], nil, 0)
 	if err != nil {
@@ -105,15 +87,12 @@ int main() {
 	}
 	after := runtime.NumGoroutine()
 
-	if !sim.Coroutine() {
-		t.Fatal("expected coroutine mode")
+	if samples < nthreads {
+		t.Fatalf("only %d scheduling decisions sampled for %d threads", samples, nthreads)
 	}
-	if counter.samples == 0 {
-		t.Fatal("runtime ticks never sampled")
-	}
-	if counter.min != before || counter.max != before {
+	if min != before || max != before {
 		t.Errorf("goroutine count varied during the run: before=%d min=%d max=%d (samples=%d)",
-			before, counter.min, counter.max, counter.samples)
+			before, min, max, samples)
 	}
 	if after != before {
 		t.Errorf("goroutine count changed across the run: %d -> %d", before, after)

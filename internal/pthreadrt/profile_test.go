@@ -12,8 +12,8 @@ import (
 // TestBaselineProfilerCountsGlobalTraffic pins the Options.Profiler
 // seam: profiling a baseline run labels the shared globals' static
 // addresses with Collector.AddRange and observes exactly one report per
-// timed access, under both engines — including the tree-walk's blocking
-// goroutine scheduler, where yields suspend inside the accessors.
+// timed access, from the compiled Program and from its tree-walk
+// reference — whose yields park inside the accessors.
 func TestBaselineProfilerCountsGlobalTraffic(t *testing.T) {
 	const src = `
 #include <stdio.h>
@@ -39,8 +39,8 @@ int main() {
     return 0;
 }
 `
-	run := func(engine interp.Engine) []profile.VarStats {
-		pr, err := interp.Compile("prof.c", src)
+	run := func(compile func(name, src string) (*interp.Program, error)) []profile.VarStats {
+		pr, err := compile("prof.c", src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,6 @@ int main() {
 			col.AddRange(d.Name, addr, d.Type.Size())
 		}
 		opts := DefaultOptions()
-		opts.Engine = engine
 		opts.Profiler = col
 		if _, err := Run(pr, sccsim.MustNew(sccsim.DefaultConfig()), opts); err != nil {
 			t.Fatal(err)
@@ -61,10 +60,10 @@ int main() {
 		return col.Snapshot()
 	}
 
-	compiled := run(interp.EngineCompiled)
-	treewalk := run(interp.EngineTreeWalk)
+	compiled := run(interp.Compile)
+	treewalk := run(interp.CompileReference)
 	if !reflect.DeepEqual(compiled, treewalk) {
-		t.Errorf("baseline profiles differ across engines:\ncompiled: %+v\ntreewalk: %+v", compiled, treewalk)
+		t.Errorf("baseline profiles differ from the reference:\ncompiled: %+v\ntreewalk: %+v", compiled, treewalk)
 	}
 	if len(compiled) != 1 || compiled[0].Name != "counter" {
 		t.Fatalf("profile = %+v, want the counter array", compiled)

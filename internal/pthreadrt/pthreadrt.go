@@ -30,9 +30,6 @@ type Options struct {
 	FlushOnSwitch bool
 	// CreateCycles is the cost of pthread_create (kernel thread setup).
 	CreateCycles int
-	// Engine overrides the execution engine for the session (the zero
-	// value defers to interp.DefaultEngine / HSMCC_ENGINE).
-	Engine interp.Engine
 	// Profiler, when non-nil, observes every timed data access of the
 	// run (interp.Sim.Prof) — profiling a baseline uses the program's
 	// static global addresses to label ranges.
@@ -159,10 +156,6 @@ func (pol *rrPolicy) Next(procs []*interp.Proc) *interp.Proc {
 	return nil
 }
 
-// Tick implements interp.Runtime: preemption is handled in the policy (the
-// context yields on its own memory-op cadence), so nothing to do here.
-func (rt *Runtime) Tick(p *interp.Proc) {}
-
 // OnExit wakes joiners of a finished thread.
 func (rt *Runtime) OnExit(p *interp.Proc) {
 	tid, ok := rt.tidOf[p]
@@ -282,8 +275,8 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 
 	case "pthread_mutex_lock":
 		// Steps: 0 charge; 1 acquire loop (a woken waiter re-enters the
-		// loop and re-checks ownership, exactly as the blocking engine's
-		// loop does after Block returns).
+		// loop and re-checks ownership, exactly as a reference
+		// context's loop does after Block returns).
 		mu := rt.mutex(args[0].Addr())
 		if step == 0 {
 			if err := p.ChargeCycles(25); err != nil { // futex fast path
@@ -347,9 +340,6 @@ func (r *Result) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSe
 // bound to machine m.
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	if opts.Engine != interp.EngineDefault {
-		sim.Engine = opts.Engine
-	}
 	sim.Prof = opts.Profiler
 	sim.Cancel = opts.Cancel
 	sim.Trace = opts.Trace

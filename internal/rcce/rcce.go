@@ -44,9 +44,6 @@ type Options struct {
 	// each barrier visit.
 	InitCycles    int
 	BarrierCycles int
-	// Engine overrides the execution engine for the session (the zero
-	// value defers to interp.DefaultEngine / HSMCC_ENGINE).
-	Engine interp.Engine
 	// Profiler, when non-nil, is attached to the session as its memory
 	// profiler (interp.Sim.Prof): every timed data access is reported to
 	// it. Profiling runs of the `profiled` placement policy set this.
@@ -183,9 +180,6 @@ func (rt *Runtime) RankOf(p *interp.Proc) int {
 // RegisterRank binds a spawned context to its rank; Run does this for
 // every UE it creates.
 func (rt *Runtime) RegisterRank(p *interp.Proc, rank int) { rt.rankByProc[p] = rank }
-
-// Tick implements interp.Runtime (no preemption: one process per core).
-func (rt *Runtime) Tick(p *interp.Proc) {}
 
 // OnExit implements interp.Runtime.
 func (rt *Runtime) OnExit(p *interp.Proc) {}
@@ -587,9 +581,6 @@ func EntryPoint(pr *interp.Program) *ast.FuncDecl {
 // rank at time zero (the SCC launcher starts all cores together).
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	if opts.Engine != interp.EngineDefault {
-		sim.Engine = opts.Engine
-	}
 	sim.Prof = opts.Profiler
 	sim.Cancel = opts.Cancel
 	sim.Trace = opts.Trace

@@ -5,9 +5,6 @@ import (
 	"sort"
 )
 
-// debugMC enables memory-controller wait tracing (calibration only).
-var debugMC = false
-
 // Machine is one simulated SCC chip: storage plus a timing model. It is
 // not safe for concurrent use; the interpreter's scheduler guarantees a
 // single execution context touches it at a time (DESIGN.md §8).
@@ -353,9 +350,6 @@ func (m *Machine) dramTime(core int, now Time) Time {
 	mc.freeAt = start + m.mcOccupy
 	mc.busy += m.mcOccupy
 	mc.requests++
-	if start-arrival > 1000000 && debugMC {
-		fmt.Printf("DBG core=%d now=%dns arrival=%dns start=%dns wait=%dns\n", core, now/1000, arrival/1000, start/1000, (start-arrival)/1000)
-	}
 	return wire + (start - arrival) + m.mcLatency
 }
 

@@ -33,6 +33,7 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"workload":"synth:s1:o24:m0.5:l1:h0:d2:a8:p8:r1:kf","cores":3,"scale":0.5}`))
 	f.Add(uint8(0), []byte(`{"workload":"synth:s-1:o0:m2:l-1:h1e308:d0:a0:p0:r0:kx"}`))
 	f.Add(uint8(1), []byte(`{"grid":{"workloads":["synth:"],"cores":[0],"policies":[""]}}`))
+	f.Add(uint8(1), []byte(`{"grid":{"workloads":["pi"],"cores":[1],"policies":["size"]},"engine":"treewalk"}`))
 
 	s := New(Options{})
 	f.Fuzz(func(t *testing.T, sel uint8, body []byte) {

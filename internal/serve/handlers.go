@@ -58,7 +58,6 @@ type SimulateResponse struct {
 	Scale           float64 `json:"scale"`
 	Policy          string  `json:"policy"`
 	MPBBudget       int     `json:"mpb_budget"`
-	Engine          string  `json:"engine"`
 	BaselinePs      uint64  `json:"baseline_ps"`
 	RCCEPs          uint64  `json:"rcce_ps"`
 	Speedup         float64 `json:"speedup"`
@@ -81,7 +80,6 @@ type SimulateResponse struct {
 type GridRequest struct {
 	Grid       bench.Grid `json:"grid"`
 	Parallel   int        `json:"parallel,omitempty"`
-	Engine     string     `json:"engine,omitempty"`
 	DeadlineMs int64      `json:"deadline_ms,omitempty"`
 }
 
@@ -293,7 +291,6 @@ func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, e
 		Scale:           c.req.Scale,
 		Policy:          c.req.Policy,
 		MPBBudget:       c.req.MPBBudget,
-		Engine:          c.engine.Resolve().String(),
 		BaselinePs:      uint64(both.Baseline.Makespan),
 		RCCEPs:          uint64(both.RCCE.Makespan),
 		Speedup:         bench.Speedup(both.Baseline, both.RCCE),
@@ -377,7 +374,6 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	started := false
 	_, err := bench.RunGrid(req.Grid, bench.RunOptions{
 		Parallel: req.Parallel,
-		Engine:   req.Engine,
 		Cache:    s.cache,
 		Cancel:   ctx.Err,
 		Fault:    s.fault,

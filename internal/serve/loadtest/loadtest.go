@@ -470,7 +470,6 @@ func (o *oracle) direct(path string, req serve.SimRequest) (any, error) {
 			Scale:           req.Scale,
 			Policy:          req.Policy,
 			MPBBudget:       req.MPBBudget,
-			Engine:          cfg.Engine.Resolve().String(),
 			BaselinePs:      uint64(both.Baseline.Makespan),
 			RCCEPs:          uint64(both.RCCE.Makespan),
 			Speedup:         bench.Speedup(both.Baseline, both.RCCE),
@@ -490,7 +489,6 @@ func (o *oracle) grid(req serve.GridRequest) ([]byte, error) {
 	enc := json.NewEncoder(&buf)
 	_, err := bench.RunGrid(req.Grid, bench.RunOptions{
 		Parallel: 1,
-		Engine:   req.Engine,
 		OnResult: func(res bench.CellResult) { enc.Encode(res) },
 	})
 	if err != nil {

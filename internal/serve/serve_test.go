@@ -70,7 +70,6 @@ func goldenCases() []goldenCase {
 		{"translate_ok", "POST", "/v1/translate", `{"workload":"pi","cores":2,"scale":0.01,"policy":"size"}`, 200},
 		{"simulate_ok", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"policy":"size"}`, 200},
 		{"simulate_offchip_ok", "POST", "/v1/simulate", `{"workload":"dot","cores":2,"scale":0.01,"policy":"offchip"}`, 200},
-		{"simulate_treewalk_ok", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"engine":"treewalk"}`, 200},
 		{"grid_ok", "POST", "/v1/grid", `{"grid":{"name":"t","workloads":["pi"],"cores":[1,2],"policies":["offchip","size"],"scale":0.01}}`, 200},
 		{"batch_ok", "POST", "/v1/batch", `{"items":[{"op":"compile","workload":"pi","cores":2,"scale":0.01},{"op":"simulate","workload":"pi","cores":2,"scale":0.01}]}`, 200},
 		{"healthz_ok", "GET", "/healthz", "", 200},
@@ -84,7 +83,7 @@ func goldenCases() []goldenCase {
 		{"err_over_limit_scale", "POST", "/v1/simulate", `{"workload":"pi","scale":1000000}`, 400},
 		{"err_negative_budget", "POST", "/v1/simulate", `{"workload":"pi","mpb_budget":-1}`, 400},
 		{"err_bad_policy", "POST", "/v1/simulate", `{"workload":"pi","policy":"mystery"}`, 400},
-		{"err_bad_engine", "POST", "/v1/simulate", `{"workload":"pi","engine":"quantum"}`, 400},
+		{"err_engine_field_rejected", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"engine":"treewalk"}`, 400},
 
 		// Error paths: body framing.
 		{"err_bad_json", "POST", "/v1/simulate", `{"workload":`, 400},
@@ -130,6 +129,24 @@ func TestGoldenEndpoints(t *testing.T) {
 				t.Fatalf("response diverged from golden %s:\n got: %s\nwant: %s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestEngineFieldRejected: no endpoint accepts an execution-engine
+// selector — a client cannot ask the server for goroutine-backed
+// contexts. The strict decoder refuses the field on batch items and grid
+// requests as it does on /v1/simulate (the err_engine_field_rejected
+// golden).
+func TestEngineFieldRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for path, body := range map[string]string{
+		"/v1/batch": `{"items":[{"op":"simulate","workload":"pi","cores":2,"scale":0.01,"engine":"treewalk"}]}`,
+		"/v1/grid":  `{"grid":{"name":"t","workloads":["pi"],"cores":[1],"policies":["size"],"scale":0.01},"engine":"treewalk"}`,
+	} {
+		status, got := do(t, ts, "POST", path, body)
+		if status != http.StatusBadRequest || !strings.Contains(got, `unknown field \"engine\"`) {
+			t.Errorf("%s: status %d body %s, want 400 naming the engine field", path, status, got)
+		}
 	}
 }
 

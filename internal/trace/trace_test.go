@@ -88,37 +88,39 @@ int RCCE_APP(int *argc, char **argv) {
     return 0;
 }`
 
-func compile(t *testing.T, src string) *interp.Program {
+// compileFn builds the Program a run executes: interp.Compile for the
+// coroutine engine, interp.CompileReference for the tree-walk oracle.
+type compileFn func(name, src string) (*interp.Program, error)
+
+func (compile compileFn) program(t *testing.T, src string) *interp.Program {
 	t.Helper()
-	pr, err := interp.Compile("trace_test.c", src)
+	pr, err := compile("trace_test.c", src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	return pr
 }
 
-func runRCCE(t *testing.T, src string, ues int, engine interp.Engine, rec *trace.Recorder) *rcce.Result {
+func runRCCE(t *testing.T, src string, ues int, compile compileFn, rec *trace.Recorder) *rcce.Result {
 	t.Helper()
 	opts := rcce.DefaultOptions(ues)
-	opts.Engine = engine
 	if rec != nil { // a typed-nil sink would defeat the hooks' nil checks
 		opts.Trace = rec
 	}
-	res, err := rcce.Run(compile(t, src), sccsim.MustNew(sccsim.DefaultConfig()), opts)
+	res, err := rcce.Run(compile.program(t, src), sccsim.MustNew(sccsim.DefaultConfig()), opts)
 	if err != nil {
 		t.Fatalf("rcce run: %v", err)
 	}
 	return res
 }
 
-func runPthread(t *testing.T, src string, engine interp.Engine, rec *trace.Recorder) *pthreadrt.Result {
+func runPthread(t *testing.T, src string, compile compileFn, rec *trace.Recorder) *pthreadrt.Result {
 	t.Helper()
 	opts := pthreadrt.DefaultOptions()
-	opts.Engine = engine
 	if rec != nil {
 		opts.Trace = rec
 	}
-	res, err := pthreadrt.Run(compile(t, src), sccsim.MustNew(sccsim.DefaultConfig()), opts)
+	res, err := pthreadrt.Run(compile.program(t, src), sccsim.MustNew(sccsim.DefaultConfig()), opts)
 	if err != nil {
 		t.Fatalf("pthread run: %v", err)
 	}
@@ -135,15 +137,15 @@ func exportJSON(t *testing.T, rec *trace.Recorder) []byte {
 }
 
 // TestCrossEngineByteIdentity is the tentpole invariant: the tree-walk
-// and coroutine engines must produce byte-identical trace exports (and
-// identical simulation results) for the same program, because every
-// hook sits on an engine-shared code path.
+// reference and the coroutine engine must produce byte-identical trace
+// exports (and identical simulation results) for the same program,
+// because every hook fires from the one scheduler both run under.
 func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("rcce", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		tw := runRCCE(t, rcceProgram, 4, interp.EngineTreeWalk, recTW)
-		co := runRCCE(t, rcceProgram, 4, interp.EngineCompiled, recCO)
+		tw := runRCCE(t, rcceProgram, 4, interp.CompileReference, recTW)
+		co := runRCCE(t, rcceProgram, 4, interp.Compile, recCO)
 		if tw.Output != co.Output || tw.Makespan != co.Makespan {
 			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
 		}
@@ -155,8 +157,8 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("pthread", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		tw := runPthread(t, pthreadProgram, interp.EngineTreeWalk, recTW)
-		co := runPthread(t, pthreadProgram, interp.EngineCompiled, recCO)
+		tw := runPthread(t, pthreadProgram, interp.CompileReference, recTW)
+		co := runPthread(t, pthreadProgram, interp.Compile, recCO)
 		if tw.Output != co.Output || tw.Makespan != co.Makespan {
 			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
 		}
@@ -167,8 +169,8 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("sendrecv", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		runRCCE(t, sendrecvProgram, 2, interp.EngineTreeWalk, recTW)
-		runRCCE(t, sendrecvProgram, 2, interp.EngineCompiled, recCO)
+		runRCCE(t, sendrecvProgram, 2, interp.CompileReference, recTW)
+		runRCCE(t, sendrecvProgram, 2, interp.Compile, recCO)
 		if !bytes.Equal(exportJSON(t, recTW), exportJSON(t, recCO)) {
 			t.Fatal("trace exports differ between engines")
 		}
@@ -178,9 +180,9 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 // TestTracingDoesNotPerturb: attaching a recorder must not change the
 // simulation — identical output, makespan and cycle statistics.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	for _, eng := range []interp.Engine{interp.EngineTreeWalk, interp.EngineCompiled} {
-		plain := runRCCE(t, rcceProgram, 4, eng, nil)
-		traced := runRCCE(t, rcceProgram, 4, eng, trace.NewRecorder(nil, 0))
+	for eng, compile := range map[string]compileFn{"tree-walk": interp.CompileReference, "compiled": interp.Compile} {
+		plain := runRCCE(t, rcceProgram, 4, compile, nil)
+		traced := runRCCE(t, rcceProgram, 4, compile, trace.NewRecorder(nil, 0))
 		if plain.Output != traced.Output {
 			t.Errorf("%v: output changed under tracing: %q vs %q", eng, plain.Output, traced.Output)
 		}
@@ -197,7 +199,7 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 // with: go test ./internal/trace -run TestGoldenTrace -update
 func TestGoldenTrace(t *testing.T) {
 	rec := trace.NewRecorder(nil, 0)
-	res := runRCCE(t, rcceProgram, 4, interp.EngineCompiled, rec)
+	res := runRCCE(t, rcceProgram, 4, interp.Compile, rec)
 	if res.Output != "count 32 stage 31\n" {
 		t.Fatalf("unexpected program output %q", res.Output)
 	}
@@ -331,8 +333,8 @@ func TestChromeSchemaRoundTrip(t *testing.T) {
 func TestRingDropOldest(t *testing.T) {
 	small := trace.NewRecorder(nil, 16)
 	big := trace.NewRecorder(nil, 0)
-	runRCCE(t, rcceProgram, 4, interp.EngineCompiled, small)
-	runRCCE(t, rcceProgram, 4, interp.EngineCompiled, big)
+	runRCCE(t, rcceProgram, 4, interp.Compile, small)
+	runRCCE(t, rcceProgram, 4, interp.Compile, big)
 
 	events, dropped := small.Events()
 	if len(events) != 16 {
