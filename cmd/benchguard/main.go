@@ -8,12 +8,21 @@
 // but disabled must stay within 2% of the base commit — and it emits a
 // benchstat-style delta report for the CI artifact.
 //
+// With -manifest the two files are instead the output of
+// `bash benchmark/run.sh --workload w ...` at base and head (the last
+// line of each is the result object), and the gate is the one
+// BENCHMARK.json declares: head fails when any end_to_end metric is
+// worse than base by more than that metric's bound, or when a larger
+// share of its operations failed.
+//
 // Usage:
 //
 //	benchguard -old base.txt -new head.txt -max-overhead 0.02 -out delta.txt
+//	benchguard -manifest BENCHMARK.json -old base.out -new head.out -out delta.txt
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -58,14 +67,124 @@ func median(v []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// manifest is the part of BENCHMARK.json the end-to-end gate reads.
+type manifest struct {
+	EndToEnd []struct {
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
+	} `json:"end_to_end"`
+}
+
+// result is the object `benchmark/run.sh --workload` prints last.
+type result struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"metrics"`
+}
+
+// parseResult reads the result object off the last non-empty line.
+func parseResult(path string) (*result, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	var r result
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
+		return nil, fmt.Errorf("benchguard: %s: last line is not a result object: %w", path, err)
+	}
+	if r.Attempted == 0 || len(r.Metrics) == 0 {
+		return nil, fmt.Errorf("benchguard: %s: result object carries no operations or no metrics", path)
+	}
+	return &r, nil
+}
+
+// compareEndToEnd renders one row per declared end-to-end metric and
+// lists what head broke: "worse" is the change against base in the
+// metric's bad direction, as a fraction of base.
+func compareEndToEnd(mf *manifest, base, head *result) (report string, broken []string) {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-22s %14s %14s %9s %7s\n", "metric", "base", "head", "worse", "bound")
+	for _, m := range mf.EndToEnd {
+		o, okO := base.Metrics[m.Name]
+		n, okN := head.Metrics[m.Name]
+		if !okO || !okN {
+			broken = append(broken, m.Name+" missing from a result")
+			continue
+		}
+		delta := n.Value - o.Value
+		if m.Better == "higher" {
+			delta = o.Value - n.Value
+		}
+		worse := 0.0
+		if o.Value != 0 {
+			worse = delta / math.Abs(o.Value)
+		}
+		fmt.Fprintf(&sb, "%-22s %14.4f %14.4f %+8.1f%% %6.0f%%  %s\n", m.Name, o.Value, n.Value, 100*worse, 100*m.Bound, m.Unit)
+		if worse > m.Bound {
+			broken = append(broken, fmt.Sprintf("%s worse by %.1f%% (bound %.0f%%)", m.Name, 100*worse, 100*m.Bound))
+		}
+	}
+	fo, fn := float64(base.Failed)/float64(base.Attempted), float64(head.Failed)/float64(head.Attempted)
+	fmt.Fprintf(&sb, "%-22s %14.4f %14.4f\n", "failed share", fo, fn)
+	if fn > fo || !head.Correct && base.Correct {
+		broken = append(broken, fmt.Sprintf("failed %d of %d operations (base %d of %d)", head.Failed, head.Attempted, base.Failed, base.Attempted))
+	}
+	return sb.String(), broken
+}
+
+// runEndToEnd is the -manifest mode.
+func runEndToEnd(manifestPath, oldPath, newPath, outPath string) error {
+	b, err := os.ReadFile(manifestPath)
+	if err != nil {
+		return err
+	}
+	var mf manifest
+	if err := json.Unmarshal(b, &mf); err != nil {
+		return fmt.Errorf("benchguard: %s: %w", manifestPath, err)
+	}
+	if len(mf.EndToEnd) == 0 {
+		return fmt.Errorf("benchguard: %s declares no end_to_end metrics", manifestPath)
+	}
+	base, err := parseResult(oldPath)
+	if err != nil {
+		return err
+	}
+	head, err := parseResult(newPath)
+	if err != nil {
+		return err
+	}
+	report, broken := compareEndToEnd(&mf, base, head)
+	fmt.Print(report)
+	if outPath != "" {
+		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
+			return err
+		}
+	}
+	if len(broken) > 0 {
+		return fmt.Errorf("benchguard: head regressed against base: %s", strings.Join(broken, "; "))
+	}
+	fmt.Println("benchguard: ok (every end-to-end metric within its bound)")
+	return nil
+}
+
 func run() error {
 	oldPath := flag.String("old", "", "benchmark output at the base commit")
 	newPath := flag.String("new", "", "benchmark output at the head commit")
 	maxOverhead := flag.Float64("max-overhead", 0.02, "pass while geomean new/old <= 1+this")
+	manifestPath := flag.String("manifest", "", "BENCHMARK.json: compare two benchmark/run.sh --workload outputs against its end_to_end bounds")
 	outPath := flag.String("out", "", "optional delta report file")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
 		return fmt.Errorf("benchguard: -old and -new are required")
+	}
+	if *manifestPath != "" {
+		return runEndToEnd(*manifestPath, *oldPath, *newPath, *outPath)
 	}
 	oldRes, err := parse(*oldPath)
 	if err != nil {

@@ -74,7 +74,6 @@ func main() {
 	cfg.Threads = *cores
 	cfg.Scale = *scale
 	cfg.Cache = bench.NewCache()
-	fullMPB := cfg.Machine().Config().MPBTotal()
 
 	var doc output
 	for _, key := range keys {
@@ -90,7 +89,7 @@ func main() {
 		for _, b := range budgetList {
 			eff := b
 			if eff <= 0 {
-				eff = fullMPB
+				eff = rep.MPB.CapacityBytes
 			}
 			wo.Placements = append(wo.Placements, profile.Optimize(rep, eff))
 		}

@@ -370,8 +370,8 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	// worker won the race to compute the shared entry. The machine
 	// config is fixed across the sweep: fingerprint it once here so
 	// per-cell cache-key construction never builds a throwaway machine.
-	r.fullMPB = r.cfg.Machine().Config().MPBTotal()
 	r.cfg = r.cfg.PrecomputeMachineEnv()
+	r.fullMPB = r.cfg.machineCfg.MPBTotal()
 	firstByKey := make(map[cellKey]int)
 	dup := make([]bool, len(cells))
 	for i, c := range cells {

@@ -94,10 +94,12 @@ type Config struct {
 	// cycle stats are identical with or without it, so like the other
 	// per-run observers it is excluded from every cache identity.
 	TraceRCCE interp.TraceSink
-	// machineEnv, when non-empty, is a precomputed fingerprint of
-	// cfg.Machine().Config() — sweeps whose machine is fixed (the grid
-	// runner) set it once so cache-key construction does not build a
-	// throwaway machine per lookup.
+	// machineCfg and machineEnv, set together by PrecomputeMachineEnv,
+	// are cfg.Machine().Config() and its fingerprint — sweeps whose
+	// machine is fixed (the grid runner) resolve them once so neither
+	// cache-key construction nor the full-MPB budget builds a throwaway
+	// machine per lookup. machineEnv is empty until then.
+	machineCfg sccsim.Config
 	machineEnv string
 }
 
@@ -155,9 +157,17 @@ func (cfg Config) baselineEnv() string {
 	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), opts)
 }
 
-// machineFingerprint renders the machine configuration for cache keys,
+// machineConfig returns the configuration of the machines cfg builds,
 // preferring the precomputed copy over constructing a throwaway machine
 // per lookup.
+func (cfg Config) machineConfig() sccsim.Config {
+	if cfg.machineEnv != "" {
+		return cfg.machineCfg
+	}
+	return cfg.Machine().Config()
+}
+
+// machineFingerprint renders the machine configuration for cache keys.
 func (cfg Config) machineFingerprint() string {
 	if cfg.machineEnv != "" {
 		return cfg.machineEnv
@@ -165,13 +175,15 @@ func (cfg Config) machineFingerprint() string {
 	return fmt.Sprintf("%+v", cfg.Machine().Config())
 }
 
-// PrecomputeMachineEnv returns a copy of cfg carrying the machine-config
-// fingerprint, built once here. Harnesses that derive many cell configs
-// from one template over a fixed machine (the grid runner, the
-// conformance oracle) call this on the template so per-cell cache-key
-// construction never builds a throwaway machine.
+// PrecomputeMachineEnv returns a copy of cfg carrying the machine
+// configuration and its fingerprint, resolved once here from the one
+// machine it builds. Harnesses that derive many cell configs from one
+// template over a fixed machine (the grid runner, the conformance
+// oracle, the daemon) call this on the template so that afterwards
+// cfg.Machine is called only for machines that run something.
 func (cfg Config) PrecomputeMachineEnv() Config {
-	cfg.machineEnv = cfg.machineFingerprint()
+	cfg.machineCfg = cfg.machineConfig()
+	cfg.machineEnv = fmt.Sprintf("%+v", cfg.machineCfg)
 	return cfg
 }
 
@@ -268,7 +280,7 @@ type Translation struct {
 func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Translation, error) {
 	capacity := cfg.MPBCapacity
 	if capacity <= 0 {
-		capacity = cfg.Machine().Config().MPBTotal()
+		capacity = cfg.machineConfig().MPBTotal()
 	}
 	scale := cfg.Scale
 	var pl *profile.Placement

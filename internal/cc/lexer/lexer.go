@@ -311,6 +311,30 @@ func (lx *Lexer) escape(pos token.Pos) (byte, error) {
 	}
 }
 
+// twoKinds and oneKinds map two- and one-character punctuation to its
+// kind. oneKinds is indexed by the character; the zero Kind (token.EOF)
+// marks characters that are not punctuation.
+var (
+	twoKinds = map[string]token.Kind{
+		"->": token.Arrow, "++": token.PlusPlus, "--": token.MinusMinus,
+		"+=": token.AddAssign, "-=": token.SubAssign, "*=": token.MulAssign,
+		"/=": token.DivAssign, "%=": token.ModAssign, "&=": token.AndAssign,
+		"|=": token.OrAssign, "^=": token.XorAssign, "<<": token.Shl,
+		">>": token.Shr, "<=": token.Le, ">=": token.Ge, "==": token.EqEq,
+		"!=": token.NotEq, "&&": token.AndAnd, "||": token.OrOr,
+	}
+	oneKinds = [256]token.Kind{
+		'(': token.LParen, ')': token.RParen, '{': token.LBrace,
+		'}': token.RBrace, '[': token.LBracket, ']': token.RBracket,
+		';': token.Semi, ',': token.Comma, '.': token.Dot,
+		'=': token.Assign, '+': token.Plus, '-': token.Minus,
+		'*': token.Star, '/': token.Slash, '%': token.Percent,
+		'&': token.Amp, '|': token.Pipe, '^': token.Caret,
+		'~': token.Tilde, '!': token.Bang, '<': token.Lt, '>': token.Gt,
+		'?': token.Quest, ':': token.Colon,
+	}
+)
+
 // scanOperator scans punctuation, longest match first.
 func (lx *Lexer) scanOperator(pos token.Pos) (token.Token, error) {
 	three := ""
@@ -338,33 +362,16 @@ func (lx *Lexer) scanOperator(pos token.Pos) (token.Token, error) {
 	if lx.off+2 <= len(lx.src) {
 		two = lx.src[lx.off : lx.off+2]
 	}
-	twoKinds := map[string]token.Kind{
-		"->": token.Arrow, "++": token.PlusPlus, "--": token.MinusMinus,
-		"+=": token.AddAssign, "-=": token.SubAssign, "*=": token.MulAssign,
-		"/=": token.DivAssign, "%=": token.ModAssign, "&=": token.AndAssign,
-		"|=": token.OrAssign, "^=": token.XorAssign, "<<": token.Shl,
-		">>": token.Shr, "<=": token.Le, ">=": token.Ge, "==": token.EqEq,
-		"!=": token.NotEq, "&&": token.AndAnd, "||": token.OrOr,
-	}
 	if k, ok := twoKinds[two]; ok {
 		lx.advance()
 		lx.advance()
 		return token.Token{Kind: k, Text: two, Pos: pos}, nil
 	}
-	oneKinds := map[byte]token.Kind{
-		'(': token.LParen, ')': token.RParen, '{': token.LBrace,
-		'}': token.RBrace, '[': token.LBracket, ']': token.RBracket,
-		';': token.Semi, ',': token.Comma, '.': token.Dot,
-		'=': token.Assign, '+': token.Plus, '-': token.Minus,
-		'*': token.Star, '/': token.Slash, '%': token.Percent,
-		'&': token.Amp, '|': token.Pipe, '^': token.Caret,
-		'~': token.Tilde, '!': token.Bang, '<': token.Lt, '>': token.Gt,
-		'?': token.Quest, ':': token.Colon,
-	}
 	c := lx.peek()
-	if k, ok := oneKinds[c]; ok {
+	if k := oneKinds[c]; k != token.EOF {
+		text := lx.src[lx.off : lx.off+1]
 		lx.advance()
-		return token.Token{Kind: k, Text: string(c), Pos: pos}, nil
+		return token.Token{Kind: k, Text: text, Pos: pos}, nil
 	}
 	return token.Token{}, lx.errorf(pos, "unexpected character %q", string(c))
 }

@@ -7,54 +7,57 @@ package sccsim
 // to another core's writes (shared pages are uncacheable), so hit/miss
 // behaviour is independent of contents.
 //
-// Lines are stored as one flat ways-major array (set s occupies
-// lines[s*ways : (s+1)*ways]) and Access resolves hit and LRU victim in
-// a single pass — this sits directly on the simulator's per-access hot
-// path, so it is kept branch-lean and allocation-free.
+// Tags are first-touch: the sets are grouped into blocks of blockSets
+// consecutive sets (ways-major inside a block: set s of a block occupies
+// lines[s*ways : (s+1)*ways]), a block materialises when an access first
+// maps to it, and the block table itself on the cache's first access. A
+// machine holds an L1+L2 pair per core and a short run touches a few
+// dozen sets of a few cores, so a cache costs host memory in proportion
+// to the sets the run reaches, not to its modelled capacity (a whole
+// 256 KB L2 is 128 KiB of tags). The zero Cache is not usable; build
+// one with NewCache.
+//
+// Access resolves hit and LRU victim in a single pass over the set —
+// this sits directly on the simulator's per-access hot path, so it is
+// kept branch-lean and allocation-free once a block exists.
 type Cache struct {
-	// lines is materialised on first access: a machine constructs one
-	// L1+L2 pair per core, but a run touches only the cores it schedules
-	// work on, so eager allocation would dominate short simulations.
-	lines     []cacheLine
-	nlines    int
-	ways      int
-	lineBits  uint
-	setMask   uint32
-	tick      uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	DirtyEv   uint64
+	blocks   [][]cacheLine
+	ways     int
+	lineBits uint
+	setMask  uint32
+	tick     uint64
 }
 
-// cacheLine packs to 16 bytes (used, tag, flag bits) so a set scan
-// stays within one or two host cache lines.
+// blockSets is the materialisation granule in sets: 16 sets of a 4-way
+// cache are 1 KiB of tags, small enough that a core touching one line
+// pays about a page for its caches and large enough that a streaming
+// loop (consecutive lines map to consecutive sets) allocates once per
+// 16 lines.
+const (
+	blockShift = 4
+	blockSets  = 1 << blockShift
+)
+
+// cacheLine packs to 16 bytes (used, tag, dirty bit) so a set scan
+// stays within one or two host cache lines. tag is the line address
+// plus one, so that the zero cacheLine is an empty way: fresh blocks
+// need no initialisation, and the hit scan tests the tag alone, with
+// no validity load (addr>>lineBits+1 cannot wrap: Config.Validate
+// requires a line size of at least two bytes).
 type cacheLine struct {
 	used  uint64
 	tag   uint32
-	flags uint8 // bit 0: valid, bit 1: dirty
+	dirty bool
 }
 
-const (
-	lineValid = 1 << 0
-	lineDirty = 1 << 1
-)
-
-// invalidTag marks an empty way. Real line addresses are addr>>lineBits
-// with lineBits >= 1 (Config.Validate requires a line size of at least
-// two bytes), so the all-ones tag can never match an access — which
-// lets the hit scan test the tag alone, with no validity load.
-const invalidTag = ^uint32(0)
-
 // NewCache builds a cache of the given geometry. size and lineBytes must
-// be powers-of-two multiples.
-func NewCache(size, ways, lineBytes int) *Cache {
+// be powers-of-two multiples. It allocates nothing; see Cache.
+func NewCache(size, ways, lineBytes int) Cache {
 	nsets := size / lineBytes / ways
 	if nsets < 1 {
 		nsets = 1
 	}
-	return &Cache{
-		nlines:   nsets * ways,
+	return Cache{
 		ways:     ways,
 		lineBits: log2(lineBytes),
 		setMask:  uint32(nsets - 1),
@@ -76,31 +79,38 @@ func log2(v int) uint {
 //
 // Hits dominate every workload this model serves (the corpus runs >90%
 // L1 hit rates), so the hit scan is a pure tag compare — empty ways hold
-// invalidTag, which no real line address can equal, and the flags byte is
-// never loaded. Only a miss pays the second scan for the LRU victim;
+// tag 0, which no access can equal, and the dirty byte is never loaded.
+// Only a miss pays the second scan for the LRU victim;
 // invalid ways carry used==0 while valid ways carry used>=1, so the
 // minimum-used way is exactly the first invalid way when one exists and
 // the LRU way otherwise — the same choice the original scan made.
 func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 	c.tick++
-	if c.lines == nil {
-		c.materialize()
-	}
 	lineAddr := addr >> c.lineBits
-	base := int(lineAddr&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
+	tag := lineAddr + 1
+	idx := lineAddr & c.setMask
+	// One length test covers both first-touch cases (no table yet, no
+	// block yet) and stands in for the index bounds check.
+	b := int(idx >> blockShift)
+	var blk []cacheLine
+	if b < len(c.blocks) {
+		blk = c.blocks[b]
+	}
+	if blk == nil {
+		blk = c.materialize(b)
+	}
+	base := int(idx&(blockSets-1)) * c.ways
+	set := blk[base : base+c.ways]
 	for i := range set {
-		if set[i].tag == lineAddr {
+		if set[i].tag == tag {
 			ln := &set[i]
 			ln.used = c.tick
 			if write {
-				ln.flags |= lineDirty
+				ln.dirty = true
 			}
-			c.Hits++
 			return true, false
 		}
 	}
-	c.Misses++
 	victim := 0
 	minUsed := ^uint64(0)
 	for i := range set {
@@ -110,60 +120,34 @@ func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 		}
 	}
 	v := &set[victim]
-	if v.tag != invalidTag {
-		c.Evictions++
-		if v.flags&lineDirty != 0 {
-			c.DirtyEv++
-			dirtyEvict = true
-		}
-	}
-	flags := uint8(lineValid)
-	if write {
-		flags |= lineDirty
-	}
-	*v = cacheLine{tag: lineAddr, flags: flags, used: c.tick}
+	dirtyEvict = v.dirty // never set on an empty way
+	*v = cacheLine{tag: tag, dirty: write, used: c.tick}
 	return false, dirtyEvict
 }
 
-// materialize allocates the line array with every way marked empty.
-func (c *Cache) materialize() {
-	c.lines = make([]cacheLine, c.nlines)
-	for i := range c.lines {
-		c.lines[i].tag = invalidTag
+// materialize allocates one block of (empty) sets, and the block table
+// before the first of them.
+func (c *Cache) materialize(block int) []cacheLine {
+	if c.blocks == nil {
+		c.blocks = make([][]cacheLine, c.setMask>>blockShift+1)
 	}
-}
-
-// Contains reports whether addr's line is resident (no state change).
-func (c *Cache) Contains(addr uint32) bool {
-	if c.lines == nil {
-		return false
-	}
-	lineAddr := addr >> c.lineBits
-	base := int(lineAddr&c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
+	blk := make([]cacheLine, blockSets*c.ways)
+	c.blocks[block] = blk
+	return blk
 }
 
 // Flush invalidates every line, returning how many dirty lines were
 // written back. The pthread baseline uses this to model the cache
-// pollution of a context switch.
+// pollution of a context switch. Materialised blocks are kept: the
+// flushed core is about to run the next context through the same sets.
 func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].flags&(lineValid|lineDirty) == lineValid|lineDirty {
-			dirty++
+	for _, blk := range c.blocks {
+		for i := range blk {
+			if blk[i].dirty {
+				dirty++
+			}
 		}
-		c.lines[i] = cacheLine{tag: invalidTag}
+		clear(blk)
 	}
 	return dirty
 }
-
-// Lines returns the total line capacity.
-func (c *Cache) Lines() int { return c.nlines }
-
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int { return 1 << c.lineBits }

@@ -29,10 +29,16 @@ type Machine struct {
 	coreMC       []int32
 	coreMCHops   []int32
 
-	cores  []*coreState
-	mcs    []*memController
-	shared *PageMem
-	mpb    []byte
+	// cores and mcs are value slabs, and every store below is
+	// first-touch: building a machine is a fixed number of allocations
+	// whatever its core count, and no core owns a heap object before
+	// its first access.
+	cores  []coreState
+	mcs    []memController
+	shared PageMem
+	// mpb is allocated by the first MPB access (mpbBytes): the Pthread
+	// baseline and off-chip placements never touch it.
+	mpb []byte
 	// mpbRanges records striped allocations so remote-vs-local MPB
 	// latency reflects data placement; addresses outside any range
 	// default to the section owner (addr / MPBStride).
@@ -41,9 +47,9 @@ type Machine struct {
 }
 
 type coreState struct {
-	l1    *Cache
-	l2    *Cache
-	priv  *PageMem
+	l1    Cache
+	l2    Cache
+	priv  PageMem
 	timer CoreTimer // current core period under DVFS + compute-time accumulator
 	// Derived per-core latencies, recomputed on DVFS changes so the
 	// per-access hot path avoids a cycles×period multiply each time.
@@ -147,27 +153,21 @@ func New(cfg Config) (*Machine, error) {
 		coresPerTile: cfg.TileCores(),
 		mpbStride:    cfg.MPBStride(),
 		mcPos:        computeMCPositions(&cfg),
-		shared:       NewPageMem(),
-		mpb:          make([]byte, cfg.MPBTotal()),
+		cores:        make([]coreState, cfg.Cores),
+		mcs:          make([]memController, cfg.MemControllers),
 		tas:          make([]bool, cfg.Cores),
 	}
 	m.computeMeshMap()
-	m.cores = make([]*coreState, 0, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		cs := &coreState{
-			l1:   NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-			l2:   NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
-			priv: NewPageMem(),
-		}
+	l1 := NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
+	l2 := NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	for i := range m.cores {
+		cs := &m.cores[i]
+		cs.l1, cs.l2 = l1, l2
 		corePeriod := period
 		if len(cfg.Tiers) > 0 {
 			corePeriod = Time(1e6 / uint64(cfg.TierMHz(i)))
 		}
 		cs.setPeriod(&m.cfg, corePeriod)
-		m.cores = append(m.cores, cs)
-	}
-	for i := 0; i < cfg.MemControllers; i++ {
-		m.mcs = append(m.mcs, &memController{})
 	}
 	return m, nil
 }
@@ -204,15 +204,15 @@ func (m *Machine) ComputeTime(core int, cycles int) Time {
 // access latency starting from now. The backing store is selected with a
 // direct switch (no interface dispatch or boxing on the hot path).
 func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
+	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
-		copy(buf, m.mpb[addr-MPBBase:])
+		copy(buf, m.mpbBytes()[addr-MPBBase:])
 	case addr >= SharedBase:
 		m.shared.Read(addr-SharedBase, buf)
 	default:
-		m.cores[core].priv.Read(addr, buf)
+		cs.priv.Read(addr, buf)
 	}
-	cs := m.cores[core]
 	cs.stats.Loads++
 	lat := m.accessTime(core, addr, false, now)
 	cs.stats.MemTime += lat
@@ -221,15 +221,15 @@ func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
 
 // Store writes data at addr on behalf of core and returns the latency.
 func (m *Machine) Store(core int, addr uint32, data []byte, now Time) Time {
+	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
-		copy(m.mpb[addr-MPBBase:], data)
+		copy(m.mpbBytes()[addr-MPBBase:], data)
 	case addr >= SharedBase:
 		m.shared.Write(addr-SharedBase, data)
 	default:
-		m.cores[core].priv.Write(addr, data)
+		cs.priv.Write(addr, data)
 	}
-	cs := m.cores[core]
 	cs.stats.Stores++
 	lat := m.accessTime(core, addr, true, now)
 	cs.stats.MemTime += lat
@@ -261,12 +261,20 @@ type byteStore interface {
 func (m *Machine) backing(core int, addr uint32) byteStore {
 	switch {
 	case addr >= MPBBase:
-		return regionMem{m.mpb}
+		return regionMem{m.mpbBytes()}
 	case addr >= SharedBase:
-		return m.shared
+		return &m.shared
 	default:
-		return m.cores[core].priv
+		return &m.cores[core].priv
 	}
+}
+
+// mpbBytes returns the MPB backing array, allocating it on first use.
+func (m *Machine) mpbBytes() []byte {
+	if m.mpb == nil {
+		m.mpb = make([]byte, m.cfg.MPBTotal())
+	}
+	return m.mpb
 }
 
 func (m *Machine) regionBase(addr uint32) uint32 {
@@ -287,7 +295,7 @@ func (m *Machine) regionBase(addr uint32) uint32 {
 // accessTime computes the latency of one access according to the address
 // class (see the package comment for the model).
 func (m *Machine) accessTime(core int, addr uint32, write bool, now Time) Time {
-	cs := m.cores[core]
+	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
 		cs.stats.MPBAccesses++
@@ -312,7 +320,7 @@ func (m *Machine) accessTime(core int, addr uint32, write bool, now Time) Time {
 // DVFS (the derived times are recomputed whenever a domain's frequency
 // changes); the mesh and controllers run off their own clocks.
 func (m *Machine) cachedTime(core int, addr uint32, write bool, now Time) Time {
-	cs := m.cores[core]
+	cs := &m.cores[core]
 	hit, dirty := cs.l1.Access(addr, write)
 	if hit {
 		cs.stats.L1Hits++
@@ -341,7 +349,7 @@ func (m *Machine) cachedTime(core int, addr uint32, write bool, now Time) Time {
 // access itself.
 func (m *Machine) dramTime(core int, now Time) Time {
 	wire := m.meshRoundTrip(m.HopsToController(core))
-	mc := m.mcs[m.ControllerOf(core)]
+	mc := &m.mcs[m.ControllerOf(core)]
 	arrival := now + wire/2
 	start := arrival
 	if mc.freeAt > start {
@@ -357,7 +365,7 @@ func (m *Machine) dramTime(core int, now Time) Time {
 // MPBT type) the line may hit in L1; a miss or uncached access pays the
 // SRAM access at the owning tile plus mesh distance.
 func (m *Machine) mpbTime(core int, addr uint32, write bool) Time {
-	cs := m.cores[core]
+	cs := &m.cores[core]
 	owner := m.MPBOwner(addr)
 	if owner != core {
 		cs.stats.MPBRemote++
@@ -457,7 +465,8 @@ func (m *Machine) StatsOf(core int) CoreStats {
 // TotalStats sums the per-core counters.
 func (m *Machine) TotalStats() CoreStats {
 	var t CoreStats
-	for _, c := range m.cores {
+	for i := range m.cores {
+		c := &m.cores[i]
 		t.Loads += c.stats.Loads
 		t.Stores += c.stats.Stores
 		t.PrivateAccesses += c.stats.PrivateAccesses

@@ -2,6 +2,7 @@ package sccsim
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -503,7 +504,7 @@ func TestStatsAccumulate(t *testing.T) {
 // TestPageMemRoundTrip: property test — writes then reads return the same
 // bytes at arbitrary addresses and lengths, including page boundaries.
 func TestPageMemRoundTrip(t *testing.T) {
-	pm := NewPageMem()
+	pm := new(PageMem)
 	f := func(addr uint32, data []byte) bool {
 		if len(data) > 64*1024 {
 			data = data[:64*1024]
@@ -523,15 +524,66 @@ func TestPageMemRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPageMemZero(t *testing.T) {
-	pm := NewPageMem()
-	pm.Write(4090, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // spans a page boundary
-	pm.Zero(4090, 8)
-	buf := make([]byte, 8)
-	pm.Read(4090, buf)
-	for _, b := range buf {
-		if b != 0 {
-			t.Fatalf("Zero left %v", buf)
+// allocatedBytes reports the heap bytes f(i) allocates, as the least of
+// three calls (i = 0, 1, 2) so that a stray allocation by the runtime or
+// the test framework during one of them does not count.
+func allocatedBytes(f func(i int)) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f(i)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
 		}
+	}
+	return least
+}
+
+// TestMachineFootprint pins the first-touch rule: a machine costs host
+// memory for what a run touches, not for what it models. Building one
+// is a fixed number of allocations whatever the core count and well
+// under 1 MiB at 1024 cores; a core's first private access pays for one
+// block of tags per cache level, one path through the page table and
+// its data page; the MPB exists only once something is stored in it.
+func TestMachineFootprint(t *testing.T) {
+	wide := MustPreset("mesh1024")
+	narrow := wide
+	narrow.Cores = 16 // same mesh and controllers, 1/64 of the cores
+	wideObjs := testing.AllocsPerRun(5, func() { MustNew(wide) })
+	narrowObjs := testing.AllocsPerRun(5, func() { MustNew(narrow) })
+	if wideObjs != narrowObjs {
+		t.Errorf("New allocates %v objects at %d cores, %v at %d: must not depend on the core count",
+			wideObjs, wide.Cores, narrowObjs, narrow.Cores)
+	}
+	var m *Machine
+	if b := allocatedBytes(func(int) { m = MustNew(wide) }); b > 1<<20 {
+		t.Errorf("New(mesh1024) allocates %d bytes, want <= 1 MiB", b)
+	}
+
+	var buf [4]byte
+	firstLoad := allocatedBytes(func(i int) { m.Load(1000+i, PrivateBase, buf[:], 0) })
+	if firstLoad > 12<<10 {
+		t.Errorf("first private load of an untouched core allocates %d bytes, want <= 12 KiB", firstLoad)
+	}
+	if again := allocatedBytes(func(i int) { m.Load(1000+i, PrivateBase+4, buf[:], 0) }); again != 0 {
+		t.Errorf("second load of the same line allocates %d bytes, want 0", again)
+	}
+
+	// What the Pthread baseline does: private and shared traffic, cache
+	// flushes, lock registers — never the MPB.
+	m.Store(0, PrivateLimit-8, buf[:], 0)
+	m.Store(0, SharedBase+64, buf[:], 0)
+	m.Load(3, SharedBase+64, buf[:], 0)
+	m.FlushL1(0)
+	m.TestAndSet(0, 1, 0)
+	m.TotalStats()
+	if m.mpb != nil {
+		t.Error("a run that never touches the MPB must not allocate it")
+	}
+	m.Store(5, MPBBase+uint32(5*wide.MPBStride()), buf[:], 0)
+	if len(m.mpb) != wide.MPBTotal() {
+		t.Errorf("after an MPB store the backing array holds %d bytes, want %d", len(m.mpb), wide.MPBTotal())
 	}
 }

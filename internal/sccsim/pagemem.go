@@ -7,44 +7,47 @@ const pageSize = 4096
 const (
 	pageShift = 12 // log2(pageSize)
 	pageMask  = pageSize - 1
-	// The 32-bit physical space holds 2^20 pages; a two-level table
-	// (1024 directories of 1024 pages) resolves any of them with two
-	// array indexes — no map hash on the access path.
-	dirShift = 10
-	dirSize  = 1 << dirShift
-	leafMask = dirSize - 1
+	// The 32-bit physical space holds 2^20 pages; a three-level radix
+	// (64 x 128 x 128) resolves any of them with three array indexes —
+	// no map hash on the access path — and costs 0.5 + 1 + 1 KiB of
+	// tables for the first page of a region: a program's heap low and
+	// its stack high in the range are two regions.
+	leafBits = 7
+	midBits  = 7
+	rootBits = 20 - midBits - leafBits
+)
+
+type (
+	page     = [pageSize]byte
+	pageLeaf [1 << leafBits]*page
+	pageMid  [1 << midBits]*pageLeaf
+	pageRoot [1 << rootBits]*pageMid
 )
 
 // PageMem is a sparse byte-addressable memory: pages materialise zeroed on
 // first touch, so stacks high in the address space and heaps low coexist
-// without reserving the range between them.
+// without reserving the range between them. The zero PageMem is empty
+// and ready to use, and owns no heap object until its first access.
 //
 // The access path is allocation- and hash-free: a two-entry last-page
 // cache catches the loop locality of the interpreter's contiguous
 // low/heap and high/stack ranges (which alternate per statement), and
-// misses fall through to a dense two-level page table (directory of
-// leaf arrays) instead of the former map lookup. BenchmarkPageMemAccess
-// pins the difference.
+// misses fall through to a three-level radix table whose nodes
+// materialise with the first page under them. BenchmarkPageMemAccess
+// pins the difference to a map.
 type PageMem struct {
 	// Two-entry most-recent-page cache: interpreter traffic alternates
 	// between a data page (array/heap) and the stack page of the current
 	// frame, so one entry per stream catches both.
 	lastKey uint32
-	last    *[pageSize]byte
+	last    *page
 	prevKey uint32
-	prev    *[pageSize]byte
-	// dir is the root directory, allocated on first touch so that the
-	// untouched cores of a freshly built machine cost nothing.
-	dir     [][]*[pageSize]byte
+	prev    *page
+	root    *pageRoot
 	touched int
 }
 
-// NewPageMem returns an empty memory.
-func NewPageMem() *PageMem {
-	return &PageMem{}
-}
-
-func (p *PageMem) page(addr uint32) *[pageSize]byte {
+func (p *PageMem) page(addr uint32) *page {
 	key := addr >> pageShift
 	if key == p.lastKey && p.last != nil {
 		return p.last
@@ -57,19 +60,25 @@ func (p *PageMem) page(addr uint32) *[pageSize]byte {
 	return p.pageSlow(key)
 }
 
-func (p *PageMem) pageSlow(key uint32) *[pageSize]byte {
-	if p.dir == nil {
-		p.dir = make([][]*[pageSize]byte, dirSize)
+func (p *PageMem) pageSlow(key uint32) *page {
+	if p.root == nil {
+		p.root = new(pageRoot)
 	}
-	leaf := p.dir[key>>dirShift]
+	ri, mi, li := key>>(midBits+leafBits), key>>leafBits&(1<<midBits-1), key&(1<<leafBits-1)
+	mid := p.root[ri]
+	if mid == nil {
+		mid = new(pageMid)
+		p.root[ri] = mid
+	}
+	leaf := mid[mi]
 	if leaf == nil {
-		leaf = make([]*[pageSize]byte, dirSize)
-		p.dir[key>>dirShift] = leaf
+		leaf = new(pageLeaf)
+		mid[mi] = leaf
 	}
-	pg := leaf[key&leafMask]
+	pg := leaf[li]
 	if pg == nil {
-		pg = new([pageSize]byte)
-		leaf[key&leafMask] = pg
+		pg = new(page)
+		leaf[li] = pg
 		p.touched++
 	}
 	p.prevKey, p.prev = p.lastKey, p.last
@@ -108,20 +117,6 @@ func (p *PageMem) Write(addr uint32, data []byte) {
 		n := copy(pg[off:], data)
 		data = data[n:]
 		addr += uint32(n)
-	}
-}
-
-// Zero clears size bytes starting at addr.
-func (p *PageMem) Zero(addr uint32, size int) {
-	var zeros [pageSize]byte
-	for size > 0 {
-		n := pageSize
-		if size < n {
-			n = size
-		}
-		p.Write(addr, zeros[:n])
-		addr += uint32(n)
-		size -= n
 	}
 }
 

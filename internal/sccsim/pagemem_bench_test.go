@@ -1,6 +1,10 @@
 package sccsim
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
 
 // mapPageMem is the original map-backed page store, kept here as the
 // benchmark baseline so `go test -bench PageMem ./internal/sccsim`
@@ -42,7 +46,7 @@ func (p *mapPageMem) Write(addr uint32, data []byte) {
 // accessPattern mimics the interpreter's traffic: a loop walking an
 // array in one region (the heap) interleaved with stack-slot accesses
 // high in the address space — two localities the last-page cache and
-// dense table serve without hashing.
+// radix table serve without hashing.
 var accessPattern = func() []uint32 {
 	addrs := make([]uint32, 0, 4096)
 	const heap = PrivateBase + 0x2000
@@ -55,8 +59,8 @@ var accessPattern = func() []uint32 {
 
 func BenchmarkPageMemAccess(b *testing.B) {
 	var buf [8]byte
-	b.Run("dense", func(b *testing.B) {
-		m := NewPageMem()
+	b.Run("radix", func(b *testing.B) {
+		m := new(PageMem)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, a := range accessPattern {
@@ -81,7 +85,7 @@ func BenchmarkPageMemAccess(b *testing.B) {
 // behaviours the simulator relies on: zero-fill on first touch, reads
 // and writes spanning page boundaries, and Touched accounting.
 func TestPageMemSpanningAndZeroing(t *testing.T) {
-	m := NewPageMem()
+	m := new(PageMem)
 	var got [16]byte
 	m.Read(pageSize-8, got[:])
 	for _, b := range got {
@@ -110,11 +114,100 @@ func TestPageMemSpanningAndZeroing(t *testing.T) {
 	if m.Touched() != 3 {
 		t.Fatalf("Touched = %d, want 3", m.Touched())
 	}
-	m.Zero(pageSize-8, 16)
+	m.Write(pageSize-8, make([]byte, 16))
 	m.Read(pageSize-8, got[:])
 	for _, b := range got {
 		if b != 0 {
-			t.Fatal("Zero must clear the range")
+			t.Fatal("a spanning write of zeros must clear the range")
+		}
+	}
+}
+
+// refPageMem is the reference model for the differential test: a map
+// of pages, one byte at a time.
+type refPageMem map[uint32][]byte
+
+func (r refPageMem) at(addr uint32) *byte {
+	pg := r[addr/pageSize]
+	if pg == nil {
+		pg = make([]byte, pageSize)
+		r[addr/pageSize] = pg
+	}
+	return &pg[addr%pageSize]
+}
+
+func (r refPageMem) read(addr uint32, buf []byte) {
+	for i := range buf {
+		buf[i] = *r.at(addr + uint32(i))
+	}
+}
+
+func (r refPageMem) write(addr uint32, data []byte) {
+	for i, b := range data {
+		*r.at(addr + uint32(i)) = b
+	}
+}
+
+// TestPageMemMatchesMapReference drives the radix PageMem and the map
+// reference with the same seeded reads and writes — clustered round the
+// edges of the address classes (first private page, the private/shared
+// limits, the top of the space, where an access straddles pages, leaves
+// and mid-level nodes at once), on pages whose numbers differ in one bit
+// (which a wrong radix index would alias) and scattered round 256 bases drawn from all 32 bits — and
+// requires identical bytes from every read and identical page counts.
+func TestPageMemMatchesMapReference(t *testing.T) {
+	edges := []uint32{
+		PrivateBase,                           // 0x0000_1000: first private page
+		PrivateLimit - 1,                      // 0x3FFF_FFFF: last private byte, end of a root slot
+		SharedLimit - 1,                       // 0xBFFF_FFFF: last shared byte
+		1 << (pageShift + leafBits),           // first leaf boundary
+		1 << (pageShift + leafBits + midBits), // first mid boundary
+		0xFFFF_FFFF,                           // wraps to page 0
+	}
+	rng := rand.New(rand.NewSource(7))
+	scatter := make([]uint32, 256)
+	for i := range scatter {
+		scatter[i] = rng.Uint32()
+	}
+	pm := new(PageMem)
+	ref := refPageMem{}
+	got, want := make([]byte, 3*pageSize), make([]byte, 3*pageSize)
+	for i := 0; i < 100_000; i++ {
+		var addr uint32
+		switch rng.Intn(4) {
+		case 0: // straddle or abut an edge
+			addr = edges[rng.Intn(len(edges))] + uint32(rng.Intn(64)) - 32
+		case 1: // a few hot pages: the last-page cache's traffic
+			addr = PrivateBase + uint32(rng.Intn(4*pageSize))
+		case 2: // one page-number bit away from a hot page: radix index aliasing
+			addr = PrivateBase ^ 1<<(pageShift+rng.Intn(20)) + uint32(rng.Intn(pageSize))
+		default:
+			addr = scatter[rng.Intn(len(scatter))] + uint32(rng.Intn(2*pageSize))
+		}
+		n := 1 + rng.Intn(16)
+		if rng.Intn(50) == 0 {
+			n = 1 + rng.Intn(3*pageSize)
+		}
+		if rng.Intn(2) == 0 {
+			data := got[:n]
+			rng.Read(data)
+			pm.Write(addr, data)
+			ref.write(addr, data)
+			continue
+		}
+		pm.Read(addr, got[:n])
+		ref.read(addr, want[:n])
+		if !bytes.Equal(got[:n], want[:n]) {
+			t.Fatalf("op %d: read %d bytes at %#x differs from the reference", i, n, addr)
+		}
+	}
+	if pm.Touched() != len(ref) {
+		t.Fatalf("Touched = %d, reference holds %d pages", pm.Touched(), len(ref))
+	}
+	for key, pg := range ref {
+		pm.Read(key*pageSize, got[:pageSize])
+		if !bytes.Equal(got[:pageSize], pg) {
+			t.Fatalf("page %#x differs from the reference after the run", key)
 		}
 	}
 }
