@@ -1,19 +1,20 @@
 package interp
 
 import (
-	"encoding/binary"
 	"math"
 
 	"hsmcc/internal/cc/types"
 )
 
-// Typed memory accessors, selected once per compiled site. Each variant
-// is the fusion of loadValue+decodeValue (or Convert+encodeValue+
-// storeValue) for one type kind: the same Machine access, the same
-// noteMemOp cadence, the same resulting bits — minus the per-operation
-// size computation and kind switches. Kinds outside the table fall back
-// to the generic routines, preserving their exact behaviour (including
-// error messages and panics on malformed types).
+// Typed memory accessors, selected once per compiled site. The stored
+// type fixes everything about an access at lowering time — its width,
+// how the word's bits become a Value and back — so each variant is one
+// Machine.LoadWord or StoreWord plus a constant decode: the same access,
+// the same noteMemOp cadence and the same resulting bits as the generic
+// loadValue/storeValue, minus the per-operation size computation and
+// kind switches. Kinds outside the table fall back to the generic
+// routines, preserving their exact behaviour (including error messages
+// and panics on malformed types).
 //
 // Every accessor is a coroutine-protocol leaf: the machine access and
 // the decode/encode complete before the memory-op cadence can yield, so
@@ -27,119 +28,147 @@ type typedLoad func(p *Proc, addr uint32) (Value, error)
 // returns the converted value, which assignment expressions yield.
 type typedStore func(p *Proc, addr uint32, v Value) (Value, error)
 
-func makeLoad(t *types.Type) typedLoad {
-	if t == nil {
-		return func(p *Proc, addr uint32) (Value, error) { return p.loadValue(addr, t) }
-	}
-	sz := t.Size()
-	if sz <= 0 || sz > 8 {
-		return func(p *Proc, addr uint32) (Value, error) { return p.loadValue(addr, t) }
-	}
+// intWord describes an integer-like stored type: its width in bytes and
+// the shift (below 64) that sign-extends its zero-extended word, 0 for
+// the unsigned and address kinds, which stay zero-extended.
+func intWord(t *types.Type) (size int, sext uint, ok bool) {
 	switch t.Kind {
 	case types.Char:
-		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, I: int64(int8(buf[0]))}, p.noteLoad(addr)
-		}
+		return 1, 56, true
 	case types.Short:
-		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, I: int64(int16(binary.LittleEndian.Uint16(buf)))}, p.noteLoad(addr)
-		}
+		return 2, 48, true
 	case types.Int, types.Long:
-		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, I: int64(int32(binary.LittleEndian.Uint32(buf)))}, p.noteLoad(addr)
-		}
+		return 4, 32, true
 	case types.UInt, types.Pointer, types.Opaque:
+		return 4, 0, true
+	}
+	return 0, 0, false
+}
+
+func makeLoad(t *types.Type) typedLoad {
+	if t == nil {
+		return genericLoad(t)
+	}
+	if size, sext, ok := intWord(t); ok {
 		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, I: int64(binary.LittleEndian.Uint32(buf))}, p.noteLoad(addr)
+			w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
+			p.Clock += lat
+			return Value{T: t, I: int64(w<<(sext&63)) >> (sext & 63)}, p.noteMemOp(addr, false)
 		}
+	}
+	switch t.Kind {
 	case types.Float:
 		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf)))}, p.noteLoad(addr)
+			w, lat := p.mach.LoadWord(p.Core, addr, 4, p.Clock)
+			p.Clock += lat
+			return Value{T: t, F: float64(math.Float32frombits(uint32(w)))}, p.noteMemOp(addr, false)
 		}
 	case types.Double:
 		return func(p *Proc, addr uint32) (Value, error) {
-			buf := p.buf[:sz]
-			p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-			return Value{T: t, F: math.Float64frombits(binary.LittleEndian.Uint64(buf))}, p.noteLoad(addr)
+			w, lat := p.mach.LoadWord(p.Core, addr, 8, p.Clock)
+			p.Clock += lat
+			return Value{T: t, F: math.Float64frombits(w)}, p.noteMemOp(addr, false)
 		}
 	}
+	return genericLoad(t)
+}
+
+func genericLoad(t *types.Type) typedLoad {
 	return func(p *Proc, addr uint32) (Value, error) { return p.loadValue(addr, t) }
 }
 
-func makeStore(t *types.Type) typedStore {
-	generic := func(p *Proc, addr uint32, v Value) (Value, error) {
-		cv := Convert(v, t)
-		if err := p.storeValue(addr, t, cv); err != nil {
-			return cv, err
+// makeSlotLoad is makeLoad fused with the slot lookup of a local
+// variable read — the most executed expression there is — so that it
+// costs one closure call, not an identifier closure calling an accessor
+// closure. It returns nil for types makeLoad has no word variant for.
+func makeSlotLoad(idx int, t *types.Type) evalFn {
+	if size, sext, ok := intWord(t); ok {
+		return func(p *Proc) (Value, error) {
+			if p.coResuming {
+				return p.popKRef().v, nil
+			}
+			addr := p.slotMem[p.cfp+idx]
+			w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
+			p.Clock += lat
+			return p.loaded(Value{T: t, I: int64(w<<(sext&63)) >> (sext & 63)}, addr)
 		}
-		return cv, nil
-	}
-	if t == nil {
-		return generic
-	}
-	sz := t.Size()
-	if sz <= 0 || sz > 8 {
-		return generic
 	}
 	switch t.Kind {
-	case types.Char:
-		return func(p *Proc, addr uint32, v Value) (Value, error) {
-			cv := Value{T: t, I: int64(int8(v.Int()))}
-			buf := p.buf[:sz]
-			buf[0] = byte(cv.I)
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+	case types.Float:
+		return func(p *Proc) (Value, error) {
+			if p.coResuming {
+				return p.popKRef().v, nil
+			}
+			addr := p.slotMem[p.cfp+idx]
+			w, lat := p.mach.LoadWord(p.Core, addr, 4, p.Clock)
+			p.Clock += lat
+			return p.loaded(Value{T: t, F: float64(math.Float32frombits(uint32(w)))}, addr)
 		}
-	case types.Short:
-		return func(p *Proc, addr uint32, v Value) (Value, error) {
-			cv := Value{T: t, I: int64(int16(v.Int()))}
-			buf := p.buf[:sz]
-			binary.LittleEndian.PutUint16(buf, uint16(cv.I))
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+	case types.Double:
+		return func(p *Proc) (Value, error) {
+			if p.coResuming {
+				return p.popKRef().v, nil
+			}
+			addr := p.slotMem[p.cfp+idx]
+			w, lat := p.mach.LoadWord(p.Core, addr, 8, p.Clock)
+			p.Clock += lat
+			return p.loaded(Value{T: t, F: math.Float64frombits(w)}, addr)
 		}
-	case types.Int, types.Long:
-		return func(p *Proc, addr uint32, v Value) (Value, error) {
-			cv := Value{T: t, I: int64(int32(v.Int()))}
-			buf := p.buf[:sz]
-			binary.LittleEndian.PutUint32(buf, uint32(cv.I))
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+	}
+	return nil
+}
+
+// loaded finishes an identifier read whose access just completed: the
+// load's memory-op cadence, and on a yield the frame that carries the
+// value to the resume.
+func (p *Proc) loaded(v Value, addr uint32) (Value, error) {
+	if err := p.noteMemOp(addr, false); err != nil {
+		if err == errYield {
+			p.pushK(kframe{v: v})
 		}
-	case types.UInt, types.Pointer, types.Opaque:
-		return func(p *Proc, addr uint32, v Value) (Value, error) {
-			cv := Value{T: t, I: int64(uint32(v.Int()))}
-			buf := p.buf[:sz]
-			binary.LittleEndian.PutUint32(buf, uint32(cv.I))
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+		return Value{}, err
+	}
+	return v, nil
+}
+
+func makeStore(t *types.Type) typedStore {
+	if t == nil {
+		return genericStore(t)
+	}
+	if size, sext, ok := intWord(t); ok {
+		if sext == 0 {
+			return func(p *Proc, addr uint32, v Value) (Value, error) {
+				cv := Value{T: t, I: int64(uint32(v.Int()))}
+				p.Clock += p.mach.StoreWord(p.Core, addr, 4, uint64(cv.I), p.Clock)
+				return cv, p.noteMemOp(addr, true)
+			}
 		}
+		return func(p *Proc, addr uint32, v Value) (Value, error) {
+			cv := Value{T: t, I: v.Int() << (sext & 63) >> (sext & 63)}
+			p.Clock += p.mach.StoreWord(p.Core, addr, size, uint64(cv.I), p.Clock)
+			return cv, p.noteMemOp(addr, true)
+		}
+	}
+	switch t.Kind {
 	case types.Float:
 		return func(p *Proc, addr uint32, v Value) (Value, error) {
 			cv := Value{T: t, F: float64(float32(v.Float()))}
-			buf := p.buf[:sz]
-			binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(cv.F)))
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+			p.Clock += p.mach.StoreWord(p.Core, addr, 4, uint64(math.Float32bits(float32(cv.F))), p.Clock)
+			return cv, p.noteMemOp(addr, true)
 		}
 	case types.Double:
 		return func(p *Proc, addr uint32, v Value) (Value, error) {
 			cv := Value{T: t, F: v.Float()}
-			buf := p.buf[:sz]
-			binary.LittleEndian.PutUint64(buf, math.Float64bits(cv.F))
-			p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-			return cv, p.noteStore(addr)
+			p.Clock += p.mach.StoreWord(p.Core, addr, 8, math.Float64bits(cv.F), p.Clock)
+			return cv, p.noteMemOp(addr, true)
 		}
 	}
-	return generic
+	return genericStore(t)
+}
+
+func genericStore(t *types.Type) typedStore {
+	return func(p *Proc, addr uint32, v Value) (Value, error) {
+		cv := Convert(v, t)
+		return cv, p.storeValue(addr, t, cv)
+	}
 }

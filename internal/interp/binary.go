@@ -178,6 +178,105 @@ func foldFast(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	return v, nil
 }
 
+// Static-type kernels. sema fixes an operator's result type, and with it
+// what applyBinaryFast would decide on nearly every execution, so
+// compileBinary picks a kernel at lowering time and the closure enters
+// it when the operands' runtime tags confirm the guess. The tags, not
+// the static operand types, are what foldFast reads, and they can differ
+// (an int literal beside an unsigned, a pointer behind an int-typed
+// expression): everything else falls through to applyBinaryFast
+// untouched. Inside, the charge is binCost's as a constant and the fold
+// is foldFast's branch for those tags with the result conversion folded
+// in — the same value, tag and cycles (TestBinaryKernelsMatchFold).
+type binKernel uint8
+
+const (
+	kernNone   binKernel = iota
+	kernInt              // + - * < > <= >= == != on signed ints of at most 32 bits, int or long result
+	kernDouble           // + - * / on floating operands, double result
+)
+
+// pickKernel selects the kernel for op with result type rt, and its
+// cycle charge.
+func pickKernel(op token.Kind, rt *types.Type) (binKernel, int) {
+	arith := op == token.Plus || op == token.Minus || op == token.Star
+	compare := op == token.Lt || op == token.Gt || op == token.Le || op == token.Ge || op == token.EqEq || op == token.NotEq
+	switch {
+	case rt == nil:
+	case (rt.Kind == types.Int || rt.Kind == types.Long) && (arith || compare):
+		return kernInt, binCost(op, false)
+	case rt.Kind == types.Double && (arith || op == token.Slash):
+		return kernDouble, binCost(op, true)
+	}
+	return kernNone, 0
+}
+
+// sintTag reports a runtime tag of char, short, int or long: the
+// operands foldFast folds as signed 32-bit integers.
+func sintTag(t *types.Type) bool {
+	return t != nil && t.Kind >= types.Char && t.Kind <= types.Long
+}
+
+// foldInt is the int kernel's fold: foldFast's integer branch for two
+// sintTag operands and an int or long result.
+func foldInt(op token.Kind, a, b int64) int64 {
+	switch op {
+	case token.Plus:
+		return int64(int32(a + b))
+	case token.Minus:
+		return int64(int32(a - b))
+	case token.Star:
+		return int64(int32(a * b))
+	case token.Lt:
+		return b2i(a < b)
+	case token.Gt:
+		return b2i(a > b)
+	case token.Le:
+		return b2i(a <= b)
+	case token.Ge:
+		return b2i(a >= b)
+	case token.EqEq:
+		return b2i(a == b)
+	default:
+		return b2i(a != b)
+	}
+}
+
+// foldDouble is the double kernel's fold.
+func foldDouble(op token.Kind, a, b float64) float64 {
+	switch op {
+	case token.Plus:
+		return a + b
+	case token.Minus:
+		return a - b
+	case token.Star:
+		return a * b
+	default:
+		return a / b
+	}
+}
+
+// applyKernel is applyBinaryFast behind the lowering-time choice, with
+// the same contract: on a yield at the charge the outcome is saved and
+// the caller pushes its own frame, whose resume (empty operands, which
+// no kernel accepts) reaches applyResume.
+func (p *Proc) applyKernel(kern binKernel, cost int, op token.Kind, x, y Value, rt *types.Type) (Value, error) {
+	var v Value
+	switch {
+	case kern == kernInt && sintTag(x.T) && sintTag(y.T):
+		v = Value{T: rt, I: foldInt(op, x.I, y.I)}
+	case kern == kernDouble && x.IsFloat() && y.IsFloat():
+		v = Value{T: rt, F: foldDouble(op, x.F, y.F)}
+	default:
+		return p.applyBinaryFast(op, x, y, rt)
+	}
+	if err := p.chargeCycles(cost); err != nil {
+		p.pushApplyOutcome(v, nil)
+		return Value{}, err
+	}
+	return v, nil
+}
+
 func boolValue(b bool) Value {
 	if b {
 		return Value{T: types.IntType, I: 1}

@@ -387,6 +387,9 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 				return PtrValue(pt, p.slotAddr(idx)), nil
 			}
 		}
+		if f := makeSlotLoad(idx, typ); f != nil {
+			return f
+		}
 		ld := makeLoad(typ)
 		return func(p *Proc) (Value, error) {
 			if p.coResuming {
@@ -1081,11 +1084,12 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	badOp := fmt.Errorf("%s: assignment op %s unsupported", n.Pos(), n.Op)
 	if st != nil && opOK {
 		ld, sf := makeLoad(st), makeStore(st)
+		kern, cost := pickKernel(op, st)
 		// applyTail re-enters from the binary op (step 3 passes empty
 		// operands — a suspended apply saved its own outcome); rhsTail
 		// from the RHS (step 2); a store-yield saves the result (step 5).
 		applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
-			res, err := p.applyBinaryFast(op, old, rhs, st)
+			res, err := p.applyKernel(kern, cost, op, old, rhs, st)
 			if err != nil {
 				if err == errYield {
 					p.pushK(kframe{step: 3, a: addr})
@@ -1267,6 +1271,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 		}
 	}
 	op, rt := n.Op, n.Typ
+	kern, cost := pickKernel(op, rt)
 	// tail evaluates the RHS and applies the operator on a resume with
 	// the LHS restored; a suspended apply saved its own outcome, so the
 	// step-2 re-entry passes empty operands.
@@ -1278,7 +1283,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyBinaryFast(op, xv, yv, rt)
+		v, err := p.applyKernel(kern, cost, op, xv, yv, rt)
 		if err == errYield {
 			p.pushK(kframe{step: 2})
 		}
@@ -1308,7 +1313,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyBinaryFast(op, xv, yv, rt)
+		v, err := p.applyKernel(kern, cost, op, xv, yv, rt)
 		if err == errYield {
 			p.pushK(kframe{step: 2})
 		}

@@ -48,7 +48,6 @@ type Proc struct {
 	stackPtr  uint32
 	memOps    int
 	lastYield sccsim.Time
-	buf       [8]byte
 
 	// Compiled-engine state: activation records index into the slotMem
 	// arena (cfp is the running frame's base), and argArena is the
@@ -75,8 +74,10 @@ type Proc struct {
 	// a reference context); finish returns it for the next spawn.
 	scratch *procScratch
 	// timer is the machine's cycle-to-time handle for this context's
-	// core (stable across DVFS changes).
+	// core (stable across DVFS changes), mach the machine itself: both
+	// copied at Spawn so the per-operation paths skip the Sim indirection.
 	timer *sccsim.CoreTimer
+	mach  *sccsim.Machine
 	// prof is the session's access profiler (nil when disabled), copied
 	// from Sim.Prof at Spawn so the accessor hot path avoids the Sim
 	// indirection.
@@ -137,31 +138,19 @@ type MemProfiler interface {
 	NoteAccess(core int, addr uint32, write bool)
 }
 
-// noteLoad reports a completed timed load to the profiler (if any) and
-// runs the memory-op yield cadence; noteStore is its store twin.
-func (p *Proc) noteLoad(addr uint32) error {
-	if p.prof != nil {
-		p.prof.NoteAccess(p.Core, addr, false)
-	}
-	return p.noteMemOp(addr)
-}
-
-func (p *Proc) noteStore(addr uint32) error {
-	if p.prof != nil {
-		p.prof.NoteAccess(p.Core, addr, true)
-	}
-	return p.noteMemOp(addr)
-}
-
-// noteMemOp implements the cooperative yield cadence. Accesses to shared
+// noteMemOp finishes a timed access: it reports it to the profiler (if
+// any) and implements the cooperative yield cadence. Accesses to shared
 // regions (shared DRAM, MPB) yield immediately: those are the points
 // where cross-core contention is modelled, and letting one context run a
 // burst ahead would serialize whole bursts at the memory controllers
 // instead of interleaving requests in virtual-time order. Private
 // accesses cannot contend, so they only yield every YieldEvery ops to
-// keep scheduling overhead low. The yield itself is outlined so the
-// no-yield path inlines into the typed accessors.
-func (p *Proc) noteMemOp(addr uint32) error {
+// keep scheduling overhead low. The yield itself is outlined: this is
+// the one call a typed accessor makes after its Machine access.
+func (p *Proc) noteMemOp(addr uint32, write bool) error {
+	if p.prof != nil {
+		p.prof.NoteAccess(p.Core, addr, write)
+	}
 	p.memOps++
 	if addr >= sccsim.SharedBase || p.memOps >= YieldEvery ||
 		p.Clock-p.lastYield >= yieldHorizonPs {
@@ -184,10 +173,10 @@ func (p *Proc) loadValue(addr uint32, t *types.Type) (Value, error) {
 	if size <= 0 || size > 8 {
 		return Value{}, fmt.Errorf("load of %d-byte type %s", size, t)
 	}
-	buf := p.buf[:size]
-	p.Clock += p.Sim.Machine.Load(p.Core, addr, buf, p.Clock)
-	yerr := p.noteLoad(addr)
-	v, err := decodeValue(t, buf)
+	w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
+	p.Clock += lat
+	yerr := p.noteMemOp(addr, false)
+	v, err := decodeWord(t, w)
 	if err != nil {
 		return Value{}, err
 	}
@@ -201,12 +190,12 @@ func (p *Proc) storeValue(addr uint32, t *types.Type, v Value) error {
 	if size <= 0 || size > 8 {
 		return fmt.Errorf("store of %d-byte type %s", size, t)
 	}
-	buf := p.buf[:size]
-	if err := encodeValue(t, Convert(v, t), buf); err != nil {
+	w, err := encodeWord(t, Convert(v, t))
+	if err != nil {
 		return err
 	}
-	p.Clock += p.Sim.Machine.Store(p.Core, addr, buf, p.Clock)
-	return p.noteStore(addr)
+	p.Clock += p.mach.StoreWord(p.Core, addr, size, w, p.Clock)
+	return p.noteMemOp(addr, true)
 }
 
 // ---------------------------------------------------------------------------

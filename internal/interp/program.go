@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"hsmcc/internal/cc/ast"
@@ -230,11 +231,13 @@ func (pr *Program) instantiate(m *sccsim.Machine, core int) error {
 
 // storeRaw writes a constant without charging simulated time (loader).
 func storeRaw(m *sccsim.Machine, core int, addr uint32, t *types.Type, v Value) error {
-	buf := make([]byte, t.Size())
-	if err := encodeValue(t, Convert(v, t), buf); err != nil {
+	w, err := encodeWord(t, Convert(v, t))
+	if err != nil {
 		return err
 	}
-	m.WriteBytes(core, addr, buf)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], w)
+	m.WriteBytes(core, addr, buf[:t.Size()])
 	return nil
 }
 

@@ -181,6 +181,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	p.stackTop = sccsim.PrivateLimit - uint32(idx*StackBytes)
 	p.stackPtr = p.stackTop
 	p.timer = s.Machine.Timer(core)
+	p.mach = s.Machine
 	s.nextID++
 	s.procs = append(s.procs, p)
 	s.noteRunnable(p)
@@ -240,14 +241,22 @@ func (s *Sim) Run() error {
 
 // pickNext compacts if due and asks the policy for the next context.
 // It is the single choke point every scheduling decision passes
-// through, so it also polls the session's Cancel hook: on cancellation
-// it records the error and elects nobody, which ends the stepping loop.
+// through, so it also polls the session's Cancel hook and the machine's
+// access fault: on either it records the error and elects nobody, which
+// ends the stepping loop. An access outside the memory map is at or
+// above sccsim.SharedBase, where the memory-op cadence yields at once,
+// so a typed access that faults is the last thing its context does; a
+// bulk builtin's fault surfaces at the context's next yield or exit.
 func (s *Sim) pickNext() *Proc {
 	if s.Cancel != nil && s.err == nil {
 		if err := s.Cancel(); err != nil {
 			s.fail(fmt.Errorf("interp: session canceled: %w", err))
 			return nil
 		}
+	}
+	if err := s.Machine.Fault(); err != nil {
+		s.fail(err)
+		return nil
 	}
 	if s.done >= 64 && s.done*2 >= len(s.procs) {
 		s.compact()

@@ -15,8 +15,8 @@
 package interp
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hsmcc/internal/cc/types"
 )
@@ -96,40 +96,37 @@ func Convert(v Value, t *types.Type) Value {
 	}
 }
 
-// encodeValue writes v's representation for type t into buf (LE, ILP32).
-func encodeValue(t *types.Type, v Value, buf []byte) error {
+// encodeWord returns v's representation for type t as a little-endian
+// word (ILP32): the low t.Size() bytes are what a store writes.
+func encodeWord(t *types.Type, v Value) (uint64, error) {
 	switch t.Kind {
-	case types.Char:
-		buf[0] = byte(v.Int())
-	case types.Short:
-		binary.LittleEndian.PutUint16(buf, uint16(v.Int()))
-	case types.Int, types.Long, types.UInt, types.Pointer, types.Opaque:
-		binary.LittleEndian.PutUint32(buf, uint32(v.Int()))
+	case types.Char, types.Short, types.Int, types.Long, types.UInt, types.Pointer, types.Opaque:
+		return uint64(v.Int()), nil
 	case types.Float:
-		binary.LittleEndian.PutUint32(buf, floatBits32(v.Float()))
+		return uint64(math.Float32bits(float32(v.Float()))), nil
 	case types.Double:
-		binary.LittleEndian.PutUint64(buf, floatBits64(v.Float()))
+		return math.Float64bits(v.Float()), nil
 	default:
-		return fmt.Errorf("interp: cannot store value of type %s", t)
+		return 0, fmt.Errorf("interp: cannot store value of type %s", t)
 	}
-	return nil
 }
 
-// decodeValue reads a value of type t from buf.
-func decodeValue(t *types.Type, buf []byte) (Value, error) {
+// decodeWord reads a value of type t from the zero-extended word a load
+// of t.Size() bytes returned.
+func decodeWord(t *types.Type, w uint64) (Value, error) {
 	switch t.Kind {
 	case types.Char:
-		return Value{T: t, I: int64(int8(buf[0]))}, nil
+		return Value{T: t, I: int64(int8(w))}, nil
 	case types.Short:
-		return Value{T: t, I: int64(int16(binary.LittleEndian.Uint16(buf)))}, nil
+		return Value{T: t, I: int64(int16(w))}, nil
 	case types.Int, types.Long:
-		return Value{T: t, I: int64(int32(binary.LittleEndian.Uint32(buf)))}, nil
+		return Value{T: t, I: int64(int32(w))}, nil
 	case types.UInt, types.Pointer, types.Opaque:
-		return Value{T: t, I: int64(binary.LittleEndian.Uint32(buf))}, nil
+		return Value{T: t, I: int64(uint32(w))}, nil
 	case types.Float:
-		return Value{T: t, F: float64(bitsFloat32(binary.LittleEndian.Uint32(buf)))}, nil
+		return Value{T: t, F: float64(math.Float32frombits(uint32(w)))}, nil
 	case types.Double:
-		return Value{T: t, F: bitsFloat64(binary.LittleEndian.Uint64(buf))}, nil
+		return Value{T: t, F: math.Float64frombits(w)}, nil
 	default:
 		return Value{}, fmt.Errorf("interp: cannot load value of type %s", t)
 	}

@@ -115,6 +115,17 @@ func (pol *rrPolicy) Next(procs []*interp.Proc) *interp.Proc {
 		return nil
 	}
 	rt := pol.rt
+	// The common case, answered before anything scans the thread list:
+	// the current thread keeps its quantum. Only it ran since the last
+	// call — whatever it spawned or unblocked starts no later than its own
+	// clock — so folding that clock in keeps coreClock the furthest any
+	// thread has run.
+	if cur := pol.cur; cur != nil && cur.State == interp.Runnable && cur.Clock-cur.Slice < rt.quantum {
+		if cur.Clock > rt.coreClock {
+			rt.coreClock = cur.Clock
+		}
+		return cur
+	}
 	// Core time is the furthest any thread has run.
 	coreClock := rt.coreClock
 	for _, p := range procs {
@@ -129,9 +140,6 @@ func (pol *rrPolicy) Next(procs []*interp.Proc) *interp.Proc {
 			cur = i
 			break
 		}
-	}
-	if pol.cur != nil && pol.cur.State == interp.Runnable && pol.cur.Clock-pol.cur.Slice < rt.quantum {
-		return pol.cur
 	}
 	// Rotate to the next runnable thread.
 	for off := 1; off <= len(procs); off++ {

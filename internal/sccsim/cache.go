@@ -26,6 +26,12 @@ type Cache struct {
 	lineBits uint
 	setMask  uint32
 	tick     uint64
+	// mru is the line the last access used. The interpreter's traffic
+	// returns to one stack line again and again, and a repeat leaves
+	// nothing to do — the line already is the most recent of its set —
+	// so testing its tag first spares most hits the tick and the set
+	// scan. Flush empties the line it points at along with all others.
+	mru *cacheLine
 }
 
 // blockSets is the materialisation granule in sets: 16 sets of a 4-way
@@ -85,9 +91,15 @@ func log2(v int) uint {
 // minimum-used way is exactly the first invalid way when one exists and
 // the LRU way otherwise — the same choice the original scan made.
 func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
-	c.tick++
 	lineAddr := addr >> c.lineBits
 	tag := lineAddr + 1
+	if ln := c.mru; ln != nil && ln.tag == tag {
+		if write {
+			ln.dirty = true
+		}
+		return true, false
+	}
+	c.tick++
 	idx := lineAddr & c.setMask
 	// One length test covers both first-touch cases (no table yet, no
 	// block yet) and stands in for the index bounds check.
@@ -108,6 +120,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 			if write {
 				ln.dirty = true
 			}
+			c.mru = ln
 			return true, false
 		}
 	}
@@ -122,6 +135,7 @@ func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 	v := &set[victim]
 	dirtyEvict = v.dirty // never set on an empty way
 	*v = cacheLine{tag: tag, dirty: write, used: c.tick}
+	c.mru = v
 	return false, dirtyEvict
 }
 

@@ -289,6 +289,14 @@ func TestCacheMatchesFlatReference(t *testing.T) {
 					if d, rd := c.Flush(), ref.flush(); d != rd {
 						t.Fatalf("flush after access %d: %d dirty lines, reference %d", i, d, rd)
 					}
+					// The line just used is the one the MRU shortcut
+					// remembers: flushed, it must miss like any other.
+					hit, dirty := c.Access(addr, false)
+					rhit, rdirty, _ := ref.access(addr, false)
+					if hit != rhit || dirty != rdirty {
+						t.Fatalf("re-access of %#x after the flush: got (hit=%v dirty=%v), reference (hit=%v dirty=%v)",
+							addr, hit, dirty, rhit, rdirty)
+					}
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package sccsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -36,7 +37,7 @@ type Machine struct {
 	cores  []coreState
 	mcs    []memController
 	shared PageMem
-	// mpb is allocated by the first MPB access (mpbBytes): the Pthread
+	// mpb is allocated by the first MPB access (mpbSpan): the Pthread
 	// baseline and off-chip placements never touch it.
 	mpb []byte
 	// mpbRanges records striped allocations so remote-vs-local MPB
@@ -44,6 +45,8 @@ type Machine struct {
 	// default to the section owner (addr / MPBStride).
 	mpbRanges []mpbRange
 	tas       []bool
+	// fault is the first out-of-map access (Fault).
+	fault error
 }
 
 type coreState struct {
@@ -201,20 +204,28 @@ func (m *Machine) ComputeTime(core int, cycles int) Time {
 // ---------------------------------------------------------------------------
 
 // Load reads len(buf) bytes at addr on behalf of core and returns the
-// access latency starting from now. The backing store is selected with a
-// direct switch (no interface dispatch or boxing on the hot path).
+// access latency starting from now. Load and Store are the movers of
+// multi-word copies (memcpy, memset, RCCE put/get/send/recv) and the
+// fall-through of the word path; a typed access of at most eight bytes
+// goes through LoadWord/StoreWord.
 func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
 	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
-		copy(buf, m.mpbBytes()[addr-MPBBase:])
+		// mpbSpan's range test in line (mpbSpan is past the inlining
+		// budget): an in-range access pays the compare and the copy.
+		if off := int(addr - MPBBase); off+len(buf) <= len(m.mpb) {
+			copy(buf, m.mpb[off:])
+		} else {
+			copy(buf, m.mpbSpan(core, addr, len(buf), "load"))
+		}
 	case addr >= SharedBase:
 		m.shared.Read(addr-SharedBase, buf)
 	default:
 		cs.priv.Read(addr, buf)
 	}
 	cs.stats.Loads++
-	lat := m.accessTime(core, addr, false, now)
+	lat := m.accessTime(cs, core, addr, false, now)
 	cs.stats.MemTime += lat
 	return lat
 }
@@ -224,94 +235,191 @@ func (m *Machine) Store(core int, addr uint32, data []byte, now Time) Time {
 	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
-		copy(m.mpbBytes()[addr-MPBBase:], data)
+		if off := int(addr - MPBBase); off+len(data) <= len(m.mpb) {
+			copy(m.mpb[off:], data)
+		} else {
+			copy(m.mpbSpan(core, addr, len(data), "store"), data)
+		}
 	case addr >= SharedBase:
 		m.shared.Write(addr-SharedBase, data)
 	default:
 		cs.priv.Write(addr, data)
 	}
 	cs.stats.Stores++
-	lat := m.accessTime(core, addr, true, now)
+	lat := m.accessTime(cs, core, addr, true, now)
 	cs.stats.MemTime += lat
 	return lat
+}
+
+// LoadWord reads the little-endian word of size bytes (1, 2, 4 or 8) at
+// addr on behalf of core, zero-extended, and returns it with the access
+// latency starting from now. Another width within a page is counted and
+// timed but moves no data: only a load of a type with no value
+// representation has one, and the interpreter fails that load.
+func (m *Machine) LoadWord(core int, addr uint32, size int, now Time) (uint64, Time) {
+	return m.word(core, addr, size, false, 0, now)
+}
+
+// StoreWord writes the low size bytes of v at addr, little-endian, on
+// behalf of core and returns the latency.
+func (m *Machine) StoreWord(core int, addr uint32, size int, v uint64, now Time) Time {
+	_, lat := m.word(core, addr, size, true, v, now)
+	return lat
+}
+
+// word is the access path of every typed load and store the interpreter
+// executes, so it decides each thing once: one core-state resolution,
+// one address classification, the word read or written in place in its
+// resident page or the MPB array, and one timing function — the same
+// one accessTime hands a bulk access of that class. Whatever the
+// straight line does not cover (a word straddling a page, an MPB not
+// yet allocated, an address outside it) takes the bulk path, which
+// counts and times the access identically.
+func (m *Machine) word(core int, addr uint32, size int, write bool, v uint64, now Time) (uint64, Time) {
+	cs := &m.cores[core]
+	off := int(addr & pageMask)
+	var b []byte
+	var lat Time
+	switch {
+	case off+size > pageSize:
+		return m.wordBulk(core, addr, size, write, v, now)
+	case addr >= MPBBase:
+		o := int(addr - MPBBase)
+		if o+size > len(m.mpb) {
+			return m.wordBulk(core, addr, size, write, v, now)
+		}
+		b = m.mpb[o:]
+		lat = m.mpbTime(cs, core, addr, write)
+	case addr >= SharedBase:
+		b = m.shared.page(addr - SharedBase)[off:]
+		lat = m.sharedTime(cs, core, addr, write, now)
+	default:
+		b = cs.priv.page(addr)[off:]
+		lat = m.privateTime(cs, core, addr, write, now)
+	}
+	cs.stats.MemTime += lat
+	if write {
+		cs.stats.Stores++
+		switch size {
+		case 1:
+			b[0] = byte(v)
+		case 2:
+			binary.LittleEndian.PutUint16(b, uint16(v))
+		case 4:
+			binary.LittleEndian.PutUint32(b, uint32(v))
+		case 8:
+			binary.LittleEndian.PutUint64(b, v)
+		}
+		return 0, lat
+	}
+	cs.stats.Loads++
+	switch size {
+	case 1:
+		v = uint64(b[0])
+	case 2:
+		v = uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		v = uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		v = binary.LittleEndian.Uint64(b)
+	}
+	return v, lat
+}
+
+// wordBulk is word through Load/Store.
+func (m *Machine) wordBulk(core int, addr uint32, size int, write bool, v uint64, now Time) (uint64, Time) {
+	var buf [8]byte
+	if write {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		return 0, m.Store(core, addr, buf[:size], now)
+	}
+	lat := m.Load(core, addr, buf[:size], now)
+	return binary.LittleEndian.Uint64(buf[:]), lat
 }
 
 // ReadBytes copies memory without charging time (used by the runtime for
 // printf formatting and by tests).
 func (m *Machine) ReadBytes(core int, addr uint32, buf []byte) {
-	m.backing(core, addr).Read(addr-m.regionBase(addr), buf)
+	switch {
+	case addr >= MPBBase:
+		copy(buf, m.mpbSpan(core, addr, len(buf), "read"))
+	case addr >= SharedBase:
+		m.shared.Read(addr-SharedBase, buf)
+	default:
+		m.cores[core].priv.Read(addr, buf)
+	}
 }
 
 // WriteBytes stores memory without charging time (program loading).
 func (m *Machine) WriteBytes(core int, addr uint32, data []byte) {
-	m.backing(core, addr).Write(addr-m.regionBase(addr), data)
-}
-
-// regionMem adapts the flat MPB array to the PageMem interface.
-type regionMem struct{ b []byte }
-
-func (r regionMem) Read(off uint32, buf []byte)   { copy(buf, r.b[off:]) }
-func (r regionMem) Write(off uint32, data []byte) { copy(r.b[off:], data) }
-
-type byteStore interface {
-	Read(addr uint32, buf []byte)
-	Write(addr uint32, data []byte)
-}
-
-func (m *Machine) backing(core int, addr uint32) byteStore {
 	switch {
 	case addr >= MPBBase:
-		return regionMem{m.mpbBytes()}
+		copy(m.mpbSpan(core, addr, len(data), "write"), data)
 	case addr >= SharedBase:
-		return &m.shared
+		m.shared.Write(addr-SharedBase, data)
 	default:
-		return &m.cores[core].priv
+		m.cores[core].priv.Write(addr, data)
 	}
 }
 
-// mpbBytes returns the MPB backing array, allocating it on first use.
-func (m *Machine) mpbBytes() []byte {
+// mpbSpan returns the n bytes of the MPB at addr, allocating the backing
+// array on first use, or nil — recording the run's first fault — when
+// they do not all lie inside it. A program can form any address (a cast
+// constant, an index run wild), so this is input checking, not an
+// invariant.
+func (m *Machine) mpbSpan(core int, addr uint32, n int, op string) []byte {
 	if m.mpb == nil {
 		m.mpb = make([]byte, m.cfg.MPBTotal())
 	}
-	return m.mpb
+	off := int(addr - MPBBase)
+	if off+n > len(m.mpb) {
+		if m.fault == nil {
+			m.fault = fmt.Errorf("core %d: %s of %d bytes at %#x: outside the MPB (%d bytes)", core, op, n, addr, len(m.mpb))
+		}
+		return nil
+	}
+	return m.mpb[off : off+n]
 }
 
-func (m *Machine) regionBase(addr uint32) uint32 {
-	switch {
-	case addr >= MPBBase:
-		return MPBBase
-	case addr >= SharedBase:
-		return SharedBase
-	default:
-		return 0
-	}
-}
+// Fault returns the first access that fell outside the memory map (nil
+// when none did). A faulting access moves no data — a load reads zeros —
+// and is otherwise counted and timed like any other; whoever steps the
+// machine polls this at its scheduling points and fails the run.
+func (m *Machine) Fault() error { return m.fault }
 
 // ---------------------------------------------------------------------------
 // Timing
 // ---------------------------------------------------------------------------
 
-// accessTime computes the latency of one access according to the address
-// class (see the package comment for the model).
-func (m *Machine) accessTime(core int, addr uint32, write bool, now Time) Time {
-	cs := &m.cores[core]
+// accessTime computes the latency of one bulk access according to the
+// address class (see the package comment for the model): the same three
+// per-class functions the word path calls from its own classification.
+func (m *Machine) accessTime(cs *coreState, core int, addr uint32, write bool, now Time) Time {
 	switch {
 	case addr >= MPBBase:
-		cs.stats.MPBAccesses++
-		return m.mpbTime(core, addr, write)
+		return m.mpbTime(cs, core, addr, write)
 	case addr >= SharedBase:
-		cs.stats.SharedAccesses++
-		if m.cfg.SharedCacheable {
-			return m.cachedTime(core, addr, write, now)
-		}
-		// Uncacheable: every access crosses the mesh to the quadrant's
-		// controller and pays the full DRAM latency plus queueing.
-		return m.dramTime(core, now)
+		return m.sharedTime(cs, core, addr, write, now)
 	default:
-		cs.stats.PrivateAccesses++
-		return m.cachedTime(core, addr, write, now)
+		return m.privateTime(cs, core, addr, write, now)
 	}
+}
+
+// privateTime is an access to the core's private, cacheable DRAM.
+func (m *Machine) privateTime(cs *coreState, core int, addr uint32, write bool, now Time) Time {
+	cs.stats.PrivateAccesses++
+	return m.cachedTime(cs, core, addr, write, now)
+}
+
+// sharedTime is an access to off-chip shared DRAM. Uncacheable (the
+// SCC default): every access crosses the mesh to the quadrant's
+// controller and pays the full DRAM latency plus queueing.
+func (m *Machine) sharedTime(cs *coreState, core int, addr uint32, write bool, now Time) Time {
+	cs.stats.SharedAccesses++
+	if m.cfg.SharedCacheable {
+		return m.cachedTime(cs, core, addr, write, now)
+	}
+	return m.dramTime(core, now)
 }
 
 // cachedTime walks the private hierarchy: L1, then L2, then DRAM via the
@@ -319,8 +427,7 @@ func (m *Machine) accessTime(core int, addr uint32, write bool, now Time) Time {
 // Cache latencies are in the core's clock domain, so they scale with
 // DVFS (the derived times are recomputed whenever a domain's frequency
 // changes); the mesh and controllers run off their own clocks.
-func (m *Machine) cachedTime(core int, addr uint32, write bool, now Time) Time {
-	cs := &m.cores[core]
+func (m *Machine) cachedTime(cs *coreState, core int, addr uint32, write bool, now Time) Time {
 	hit, dirty := cs.l1.Access(addr, write)
 	if hit {
 		cs.stats.L1Hits++
@@ -364,8 +471,8 @@ func (m *Machine) dramTime(core int, now Time) Time {
 // mpbTime is an access to the on-chip SRAM. With MPBCacheable (the SCC's
 // MPBT type) the line may hit in L1; a miss or uncached access pays the
 // SRAM access at the owning tile plus mesh distance.
-func (m *Machine) mpbTime(core int, addr uint32, write bool) Time {
-	cs := &m.cores[core]
+func (m *Machine) mpbTime(cs *coreState, core int, addr uint32, write bool) Time {
+	cs.stats.MPBAccesses++
 	owner := m.MPBOwner(addr)
 	if owner != core {
 		cs.stats.MPBRemote++

@@ -29,38 +29,37 @@ type (
 // without reserving the range between them. The zero PageMem is empty
 // and ready to use, and owns no heap object until its first access.
 //
-// The access path is allocation- and hash-free: a two-entry last-page
-// cache catches the loop locality of the interpreter's contiguous
-// low/heap and high/stack ranges (which alternate per statement), and
-// misses fall through to a three-level radix table whose nodes
-// materialise with the first page under them. BenchmarkPageMemAccess
-// pins the difference to a map.
+// The access path is allocation- and hash-free: a two-entry page cache
+// catches the loop locality of the interpreter's contiguous low/heap and
+// high/stack ranges (which alternate per statement), and misses fall
+// through to a three-level radix table whose nodes materialise with the
+// first page under them. BenchmarkPageMemAccess pins the difference to
+// a map.
 type PageMem struct {
-	// Two-entry most-recent-page cache: interpreter traffic alternates
-	// between a data page (array/heap) and the stack page of the current
-	// frame, so one entry per stream catches both.
-	lastKey uint32
-	last    *page
-	prevKey uint32
-	prev    *page
-	root    *pageRoot
-	touched int
+	// Two-entry page cache: interpreter traffic alternates between a data
+	// page (array/heap) and the stack page of the current frame, so one
+	// entry per stream catches both. A hit writes nothing and page stays
+	// small enough to inline into the word path; a tag is the page's last
+	// address, which is never zero, so the zero entry is empty; a miss
+	// installs the page in entry 0 and moves entry 0 to entry 1.
+	tag0, tag1 uint32
+	pg0, pg1   *page
+	root       *pageRoot
+	touched    int
 }
 
 func (p *PageMem) page(addr uint32) *page {
-	key := addr >> pageShift
-	if key == p.lastKey && p.last != nil {
-		return p.last
+	switch addr | pageMask {
+	case p.tag0:
+		return p.pg0
+	case p.tag1:
+		return p.pg1
 	}
-	if key == p.prevKey && p.prev != nil {
-		p.lastKey, p.prevKey = p.prevKey, p.lastKey
-		p.last, p.prev = p.prev, p.last
-		return p.last
-	}
-	return p.pageSlow(key)
+	return p.pageSlow(addr)
 }
 
-func (p *PageMem) pageSlow(key uint32) *page {
+func (p *PageMem) pageSlow(addr uint32) *page {
+	key := addr >> pageShift
 	if p.root == nil {
 		p.root = new(pageRoot)
 	}
@@ -81,8 +80,8 @@ func (p *PageMem) pageSlow(key uint32) *page {
 		leaf[li] = pg
 		p.touched++
 	}
-	p.prevKey, p.prev = p.lastKey, p.last
-	p.lastKey, p.last = key, pg
+	p.tag1, p.pg1 = p.tag0, p.pg0
+	p.tag0, p.pg0 = addr|pageMask, pg
 	return pg
 }
 
