@@ -18,7 +18,6 @@ import (
 	"hsmcc/internal/core"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/pthreadrt"
-	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
 )
 
@@ -273,11 +272,7 @@ func BenchmarkAblation_MPBPlacement(b *testing.B) {
 	w, _ := bench.ByKey("stream")
 	striped := benchConfig()
 	clumped := benchConfig()
-	clumped.RCCE = func(n int) rcce.Options {
-		o := rcce.DefaultOptions(n)
-		o.StripeMPB = false
-		return o
-	}
+	clumped.RCCE.StripeMPB = false
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		s, err := bench.RunRCCE(w, striped, partition.PolicySizeAscending)

@@ -5,7 +5,6 @@ import (
 
 	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
-	"hsmcc/internal/rcce"
 	"hsmcc/internal/synth"
 )
 
@@ -140,12 +139,8 @@ func TestEngineEquivalenceOversubscribed(t *testing.T) {
 	}
 	cfg := equivConfig()
 	cfg.Threads = 6
-	cfg.RCCE = func(n int) rcce.Options {
-		o := rcce.DefaultOptions(n)
-		o.Cores = []int{0, 1, 2, 0, 1, 2}
-		o.AllowOversubscribe = true
-		return o
-	}
+	cfg.RCCE.Cores = []int{0, 1, 2, 0, 1, 2}
+	cfg.RCCE.AllowOversubscribe = true
 	compiled, reference := rcceBoth(t, w, cfg, partition.PolicyOffChipOnly)
 	requireEqualRuns(t, "oversubscribed", compiled, reference)
 }

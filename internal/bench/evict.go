@@ -3,11 +3,12 @@ package bench
 // Size-bounded memoization: the admission/eviction half of bench.Cache.
 //
 // A Cache built with NewCacheSized accounts every admitted entry's
-// estimated resident cost (bytes) against one shared budget spanning
-// all five memo maps (programs, translations, baselines, profiles,
-// placements), evicting in least-recently-used order when an admission
-// would exceed the bound. Three properties the daemon and its tests
-// rely on:
+// estimated resident cost (bytes) against one budget, evicting in
+// least-recently-used order — whatever stage the entries belong to —
+// when an admission would exceed the bound. The map, the LRU list and
+// the cost total share the cache's one mutex: a lookup takes it once,
+// a computation runs outside it and takes it once more to be admitted.
+// Four properties the daemon and its tests rely on:
 //
 //   - The accounted cost never exceeds the budget: eviction happens
 //     inside the admission's critical section, and an entry whose cost
@@ -33,100 +34,36 @@ import (
 	"sync"
 )
 
-// costBudget is the LRU spine shared by a sized Cache's typed maps:
-// a recency list over admitted entries plus the running cost total.
-// Lock order: a typed map's mutex is always taken before the budget's.
-type costBudget struct {
-	mu        sync.Mutex
-	max       int64
-	cur       int64
-	ll        *list.List // of *budgetItem; front = most recently used
-	evictions int64
-}
-
-func newCostBudget(max int64) *costBudget {
-	return &costBudget{max: max, ll: list.New()}
-}
-
-// budgetItem is one admitted entry's handle on the LRU spine.
-type budgetItem struct {
-	cost    int64
-	elem    *list.Element
-	evicted bool
-	// remove drops the entry from its owning typed map. Called without
-	// any lock held (it takes the owner's).
-	remove func()
-}
-
-// admit charges item against the budget, evicting from the cold end
-// until the bound holds again, and returns the victims for the caller
-// to remove from their maps once no locks are held. item.cost must not
-// exceed b.max (admission control happens in the caller).
-func (b *costBudget) admit(item *budgetItem) (victims []*budgetItem) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	item.elem = b.ll.PushFront(item)
-	b.cur += item.cost
-	for b.cur > b.max {
-		back := b.ll.Back()
-		if back == nil {
-			break
-		}
-		v := back.Value.(*budgetItem)
-		if v == item {
-			break
-		}
-		b.ll.Remove(back)
-		v.evicted = true
-		b.cur -= v.cost
-		b.evictions++
-		victims = append(victims, v)
-	}
-	return victims
-}
-
-// touch marks item most-recently-used (no-op once evicted).
-func (b *costBudget) touch(item *budgetItem) {
-	b.mu.Lock()
-	if !item.evicted {
-		b.ll.MoveToFront(item.elem)
-	}
-	b.mu.Unlock()
-}
-
-func (b *costBudget) stats() (cur, max, evictions int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cur, b.max, b.evictions
-}
-
-// onceCache memoizes a computation per key, running it exactly once
-// even under concurrent lookups (per-key sync.Once under a map lock).
-// With a budget attached it becomes one shard of a size-bounded LRU:
-// successful computations are admitted at costOf(key, value) bytes,
-// hits refresh recency, and the spine evicts cold entries to keep the
-// shared bound. Errored computations are always dropped for retry.
-type onceCache[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*onceEntry[V]
-	// budget and costOf enable eviction; both nil = unbounded (the
-	// grid/conformance sweep caches, whose lifetime is one sweep).
-	budget *costBudget
-	costOf func(K, V) int64
-	hits   int64
-	misses int64
-}
-
-type onceEntry[V any] struct {
+// entry is one key's memoized computation.
+type entry struct {
 	once sync.Once
-	val  V
+	val  any
 	err  error
-	// Admission state, guarded by the owning cache's mu.
-	admitted bool
-	item     *budgetItem
+	// Admission state, guarded by the cache's mu: the key and cost the
+	// entry was admitted at, and its place on the LRU list (nil until
+	// admitted and again once evicted).
+	key  key
+	cost int64
+	elem *list.Element
 }
 
-func (c *onceCache[K, V]) get(k K, f func() (V, error)) (V, error) {
+// memo returns the value of k, computing it with f at most once per
+// resident entry even under concurrent lookups (a per-key sync.Once; f
+// runs outside the cache's lock). A nil cache computes every time — the
+// one check, in get, behind every memoized stage.
+func memo[V any](c *Cache, k key, f func() (V, error)) (V, error) {
+	v, err := c.get(k, func() (any, error) { return f() })
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return v.(V), nil
+}
+
+func (c *Cache) get(k key, f func() (any, error)) (any, error) {
+	if c == nil {
+		return f()
+	}
 	for {
 		v, err, ran := c.getOnce(k, f)
 		if err != nil && !ran && (isCancelErr(err) || IsPanic(err)) {
@@ -147,18 +84,18 @@ func isCancelErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (c *onceCache[K, V]) getOnce(k K, f func() (V, error)) (V, error, bool) {
+func (c *Cache) getOnce(k key, f func() (any, error)) (any, error, bool) {
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*onceEntry[V])
-	}
 	e, ok := c.m[k]
-	if !ok {
-		e = &onceEntry[V]{}
-		c.m[k] = e
-		c.misses++
-	} else {
+	if ok {
 		c.hits++
+		if e.elem != nil {
+			c.ll.MoveToFront(e.elem)
+		}
+	} else {
+		e = &entry{}
+		c.m[k] = e
+		c.computes[k.stage]++
 	}
 	c.mu.Unlock()
 	ran := false
@@ -167,73 +104,45 @@ func (c *onceCache[K, V]) getOnce(k K, f func() (V, error)) (V, error, bool) {
 		// A panic inside the compute must not poison the entry: without
 		// recovery sync.Once would mark it done with a zero value and a
 		// nil error, serving garbage to every later lookup. Capture it
-		// as the entry's error so settle drops it for retry.
+		// as the entry's error so it is dropped for retry.
 		defer capturePanic(&e.err)
 		e.val, e.err = f()
 	})
-	c.settle(k, e)
-	return e.val, e.err, ran
-}
-
-// settle performs post-compute bookkeeping for an entry a get observed:
-// drop errored entries (retry semantics), admit a fresh success against
-// the budget, refresh recency on a hit.
-func (c *onceCache[K, V]) settle(k K, e *onceEntry[V]) {
-	var victims []*budgetItem
-	c.mu.Lock()
 	if e.err != nil {
+		// Errored computations are never cached. Every observer drops,
+		// not only the one that ran: a coalesced waiter may get here
+		// first, and its retry must not find the errored entry again.
+		c.mu.Lock()
 		if c.m[k] == e {
 			delete(c.m, k)
 		}
-	} else if c.budget == nil {
-		// Unbounded cache: nothing to account.
-	} else if !e.admitted {
-		e.admitted = true
-		cost := int64(1)
-		if c.costOf != nil {
-			cost = c.costOf(k, e.val)
-		}
-		if cost < 1 {
-			cost = 1
-		}
-		if cost > c.budget.max {
-			// Admission control: an entry costing more than the whole
-			// budget is served but never cached.
-			if c.m[k] == e {
-				delete(c.m, k)
-			}
-		} else {
-			e.item = &budgetItem{cost: cost, remove: func() { c.removeIf(k, e) }}
-			victims = c.budget.admit(e.item)
-		}
-	} else if e.item != nil {
-		c.budget.touch(e.item)
+		c.mu.Unlock()
+	} else if ran && c.max > 0 {
+		c.admit(k, e)
 	}
-	c.mu.Unlock()
-	for _, v := range victims {
-		v.remove()
-	}
+	return e.val, e.err, ran
 }
 
-// removeIf drops k only if it still maps to e: by the time an eviction
-// decision lands here, the key may have been recomputed under a new
-// entry, which must survive.
-func (c *onceCache[K, V]) removeIf(k K, e *onceEntry[V]) {
+// admit charges a freshly computed entry against the budget and evicts
+// from the cold end until the bound holds again.
+func (c *Cache) admit(k key, e *entry) {
 	c.mu.Lock()
-	if c.m[k] == e {
+	defer c.mu.Unlock()
+	e.key, e.cost = k, max(cost(k, e.val), 1)
+	if e.cost > c.max {
+		// Admission control: an entry costing more than the whole budget
+		// is served but never cached.
 		delete(c.m, k)
+		return
 	}
-	c.mu.Unlock()
-}
-
-func (c *onceCache[K, V]) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *onceCache[K, V]) counters() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	e.elem = c.ll.PushFront(e)
+	c.cur += e.cost
+	for c.cur > c.max {
+		// e itself fits the budget, so the loop stops before reaching it.
+		v := c.ll.Remove(c.ll.Back()).(*entry)
+		v.elem = nil
+		c.cur -= v.cost
+		c.evictions++
+		delete(c.m, v.key)
+	}
 }

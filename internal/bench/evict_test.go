@@ -2,7 +2,7 @@ package bench
 
 // Property tests for the size-bounded LRU (evict.go): the accounted
 // cost never exceeds the budget, recently-used entries survive cold
-// ones, admission control keeps oversized entries out, eviction never
+// ones whatever their stage, admission control keeps oversized entries out, eviction never
 // invalidates a Program already handed to a running simulation, and the
 // whole machinery holds under concurrent hammering (run with -race).
 
@@ -12,99 +12,162 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"hsmcc/internal/interp"
 )
 
-// sizedStringCache builds a onceCache[string,string] on a fresh budget,
-// costing each entry at len(value) bytes.
-func sizedStringCache(maxBytes int64) (*onceCache[string, string], *costBudget) {
-	b := newCostBudget(maxBytes)
-	c := &onceCache[string, string]{
-		budget: b,
-		costOf: func(_ string, v string) int64 { return int64(len(v)) },
+// The store-level tests fill a sized Cache with translate-stage entries,
+// whose cost is theirs to choose: 256 bytes plus the emitted text.
+const blobOverhead = 256
+
+func blobKey(name string) key { return key{stage: stageTranslate, spec: spec{workload: name}} }
+
+// blob returns a translation costing exactly cost bytes whose text
+// starts with tag.
+func blob(tag string, cost int) *translation {
+	return &translation{source: tag + string(make([]byte, cost-blobOverhead-len(tag)))}
+}
+
+// requireBound fails the test when the accounted cost exceeds the budget.
+func requireBound(t *testing.T, c *Cache, when string) CacheStats {
+	t.Helper()
+	st := c.Stats()
+	if st.CostBytes > st.MaxCostBytes {
+		t.Fatalf("%s: accounted cost %d exceeds budget %d", when, st.CostBytes, st.MaxCostBytes)
 	}
-	return c, b
+	return st
 }
 
 func TestEvictBoundNeverExceeded(t *testing.T) {
-	const max = 1000
-	c, b := sizedStringCache(max)
+	c := NewCacheSized(4000)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", rng.Intn(100))
-		size := 10 + rng.Intn(200)
-		if _, err := c.get(k, func() (string, error) {
-			return string(make([]byte, size)), nil
-		}); err != nil {
+		size := 300 + rng.Intn(400)
+		if _, err := memo(c, blobKey(k), func() (*translation, error) { return blob("", size), nil }); err != nil {
 			t.Fatal(err)
 		}
-		cur, bmax, _ := b.stats()
-		if cur > bmax {
-			t.Fatalf("after %d ops: accounted cost %d exceeds budget %d", i+1, cur, bmax)
-		}
+		requireBound(t, c, fmt.Sprintf("after %d ops", i+1))
 	}
-	if _, _, ev := b.stats(); ev == 0 {
+	if c.Stats().Evictions == 0 {
 		t.Fatal("the scenario caused no evictions — the bound was never stressed")
 	}
 }
 
 func TestEvictHottestSurvive(t *testing.T) {
-	// Budget fits ~4 entries of 100 bytes. One hot key is touched
+	// Budget fits 4 entries of 400 bytes. One hot key is touched
 	// between every cold admission; the cold keys churn past the budget
 	// many times over, but the hot key must never be evicted.
-	c, _ := sizedStringCache(400)
+	c := NewCacheSized(1600)
 	computes := make(map[string]int)
-	getOnceCounted := func(k string, size int) {
+	getOnceCounted := func(k string) {
 		t.Helper()
-		if _, err := c.get(k, func() (string, error) {
+		if _, err := memo(c, blobKey(k), func() (*translation, error) {
 			computes[k]++
-			return string(make([]byte, size)), nil
+			return blob("", 400), nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	getOnceCounted("hot", 100)
+	getOnceCounted("hot")
 	for i := 0; i < 50; i++ {
-		getOnceCounted(fmt.Sprintf("cold%d", i), 100)
-		getOnceCounted("hot", 100)
+		getOnceCounted(fmt.Sprintf("cold%d", i))
+		getOnceCounted("hot")
 	}
 	if computes["hot"] != 1 {
 		t.Fatalf("hot key computed %d times, want 1 — LRU evicted the most recently used entry", computes["hot"])
 	}
 	// And the cold tail did get evicted: re-requesting an early cold key
 	// recomputes.
-	getOnceCounted("cold0", 100)
+	getOnceCounted("cold0")
 	if computes["cold0"] != 2 {
 		t.Fatalf("cold0 computed %d times, want 2 (admitted, evicted, recomputed)", computes["cold0"])
 	}
 }
 
+// TestEvictColdestFirstAcrossStages is the case one store can state and
+// five separately locked maps could not: recency is global. Entries of
+// three different stages fill the budget; the next admissions evict in
+// least-recently-used order whatever stage the victims belong to.
+func TestEvictColdestFirstAcrossStages(t *testing.T) {
+	src := string(make([]byte, 100))
+	entries := []struct {
+		k key
+		v any
+	}{
+		{key{stage: stageCompile, name: "a.c", src: src}, new(interp.Program)},
+		{blobKey("b"), blob("", 1000)},
+		{key{stage: stageBaseline, spec: spec{workload: "c"}}, &RunResult{Output: string(make([]byte, 400))}},
+	}
+	var budget int64
+	for _, e := range entries {
+		budget += cost(e.k, e.v)
+	}
+	c := NewCacheSized(budget)
+	computes := make([]int, len(entries))
+	get := func(i int) {
+		t.Helper()
+		if _, err := c.get(entries[i].k, func() (any, error) {
+			computes[i]++
+			return entries[i].v, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get(0) // admitted in stage order: compile, translate, baseline
+	get(1)
+	get(2)
+	get(0) // a hit: the compile entry is now the hottest, translate the coldest
+	admit := func(name string, cost int) {
+		t.Helper()
+		if _, err := memo(c, blobKey(name), func() (*translation, error) { return blob("", cost), nil }); err != nil {
+			t.Fatal(err)
+		}
+		requireBound(t, c, "after admitting "+name)
+	}
+	// Each newcomer needs exactly the room of the entry due to go.
+	admit("d", int(cost(entries[1].k, entries[1].v)))
+	admit("e", int(cost(entries[2].k, entries[2].v)))
+	if st := c.Stats(); st.Evictions != 2 || st.Entries != 3 {
+		t.Fatalf("evictions %d entries %d, want 2 and 3", st.Evictions, st.Entries)
+	}
+	get(0)
+	if computes[0] != 1 {
+		t.Fatalf("the re-touched compile entry was evicted (computed %d times) ahead of colder entries of other stages", computes[0])
+	}
+	get(1)
+	get(2)
+	if computes[1] != 2 || computes[2] != 2 {
+		t.Fatalf("translate/baseline entries computed %d/%d times, want 2/2 (both evicted, coldest first)", computes[1], computes[2])
+	}
+}
+
 func TestEvictOversizedServedNotCached(t *testing.T) {
-	c, b := sizedStringCache(100)
+	c := NewCacheSized(1000)
 	for i := 0; i < 3; i++ {
-		v, err := c.get("huge", func() (string, error) {
-			return string(make([]byte, 500)), nil
-		})
+		v, err := memo(c, blobKey("huge"), func() (*translation, error) { return blob("", 5000), nil })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(v) != 500 {
-			t.Fatalf("oversized value served with %d bytes, want 500", len(v))
+		if len(v.source) != 5000-blobOverhead {
+			t.Fatalf("oversized value served with %d bytes, want %d", len(v.source), 5000-blobOverhead)
 		}
 	}
-	if n := c.len(); n != 0 {
-		t.Fatalf("oversized entry was cached (%d live entries), admission control failed", n)
+	st := c.Stats()
+	if st.Entries != 0 {
+		t.Fatalf("oversized entry was cached (%d live entries), admission control failed", st.Entries)
 	}
-	if cur, _, _ := b.stats(); cur != 0 {
-		t.Fatalf("oversized entry charged %d bytes against the budget", cur)
+	if st.CostBytes != 0 {
+		t.Fatalf("oversized entry charged %d bytes against the budget", st.CostBytes)
 	}
 }
 
 func TestEvictErroredNeverCached(t *testing.T) {
-	c, _ := sizedStringCache(1000)
+	c := NewCacheSized(1000)
 	boom := errors.New("boom")
 	calls := 0
 	for i := 0; i < 3; i++ {
-		_, err := c.get("k", func() (string, error) { calls++; return "", boom })
+		_, err := memo(c, blobKey("k"), func() (*translation, error) { calls++; return nil, boom })
 		if !errors.Is(err, boom) {
 			t.Fatalf("got err %v, want boom", err)
 		}
@@ -112,7 +175,7 @@ func TestEvictErroredNeverCached(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("errored computation ran %d times, want 3 (errors must not be cached)", calls)
 	}
-	if n := c.len(); n != 0 {
+	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("%d live entries after errored computations, want 0", n)
 	}
 }
@@ -180,8 +243,7 @@ func TestEvictInFlightProgramSurvives(t *testing.T) {
 // observation point, values are always correct for their key, and the
 // structure stays consistent.
 func TestEvictConcurrentStress(t *testing.T) {
-	const max = 2000
-	c, b := sizedStringCache(max)
+	c := NewCacheSized(8000)
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
 	for g := 0; g < 16; g++ {
@@ -192,8 +254,8 @@ func TestEvictConcurrentStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				k := fmt.Sprintf("k%d", rng.Intn(40))
 				want := "v:" + k
-				v, err := c.get(k, func() (string, error) {
-					return want + string(make([]byte, 50+rng.Intn(150))), nil
+				v, err := memo(c, blobKey(k), func() (*translation, error) {
+					return blob(want, 300+rng.Intn(400)), nil
 				})
 				if err != nil {
 					select {
@@ -202,16 +264,16 @@ func TestEvictConcurrentStress(t *testing.T) {
 					}
 					return
 				}
-				if v[:len(want)] != want {
+				if v.source[:len(want)] != want {
 					select {
-					case errc <- fmt.Errorf("key %s served value for %q", k, v[:len(want)]):
+					case errc <- fmt.Errorf("key %s served value for %q", k, v.source[:len(want)]):
 					default:
 					}
 					return
 				}
-				if cur, bmax, _ := b.stats(); cur > bmax {
+				if st := c.Stats(); st.CostBytes > st.MaxCostBytes {
 					select {
-					case errc <- fmt.Errorf("cost %d exceeds budget %d", cur, bmax):
+					case errc <- fmt.Errorf("cost %d exceeds budget %d", st.CostBytes, st.MaxCostBytes):
 					default:
 					}
 					return
@@ -225,11 +287,7 @@ func TestEvictConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	cur, bmax, ev := b.stats()
-	if cur > bmax {
-		t.Fatalf("final cost %d exceeds budget %d", cur, bmax)
-	}
-	if ev == 0 {
+	if requireBound(t, c, "final").Evictions == 0 {
 		t.Fatal("stress run caused no evictions — budget was never stressed")
 	}
 }

@@ -138,14 +138,14 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("grid %q: %w", g.Name, err)
 		}
 	}
-	for _, b := range g.MPBBudgets {
-		if b < 0 {
-			return fmt.Errorf("grid %q: negative MPB budget %d (use 0 for the full MPB)", g.Name, b)
-		}
-	}
 	mcfg, err := sccsim.PresetConfig(g.Machine)
 	if err != nil {
 		return fmt.Errorf("grid %q: %w", g.Name, err)
+	}
+	for _, b := range g.MPBBudgets {
+		if _, err := EffectiveBudget(b, mcfg); err != nil {
+			return fmt.Errorf("grid %q: %w", g.Name, err)
+		}
 	}
 	for _, n := range g.Cores {
 		if n > mcfg.Cores {
@@ -209,16 +209,10 @@ type RunOptions struct {
 	// requests reuse (and warm) compiles, baselines and profiles across
 	// requests.
 	Cache *Cache
-	// Cancel, when non-nil, is polled before each cell starts and at
-	// every scheduling decision inside each simulation; once it returns
-	// non-nil, remaining cells are marked with that error instead of
-	// running.
-	Cancel func() error
-	// Fault, when non-nil, is the chaos-injection seam threaded into
-	// every cell's Config (see Config.Fault): it fires at the named
-	// compute stages inside the memoized closures, so injected panics
-	// and cancellations exercise the cache's drop-on-error discipline.
-	Fault func(stage string) error
+	// Hooks are threaded into every cell's Config (see Hooks). Cancel is
+	// also polled before each cell starts: once it returns non-nil,
+	// remaining cells are marked with that error instead of running.
+	Hooks Hooks
 	// OnResult, when non-nil, receives every finished cell in
 	// deterministic index order (a reorder buffer sequences the
 	// concurrent workers), before RunGrid returns. Callbacks are
@@ -260,53 +254,35 @@ func (r *Report) Filename() string {
 	return fmt.Sprintf("BENCH_%s.json", r.Grid.Name)
 }
 
-// cellKey identifies the semantic inputs of an RCCE run. Cells with
-// different spec budgets can resolve to the same effective work (budget
-// 0 is "the full MPB"), which the cache collapses. placement is the
-// profile-guided placement map digest —
-// empty for static policies — so a profiled cell can never collide with
-// a static-policy cell at the same (cores, policy-name, budget) tuple,
-// nor with a profiled cell whose measured placement differs.
-//
-// (Baseline runs have no per-grid cache anymore: RunBaseline memoizes
-// through the sweep's shared bench.Cache, so every policy and budget
-// cell at one (workload, cores) point shares a single run.)
-// machine is the machine-config digest: sweeps over different presets
-// (the scaling study) share one daemon-lifetime cache, and a cell run
-// on a 48-core mesh must never serve the same (workload, cores, policy,
-// budget) point simulated on a 1024-core one.
-type cellKey struct {
-	workload  string
-	cores     int
-	policy    string
-	budget    int
-	placement string
-	machine   string
-}
-
-// semanticKey normalises a cell to its cache identity: budget 0 and an
-// explicit full-MPB budget are the same work. The placement digest is
-// filled in by runCell once the (memoized) profile pass has produced
-// it; for duplicate-marking before execution the empty digest is
-// enough, because the digest is itself a deterministic function of the
-// other key fields.
-func semanticKey(c Cell, fullMPB int, machine string) cellKey {
-	b := c.MPBBudget
-	if b <= 0 {
-		b = fullMPB
-	}
-	return cellKey{workload: c.Workload, cores: c.Cores, policy: c.Policy, budget: b, machine: machine}
-}
-
-// gridRunner carries the per-run caches.
+// gridRunner carries the per-run state.
 type gridRunner struct {
-	grid    Grid
-	cfg     Config
-	fullMPB int
-	cells   onceCache[cellKey, *RunResult]
+	grid Grid
+	cfg  Config
+	// cells memoizes the sweep's RCCE runs by their simulate-stage key:
+	// cells with different spec budgets can resolve to the same effective
+	// work (budget 0 is "the full MPB"). It lives and dies with the sweep
+	// and is never the shared Cache — a daemon-lifetime cache would serve
+	// RCCE runs across requests, and a ?trace=1 request would stop seeing
+	// its own simulation. (Baseline runs need no per-grid memo:
+	// RunBaseline memoizes through the shared Cache, so every policy and
+	// budget cell at one (workload, cores) point shares a single run.)
+	cells *Cache
 	// traceDir, when non-empty, receives one Chrome trace file per
 	// distinct RCCE simulation (RunOptions.TraceDir).
 	traceDir string
+}
+
+// cellKey is a cell's cache identity: budget 0 and an explicit full-MPB
+// budget are the same work. Validate has vetted the budget. The
+// placement digest is filled in by runCell once the (memoized) profile
+// pass has produced it; for duplicate-marking before execution the
+// empty digest is enough, because the digest is itself a deterministic
+// function of the other key fields.
+func (r *gridRunner) cellKey(c Cell, policy partition.Policy) key {
+	cfg := r.cfg
+	cfg.Threads = c.Cores
+	budget, _ := EffectiveBudget(c.MPBBudget, cfg.machineCfg)
+	return key{stage: stageSimulate, spec: cfg.spec(c.Workload).rcceRun(), policy: policy, capacity: budget}
 }
 
 // RunGrid executes the grid's cells across a worker pool and returns
@@ -343,7 +319,7 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 		workers = 1
 	}
 
-	r := &gridRunner{grid: g, cfg: DefaultConfig()}
+	r := &gridRunner{grid: g, cfg: DefaultConfig(), cells: NewCache(), traceDir: opt.TraceDir}
 	r.cfg.Scale = g.Scale
 	if r.cfg.Scale == 0 {
 		r.cfg.Scale = 1.0
@@ -361,9 +337,7 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	if r.cfg.Cache == nil {
 		r.cfg.Cache = NewCache()
 	}
-	r.cfg.Cancel = opt.Cancel
-	r.cfg.Fault = opt.Fault
-	r.traceDir = opt.TraceDir
+	r.cfg.Hooks = opt.Hooks
 
 	// Mark duplicate cells (same semantic key as an earlier-indexed
 	// cell) up front, so the Cached flag does not depend on which
@@ -371,16 +345,13 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	// config is fixed across the sweep: fingerprint it once here so
 	// per-cell cache-key construction never builds a throwaway machine.
 	r.cfg = r.cfg.PrecomputeMachineEnv()
-	r.fullMPB = r.cfg.machineCfg.MPBTotal()
-	firstByKey := make(map[cellKey]int)
+	seen := make(map[key]bool)
 	dup := make([]bool, len(cells))
 	for i, c := range cells {
-		k := semanticKey(c, r.fullMPB, r.cfg.machineEnv)
-		if _, ok := firstByKey[k]; ok {
-			dup[i] = true
-		} else {
-			firstByKey[k] = i
-		}
+		policy, _ := ParsePolicy(c.Policy) // vetted by Validate
+		k := r.cellKey(c, policy)
+		dup[i] = seen[k]
+		seen[k] = true
 	}
 
 	results := make([]CellResult, len(cells))
@@ -408,8 +379,8 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if opt.Cancel != nil {
-					if err := opt.Cancel(); err != nil {
+				if cancel := opt.Hooks.Cancel; cancel != nil {
+					if err := cancel(); err != nil {
 						results[i] = CellResult{Cell: cells[i], Error: fmt.Sprintf("canceled: %v", err)}
 						results[i].Cached = dup[i]
 						if emit != nil {
@@ -477,26 +448,26 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 		res.Error = err.Error()
 		return res
 	}
-	key := semanticKey(cell, r.fullMPB, r.cfg.machineEnv)
+	k := r.cellKey(cell, policy)
 	if policy == partition.PolicyProfiled {
 		// Resolve the measured placement (profile pass memoized in the
 		// shared Cache) so its digest becomes part of the cell's cache
 		// identity.
-		pl, err := PlacementFor(w, cfg, key.budget)
+		pl, err := PlacementFor(w, cfg, k.capacity)
 		if err != nil {
 			res.Error = err.Error()
 			return res
 		}
-		key.placement = pl.Digest()
+		k.placement = pl.Digest()
 	}
 	// With a trace directory, the cell that actually simulates (the
-	// winner of the onceCache race) records its run and writes the
-	// Chrome trace named by the semantic key; cache hits write nothing.
+	// winner of the memo's race) records its run and writes the Chrome
+	// trace named by the semantic key; cache hits write nothing.
 	var rec *trace.Recorder
-	conv, err := r.cells.get(key, func() (*RunResult, error) {
+	conv, err := memo(r.cells, k, func() (*RunResult, error) {
 		if r.traceDir != "" {
 			rec = trace.NewRecorder(nil, 0)
-			cfg.TraceRCCE = rec
+			cfg.Hooks.TraceRCCE = rec
 		}
 		return RunRCCE(w, cfg, policy)
 	})
@@ -505,7 +476,7 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 		return res
 	}
 	if rec != nil {
-		name := fmt.Sprintf("%s_%dc_%s_%d.trace.json", key.workload, key.cores, key.policy, key.budget)
+		name := fmt.Sprintf("%s_%dc_%s_%d.trace.json", cell.Workload, cell.Cores, cell.Policy, k.capacity)
 		if werr := rec.WriteFile(filepath.Join(r.traceDir, name)); werr != nil {
 			res.Error = fmt.Sprintf("write trace: %v", werr)
 			return res

@@ -180,6 +180,18 @@ func TestGridValidate(t *testing.T) {
 	if _, err := RunGrid(g, RunOptions{}); err == nil {
 		t.Error("negative MPB budget not rejected")
 	}
+	// A budget the machine does not have used to validate and then fail
+	// per cell, mid-simulation, in the RCCE allocator.
+	g = testGrid()
+	g.MPBBudgets = []int{0, 99999999}
+	if _, err := RunGrid(g, RunOptions{}); err == nil || !strings.Contains(err.Error(), "393216-byte MPB of machine scc48") {
+		t.Errorf("MPB budget beyond the machine's MPB not rejected with the machine named: %v", err)
+	}
+	g.Machine = "mesh1024"
+	g.MPBBudgets = []int{1 << 20}
+	if err := g.Validate(); err != nil {
+		t.Errorf("a budget that fits mesh1024's 2 MiB MPB was rejected: %v", err)
+	}
 }
 
 // TestMergeReportsGuards: merging mismatched specs or an incomplete

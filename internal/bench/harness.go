@@ -33,67 +33,49 @@ type RunResult struct {
 // Seconds converts the makespan.
 func (r *RunResult) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSecond }
 
-// Config parameterises harness runs.
+// Config parameterises harness runs. Its fields are of two kinds, kept
+// apart by type: what a run computes from — every memo key is derived
+// from those in one place, Config.spec — and Hooks, which no key can
+// reach.
 type Config struct {
 	// Threads is the thread count for the baseline and the UE count for
 	// RCCE runs (the paper uses 32 for both).
 	Threads int
 	// Scale shrinks/grows problem sizes (1.0 = full experiment size).
 	Scale float64
-	// Baseline holds the single-core Pthread runtime options.
+	// Baseline holds the single-core Pthread runtime options. Its Params
+	// are identity; its Observers pass through to the run (Cancel is
+	// replaced by Hooks.Cancel).
 	Baseline pthreadrt.Options
 	// Machine returns a fresh machine per run (timing state such as
 	// controller queues must not leak between runs).
 	Machine func() *sccsim.Machine
 	// MPBCapacity overrides the Stage 4 on-chip budget (0 = the
-	// machine's full MPB). The partition-policy ablation uses a small
-	// budget to create placement pressure.
+	// machine's full MPB; see EffectiveBudget). The partition-policy
+	// ablation uses a small budget to create placement pressure.
 	MPBCapacity int
-	// RCCE overrides the runtime options per UE count (nil = defaults).
-	// The MPB-placement ablation disables striping through this hook.
-	RCCE func(numUEs int) rcce.Options
+	// RCCE holds the RCCE runtime options; NumUEs is taken from Threads.
+	// Params and the Cores map are identity (the MPB-placement ablation
+	// disables striping here, the conformance matrix installs its
+	// many-to-one maps); Cancel and Trace are replaced by Hooks.Cancel
+	// and Hooks.TraceRCCE.
+	RCCE rcce.Options
 	// TransformRCCE, when non-nil, rewrites the translated C source
 	// between Stage 5 and re-parsing. The conformance engine uses it to
 	// inject translator faults and prove the differential oracle catches
-	// them; nil is the identity.
+	// them; nil is the identity. It is a func and still not a hook: it
+	// runs after the translation memo, and everything downstream of it —
+	// the compile, the RCCE run — is keyed by (or, unmemoized, run from)
+	// the text it returns, so no key needs to name it.
 	TransformRCCE func(src string) (string, error)
-	// Cache, when non-nil, memoizes the compile-side stages (source
-	// compile and translation) so one compiled Program serves every
-	// cell — and every concurrent worker — with the same source. The
-	// grid runner and the conformance oracle install one.
+	// Cache, when non-nil, memoizes every configuration-pure stage —
+	// source compile, translation, baseline run, profiling pass,
+	// placement — so one computed value serves every cell, and every
+	// concurrent worker, with the same inputs. Nil computes every time.
 	Cache *Cache
-	// Cancel, when non-nil, is polled at every scheduling decision of
-	// every simulation this config runs (baseline, RCCE, profiling): a
-	// non-nil return aborts the run promptly with that error. It is
-	// per-request state, never part of any cache identity — the serving
-	// layer wires a request context's Err here so deadlines and client
-	// disconnects stop simulations mid-flight.
-	Cancel func() error
-	// Fault, when non-nil, is invoked at the entry of every compute
-	// stage this config runs — "compile", "translate", "baseline",
-	// "simulate", "profile" — before the stage does any work. It is the
-	// chaos-injection seam (internal/serve/chaos): the hook may sleep
-	// (injected delay), panic (injected crash, recovered into a
-	// *PanicError at the nearest isolation boundary) or return an error
-	// (spurious cancellation). It fires inside memoized computations, so
-	// the cache's drop-on-error discipline is what a fault exercises.
-	// Like Cancel it is per-request state, never part of any cache
-	// identity.
-	Fault func(stage string) error
-	// Span, when non-nil, is invoked at the entry of every compute stage
-	// this config actually executes — same stage names as Fault — and the
-	// returned func at its exit. It is the request-tracing seam
-	// (internal/serve spans): because it fires inside the memoized
-	// computations, a cache hit produces no compute span, which is
-	// exactly what a request timeline should show. Like Cancel and Fault
-	// it is per-request state, never part of any cache identity.
-	Span func(stage string) func()
-	// TraceRCCE, when non-nil, receives the scheduling/memory event
-	// stream of the RCCE simulation (the un-memoized half of a run; see
-	// internal/trace.Recorder). Observation only: simulation output and
-	// cycle stats are identical with or without it, so like the other
-	// per-run observers it is excluded from every cache identity.
-	TraceRCCE interp.TraceSink
+	// Hooks are the per-request seams (cancellation, fault injection,
+	// spans, the RCCE trace sink).
+	Hooks Hooks
 	// machineCfg and machineEnv, set together by PrecomputeMachineEnv,
 	// are cfg.Machine().Config() and its fingerprint — sweeps whose
 	// machine is fixed (the grid runner) resolve them once so neither
@@ -103,6 +85,41 @@ type Config struct {
 	machineEnv string
 }
 
+// Hooks are a harness run's per-request seams: state of the request that
+// asked, not of the result it asked for. The memo keys are built from a
+// spec, which has no field a hook could be stored in, so a value
+// computed under one request's hooks serves every other request
+// unchanged.
+type Hooks struct {
+	// Cancel, when non-nil, is polled at every scheduling decision of
+	// every simulation the config runs (baseline, RCCE, profiling): a
+	// non-nil return aborts the run promptly with that error. The
+	// serving layer wires a request context's Err here so deadlines and
+	// client disconnects stop simulations mid-flight.
+	Cancel func() error
+	// Fault, when non-nil, is invoked at the entry of every compute
+	// stage the config runs — "compile", "translate", "baseline",
+	// "simulate", "profile" — before the stage does any work. It is the
+	// chaos-injection seam (internal/serve/chaos): the hook may sleep
+	// (injected delay), panic (injected crash, recovered into a
+	// *PanicError at the nearest isolation boundary) or return an error
+	// (spurious cancellation). It fires inside memoized computations, so
+	// the cache's drop-on-error discipline is what a fault exercises.
+	Fault func(stage string) error
+	// Span, when non-nil, is invoked at the entry of every compute stage
+	// the config actually executes — same stage names as Fault — and the
+	// returned func at its exit. It is the request-tracing seam
+	// (internal/serve spans): because it fires inside the memoized
+	// computations, a cache hit produces no compute span, which is
+	// exactly what a request timeline should show.
+	Span func(stage string) func()
+	// TraceRCCE, when non-nil, receives the scheduling/memory event
+	// stream of the RCCE simulation (the un-memoized half of a run; see
+	// internal/trace.Recorder). Observation only: simulation output and
+	// cycle stats are identical with or without it.
+	TraceRCCE interp.TraceSink
+}
+
 // DefaultConfig is the paper's configuration: 32 threads/cores, full
 // problem sizes, Table 6.1 machine.
 func DefaultConfig() Config {
@@ -110,69 +127,116 @@ func DefaultConfig() Config {
 		Threads:  32,
 		Scale:    1.0,
 		Baseline: pthreadrt.DefaultOptions(),
+		RCCE:     rcce.DefaultOptions(0),
 		Machine:  func() *sccsim.Machine { return sccsim.MustNew(sccsim.DefaultConfig()) },
 	}
 }
 
-// fault fires cfg's fault-injection hook for one compute stage.
-func (cfg Config) fault(stage string) error {
-	if cfg.Fault == nil {
-		return nil
-	}
-	return cfg.Fault(stage)
+// spec is the identity of a harness run: every input a memoized value
+// may depend on, as plain comparable data (TestSpecIsPlainData). It is
+// derived from a Config here and nowhere else; a field added to
+// pthreadrt.Params or rcce.Params is keyed with no further edit.
+type spec struct {
+	workload string
+	threads  int
+	scale    float64
+	// machine is the machine-config fingerprint: mesh geometry, MPB
+	// slice size and latencies decide both where Stage 4 may place a
+	// variable and what a placement costs.
+	machine  string
+	baseline pthreadrt.Params
+	rcce     rcce.Params
+	// ueMap is the canonical text of the UE-to-core map ("" = ranks on
+	// cores 0..N-1).
+	ueMap string
 }
 
-// span opens a stage span when cfg carries the tracing seam; the
-// returned func closes it and is never nil.
-func (cfg Config) span(stage string) func() {
-	if cfg.Span == nil {
-		return func() {}
+// spec derives the identity of cfg's runs of the workload keyed wkey.
+func (cfg Config) spec(wkey string) spec {
+	s := spec{
+		workload: wkey,
+		threads:  cfg.Threads,
+		scale:    cfg.Scale,
+		machine:  cfg.machineFingerprint(),
+		baseline: cfg.Baseline.Params,
+		rcce:     cfg.RCCE.Params,
 	}
-	return cfg.Span(stage)
+	s.rcce.NumUEs = cfg.Threads
+	if cfg.RCCE.Cores != nil {
+		s.ueMap = fmt.Sprint(cfg.RCCE.Cores)
+	}
+	return s
+}
+
+// The projections: a stage's key carries exactly the inputs that stage
+// reads, which is what lets one baseline run serve every policy and
+// budget of a (workload, cores) point, and one translation serve every
+// runtime configuration.
+
+// source is what the program text and Stage 4 read.
+func (s spec) source() spec {
+	return spec{workload: s.workload, threads: s.threads, scale: s.scale, machine: s.machine}
+}
+
+// baselineRun is what the single-core Pthread run reads.
+func (s spec) baselineRun() spec {
+	s.rcce, s.ueMap = rcce.Params{}, ""
+	return s
+}
+
+// rcceRun is what a run of the translated program reads.
+func (s spec) rcceRun() spec {
+	s.baseline = pthreadrt.Params{}
+	return s
+}
+
+// runStage runs body as the named compute stage of a run under h: the
+// fault seam first, then the span around the work. subject names the
+// input in the fault's error.
+func runStage[V any](h Hooks, st stage, subject string, body func() (V, error)) (V, error) {
+	if h.Fault != nil {
+		if err := h.Fault(st.String()); err != nil {
+			var zero V
+			return zero, fmt.Errorf("%s %s: %w", subject, st, err)
+		}
+	}
+	if h.Span != nil {
+		defer h.Span(st.String())()
+	}
+	return body()
 }
 
 // rcceOptions resolves the effective RCCE runtime options for cfg.
 func (cfg Config) rcceOptions() rcce.Options {
-	ropts := rcce.DefaultOptions(cfg.Threads)
-	if cfg.RCCE != nil {
-		ropts = cfg.RCCE(cfg.Threads)
-	}
-	ropts.Cancel = cfg.Cancel
-	ropts.Trace = cfg.TraceRCCE
+	ropts := cfg.RCCE
+	ropts.NumUEs = cfg.Threads
+	ropts.Cancel = cfg.Hooks.Cancel
+	ropts.Trace = cfg.Hooks.TraceRCCE
 	return ropts
 }
 
-// baselineEnv fingerprints the parts of the environment a baseline run
-// depends on beyond (workload, threads, scale): the machine
-// configuration and the baseline runtime options. It completes the
-// cross-cell memoization key — two cells may share a baseline result
-// only when every input of that run is identical.
-func (cfg Config) baselineEnv() string {
-	opts := cfg.Baseline
-	// Per-run observers are not semantic identity, and a non-nil func
-	// would render as a pointer — nondeterministic across processes.
-	opts.Cancel = nil
-	opts.Profiler = nil
-	opts.Trace = nil
-	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), opts)
-}
-
-// machineConfig returns the configuration of the machines cfg builds,
+// MachineConfig returns the configuration of the machines cfg builds,
 // preferring the precomputed copy over constructing a throwaway machine
 // per lookup.
-func (cfg Config) machineConfig() sccsim.Config {
+func (cfg Config) MachineConfig() sccsim.Config {
 	if cfg.machineEnv != "" {
 		return cfg.machineCfg
 	}
 	return cfg.Machine().Config()
 }
 
-// machineFingerprint renders the machine configuration for cache keys.
+// fingerprint renders a machine configuration for cache keys — the one
+// %+v in key construction. sccsim.Config is plain data
+// (TestSpecIsPlainData), so the rendering is complete and the same in
+// every process.
+func fingerprint(mcfg sccsim.Config) string { return fmt.Sprintf("%+v", mcfg) }
+
+// machineFingerprint is the fingerprint of the machines cfg builds.
 func (cfg Config) machineFingerprint() string {
 	if cfg.machineEnv != "" {
 		return cfg.machineEnv
 	}
-	return fmt.Sprintf("%+v", cfg.Machine().Config())
+	return fingerprint(cfg.Machine().Config())
 }
 
 // PrecomputeMachineEnv returns a copy of cfg carrying the machine
@@ -182,31 +246,55 @@ func (cfg Config) machineFingerprint() string {
 // oracle, the daemon) call this on the template so that afterwards
 // cfg.Machine is called only for machines that run something.
 func (cfg Config) PrecomputeMachineEnv() Config {
-	cfg.machineCfg = cfg.machineConfig()
-	cfg.machineEnv = fmt.Sprintf("%+v", cfg.machineCfg)
+	cfg.machineCfg = cfg.MachineConfig()
+	cfg.machineEnv = fingerprint(cfg.machineCfg)
 	return cfg
 }
 
-// rcceEnv fingerprints the profiling-run environment: the machine
-// configuration plus the effective RCCE options (which carry the
-// core mapping and oversubscription mode).
-func (cfg Config) rcceEnv() string {
-	ropts := cfg.rcceOptions()
-	// Same exclusion as baselineEnv: per-run observers and the cancel
-	// hook are request state, not cache identity.
-	ropts.Cancel = nil
-	ropts.Profiler = nil
-	ropts.AllocObserver = nil
-	ropts.Trace = nil
-	return fmt.Sprintf("%s|%+v", cfg.machineFingerprint(), ropts)
+// EffectiveBudget resolves a Stage 4 on-chip byte budget against the
+// machine it is for — the one place the "0 = the machine's full MPB"
+// rule lives. A budget the machine does not have is rejected here,
+// before any stage has been paid for, instead of by the RCCE allocator
+// in the middle of a simulation.
+func EffectiveBudget(budget int, mcfg sccsim.Config) (int, error) {
+	full := mcfg.MPBTotal()
+	switch {
+	case budget < 0:
+		return 0, fmt.Errorf("negative MPB budget %d (use 0 for the full MPB)", budget)
+	case budget == 0:
+		return full, nil
+	case budget > full:
+		return 0, fmt.Errorf("MPB budget %d exceeds the %d-byte MPB of machine %s", budget, full, machineName(mcfg))
+	}
+	return budget, nil
+}
+
+// machineName names mcfg for an error message: its preset name, or its
+// size when no preset matches.
+func machineName(mcfg sccsim.Config) string {
+	for _, name := range sccsim.PresetNames() {
+		if fingerprint(sccsim.MustPreset(name)) == fingerprint(mcfg) {
+			return name
+		}
+	}
+	return fmt.Sprintf("custom-%dcore", mcfg.Cores)
+}
+
+// compile returns the compiled form of (name, src), compiling at most
+// once per distinct source even under concurrent lookups.
+func (cfg Config) compile(name, src string) (*interp.Program, error) {
+	return memo(cfg.Cache, key{stage: stageCompile, name: name, src: src}, func() (*interp.Program, error) {
+		return runStage(cfg.Hooks, stageCompile, name, func() (*interp.Program, error) {
+			return interp.Compile(name, src)
+		})
+	})
 }
 
 // CompileBaseline compiles (or fetches from the cache) the unconverted
 // Pthread program for cfg's thread count and scale. The returned Program
 // is immutable — one compile serves any number of concurrent runs.
 func CompileBaseline(w Workload, cfg Config) (*interp.Program, error) {
-	src := w.Source(cfg.Threads, cfg.Scale)
-	pr, err := cfg.Cache.program(w.Key+".c", src, cfg.Fault, cfg.Span)
+	pr, err := cfg.compile(w.Key+".c", w.Source(cfg.Threads, cfg.Scale))
 	if err != nil {
 		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
 	}
@@ -216,45 +304,37 @@ func CompileBaseline(w Workload, cfg Config) (*interp.Program, error) {
 // RunBaselineProgram executes an already-compiled baseline program: all
 // threads time-share one SCC core (thesis Chapter 6's baseline).
 func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult, error) {
-	if err := cfg.fault("baseline"); err != nil {
-		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
-	}
-	defer cfg.span("baseline")()
-	opts := cfg.Baseline
-	opts.Cancel = cfg.Cancel
-	res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
-	}
-	return &RunResult{
-		Workload: w.Key,
-		Mode:     "pthread-1core",
-		Threads:  cfg.Threads,
-		Makespan: res.Makespan,
-		Output:   res.Output,
-		Stats:    res.Stats,
-	}, nil
+	return runStage(cfg.Hooks, stageBaseline, w.Key, func() (*RunResult, error) {
+		opts := cfg.Baseline
+		opts.Cancel = cfg.Hooks.Cancel
+		res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
+		if err != nil {
+			return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
+		}
+		return &RunResult{
+			Workload: w.Key,
+			Mode:     "pthread-1core",
+			Threads:  cfg.Threads,
+			Makespan: res.Makespan,
+			Output:   res.Output,
+			Stats:    res.Stats,
+		}, nil
+	})
 }
 
-// RunBaseline measures the unconverted Pthread program. With a Cache in
-// cfg both the compile AND the execution are memoized: the baseline is
-// a pure function of (workload, threads, scale, machine+runtime
-// options), so every policy and budget cell of a sweep at the same
+// RunBaseline measures the unconverted Pthread program. Both the compile
+// and the execution are memoized through cfg.Cache: the baseline is a
+// pure function of (workload, threads, scale, machine, baseline runtime
+// parameters), so every policy and budget cell of a sweep at the same
 // configuration shares one run instead of recomputing it.
 func RunBaseline(w Workload, cfg Config) (*RunResult, error) {
-	if cfg.Cache != nil {
-		return cfg.Cache.baselineRun(w, cfg)
-	}
-	return runBaselineUncached(w, cfg)
-}
-
-// runBaselineUncached is the compute half of RunBaseline.
-func runBaselineUncached(w Workload, cfg Config) (*RunResult, error) {
-	pr, err := CompileBaseline(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunBaselineProgram(w, pr, cfg)
+	return memo(cfg.Cache, key{stage: stageBaseline, spec: cfg.spec(w.Key).baselineRun()}, func() (*RunResult, error) {
+		pr, err := CompileBaseline(w, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return RunBaselineProgram(w, pr, cfg)
+	})
 }
 
 // Translation is the compiled outcome of the five-stage pipeline for one
@@ -271,21 +351,19 @@ type Translation struct {
 
 // TranslateWorkload runs the translate pipeline for one cell and
 // compiles the emitted source, reusing cfg.Cache for both stages: the
-// pipeline is keyed by (workload, threads, scale, policy, capacity,
-// placement digest) and the compile by the emitted text, so cells whose
-// placements print identical programs share one compiled image. For the
-// profiled policy it first obtains the workload's access profile
-// (memoized per configuration) and optimizes the placement for the
-// cell's effective budget.
+// pipeline is keyed by (workload, threads, scale, machine, policy,
+// capacity, placement digest) and the compile by the emitted text, so
+// cells whose placements print identical programs share one compiled
+// image. For the profiled policy it first obtains the workload's access
+// profile (memoized per configuration) and optimizes the placement for
+// the cell's effective budget.
 func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Translation, error) {
-	capacity := cfg.MPBCapacity
-	if capacity <= 0 {
-		capacity = cfg.machineConfig().MPBTotal()
+	capacity, err := EffectiveBudget(cfg.MPBCapacity, cfg.MachineConfig())
+	if err != nil {
+		return nil, fmt.Errorf("%s translate: %w", w.Key, err)
 	}
-	scale := cfg.Scale
 	var pl *profile.Placement
 	if policy == partition.PolicyProfiled {
-		var err error
 		pl, err = PlacementFor(w, cfg, capacity)
 		if err != nil {
 			return nil, err
@@ -297,7 +375,7 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 		// pipeline run.
 		capacity = 0
 	}
-	tr, err := cfg.Cache.translate(w, cfg.Threads, scale, policy, capacity, pl, cfg.machineFingerprint(), cfg.Fault, cfg.Span)
+	tr, err := cfg.translation(w, policy, capacity, pl)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +386,7 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 			return nil, fmt.Errorf("%s transform translated source: %w", w.Key, err)
 		}
 	}
-	pr, err := cfg.Cache.program(w.Key+"_rcce.c", translated, cfg.Fault, cfg.Span)
+	pr, err := cfg.compile(w.Key+"_rcce.c", translated)
 	if err != nil {
 		return nil, fmt.Errorf("%s reparse translated source: %w\n---\n%s", w.Key, err, translated)
 	}
@@ -317,37 +395,34 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 
 // RunRCCEProgram executes a translated program with one process per UE.
 func RunRCCEProgram(w Workload, tr *Translation, cfg Config, policy partition.Policy) (*RunResult, error) {
-	if err := cfg.fault("simulate"); err != nil {
-		return nil, fmt.Errorf("%s simulate: %w", w.Key, err)
-	}
-	defer cfg.span("simulate")()
-	mode := "rcce-offchip"
-	switch policy {
-	case partition.PolicyOffChipOnly:
-	case partition.PolicyProfiled:
-		mode = "rcce-profiled"
-	default:
-		mode = "rcce-onchip"
-	}
-	ropts := cfg.rcceOptions()
-	res, err := rcce.Run(tr.Program, cfg.Machine(), ropts)
-	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", w.Key, mode, err)
-	}
-	r := &RunResult{
-		Workload:         w.Key,
-		Mode:             mode,
-		Threads:          cfg.Threads,
-		Makespan:         res.Makespan,
-		Output:           res.Output,
-		Stats:            res.Stats,
-		TranslatedSource: tr.Source,
-		OnChipBytes:      tr.OnChipBytes,
-	}
-	if tr.Placement != nil {
-		r.PlacementDigest = tr.Placement.Digest()
-	}
-	return r, nil
+	return runStage(cfg.Hooks, stageSimulate, w.Key, func() (*RunResult, error) {
+		mode := "rcce-offchip"
+		switch policy {
+		case partition.PolicyOffChipOnly:
+		case partition.PolicyProfiled:
+			mode = "rcce-profiled"
+		default:
+			mode = "rcce-onchip"
+		}
+		res, err := rcce.Run(tr.Program, cfg.Machine(), cfg.rcceOptions())
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", w.Key, mode, err)
+		}
+		r := &RunResult{
+			Workload:         w.Key,
+			Mode:             mode,
+			Threads:          cfg.Threads,
+			Makespan:         res.Makespan,
+			Output:           res.Output,
+			Stats:            res.Stats,
+			TranslatedSource: tr.Source,
+			OnChipBytes:      tr.OnChipBytes,
+		}
+		if tr.Placement != nil {
+			r.PlacementDigest = tr.Placement.Digest()
+		}
+		return r, nil
+	})
 }
 
 // RunRCCE translates the Pthread program through the five-stage pipeline

@@ -163,3 +163,26 @@ func TestByKey(t *testing.T) {
 		}
 	}
 }
+
+// TestTranslateRejectsBudgetBeyondMPB: a Stage 4 budget the machine does
+// not have is an error before any stage runs — nothing is computed, so
+// nothing the machine could never have produced is memoized.
+func TestTranslateRejectsBudgetBeyondMPB(t *testing.T) {
+	w, _ := ByKey("pi")
+	cfg := DefaultConfig()
+	cfg.Threads = 2
+	cfg.Scale = 0.01
+	cfg.Cache = NewCache()
+	cfg.MPBCapacity = cfg.MachineConfig().MPBTotal() + 1
+	_, err := TranslateWorkload(w, cfg, partition.PolicySizeAscending)
+	if err == nil || !strings.Contains(err.Error(), "393216-byte MPB of machine scc48") {
+		t.Fatalf("over-budget translate: %v, want an error naming the machine and its MPB size", err)
+	}
+	if st := cfg.Cache.Stats(); st.Misses != 0 {
+		t.Fatalf("%d stages ran before the budget was rejected, want 0", st.Misses)
+	}
+	cfg.MPBCapacity--
+	if _, err := TranslateWorkload(w, cfg, partition.PolicySizeAscending); err != nil {
+		t.Fatalf("the full MPB as an explicit budget was rejected: %v", err)
+	}
+}

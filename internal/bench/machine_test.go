@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"hsmcc/internal/partition"
 	"hsmcc/internal/sccsim"
 )
 
@@ -18,61 +17,6 @@ func configFor(t *testing.T, preset string) Config {
 	cfg := DefaultConfig()
 	cfg.Machine = func() *sccsim.Machine { return sccsim.MustNew(mcfg) }
 	return cfg.PrecomputeMachineEnv()
-}
-
-// TestMachineCacheKeysDistinct pins the cache-identity contract for
-// machine scaling: every memoization key that covers a simulated run —
-// baseline, profiling, translation, grid cell — must separate two
-// machine presets, so a scaling sweep sharing one daemon-lifetime cache
-// can never serve an scc48 result to a mesh256 cell (or vice versa).
-func TestMachineCacheKeysDistinct(t *testing.T) {
-	a := configFor(t, "scc48")
-	b := configFor(t, "mesh256")
-
-	if a.machineEnv == b.machineEnv {
-		t.Fatalf("machine fingerprints collide across presets: %q", a.machineEnv)
-	}
-	if a.baselineEnv() == b.baselineEnv() {
-		t.Errorf("baseline run env identical across machine presets")
-	}
-	if a.rcceEnv() == b.rcceEnv() {
-		t.Errorf("profile run env identical across machine presets")
-	}
-
-	ka := translationKey{"hist", 4, 1.0, partition.PolicySizeAscending, 1 << 14, "", a.machineEnv}
-	kb := ka
-	kb.machine = b.machineEnv
-	if ka == kb {
-		t.Errorf("translation keys identical across machine presets")
-	}
-
-	cell := Cell{Workload: "hist", Cores: 4, Policy: "size"}
-	ca := semanticKey(cell, 1<<14, a.machineEnv)
-	cb := semanticKey(cell, 1<<14, b.machineEnv)
-	if ca == cb {
-		t.Errorf("grid cell keys identical across machine presets")
-	}
-
-	// End to end: the same translation request through one shared cache
-	// under the two machines must compute twice, not share.
-	cache := NewCache()
-	ta := a
-	ta.Cache = cache
-	tb := b
-	tb.Cache = cache
-	w, ok := ByKey("hist")
-	if !ok {
-		t.Fatal("histogram workload missing")
-	}
-	if _, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 1<<14, nil, ta.machineEnv, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 1<<14, nil, tb.machineEnv, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().TranslateRuns; got != 2 {
-		t.Errorf("translation shared across machine presets: %d runs, want 2", got)
-	}
 }
 
 // TestGridMachinePreset runs a tiny grid on a scaled machine end to end:

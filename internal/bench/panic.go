@@ -2,7 +2,7 @@ package bench
 
 // Panic isolation: a panic inside a memoized computation or a harness
 // stage must cost exactly one request, not the process. Recovery sites
-// (the onceCache compute wrapper in evict.go, the grid worker in
+// (the memo compute wrapper in evict.go, the grid worker in
 // grid.go) convert the panic into a *PanicError, which travels the
 // ordinary error path: the serving layer answers 500 with the error
 // envelope, and the cache layer drops the entry so coalesced waiters

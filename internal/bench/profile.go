@@ -23,33 +23,25 @@ import (
 // uniform reference placement), execute the translated RCCE program
 // once with a profile.Collector attached, and distill the counters into
 // a deterministic profile.Report, memoized via cfg.Cache per (workload,
-// threads, scale, machine+runtime options).
+// threads, scale, machine, RCCE runtime parameters and UE map).
 //
 // The profiling run deliberately bypasses cfg.TransformRCCE: the
 // fault-injection seam targets the translation under test, while the
 // profile must measure the real program.
 func ProfileWorkload(w Workload, cfg Config) (*profile.Report, error) {
-	if cfg.Cache != nil {
-		return cfg.Cache.profileReport(w, cfg)
-	}
-	return profileUncached(w, cfg)
-}
-
-// profileUncached is the compute half of ProfileWorkload.
-func profileUncached(w Workload, cfg Config) (*profile.Report, error) {
-	if err := cfg.fault("profile"); err != nil {
-		return nil, fmt.Errorf("%s profile: %w", w.Key, err)
-	}
-	defer cfg.span("profile")()
-	tr, err := cfg.Cache.translate(w, cfg.Threads, cfg.Scale, partition.PolicyOffChipOnly, 0, nil, cfg.machineFingerprint(), cfg.Fault, cfg.Span)
-	if err != nil {
-		return nil, fmt.Errorf("%s profile translate: %w", w.Key, err)
-	}
-	pr, err := cfg.Cache.program(w.Key+"_rcce.c", tr.source, cfg.Fault, cfg.Span)
-	if err != nil {
-		return nil, fmt.Errorf("%s profile reparse: %w", w.Key, err)
-	}
-	return profileProgram(w, cfg, tr, pr)
+	return memo(cfg.Cache, key{stage: stageProfile, spec: cfg.spec(w.Key).rcceRun()}, func() (*profile.Report, error) {
+		return runStage(cfg.Hooks, stageProfile, w.Key, func() (*profile.Report, error) {
+			tr, err := cfg.translation(w, partition.PolicyOffChipOnly, 0, nil)
+			if err != nil {
+				return nil, fmt.Errorf("%s profile translate: %w", w.Key, err)
+			}
+			pr, err := cfg.compile(w.Key+"_rcce.c", tr.source)
+			if err != nil {
+				return nil, fmt.Errorf("%s profile reparse: %w", w.Key, err)
+			}
+			return profileProgram(w, cfg, tr, pr)
+		})
+	})
 }
 
 // profileProgram executes pr — the compiled form of the off-chip
@@ -87,9 +79,16 @@ func profileProgram(w Workload, cfg Config, tr *translation, pr *interp.Program)
 
 // PlacementFor profiles w and optimizes the placement of its shared set
 // for the given effective on-chip budget in bytes (callers resolve
-// "0 = full MPB" first; TranslateWorkload does). Both halves are
+// "0 = full MPB" first, with EffectiveBudget). Both halves are
 // memoized via cfg.Cache, so a grid cell's digest lookup and its
 // translation share one profiling run and one optimizer solve.
 func PlacementFor(w Workload, cfg Config, budget int) (*profile.Placement, error) {
-	return cfg.Cache.placementFor(w, cfg, budget)
+	k := key{stage: stagePlacement, spec: cfg.spec(w.Key).rcceRun(), capacity: budget}
+	return memo(cfg.Cache, k, func() (*profile.Placement, error) {
+		rep, err := ProfileWorkload(w, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return profile.Optimize(rep, budget), nil
+	})
 }

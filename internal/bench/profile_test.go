@@ -51,7 +51,7 @@ func TestProfileByteIdenticalAcrossEngines(t *testing.T) {
 			t.Fatalf("unknown workload %s", w)
 		}
 		cfg := profCfg(4)
-		tr, err := cfg.Cache.translate(wl, cfg.Threads, cfg.Scale, partition.PolicyOffChipOnly, 0, nil, cfg.machineFingerprint(), nil, nil)
+		tr, err := cfg.translation(wl, partition.PolicyOffChipOnly, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", w, err)
 		}
@@ -138,62 +138,12 @@ func TestProfiledPlacementRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestProfilePassMemoizedAcrossBudgets: one profiling run serves every
-// budget of a sweep (the profile is measured under the off-chip
-// reference placement, so it is budget-independent).
-func TestProfilePassMemoizedAcrossBudgets(t *testing.T) {
-	cfg := profCfg(4)
-	w, _ := ByKey("dot")
-	for _, budget := range []int{512, 2048, 16384, 0} {
-		c := cfg
-		c.MPBCapacity = budget
-		if _, err := TranslateWorkload(w, c, partition.PolicyProfiled); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := cfg.Cache.Stats().ProfileRuns; n != 1 {
-		t.Fatalf("profile pass ran %d times across budgets, want 1", n)
-	}
-}
-
-// TestBaselineRunMemoizedAcrossCells (ROADMAP open item): every policy
-// and budget cell at one (workload, cores) configuration shares a
-// single baseline execution through the shared Cache.
-func TestBaselineRunMemoizedAcrossCells(t *testing.T) {
-	cfg := profCfg(4)
-	w, _ := ByKey("pi")
-	policies := []partition.Policy{
-		partition.PolicyOffChipOnly,
-		partition.PolicySizeAscending,
-		partition.PolicyFrequencyDensity,
-		partition.PolicyProfiled,
-	}
-	for _, pol := range policies {
-		if _, err := RunBothBackends(w, cfg, pol); err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-	}
-	if n := cfg.Cache.Stats().BaselineRuns; n != 1 {
-		t.Fatalf("baseline ran %d times across %d cells, want 1", n, len(policies))
-	}
-	// A different core count is a different configuration: it must not
-	// share the run.
-	cfg2 := cfg
-	cfg2.Threads = 2
-	if _, err := RunBaseline(w, cfg2); err != nil {
-		t.Fatal(err)
-	}
-	if n := cfg.Cache.Stats().BaselineRuns; n != 2 {
-		t.Fatalf("baseline runs after second cores value = %d, want 2", n)
-	}
-}
-
 // TestTranslationCacheDistinguishesPlacements (satellite fix): two
 // profiled translations at the same (workload, cores, capacity) tuple
 // but different placement maps must not share a cache entry, and a
 // profiled translation must not collide with a static-policy one.
 func TestTranslationCacheDistinguishesPlacements(t *testing.T) {
-	cache := NewCache()
+	cfg := profCfg(4)
 	w, _ := ByKey("dot")
 	// Hand-built placements give full control over the map contents.
 	mk := func(onchip map[string]bool) *profile.Placement {
@@ -205,25 +155,25 @@ func TestTranslationCacheDistinguishesPlacements(t *testing.T) {
 	}
 	plA := mk(map[string]bool{"psum": true})
 	plB := mk(map[string]bool{"a": true})
-	trA, err := cache.translate(w, 4, 0.05, partition.PolicyProfiled, 16384, plA, "", nil, nil)
+	trA, err := cfg.translation(w, partition.PolicyProfiled, 16384, plA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trB, err := cache.translate(w, 4, 0.05, partition.PolicyProfiled, 16384, plB, "", nil, nil)
+	trB, err := cfg.translation(w, partition.PolicyProfiled, 16384, plB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trA == trB || trA.source == trB.source {
 		t.Fatalf("different placements shared one translation")
 	}
-	trStatic, err := cache.translate(w, 4, 0.05, partition.PolicySizeAscending, 16384, nil, "", nil, nil)
+	trStatic, err := cfg.translation(w, partition.PolicySizeAscending, 16384, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if trStatic == trA || trStatic == trB {
 		t.Fatalf("static translation shared a profiled cache entry")
 	}
-	if n := cache.Stats().TranslateRuns; n != 3 {
+	if n := cfg.Cache.Stats().TranslateRuns; n != 3 {
 		t.Fatalf("pipeline ran %d times, want 3", n)
 	}
 }

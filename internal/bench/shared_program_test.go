@@ -65,28 +65,21 @@ func TestSharedProgramConcurrentCells(t *testing.T) {
 	}
 	// RCCE cells: the same translated Program under different runtime
 	// configurations, including §7.2 many-to-one oversubscription.
-	rcceOpts := []func(int) rcce.Options{
-		func(n int) rcce.Options { return rcce.DefaultOptions(n) },
-		func(n int) rcce.Options {
-			o := rcce.DefaultOptions(n)
-			o.StripeMPB = false
-			return o
-		},
-		func(n int) rcce.Options {
-			o := rcce.DefaultOptions(n)
+	rcceOpts := []func(*rcce.Options){
+		func(o *rcce.Options) {},
+		func(o *rcce.Options) { o.StripeMPB = false },
+		func(o *rcce.Options) {
 			o.Cores = []int{0, 1, 2, 0, 1, 2}
 			o.AllowOversubscribe = true
-			return o
 		},
 	}
-	for i, mk := range rcceOpts {
-		mk := mk
+	for i, set := range rcceOpts {
 		for rep := 0; rep < 2; rep++ {
 			cells = append(cells, cell{
 				name: fmt.Sprintf("rcce/opt%d", i),
 				run: func() (string, error) {
 					c := cfg
-					c.RCCE = mk
+					set(&c.RCCE)
 					res, err := RunRCCEProgram(w, tr, c, partition.PolicySizeAscending)
 					if err != nil {
 						return "", err

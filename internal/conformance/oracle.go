@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"hsmcc/internal/bench"
-	"hsmcc/internal/rcce"
 )
 
 // Matrix is the (cores × oversubscription × placement policy × MPB
@@ -146,7 +145,7 @@ type Divergence struct {
 	Synth    bool   `json:"synth,omitempty"`
 	SynthKey string `json:"synth_key,omitempty"`
 	BaseOut  string `json:"base_out,omitempty"`
-	RCCEOut string `json:"rcce_out,omitempty"`
+	RCCEOut  string `json:"rcce_out,omitempty"`
 	// Err is set when a pipeline stage failed outright (parse, sema,
 	// translate, execution) rather than producing divergent output.
 	Err string `json:"err,omitempty"`
@@ -227,29 +226,18 @@ func kernelWorkload(seed int64, src string) bench.Workload {
 	}
 }
 
-// oversubOptions maps factor×cores UEs round-robin onto cores cores in
-// the runtime's §7.2 many-to-one mode.
-func oversubOptions(cores, factor int) func(int) rcce.Options {
-	return func(n int) rcce.Options {
-		o := rcce.DefaultOptions(n)
-		ues := make([]int, cores*factor)
-		for i := range ues {
-			ues[i] = i % cores
-		}
-		o.Cores = ues
-		o.AllowOversubscribe = true
-		return o
-	}
-}
-
 // cellConfig assembles the harness configuration for one cell: the UE
-// count is cores×oversub, and an oversubscribed cell installs the
-// many-to-one runtime mapping.
+// count is cores×oversub, and an oversubscribed cell maps those UEs
+// round-robin onto cores cores in the runtime's §7.2 many-to-one mode.
 func (e *Engine) cellConfig(cores, budget, oversub int, cache *bench.Cache) bench.Config {
 	ues := cores * max(oversub, 1)
 	cfg := e.config(ues, budget, cache)
 	if oversub > 1 {
-		cfg.RCCE = oversubOptions(cores, oversub)
+		cfg.RCCE.Cores = make([]int, ues)
+		for i := range cfg.RCCE.Cores {
+			cfg.RCCE.Cores[i] = i % cores
+		}
+		cfg.RCCE.AllowOversubscribe = true
 	}
 	return cfg
 }

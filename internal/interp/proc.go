@@ -79,7 +79,7 @@ type Proc struct {
 	timer *sccsim.CoreTimer
 	mach  *sccsim.Machine
 	// prof is the session's access profiler (nil when disabled), copied
-	// from Sim.Prof at Spawn so the accessor hot path avoids the Sim
+	// from Sim.Profiler at Spawn so the accessor hot path avoids the Sim
 	// indirection.
 	prof MemProfiler
 	// trace is the session's scheduling-event sink (nil when disabled),

@@ -69,6 +69,29 @@ const YieldEvery = 32
 // StackBytes is the stack reserved per execution context.
 const StackBytes = 256 * 1024
 
+// Observers are the per-run hooks of a simulation session: what watches
+// or stops a run without being part of what the run computes. Results
+// are identical with or without them, so they are never part of a run's
+// identity — pthreadrt.Options and rcce.Options embed this type beside
+// their plain-data Params, and cache keys are built from Params alone.
+type Observers struct {
+	// Profiler, when non-nil, observes every timed data-memory access of
+	// the session (see MemProfiler); profiling runs attach a
+	// profile.Collector here, everything else leaves it nil.
+	Profiler MemProfiler
+	// Cancel, when non-nil, is polled at every scheduling decision (one
+	// call per context switch). A non-nil return aborts the session
+	// promptly with that error: in-flight contexts unwind, Run returns
+	// the error, and no further work is scheduled. The serving layer
+	// wires a request context's Err here so a wall-clock deadline or
+	// client disconnect stops a simulation mid-flight.
+	Cancel func() error
+	// Trace, when non-nil, observes every scheduling event of the
+	// session (see TraceSink): spawns, run slices, blocks with reasons,
+	// unblocks, test-and-set spin rounds.
+	Trace TraceSink
+}
+
 // Sim is one simulation session: a machine, a loaded program, a runtime
 // and the set of execution contexts. The Program is the immutable
 // compiled half — one Program may back any number of concurrent Sims —
@@ -79,22 +102,9 @@ type Sim struct {
 	Program *Program
 	Runtime Runtime
 	Policy  Policy
-	// Prof, when non-nil, observes every timed data-memory access of the
-	// session (see MemProfiler). Set before Spawn; profiling runs attach
-	// a profile.Collector here, everything else leaves it nil.
-	Prof MemProfiler
-	// Cancel, when non-nil, is polled at every scheduling decision (one
-	// call per context switch). A non-nil return aborts the session
-	// promptly with that error: in-flight contexts unwind, Run returns
-	// the error, and no further work is scheduled. The
-	// serving layer wires a request context's Err here so a wall-clock
-	// deadline or client disconnect stops a simulation mid-flight.
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the
-	// session (see TraceSink). Set before Spawn; like Prof it is
-	// observation-only and excluded from cache fingerprints.
-	Trace TraceSink
-	Out   bytes.Buffer
+	// Observers are the session's per-run hooks, installed by Observe.
+	Observers
+	Out bytes.Buffer
 
 	procs  []*Proc
 	nextID int
@@ -129,6 +139,16 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 		stacks:     make(map[int]int),
 		freeStacks: make(map[int][]int),
 		parked:     make(chan struct{}),
+	}
+}
+
+// Observe installs the session's observers and binds a trace sink that
+// samples machine state (MachineBinder) to the session's machine. Call
+// it before the first Spawn: contexts copy the hooks when created.
+func (s *Sim) Observe(o Observers) {
+	s.Observers = o
+	if b, ok := o.Trace.(MachineBinder); ok {
+		b.BindMachine(s.Machine)
 	}
 }
 
@@ -175,7 +195,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		fn:       fn,
 		rootCF:   rootCF,
 		args:     args,
-		prof:     s.Prof,
+		prof:     s.Profiler,
 		trace:    s.Trace,
 	}
 	p.stackTop = sccsim.PrivateLimit - uint32(idx*StackBytes)

@@ -91,18 +91,11 @@ type TraceSink interface {
 }
 
 // MachineBinder is implemented by trace sinks that sample machine state
-// (per-core counters). The runtime Run functions bind the session's
-// machine right after attaching the sink and before the first spawn, so
-// sinks can be constructed before the machine exists.
+// (per-core counters). Sim.Observe binds the session's machine when it
+// installs the sink, before the first spawn, so sinks can be constructed
+// before the machine exists.
 type MachineBinder interface {
 	BindMachine(m *sccsim.Machine)
-}
-
-// BindTrace attaches a machine to sink if it wants one.
-func BindTrace(sink TraceSink, m *sccsim.Machine) {
-	if b, ok := sink.(MachineBinder); ok {
-		b.BindMachine(m)
-	}
 }
 
 // BlockFor parks the context like Block, tagging the suspension with

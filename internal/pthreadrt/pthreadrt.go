@@ -17,8 +17,10 @@ import (
 	"hsmcc/internal/sccsim"
 )
 
-// Options configures the baseline runtime.
-type Options struct {
+// Params are the baseline runtime's parameters: plain data, comparable,
+// and everything about the runtime a run's result depends on — a cache
+// key over a baseline run embeds this struct as is.
+type Params struct {
 	// Core is the SCC core the whole program runs on.
 	Core int
 	// QuantumCycles is the scheduling timeslice in core cycles.
@@ -30,34 +32,26 @@ type Options struct {
 	FlushOnSwitch bool
 	// CreateCycles is the cost of pthread_create (kernel thread setup).
 	CreateCycles int
-	// Profiler, when non-nil, observes every timed data access of the
-	// run (interp.Sim.Prof) — profiling a baseline uses the program's
-	// static global addresses to label ranges.
-	Profiler interp.MemProfiler
-	// Cancel, when non-nil, is polled at every scheduling decision
-	// (interp.Sim.Cancel): a non-nil return aborts the run promptly
-	// with that error. Callers fingerprinting Options for cache keys
-	// must exclude this field (it is per-request, not part of the run's
-	// semantic identity).
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the run
-	// (interp.Sim.Trace): context spawns, run slices, blocks with
-	// reasons, unblocks. Observation-only — results are identical with
-	// or without it — and, like Cancel, excluded from cache
-	// fingerprints.
-	Trace interp.TraceSink
+}
+
+// Options configures the baseline runtime: the Params a run's result
+// depends on, and the per-run Observers it does not (profiling a
+// baseline uses the program's static global addresses to label ranges).
+type Options struct {
+	Params
+	interp.Observers
 }
 
 // DefaultOptions returns the calibrated baseline used by the experiment
 // harness (EXPERIMENTS.md discusses the calibration).
 func DefaultOptions() Options {
-	return Options{
+	return Options{Params: Params{
 		Core:          0,
 		QuantumCycles: 10_000,
 		SwitchCycles:  1_500,
 		FlushOnSwitch: true,
 		CreateCycles:  8_000,
-	}
+	}}
 }
 
 // Runtime implements interp.Runtime for the single-core Pthread baseline.
@@ -348,10 +342,7 @@ func (r *Result) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSe
 // bound to machine m.
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	sim.Prof = opts.Profiler
-	sim.Cancel = opts.Cancel
-	sim.Trace = opts.Trace
-	interp.BindTrace(opts.Trace, m)
+	sim.Observe(opts.Observers)
 	rt := New(sim, opts)
 	main := pr.Funcs["main"]
 	if main == nil {

@@ -22,13 +22,13 @@ import (
 	"hsmcc/internal/sccsim"
 )
 
-// Options configures an RCCE execution.
-type Options struct {
-	// Cores lists the physical cores of the participating UEs; rank i
-	// runs on Cores[i]. Nil means cores 0..N-1.
-	Cores []int
+// Params are the RCCE runtime's scalar parameters: plain data,
+// comparable, and — with the UE-to-core map in Options.Cores —
+// everything about the runtime a run's result depends on. A cache key
+// over an RCCE run embeds this struct as is.
+type Params struct {
 	// NumUEs is the number of participating units of execution when
-	// Cores is nil.
+	// Options.Cores is nil.
 	NumUEs int
 	// StripeMPB block-distributes on-chip allocations across the
 	// participants' MPB sections so each rank's slice is local
@@ -44,27 +44,25 @@ type Options struct {
 	// each barrier visit.
 	InitCycles    int
 	BarrierCycles int
-	// Profiler, when non-nil, is attached to the session as its memory
-	// profiler (interp.Sim.Prof): every timed data access is reported to
-	// it. Profiling runs of the `profiled` placement policy set this.
-	Profiler interp.MemProfiler
+}
+
+// Options configures an RCCE execution: the Params and the core map a
+// run's result depends on, and the per-run observers it does not.
+type Options struct {
+	Params
+	// Cores lists the physical cores of the participating UEs; rank i
+	// runs on Cores[i]. Nil means cores 0..N-1. It is identity like
+	// Params (who touches a partition from how far decides a placement's
+	// result) and enters a cache key as its canonical text.
+	Cores []int
+	// Observers: profiling runs of the `profiled` placement policy set
+	// Profiler.
+	interp.Observers
 	// AllocObserver, when non-nil, is told about each symmetric
 	// allocation the moment it is created (not on the replaying ranks),
 	// which lets a profiler label the allocator's address ranges with
 	// the shared variables they back.
 	AllocObserver AllocObserver
-	// Cancel, when non-nil, is polled at every scheduling decision
-	// (interp.Sim.Cancel): a non-nil return aborts the run promptly
-	// with that error. Callers fingerprinting Options for cache keys
-	// must exclude this field (it is per-request, not part of the run's
-	// semantic identity).
-	Cancel func() error
-	// Trace, when non-nil, observes every scheduling event of the run
-	// (interp.Sim.Trace): spawns, run slices, barrier/rendezvous blocks
-	// with reasons, test-and-set spin rounds. Observation-only —
-	// results are identical with or without it — and, like Cancel,
-	// excluded from cache fingerprints.
-	Trace interp.TraceSink
 }
 
 // AllocObserver observes symmetric allocations. seq is the allocation's
@@ -76,12 +74,12 @@ type AllocObserver interface {
 
 // DefaultOptions returns the runtime configuration used by the harness.
 func DefaultOptions(numUEs int) Options {
-	return Options{
+	return Options{Params: Params{
 		NumUEs:        numUEs,
 		StripeMPB:     true,
 		InitCycles:    50_000,
 		BarrierCycles: 600,
-	}
+	}}
 }
 
 type allocation struct {
@@ -581,10 +579,7 @@ func EntryPoint(pr *interp.Program) *ast.FuncDecl {
 // rank at time zero (the SCC launcher starts all cores together).
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
-	sim.Prof = opts.Profiler
-	sim.Cancel = opts.Cancel
-	sim.Trace = opts.Trace
-	interp.BindTrace(opts.Trace, m)
+	sim.Observe(opts.Observers)
 	rt, err := New(sim, opts)
 	if err != nil {
 		return nil, err

@@ -1,5 +1,5 @@
 // Package chaos is the daemon's seeded fault-injection plane. An
-// Injector implements the bench.Config.Fault hook: threaded through
+// Injector implements the bench.Hooks.Fault hook: threaded through
 // serve.Options.Fault it fires at the named compute stages ("compile",
 // "translate", "baseline", "simulate", "profile") inside the memoized
 // closures, deterministically injecting compute panics, delays and
@@ -87,7 +87,7 @@ func New(plan Plan) *Injector {
 	return &Injector{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// Fault is the bench.Config.Fault hook: called at each compute stage,
+// Fault is the bench.Hooks.Fault hook: called at each compute stage,
 // it returns nil (no fault, possibly after an injected delay), returns
 // an injected cancellation, or panics. The roll and counters happen
 // under the injector lock; the panic and the sleep happen outside it.

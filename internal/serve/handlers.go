@@ -279,7 +279,7 @@ func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, e
 		// always observes this request's own simulation; the baseline
 		// run may be a cache hit and is deliberately untraced.
 		rec = trace.NewRecorder(nil, 0)
-		cfg.TraceRCCE = rec
+		cfg.Hooks.TraceRCCE = rec
 	}
 	both, err := bench.RunBothBackends(c.workload, cfg, c.policy)
 	if err != nil {
@@ -375,8 +375,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	_, err := bench.RunGrid(req.Grid, bench.RunOptions{
 		Parallel: req.Parallel,
 		Cache:    s.cache,
-		Cancel:   ctx.Err,
-		Fault:    s.fault,
+		Hooks:    bench.Hooks{Cancel: ctx.Err, Fault: s.fault},
 		OnResult: func(res bench.CellResult) {
 			// Callbacks arrive serialized in cell-index order; each line
 			// is one CellResult. Once the request context has ended,

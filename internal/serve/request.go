@@ -95,6 +95,9 @@ func (s *Server) resolve(req *SimRequest) (*simCall, error) {
 	if req.MPBBudget < 0 {
 		return nil, errBadRequest("mpb_budget %d is negative (use 0 for the full MPB)", req.MPBBudget)
 	}
+	if _, err := bench.EffectiveBudget(req.MPBBudget, s.baseCfg.MachineConfig()); err != nil {
+		return nil, errBadRequest("%v", err)
+	}
 	if synth.IsKey(req.Workload) {
 		p, err := synth.ParseKey(req.Workload)
 		if err != nil {
@@ -123,13 +126,9 @@ func (s *Server) config(ctx context.Context, c *simCall) bench.Config {
 	cfg.Threads = c.req.Cores
 	cfg.Scale = c.req.Scale
 	cfg.MPBCapacity = c.req.MPBBudget
-	cfg.Cancel = ctx.Err
-	cfg.Fault = s.fault
-	// The compute-stage span seam: fires only when a stage actually
+	// The compute-stage span seam fires only when a stage actually
 	// runs, so cache hits leave no compute span in the request tree.
-	// Like Cancel and Fault it is per-request state, never cache
-	// identity.
-	cfg.Span = spansFrom(ctx).start
+	cfg.Hooks = bench.Hooks{Cancel: ctx.Err, Fault: s.fault, Span: spansFrom(ctx).start}
 	return cfg
 }
 

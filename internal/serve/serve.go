@@ -133,7 +133,7 @@ type Options struct {
 	// Limits is the admission policy (zero fields take defaults).
 	Limits Limits
 	// Fault, when non-nil, is the chaos-injection seam threaded into
-	// every request's bench.Config (see bench.Config.Fault): it fires
+	// every request's bench.Config (see bench.Hooks.Fault): it fires
 	// at the named compute stages so injected panics, delays and
 	// cancellations exercise the real serving path. Production servers
 	// leave it nil; the chaos selftest and tests install an injector.

@@ -82,6 +82,7 @@ func goldenCases() []goldenCase {
 		{"err_over_limit_cores", "POST", "/v1/simulate", `{"workload":"pi","cores":1048576}`, 400},
 		{"err_over_limit_scale", "POST", "/v1/simulate", `{"workload":"pi","scale":1000000}`, 400},
 		{"err_negative_budget", "POST", "/v1/simulate", `{"workload":"pi","mpb_budget":-1}`, 400},
+		{"err_budget_over_mpb", "POST", "/v1/translate", `{"workload":"pi","mpb_budget":99999999}`, 400},
 		{"err_bad_policy", "POST", "/v1/simulate", `{"workload":"pi","policy":"mystery"}`, 400},
 		{"err_engine_field_rejected", "POST", "/v1/simulate", `{"workload":"pi","cores":2,"scale":0.01,"engine":"treewalk"}`, 400},
 

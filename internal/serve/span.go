@@ -136,7 +136,7 @@ func (sr *spanRecorder) tree() *Span {
 }
 
 // spanCtxKey carries the request's recorder through context, so the
-// bench harness seam (bench.Config.Span) and the handlers reach the
+// bench harness seam (bench.Hooks.Span) and the handlers reach the
 // same tree the instrument wrapper logs.
 type spanCtxKey struct{}
 
