@@ -19,6 +19,7 @@ import (
 	"hsmcc/internal/partition"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/sccsim"
+	"hsmcc/internal/synth"
 )
 
 // benchConfig is the reduced configuration used by the testing.B suite.
@@ -206,6 +207,60 @@ func benchGrid(b *testing.B, workers int) {
 
 func BenchmarkGrid_Sequential(b *testing.B) { benchGrid(b, 1) }
 func BenchmarkGrid_Parallel(b *testing.B)   { benchGrid(b, 0) }
+
+// ---------------------------------------------------------------------------
+// Host cost surface
+// ---------------------------------------------------------------------------
+
+// BenchmarkHostCostSurface is ROADMAP item 3's unit of account as a
+// regenerable number: the host wall time of one simulated access
+// (ns/access: run time over Loads+Stores) on each runtime, over the four
+// MemFrac×Sharing corners of internal/synth — the plane Graphite's
+// synthetic benchmark characterises — plus pi and stream. Programs are
+// compiled and translated outside the timed region, so a cell times
+// nothing but the run. docs/PERFORMANCE.md keeps the table.
+func BenchmarkHostCostSurface(b *testing.B) {
+	cfg := benchConfig()
+	cells := []bench.Workload{}
+	for _, p := range synth.Corners() {
+		cells = append(cells, bench.SynthWorkload(p))
+	}
+	for _, key := range []string{"pi", "stream"} {
+		w, _ := bench.ByKey(key)
+		cells = append(cells, w)
+	}
+	for _, w := range cells {
+		pr, err := bench.CompileBaseline(w, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := bench.TranslateWorkload(w, cfg, partition.PolicySizeAscending)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rt := range []struct {
+			name string
+			run  func() (*bench.RunResult, error)
+		}{
+			{"pthread", func() (*bench.RunResult, error) { return bench.RunBaselineProgram(w, pr, cfg) }},
+			{"rcce", func() (*bench.RunResult, error) {
+				return bench.RunRCCEProgram(w, tr, cfg, partition.PolicySizeAscending)
+			}},
+		} {
+			b.Run(w.Key+"/"+rt.name, func(b *testing.B) {
+				var accesses uint64
+				for i := 0; i < b.N; i++ {
+					res, err := rt.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					accesses += res.Stats.Loads + res.Stats.Stores
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(accesses), "ns/access")
+			})
+		}
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §6)

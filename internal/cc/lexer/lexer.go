@@ -290,6 +290,9 @@ func (lx *Lexer) scanChar(pos token.Pos) (token.Token, error) {
 }
 
 func (lx *Lexer) escape(pos token.Pos) (byte, error) {
+	if lx.off >= len(lx.src) {
+		return 0, lx.errorf(pos, "unterminated escape sequence")
+	}
 	c := lx.advance()
 	switch c {
 	case 'n':

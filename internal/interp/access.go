@@ -78,51 +78,36 @@ func genericLoad(t *types.Type) typedLoad {
 }
 
 // makeSlotLoad is makeLoad fused with the slot lookup of a local
-// variable read — the most executed expression there is — so that it
-// costs one closure call, not an identifier closure calling an accessor
-// closure. It returns nil for types makeLoad has no word variant for.
+// variable read in a generic context, so that it costs one closure call,
+// not an identifier closure calling an accessor closure. It returns nil
+// for types without an integer-like or double word.
 func makeSlotLoad(idx int, t *types.Type) evalFn {
-	if size, sext, ok := intWord(t); ok {
+	if t.Kind == types.Double {
 		return func(p *Proc) (Value, error) {
 			if p.coResuming {
 				return p.popKRef().v, nil
 			}
-			addr := p.slotMem[p.cfp+idx]
-			w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
-			p.Clock += lat
-			return p.loaded(Value{T: t, I: int64(w<<(sext&63)) >> (sext & 63)}, addr)
+			w, err := p.loadWord(p.slotMem[p.cfp+idx], 8, 0)
+			return p.loaded(Value{T: t, F: fv(w)}, err)
 		}
 	}
-	switch t.Kind {
-	case types.Float:
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				return p.popKRef().v, nil
-			}
-			addr := p.slotMem[p.cfp+idx]
-			w, lat := p.mach.LoadWord(p.Core, addr, 4, p.Clock)
-			p.Clock += lat
-			return p.loaded(Value{T: t, F: float64(math.Float32frombits(uint32(w)))}, addr)
-		}
-	case types.Double:
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				return p.popKRef().v, nil
-			}
-			addr := p.slotMem[p.cfp+idx]
-			w, lat := p.mach.LoadWord(p.Core, addr, 8, p.Clock)
-			p.Clock += lat
-			return p.loaded(Value{T: t, F: math.Float64frombits(w)}, addr)
-		}
+	size, sext, ok := intWord(t)
+	if !ok {
+		return nil
 	}
-	return nil
+	return func(p *Proc) (Value, error) {
+		if p.coResuming {
+			return p.popKRef().v, nil
+		}
+		w, err := p.loadWord(p.slotMem[p.cfp+idx], size, sext)
+		return p.loaded(Value{T: t, I: int64(w)}, err)
+	}
 }
 
-// loaded finishes an identifier read whose access just completed: the
-// load's memory-op cadence, and on a yield the frame that carries the
-// value to the resume.
-func (p *Proc) loaded(v Value, addr uint32) (Value, error) {
-	if err := p.noteMemOp(addr, false); err != nil {
+// loaded finishes an identifier read: on a yield at its access, the
+// frame that carries the value to the resume.
+func (p *Proc) loaded(v Value, err error) (Value, error) {
+	if err != nil {
 		if err == errYield {
 			p.pushK(kframe{v: v})
 		}

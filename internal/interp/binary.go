@@ -217,45 +217,6 @@ func sintTag(t *types.Type) bool {
 	return t != nil && t.Kind >= types.Char && t.Kind <= types.Long
 }
 
-// foldInt is the int kernel's fold: foldFast's integer branch for two
-// sintTag operands and an int or long result.
-func foldInt(op token.Kind, a, b int64) int64 {
-	switch op {
-	case token.Plus:
-		return int64(int32(a + b))
-	case token.Minus:
-		return int64(int32(a - b))
-	case token.Star:
-		return int64(int32(a * b))
-	case token.Lt:
-		return b2i(a < b)
-	case token.Gt:
-		return b2i(a > b)
-	case token.Le:
-		return b2i(a <= b)
-	case token.Ge:
-		return b2i(a >= b)
-	case token.EqEq:
-		return b2i(a == b)
-	default:
-		return b2i(a != b)
-	}
-}
-
-// foldDouble is the double kernel's fold.
-func foldDouble(op token.Kind, a, b float64) float64 {
-	switch op {
-	case token.Plus:
-		return a + b
-	case token.Minus:
-		return a - b
-	case token.Star:
-		return a * b
-	default:
-		return a / b
-	}
-}
-
 // applyKernel is applyBinaryFast behind the lowering-time choice, with
 // the same contract: on a yield at the charge the outcome is saved and
 // the caller pushes its own frame, whose resume (empty operands, which
@@ -264,9 +225,11 @@ func (p *Proc) applyKernel(kern binKernel, cost int, op token.Kind, x, y Value, 
 	var v Value
 	switch {
 	case kern == kernInt && sintTag(x.T) && sintTag(y.T):
-		v = Value{T: rt, I: foldInt(op, x.I, y.I)}
+		w, _ := folds[fop(op)](uint64(x.I), uint64(y.I))
+		v = Value{T: rt, I: int64(w)}
 	case kern == kernDouble && x.IsFloat() && y.IsFloat():
-		v = Value{T: rt, F: foldDouble(op, x.F, y.F)}
+		w, _ := folds[fopDbl|fop(op)](fw(x.F), fw(y.F))
+		v = Value{T: rt, F: fv(w)}
 	default:
 		return p.applyBinaryFast(op, x, y, rt)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
+	"hsmcc/internal/sccsim"
 )
 
 // evalCall dispatches a call: defined functions first (directly by name
@@ -105,6 +106,9 @@ const (
 	bWallclock
 )
 
+// builtinArity is how many arguments a common builtin reads.
+var builtinArity = [...]int{bMalloc: 1, bCalloc: 2, bMemset: 3, bMemcpy: 3, bAtoi: 1, bSqrt: 1, bFabs: 1}
+
 // commonBuiltinID interns a callee name.
 func commonBuiltinID(name string) builtinID {
 	switch name {
@@ -147,6 +151,9 @@ func (p *Proc) commonBuiltin(name string, args []Value) (Value, bool, error) {
 // the post-charge epilogue needs (the formatted text, the allocated
 // address, the computed result).
 func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error) {
+	if int(id) < len(builtinArity) && len(args) < builtinArity[id] {
+		return Value{}, true, fmt.Errorf("builtin called with %d arguments, wants %d", len(args), builtinArity[id])
+	}
 	var fr kframe
 	if p.coResuming {
 		fr = p.popK()
@@ -177,7 +184,10 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bMalloc: // private heap (also RCCE_malloc_request)
 		addr := fr.a
 		if fr.step == 0 {
-			addr = p.heapAlloc(int(args[0].Int()))
+			var err error
+			if addr, err = p.heapAlloc("malloc", args[0].Int(), 1); err != nil {
+				return Value{}, true, err
+			}
 			if err := p.chargeCycles(costCall * 4); err != nil {
 				p.pushK(kframe{step: 1, a: addr})
 				return Value{}, true, err
@@ -188,11 +198,13 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bCalloc:
 		addr := fr.a
 		if fr.step == 0 {
-			n := int(args[0].Int() * args[1].Int())
-			addr = p.heapAlloc(n)
+			var err error
+			if addr, err = p.heapAlloc("calloc", args[0].Int(), args[1].Int()); err != nil {
+				return Value{}, true, err
+			}
 			// PageMem zero-fills fresh pages; the bump allocator never
 			// reuses, so the region is already zero.
-			if err := p.chargeCycles(costCall*4 + n/8); err != nil {
+			if err := p.chargeCycles(costCall*4 + int(args[0].Int()*args[1].Int())/8); err != nil {
 				p.pushK(kframe{step: 1, a: addr})
 				return Value{}, true, err
 			}
@@ -211,6 +223,9 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bMemset:
 		if fr.step == 0 {
 			addr, val, n := args[0].Addr(), byte(args[1].Int()), int(args[2].Int())
+			if err := checkSpan("memset", addr, args[2].Int(), p.mach); err != nil {
+				return Value{}, true, err
+			}
 			buf := make([]byte, n)
 			for i := range buf {
 				buf[i] = val
@@ -232,6 +247,11 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bMemcpy:
 		if fr.step == 0 {
 			dst, src, n := args[0].Addr(), args[1].Addr(), int(args[2].Int())
+			for _, a := range []uint32{src, dst} {
+				if err := checkSpan("memcpy", a, args[2].Int(), p.mach); err != nil {
+					return Value{}, true, err
+				}
+			}
 			buf := make([]byte, n)
 			p.Clock += p.Sim.Machine.Load(p.Core, src, buf, p.Clock)
 			p.Clock += p.Sim.Machine.Store(p.Core, dst, buf, p.Clock)
@@ -290,6 +310,35 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 		return FloatValue(types.DoubleType, p.Seconds()), true, nil
 	}
 	return Value{}, false, nil
+}
+
+// heapLimit is where a core's heap must stop: the upper half of the
+// private range is the stack slots Sim.Spawn hands out.
+const heapLimit = sccsim.PrivateBase + (sccsim.PrivateLimit-sccsim.PrivateBase)/2
+
+// checkSpan rejects the span of a bulk builtin before anything is
+// allocated for it: a negative length, or one reaching past the end of
+// the address class it starts in (the private range splitting at
+// heapLimit, since nothing a program owns straddles it; an MPB span
+// need only be no longer than the MPB — where it lies is the machine's
+// fault to report).
+func checkSpan(name string, addr uint32, n int64, m *sccsim.Machine) error {
+	end := uint64(heapLimit)
+	switch {
+	case addr >= sccsim.MPBBase:
+		end = uint64(addr) + uint64(m.Config().MPBTotal())
+	case addr >= sccsim.SharedBase:
+		end = uint64(sccsim.SharedLimit)
+	case addr >= heapLimit:
+		end = uint64(sccsim.PrivateLimit)
+	}
+	switch {
+	case n < 0:
+		return fmt.Errorf("%s of %d bytes at %#x: negative length", name, n, addr)
+	case n > 0 && uint64(addr)+uint64(n) > end:
+		return fmt.Errorf("%s of %d bytes at %#x: reaches past the memory it starts in (ends at %#x)", name, n, addr, end)
+	}
+	return nil
 }
 
 // formatC renders a C printf format with the given arguments.

@@ -55,12 +55,8 @@ func compileProgram(pr *Program) error {
 		if cf.decl.Body == nil {
 			continue
 		}
-		c := &compiler{pr: pr, cf: cf, slotIdx: make(map[*ast.Symbol]int)}
-		for i, sd := range cf.slots {
-			// Last allocation wins, mirroring the reference frame map.
-			c.slotIdx[sd.sym] = i
-		}
-		cf.body = c.compileBlock(cf.decl.Body)
+		c := newCompiler(pr, cf)
+		cf.body = c.compileBlock(cf.decl.Body, 0)
 		if c.err != nil {
 			return c.err
 		}
@@ -128,6 +124,15 @@ type compiler struct {
 	err     error
 }
 
+func newCompiler(pr *Program, cf *compiledFunc) *compiler {
+	c := &compiler{pr: pr, cf: cf, slotIdx: make(map[*ast.Symbol]int)}
+	for i, sd := range cf.slots {
+		// Last allocation wins, mirroring the reference frame map.
+		c.slotIdx[sd.sym] = i
+	}
+	return c
+}
+
 // fail records why the function cannot be lowered (the first reason
 // wins). Lowering carries on with nil closures, which never run because
 // the Load fails.
@@ -155,7 +160,7 @@ func b2i(b bool) int64 {
 
 // compileBlock lowers a statement list (no per-block statement count; the
 // enclosing BlockStmt node, when there is one, carries its own).
-func (c *compiler) compileBlock(b *ast.BlockStmt) execFn {
+func (c *compiler) compileBlock(b *ast.BlockStmt, tick uint64) execFn {
 	list := make([]execFn, len(b.List))
 	for i, s := range b.List {
 		list[i] = c.compileStmt(s)
@@ -168,7 +173,9 @@ func (c *compiler) compileBlock(b *ast.BlockStmt) execFn {
 	}
 	return func(p *Proc, ret *Value) (ctrl, error) {
 		start := 0
-		if p.coResuming {
+		if !p.coResuming {
+			p.Ops += tick
+		} else {
 			// A fused resume index rides the top frame (always this
 			// block's own record: outer frames are already popped, and
 			// the descendant frame it fused onto is popped only after
@@ -214,7 +221,10 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 	// the statement count, which already ran on fresh entry) — so every
 	// suspension that crosses them saves a frame both ways.
 	case *ast.BlockStmt:
-		inner := c.compileBlock(n)
+		if len(n.List) > 1 {
+			return c.compileBlock(n, 1)
+		}
+		inner := c.compileBlock(n, 0)
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			if !p.coResuming {
 				p.Ops++
@@ -226,6 +236,9 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		return c.compileDecl(n)
 
 	case *ast.ExprStmt:
+		if f := c.compileEffect(n.X, 1); f != nil {
+			return f
+		}
 		x := c.compileExpr(n.X)
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			if !p.coResuming {
@@ -236,7 +249,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		}
 
 	case *ast.IfStmt:
-		cond := c.compileExpr(n.Cond)
+		cond := c.compileTruth(n.Cond)
 		then := c.compileStmt(n.Then)
 		var els execFn
 		if n.Else != nil {
@@ -253,14 +266,14 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				p.Ops++
 			}
 			if step <= 1 {
-				v, err := cond(p)
+				w, err := cond(p)
 				if err != nil {
 					if err == errYield {
 						p.pushK(kframe{step: 1})
 					}
 					return ctrlNone, err
 				}
-				cb = v.Bool()
+				cb = w != 0
 				if err := p.chargeCycles(costALU); err != nil {
 					p.pushK(kframe{step: 2, n: b2i(cb)})
 					return ctrlNone, err
@@ -288,13 +301,21 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		if n.Init != nil {
 			init = c.compileStmt(n.Init)
 		}
-		var cond evalFn
+		// A for without a condition branches on a constant truth, as the
+		// reference does: every iteration reaches a charge.
+		cond := rawFn(func(*Proc) (uint64, error) { return 1, nil })
 		if n.Cond != nil {
-			cond = c.compileExpr(n.Cond)
+			cond = c.compileTruth(n.Cond)
 		}
-		var post evalFn
+		var post execFn
 		if n.Post != nil {
-			post = c.compileExpr(n.Post)
+			if post = c.compileEffect(n.Post, 0); post == nil {
+				x := c.compileExpr(n.Post)
+				post = func(p *Proc, _ *Value) (ctrl, error) { // transparent
+					_, err := x(p)
+					return ctrlNone, err
+				}
+			}
 		}
 		body := c.compileStmt(n.Body)
 		// Units per iteration: 2 cond eval, 3 post-charge test (n = the
@@ -321,22 +342,20 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 			}
 			for {
 				if step <= 2 {
-					if cond != nil {
-						v, err := cond(p)
-						if err != nil {
-							if err == errYield {
-								p.pushK(kframe{step: 2})
-							}
-							return ctrlNone, err
+					w, err := cond(p)
+					if err != nil {
+						if err == errYield {
+							p.pushK(kframe{step: 2})
 						}
-						cb := v.Bool()
-						if err := p.chargeCycles(costALU); err != nil {
-							p.pushK(kframe{step: 3, n: b2i(cb)})
-							return ctrlNone, err
-						}
-						if !cb {
-							break
-						}
+						return ctrlNone, err
+					}
+					cb := w != 0
+					if err := p.chargeCycles(costALU); err != nil {
+						p.pushK(kframe{step: 3, n: b2i(cb)})
+						return ctrlNone, err
+					}
+					if !cb {
+						break
 					}
 				} else if step == 3 {
 					if !cbSaved {
@@ -359,7 +378,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					}
 				}
 				if post != nil {
-					if _, err := post(p); err != nil {
+					if _, err := post(p, ret); err != nil {
 						if err == errYield {
 							p.pushK(kframe{step: 5})
 						}
@@ -372,7 +391,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		}
 
 	case *ast.WhileStmt:
-		cond := c.compileExpr(n.Cond)
+		cond := c.compileTruth(n.Cond)
 		body := c.compileStmt(n.Body)
 		// Units per iteration: 1 cond eval, 2 post-charge test, 3 body.
 		return func(p *Proc, ret *Value) (ctrl, error) {
@@ -385,14 +404,14 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 			}
 			for {
 				if step <= 1 {
-					v, err := cond(p)
+					w, err := cond(p)
 					if err != nil {
 						if err == errYield {
 							p.pushK(kframe{step: 1})
 						}
 						return ctrlNone, err
 					}
-					cb := v.Bool()
+					cb := w != 0
 					if err := p.chargeCycles(costALU); err != nil {
 						p.pushK(kframe{step: 2, n: b2i(cb)})
 						return ctrlNone, err
@@ -424,7 +443,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 
 	case *ast.DoWhileStmt:
 		body := c.compileStmt(n.Body)
-		cond := c.compileExpr(n.Cond)
+		cond := c.compileTruth(n.Cond)
 		// Units per iteration: 1 body, 2 cond eval, 3 post-charge test.
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			step, cbSaved := 0, false
@@ -451,14 +470,14 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					}
 				}
 				if step <= 2 {
-					v, err := cond(p)
+					w, err := cond(p)
 					if err != nil {
 						if err == errYield {
 							p.pushK(kframe{step: 2})
 						}
 						return ctrlNone, err
 					}
-					cb := v.Bool()
+					cb := w != 0
 					if err := p.chargeCycles(costALU); err != nil {
 						p.pushK(kframe{step: 3, n: b2i(cb)})
 						return ctrlNone, err

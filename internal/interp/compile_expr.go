@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 
 	"hsmcc/internal/cc/ast"
@@ -17,6 +18,11 @@ import (
 // it is the straight-line pre-coroutine code plus push-on-yield.
 
 func (c *compiler) compileExpr(e ast.Expr) evalFn {
+	// An operator or cast over operands of provable tags lowers fused
+	// (fuse.go), boxed for this generic context.
+	if o := c.classify(e); o.shape == shExpr && !o.lvalue {
+		return boxed(c.compileRaw(o), o.tag)
+	}
 	switch n := e.(type) {
 	case *ast.ParenExpr:
 		return c.compileExpr(n.X)
@@ -167,55 +173,10 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 
 	case *ast.MemberExpr:
 		lf, st := c.compileLValue(n)
-		if st != nil {
-			ld := makeLoad(st)
-			return func(p *Proc) (Value, error) {
-				if p.coResuming {
-					fr := p.popKRef()
-					if fr.step != 0 {
-						return fr.v, nil
-					}
-				}
-				addr, _, err := lf(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{})
-					}
-					return Value{}, err
-				}
-				v, err := ld(p, addr)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 1, v: v})
-					}
-					return Value{}, err
-				}
-				return v, nil
-			}
+		if st == nil {
+			return failing(lf)
 		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return fr.v, nil
-				}
-			}
-			addr, t, err := lf(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			v, err := p.loadValue(addr, t)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 1, v: v})
-				}
-				return Value{}, err
-			}
-			return v, nil
-		}
+		return loadThrough(lf, st) // an array member does not decay: the reference loads it, and fails
 
 	default:
 		return errEval(fmt.Errorf("%s: cannot evaluate %T", e.Pos(), e))
@@ -227,89 +188,29 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 // 3 store, 4 done (result saved).
 func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 	lf, st := c.compileLValue(lhs)
+	if st == nil {
+		return failing(lf)
+	}
 	delta := int64(1)
 	if minus {
 		delta = -1
 	}
-	if st != nil {
-		ld, sf := makeLoad(st), makeStore(st)
-		// tail finishes the operation from the post-load charge (step 2)
-		// or the store (step 3).
-		tail := func(p *Proc, addr uint32, old Value, step int) (Value, error) {
-			if step <= 2 {
-				if err := p.chargeCycles(costALU); err != nil {
-					p.pushK(kframe{step: 3, a: addr, v: old})
-					return Value{}, err
-				}
-			}
-			res := old
-			upd := p.stepValue(old, st, delta)
-			if prefix {
-				res = upd
-			}
-			if _, err := sf(p, addr, upd); err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 4, v: res})
-				}
-				return Value{}, err
-			}
-			return res, nil
-		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				switch fr.step {
-				case 2, 3:
-					return tail(p, fr.a, fr.v, fr.step)
-				case 4:
-					return fr.v, nil
-				}
-			}
-			addr, _, err := lf(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			old, err := ld(p, addr)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 2, a: addr, v: old})
-				}
-				return Value{}, err
-			}
+	ld, sf := makeLoad(st), makeStore(st)
+	// tail finishes the operation from the post-load charge (step 2)
+	// or the store (step 3).
+	tail := func(p *Proc, addr uint32, old Value, step int) (Value, error) {
+		if step <= 2 {
 			if err := p.chargeCycles(costALU); err != nil {
 				p.pushK(kframe{step: 3, a: addr, v: old})
 				return Value{}, err
 			}
-			res := old
-			upd := p.stepValue(old, st, delta)
-			if prefix {
-				res = upd
-			}
-			if _, err := sf(p, addr, upd); err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 4, v: res})
-				}
-				return Value{}, err
-			}
-			return res, nil
-		}
-	}
-	tail := func(p *Proc, addr uint32, t *types.Type, old Value, step int) (Value, error) {
-		if step <= 2 {
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 3, a: addr, v: old, x: t})
-				return Value{}, err
-			}
 		}
 		res := old
-		upd := p.stepValue(old, t, delta)
+		upd := p.stepValue(old, st, delta)
 		if prefix {
 			res = upd
 		}
-		if err := p.storeValue(addr, t, upd); err != nil {
+		if _, err := sf(p, addr, upd); err != nil {
 			if err == errYield {
 				p.pushK(kframe{step: 4, v: res})
 			}
@@ -322,27 +223,26 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 			fr := p.popKRef()
 			switch fr.step {
 			case 2, 3:
-				t, _ := fr.x.(*types.Type)
-				return tail(p, fr.a, t, fr.v, fr.step)
+				return tail(p, fr.a, fr.v, fr.step)
 			case 4:
 				return fr.v, nil
 			}
 		}
-		addr, t, err := lf(p)
+		addr, _, err := lf(p)
 		if err != nil {
 			if err == errYield {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
-		old, err := p.loadValue(addr, t)
+		old, err := ld(p, addr)
 		if err != nil {
 			if err == errYield {
-				p.pushK(kframe{step: 2, a: addr, v: old, x: t})
+				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
 		}
-		return tail(p, addr, t, old, 2)
+		return tail(p, addr, old, 2)
 	}
 }
 
@@ -438,45 +338,29 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 
 // compileLoadOf turns a compiled lvalue into an rvalue closure: arrays
 // decay to element pointers, everything else loads through the typed
-// accessor when the stored type is statically known.
+// accessor.
 func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
-	if st != nil {
-		if st.Kind == types.Array {
-			pt := types.PointerTo(st.Elem)
-			// Transparent: the decay after the lvalue resolves is pure.
-			return func(p *Proc) (Value, error) {
-				addr, _, err := lf(p)
-				if err != nil {
-					return Value{}, err
-				}
-				return PtrValue(pt, addr), nil
-			}
-		}
-		ld := makeLoad(st)
+	if st == nil {
+		return failing(lf)
+	}
+	if st.Kind == types.Array {
+		pt := types.PointerTo(st.Elem)
+		// Transparent: the decay after the lvalue resolves is pure.
 		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return fr.v, nil
-				}
-			}
 			addr, _, err := lf(p)
 			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
 				return Value{}, err
 			}
-			v, err := ld(p, addr)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 1, v: v})
-				}
-				return Value{}, err
-			}
-			return v, nil
+			return PtrValue(pt, addr), nil
 		}
 	}
+	return loadThrough(lf, st)
+}
+
+// loadThrough loads a value of type st at the address lf resolves.
+// Units: 0 lvalue, 1 loaded (the value saved).
+func loadThrough(lf lvalFn, st *types.Type) evalFn {
+	ld := makeLoad(st)
 	return func(p *Proc) (Value, error) {
 		if p.coResuming {
 			fr := p.popKRef()
@@ -484,17 +368,14 @@ func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
 				return fr.v, nil
 			}
 		}
-		addr, t, err := lf(p)
+		addr, _, err := lf(p)
 		if err != nil {
 			if err == errYield {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
-		if t.Kind == types.Array {
-			return PtrValue(types.PointerTo(t.Elem), addr), nil
-		}
-		v, err := p.loadValue(addr, t)
+		v, err := ld(p, addr)
 		if err != nil {
 			if err == errYield {
 				p.pushK(kframe{step: 1, v: v})
@@ -505,10 +386,24 @@ func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
 	}
 }
 
+// failing lowers a use of an lvalue whose stored type lowering could not
+// resolve. Such a resolver never produces an address — every nil-typed
+// return of compileLValue fails at run time, after evaluating what the
+// reference evaluates first — so its error is the use's outcome.
+// Transparent.
+func failing(lf lvalFn) evalFn {
+	return func(p *Proc) (Value, error) {
+		_, _, err := lf(p)
+		if err == nil {
+			err = errors.New("interp: lvalue of unresolved type")
+		}
+		return Value{}, err
+	}
+}
+
 // compileLValue lowers e to an address resolver. The second result is
-// the statically-known stored type when the compiler can prove it (used
-// to specialise index arithmetic); the closure always reports the type
-// it resolved, exactly as the reference evalLValue does.
+// the stored type, which every resolver that can succeed knows at
+// lowering time; nil marks one that always fails (see failing).
 func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 	switch n := e.(type) {
 	case *ast.ParenExpr:
@@ -577,148 +472,58 @@ func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 // Units: 0 base resolve, 1 index eval (a = base), 2 address charge
 // (a = base, n = index), 3 done.
 func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
+	if lf, elem := c.fuseIndex(n); lf != nil {
+		return lf, elem
+	}
 	idxFn := c.compileExpr(n.Index)
 	bt := n.X.ResultType()
+	var elem *types.Type
+	var baseFn lvalFn
 	if bt != nil && bt.Kind == types.Array {
-		baseFn, staticT := c.compileLValue(n.X)
-		if staticT != nil {
-			elem := staticT.Elem
-			if elem == nil {
-				c.fail(n.Pos(), "indexed array has no element type")
-				return nil, nil
-			}
-			elemSize := int64(elem.Size())
-			tail := func(p *Proc, base uint32) (uint32, *types.Type, error) {
-				v, err := idxFn(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 1, a: base})
-					}
-					return 0, nil, err
-				}
-				iv := v.Int()
-				if err := p.chargeCycles(costALU); err != nil {
-					p.pushK(kframe{step: 3, a: base, n: iv})
-					return 0, nil, err
-				}
-				return base + uint32(iv*elemSize), elem, nil
-			}
-			return func(p *Proc) (uint32, *types.Type, error) {
-				if p.coResuming {
-					fr := p.popKRef()
-					switch fr.step {
-					case 1:
-						return tail(p, fr.a)
-					case 3:
-						return fr.a + uint32(fr.n*elemSize), elem, nil
-					}
-				}
-				base, _, err := baseFn(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{})
-					}
-					return 0, nil, err
-				}
-				v, err := idxFn(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 1, a: base})
-					}
-					return 0, nil, err
-				}
-				iv := v.Int()
-				if err := p.chargeCycles(costALU); err != nil {
-					p.pushK(kframe{step: 3, a: base, n: iv})
-					return 0, nil, err
-				}
-				return base + uint32(iv*elemSize), elem, nil
-			}, elem
+		var staticT *types.Type
+		if baseFn, staticT = c.compileLValue(n.X); staticT == nil {
+			return baseFn, nil
 		}
-		// Base type only known at run time (error paths): mirror the
-		// reference flow with the runtime type.
-		tail := func(p *Proc, base uint32, elem *types.Type) (uint32, *types.Type, error) {
-			v, err := idxFn(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 1, a: base, x: elem})
-				}
-				return 0, nil, err
-			}
-			iv := v.Int()
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 3, a: base, n: iv, x: elem})
-				return 0, nil, err
-			}
-			return base + uint32(iv*int64(elem.Size())), elem, nil
+		if elem = staticT.Elem; elem == nil {
+			c.fail(n.Pos(), "indexed array has no element type")
+			return nil, nil
 		}
-		return func(p *Proc) (uint32, *types.Type, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				switch fr.step {
-				case 1:
-					el, _ := fr.x.(*types.Type)
-					return tail(p, fr.a, el)
-				case 3:
-					el, _ := fr.x.(*types.Type)
-					return fr.a + uint32(fr.n*int64(el.Size())), el, nil
-				}
+	} else {
+		xFn := c.compileExpr(n.X)
+		nullErr := fmt.Errorf("%s: indexing a null pointer", n.Pos())
+		baseFn = func(p *Proc) (uint32, *types.Type, error) { // transparent
+			bv, err := xFn(p)
+			if err == nil && bv.Addr() == 0 {
+				err = nullErr
 			}
-			base, t, err := baseFn(p)
-			if err != nil {
+			return bv.Addr(), nil, err
+		}
+		if bt != nil && bt.IsPointerLike() {
+			elem = bt.Decay().Elem
+		}
+		if elem == nil {
+			elem = types.IntType
+		}
+	}
+	elemSize := int64(elem.Size())
+	return func(p *Proc) (uint32, *types.Type, error) {
+		var base uint32
+		step := 0
+		if p.coResuming {
+			fr := p.popKRef()
+			if fr.step == 3 {
+				return fr.a + uint32(fr.n*elemSize), elem, nil
+			}
+			step, base = fr.step, fr.a
+		}
+		if step == 0 {
+			var err error
+			if base, _, err = baseFn(p); err != nil {
 				if err == errYield {
 					p.pushK(kframe{})
 				}
 				return 0, nil, err
 			}
-			return tail(p, base, t.Elem)
-		}, nil
-	}
-	xFn := c.compileExpr(n.X)
-	var elem *types.Type
-	if bt != nil && bt.IsPointerLike() {
-		elem = bt.Decay().Elem
-	}
-	if elem == nil {
-		elem = types.IntType
-	}
-	elemSize := int64(elem.Size())
-	nullErr := fmt.Errorf("%s: indexing a null pointer", n.Pos())
-	tail := func(p *Proc, base uint32) (uint32, *types.Type, error) {
-		v, err := idxFn(p)
-		if err != nil {
-			if err == errYield {
-				p.pushK(kframe{step: 1, a: base})
-			}
-			return 0, nil, err
-		}
-		iv := v.Int()
-		if err := p.chargeCycles(costALU); err != nil {
-			p.pushK(kframe{step: 3, a: base, n: iv})
-			return 0, nil, err
-		}
-		return base + uint32(iv*elemSize), elem, nil
-	}
-	return func(p *Proc) (uint32, *types.Type, error) {
-		if p.coResuming {
-			fr := p.popKRef()
-			switch fr.step {
-			case 1:
-				return tail(p, fr.a)
-			case 3:
-				return fr.a + uint32(fr.n*elemSize), elem, nil
-			}
-		}
-		bv, err := xFn(p)
-		if err != nil {
-			if err == errYield {
-				p.pushK(kframe{})
-			}
-			return 0, nil, err
-		}
-		base := bv.Addr()
-		if base == 0 {
-			return 0, nil, nullErr
 		}
 		v, err := idxFn(p)
 		if err != nil {
@@ -787,35 +592,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 	}
 	baseFn, staticT := c.compileLValue(n.X)
 	if staticT == nil {
-		// Inner lvalue type resolves at run time (error paths): replicate
-		// the reference field lookup dynamically.
-		name := n.Name
-		pos := n.Pos()
-		return func(p *Proc) (uint32, *types.Type, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 { // 2: offset charge complete
-					return fr.a + uint32(fr.n), fr.x.(*types.Type), nil
-				}
-			}
-			base, st, err := baseFn(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return 0, nil, err
-			}
-			f, ok := st.Field(name)
-			if !ok {
-				return 0, nil, fmt.Errorf("%s: no field %s in %s", pos, name, st)
-			}
-			off, ft := uint32(f.Offset), f.Type
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 2, a: base, n: int64(off), x: ft})
-				return 0, nil, err
-			}
-			return base + off, ft, nil
-		}, nil
+		return baseFn, nil
 	}
 	f, ok := staticT.Field(n.Name)
 	if !ok {
@@ -894,84 +671,22 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 	}
 
 	x := c.compileExpr(n.X)
+	// apply is the operator's pure half and its charge.
+	var apply func(v Value) (Value, int)
 	switch n.Op {
 	case token.Minus:
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return fr.v, nil
-				}
-			}
-			v, err := x(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			var res Value
-			cost := costALU
+		apply = func(v Value) (Value, int) {
 			if v.IsFloat() {
-				res, cost = FloatValue(v.T, -v.F), costFAdd
-			} else {
-				res = IntValue(v.T, -v.I)
+				return FloatValue(v.T, -v.F), costFAdd
 			}
-			if err := p.chargeCycles(cost); err != nil {
-				p.pushK(kframe{step: 1, v: res})
-				return Value{}, err
-			}
-			return res, nil
+			return IntValue(v.T, -v.I), costALU
 		}
 	case token.Plus:
 		return x
 	case token.Bang:
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return fr.v, nil
-				}
-			}
-			v, err := x(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			res := IntValue(types.IntType, 1)
-			if v.Bool() {
-				res = IntValue(types.IntType, 0)
-			}
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 1, v: res})
-				return Value{}, err
-			}
-			return res, nil
-		}
+		apply = func(v Value) (Value, int) { return IntValue(types.IntType, b2i(!v.Bool())), costALU }
 	case token.Tilde:
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return fr.v, nil
-				}
-			}
-			v, err := x(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			res := IntValue(v.T, int64(int32(^uint32(v.Int()))))
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 1, v: res})
-				return Value{}, err
-			}
-			return res, nil
-		}
+		apply = func(v Value) (Value, int) { return IntValue(v.T, int64(int32(^uint32(v.Int())))), costALU }
 	default:
 		err := fmt.Errorf("%s: unary %s unsupported", n.Pos(), n.Op)
 		return func(p *Proc) (Value, error) { // transparent
@@ -981,330 +696,170 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 			return Value{}, err
 		}
 	}
+	// Units: 0 operand, 1 charged (the result saved).
+	return func(p *Proc) (Value, error) {
+		if p.coResuming {
+			fr := p.popKRef()
+			if fr.step != 0 {
+				return fr.v, nil
+			}
+		}
+		v, err := x(p)
+		if err != nil {
+			if err == errYield {
+				p.pushK(kframe{})
+			}
+			return Value{}, err
+		}
+		res, cost := apply(v)
+		if err := p.chargeCycles(cost); err != nil {
+			p.pushK(kframe{step: 1, v: res})
+			return Value{}, err
+		}
+		return res, nil
+	}
 }
 
 func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	lf, st := c.compileLValue(n.LHS)
+	if st == nil {
+		return failing(lf)
+	}
 	rf := c.compileExpr(n.RHS)
+	sf := makeStore(st)
 	if n.Op == token.Assign {
-		if st != nil {
-			sf := makeStore(st)
-			// tail re-enters from the RHS (step 1); a store-yield saves
-			// the converted value under step 3.
-			tail := func(p *Proc, addr uint32) (Value, error) {
-				rhs, err := rf(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 1, a: addr})
-					}
-					return Value{}, err
+		// Units: 0 lvalue, 1 RHS (a = address), 3 stored (the converted
+		// value saved).
+		return func(p *Proc) (Value, error) {
+			var addr uint32
+			step := 0
+			if p.coResuming {
+				fr := p.popKRef()
+				if fr.step == 3 {
+					return fr.v, nil
 				}
-				cv, err := sf(p, addr, rhs)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 3, v: cv})
-					}
-					return Value{}, err
-				}
-				return cv, nil
+				step, addr = fr.step, fr.a
 			}
-			return func(p *Proc) (Value, error) {
-				if p.coResuming {
-					fr := p.popKRef()
-					switch fr.step {
-					case 1:
-						return tail(p, fr.a)
-					case 3:
-						return fr.v, nil
-					}
-				}
-				addr, _, err := lf(p)
-				if err != nil {
+			if step == 0 {
+				var err error
+				if addr, _, err = lf(p); err != nil {
 					if err == errYield {
 						p.pushK(kframe{})
 					}
 					return Value{}, err
 				}
-				rhs, err := rf(p)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 1, a: addr})
-					}
-					return Value{}, err
-				}
-				cv, err := sf(p, addr, rhs)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 3, v: cv})
-					}
-					return Value{}, err
-				}
-				return cv, nil
 			}
-		}
-		tail := func(p *Proc, addr uint32, t *types.Type) (Value, error) {
 			rhs, err := rf(p)
 			if err != nil {
 				if err == errYield {
-					p.pushK(kframe{step: 1, a: addr, x: t})
+					p.pushK(kframe{step: 1, a: addr})
 				}
 				return Value{}, err
 			}
-			v := Convert(rhs, t)
-			if err := p.storeValue(addr, t, v); err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 3, v: v})
-				}
-				return Value{}, err
-			}
-			return v, nil
-		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				switch fr.step {
-				case 1:
-					t, _ := fr.x.(*types.Type)
-					return tail(p, fr.a, t)
-				case 3:
-					return fr.v, nil
-				}
-			}
-			addr, t, err := lf(p)
+			cv, err := sf(p, addr, rhs)
 			if err != nil {
 				if err == errYield {
-					p.pushK(kframe{})
+					p.pushK(kframe{step: 3, v: cv})
 				}
 				return Value{}, err
 			}
-			return tail(p, addr, t)
+			return cv, nil
 		}
 	}
-	op, opOK := compoundOps[n.Op]
-	badOp := fmt.Errorf("%s: assignment op %s unsupported", n.Pos(), n.Op)
-	if st != nil && opOK {
-		ld, sf := makeLoad(st), makeStore(st)
-		kern, cost := pickKernel(op, st)
-		// applyTail re-enters from the binary op (step 3 passes empty
-		// operands — a suspended apply saved its own outcome); rhsTail
-		// from the RHS (step 2); a store-yield saves the result (step 5).
-		applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
-			res, err := p.applyKernel(kern, cost, op, old, rhs, st)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 3, a: addr})
-				}
-				return Value{}, err
-			}
-			sv, err := sf(p, addr, res)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 5, v: sv})
-				}
-				return Value{}, err
-			}
-			return sv, nil
-		}
-		rhsTail := func(p *Proc, addr uint32, old Value) (Value, error) {
-			rhs, err := rf(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 2, a: addr, v: old})
-				}
-				return Value{}, err
-			}
-			return applyTail(p, addr, old, rhs)
-		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				switch fr.step {
-				case 2:
-					return rhsTail(p, fr.a, fr.v)
-				case 3:
-					return applyTail(p, fr.a, Value{}, Value{})
-				case 5:
-					return fr.v, nil
-				}
-			}
-			addr, _, err := lf(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{})
-				}
-				return Value{}, err
-			}
-			old, err := ld(p, addr)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 2, a: addr, v: old})
-				}
-				return Value{}, err
-			}
-			return rhsTail(p, addr, old)
-		}
+	op, ok := compoundOps[n.Op]
+	if !ok {
+		c.fail(n.Pos(), "assignment op "+n.Op.String()+" unsupported")
+		return nil
 	}
-	applyTail := func(p *Proc, addr uint32, t *types.Type, old, rhs Value) (Value, error) {
-		if !opOK {
-			return Value{}, badOp
-		}
-		res, err := p.applyBinary(op, old, rhs, t)
+	ld := makeLoad(st)
+	kern, cost := pickKernel(op, st)
+	// applyTail re-enters from the binary op (step 3 passes empty
+	// operands — a suspended apply saved its own outcome); rhsTail
+	// from the RHS (step 2); a store-yield saves the result (step 5).
+	applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
+		res, err := p.applyKernel(kern, cost, op, old, rhs, st)
 		if err != nil {
 			if err == errYield {
-				p.pushK(kframe{step: 3, a: addr, x: t})
+				p.pushK(kframe{step: 3, a: addr})
 			}
 			return Value{}, err
 		}
-		v := Convert(res, t)
-		if err := p.storeValue(addr, t, v); err != nil {
+		sv, err := sf(p, addr, res)
+		if err != nil {
 			if err == errYield {
-				p.pushK(kframe{step: 5, v: v})
+				p.pushK(kframe{step: 5, v: sv})
 			}
 			return Value{}, err
 		}
-		return v, nil
+		return sv, nil
 	}
-	rhsTail := func(p *Proc, addr uint32, t *types.Type, old Value) (Value, error) {
+	rhsTail := func(p *Proc, addr uint32, old Value) (Value, error) {
 		rhs, err := rf(p)
 		if err != nil {
 			if err == errYield {
-				p.pushK(kframe{step: 2, a: addr, v: old, x: t})
+				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
 		}
-		return applyTail(p, addr, t, old, rhs)
+		return applyTail(p, addr, old, rhs)
 	}
 	return func(p *Proc) (Value, error) {
 		if p.coResuming {
 			fr := p.popKRef()
 			switch fr.step {
 			case 2:
-				t, _ := fr.x.(*types.Type)
-				return rhsTail(p, fr.a, t, fr.v)
+				return rhsTail(p, fr.a, fr.v)
 			case 3:
-				t, _ := fr.x.(*types.Type)
-				return applyTail(p, fr.a, t, Value{}, Value{})
+				return applyTail(p, fr.a, Value{}, Value{})
 			case 5:
 				return fr.v, nil
 			}
 		}
-		addr, t, err := lf(p)
+		addr, _, err := lf(p)
 		if err != nil {
 			if err == errYield {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
-		old, err := p.loadValue(addr, t)
+		old, err := ld(p, addr)
 		if err != nil {
 			if err == errYield {
-				p.pushK(kframe{step: 2, a: addr, v: old, x: t})
+				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
 		}
-		return rhsTail(p, addr, t, old)
+		return rhsTail(p, addr, old)
 	}
 }
 
+// compileBinary lowers a binary operator whose operands' tags are only
+// known at run time (&&, || and every provable shape lower in fuse.go).
+// Units: 0 x, 1 y (v = x), 2 apply (a suspended apply saved its own
+// outcome, so its re-entry passes empty operands).
 func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 	x := c.compileExpr(n.X)
 	y := c.compileExpr(n.Y)
-	if n.Op == token.AndAnd || n.Op == token.OrOr {
-		andand := n.Op == token.AndAnd
-		// tail decides short-circuit and evaluates the RHS; both the
-		// post-charge resume and an RHS re-entry land here.
-		tail := func(p *Proc, xb bool) (Value, error) {
-			if andand && !xb {
-				return IntValue(types.IntType, 0), nil
+	op, rt := n.Op, n.Typ
+	kern, cost := pickKernel(op, rt)
+	return func(p *Proc) (Value, error) {
+		var xv Value
+		step := 0
+		if p.coResuming {
+			fr := p.popKRef()
+			if fr.step == 2 {
+				return p.applyBinaryFast(op, Value{}, Value{}, rt)
 			}
-			if !andand && xb {
-				return IntValue(types.IntType, 1), nil
-			}
-			yv, err := y(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 1, n: b2i(xb)})
-				}
-				return Value{}, err
-			}
-			if yv.Bool() {
-				return IntValue(types.IntType, 1), nil
-			}
-			return IntValue(types.IntType, 0), nil
+			step, xv = fr.step, fr.v
 		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					return tail(p, fr.n != 0)
-				}
-			}
-			xv, err := x(p)
-			if err != nil {
+		if step == 0 {
+			var err error
+			if xv, err = x(p); err != nil {
 				if err == errYield {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
 			}
-			xb := xv.Bool()
-			if err := p.chargeCycles(costALU); err != nil {
-				p.pushK(kframe{step: 1, n: b2i(xb)})
-				return Value{}, err
-			}
-			if andand && !xb {
-				return IntValue(types.IntType, 0), nil
-			}
-			if !andand && xb {
-				return IntValue(types.IntType, 1), nil
-			}
-			yv, err := y(p)
-			if err != nil {
-				if err == errYield {
-					p.pushK(kframe{step: 1, n: b2i(xb)})
-				}
-				return Value{}, err
-			}
-			if yv.Bool() {
-				return IntValue(types.IntType, 1), nil
-			}
-			return IntValue(types.IntType, 0), nil
-		}
-	}
-	op, rt := n.Op, n.Typ
-	kern, cost := pickKernel(op, rt)
-	// tail evaluates the RHS and applies the operator on a resume with
-	// the LHS restored; a suspended apply saved its own outcome, so the
-	// step-2 re-entry passes empty operands.
-	tail := func(p *Proc, xv Value) (Value, error) {
-		yv, err := y(p)
-		if err != nil {
-			if err == errYield {
-				p.pushK(kframe{step: 1, v: xv})
-			}
-			return Value{}, err
-		}
-		v, err := p.applyKernel(kern, cost, op, xv, yv, rt)
-		if err == errYield {
-			p.pushK(kframe{step: 2})
-		}
-		return v, err
-	}
-	return func(p *Proc) (Value, error) {
-		if p.coResuming {
-			fr := p.popKRef()
-			switch fr.step {
-			case 1:
-				return tail(p, fr.v)
-			case 2:
-				return p.applyBinaryFast(op, Value{}, Value{}, rt)
-			}
-		}
-		xv, err := x(p)
-		if err != nil {
-			if err == errYield {
-				p.pushK(kframe{})
-			}
-			return Value{}, err
 		}
 		yv, err := y(p)
 		if err != nil {
@@ -1428,66 +983,32 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			return argsTail(p, fv)
 		}
 	}
+	// A direct call and a builtin call differ only in the callee.
+	call := builtinTail
 	if fn := pr.Funcs[name]; fn != nil && fn.Body != nil {
 		cf := pr.compiled[fn]
-		invoke := func(p *Proc, base int, argv []Value) (Value, error) {
-			v, err := p.callCompiled(cf, argv)
-			if err == errYield {
-				p.pushK(kframe{step: 1, a: uint32(base)})
-				return Value{}, err
+		call = func(p *Proc, argv []Value) (Value, error) { return p.callCompiled(cf, argv) }
+	}
+	// Units: 0 arguments, 1 the call (a = the arena base).
+	return func(p *Proc) (Value, error) {
+		var argv []Value
+		base := -1
+		if p.coResuming {
+			if fr := p.popKRef(); fr.step != 0 {
+				base = int(fr.a)
+				argv = p.argArena[base : base+nargs : base+nargs]
 			}
-			p.argArena = p.argArena[:base]
-			return v, err
 		}
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 {
-					base := int(fr.a)
-					return invoke(p, base, p.argArena[base:base+nargs:base+nargs])
-				}
-			}
-			argv, base, err := p.evalCompiledArgs(argFns)
-			if err != nil {
+		if base < 0 {
+			var err error
+			if argv, base, err = p.evalCompiledArgs(argFns); err != nil {
 				if err == errYield {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
 			}
-			v, err := p.callCompiled(cf, argv)
-			if err == errYield {
-				p.pushK(kframe{step: 1, a: uint32(base)})
-				return Value{}, err
-			}
-			p.argArena = p.argArena[:base]
-			return v, err
 		}
-	}
-	invoke := func(p *Proc, base int, argv []Value) (Value, error) {
-		v, err := builtinTail(p, argv)
-		if err == errYield {
-			p.pushK(kframe{step: 1, a: uint32(base)})
-			return Value{}, err
-		}
-		p.argArena = p.argArena[:base]
-		return v, err
-	}
-	return func(p *Proc) (Value, error) {
-		if p.coResuming {
-			fr := p.popKRef()
-			if fr.step != 0 {
-				base := int(fr.a)
-				return invoke(p, base, p.argArena[base:base+nargs:base+nargs])
-			}
-		}
-		argv, base, err := p.evalCompiledArgs(argFns)
-		if err != nil {
-			if err == errYield {
-				p.pushK(kframe{})
-			}
-			return Value{}, err
-		}
-		v, err := builtinTail(p, argv)
+		v, err := call(p, argv)
 		if err == errYield {
 			p.pushK(kframe{step: 1, a: uint32(base)})
 			return Value{}, err

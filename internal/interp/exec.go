@@ -159,17 +159,21 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			}
 		}
 		for {
+			// A for without a condition still pays its back-edge branch:
+			// an iteration that charges nothing would never reach a
+			// scheduling point, and `for (;;);` would hang the host.
+			cond := IntValue(types.IntType, 1)
 			if n.Cond != nil {
-				cond, err := p.evalExpr(n.Cond)
-				if err != nil {
+				var err error
+				if cond, err = p.evalExpr(n.Cond); err != nil {
 					return ctrlNone, err
 				}
-				if err := p.chargeCycles(costALU); err != nil {
-					return ctrlNone, err
-				}
-				if !cond.Bool() {
-					break
-				}
+			}
+			if err := p.chargeCycles(costALU); err != nil {
+				return ctrlNone, err
+			}
+			if !cond.Bool() {
+				break
 			}
 			c, err := p.execStmt(n.Body, ret)
 			if err != nil {

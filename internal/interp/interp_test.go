@@ -146,6 +146,29 @@ int main() {
 	if s.Output() != "5 2.5 1 4\n" {
 		t.Errorf("output = %q", s.Output())
 	}
+	// The image is the initialised runs, folded once at Load: a megabyte
+	// of zero globals between them costs a Spawn nothing.
+	s = runMain(t, `
+short h = -2;
+double big[131072];
+int tail[3] = {7, 8};
+int main() { printf("%d %d %d %d %s\n", h, tail[1], tail[2], (int)big[131071], "str"); return 0; }`)
+	if s.Output() != "-2 8 0 0 str\n" {
+		t.Errorf("output = %q", s.Output())
+	}
+	bytes := 0
+	for _, r := range s.Program.image {
+		bytes += len(r.data)
+	}
+	if n := len(s.Program.image); n != 3 || bytes > 64 {
+		t.Errorf("image = %d runs of %d bytes, want the 2 initialised globals and the strings in under 64 bytes", n, bytes)
+	}
+	// A fold error is a Load error, not a failure at the first Spawn.
+	for _, src := range []string{`int g; int x = g; int main() { return 0; }`, `int s = {1, 2}; int main() { return 0; }`} {
+		if _, err := Compile("bad.c", src); err == nil || !strings.Contains(err.Error(), "initialiser") {
+			t.Errorf("Compile(%q) error = %v, want an initialiser error", src, err)
+		}
+	}
 }
 
 func TestRecursion(t *testing.T) {

@@ -3,6 +3,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
@@ -144,9 +145,14 @@ type MemProfiler interface {
 // where cross-core contention is modelled, and letting one context run a
 // burst ahead would serialize whole bursts at the memory controllers
 // instead of interleaving requests in virtual-time order. Private
-// accesses cannot contend, so they only yield every YieldEvery ops to
-// keep scheduling overhead low. The yield itself is outlined: this is
-// the one call a typed accessor makes after its Machine access.
+// accesses that hit a cache cannot contend, and yield only every
+// YieldEvery ops to keep scheduling overhead low; a private L2 miss does
+// contend — it queues at its memController's freeAt like a shared
+// access — so a context inside that window can issue a miss from the
+// other contexts' future. That error is bounded by the window and the
+// horizon, and unmeasured (ROADMAP item 1). The yield itself is
+// outlined: this is the one call a typed accessor makes after its
+// Machine access.
 func (p *Proc) noteMemOp(addr uint32, write bool) error {
 	if p.prof != nil {
 		p.prof.NoteAccess(p.Core, addr, write)
@@ -216,14 +222,20 @@ func (p *Proc) addrOfSymbol(sym *ast.Symbol) (uint32, bool) {
 	return 0, false
 }
 
-// heapAlloc bump-allocates n bytes from the core's private heap.
-func (p *Proc) heapAlloc(n int) uint32 {
+// heapAlloc bump-allocates n*m bytes from the core's private heap for
+// builtin name. A negative or overflowing size, or one that would carry
+// the heap past heapLimit, is a run error.
+func (p *Proc) heapAlloc(name string, n, m int64) (uint32, error) {
 	s := p.Sim
-	cur := s.heaps[p.Core]
-	cur = (cur + 7) &^ 7
-	addr := cur
-	s.heaps[p.Core] = cur + uint32(n)
-	return addr
+	addr := (s.heaps[p.Core] + 7) &^ 7
+	if n < 0 || m < 0 || m > 0 && n > math.MaxInt32/m {
+		return 0, fmt.Errorf("%s of %d x %d bytes at %#x: not a size", name, n, m, addr)
+	}
+	if err := checkSpan(name, addr, n*m, p.mach); err != nil {
+		return 0, err
+	}
+	s.heaps[p.Core] = addr + uint32(n*m)
+	return addr, nil
 }
 
 // pushFrame allocates the activation record for fn: one aligned stack

@@ -22,8 +22,8 @@ import (
 // Program is shared by any number of concurrent Sims (the grid runner and
 // the conformance oracle compile once per workload and fan matrix cells
 // out across host cores), so nothing reached from a Program may be
-// written during execution. TestProgramSharedAcrossSims pins this under
-// the race detector.
+// written during execution. TestSharedProgramConcurrentCells
+// (internal/bench) pins this under the race detector.
 type Program struct {
 	File  *ast.File
 	Info  *sema.Info
@@ -38,6 +38,12 @@ type Program struct {
 	// ImageEnd is the first free private address after globals+strings;
 	// the heap starts here.
 	ImageEnd uint32
+	// image is what a core's private memory holds before its first
+	// context runs, folded once by layout: one run per initialised
+	// global and one for the string literals. Everything else in the
+	// globals segment is zero and is never touched, so instantiating
+	// costs the initialised bytes, not the segment.
+	image []imageRun
 
 	// funcList gives every defined function a small integer so function
 	// values (e.g. pthread_create's third argument) fit in a Value; index
@@ -53,6 +59,12 @@ type Program struct {
 	// lowered, and its contexts walk the AST (eval.go, exec.go) on
 	// goroutines. Tests build one to check the compiled form against.
 	reference bool
+}
+
+// imageRun is one initialised stretch of the program image.
+type imageRun struct {
+	addr uint32
+	data []byte
 }
 
 // FullyCompiled reports whether every defined function lowered to the
@@ -149,20 +161,63 @@ func layout(file *ast.File, info *sema.Info) (*Program, error) {
 		}
 		cursor = align(cursor, d.Type.Align())
 		pr.globalAddrs[d.Sym] = cursor
+		if err := pr.foldGlobal(d, cursor); err != nil {
+			return nil, err
+		}
 		cursor += uint32(size)
 	}
 	// String literals live after the globals, NUL-terminated.
+	strs := imageRun{addr: cursor}
 	ast.Inspect(file, func(n ast.Node) bool {
 		if s, ok := n.(*ast.StringLit); ok {
 			if _, seen := pr.stringAddrs[s]; !seen {
 				pr.stringAddrs[s] = cursor
+				strs.data = append(append(strs.data, s.Value...), 0)
 				cursor += uint32(len(s.Value)) + 1
 			}
 		}
 		return true
 	})
+	if len(strs.data) > 0 {
+		pr.image = append(pr.image, strs)
+	}
 	pr.ImageEnd = align(cursor, 8)
 	return pr, nil
+}
+
+// foldGlobal folds d's initialisers into one run of the image at addr.
+func (pr *Program) foldGlobal(d *ast.VarDecl, addr uint32) error {
+	run := imageRun{addr: addr}
+	put := func(e ast.Expr, t *types.Type, what string) error {
+		v, err := constValue(e, t)
+		if err != nil {
+			return fmt.Errorf("interp: global %s%s: %w", d.Name, what, err)
+		}
+		w, err := encodeWord(t, Convert(v, t))
+		if err != nil {
+			return err
+		}
+		// The low t.Size() bytes of the word, as a store writes them.
+		run.data = binary.LittleEndian.AppendUint64(run.data, w)[:len(run.data)+t.Size()]
+		return nil
+	}
+	if d.Init != nil {
+		if err := put(d.Init, d.Type, ""); err != nil {
+			return err
+		}
+	}
+	for i, e := range d.InitLst {
+		if d.Type.Elem == nil {
+			return fmt.Errorf("interp: aggregate initialiser on scalar %s", d.Name)
+		}
+		if err := put(e, d.Type.Elem, fmt.Sprintf("[%d]", i)); err != nil {
+			return err
+		}
+	}
+	if len(run.data) > 0 {
+		pr.image = append(pr.image, run)
+	}
+	return nil
 }
 
 // Compile parses, checks and loads C source in one step.
@@ -193,52 +248,11 @@ func (pr *Program) GlobalAddr(sym *ast.Symbol) (uint32, bool) {
 	return a, ok
 }
 
-// instantiate writes the image (global initialisers and string bytes)
-// into core's private memory on machine m. Globals without initialisers
-// stay zero (PageMem zero-fills).
-func (pr *Program) instantiate(m *sccsim.Machine, core int) error {
-	for _, d := range pr.File.Globals() {
-		addr := pr.globalAddrs[d.Sym]
-		if d.Init != nil {
-			v, err := constValue(d.Init, d.Type)
-			if err != nil {
-				return fmt.Errorf("interp: global %s: %w", d.Name, err)
-			}
-			if err := storeRaw(m, core, addr, d.Type, v); err != nil {
-				return err
-			}
-		}
-		for i, e := range d.InitLst {
-			elem := d.Type.Elem
-			if elem == nil {
-				return fmt.Errorf("interp: aggregate initialiser on scalar %s", d.Name)
-			}
-			v, err := constValue(e, elem)
-			if err != nil {
-				return fmt.Errorf("interp: global %s[%d]: %w", d.Name, i, err)
-			}
-			if err := storeRaw(m, core, addr+uint32(i*elem.Size()), elem, v); err != nil {
-				return err
-			}
-		}
+// instantiate writes the image into core's private memory on machine m.
+func (pr *Program) instantiate(m *sccsim.Machine, core int) {
+	for _, r := range pr.image {
+		m.WriteBytes(core, r.addr, r.data)
 	}
-	for s, addr := range pr.stringAddrs {
-		b := append([]byte(s.Value), 0)
-		m.WriteBytes(core, addr, b)
-	}
-	return nil
-}
-
-// storeRaw writes a constant without charging simulated time (loader).
-func storeRaw(m *sccsim.Machine, core int, addr uint32, t *types.Type, v Value) error {
-	w, err := encodeWord(t, Convert(v, t))
-	if err != nil {
-		return err
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], w)
-	m.WriteBytes(core, addr, buf[:t.Size()])
-	return nil
 }
 
 // constValue folds the constant expressions allowed in global

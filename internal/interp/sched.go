@@ -168,9 +168,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		return nil, fmt.Errorf("interp: spawn of %s, which is not a function of the program", fn.Name)
 	}
 	if _, loaded := s.heaps[core]; !loaded {
-		if err := s.Program.instantiate(s.Machine, core); err != nil {
-			return nil, err
-		}
+		s.Program.instantiate(s.Machine, core)
 		s.heaps[core] = s.Program.ImageEnd
 	}
 	var idx int

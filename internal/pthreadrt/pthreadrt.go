@@ -279,6 +279,9 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		// Steps: 0 charge; 1 acquire loop (a woken waiter re-enters the
 		// loop and re-checks ownership, exactly as a reference
 		// context's loop does after Block returns).
+		if len(args) < 1 {
+			return zero, true, fmt.Errorf("pthread_mutex_lock: missing mutex")
+		}
 		mu := rt.mutex(args[0].Addr())
 		if step == 0 {
 			if err := p.ChargeCycles(25); err != nil { // futex fast path
@@ -297,6 +300,9 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		return zero, true, nil
 
 	case "pthread_mutex_unlock":
+		if len(args) < 1 {
+			return zero, true, fmt.Errorf("pthread_mutex_unlock: missing mutex")
+		}
 		mu := rt.mutex(args[0].Addr())
 		if step == 0 {
 			if mu.owner != p {

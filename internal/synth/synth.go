@@ -78,6 +78,20 @@ const (
 	maxShrinkRun = 200 // Shrink's candidate-evaluation bound
 )
 
+// Corners returns the four corners of the MemFrac×Sharing plane —
+// compute-bound or memory-bound, private or widely shared — over one
+// otherwise fixed vector: the cells a host-cost surface is read off.
+func Corners() []Params {
+	var out []Params
+	for _, mem := range []float64{0.1, 0.9} {
+		for _, sharing := range []int{1, 8} {
+			out = append(out, Params{Seed: 1, Ops: 4096, MemFrac: mem, LoadFrac: 0.5, SharedFrac: 0.5,
+				Sharing: sharing, SharedAddrs: 64, PrivateAddrs: 64, Rounds: 2})
+		}
+	}
+	return out
+}
+
 // Validate rejects vectors outside the generator's contract.
 func (p Params) Validate() error {
 	switch {
