@@ -60,14 +60,6 @@ type Config struct {
 	// many-to-one maps); Cancel and Trace are replaced by Hooks.Cancel
 	// and Hooks.TraceRCCE.
 	RCCE rcce.Options
-	// TransformRCCE, when non-nil, rewrites the translated C source
-	// between Stage 5 and re-parsing. The conformance engine uses it to
-	// inject translator faults and prove the differential oracle catches
-	// them; nil is the identity. It is a func and still not a hook: it
-	// runs after the translation memo, and everything downstream of it —
-	// the compile, the RCCE run — is keyed by (or, unmemoized, run from)
-	// the text it returns, so no key needs to name it.
-	TransformRCCE func(src string) (string, error)
 	// Cache, when non-nil, memoizes every configuration-pure stage —
 	// source compile, translation, baseline run, profiling pass,
 	// placement — so one computed value serves every cell, and every
@@ -338,8 +330,8 @@ func RunBaseline(w Workload, cfg Config) (*RunResult, error) {
 }
 
 // Translation is the compiled outcome of the five-stage pipeline for one
-// placement: the emitted RCCE C source (after any TransformRCCE hook),
-// its immutable compiled Program, and the Stage 4 on-chip footprint.
+// placement: the emitted RCCE C source, its immutable compiled Program,
+// and the Stage 4 on-chip footprint.
 type Translation struct {
 	Source      string
 	Program     *interp.Program
@@ -379,18 +371,11 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 	if err != nil {
 		return nil, err
 	}
-	translated := tr.source
-	if cfg.TransformRCCE != nil {
-		translated, err = cfg.TransformRCCE(translated)
-		if err != nil {
-			return nil, fmt.Errorf("%s transform translated source: %w", w.Key, err)
-		}
-	}
-	pr, err := cfg.compile(w.Key+"_rcce.c", translated)
+	pr, err := cfg.compile(w.Key+"_rcce.c", tr.source)
 	if err != nil {
-		return nil, fmt.Errorf("%s reparse translated source: %w\n---\n%s", w.Key, err, translated)
+		return nil, fmt.Errorf("%s reparse translated source: %w\n---\n%s", w.Key, err, tr.source)
 	}
-	return &Translation{Source: translated, Program: pr, OnChipBytes: tr.onChipBytes, Placement: pl}, nil
+	return &Translation{Source: tr.source, Program: pr, OnChipBytes: tr.onChipBytes, Placement: pl}, nil
 }
 
 // RunRCCEProgram executes a translated program with one process per UE.

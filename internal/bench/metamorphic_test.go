@@ -100,37 +100,3 @@ func TestRunBothBackendsMatchesManualComparison(t *testing.T) {
 		t.Fatalf("pi must validate\n--- baseline\n%s--- rcce\n%s", base.Output, conv.Output)
 	}
 }
-
-// TestTransformRCCESeam verifies the fault-injection hook: an identity
-// transform must not change the execution, and the transformed source is
-// what actually runs (and is surfaced in TranslatedSource).
-func TestTransformRCCESeam(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Threads = 2
-	cfg.Scale = 0.05
-	w, _ := ByKey("pi")
-	policy, _ := ParsePolicy("offchip")
-
-	plain, err := RunRCCE(w, cfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := ""
-	cfg.TransformRCCE = func(src string) (string, error) {
-		seen = src
-		return "// conformance fault-injection seam\n" + src, nil
-	}
-	hooked, err := RunRCCE(w, cfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen == "" {
-		t.Fatal("TransformRCCE was not invoked")
-	}
-	if hooked.Output != plain.Output {
-		t.Fatal("identity-plus-comment transform changed program output")
-	}
-	if want := "// conformance fault-injection seam\n" + seen; hooked.TranslatedSource != want {
-		t.Fatal("TranslatedSource does not reflect the transformed program")
-	}
-}

@@ -24,10 +24,6 @@ import (
 // once with a profile.Collector attached, and distill the counters into
 // a deterministic profile.Report, memoized via cfg.Cache per (workload,
 // threads, scale, machine, RCCE runtime parameters and UE map).
-//
-// The profiling run deliberately bypasses cfg.TransformRCCE: the
-// fault-injection seam targets the translation under test, while the
-// profile must measure the real program.
 func ProfileWorkload(w Workload, cfg Config) (*profile.Report, error) {
 	return memo(cfg.Cache, key{stage: stageProfile, spec: cfg.spec(w.Key).rcceRun()}, func() (*profile.Report, error) {
 		return runStage(cfg.Hooks, stageProfile, w.Key, func() (*profile.Report, error) {

@@ -79,9 +79,8 @@ type key struct {
 	name, src string
 }
 
-// translation is the cached output of the pipeline before any
-// TransformRCCE hook runs (the hook is a per-run fault-injection seam,
-// so it must apply after the cache).
+// translation is the cached output of the pipeline: the emitted source,
+// before it is compiled.
 type translation struct {
 	source      string
 	onChipBytes int

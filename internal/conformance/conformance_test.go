@@ -172,6 +172,9 @@ func TestInjectedTranslateBugCaughtAndShrunk(t *testing.T) {
 	if div == nil {
 		t.Fatal("injected translate bug was not caught by the differential oracle")
 	}
+	if !strings.Contains(div.Translated, "(void *)(0)") || strings.Contains(div.Translated, "(void *)(myID)") {
+		t.Fatalf("the divergence does not carry the mutated program that ran:\n%s", div.Translated)
+	}
 	t.Logf("caught: %s", div)
 
 	min := buggy.Shrink(spec, div)

@@ -8,6 +8,8 @@ import (
 	"sync"
 
 	"hsmcc/internal/bench"
+	"hsmcc/internal/interp"
+	"hsmcc/internal/partition"
 )
 
 // Matrix is the (cores × oversubscription × placement policy × MPB
@@ -181,8 +183,8 @@ type Engine struct {
 	Matrix Matrix
 	Gen    GenOptions
 	// Mutate, when non-nil, corrupts the translated RCCE source before
-	// it is re-parsed and executed — the fault-injection seam used to
-	// prove the oracle catches translator bugs.
+	// it is re-parsed and executed (runRCCE) — the fault-injection seam
+	// used to prove the oracle catches translator bugs.
 	Mutate func(src string) string
 
 	// cfgOnce/baseCfg cache the harness config template with its
@@ -207,11 +209,25 @@ func (e *Engine) config(cores, budget int, cache *bench.Cache) bench.Config {
 	cfg.Threads = cores
 	cfg.MPBCapacity = budget
 	cfg.Cache = cache
-	if e.Mutate != nil {
-		mut := e.Mutate
-		cfg.TransformRCCE = func(src string) (string, error) { return mut(src), nil }
-	}
 	return cfg
+}
+
+// runRCCE runs the translated program of one cell. With Mutate set, the
+// translation's source is mutated and recompiled in its place — after
+// the translation memo, and outside the cache, so a mutated program
+// never serves an unmutated lookup.
+func (e *Engine) runRCCE(w bench.Workload, cfg bench.Config, pol partition.Policy) (*bench.RunResult, error) {
+	tr, err := bench.TranslateWorkload(w, cfg, pol)
+	if err != nil {
+		return nil, err
+	}
+	if e.Mutate != nil {
+		tr.Source = e.Mutate(tr.Source)
+		if tr.Program, err = interp.Compile(w.Key+"_rcce.c", tr.Source); err != nil {
+			return nil, fmt.Errorf("%s reparse mutated source: %w\n---\n%s", w.Key, err, tr.Source)
+		}
+	}
+	return bench.RunRCCEProgram(w, tr, cfg, pol)
 }
 
 // workload wraps fixed kernel source as a bench workload. The source is
@@ -260,18 +276,23 @@ func (e *Engine) CheckSource(seed int64, src string, cores int, policy string, b
 		div.Err = err.Error()
 		return div
 	}
-	cfg := e.cellConfig(cores, budget, oversub, bench.NewCache())
-	both, err := bench.RunBothBackends(kernelWorkload(seed, src), cfg, pol)
+	w, cfg := kernelWorkload(seed, src), e.cellConfig(cores, budget, oversub, bench.NewCache())
+	base, err := bench.RunBaseline(w, cfg)
 	if err != nil {
 		div.Err = err.Error()
 		return div
 	}
-	if both.Match {
+	conv, err := e.runRCCE(w, cfg, pol)
+	if err != nil {
+		div.Err = err.Error()
+		return div
+	}
+	if bench.SameResults(base.Output, conv.Output) {
 		return nil
 	}
-	div.BaseOut = both.Baseline.Output
-	div.RCCEOut = both.RCCE.Output
-	div.Translated = both.RCCE.TranslatedSource
+	div.BaseOut = base.Output
+	div.RCCEOut = conv.Output
+	div.Translated = conv.TranslatedSource
 	return div
 }
 
@@ -312,7 +333,7 @@ func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergenc
 				for _, budget := range e.Matrix.Budgets {
 					div := &Divergence{Seed: seed, Cores: cores, Oversub: factor,
 						Policy: policy, Budget: budget, Source: src}
-					conv, err := bench.RunRCCE(w, e.cellConfig(cores, budget, factor, cache), pol)
+					conv, err := e.runRCCE(w, e.cellConfig(cores, budget, factor, cache), pol)
 					if err != nil {
 						div.Err = err.Error()
 						return div

@@ -77,45 +77,6 @@ func genericLoad(t *types.Type) typedLoad {
 	return func(p *Proc, addr uint32) (Value, error) { return p.loadValue(addr, t) }
 }
 
-// makeSlotLoad is makeLoad fused with the slot lookup of a local
-// variable read in a generic context, so that it costs one closure call,
-// not an identifier closure calling an accessor closure. It returns nil
-// for types without an integer-like or double word.
-func makeSlotLoad(idx int, t *types.Type) evalFn {
-	if t.Kind == types.Double {
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				return p.popKRef().v, nil
-			}
-			w, err := p.loadWord(p.slotMem[p.cfp+idx], 8, 0)
-			return p.loaded(Value{T: t, F: fv(w)}, err)
-		}
-	}
-	size, sext, ok := intWord(t)
-	if !ok {
-		return nil
-	}
-	return func(p *Proc) (Value, error) {
-		if p.coResuming {
-			return p.popKRef().v, nil
-		}
-		w, err := p.loadWord(p.slotMem[p.cfp+idx], size, sext)
-		return p.loaded(Value{T: t, I: int64(w)}, err)
-	}
-}
-
-// loaded finishes an identifier read: on a yield at its access, the
-// frame that carries the value to the resume.
-func (p *Proc) loaded(v Value, err error) (Value, error) {
-	if err != nil {
-		if err == errYield {
-			p.pushK(kframe{v: v})
-		}
-		return Value{}, err
-	}
-	return v, nil
-}
-
 func makeStore(t *types.Type) typedStore {
 	if t == nil {
 		return genericStore(t)

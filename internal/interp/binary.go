@@ -7,11 +7,15 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// binCost is the cycle charge for one binary operation — the exact
-// per-case charges of the original applyBinary/applyBinaryFast pair,
-// hoisted to a pure table so each apply has a single charge site (which
-// is what makes the pair resumable with one frame under the coroutine
-// engine; the charge-then-compute order per case is unchanged).
+// C binary arithmetic over Values exists once, here: applyBinary charges
+// and folds for the generic closures and the tree-walk reference alike,
+// and foldBinary is the pure core the constant folder shares. The fused
+// closures of fuse.go fold payload words instead (folds), and
+// TestFoldsMatchFoldBinary pins every one of those to foldBinary.
+
+// binCost is the cycle charge for one binary operation, as a pure table
+// so that applyBinary has a single charge site (which is what makes it
+// resumable with one frame under the coroutine engine).
 func binCost(op token.Kind, float bool) int {
 	switch op {
 	case token.Star:
@@ -32,217 +36,171 @@ func binCost(op token.Kind, float bool) int {
 	}
 }
 
-// applyResume finishes a suspended binary apply: the charge completed
-// and the pure outcome (value or fold error) was saved in the frame, so
-// re-entry returns it without consulting the operands. Both appliers
-// push this frame shape, which lets a resume reach either one — the
-// zero operands a caller passes on re-entry route to the numeric branch
-// regardless of how the original call routed.
-func (p *Proc) applyResume() (Value, error) {
-	fr := p.popKRef()
-	if e, ok := fr.x.(error); ok {
-		return Value{}, e
-	}
-	return fr.v, nil
+// sintTag reports a runtime tag of char, short, int or long: the
+// operands a fused fold (fuse.go) takes as signed 32-bit integers, as
+// foldBinary does.
+func sintTag(t *types.Type) bool {
+	return t != nil && t.Kind >= types.Char && t.Kind <= types.Long
 }
 
-// pushApplyOutcome saves a suspended apply's pure outcome.
-func (p *Proc) pushApplyOutcome(v Value, err error) {
-	if err != nil {
-		p.pushK(kframe{x: err})
-	} else {
-		p.pushK(kframe{v: v})
-	}
+var compoundOps = map[token.Kind]token.Kind{
+	token.AddAssign: token.Plus,
+	token.SubAssign: token.Minus,
+	token.MulAssign: token.Star,
+	token.DivAssign: token.Slash,
+	token.ModAssign: token.Percent,
+	token.AndAssign: token.Amp,
+	token.OrAssign:  token.Pipe,
+	token.XorAssign: token.Caret,
+	token.ShlAssign: token.Shl,
+	token.ShrAssign: token.Shr,
 }
 
-// applyBinaryFast is the compiled engine's fusion of applyBinary and
-// foldBinary: one float/int classification, one charge, the same folds,
-// wrap-arounds and error messages as the two-level reference pair (which
-// stays as the tree-walk path and the constant folder). Behaviourally
-// identical by construction; pinned by the engine-equivalence golden
-// tests. Resumable: the only suspension point is the charge, after which
-// the computation is pure over the operands, so the yield path computes
-// the outcome eagerly and re-entry just returns it.
-func (p *Proc) applyBinaryFast(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	// Pointer arithmetic: rare; route through the reference path.
-	if xt := x.T; xt != nil && xt.IsPointerLike() && (op == token.Plus || op == token.Minus) {
-		return p.applyBinary(op, x, y, rt)
-	}
+// applyBinary computes x op y, charging the operation cost. The single
+// charge site is what makes it resumable in compiled contexts: a yield
+// at the charge saves the pure outcome (value or fold error) in the
+// frame, so re-entry — with any operands; callers pass empty ones —
+// just returns it.
+func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	if p.coResuming {
-		return p.applyResume()
+		fr := p.popKRef()
+		if e, ok := fr.x.(error); ok {
+			return Value{}, e
+		}
+		return fr.v, nil
 	}
-	if err := p.chargeCycles(binCost(op, x.IsFloat() || y.IsFloat())); err != nil {
-		p.pushApplyOutcome(foldFast(op, x, y, rt))
+	cost := costALU // pointer arithmetic charges one ALU cycle
+	if xt := x.T; xt == nil || !xt.IsPointerLike() || (op != token.Plus && op != token.Minus) {
+		cost = binCost(op, x.IsFloat() || y.IsFloat())
+	}
+	if err := p.chargeCycles(cost); err != nil {
+		v, ferr := applyBinaryFold(op, x, y, rt)
+		p.pushK(kframe{v: v, x: ferr})
 		return Value{}, err
 	}
-	return foldFast(op, x, y, rt)
+	return applyBinaryFold(op, x, y, rt)
 }
 
-// foldFast is applyBinaryFast's pure compute half.
-func foldFast(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	if x.IsFloat() || y.IsFloat() {
-		a, b := x.Float(), y.Float()
-		t := types.DoubleType
-		var v Value
-		switch op {
-		case token.Plus:
-			v = Value{T: t, F: a + b}
-		case token.Minus:
-			v = Value{T: t, F: a - b}
-		case token.Star:
-			v = Value{T: t, F: a * b}
-		case token.Slash:
-			v = Value{T: t, F: a / b}
-		case token.Lt:
-			v = boolValue(a < b)
-		case token.Gt:
-			v = boolValue(a > b)
-		case token.Le:
-			v = boolValue(a <= b)
-		case token.Ge:
-			v = boolValue(a >= b)
-		case token.EqEq:
-			v = boolValue(a == b)
-		case token.NotEq:
-			v = boolValue(a != b)
-		default:
-			return Value{}, fmt.Errorf("float operands for %s", op)
+// applyBinaryFold is applyBinary's pure compute half: pointer
+// arithmetic, then the shared numeric fold.
+func applyBinaryFold(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
+	// Pointer arithmetic: scale the integer side by the element size.
+	if xt := x.T; xt != nil && xt.IsPointerLike() && (op == token.Plus || op == token.Minus) {
+		elem := xt.Decay().Elem
+		size := int64(4)
+		if elem != nil && elem.Size() > 0 {
+			size = int64(elem.Size())
 		}
-		if rt != nil && rt.IsArithmetic() {
-			return Convert(v, rt), nil
+		if yt := y.T; yt != nil && yt.IsPointerLike() && op == token.Minus {
+			return IntValue(types.IntType, (x.Int()-y.Int())/size), nil
 		}
-		return v, nil
+		delta := y.Int() * size
+		if op == token.Minus {
+			delta = -delta
+		}
+		return PtrValue(xt.Decay(), uint32(x.Int()+delta)), nil
 	}
-	a, b := x.Int(), y.Int()
-	t := types.IntType
-	uns := x.T != nil && x.T.Kind == types.UInt
-	if uns {
-		t = types.UIntType
+	v, err := foldBinary(op, x, y)
+	if err != nil {
+		return Value{}, err
 	}
-	wrap := func(v int64) Value {
-		if uns {
-			return Value{T: t, I: int64(uint32(v))}
-		}
-		return Value{T: t, I: int64(int32(v))}
-	}
-	var v Value
-	switch op {
-	case token.Plus:
-		v = wrap(a + b)
-	case token.Minus:
-		v = wrap(a - b)
-	case token.Star:
-		v = wrap(a * b)
-	case token.Slash:
-		if b == 0 {
-			return Value{}, fmt.Errorf("integer division by zero")
-		}
-		v = wrap(a / b)
-	case token.Percent:
-		if b == 0 {
-			return Value{}, fmt.Errorf("integer modulo by zero")
-		}
-		v = wrap(a % b)
-	case token.Amp:
-		v = wrap(a & b)
-	case token.Pipe:
-		v = wrap(a | b)
-	case token.Caret:
-		v = wrap(a ^ b)
-	case token.Shl:
-		v = wrap(a << (uint(b) & 31))
-	case token.Shr:
-		if uns {
-			v = wrap(int64(uint32(a) >> (uint(b) & 31)))
-		} else {
-			v = wrap(int64(int32(a) >> (uint(b) & 31)))
-		}
-	case token.Lt:
-		v = boolValue(a < b)
-	case token.Gt:
-		v = boolValue(a > b)
-	case token.Le:
-		v = boolValue(a <= b)
-	case token.Ge:
-		v = boolValue(a >= b)
-	case token.EqEq:
-		v = boolValue(a == b)
-	case token.NotEq:
-		v = boolValue(a != b)
-	default:
-		return Value{}, fmt.Errorf("binary op %s unsupported", op)
-	}
-	if rt != nil && rt.IsArithmetic() {
+	if rt != nil && rt.IsArithmetic() && v.T != nil && v.T.IsArithmetic() {
 		return Convert(v, rt), nil
 	}
 	return v, nil
 }
 
-// Static-type kernels. sema fixes an operator's result type, and with it
-// what applyBinaryFast would decide on nearly every execution, so
-// compileBinary picks a kernel at lowering time and the closure enters
-// it when the operands' runtime tags confirm the guess. The tags, not
-// the static operand types, are what foldFast reads, and they can differ
-// (an int literal beside an unsigned, a pointer behind an int-typed
-// expression): everything else falls through to applyBinaryFast
-// untouched. Inside, the charge is binCost's as a constant and the fold
-// is foldFast's branch for those tags with the result conversion folded
-// in — the same value, tag and cycles (TestBinaryKernelsMatchFold).
-type binKernel uint8
-
-const (
-	kernNone   binKernel = iota
-	kernInt              // + - * < > <= >= == != on signed ints of at most 32 bits, int or long result
-	kernDouble           // + - * / on floating operands, double result
-)
-
-// pickKernel selects the kernel for op with result type rt, and its
-// cycle charge.
-func pickKernel(op token.Kind, rt *types.Type) (binKernel, int) {
-	arith := op == token.Plus || op == token.Minus || op == token.Star
-	compare := op == token.Lt || op == token.Gt || op == token.Le || op == token.Ge || op == token.EqEq || op == token.NotEq
-	switch {
-	case rt == nil:
-	case (rt.Kind == types.Int || rt.Kind == types.Long) && (arith || compare):
-		return kernInt, binCost(op, false)
-	case rt.Kind == types.Double && (arith || op == token.Slash):
-		return kernDouble, binCost(op, true)
+// foldBinary is the pure arithmetic core, shared with the constant folder.
+func foldBinary(op token.Kind, x, y Value) (Value, error) {
+	float := x.IsFloat() || y.IsFloat()
+	boolInt := func(b bool) Value {
+		if b {
+			return IntValue(types.IntType, 1)
+		}
+		return IntValue(types.IntType, 0)
 	}
-	return kernNone, 0
-}
-
-// sintTag reports a runtime tag of char, short, int or long: the
-// operands foldFast folds as signed 32-bit integers.
-func sintTag(t *types.Type) bool {
-	return t != nil && t.Kind >= types.Char && t.Kind <= types.Long
-}
-
-// applyKernel is applyBinaryFast behind the lowering-time choice, with
-// the same contract: on a yield at the charge the outcome is saved and
-// the caller pushes its own frame, whose resume (empty operands, which
-// no kernel accepts) reaches applyResume.
-func (p *Proc) applyKernel(kern binKernel, cost int, op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	var v Value
-	switch {
-	case kern == kernInt && sintTag(x.T) && sintTag(y.T):
-		w, _ := folds[fop(op)](uint64(x.I), uint64(y.I))
-		v = Value{T: rt, I: int64(w)}
-	case kern == kernDouble && x.IsFloat() && y.IsFloat():
-		w, _ := folds[fopDbl|fop(op)](fw(x.F), fw(y.F))
-		v = Value{T: rt, F: fv(w)}
+	if float {
+		a, b := x.Float(), y.Float()
+		t := types.DoubleType
+		switch op {
+		case token.Plus:
+			return FloatValue(t, a+b), nil
+		case token.Minus:
+			return FloatValue(t, a-b), nil
+		case token.Star:
+			return FloatValue(t, a*b), nil
+		case token.Slash:
+			return FloatValue(t, a/b), nil
+		case token.Lt:
+			return boolInt(a < b), nil
+		case token.Gt:
+			return boolInt(a > b), nil
+		case token.Le:
+			return boolInt(a <= b), nil
+		case token.Ge:
+			return boolInt(a >= b), nil
+		case token.EqEq:
+			return boolInt(a == b), nil
+		case token.NotEq:
+			return boolInt(a != b), nil
+		default:
+			return Value{}, fmt.Errorf("float operands for %s", op)
+		}
+	}
+	a, b := x.Int(), y.Int()
+	t := types.IntType
+	if x.T != nil && x.T.Kind == types.UInt {
+		t = types.UIntType
+	}
+	wrap := func(v int64) Value {
+		if t.Kind == types.UInt {
+			return IntValue(t, int64(uint32(v)))
+		}
+		return IntValue(t, int64(int32(v)))
+	}
+	switch op {
+	case token.Plus:
+		return wrap(a + b), nil
+	case token.Minus:
+		return wrap(a - b), nil
+	case token.Star:
+		return wrap(a * b), nil
+	case token.Slash:
+		if b == 0 {
+			return Value{}, fmt.Errorf("integer division by zero")
+		}
+		return wrap(a / b), nil
+	case token.Percent:
+		if b == 0 {
+			return Value{}, fmt.Errorf("integer modulo by zero")
+		}
+		return wrap(a % b), nil
+	case token.Amp:
+		return wrap(a & b), nil
+	case token.Pipe:
+		return wrap(a | b), nil
+	case token.Caret:
+		return wrap(a ^ b), nil
+	case token.Shl:
+		return wrap(a << (uint(b) & 31)), nil
+	case token.Shr:
+		if t.Kind == types.UInt {
+			return wrap(int64(uint32(a) >> (uint(b) & 31))), nil
+		}
+		return wrap(int64(int32(a) >> (uint(b) & 31))), nil
+	case token.Lt:
+		return boolInt(a < b), nil
+	case token.Gt:
+		return boolInt(a > b), nil
+	case token.Le:
+		return boolInt(a <= b), nil
+	case token.Ge:
+		return boolInt(a >= b), nil
+	case token.EqEq:
+		return boolInt(a == b), nil
+	case token.NotEq:
+		return boolInt(a != b), nil
 	default:
-		return p.applyBinaryFast(op, x, y, rt)
+		return Value{}, fmt.Errorf("binary op %s unsupported", op)
 	}
-	if err := p.chargeCycles(cost); err != nil {
-		p.pushApplyOutcome(v, nil)
-		return Value{}, err
-	}
-	return v, nil
-}
-
-func boolValue(b bool) Value {
-	if b {
-		return Value{T: types.IntType, I: 1}
-	}
-	return Value{T: types.IntType, I: 0}
 }

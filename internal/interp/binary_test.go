@@ -10,10 +10,10 @@ import (
 	"hsmcc/internal/sccsim"
 )
 
-// kernelProcs spawns two idle contexts of a trivial compiled program and
+// idleProcs spawns two idle contexts of a trivial compiled program and
 // returns the first: a Proc with a timer, resumption stacks and a peer
 // that a forced yield can elect.
-func kernelProcs(t *testing.T, pr *Program) *Proc {
+func idleProcs(t *testing.T, pr *Program) *Proc {
 	t.Helper()
 	sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
 	for core := 0; core < 2; core++ {
@@ -37,114 +37,125 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// TestBinaryKernelsMatchFold: for every operator and result type, what
-// applyKernel returns and charges — whether the lowering-time kernel
-// takes the operands or lets them fall through — is what foldFast and
-// binCost give through applyBinaryFast: value, type tag, error text and
-// cycles, over the integer and floating edge values under every runtime
-// tag. A yield forced at the charge leaves the same frames and resumes
-// to the same value.
-func TestBinaryKernelsMatchFold(t *testing.T) {
+// TestFoldsMatchFoldBinary: every entry of the fused closures' folds
+// table gives, over the integer and floating edge values under every tag
+// a fused closure can prove, the word of foldBinary's value after the
+// result conversion and the same error text, and applyBinary charges
+// those operands what binCost charges the fused site. A reversed entry
+// folds its operands swapped; a conversion entry is Convert. A yield
+// forced at applyBinary's charge leaves one frame and resumes to the
+// same outcome.
+func TestFoldsMatchFoldBinary(t *testing.T) {
 	pr, err := Compile("k.c", "int main() { return 0; }")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr := types.PointerTo(types.IntType)
 	ints := []int64{0, 1, -1, math.MinInt32, math.MaxInt32, math.MaxInt32 + 1}
 	floats := []float64{0, 1, -1, math.MinInt32, math.MaxInt32 + 1, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
-	var operands []Value
-	for _, tag := range []*types.Type{types.CharType, types.ShortType, types.IntType, types.LongType, types.UIntType, ptr} {
+	var sints, dbls []Value
+	for _, tag := range []*types.Type{types.CharType, types.ShortType, types.IntType, types.LongType} {
 		for _, i := range ints {
-			operands = append(operands, Value{T: tag, I: i})
+			sints = append(sints, Value{T: tag, I: i})
 		}
 	}
-	for _, tag := range []*types.Type{types.FloatType, types.DoubleType} {
-		for _, f := range floats {
-			operands = append(operands, Value{T: tag, F: f})
+	for _, f := range floats {
+		dbls = append(dbls, Value{T: types.DoubleType, F: f})
+	}
+	word := func(v Value) uint64 {
+		if v.IsFloat() {
+			return fw(v.F)
 		}
+		return uint64(v.I)
 	}
-	ops := []token.Kind{
-		token.Plus, token.Minus, token.Star, token.Slash, token.Percent,
-		token.Lt, token.Gt, token.Le, token.Ge, token.EqEq, token.NotEq,
-		token.Amp, token.Pipe, token.Caret, token.Shl, token.Shr,
-	}
-	results := []*types.Type{types.IntType, types.LongType, types.DoubleType, types.UIntType, types.FloatType, types.CharType, ptr, nil}
 
-	kp, rp := kernelProcs(t, pr), kernelProcs(t, pr)
-	period := kp.timer.Period
-	taken := map[binKernel]int{}
-	for _, op := range ops {
-		for _, rt := range results {
-			kern, cost := pickKernel(op, rt)
-			for _, x := range operands {
-				for _, y := range operands {
-					kp.Clock, kp.lastYield, rp.Clock, rp.lastYield = 0, 0, 0, 0
-					got, gerr := kp.applyKernel(kern, cost, op, x, y, rt)
-					want, werr := rp.applyBinaryFast(op, x, y, rt)
-					if !sameValue(got, want) || errText(gerr) != errText(werr) || kp.Clock != rp.Clock {
-						t.Fatalf("%s -> %v of %+v, %+v: kernel %d gives (%+v, %v, %d ps), applyBinaryFast (%+v, %v, %d ps)",
-							op, rt, x, y, kern, got, gerr, kp.Clock, want, werr, rp.Clock)
+	p := idleProcs(t, pr)
+	period := p.timer.Period
+	entries := 0
+	for i, fold := range folds {
+		if fold == nil {
+			continue
+		}
+		entries++
+		f := fop(i)
+		dbl, rev := f&fopDbl != 0, f&fopRev != 0
+		op := token.Kind(f &^ (fopDbl | fopRev))
+		operands, results := sints, []*types.Type{types.IntType, types.LongType}
+		if dbl {
+			operands = dbls
+			if op < token.Lt || op > token.NotEq {
+				results = []*types.Type{types.DoubleType}
+			}
+		}
+		for _, x := range operands {
+			for _, y := range operands {
+				got, gerr := fold(word(x), word(y))
+				if f&^fopDbl == fopConv {
+					to := types.DoubleType
+					if dbl {
+						to = types.IntType
 					}
-					// Where a kernel took the operands, spell the reference
-					// out: foldFast's value under binCost's charge.
-					engaged := kern == kernInt && sintTag(x.T) && sintTag(y.T) || kern == kernDouble && x.IsFloat() && y.IsFloat()
-					if !engaged {
-						continue
+					if want := Convert(x, to); gerr != nil || got != word(want) {
+						t.Fatalf("fold %#x of %+v: %#x, %v; Convert gives %+v", i, x, got, gerr, want)
 					}
-					taken[kern]++
-					fv, ferr := foldFast(op, x, y, rt)
-					cycles := binCost(op, x.IsFloat() || y.IsFloat())
-					if ferr != nil || !sameValue(got, fv) || kp.Clock != sccsim.Time(cycles)*period {
-						t.Fatalf("%s -> %v of %+v, %+v: kernel gives (%+v, %d ps), foldFast (%+v, %v) at %d cycles",
-							op, rt, x, y, got, kp.Clock, fv, ferr, cycles)
+					continue
+				}
+				a, b := x, y
+				if rev {
+					a, b = y, x
+				}
+				for _, rt := range results {
+					p.Clock, p.lastYield = 0, 0
+					want, werr := p.applyBinary(op, a, b, rt)
+					cycles := binCost(op, dbl)
+					if errText(gerr) != errText(werr) || werr == nil && got != word(want) || p.Clock != sccsim.Time(cycles)*period {
+						t.Fatalf("fold %#x of %+v, %+v -> %v: (%#x, %v) at %d cycles; applyBinary (%+v, %v) in %d ps",
+							i, x, y, rt, got, gerr, cycles, want, werr, p.Clock)
 					}
 				}
 			}
 		}
 	}
-	if taken[kernInt] == 0 || taken[kernDouble] == 0 {
-		t.Fatalf("kernels engaged %v times: the sweep must reach both", taken)
+	if entries < 30 {
+		t.Fatalf("only %d folds entries checked", entries)
 	}
 
 	// The forced yield: a clock at the skew horizon makes the charge
 	// suspend in favour of the idle peer. One operand pair per operator,
-	// result type and tag pair; every case gets fresh contexts, since a
-	// suspension leaves scheduler state behind.
-	tagged := map[*types.Type]Value{}
-	for _, v := range operands {
-		if v.I == -1 || v.F == -1 {
-			tagged[v.T] = v
-		}
+	// result type and runtime tag pair (pointers, unsigned and float
+	// included); every case gets fresh contexts, since a suspension
+	// leaves scheduler state behind.
+	ptr := types.PointerTo(types.IntType)
+	var tagged []Value
+	for _, tag := range []*types.Type{types.CharType, types.ShortType, types.IntType, types.LongType, types.UIntType, ptr} {
+		tagged = append(tagged, Value{T: tag, I: -1})
+	}
+	tagged = append(tagged, Value{T: types.FloatType, F: -1}, Value{T: types.DoubleType, F: -1})
+	ops := []token.Kind{
+		token.Plus, token.Minus, token.Star, token.Slash, token.Percent,
+		token.Lt, token.Gt, token.Le, token.Ge, token.EqEq, token.NotEq,
+		token.Amp, token.Pipe, token.Caret, token.Shl, token.Shr,
 	}
 	for _, op := range ops {
 		for _, rt := range []*types.Type{types.IntType, types.DoubleType} {
-			kern, cost := pickKernel(op, rt)
 			for _, x := range tagged {
 				for _, y := range tagged {
 					name := fmt.Sprintf("%s -> %v of %v, %v", op, rt, x.T, y.T)
-					suspend := func(apply func(p *Proc, x, y Value) (Value, error)) (v Value, err error, depth int) {
-						p := kernelProcs(t, pr)
-						p.Clock = yieldHorizonPs
-						if _, err := apply(p, x, y); err != errYield {
-							t.Fatalf("%s: charge at the horizon returned %v, want a yield", name, err)
-						}
-						depth = len(p.kstack)
-						p.coResuming = true
-						v, err = apply(p, Value{}, Value{})
-						if len(p.kstack) != 0 || p.coResuming {
-							t.Fatalf("%s: resume left %d frames, resuming=%v", name, len(p.kstack), p.coResuming)
-						}
-						return v, err, depth
+					p := idleProcs(t, pr)
+					p.Clock = yieldHorizonPs
+					if _, err := p.applyBinary(op, x, y, rt); err != errYield {
+						t.Fatalf("%s: charge at the horizon returned %v, want a yield", name, err)
 					}
-					got, gerr, gdepth := suspend(func(p *Proc, x, y Value) (Value, error) {
-						return p.applyKernel(kern, cost, op, x, y, rt)
-					})
-					want, werr, wdepth := suspend(func(p *Proc, x, y Value) (Value, error) {
-						return p.applyBinaryFast(op, x, y, rt)
-					})
-					if !sameValue(got, want) || errText(gerr) != errText(werr) || gdepth != wdepth {
-						t.Fatalf("%s across a yield: kernel (%+v, %v, %d frames), applyBinaryFast (%+v, %v, %d frames)",
-							name, got, gerr, gdepth, want, werr, wdepth)
+					if len(p.kstack) != 1 {
+						t.Fatalf("%s: yield left %d frames, want 1", name, len(p.kstack))
+					}
+					p.coResuming = true
+					got, gerr := p.applyBinary(op, Value{}, Value{}, rt)
+					want, werr := applyBinaryFold(op, x, y, rt)
+					if !sameValue(got, want) || errText(gerr) != errText(werr) {
+						t.Fatalf("%s across a yield: (%+v, %v), applyBinaryFold (%+v, %v)", name, got, gerr, want, werr)
+					}
+					if len(p.kstack) != 0 || p.coResuming {
+						t.Fatalf("%s: resume left %d frames, resuming=%v", name, len(p.kstack), p.coResuming)
 					}
 				}
 			}
@@ -152,9 +163,10 @@ func TestBinaryKernelsMatchFold(t *testing.T) {
 	}
 }
 
-// TestKernelTagRange pins what sintTag leans on: char, short, int and
-// long are consecutive kinds with nothing between them.
-func TestKernelTagRange(t *testing.T) {
+// TestFuseTagRange pins what sintTag, and with it fuse.go's operand
+// classification, leans on: char, short, int and long are consecutive
+// kinds with nothing between them.
+func TestFuseTagRange(t *testing.T) {
 	if types.Short != types.Char+1 || types.Int != types.Short+1 || types.Long != types.Int+1 {
 		t.Fatal("sintTag tests Char <= kind <= Long: the four signed kinds must stay consecutive")
 	}

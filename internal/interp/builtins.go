@@ -223,7 +223,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bMemset:
 		if fr.step == 0 {
 			addr, val, n := args[0].Addr(), byte(args[1].Int()), int(args[2].Int())
-			if err := checkSpan("memset", addr, args[2].Int(), p.mach); err != nil {
+			if err := p.CheckSpan("memset", addr, args[2].Int()); err != nil {
 				return Value{}, true, err
 			}
 			buf := make([]byte, n)
@@ -248,7 +248,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 		if fr.step == 0 {
 			dst, src, n := args[0].Addr(), args[1].Addr(), int(args[2].Int())
 			for _, a := range []uint32{src, dst} {
-				if err := checkSpan("memcpy", a, args[2].Int(), p.mach); err != nil {
+				if err := p.CheckSpan("memcpy", a, args[2].Int()); err != nil {
 					return Value{}, true, err
 				}
 			}
@@ -316,17 +316,19 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 // private range is the stack slots Sim.Spawn hands out.
 const heapLimit = sccsim.PrivateBase + (sccsim.PrivateLimit-sccsim.PrivateBase)/2
 
-// checkSpan rejects the span of a bulk builtin before anything is
-// allocated for it: a negative length, or one reaching past the end of
-// the address class it starts in (the private range splitting at
-// heapLimit, since nothing a program owns straddles it; an MPB span
-// need only be no longer than the MPB — where it lies is the machine's
-// fault to report).
-func checkSpan(name string, addr uint32, n int64, m *sccsim.Machine) error {
+// CheckSpan rejects the n-byte span at addr of the builtin name before
+// anything is copied, charged or allocated for it: a negative length, or
+// one reaching past the end of the address class it starts in (the
+// private range splitting at heapLimit, since nothing a program owns
+// straddles it; an MPB span need only be no longer than the MPB — where
+// it lies is the machine's fault to report). The error names the
+// builtin, the size and the address. Runtime packages call it for their
+// own bulk builtins.
+func (p *Proc) CheckSpan(name string, addr uint32, n int64) error {
 	end := uint64(heapLimit)
 	switch {
 	case addr >= sccsim.MPBBase:
-		end = uint64(addr) + uint64(m.Config().MPBTotal())
+		end = uint64(addr) + uint64(p.mach.Config().MPBTotal())
 	case addr >= sccsim.SharedBase:
 		end = uint64(sccsim.SharedLimit)
 	case addr >= heapLimit:

@@ -297,7 +297,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		}
 
 	case *ast.ForStmt:
-		var init execFn
+		var init, post execFn
 		if n.Init != nil {
 			init = c.compileStmt(n.Init)
 		}
@@ -307,7 +307,6 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		if n.Cond != nil {
 			cond = c.compileTruth(n.Cond)
 		}
-		var post execFn
 		if n.Post != nil {
 			if post = c.compileEffect(n.Post, 0); post == nil {
 				x := c.compileExpr(n.Post)
@@ -317,182 +316,14 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				}
 			}
 		}
-		body := c.compileStmt(n.Body)
-		// Units per iteration: 2 cond eval, 3 post-charge test (n = the
-		// saved condition), 4 body, 5 post expression; unit 1 is the
-		// one-time init.
-		return func(p *Proc, ret *Value) (ctrl, error) {
-			step, cbSaved := 0, false
-			if p.coResuming {
-				fr := p.popKRef()
-				step, cbSaved = fr.step, fr.n != 0
-			} else {
-				p.Ops++
-			}
-			if step <= 1 {
-				if init != nil {
-					if _, err := init(p, ret); err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 1})
-						}
-						return ctrlNone, err
-					}
-				}
-				step = 2
-			}
-			for {
-				if step <= 2 {
-					w, err := cond(p)
-					if err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 2})
-						}
-						return ctrlNone, err
-					}
-					cb := w != 0
-					if err := p.chargeCycles(costALU); err != nil {
-						p.pushK(kframe{step: 3, n: b2i(cb)})
-						return ctrlNone, err
-					}
-					if !cb {
-						break
-					}
-				} else if step == 3 {
-					if !cbSaved {
-						break
-					}
-				}
-				if step <= 4 {
-					ct, err := body(p, ret)
-					if err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 4})
-						}
-						return ctrlNone, err
-					}
-					if ct == ctrlBreak {
-						break
-					}
-					if ct == ctrlReturn {
-						return ct, nil
-					}
-				}
-				if post != nil {
-					if _, err := post(p, ret); err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 5})
-						}
-						return ctrlNone, err
-					}
-				}
-				step = 2
-			}
-			return ctrlNone, nil
-		}
+		return loop(init, cond, c.compileStmt(n.Body), post, false)
 
 	case *ast.WhileStmt:
-		cond := c.compileTruth(n.Cond)
-		body := c.compileStmt(n.Body)
-		// Units per iteration: 1 cond eval, 2 post-charge test, 3 body.
-		return func(p *Proc, ret *Value) (ctrl, error) {
-			step, cbSaved := 0, false
-			if p.coResuming {
-				fr := p.popKRef()
-				step, cbSaved = fr.step, fr.n != 0
-			} else {
-				p.Ops++
-			}
-			for {
-				if step <= 1 {
-					w, err := cond(p)
-					if err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 1})
-						}
-						return ctrlNone, err
-					}
-					cb := w != 0
-					if err := p.chargeCycles(costALU); err != nil {
-						p.pushK(kframe{step: 2, n: b2i(cb)})
-						return ctrlNone, err
-					}
-					if !cb {
-						return ctrlNone, nil
-					}
-				} else if step == 2 {
-					if !cbSaved {
-						return ctrlNone, nil
-					}
-				}
-				ct, err := body(p, ret)
-				if err != nil {
-					if err == errYield {
-						p.pushK(kframe{step: 3})
-					}
-					return ctrlNone, err
-				}
-				if ct == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if ct == ctrlReturn {
-					return ct, nil
-				}
-				step = 1
-			}
-		}
+		return loop(nil, c.compileTruth(n.Cond), c.compileStmt(n.Body), nil, false)
 
 	case *ast.DoWhileStmt:
 		body := c.compileStmt(n.Body)
-		cond := c.compileTruth(n.Cond)
-		// Units per iteration: 1 body, 2 cond eval, 3 post-charge test.
-		return func(p *Proc, ret *Value) (ctrl, error) {
-			step, cbSaved := 0, false
-			if p.coResuming {
-				fr := p.popKRef()
-				step, cbSaved = fr.step, fr.n != 0
-			} else {
-				p.Ops++
-			}
-			for {
-				if step <= 1 {
-					ct, err := body(p, ret)
-					if err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 1})
-						}
-						return ctrlNone, err
-					}
-					if ct == ctrlBreak {
-						return ctrlNone, nil
-					}
-					if ct == ctrlReturn {
-						return ct, nil
-					}
-				}
-				if step <= 2 {
-					w, err := cond(p)
-					if err != nil {
-						if err == errYield {
-							p.pushK(kframe{step: 2})
-						}
-						return ctrlNone, err
-					}
-					cb := w != 0
-					if err := p.chargeCycles(costALU); err != nil {
-						p.pushK(kframe{step: 3, n: b2i(cb)})
-						return ctrlNone, err
-					}
-					if !cb {
-						return ctrlNone, nil
-					}
-				} else if step == 3 {
-					if !cbSaved {
-						return ctrlNone, nil
-					}
-				}
-				step = 1
-			}
-		}
+		return loop(nil, c.compileTruth(n.Cond), body, nil, true)
 
 	case *ast.SwitchStmt:
 		tag := c.compileExpr(n.Tag)
@@ -628,6 +459,83 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 		return func(p *Proc, ret *Value) (ctrl, error) {
 			p.Ops++
 			return ctrlNone, err
+		}
+	}
+}
+
+// loop is the one lowering of for, while and do … while: a while is a
+// for with no init and no post, and a do … while enters its first
+// iteration at the body, a choice fixed here. Units: 1 init, 2 cond
+// eval, 3 post-charge test (n = the saved condition), 4 body, 5 post.
+func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
+	entry := 1
+	switch {
+	case bodyFirst:
+		entry = 4
+	case init == nil:
+		entry = 2
+	}
+	return func(p *Proc, ret *Value) (ctrl, error) {
+		step, cbSaved := entry, false
+		if p.coResuming {
+			fr := p.popKRef()
+			step, cbSaved = fr.step, fr.n != 0
+		} else {
+			p.Ops++
+		}
+		if step == 1 {
+			if _, err := init(p, ret); err != nil {
+				if err == errYield {
+					p.pushK(kframe{step: 1})
+				}
+				return ctrlNone, err
+			}
+			step = 2
+		}
+		for {
+			if step <= 2 {
+				w, err := cond(p)
+				if err != nil {
+					if err == errYield {
+						p.pushK(kframe{step: 2})
+					}
+					return ctrlNone, err
+				}
+				cb := w != 0
+				if err := p.chargeCycles(costALU); err != nil {
+					p.pushK(kframe{step: 3, n: b2i(cb)})
+					return ctrlNone, err
+				}
+				if !cb {
+					return ctrlNone, nil
+				}
+			} else if step == 3 && !cbSaved {
+				return ctrlNone, nil
+			}
+			if step <= 4 {
+				ct, err := body(p, ret)
+				if err != nil {
+					if err == errYield {
+						p.pushK(kframe{step: 4})
+					}
+					return ctrlNone, err
+				}
+				if ct == ctrlBreak {
+					return ctrlNone, nil
+				}
+				if ct == ctrlReturn {
+					return ct, nil
+				}
+			}
+			if post != nil {
+				if _, err := post(p, ret); err != nil {
+					if err == errYield {
+						p.pushK(kframe{step: 5})
+					}
+					return ctrlNone, err
+				}
+			}
+			step = 2
 		}
 	}
 }

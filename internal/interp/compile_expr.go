@@ -18,10 +18,10 @@ import (
 // it is the straight-line pre-coroutine code plus push-on-yield.
 
 func (c *compiler) compileExpr(e ast.Expr) evalFn {
-	// An operator or cast over operands of provable tags lowers fused
-	// (fuse.go), boxed for this generic context.
-	if o := c.classify(e); o.shape == shExpr && !o.lvalue {
-		return boxed(c.compileRaw(o), o.tag)
+	// A local, or an operator or cast over operands, of provable tag
+	// lowers fused (fuse.go), boxed for this generic context.
+	if o := c.classify(e); o.shape == shSlot || o.shape == shExpr && !o.lvalue {
+		return boxed(c.lower(o), o.tag)
 	}
 	switch n := e.(type) {
 	case *ast.ParenExpr:
@@ -246,6 +246,17 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 	}
 }
 
+// stepValue adds delta respecting pointer scaling.
+func (p *Proc) stepValue(v Value, t *types.Type, delta int64) Value {
+	if t.Kind == types.Pointer && t.Elem != nil {
+		return PtrValue(t, uint32(v.Int()+delta*int64(t.Elem.Size())))
+	}
+	if v.IsFloat() {
+		return FloatValue(t, v.F+float64(delta))
+	}
+	return IntValue(t, v.I+delta)
+}
+
 // compileIdent resolves an identifier occurrence once: globals to their
 // image address, locals to a frame slot index, functions to their encoded
 // value — the reference engine redoes all of this on every occurrence.
@@ -286,9 +297,6 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 				}
 				return PtrValue(pt, p.slotAddr(idx)), nil
 			}
-		}
-		if f := makeSlotLoad(idx, typ); f != nil {
-			return f
 		}
 		ld := makeLoad(typ)
 		return func(p *Proc) (Value, error) {
@@ -772,12 +780,11 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 		return nil
 	}
 	ld := makeLoad(st)
-	kern, cost := pickKernel(op, st)
 	// applyTail re-enters from the binary op (step 3 passes empty
 	// operands — a suspended apply saved its own outcome); rhsTail
 	// from the RHS (step 2); a store-yield saves the result (step 5).
 	applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
-		res, err := p.applyKernel(kern, cost, op, old, rhs, st)
+		res, err := p.applyBinary(op, old, rhs, st)
 		if err != nil {
 			if err == errYield {
 				p.pushK(kframe{step: 3, a: addr})
@@ -841,14 +848,13 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 	x := c.compileExpr(n.X)
 	y := c.compileExpr(n.Y)
 	op, rt := n.Op, n.Typ
-	kern, cost := pickKernel(op, rt)
 	return func(p *Proc) (Value, error) {
 		var xv Value
 		step := 0
 		if p.coResuming {
 			fr := p.popKRef()
 			if fr.step == 2 {
-				return p.applyBinaryFast(op, Value{}, Value{}, rt)
+				return p.applyBinary(op, Value{}, Value{}, rt)
 			}
 			step, xv = fr.step, fr.v
 		}
@@ -868,7 +874,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyKernel(kern, cost, op, xv, yv, rt)
+		v, err := p.applyBinary(op, xv, yv, rt)
 		if err == errYield {
 			p.pushK(kframe{step: 2})
 		}

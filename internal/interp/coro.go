@@ -3,10 +3,7 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
-
-	"hsmcc/internal/cc/types"
 )
 
 // The coroutine execution core. Execution contexts are stackless
@@ -77,14 +74,12 @@ type kmeta struct {
 	n    int64
 }
 
-// The step word's upper bits multiplex four orthogonal encodings over
-// one 16-byte kmeta:
+// The step word's upper bits carry three payload tags over one 16-byte
+// kmeta:
 //
 //   - kHasV/kHasX flag a Value or interface payload on the side stacks.
-//   - kInline* replace kHasV for the dominant scalar payloads: an
-//     int-family or double Value whose second machine word is zero rides
-//     directly in the meta's n field (which such frames never use), so
-//     the kvals spill — a 24-byte copy each way — is skipped entirely.
+//     A fused closure's scalar rides in n instead (fuse.go), so the
+//     Values that reach kvals are the generic closures'.
 //   - kPiggy fuses a multi-statement block's resume index into the frame
 //     below it (bits 13..25) instead of pushing a frame of the block's
 //     own. Straight-line statement lists are the most common combinator
@@ -100,10 +95,6 @@ const (
 	kHasV       = 1 << 30
 	kHasX       = 1 << 29
 	kPiggy      = 1 << 28
-	kInlineInt  = 1 << 26
-	kInlineUInt = 2 << 26
-	kInlineDbl  = 3 << 26
-	kInlineMask = 3 << 26
 	kPiggyShift = 13
 	kPiggyMax   = 1<<kPiggyShift - 1
 	kPiggyBits  = kPiggy | kPiggyMax<<kPiggyShift
@@ -115,28 +106,15 @@ const (
 // payload flags reconstruct the frame exactly.
 func (p *Proc) pushK(fr kframe) {
 	st := int32(fr.step)
-	n := fr.n
 	if fr.v.T != nil {
-		switch {
-		case n == 0 && fr.v.F == 0 && fr.v.T == types.IntType:
-			st |= kInlineInt
-			n = fr.v.I
-		case n == 0 && fr.v.F == 0 && fr.v.T == types.UIntType:
-			st |= kInlineUInt
-			n = fr.v.I
-		case n == 0 && fr.v.I == 0 && fr.v.T == types.DoubleType:
-			st |= kInlineDbl
-			n = int64(math.Float64bits(fr.v.F))
-		default:
-			st |= kHasV
-			p.kvals = append(p.kvals, fr.v)
-		}
+		st |= kHasV
+		p.kvals = append(p.kvals, fr.v)
 	}
 	if fr.x != nil {
 		st |= kHasX
 		p.kxs = append(p.kxs, fr.x)
 	}
-	p.kstack = append(p.kstack, kmeta{step: st, a: fr.a, n: n})
+	p.kstack = append(p.kstack, kmeta{step: st, a: fr.a, n: fr.n})
 }
 
 func (p *Proc) popK() kframe {
@@ -156,23 +134,13 @@ func (p *Proc) popKRef() *kframe {
 	fr.step = int(m.step & kStepMask)
 	fr.a = m.a
 	fr.n = m.n
-	switch m.step & (kHasV | kInlineMask) {
-	case 0:
-		fr.v = Value{}
-	case kInlineInt:
-		fr.v = Value{T: types.IntType, I: m.n}
-		fr.n = 0
-	case kInlineUInt:
-		fr.v = Value{T: types.UIntType, I: m.n}
-		fr.n = 0
-	case kInlineDbl:
-		fr.v = Value{T: types.DoubleType, F: math.Float64frombits(uint64(m.n))}
-		fr.n = 0
-	default:
+	if m.step&kHasV != 0 {
 		vi := len(p.kvals) - 1
 		fr.v = p.kvals[vi]
 		p.kvals[vi] = Value{}
 		p.kvals = p.kvals[:vi]
+	} else {
+		fr.v = Value{}
 	}
 	if m.step&kHasX != 0 {
 		xi := len(p.kxs) - 1

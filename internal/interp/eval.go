@@ -276,17 +276,6 @@ func (p *Proc) indexBase(n *ast.IndexExpr) (uint32, *types.Type, error) {
 	return v.Addr(), elem, nil
 }
 
-// stepValue adds delta respecting pointer scaling.
-func (p *Proc) stepValue(v Value, t *types.Type, delta int64) Value {
-	if t.Kind == types.Pointer && t.Elem != nil {
-		return PtrValue(t, uint32(v.Int()+delta*int64(t.Elem.Size())))
-	}
-	if v.IsFloat() {
-		return FloatValue(t, v.F+float64(delta))
-	}
-	return IntValue(t, v.I+delta)
-}
-
 // evalUnary handles prefix operators.
 func (p *Proc) evalUnary(n *ast.UnaryExpr) (Value, error) {
 	switch n.Op {
@@ -421,19 +410,6 @@ func (p *Proc) evalAssign(n *ast.AssignExpr) (Value, error) {
 	return v, nil
 }
 
-var compoundOps = map[token.Kind]token.Kind{
-	token.AddAssign: token.Plus,
-	token.SubAssign: token.Minus,
-	token.MulAssign: token.Star,
-	token.DivAssign: token.Slash,
-	token.ModAssign: token.Percent,
-	token.AndAssign: token.Amp,
-	token.OrAssign:  token.Pipe,
-	token.XorAssign: token.Caret,
-	token.ShlAssign: token.Shl,
-	token.ShrAssign: token.Shr,
-}
-
 // evalBinary handles binary operators including short-circuit logic and
 // pointer arithmetic.
 func (p *Proc) evalBinary(n *ast.BinaryExpr) (Value, error) {
@@ -469,149 +445,4 @@ func (p *Proc) evalBinary(n *ast.BinaryExpr) (Value, error) {
 		return Value{}, err
 	}
 	return p.applyBinary(n.Op, x, y, n.Typ)
-}
-
-// applyBinary computes x op y, charging the operation cost. The charges
-// are those of the original per-case table (binCost hoists them without
-// changing any charge or its order relative to the fold), and the single
-// charge site is what makes the function resumable in compiled
-// contexts: a yield at the charge saves the pure outcome in the frame, so
-// re-entry (with any operands) just returns it.
-func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	if p.coResuming {
-		return p.applyResume()
-	}
-	cost := costALU // pointer arithmetic charges one ALU cycle
-	if xt := x.T; xt == nil || !xt.IsPointerLike() || (op != token.Plus && op != token.Minus) {
-		cost = binCost(op, x.IsFloat() || y.IsFloat())
-	}
-	if err := p.chargeCycles(cost); err != nil {
-		p.pushApplyOutcome(applyBinaryFold(op, x, y, rt))
-		return Value{}, err
-	}
-	return applyBinaryFold(op, x, y, rt)
-}
-
-// applyBinaryFold is applyBinary's pure compute half: pointer
-// arithmetic, then the shared numeric fold.
-func applyBinaryFold(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
-	// Pointer arithmetic: scale the integer side by the element size.
-	if xt := x.T; xt != nil && xt.IsPointerLike() && (op == token.Plus || op == token.Minus) {
-		elem := xt.Decay().Elem
-		size := int64(4)
-		if elem != nil && elem.Size() > 0 {
-			size = int64(elem.Size())
-		}
-		if yt := y.T; yt != nil && yt.IsPointerLike() && op == token.Minus {
-			return IntValue(types.IntType, (x.Int()-y.Int())/size), nil
-		}
-		delta := y.Int() * size
-		if op == token.Minus {
-			delta = -delta
-		}
-		return PtrValue(xt.Decay(), uint32(x.Int()+delta)), nil
-	}
-	v, err := foldBinary(op, x, y)
-	if err != nil {
-		return Value{}, err
-	}
-	if rt != nil && rt.IsArithmetic() && v.T != nil && v.T.IsArithmetic() {
-		return Convert(v, rt), nil
-	}
-	return v, nil
-}
-
-// foldBinary is the pure arithmetic core, shared with the constant folder.
-func foldBinary(op token.Kind, x, y Value) (Value, error) {
-	float := x.IsFloat() || y.IsFloat()
-	boolInt := func(b bool) Value {
-		if b {
-			return IntValue(types.IntType, 1)
-		}
-		return IntValue(types.IntType, 0)
-	}
-	if float {
-		a, b := x.Float(), y.Float()
-		t := types.DoubleType
-		switch op {
-		case token.Plus:
-			return FloatValue(t, a+b), nil
-		case token.Minus:
-			return FloatValue(t, a-b), nil
-		case token.Star:
-			return FloatValue(t, a*b), nil
-		case token.Slash:
-			return FloatValue(t, a/b), nil
-		case token.Lt:
-			return boolInt(a < b), nil
-		case token.Gt:
-			return boolInt(a > b), nil
-		case token.Le:
-			return boolInt(a <= b), nil
-		case token.Ge:
-			return boolInt(a >= b), nil
-		case token.EqEq:
-			return boolInt(a == b), nil
-		case token.NotEq:
-			return boolInt(a != b), nil
-		default:
-			return Value{}, fmt.Errorf("float operands for %s", op)
-		}
-	}
-	a, b := x.Int(), y.Int()
-	t := types.IntType
-	if x.T != nil && x.T.Kind == types.UInt {
-		t = types.UIntType
-	}
-	wrap := func(v int64) Value {
-		if t.Kind == types.UInt {
-			return IntValue(t, int64(uint32(v)))
-		}
-		return IntValue(t, int64(int32(v)))
-	}
-	switch op {
-	case token.Plus:
-		return wrap(a + b), nil
-	case token.Minus:
-		return wrap(a - b), nil
-	case token.Star:
-		return wrap(a * b), nil
-	case token.Slash:
-		if b == 0 {
-			return Value{}, fmt.Errorf("integer division by zero")
-		}
-		return wrap(a / b), nil
-	case token.Percent:
-		if b == 0 {
-			return Value{}, fmt.Errorf("integer modulo by zero")
-		}
-		return wrap(a % b), nil
-	case token.Amp:
-		return wrap(a & b), nil
-	case token.Pipe:
-		return wrap(a | b), nil
-	case token.Caret:
-		return wrap(a ^ b), nil
-	case token.Shl:
-		return wrap(a << (uint(b) & 31)), nil
-	case token.Shr:
-		if t.Kind == types.UInt {
-			return wrap(int64(uint32(a) >> (uint(b) & 31))), nil
-		}
-		return wrap(int64(int32(a) >> (uint(b) & 31))), nil
-	case token.Lt:
-		return boolInt(a < b), nil
-	case token.Gt:
-		return boolInt(a > b), nil
-	case token.Le:
-		return boolInt(a <= b), nil
-	case token.Ge:
-		return boolInt(a >= b), nil
-	case token.EqEq:
-		return boolInt(a == b), nil
-	case token.NotEq:
-		return boolInt(a != b), nil
-	default:
-		return Value{}, fmt.Errorf("binary op %s unsupported", op)
-	}
 }

@@ -7,32 +7,6 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// Per-operation compute costs in core cycles, P54C-flavoured: the Pentium
-// is in-order with a slow divider and blocking loads. The same table
-// applies to baseline and translated runs, so runtime ratios are driven
-// by parallel structure and the memory system.
-const (
-	costALU    = 1  // integer add/sub/logic/compare, branches
-	costIMul   = 9  // integer multiply
-	costIDiv   = 41 // integer divide / modulo
-	costFAdd   = 3  // FP add/sub/compare
-	costFMul   = 3  // FP multiply
-	costFDiv   = 39 // FP divide
-	costConv   = 3  // int<->float conversion
-	costCall   = 5  // call + frame setup
-	costReturn = 3
-)
-
-// ctrl is statement-level control flow.
-type ctrl int
-
-const (
-	ctrlNone ctrl = iota
-	ctrlBreak
-	ctrlContinue
-	ctrlReturn
-)
-
 // callTree runs fn(args) to completion in a fresh tree-walk frame. The
 // tree-walk only runs on a reference context's goroutine, where the
 // yield-capable primitives park internally and never return the yield

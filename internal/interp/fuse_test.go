@@ -54,6 +54,11 @@ var fusedKernels = []struct{ name, ret, body string }{
 		if (p) { s += 100; }
 		do { s += 1000; n++; } while (n < 3);
 		return s;`},
+	{"while and do … while control", "int", `int n = 0; int s = 0; %[1]s
+		while (n < 12) { n++; if (n %% 3 == 0) continue; if (n > 9) break; s += n; }
+		do { n--; if (n %% 4 == 0) continue; if (n < 2) break; s += n * 2; } while (n > 0);
+		do { s += 1000; } while (n > 100);
+		return s + n;`},
 	{"incdec", "int", `int i = 2147483646; int j = -2147483647; double d = 0.5; int s = 0; int q; %[1]s
 		for (q = 0; q < 3; q++) { i++; ++i; j--; --j; d++; --d; s += (i < 0) + (j > 0); }
 		s = s + q++ + ++q + q-- + --q;

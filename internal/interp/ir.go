@@ -18,6 +18,16 @@ type evalFn func(p *Proc) (Value, error)
 // lvalFn is a lowered lvalue: resolve to (address, stored type).
 type lvalFn func(p *Proc) (uint32, *types.Type, error)
 
+// ctrl is statement-level control flow.
+type ctrl int
+
+const (
+	ctrlNone ctrl = iota
+	ctrlBreak
+	ctrlContinue
+	ctrlReturn
+)
+
 // execFn is a lowered statement.
 type execFn func(p *Proc, ret *Value) (ctrl, error)
 

@@ -105,6 +105,22 @@ type frame struct {
 // Time accounting and memory access
 // ---------------------------------------------------------------------------
 
+// Per-operation compute costs in core cycles, P54C-flavoured: the Pentium
+// is in-order with a slow divider and blocking loads. The same table
+// applies to baseline and translated runs, so runtime ratios are driven
+// by parallel structure and the memory system.
+const (
+	costALU    = 1  // integer add/sub/logic/compare, branches
+	costIMul   = 9  // integer multiply
+	costIDiv   = 41 // integer divide / modulo
+	costFAdd   = 3  // FP add/sub/compare
+	costFMul   = 3  // FP multiply
+	costFDiv   = 39 // FP divide
+	costConv   = 3  // int<->float conversion
+	costCall   = 5  // call + frame setup
+	costReturn = 3
+)
+
 // yieldHorizonPs bounds how far a context's virtual clock may run ahead
 // between scheduler handoffs (2.5 us = 2000 cycles at 800 MHz). Memory-
 // controller queueing is order-of-issue, so issue order must approximate
@@ -231,7 +247,7 @@ func (p *Proc) heapAlloc(name string, n, m int64) (uint32, error) {
 	if n < 0 || m < 0 || m > 0 && n > math.MaxInt32/m {
 		return 0, fmt.Errorf("%s of %d x %d bytes at %#x: not a size", name, n, m, addr)
 	}
-	if err := checkSpan(name, addr, n*m, p.mach); err != nil {
+	if err := p.CheckSpan(name, addr, n*m); err != nil {
 		return 0, err
 	}
 	s.heaps[p.Core] = addr + uint32(n*m)

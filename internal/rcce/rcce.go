@@ -283,7 +283,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 				return zero, true, fmt.Errorf("%s: missing size", name)
 			}
 			var err error
-			addr, err = rt.mpbmalloc(p, int(args[0].Int()))
+			addr, err = rt.mpbmalloc(p, name, int(args[0].Int()))
 			if err != nil {
 				return zero, true, err
 			}
@@ -322,7 +322,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		if step == 0 && len(args) < 3 {
 			return zero, true, fmt.Errorf("%s: want (dst, src, size, ue)", name)
 		}
-		if err := rt.bulkCopy(p, args[0].Addr(), args[1].Addr(), int(args[2].Int()), step); err != nil {
+		if err := rt.bulkCopy(p, name, args[0].Addr(), args[1].Addr(), int(args[2].Int()), step); err != nil {
 			return zero, true, err
 		}
 		return zero, true, nil
@@ -378,7 +378,9 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 	return interp.Value{}, false, nil
 }
 
-// shmalloc is the symmetric off-chip shared allocator.
+// shmalloc is the symmetric off-chip shared allocator. A fresh
+// allocation's span is checked before the cursor moves: a negative size
+// or one past the shared range is a run error.
 func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 	idx := rt.shared.seq[p]
 	rt.shared.seq[p] = idx + 1
@@ -391,8 +393,8 @@ func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 		return a.addr, nil
 	}
 	addr := (rt.shared.cursor + 31) &^ 31
-	if addr+uint32(size) > sccsim.SharedLimit {
-		return 0, fmt.Errorf("rcce: shared memory exhausted")
+	if err := p.CheckSpan("RCCE_shmalloc", addr, int64(size)); err != nil {
+		return 0, err
 	}
 	rt.shared.cursor = addr + uint32(size)
 	rt.shared.allocs = append(rt.shared.allocs, allocation{addr, size})
@@ -402,9 +404,10 @@ func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 	return addr, nil
 }
 
-// mpbmalloc is the symmetric on-chip allocator; allocations are striped
-// across the participants' MPB sections unless disabled.
-func (rt *Runtime) mpbmalloc(p *interp.Proc, size int) (uint32, error) {
+// mpbmalloc is the symmetric on-chip allocator behind the builtin name;
+// allocations are striped across the participants' MPB sections unless
+// disabled. A negative size is a run error before the cursor moves.
+func (rt *Runtime) mpbmalloc(p *interp.Proc, name string, size int) (uint32, error) {
 	idx := rt.mpb.seq[p]
 	rt.mpb.seq[p] = idx + 1
 	if idx < len(rt.mpb.allocs) {
@@ -416,9 +419,12 @@ func (rt *Runtime) mpbmalloc(p *interp.Proc, size int) (uint32, error) {
 		return a.addr, nil
 	}
 	addr := (rt.mpb.cursor + 31) &^ 31
-	total := uint32(rt.sim.Machine.Config().MPBTotal())
-	if addr+uint32(size) > sccsim.MPBBase+total {
+	total := rt.sim.Machine.Config().MPBTotal()
+	if int64(addr)+int64(size) > int64(sccsim.MPBBase)+int64(total) {
 		return 0, fmt.Errorf("rcce: MPB exhausted (%d bytes requested beyond %d total)", size, total)
+	}
+	if err := p.CheckSpan(name, addr, int64(size)); err != nil {
+		return 0, err
 	}
 	rt.mpb.cursor = addr + uint32(size)
 	rt.mpb.allocs = append(rt.mpb.allocs, allocation{addr, size})
@@ -524,11 +530,17 @@ func (rt *Runtime) acquireLock(p *interp.Proc, ue int, step int, sx any) error {
 }
 
 // bulkCopy moves size bytes line-by-line with full memory timing: the
-// transfer cost of RCCE_put/RCCE_get. Only the trailing charge can
+// transfer cost of RCCE_put/RCCE_get (name). Both spans are checked
+// before anything is copied or charged. Only the trailing charge can
 // yield; the copies complete before it.
-func (rt *Runtime) bulkCopy(p *interp.Proc, dst, src uint32, size int, step int) error {
+func (rt *Runtime) bulkCopy(p *interp.Proc, name string, dst, src uint32, size int, step int) error {
 	if step != 0 {
 		return nil
+	}
+	for _, a := range []uint32{src, dst} {
+		if err := p.CheckSpan(name, a, int64(size)); err != nil {
+			return err
+		}
 	}
 	const line = 32
 	buf := make([]byte, line)

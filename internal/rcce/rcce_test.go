@@ -163,6 +163,53 @@ int RCCE_APP(int *argc, char **argv) {
 	}
 }
 
+// TestHostileRCCESizesAreRunErrors: a negative size, or one reaching
+// past the memory its buffer starts in, handed to a bulk RCCE builtin or
+// an allocator is a run error naming the builtin, the size and the
+// address — raised before anything is copied, charged or allocated, with
+// the same text on the compiled and the reference Program. (A negative
+// allocation moved the symmetric cursor backwards, a negative put ran
+// the clock backwards, and a negative send/recv returned normally.)
+func TestHostileRCCESizesAreRunErrors(t *testing.T) {
+	cases := []struct{ name, stmt, builtin, size string }{
+		{"shmalloc negative", `p = RCCE_shmalloc(-32); q = RCCE_shmalloc(16);`, "RCCE_shmalloc", "-32 bytes"},
+		{"shmalloc past shared memory", `p = RCCE_shmalloc(2000000000);`, "RCCE_shmalloc", "2000000000 bytes"},
+		{"mpbmalloc negative", `p = RCCE_mpbmalloc(-32); q = RCCE_mpbmalloc(16);`, "RCCE_mpbmalloc", "-32 bytes"},
+		{"put negative", `RCCE_put(a, b, -1280000, 0);`, "RCCE_put", "-1280000 bytes"},
+		{"get negative", `RCCE_get(a, b, -1, 1);`, "RCCE_get", "-1 bytes"},
+		{"put past the heap", `RCCE_put(a, b, 2000000000, 0);`, "RCCE_put", "2000000000 bytes"},
+		{"send negative", `if (me == 0) RCCE_send(a, -64, 1); else RCCE_recv(a, 64, 0);`, "RCCE_send", "-64 bytes"},
+		{"recv negative", `if (me == 0) RCCE_send(a, 64, 1); else RCCE_recv(a, -64, 0);`, "RCCE_recv", "-64 bytes"},
+		{"recv past the heap", `if (me == 0) RCCE_send(a, 64, 1); else RCCE_recv(a, 2000000000, 0);`, "RCCE_recv", "2000000000 bytes"},
+	}
+	programs := []func(name, src string) (*interp.Program, error){interp.Compile, interp.CompileReference}
+	for _, c := range cases {
+		src := "char a[64]; char b[64]; char *p; char *q;\nint RCCE_APP(int *argc, char **argv) {\n" +
+			"    RCCE_init(argc, argv); int me = RCCE_ue();\n    " + c.stmt +
+			"\n    printf(\"survived\\n\"); RCCE_finalize(); return 0;\n}\n"
+		var texts []string
+		for _, compile := range programs {
+			pr, err := compile("hostile.c", src)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			_, err = Run(pr, sccsim.MustNew(sccsim.DefaultConfig()), DefaultOptions(2))
+			if err == nil {
+				t.Fatalf("%s: ran to completion, want a run error", c.name)
+			}
+			for _, want := range []string{c.builtin + " of", c.size, " at 0x"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not name %q", c.name, err, want)
+				}
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: compiled error %q, reference %q", c.name, texts[0], texts[1])
+		}
+	}
+}
+
 // TestParallelSpeedup: embarrassingly parallel work on N cores runs ~N
 // times faster than on one.
 func TestParallelSpeedup(t *testing.T) {

@@ -64,6 +64,9 @@ func (rt *Runtime) send(p *interp.Proc, buf uint32, size, dst int, step int) err
 	if step != 0 {
 		return nil
 	}
+	if err := p.CheckSpan("RCCE_send", buf, int64(size)); err != nil {
+		return err
+	}
 	me := rt.RankOf(p)
 	if dst < 0 || dst >= len(rt.ues) {
 		return fmt.Errorf("RCCE_send: no rank %d", dst)
@@ -98,6 +101,9 @@ func (rt *Runtime) send(p *interp.Proc, buf uint32, size, dst int, step int) err
 // receiver (step 1) re-enters the wait loop and finds its message; the
 // drain path has no suspension points.
 func (rt *Runtime) recv(p *interp.Proc, buf uint32, size, src int, step int) error {
+	if err := p.CheckSpan("RCCE_recv", buf, int64(size)); err != nil {
+		return err
+	}
 	me := rt.RankOf(p)
 	if src < 0 || src >= len(rt.ues) {
 		return fmt.Errorf("RCCE_recv: no rank %d", src)
