@@ -214,7 +214,9 @@ func (cfg Config) MachineConfig() sccsim.Config {
 	if cfg.machineEnv != "" {
 		return cfg.machineCfg
 	}
-	return cfg.Machine().Config()
+	m := cfg.Machine()
+	defer m.Release()
+	return m.Config()
 }
 
 // fingerprint renders a machine configuration for cache keys — the one
@@ -228,7 +230,7 @@ func (cfg Config) machineFingerprint() string {
 	if cfg.machineEnv != "" {
 		return cfg.machineEnv
 	}
-	return fingerprint(cfg.Machine().Config())
+	return fingerprint(cfg.MachineConfig())
 }
 
 // PrecomputeMachineEnv returns a copy of cfg carrying the machine
@@ -299,7 +301,9 @@ func RunBaselineProgram(w Workload, pr *interp.Program, cfg Config) (*RunResult,
 	return runStage(cfg.Hooks, stageBaseline, w.Key, func() (*RunResult, error) {
 		opts := cfg.Baseline
 		opts.Cancel = cfg.Hooks.Cancel
-		res, err := pthreadrt.Run(pr, cfg.Machine(), opts)
+		m := cfg.Machine()
+		defer m.Release()
+		res, err := pthreadrt.Run(pr, m, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", w.Key, err)
 		}
@@ -389,7 +393,9 @@ func RunRCCEProgram(w Workload, tr *Translation, cfg Config, policy partition.Po
 		default:
 			mode = "rcce-onchip"
 		}
-		res, err := rcce.Run(tr.Program, cfg.Machine(), cfg.rcceOptions())
+		m := cfg.Machine()
+		defer m.Release()
+		res, err := rcce.Run(tr.Program, m, cfg.rcceOptions())
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", w.Key, mode, err)
 		}

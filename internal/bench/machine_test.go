@@ -92,3 +92,40 @@ func TestGridRejectsOversizedCores(t *testing.T) {
 		t.Fatalf("64 cores on mesh256 rejected: %v", err)
 	}
 }
+
+// TestHarnessReleasesMachines: every machine the harness builds — for
+// the baseline, the RCCE run, the profiling pass and a configuration
+// lookup without a precomputed machine — is released by the time the
+// harness returns, so its storage goes back to sccsim for the next run.
+// A released machine has no cores.
+func TestHarnessReleasesMachines(t *testing.T) {
+	var built []*sccsim.Machine
+	cfg := DefaultConfig()
+	cfg.Machine = func() *sccsim.Machine {
+		m := sccsim.MustNew(sccsim.DefaultConfig())
+		built = append(built, m)
+		return m
+	}
+	cfg.Threads, cfg.Scale = 4, 0.05
+	w, ok := ByKey("hist")
+	if !ok {
+		t.Fatal("hist workload missing")
+	}
+	for _, name := range []string{"size", "profiled"} {
+		policy, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunBothBackends(w, cfg, policy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(built) < 4 {
+		t.Fatalf("the harness built %d machines, want a baseline, two RCCE runs and a profiling run at least", len(built))
+	}
+	for i, m := range built {
+		if m.Cores() != 0 {
+			t.Errorf("machine %d of %d was not released", i, len(built))
+		}
+	}
+}

@@ -45,6 +45,7 @@ func ProfileWorkload(w Workload, cfg Config) (*profile.Report, error) {
 func profileProgram(w Workload, cfg Config, tr *translation, pr *interp.Program) (*profile.Report, error) {
 	col := profile.NewCollector(profile.Spec{OffChip: tr.offChipAllocs, OnChip: tr.onChipAllocs})
 	m := cfg.Machine()
+	defer m.Release()
 	ropts := cfg.rcceOptions()
 	ropts.Profiler = col
 	ropts.AllocObserver = col

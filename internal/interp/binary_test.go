@@ -142,7 +142,7 @@ func TestFoldsMatchFoldBinary(t *testing.T) {
 					name := fmt.Sprintf("%s -> %v of %v, %v", op, rt, x.T, y.T)
 					p := idleProcs(t, pr)
 					p.Clock = yieldHorizonPs
-					if _, err := p.applyBinary(op, x, y, rt); err != errYield {
+					if _, err := p.applyBinary(op, x, y, rt); !isYield(err) {
 						t.Fatalf("%s: charge at the horizon returned %v, want a yield", name, err)
 					}
 					if len(p.kstack) != 1 {

@@ -109,6 +109,10 @@ const (
 // builtinArity is how many arguments a common builtin reads.
 var builtinArity = [...]int{bMalloc: 1, bCalloc: 2, bMemset: 3, bMemcpy: 3, bAtoi: 1, bSqrt: 1, bFabs: 1}
 
+// voidPtrType is the type of the pointers malloc and calloc return, built
+// once rather than per call.
+var voidPtrType = types.PointerTo(types.VoidType)
+
 // commonBuiltinID interns a callee name.
 func commonBuiltinID(name string) builtinID {
 	switch name {
@@ -193,7 +197,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 				return Value{}, true, err
 			}
 		}
-		return PtrValue(types.PointerTo(types.VoidType), addr), true, nil
+		return PtrValue(voidPtrType, addr), true, nil
 
 	case bCalloc:
 		addr := fr.a
@@ -209,7 +213,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 				return Value{}, true, err
 			}
 		}
-		return PtrValue(types.PointerTo(types.VoidType), addr), true, nil
+		return PtrValue(voidPtrType, addr), true, nil
 
 	case bFree:
 		if fr.step == 0 {

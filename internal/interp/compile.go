@@ -191,7 +191,7 @@ func (c *compiler) compileBlock(b *ast.BlockStmt, tick uint64) execFn {
 		}
 		for i := start; i < len(list); i++ {
 			if ct, err := list[i](p, ret); err != nil || ct != ctrlNone {
-				if err == errYield {
+				if isYield(err) {
 					// Fuse the resume index into the frame the yielding
 					// child just pushed instead of pushing one of our
 					// own, when that frame has room (no piggy yet, own
@@ -268,7 +268,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 			if step <= 1 {
 				w, err := cond(p)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 1})
 					}
 					return ctrlNone, err
@@ -281,14 +281,14 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 			}
 			if cb {
 				ct, err := then(p, ret)
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 3, n: 1})
 				}
 				return ct, err
 			}
 			if els != nil {
 				ct, err := els(p, ret)
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 3})
 				}
 				return ct, err
@@ -366,7 +366,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 			if step <= 1 {
 				tv, err := tag(p)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 1})
 					}
 					return ctrlNone, err
@@ -385,7 +385,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					} else {
 						cv, err := cl.value(p)
 						if err != nil {
-							if err == errYield {
+							if isYield(err) {
 								p.pushK(kframe{step: 3, n: tagI, a: uint32(i)})
 							}
 							return ctrlNone, err
@@ -399,7 +399,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 				for j := startStmt; j < len(cl.body); j++ {
 					ct, err := cl.body[j](p, ret)
 					if err != nil {
-						if err == errYield {
+						if isYield(err) {
 							p.pushK(kframe{step: 4, a: uint32(i), n: int64(j)})
 						}
 						return ctrlNone, err
@@ -485,7 +485,7 @@ func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
 		}
 		if step == 1 {
 			if _, err := init(p, ret); err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 1})
 				}
 				return ctrlNone, err
@@ -496,7 +496,7 @@ func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
 			if step <= 2 {
 				w, err := cond(p)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 2})
 					}
 					return ctrlNone, err
@@ -515,7 +515,7 @@ func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
 			if step <= 4 {
 				ct, err := body(p, ret)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 4})
 					}
 					return ctrlNone, err
@@ -529,7 +529,7 @@ func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
 			}
 			if post != nil {
 				if _, err := post(p, ret); err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 5})
 					}
 					return ctrlNone, err
@@ -586,13 +586,13 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 				if init != nil && step <= 1 { // mirrors execStmt order: Init runs first
 					v, ierr := init(p)
 					if ierr != nil {
-						if ierr == errYield {
+						if isYield(ierr) {
 							p.pushK(kframe{step: 1})
 						}
 						return ctrlNone, ierr
 					}
 					if serr := p.storeValue(p.slotAddr(idx), typ, v); serr != nil {
-						if serr == errYield {
+						if isYield(serr) {
 							p.pushK(kframe{step: 2})
 						}
 						return ctrlNone, serr
@@ -633,13 +633,13 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 		if step <= 1 && init != nil {
 			v, err := init(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 1})
 				}
 				return ctrlNone, err
 			}
 			if _, err := sf(p, p.slotAddr(idx), v); err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 2})
 				}
 				return ctrlNone, err
@@ -649,13 +649,13 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 			for i := listFrom; i < len(initLst); i++ {
 				v, err := initLst[i](p)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 3, n: int64(i)})
 					}
 					return ctrlNone, err
 				}
 				if _, err := elemStore(p, p.slotAddr(idx)+uint32(i)*elemSize, v); err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 3, n: int64(i + 1)})
 					}
 					return ctrlNone, err
@@ -666,7 +666,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 			zero := IntValue(types.IntType, 0)
 			for i := zFrom; i < zeroTo; i++ {
 				if _, err := elemStore(p, p.slotAddr(idx)+uint32(i)*elemSize, zero); err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 5, n: int64(i + 1)})
 					}
 					return ctrlNone, err

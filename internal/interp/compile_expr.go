@@ -83,7 +83,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 			}
 			v, err := x(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
@@ -120,7 +120,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 				f = then
 			}
 			v, err := f(p)
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1, n: b2i(cb)})
 			}
 			return v, err
@@ -134,7 +134,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 			}
 			v, err := cond(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
@@ -158,14 +158,14 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 			}
 			if runX {
 				if _, err := x(p); err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{})
 					}
 					return Value{}, err
 				}
 			}
 			v, err := y(p)
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1})
 			}
 			return v, err
@@ -211,7 +211,7 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 			res = upd
 		}
 		if _, err := sf(p, addr, upd); err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 4, v: res})
 			}
 			return Value{}, err
@@ -230,14 +230,14 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 		}
 		addr, _, err := lf(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
 		old, err := ld(p, addr)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
@@ -305,7 +305,7 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 			}
 			v, err := ld(p, p.slotAddr(idx))
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{v: v})
 				}
 				return Value{}, err
@@ -333,7 +333,7 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 			}
 			v, err := ld(p, addr)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{v: v})
 				}
 				return Value{}, err
@@ -378,14 +378,14 @@ func loadThrough(lf lvalFn, st *types.Type) evalFn {
 		}
 		addr, _, err := lf(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
 		v, err := ld(p, addr)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1, v: v})
 			}
 			return Value{}, err
@@ -527,7 +527,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 		if step == 0 {
 			var err error
 			if base, _, err = baseFn(p); err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return 0, nil, err
@@ -535,7 +535,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 		}
 		v, err := idxFn(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1, a: base})
 			}
 			return 0, nil, err
@@ -585,7 +585,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 			}
 			v, err := x(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return 0, nil, err
@@ -623,7 +623,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 		}
 		base, _, err := baseFn(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{})
 			}
 			return 0, nil, err
@@ -648,7 +648,13 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 				return func(p *Proc) (Value, error) { return v, nil }
 			}
 		}
-		lf, _ := c.compileLValue(n.X)
+		lf, st := c.compileLValue(n.X)
+		// The pointer type is built here, once; an lvalue whose run-time
+		// type is not its static one gets its own.
+		var pt *types.Type
+		if st != nil {
+			pt = types.PointerTo(st)
+		}
 		return func(p *Proc) (Value, error) {
 			if p.coResuming {
 				fr := p.popKRef()
@@ -658,12 +664,16 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 			}
 			addr, t, err := lf(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
 			}
-			v := PtrValue(types.PointerTo(t), addr)
+			ptr := pt
+			if t != st {
+				ptr = types.PointerTo(t)
+			}
+			v := PtrValue(ptr, addr)
 			if err := p.chargeCycles(costALU); err != nil {
 				p.pushK(kframe{step: 1, v: v})
 				return Value{}, err
@@ -714,7 +724,7 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 		}
 		v, err := x(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
@@ -751,7 +761,7 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 			if step == 0 {
 				var err error
 				if addr, _, err = lf(p); err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{})
 					}
 					return Value{}, err
@@ -759,14 +769,14 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 			}
 			rhs, err := rf(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 1, a: addr})
 				}
 				return Value{}, err
 			}
 			cv, err := sf(p, addr, rhs)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 3, v: cv})
 				}
 				return Value{}, err
@@ -786,14 +796,14 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
 		res, err := p.applyBinary(op, old, rhs, st)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 3, a: addr})
 			}
 			return Value{}, err
 		}
 		sv, err := sf(p, addr, res)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 5, v: sv})
 			}
 			return Value{}, err
@@ -803,7 +813,7 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	rhsTail := func(p *Proc, addr uint32, old Value) (Value, error) {
 		rhs, err := rf(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
@@ -824,14 +834,14 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 		}
 		addr, _, err := lf(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{})
 			}
 			return Value{}, err
 		}
 		old, err := ld(p, addr)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 2, a: addr, v: old})
 			}
 			return Value{}, err
@@ -861,7 +871,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 		if step == 0 {
 			var err error
 			if xv, err = x(p); err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
@@ -869,13 +879,13 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 		}
 		yv, err := y(p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1, v: xv})
 			}
 			return Value{}, err
 		}
 		v, err := p.applyBinary(op, xv, yv, rt)
-		if err == errYield {
+		if isYield(err) {
 			p.pushK(kframe{step: 2})
 		}
 		return v, err
@@ -911,7 +921,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			if rt := p.Sim.Runtime; rt != nil {
 				v, handled, err := rt.CallBuiltin(p, name, argv)
 				if err != nil {
-					if err == errYield {
+					if isYield(err) {
 						p.pushK(kframe{step: 0})
 					}
 					return Value{}, err
@@ -923,7 +933,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 		}
 		v, handled, err := p.commonBuiltinByID(cid, argv)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 1})
 			}
 			return Value{}, err
@@ -951,7 +961,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			} else {
 				v, err = builtinTail(p, argv)
 			}
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 2, v: fv, a: uint32(base)})
 				return Value{}, err
 			}
@@ -961,7 +971,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 		argsTail := func(p *Proc, fv Value) (Value, error) {
 			argv, base, err := p.evalCompiledArgs(argFns)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{step: 1, v: fv})
 				}
 				return Value{}, err
@@ -981,7 +991,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 			}
 			fv, err := funFn(p)
 			if err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
@@ -1008,14 +1018,14 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 		if base < 0 {
 			var err error
 			if argv, base, err = p.evalCompiledArgs(argFns); err != nil {
-				if err == errYield {
+				if isYield(err) {
 					p.pushK(kframe{})
 				}
 				return Value{}, err
 			}
 		}
 		v, err := call(p, argv)
-		if err == errYield {
+		if isYield(err) {
 			p.pushK(kframe{step: 1, a: uint32(base)})
 			return Value{}, err
 		}

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -40,12 +39,27 @@ import (
 // path as runtime errors — every combinator already propagates errors
 // immediately — but is intercepted by the scheduler loop instead of
 // failing the session.
-var errYield = errors.New("interp: coroutine yield")
+var errYield error = yieldError{}
+
+// yieldError is errYield's type, and no other error has it: a zero-size
+// type, so that isYield is a type assertion — one compare of the
+// interface's type word, inlined — where an == on two error values
+// calls into the runtime every time it meets a yield.
+type yieldError struct{}
+
+func (yieldError) Error() string { return "interp: coroutine yield" }
+
+// isYield reports whether err is errYield. Every test for a suspension
+// goes through it.
+func isYield(err error) bool {
+	_, ok := err.(yieldError)
+	return ok
+}
 
 // IsYield reports whether err is the coroutine suspension sentinel.
 // Runtime packages use it to distinguish a suspension from a failure
 // when a primitive they called wants to yield.
-func IsYield(err error) bool { return err == errYield }
+func IsYield(err error) bool { return isYield(err) }
 
 // kframe is one resumption frame: the step a function suspended at plus
 // whatever locals it needs to continue. The scratch fields cover every

@@ -310,7 +310,7 @@ func (p *Proc) storeWord(addr uint32, size int, sext uint, w uint64) error {
 
 // suspended pushes a fused closure's frame when err is a yield.
 func (p *Proc) suspended(err error, step int, a uint32, n uint64) error {
-	if err == errYield {
+	if isYield(err) {
 		p.pushK(kframe{step: step, a: a, n: int64(n)})
 	}
 	return err
@@ -367,7 +367,7 @@ func (p *Proc) binTail(fold foldFn, cost int, a, b uint64, addr uint32) (uint64,
 // binFolded suspends a closure whose last operand was a load that
 // yielded: the fold is pure, so the frame carries its outcome.
 func (p *Proc) binFolded(err error, fold foldFn, a, b uint64, addr uint32) error {
-	if err == errYield {
+	if isYield(err) {
 		r, ferr := fold(a, b)
 		p.pushK(kframe{step: 2, a: addr, n: int64(r), x: ferr})
 	}

@@ -416,7 +416,7 @@ func (p *Proc) storeParams(cf *compiledFunc, args []Value, from int) error {
 			v = args[i]
 		}
 		if _, err := cf.paramStore[i](p, p.slotMem[p.cfp+si], v); err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{step: 2, n: int64(i + 1)})
 				return err
 			}
@@ -449,7 +449,7 @@ func (p *Proc) runCompiledBodyAt(cf *compiledFunc, depth int) (Value, error) {
 		*ret = Value{}
 	}
 	if _, err := cf.body(p, ret); err != nil {
-		if err == errYield {
+		if isYield(err) {
 			p.pushK(kframe{step: 3, n: int64(depth)})
 			return Value{}, err
 		}
@@ -490,7 +490,7 @@ func (p *Proc) evalCompiledArgs(fns []evalFn) ([]Value, int, error) {
 	for i := start; i < len(fns); i++ {
 		v, err := fns[i](p)
 		if err != nil {
-			if err == errYield {
+			if isYield(err) {
 				p.pushK(kframe{a: uint32(base), n: int64(i)})
 				return nil, 0, err
 			}

@@ -380,7 +380,7 @@ func (p *Proc) step() bool {
 		p.coResuming = true
 	}
 	v, err := p.callCompiled(p.rootCF, p.args)
-	if err == errYield {
+	if isYield(err) {
 		return false
 	}
 	p.finish(v, err)

@@ -170,6 +170,10 @@ func (rt *Runtime) OnExit(p *interp.Proc) {
 	delete(rt.joiners, tid)
 }
 
+// pthreadT is the type pthread_create stores a thread ID as, built once
+// rather than per call.
+var pthreadT = types.OpaqueOf("pthread_t")
+
 // CallBuiltin implements the Pthread API subset of thesis Algorithms 4-8.
 //
 // Every builtin follows the coroutine resumption protocol: a yield from
@@ -212,7 +216,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 			rt.byTID[tid] = child
 			rt.tidOf[child] = tid
 			if addr := args[0].Addr(); addr != 0 {
-				if err := p.StoreTyped(addr, types.OpaqueOf("pthread_t"), interp.IntValue(types.IntType, tid)); err != nil {
+				if err := p.StoreTyped(addr, pthreadT, interp.IntValue(types.IntType, tid)); err != nil {
 					if interp.IsYield(err) {
 						p.PushResume(2, nil)
 					}

@@ -182,6 +182,10 @@ func (rt *Runtime) RegisterRank(p *interp.Proc, rank int) { rt.rankByProc[p] = r
 // OnExit implements interp.Runtime.
 func (rt *Runtime) OnExit(p *interp.Proc) {}
 
+// voidPtrType is the type of the pointers the allocators return, built
+// once rather than per call.
+var voidPtrType = types.PointerTo(types.VoidType)
+
 // CallBuiltin implements the RCCE API.
 //
 // Every builtin follows the coroutine resumption protocol (see
@@ -265,7 +269,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 				return zero, true, err
 			}
 		}
-		return interp.PtrValue(types.PointerTo(types.VoidType), addr), true, nil
+		return interp.PtrValue(voidPtrType, addr), true, nil
 
 	case "RCCE_shfree":
 		if step == 0 {
@@ -292,7 +296,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 				return zero, true, err
 			}
 		}
-		return interp.PtrValue(types.PointerTo(types.VoidType), addr), true, nil
+		return interp.PtrValue(voidPtrType, addr), true, nil
 
 	case "RCCE_barrier":
 		if err := rt.doBarrier(p, step); err != nil {

@@ -32,6 +32,9 @@ type Cache struct {
 	// so testing its tag first spares most hits the tick and the set
 	// scan. Flush empties the line it points at along with all others.
 	mru *cacheLine
+	// spare holds the cleared blocks reset unlinked, for materialize to
+	// take before allocating.
+	spare [][]cacheLine
 }
 
 // blockSets is the materialisation granule in sets: 16 sets of a 4-way
@@ -139,15 +142,40 @@ func (c *Cache) Access(addr uint32, write bool) (hit, dirtyEvict bool) {
 	return false, dirtyEvict
 }
 
-// materialize allocates one block of (empty) sets, and the block table
-// before the first of them.
+// materialize links one block of (empty) sets, a spare one when there is
+// one, and allocates the block table before the first of them.
 func (c *Cache) materialize(block int) []cacheLine {
 	if c.blocks == nil {
 		c.blocks = make([][]cacheLine, c.setMask>>blockShift+1)
 	}
-	blk := make([]cacheLine, blockSets*c.ways)
+	var blk []cacheLine
+	if n := len(c.spare); n > 0 {
+		blk = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	} else {
+		blk = make([]cacheLine, blockSets*c.ways)
+	}
 	c.blocks[block] = blk
 	return blk
+}
+
+// reset empties the cache for another run: every line invalid, the LRU
+// clock at zero and no MRU line. Each linked block is cleared onto the
+// spare list and unlinked, so the blocks linked at the next reset are
+// the ones that run touched; the table stays. A cache with its clock at
+// zero has linked no block since it was last reset.
+func (c *Cache) reset() {
+	if c.tick == 0 {
+		return
+	}
+	for i, blk := range c.blocks {
+		if blk != nil {
+			clear(blk)
+			c.spare = append(c.spare, blk)
+			c.blocks[i] = nil
+		}
+	}
+	c.tick, c.mru = 0, nil
 }
 
 // Flush invalidates every line, returning how many dirty lines were

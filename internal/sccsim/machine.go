@@ -33,13 +33,16 @@ type Machine struct {
 	// cores and mcs are value slabs, and every store below is
 	// first-touch: building a machine is a fixed number of allocations
 	// whatever its core count, and no core owns a heap object before
-	// its first access.
+	// its first access. cores, shared and mpb come from store, which
+	// Release hands to the next machine of the same shape.
 	cores  []coreState
 	mcs    []memController
 	shared PageMem
-	// mpb is allocated by the first MPB access (mpbSpan): the Pthread
-	// baseline and off-chip placements never touch it.
-	mpb []byte
+	// mpb holds the prefix of the MPB the run has touched, claimed by
+	// the first MPB access and grown by later ones (mpbSpan): the
+	// Pthread baseline and off-chip placements never touch it.
+	mpb   []byte
+	store *storage
 	// mpbRanges records striped allocations so remote-vs-local MPB
 	// latency reflects data placement; addresses outside any range
 	// default to the section owner (addr / MPBStride).
@@ -142,6 +145,12 @@ func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newMachine(cfg, takeStorage(&cfg)), nil
+}
+
+// newMachine builds a machine of cfg on st, empty storage of cfg's shape
+// (fresh or released: the code path is the same).
+func newMachine(cfg Config, st *storage) *Machine {
 	period := cfg.CorePeriod()
 	m := &Machine{
 		cfg:          cfg,
@@ -156,23 +165,27 @@ func New(cfg Config) (*Machine, error) {
 		coresPerTile: cfg.TileCores(),
 		mpbStride:    cfg.MPBStride(),
 		mcPos:        computeMCPositions(&cfg),
-		cores:        make([]coreState, cfg.Cores),
+		cores:        st.cores,
 		mcs:          make([]memController, cfg.MemControllers),
+		shared:       st.shared,
 		tas:          make([]bool, cfg.Cores),
+		store:        st,
 	}
+	st.cores, st.shared = nil, PageMem{}
 	m.computeMeshMap()
-	l1 := NewCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes)
-	l2 := NewCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes)
+	// The storage is empty (takeStorage), but its counters and clocks
+	// are whatever its last run left: every core starts from zero here.
 	for i := range m.cores {
 		cs := &m.cores[i]
-		cs.l1, cs.l2 = l1, l2
+		cs.stats = CoreStats{}
+		cs.timer = CoreTimer{}
 		corePeriod := period
 		if len(cfg.Tiers) > 0 {
 			corePeriod = Time(1e6 / uint64(cfg.TierMHz(i)))
 		}
 		cs.setPeriod(&m.cfg, corePeriod)
 	}
-	return m, nil
+	return m
 }
 
 // MustNew builds a machine or panics; for tests and examples.
@@ -340,45 +353,67 @@ func (m *Machine) wordBulk(core int, addr uint32, size int, write bool, v uint64
 // ReadBytes copies memory without charging time (used by the runtime for
 // printf formatting and by tests).
 func (m *Machine) ReadBytes(core int, addr uint32, buf []byte) {
+	priv := &m.cores[core].priv // first: a released machine panics here, whatever the class
 	switch {
 	case addr >= MPBBase:
 		copy(buf, m.mpbSpan(core, addr, len(buf), "read"))
 	case addr >= SharedBase:
 		m.shared.Read(addr-SharedBase, buf)
 	default:
-		m.cores[core].priv.Read(addr, buf)
+		priv.Read(addr, buf)
 	}
 }
 
 // WriteBytes stores memory without charging time (program loading).
 func (m *Machine) WriteBytes(core int, addr uint32, data []byte) {
+	priv := &m.cores[core].priv // first: a released machine panics here, whatever the class
 	switch {
 	case addr >= MPBBase:
 		copy(m.mpbSpan(core, addr, len(data), "write"), data)
 	case addr >= SharedBase:
 		m.shared.Write(addr-SharedBase, data)
 	default:
-		m.cores[core].priv.Write(addr, data)
+		priv.Write(addr, data)
 	}
 }
 
-// mpbSpan returns the n bytes of the MPB at addr, allocating the backing
-// array on first use, or nil — recording the run's first fault — when
-// they do not all lie inside it. A program can form any address (a cast
-// constant, an index run wild), so this is input checking, not an
+// mpbSpan returns the n bytes of the MPB at addr, growing the backing
+// array to cover them, or nil — recording the run's first fault — when
+// they do not all lie inside the MPB. A program can form any address (a
+// cast constant, an index run wild), so this is input checking, not an
 // invariant.
 func (m *Machine) mpbSpan(core int, addr uint32, n int, op string) []byte {
-	if m.mpb == nil {
-		m.mpb = make([]byte, m.cfg.MPBTotal())
-	}
 	off := int(addr - MPBBase)
-	if off+n > len(m.mpb) {
+	if total := m.cfg.MPBTotal(); off+n > total {
 		if m.fault == nil {
-			m.fault = fmt.Errorf("core %d: %s of %d bytes at %#x: outside the MPB (%d bytes)", core, op, n, addr, len(m.mpb))
+			m.fault = fmt.Errorf("core %d: %s of %d bytes at %#x: outside the MPB (%d bytes)", core, op, n, addr, total)
 		}
 		return nil
 	}
+	if off+n > len(m.mpb) {
+		m.growMPB(off + n)
+	}
 	return m.mpb[off : off+n]
+}
+
+// growMPB extends the MPB's backing array to hold at least its first n
+// bytes. The RCCE allocator bumps up from MPBBase, so a run touches a
+// prefix of the MPB, and the array holds that prefix: page-rounded, at
+// least doubling, never past MPBTotal. It claims the parked array of a
+// released machine first, and allocates only past that array's capacity
+// (whose bytes Release left zero).
+func (m *Machine) growMPB(n int) {
+	size := min(max(2*len(m.mpb), (n+pageMask)&^pageMask), m.cfg.MPBTotal())
+	if m.mpb == nil {
+		m.mpb, m.store.mpb = m.store.mpb, nil
+	}
+	if size <= cap(m.mpb) {
+		m.mpb = m.mpb[:size]
+		return
+	}
+	grown := make([]byte, size)
+	copy(grown, m.mpb)
+	m.mpb = grown
 }
 
 // Fault returns the first access that fell outside the memory map (nil

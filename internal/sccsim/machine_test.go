@@ -541,24 +541,37 @@ func allocatedBytes(f func(i int)) uint64 {
 	return least
 }
 
+// allocatedOnce reports the heap bytes one call of f allocates.
+func allocatedOnce(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestMachineFootprint pins the first-touch rule: a machine costs host
 // memory for what a run touches, not for what it models. Building one
 // is a fixed number of allocations whatever the core count and well
 // under 1 MiB at 1024 cores; a core's first private access pays for one
 // block of tags per cache level, one path through the page table and
-// its data page; the MPB exists only once something is stored in it.
+// its data page; the MPB exists only once something is stored in it,
+// and then only the prefix up to the page holding the highest byte
+// touched. A machine built on released storage pays for none of it.
 func TestMachineFootprint(t *testing.T) {
 	wide := MustPreset("mesh1024")
 	narrow := wide
 	narrow.Cores = 16 // same mesh and controllers, 1/64 of the cores
-	wideObjs := testing.AllocsPerRun(5, func() { MustNew(wide) })
-	narrowObjs := testing.AllocsPerRun(5, func() { MustNew(narrow) })
+	// Building from nothing: storage a released machine left in the pool
+	// would make the first call cheaper than the rest.
+	wideObjs := testing.AllocsPerRun(5, func() { neverUsed(wide) })
+	narrowObjs := testing.AllocsPerRun(5, func() { neverUsed(narrow) })
 	if wideObjs != narrowObjs {
 		t.Errorf("New allocates %v objects at %d cores, %v at %d: must not depend on the core count",
 			wideObjs, wide.Cores, narrowObjs, narrow.Cores)
 	}
 	var m *Machine
-	if b := allocatedBytes(func(int) { m = MustNew(wide) }); b > 1<<20 {
+	if b := allocatedBytes(func(int) { m = neverUsed(wide) }); b > 1<<20 {
 		t.Errorf("New(mesh1024) allocates %d bytes, want <= 1 MiB", b)
 	}
 
@@ -583,7 +596,47 @@ func TestMachineFootprint(t *testing.T) {
 		t.Error("a run that never touches the MPB must not allocate it")
 	}
 	m.Store(5, MPBBase+uint32(5*wide.MPBStride()), buf[:], 0)
-	if len(m.mpb) != wide.MPBTotal() {
-		t.Errorf("after an MPB store the backing array holds %d bytes, want %d", len(m.mpb), wide.MPBTotal())
+	if want := (5*wide.MPBStride() + len(buf) + pageSize - 1) &^ (pageSize - 1); len(m.mpb) != want {
+		t.Errorf("after a store into slice 5 the MPB backing array holds %d bytes, want the %d-byte page-rounded prefix", len(m.mpb), want)
+	}
+
+	// The same run again, on the storage a released machine of the
+	// shape left: New builds no core slab, and the run's first touches
+	// take spare pages and the page tables, cache blocks and MPB array
+	// already there. The pool may drop what it is given (the race
+	// detector makes it drop some on purpose), so a miss starts over.
+	touch := func(m *Machine) {
+		for c := 1000; c < 1003; c++ {
+			m.Load(c, PrivateBase, buf[:], 0)
+		}
+		m.Store(0, PrivateLimit-8, buf[:], 0)
+		m.Store(0, SharedBase+64, buf[:], 0)
+		m.Load(3, SharedBase+64, buf[:], 0)
+		m.FlushL1(0)
+		m.Store(5, MPBBase+uint32(5*wide.MPBStride()), buf[:], 0)
+	}
+	newBytes, touchBytes := ^uint64(0), ^uint64(0)
+	for tries, reused := 0, 0; reused < 3; tries++ {
+		if tries == 40 {
+			t.Fatalf("%d of %d New calls after a Release reused the released storage", reused, tries)
+		}
+		prev := MustNew(wide)
+		touch(prev)
+		st := prev.store
+		prev.Release()
+		var again *Machine
+		b := allocatedOnce(func() { again = MustNew(wide) })
+		if again.store == st {
+			reused++
+			newBytes = min(newBytes, b)
+			touchBytes = min(touchBytes, allocatedOnce(func() { touch(again) }))
+		}
+		again.Release()
+	}
+	if newBytes > 32<<10 {
+		t.Errorf("New(mesh1024) on released storage allocates %d bytes, want <= 32 KiB", newBytes)
+	}
+	if touchBytes != 0 {
+		t.Errorf("replaying the run on released storage allocates %d bytes, want 0", touchBytes)
 	}
 }

@@ -46,6 +46,18 @@ type PageMem struct {
 	pg0, pg1   *page
 	root       *pageRoot
 	touched    int
+	// pool, when set, is the page store of a machine's storage: pageSlow
+	// takes a first-touched page from it and records where it put it.
+	pool *pagePool
+}
+
+// pagePool is the page store a machine's PageMems share. used holds the
+// table slot of every page they have materialised since the last
+// release, spare the zeroed pages release took back: emptying the
+// memories costs the pages they hold, not a walk of their tables.
+type pagePool struct {
+	used  []**page
+	spare []*page
 }
 
 func (p *PageMem) page(addr uint32) *page {
@@ -76,14 +88,49 @@ func (p *PageMem) pageSlow(addr uint32) *page {
 	}
 	pg := leaf[li]
 	if pg == nil {
-		pg = new(page)
-		leaf[li] = pg
-		p.touched++
+		pg = p.materialize(&leaf[li])
 	}
 	p.tag1, p.pg1 = p.tag0, p.pg0
 	p.tag0, p.pg0 = addr|pageMask, pg
 	return pg
 }
+
+// materialize puts a zeroed page in an empty table slot: a spare one
+// when the pool has one, else a new one.
+func (p *PageMem) materialize(slot **page) *page {
+	var pg *page
+	if pool := p.pool; pool != nil {
+		pool.used = append(pool.used, slot)
+		if n := len(pool.spare); n > 0 {
+			pg = pool.spare[n-1]
+			pool.spare = pool.spare[:n-1]
+		}
+	}
+	if pg == nil {
+		pg = new(page)
+	}
+	*slot = pg
+	p.touched++
+	return pg
+}
+
+// release takes back every page the pool's memories materialised,
+// zeroed, and unlinks it from its table; the tables stay, so the next
+// run's first touch of an address walks the same nodes and takes a spare
+// page. Each memory is then reset.
+func (pool *pagePool) release() {
+	for _, slot := range pool.used {
+		pg := *slot
+		*slot = nil
+		clear(pg[:])
+		pool.spare = append(pool.spare, pg)
+	}
+	pool.used = pool.used[:0]
+}
+
+// reset empties the memory's page cache and count once its pool has
+// taken its pages back, keeping its tables.
+func (p *PageMem) reset() { *p = PageMem{root: p.root, pool: p.pool} }
 
 // Read copies len(buf) bytes starting at addr into buf. The interpreter
 // issues word-sized accesses that almost never straddle a page, so the

@@ -155,7 +155,27 @@ func (r refPageMem) write(addr uint32, data []byte) {
 // and mid-level nodes at once), on pages whose numbers differ in one bit
 // (which a wrong radix index would alias) and scattered round 256 bases drawn from all 32 bits — and
 // requires identical bytes from every read and identical page counts.
+// It does so twice on one PageMem: new, then released, when every page
+// of the second run must come from the spare list the first run left.
 func TestPageMemMatchesMapReference(t *testing.T) {
+	pool := new(pagePool)
+	pm := &PageMem{pool: pool}
+	matchMapReference(t, "new", pm)
+	pages := pm.Touched()
+	pool.release()
+	pm.reset()
+	if len(pool.spare) != pages {
+		t.Fatalf("release left %d spare pages, the run touched %d", len(pool.spare), pages)
+	}
+	matchMapReference(t, "released", pm)
+	if len(pool.spare) != 0 {
+		t.Errorf("the second run left %d of the %d spare pages unused", len(pool.spare), pages)
+	}
+}
+
+// matchMapReference is one run of TestPageMemMatchesMapReference.
+func matchMapReference(t *testing.T, label string, pm *PageMem) {
+	t.Helper()
 	edges := []uint32{
 		PrivateBase,                           // 0x0000_1000: first private page
 		PrivateLimit - 1,                      // 0x3FFF_FFFF: last private byte, end of a root slot
@@ -169,7 +189,6 @@ func TestPageMemMatchesMapReference(t *testing.T) {
 	for i := range scatter {
 		scatter[i] = rng.Uint32()
 	}
-	pm := new(PageMem)
 	ref := refPageMem{}
 	got, want := make([]byte, 3*pageSize), make([]byte, 3*pageSize)
 	for i := 0; i < 100_000; i++ {
@@ -198,16 +217,16 @@ func TestPageMemMatchesMapReference(t *testing.T) {
 		pm.Read(addr, got[:n])
 		ref.read(addr, want[:n])
 		if !bytes.Equal(got[:n], want[:n]) {
-			t.Fatalf("op %d: read %d bytes at %#x differs from the reference", i, n, addr)
+			t.Fatalf("%s PageMem, op %d: read %d bytes at %#x differs from the reference", label, i, n, addr)
 		}
 	}
 	if pm.Touched() != len(ref) {
-		t.Fatalf("Touched = %d, reference holds %d pages", pm.Touched(), len(ref))
+		t.Fatalf("%s PageMem: Touched = %d, reference holds %d pages", label, pm.Touched(), len(ref))
 	}
 	for key, pg := range ref {
 		pm.Read(key*pageSize, got[:pageSize])
 		if !bytes.Equal(got[:pageSize], pg) {
-			t.Fatalf("page %#x differs from the reference after the run", key)
+			t.Fatalf("%s PageMem: page %#x differs from the reference after the run", label, key)
 		}
 	}
 }

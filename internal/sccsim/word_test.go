@@ -72,7 +72,9 @@ func wordStream(cfg Config, seed int64, n int) []wordAccess {
 // TestWordPathMatchesBulkPath drives two machines with one seeded stream,
 // one through LoadWord/StoreWord and one through Load/Store, and requires
 // them indistinguishable: every loaded value and latency, every core's
-// counters, every controller's occupancy and the final memory image.
+// counters, every controller's occupancy and the final memory image. It
+// does so twice: on new storage, then on the storage the first pass
+// leaves, emptied (Release).
 func TestWordPathMatchesBulkPath(t *testing.T) {
 	const accesses = 100_000
 	for _, name := range PresetNames() {
@@ -80,59 +82,71 @@ func TestWordPathMatchesBulkPath(t *testing.T) {
 			cfg := MustPreset(name)
 			cfg.MPBCacheable, cfg.SharedCacheable = cacheable.mpb, cacheable.shared
 			t.Run(fmt.Sprintf("%s/mpbt=%v/sharedc=%v", name, cacheable.mpb, cacheable.shared), func(t *testing.T) {
-				word, bulk := MustNew(cfg), MustNew(cfg)
-				stride := cfg.MPBStride()
-				for _, m := range []*Machine{word, bulk} {
-					m.MapMPB(MPBBase+uint32(2*stride), stride, []int{3, 1, 0, 2}, 64)
-				}
-				stream := wordStream(cfg, 42, accesses)
-				var nowW, nowB Time
-				for i, a := range stream {
-					var buf [8]byte
-					var gotW, gotB uint64
-					var latW, latB Time
-					if a.write {
-						latW = word.StoreWord(a.core, a.addr, a.size, a.v, nowW)
-						binary.LittleEndian.PutUint64(buf[:], a.v)
-						latB = bulk.Store(a.core, a.addr, buf[:a.size], nowB)
-					} else {
-						gotW, latW = word.LoadWord(a.core, a.addr, a.size, nowW)
-						latB = bulk.Load(a.core, a.addr, buf[:a.size], nowB)
-						gotB = binary.LittleEndian.Uint64(buf[:])
-					}
-					if gotW != gotB || latW != latB {
-						t.Fatalf("access %d %+v: word path (%#x, %d ps), bulk path (%#x, %d ps)", i, a, gotW, latW, gotB, latB)
-					}
-					nowW += latW
-					nowB += latB
-				}
-				for c := 0; c < cfg.Cores; c++ {
-					if sw, sb := word.StatsOf(c), bulk.StatsOf(c); sw != sb {
-						t.Errorf("core %d stats differ:\nword %+v\nbulk %+v", c, sw, sb)
-					}
-				}
-				for i := 0; i < cfg.MemControllers; i++ {
-					bw, rw := word.MCBusy(i)
-					bb, rb := bulk.MCBusy(i)
-					if bw != bb || rw != rb {
-						t.Errorf("controller %d: word path (%d ps, %d requests), bulk path (%d ps, %d)", i, bw, rw, bb, rb)
-					}
-				}
-				if err := word.Fault(); err != nil {
-					t.Errorf("in-range stream faulted: %v", err)
-				}
-				// Final memory: every byte any access of the stream covered.
-				for i, a := range stream {
-					var bw, bb [8]byte
-					word.ReadBytes(a.core, a.addr, bw[:a.size])
-					bulk.ReadBytes(a.core, a.addr, bb[:a.size])
-					if !bytes.Equal(bw[:], bb[:]) {
-						t.Fatalf("memory at access %d %+v: word path % x, bulk path % x", i, a, bw, bb)
-					}
+				word, bulk := neverUsed(cfg), neverUsed(cfg)
+				fresh := matchWordAndBulk(t, "new storage", cfg, word, bulk, accesses)
+				word, bulk = newMachine(cfg, word.empty()), newMachine(cfg, bulk.empty())
+				if again := matchWordAndBulk(t, "released storage", cfg, word, bulk, accesses); again != fresh {
+					t.Errorf("the stream's totals on released storage %+v, on new storage %+v", again, fresh)
 				}
 			})
 		}
 	}
+}
+
+// matchWordAndBulk is one pass of TestWordPathMatchesBulkPath. It
+// returns the machines' total counters.
+func matchWordAndBulk(t *testing.T, storage string, cfg Config, word, bulk *Machine, accesses int) CoreStats {
+	t.Helper()
+	stride := cfg.MPBStride()
+	for _, m := range []*Machine{word, bulk} {
+		m.MapMPB(MPBBase+uint32(2*stride), stride, []int{3, 1, 0, 2}, 64)
+	}
+	stream := wordStream(cfg, 42, accesses)
+	var nowW, nowB Time
+	for i, a := range stream {
+		var buf [8]byte
+		var gotW, gotB uint64
+		var latW, latB Time
+		if a.write {
+			latW = word.StoreWord(a.core, a.addr, a.size, a.v, nowW)
+			binary.LittleEndian.PutUint64(buf[:], a.v)
+			latB = bulk.Store(a.core, a.addr, buf[:a.size], nowB)
+		} else {
+			gotW, latW = word.LoadWord(a.core, a.addr, a.size, nowW)
+			latB = bulk.Load(a.core, a.addr, buf[:a.size], nowB)
+			gotB = binary.LittleEndian.Uint64(buf[:])
+		}
+		if gotW != gotB || latW != latB {
+			t.Fatalf("%s, access %d %+v: word path (%#x, %d ps), bulk path (%#x, %d ps)", storage, i, a, gotW, latW, gotB, latB)
+		}
+		nowW += latW
+		nowB += latB
+	}
+	for c := 0; c < cfg.Cores; c++ {
+		if sw, sb := word.StatsOf(c), bulk.StatsOf(c); sw != sb {
+			t.Errorf("%s, core %d stats differ:\nword %+v\nbulk %+v", storage, c, sw, sb)
+		}
+	}
+	for i := 0; i < cfg.MemControllers; i++ {
+		bw, rw := word.MCBusy(i)
+		bb, rb := bulk.MCBusy(i)
+		if bw != bb || rw != rb {
+			t.Errorf("%s, controller %d: word path (%d ps, %d requests), bulk path (%d ps, %d)", storage, i, bw, rw, bb, rb)
+		}
+	}
+	if err := word.Fault(); err != nil {
+		t.Errorf("%s: in-range stream faulted: %v", storage, err)
+	}
+	// Final memory: every byte any access of the stream covered.
+	for i, a := range stream {
+		var bw, bb [8]byte
+		word.ReadBytes(a.core, a.addr, bw[:a.size])
+		bulk.ReadBytes(a.core, a.addr, bb[:a.size])
+		if !bytes.Equal(bw[:], bb[:]) {
+			t.Fatalf("%s, memory at access %d %+v: word path % x, bulk path % x", storage, i, a, bw, bb)
+		}
+	}
+	return word.TotalStats()
 }
 
 // TestMPBFault: an access that does not lie wholly inside the MPB moves

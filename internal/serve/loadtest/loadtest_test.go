@@ -116,10 +116,13 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestScalingThroughput is the GOMAXPROCS study: throughput at 4 procs
 // must beat 1 proc. Each rung is the best of three runs — the standard
-// estimator for "can it go this fast": `go test ./...` runs other
-// packages beside this one, and a single wall-clock run per rung lost
-// to a busy neighbour about one time in five. Skipped in -short runs
-// (it runs the scenario nine times).
+// estimator for "can it go this fast". That assertion reads the wall
+// clock, and on fewer than four CPUs it cannot hold reliably: `go test
+// ./...` runs other packages beside this one, and a 2-CPU host has no
+// spare core for them. There the study runs the ladder once and checks
+// only what does not depend on timing — every rung serves the scenario
+// with zero divergence — and the CI serve-load job, on four CPUs, runs
+// the timed form by name. Skipped in -short runs.
 func TestScalingThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling study runs the scenario at three GOMAXPROCS settings, three times each")
@@ -128,8 +131,13 @@ func TestScalingThroughput(t *testing.T) {
 	if len(procs) < 2 {
 		t.Skipf("scaling needs >=2 CPUs, have %d — GOMAXPROCS beyond the core count adds no parallelism", runtime.NumCPU())
 	}
+	timed := runtime.NumCPU() >= 4
+	runs := 1
+	if timed {
+		runs = 3
+	}
 	var best []ScalingPoint
-	for run := 0; run < 3; run++ {
+	for run := 0; run < runs; run++ {
 		points, err := RunScaling(Options{Seed: 3, Requests: 120, Concurrency: 16}, procs)
 		if err != nil {
 			t.Fatal(err)
@@ -143,6 +151,10 @@ func TestScalingThroughput(t *testing.T) {
 				best[i] = p
 			}
 		}
+	}
+	if !timed {
+		t.Logf("%d CPUs: throughput not compared (needs 4)", runtime.NumCPU())
+		return
 	}
 	if err := CheckScaling(best); err != nil {
 		t.Fatal(err)
