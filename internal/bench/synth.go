@@ -78,14 +78,14 @@ func SynthPlane(opt SynthPlaneOptions) []synth.Params {
 // (sharing, footprint, cores, budget) cell, how the profile-guided
 // placement's makespan compares against the best static policy's.
 type SynthWin struct {
-	Workload     string  `json:"workload"`
-	Sharing      int     `json:"sharing"`
-	Footprint    int     `json:"footprint"`
-	Cores        int     `json:"cores"`
-	MPBBudget    int     `json:"mpb_budget"`
-	ProfiledPs   uint64  `json:"profiled_ps"`
-	BestStatic   string  `json:"best_static"`
-	BestStaticPs uint64  `json:"best_static_ps"`
+	Workload     string `json:"workload"`
+	Sharing      int    `json:"sharing"`
+	Footprint    int    `json:"footprint"`
+	Cores        int    `json:"cores"`
+	MPBBudget    int    `json:"mpb_budget"`
+	ProfiledPs   uint64 `json:"profiled_ps"`
+	BestStatic   string `json:"best_static"`
+	BestStaticPs uint64 `json:"best_static_ps"`
 	// Delta is best_static_ps / profiled_ps: > 1 where profiling wins,
 	// < 1 where a static heuristic was already optimal.
 	Delta float64 `json:"delta"`

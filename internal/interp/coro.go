@@ -1,9 +1,6 @@
 package interp
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // The coroutine execution core. Execution contexts are stackless
 // coroutines stepped from one plain loop on the caller's goroutine
@@ -188,14 +185,14 @@ func (p *Proc) PopResume() (int, any) {
 }
 
 // procScratch bundles every growable per-context buffer of the compiled
-// engine so one pool hit at spawn replaces seven warm-up allocations
-// (the resumption stacks, the activation arenas and the 6 KB per-depth
-// return arena). Contexts churn — a matrix cell spawns and finishes
-// hundreds — while the buffers' high-water marks are workload constants,
-// so recycling makes a whole sweep allocate O(live contexts) once
-// instead of O(spawns). The pool is package-level on purpose: parallel
-// grid workers and repeated cells all feed the same free list
-// (sync.Pool is concurrency-safe and GC-bounded).
+// engine, so taking one at spawn replaces eight warm-up allocations (the
+// resumption stacks, the activation arenas, the 6 KB per-depth return
+// arena and the copy of the entry arguments). Contexts churn — a matrix
+// cell spawns and finishes hundreds — while the buffers' high-water
+// marks are workload constants, so each session keeps a free list of
+// them: finish hands a finished context's bundle to the session's next
+// spawn, and Sim.Release parks the list with the session, so a session
+// allocates O(live contexts) bundles once instead of O(spawns).
 type procScratch struct {
 	kstack   []kmeta
 	kvals    []Value
@@ -204,18 +201,24 @@ type procScratch struct {
 	slotMem  []uint32
 	argArena []Value
 	retSlots []Value
+	args     []Value
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &procScratch{
-		kstack:   make([]kmeta, 0, 64),
-		retSlots: make([]Value, maxCallDepth+1),
-	}
-}}
-
-// adoptScratch attaches pooled buffers to a fresh context.
+// adoptScratch attaches a bundle from the session's free list, or a new
+// one, to a fresh context.
 func (p *Proc) adoptScratch() {
-	sc := scratchPool.Get().(*procScratch)
+	s := p.Sim
+	var sc *procScratch
+	if n := len(s.scratch); n > 0 {
+		sc = s.scratch[n-1]
+		s.scratch[n-1] = nil
+		s.scratch = s.scratch[:n-1]
+	} else {
+		sc = &procScratch{
+			kstack:   make([]kmeta, 0, 64),
+			retSlots: make([]Value, maxCallDepth+1),
+		}
+	}
 	p.scratch = sc
 	p.kstack = sc.kstack
 	p.kvals = sc.kvals
@@ -224,13 +227,14 @@ func (p *Proc) adoptScratch() {
 	p.slotMem = sc.slotMem
 	p.argArena = sc.argArena
 	p.retSlots = sc.retSlots
+	p.args = sc.args
 }
 
 // releaseScratch returns the buffers (with their grown capacities) to
-// the pool. All stacks are empty at a clean finish; retSlots keeps its
-// stale cells because runCompiledBodyAt zeroes a cell on every fresh
-// entry, and Values hold no heap pointers beyond the immortal type
-// singletons.
+// the session's free list. All stacks are empty at a clean finish;
+// retSlots keeps its stale cells because runCompiledBodyAt zeroes a cell
+// on every fresh entry, and Values hold no heap pointers beyond the
+// immortal type singletons.
 func (p *Proc) releaseScratch() {
 	sc := p.scratch
 	if sc == nil {
@@ -239,16 +243,11 @@ func (p *Proc) releaseScratch() {
 	p.scratch = nil
 	// The side stacks and argument arena are empty after a clean finish,
 	// but a context killed by a runtime error can leave occupied cells;
-	// clear them so the pool never pins runtime objects.
-	for i := range p.kvals {
-		p.kvals[i] = Value{}
-	}
-	for i := range p.kxs {
-		p.kxs[i] = nil
-	}
-	for i := range p.argArena {
-		p.argArena[i] = Value{}
-	}
+	// clear them so a parked bundle never pins runtime objects.
+	clear(p.kvals)
+	clear(p.kxs)
+	clear(p.argArena)
+	clear(p.args)
 	sc.kstack = p.kstack[:0]
 	sc.kvals = p.kvals[:0]
 	sc.kxs = p.kxs[:0]
@@ -256,9 +255,11 @@ func (p *Proc) releaseScratch() {
 	sc.slotMem = p.slotMem[:0]
 	sc.argArena = p.argArena[:0]
 	sc.retSlots = p.retSlots
+	sc.args = p.args[:0]
 	p.kstack, p.kvals, p.kxs = nil, nil, nil
-	p.cframes, p.slotMem, p.argArena, p.retSlots = nil, nil, nil, nil
-	scratchPool.Put(sc)
+	p.cframes, p.slotMem, p.argArena, p.retSlots, p.args = nil, nil, nil, nil, nil
+	s := p.Sim
+	s.scratch = append(s.scratch, sc)
 }
 
 // finish is the context completion path: record the result, recycle the

@@ -127,7 +127,7 @@ const (
 )
 
 // foldFn is an operator's pure half over payload words; only integer
-// division reports an error, after the charge like foldFast's.
+// division reports an error, after the charge like foldBinary's.
 type foldFn func(a, b uint64) (uint64, error)
 
 var errDivZero, errModZero = errors.New("integer division by zero"), errors.New("integer modulo by zero")
@@ -138,8 +138,9 @@ func fw(f float64) uint64 { return math.Float64bits(f) }
 func truth(b bool) uint64 { return uint64(b2i(b)) }
 func sx(w uint64) int64   { return int64(w) }
 
-// folds holds foldFast's branch for each provable operand kind with the
-// result conversion folded in, as the PR 14 kernels do.
+// folds holds foldBinary's branch for each provable operand kind with the
+// result conversion folded in; TestFoldsMatchFoldBinary holds the two
+// equal.
 var folds = [256]foldFn{
 	fop(token.Plus):    func(a, b uint64) (uint64, error) { return i32(sx(a) + sx(b)), nil },
 	fop(token.Minus):   func(a, b uint64) (uint64, error) { return i32(sx(a) - sx(b)), nil },

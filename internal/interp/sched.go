@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"hsmcc/internal/cc/ast"
+	"hsmcc/internal/park"
 	"hsmcc/internal/sccsim"
 )
 
@@ -106,15 +108,10 @@ type Sim struct {
 	Observers
 	Out bytes.Buffer
 
-	procs  []*Proc
+	// session holds the buffers Release parks for the next NewSim; nil
+	// once released.
+	*session
 	nextID int
-	// per-core bump allocators (threads share their core's heap).
-	heaps  map[int]uint32
-	stacks map[int]int // stack slots ever handed out on this core
-	// freeStacks recycles the slots of finished contexts so long-running
-	// programs that repeatedly create and join threads (LU does one
-	// round per elimination step) do not exhaust the address space.
-	freeStacks map[int][]int
 	// doneMax preserves the completion times of compacted contexts.
 	doneMax sccsim.Time
 	done    int // finished contexts still in procs
@@ -128,18 +125,92 @@ type Sim struct {
 	parked chan struct{}
 }
 
+// session is the part of a Sim that grows with what its runs spawn:
+// the contexts themselves and the tables and buffers around them. The
+// per-core tables are dense slices indexed by core; contexts are
+// indexed by ID, which is dense within a session.
+type session struct {
+	// spawned is every context of the session by ID, compacted or not.
+	spawned []*Proc
+	// procs is the scheduling scan list (compact drops finished ones).
+	procs []*Proc
+	// heaps is each core's bump allocator (threads share their core's
+	// heap), zero until the program image is instantiated there.
+	heaps []uint32
+	// stacks counts the stack slots ever handed out on each core.
+	stacks []int
+	// freeStacks recycles the slots of finished contexts so long-running
+	// programs that repeatedly create and join threads (LU does one
+	// round per elimination step) do not exhaust the address space.
+	freeStacks [][]int
+	// scratch is the free list of per-context buffers (coro.go).
+	scratch []*procScratch
+	// minClock is the default policy, installed by NewSim.
+	minClock MinClockHeap
+	// out is the output buffer's storage while the session is parked.
+	out []byte
+}
+
+// sessions holds released sessions for the next NewSim.
+var sessions park.Lot[*session]
+
 // NewSim builds a session. The runtime must be attached by the caller
-// before Run (pthreadrt and rcce packages do this).
+// before Run (pthreadrt and rcce packages do this). The session's
+// contexts, tables and buffers come from one a Release parked when
+// there is one.
 func NewSim(m *sccsim.Machine, pr *Program) *Sim {
-	return &Sim{
-		Machine:    m,
-		Program:    pr,
-		Policy:     NewMinClockHeap(),
-		heaps:      make(map[int]uint32),
-		stacks:     make(map[int]int),
-		freeStacks: make(map[int][]int),
-		parked:     make(chan struct{}),
+	var k *session
+	if !pr.reference {
+		k, _ = sessions.Take()
 	}
+	if k == nil {
+		k = new(session)
+	}
+	// Release leaves the tables empty and zero up to their capacity.
+	n := m.Cores()
+	k.heaps = slices.Grow(k.heaps, n)[:n]
+	k.stacks = slices.Grow(k.stacks, n)[:n]
+	k.freeStacks = slices.Grow(k.freeStacks, n)[:n]
+	s := &Sim{Machine: m, Program: pr, session: k}
+	s.Out = *bytes.NewBuffer(k.out)
+	k.out = nil
+	s.Policy = &k.minClock
+	if pr.reference {
+		s.parked = make(chan struct{})
+	}
+	return s
+}
+
+// Release parks the session for the next NewSim, the counterpart of
+// sccsim.Machine.Release. Call it once the run's results have been
+// read: every context the session spawned is zeroed, so a Proc or the
+// Sim used afterwards panics instead of reaching a session another run
+// now uses. Kept, emptied: the contexts, the scan list, the per-core
+// tables, the per-context buffers, the min-clock heap's array and the
+// output buffer. Releasing again does nothing. A session of a reference
+// Program is never parked: its goroutines can outlive Run.
+func (s *Sim) Release() {
+	k := s.session
+	if k == nil || s.Program.reference {
+		return
+	}
+	for _, p := range k.spawned[:s.nextID] {
+		p.releaseScratch() // a context the run left unfinished
+		*p = Proc{}
+	}
+	clear(k.procs)
+	clear(k.heaps)
+	clear(k.stacks)
+	for i := range k.freeStacks {
+		k.freeStacks[i] = k.freeStacks[i][:0]
+	}
+	clear(k.minClock.h)
+	k.procs, k.heaps, k.stacks, k.freeStacks = k.procs[:0], k.heaps[:0], k.stacks[:0], k.freeStacks[:0]
+	k.minClock.h = k.minClock.h[:0]
+	s.Out.Reset()
+	k.out = s.Out.Bytes()
+	*s = Sim{}
+	sessions.Put(k)
 }
 
 // Observe installs the session's observers and binds a trace sink that
@@ -156,9 +227,9 @@ func (s *Sim) Observe(o Observers) {
 func (s *Sim) Procs() []*Proc { return s.procs }
 
 // Spawn creates an execution context on core that will run fn(args) when
-// first scheduled, starting at virtual time start. The program image is
-// instantiated into the core's private memory the first time a context
-// lands on that core.
+// first scheduled, starting at virtual time start. The context keeps its
+// own copy of args. The program image is instantiated into the core's
+// private memory the first time a context lands on that core.
 func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time) (*Proc, error) {
 	if core < 0 || core >= s.Machine.Cores() {
 		return nil, fmt.Errorf("interp: spawn on core %d of %d", core, s.Machine.Cores())
@@ -167,7 +238,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if rootCF == nil && !s.Program.reference {
 		return nil, fmt.Errorf("interp: spawn of %s, which is not a function of the program", fn.Name)
 	}
-	if _, loaded := s.heaps[core]; !loaded {
+	if s.heaps[core] == 0 {
 		s.Program.instantiate(s.Machine, core)
 		s.heaps[core] = s.Program.ImageEnd
 	}
@@ -183,7 +254,14 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if idx >= maxSlots {
 		return nil, fmt.Errorf("interp: core %d out of stack space (%d live contexts)", core, idx)
 	}
-	p := &Proc{
+	var p *Proc
+	if s.nextID < len(s.spawned) {
+		p = s.spawned[s.nextID]
+	} else {
+		p = new(Proc)
+		s.spawned = append(s.spawned, p)
+	}
+	*p = Proc{
 		Sim:      s,
 		ID:       s.nextID,
 		Core:     core,
@@ -192,7 +270,6 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		stackIdx: idx,
 		fn:       fn,
 		rootCF:   rootCF,
-		args:     args,
 		prof:     s.Profiler,
 		trace:    s.Trace,
 	}
@@ -207,16 +284,19 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		p.trace.TraceSpawn(p.ID, p.Core, start)
 	}
 	if s.Program.reference {
+		p.args = append([]Value(nil), args...)
 		p.resume = make(chan struct{})
 		go p.top()
 		return p, nil
 	}
-	// Adopt pooled buffers: the resumption stack comes pre-reserved
-	// (growth inside an unwind would add allocation noise to the hot
-	// switch path) and a recycled bundle carries every arena at its
-	// previous high-water capacity, so steady-state spawns allocate
-	// nothing.
+	// Adopt the session's spare buffers: the resumption stack comes
+	// pre-reserved (growth inside an unwind would add allocation noise to
+	// the hot switch path) and a recycled bundle carries every arena at
+	// its previous high-water capacity, so steady-state spawns allocate
+	// nothing. The arguments are copied into the bundle, where they stay
+	// for every re-descent of the context's life.
 	p.adoptScratch()
+	p.args = append(p.args[:0], args...)
 	return p, nil
 }
 

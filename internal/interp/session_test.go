@@ -1,0 +1,154 @@
+package interp
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+
+	"hsmcc/internal/cc/types"
+	"hsmcc/internal/sccsim"
+)
+
+// sessionLoop's work prints only when n is over 100: formatting output
+// allocates, and the allocation test runs it with less.
+const sessionLoop = `
+int g;
+int work(int n) {
+  int i;
+  int s;
+  s = 0;
+  for (i = 0; i < n; i++) {
+    s = s + i;
+    g = g + 1;
+  }
+  if (n > 100) printf("%d\n", s);
+  return s;
+}`
+
+// TestReleaseEmptiesSession: whatever state a run leaves behind —
+// contexts cut off mid-loop by a cancellation, heap entries, stack slots,
+// scratch in use, output — Release parks a session in which every
+// context is zero and every table and buffer is empty, its capacity
+// zeroed, so that NewSim starts from nothing but capacity.
+func TestReleaseEmptiesSession(t *testing.T) {
+	pr, err := Compile("loop.c", sessionLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sccsim.MustNew(sccsim.DefaultConfig())
+	sim := NewSim(m, pr)
+	polls := 0
+	sim.Cancel = func() error {
+		if polls++; polls > 200 {
+			return errors.New("stop")
+		}
+		return nil
+	}
+	for i := 0; i < 6; i++ {
+		args := []Value{IntValue(types.IntType, 10+int64(i)*1000)}
+		if _, err := sim.Spawn(i%3, pr.Funcs["work"], args, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sim.Run(); err == nil {
+		t.Fatal("the run was not cancelled")
+	}
+	if sim.done == 0 || sim.done == len(sim.procs) {
+		t.Fatalf("%d of %d contexts finished; want some cut off", sim.done, len(sim.procs))
+	}
+	k := sim.session
+	spawned := sim.spawned[:sim.nextID]
+	sim.Release()
+
+	if !reflect.ValueOf(*sim).IsZero() {
+		t.Error("the released Sim is not zero")
+	}
+	for i, p := range spawned {
+		if !reflect.ValueOf(*p).IsZero() {
+			t.Errorf("context %d is not zero after Release", i)
+		}
+	}
+	if len(k.spawned) != 6 {
+		t.Errorf("the session parks %d contexts, want 6", len(k.spawned))
+	}
+	requireEmptyZero(t, "procs", k.procs)
+	requireEmptyZero(t, "heaps", k.heaps)
+	requireEmptyZero(t, "stacks", k.stacks)
+	requireEmptyZero(t, "min-clock heap", k.minClock.h)
+	if len(k.freeStacks) != 0 {
+		t.Errorf("freeStacks has %d cores", len(k.freeStacks))
+	}
+	for i, fs := range k.freeStacks[:cap(k.freeStacks)] {
+		if len(fs) != 0 {
+			t.Errorf("core %d parks %d free stack slots", i, len(fs))
+		}
+	}
+	if len(k.scratch) != 6 {
+		t.Errorf("the session parks %d scratch bundles, want one per context", len(k.scratch))
+	}
+	for i, sc := range k.scratch {
+		if len(sc.kstack)+len(sc.kvals)+len(sc.kxs)+len(sc.cframes)+len(sc.slotMem)+len(sc.argArena)+len(sc.args) != 0 {
+			t.Errorf("scratch bundle %d is not empty", i)
+		}
+		requireEmptyZero(t, "kvals", sc.kvals)
+		requireEmptyZero(t, "kxs", sc.kxs)
+		requireEmptyZero(t, "args", sc.args)
+	}
+	if len(k.out) != 0 {
+		t.Errorf("the output buffer holds %d bytes", len(k.out))
+	}
+	sim.Release() // a second Release does nothing
+}
+
+// requireEmptyZero checks that a parked table is empty and zero up to
+// its capacity.
+func requireEmptyZero[T any](t *testing.T, name string, buf []T) {
+	t.Helper()
+	if len(buf) != 0 {
+		t.Errorf("%s holds %d entries", name, len(buf))
+	}
+	for i, v := range buf[:cap(buf)] {
+		if !reflect.ValueOf(&v).Elem().IsZero() {
+			t.Errorf("%s[%d] is not zero past the length", name, i)
+			return
+		}
+	}
+}
+
+// TestSpawnRunFinishAllocatesNothing: on a released session, a context's
+// whole life — Spawn, Run, finish — takes its Proc, stack slot, buffers
+// and argument storage from what the session parked, and the session's
+// NewSim/Release round trip allocates only the Sim itself.
+func TestSpawnRunFinishAllocatesNothing(t *testing.T) {
+	pr, err := Compile("loop.c", sessionLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sccsim.MustNew(sccsim.DefaultConfig())
+	work := pr.Funcs["work"]
+	var args [1]Value
+	args[0] = IntValue(types.IntType, 50)
+	cycle := func(sim *Sim) {
+		if _, err := sim.Spawn(0, work, args[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	sim := NewSim(m, pr)
+	for i := 0; i <= runs; i++ {
+		cycle(sim)
+	}
+	sim.Release()
+
+	sim = NewSim(m, pr) // the session just released
+	if n := testing.AllocsPerRun(runs, func() { cycle(sim) }); n != 0 {
+		t.Errorf("Spawn, Run and finish on a released session allocate %v times, want 0", n)
+	}
+	sim.Release()
+	if n := testing.AllocsPerRun(runs, func() { NewSim(m, pr).Release() }); n != 1 {
+		t.Errorf("NewSim and Release allocate %v times, want 1 (the Sim)", n)
+	}
+}

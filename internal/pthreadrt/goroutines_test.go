@@ -76,8 +76,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.tidOf[root] = 0
-	rt.byTID[0] = root
+	rt.bind(root)
 
 	before := settledGoroutines()
 	if err := sim.Run(); err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/interp"
+	"hsmcc/internal/park"
 	"hsmcc/internal/sccsim"
 )
 
@@ -58,15 +59,20 @@ func DefaultOptions() Options {
 type Runtime struct {
 	sim  *interp.Sim
 	opts Options
+	pol  rrPolicy
 
 	quantum   sccsim.Time
 	coreClock sccsim.Time
-	nextTID   int64
-	byTID     map[int64]*interp.Proc
-	tidOf     map[*interp.Proc]int64
-	joiners   map[int64][]*interp.Proc
-	mutexes   map[uint32]*mutexState
-	switches  uint64
+	// byTID resolves a thread ID to its context. IDs are dense: main is
+	// 0 and every pthread_create takes the next one.
+	byTID []*interp.Proc
+	// tidOf is each context's thread ID by Proc.ID (dense within the
+	// session), -1 for a context that is not one of the runtime's threads.
+	tidOf []int64
+	// joiners are the contexts waiting in pthread_join, by thread ID.
+	joiners  [][]*interp.Proc
+	mutexes  map[uint32]*mutexState
+	switches uint64
 }
 
 type mutexState struct {
@@ -74,20 +80,82 @@ type mutexState struct {
 	waiters []*interp.Proc
 }
 
+// parked holds the tables of finished runs for the next New.
+var parked park.Lot[*Runtime]
+
 // New attaches a baseline runtime (and its round-robin policy) to sim.
+// Its tables come from a finished run's when one is parked.
 func New(sim *interp.Sim, opts Options) *Runtime {
-	rt := &Runtime{
+	rt, _ := parked.Take()
+	if rt == nil {
+		rt = &Runtime{mutexes: make(map[uint32]*mutexState)}
+	}
+	*rt = Runtime{
 		sim:     sim,
 		opts:    opts,
 		quantum: sccsim.Time(opts.QuantumCycles) * sim.Machine.CorePeriodOf(opts.Core),
-		byTID:   make(map[int64]*interp.Proc),
-		tidOf:   make(map[*interp.Proc]int64),
-		joiners: make(map[int64][]*interp.Proc),
-		mutexes: make(map[uint32]*mutexState),
+		byTID:   rt.byTID,
+		tidOf:   rt.tidOf,
+		joiners: rt.joiners,
+		mutexes: rt.mutexes,
 	}
+	rt.pol.rt = rt
 	sim.Runtime = rt
-	sim.Policy = &rrPolicy{rt: rt}
+	sim.Policy = &rt.pol
 	return rt
+}
+
+// release empties rt's tables and parks them for the next New; Run calls
+// it once its Result is built. The emptied tables keep their capacity,
+// and each thread's joiner list its own.
+func (rt *Runtime) release() {
+	clear(rt.byTID)
+	for i := range rt.joiners {
+		clear(rt.joiners[i])
+		rt.joiners[i] = rt.joiners[i][:0]
+	}
+	clear(rt.mutexes)
+	*rt = Runtime{
+		byTID:   rt.byTID[:0],
+		tidOf:   rt.tidOf[:0],
+		joiners: rt.joiners[:0],
+		mutexes: rt.mutexes,
+	}
+	parked.Put(rt)
+}
+
+// bind makes p the next thread and returns its thread ID.
+func (rt *Runtime) bind(p *interp.Proc) int64 {
+	tid := int64(len(rt.byTID))
+	rt.byTID = append(rt.byTID, p)
+	if n := len(rt.joiners); n < cap(rt.joiners) {
+		rt.joiners = rt.joiners[:n+1] // keeps the parked list there
+	} else {
+		rt.joiners = append(rt.joiners, nil)
+	}
+	for len(rt.tidOf) <= p.ID {
+		rt.tidOf = append(rt.tidOf, -1)
+	}
+	rt.tidOf[p.ID] = tid
+	return tid
+}
+
+// tid returns p's thread ID, or false when p is not one of the
+// runtime's threads.
+func (rt *Runtime) tid(p *interp.Proc) (int64, bool) {
+	if p.ID < len(rt.tidOf) && rt.tidOf[p.ID] >= 0 {
+		return rt.tidOf[p.ID], true
+	}
+	return 0, false
+}
+
+// thread returns the context of thread ID tid, or nil when there is
+// none.
+func (rt *Runtime) thread(tid int64) *interp.Proc {
+	if tid < 0 || tid >= int64(len(rt.byTID)) {
+		return nil
+	}
+	return rt.byTID[tid]
 }
 
 // Switches reports how many context switches occurred.
@@ -160,14 +228,16 @@ func (pol *rrPolicy) Next(procs []*interp.Proc) *interp.Proc {
 
 // OnExit wakes joiners of a finished thread.
 func (rt *Runtime) OnExit(p *interp.Proc) {
-	tid, ok := rt.tidOf[p]
+	tid, ok := rt.tid(p)
 	if !ok {
 		return
 	}
-	for _, j := range rt.joiners[tid] {
+	js := rt.joiners[tid]
+	for _, j := range js {
 		j.Unblock(p.Clock)
 	}
-	delete(rt.joiners, tid)
+	clear(js)
+	rt.joiners[tid] = js[:0]
 }
 
 // pthreadT is the type pthread_create stores a thread ID as, built once
@@ -207,14 +277,12 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		}
 		if step <= 1 {
 			fn := rt.sim.Program.FuncByValue(args[2])
-			child, err := rt.sim.Spawn(rt.opts.Core, fn, []interp.Value{args[3]}, p.Clock)
+			arg := [1]interp.Value{args[3]} // Spawn copies it
+			child, err := rt.sim.Spawn(rt.opts.Core, fn, arg[:], p.Clock)
 			if err != nil {
 				return zero, true, err
 			}
-			rt.nextTID++
-			tid := rt.nextTID
-			rt.byTID[tid] = child
-			rt.tidOf[child] = tid
+			tid := rt.bind(child)
 			if addr := args[0].Addr(); addr != 0 {
 				if err := p.StoreTyped(addr, pthreadT, interp.IntValue(types.IntType, tid)); err != nil {
 					if interp.IsYield(err) {
@@ -234,19 +302,17 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 				return zero, true, fmt.Errorf("pthread_join: missing thread ID")
 			}
 			tid := args[0].Int()
-			child, ok := rt.byTID[tid]
-			if !ok {
+			if rt.thread(tid) == nil {
 				return zero, true, fmt.Errorf("pthread_join: unknown thread %d", tid)
 			}
 			if err := p.ChargeCycles(200); err != nil {
 				p.PushResume(1, nil)
 				return zero, true, err
 			}
-			_ = child
 		}
 		if step <= 1 {
 			tid := args[0].Int()
-			child := rt.byTID[tid]
+			child := rt.thread(tid)
 			if child.State != interp.Done {
 				rt.joiners[tid] = append(rt.joiners[tid], p)
 				if err := p.BlockFor(interp.ReasonJoin); err != nil {
@@ -267,7 +333,8 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 				return zero, true, err
 			}
 		}
-		return interp.IntValue(types.IntType, rt.tidOf[p]), true, nil
+		tid, _ := rt.tid(p)
+		return interp.IntValue(types.IntType, tid), true, nil
 
 	case "pthread_mutex_init", "pthread_mutex_destroy",
 		"pthread_attr_init", "pthread_attr_destroy", "pthread_attr_setdetachstate":
@@ -349,11 +416,14 @@ type Result struct {
 func (r *Result) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSecond }
 
 // Run executes pr's main under the baseline runtime on a fresh scheduler
-// bound to machine m.
+// bound to machine m. On every return path it releases the session and
+// the runtime's tables once the Result is built.
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
+	defer sim.Release()
 	sim.Observe(opts.Observers)
 	rt := New(sim, opts)
+	defer rt.release()
 	main := pr.Funcs["main"]
 	if main == nil {
 		return nil, fmt.Errorf("pthreadrt: program has no main")
@@ -362,8 +432,7 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt.tidOf[root] = 0
-	rt.byTID[0] = root
+	rt.bind(root)
 	if err := sim.Run(); err != nil {
 		return nil, err
 	}

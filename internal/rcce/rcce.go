@@ -15,10 +15,12 @@ package rcce
 
 import (
 	"fmt"
+	"slices"
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/interp"
+	"hsmcc/internal/park"
 	"hsmcc/internal/sccsim"
 )
 
@@ -87,80 +89,140 @@ type allocation struct {
 	size int
 }
 
+// allocator is one symmetric allocator: the next free address, every
+// allocation made so far in call order, and each context's position in
+// that sequence by Proc.ID (dense within the session).
+type allocator struct {
+	cursor uint32
+	allocs []allocation
+	seq    []int
+}
+
+// next returns p's position in the allocation sequence and advances it.
+func (a *allocator) next(p *interp.Proc) int {
+	for len(a.seq) <= p.ID {
+		a.seq = append(a.seq, 0)
+	}
+	idx := a.seq[p.ID]
+	a.seq[p.ID]++
+	return idx
+}
+
+// barrier is the state of the one RCCE barrier: arrivals so far, the
+// latest arrival time and the contexts blocked in it.
+type barrier struct {
+	arrived int
+	release sccsim.Time
+	waiting []*interp.Proc
+}
+
 // Runtime implements interp.Runtime for translated RCCE programs.
 type Runtime struct {
 	sim  *interp.Sim
 	opts Options
 	ues  []int // rank -> core
-	// rankByProc resolves a context to its rank; with many-to-one
-	// mapping several contexts share a core, so core identity is not
-	// enough.
-	rankByProc map[*interp.Proc]int
-	rankByCore map[int]int
+	// uesBuf holds ues when Options.Cores is nil.
+	uesBuf []int
+	// rankByProc resolves a context to its rank by Proc.ID, -1 for one
+	// not registered; with many-to-one mapping several contexts share a
+	// core, so core identity is not enough.
+	rankByProc []int
+	// rankByCore is each core's rank (the last rank placed there).
+	rankByCore []int
+	// seen marks the cores New has met in the UE list.
+	seen []bool
 
-	shared struct {
-		cursor uint32
-		allocs []allocation
-		seq    map[*interp.Proc]int
-	}
-	mpb struct {
-		cursor uint32
-		allocs []allocation
-		seq    map[*interp.Proc]int
-	}
-	barrier struct {
-		arrived int
-		release sccsim.Time
-		waiting []*interp.Proc
-	}
+	shared  allocator
+	mpb     allocator
+	barrier barrier
 	// sendrecv tracks two-sided messaging (sendrecv.go).
 	sendrecv *sendState
 }
 
+// parked holds the tables of finished runs for the next New.
+var parked park.Lot[*Runtime]
+
 // New attaches an RCCE runtime to sim. Scheduling uses the session's
-// default min-clock policy.
+// default min-clock policy. Its tables come from a finished run's when
+// one is parked.
 func New(sim *interp.Sim, opts Options) (*Runtime, error) {
+	rt, _ := parked.Take()
+	if rt == nil {
+		rt = new(Runtime)
+	}
+	cores := sim.Machine.Cores()
 	ues := opts.Cores
 	if ues == nil {
 		if opts.NumUEs <= 0 {
+			rt.release()
 			return nil, fmt.Errorf("rcce: no UEs configured")
 		}
 		for i := 0; i < opts.NumUEs; i++ {
-			ues = append(ues, i%sim.Machine.Cores())
+			rt.uesBuf = append(rt.uesBuf, i%cores)
 		}
+		ues = rt.uesBuf
 	}
-	shared := false
-	seen := make(map[int]bool)
+	// Cores outside the machine are counted here and rejected by Spawn.
+	// release leaves seen and rankByCore empty and zero up to their
+	// capacity.
+	rt.seen = slices.Grow(rt.seen, cores)[:cores]
+	shared, distinct := false, 0
+	var outside map[int]bool
 	for _, c := range ues {
-		if seen[c] {
-			shared = true
+		var dup bool
+		if c >= 0 && c < cores {
+			dup, rt.seen[c] = rt.seen[c], true
+		} else {
+			if outside == nil {
+				outside = make(map[int]bool)
+			}
+			dup, outside[c] = outside[c], true
 		}
-		seen[c] = true
+		if dup {
+			shared = true
+		} else {
+			distinct++
+		}
 	}
 	if shared && !opts.AllowOversubscribe {
+		rt.release()
 		return nil, fmt.Errorf("rcce: %d UEs on %d cores share cores (set AllowOversubscribe for §7.2 many-to-one mode)",
-			len(ues), len(seen))
+			len(ues), distinct)
 	}
-	rt := &Runtime{
-		sim:        sim,
-		opts:       opts,
-		ues:        ues,
-		rankByProc: make(map[*interp.Proc]int),
-		rankByCore: make(map[int]int),
-	}
+	rt.sim, rt.opts, rt.ues = sim, opts, ues
+	rt.rankByCore = slices.Grow(rt.rankByCore, cores)[:cores]
 	for r, c := range ues {
-		rt.rankByCore[c] = r
+		if c >= 0 && c < cores {
+			rt.rankByCore[c] = r
+		}
 	}
 	if shared {
 		// UEs sharing a core are serialised in virtual time.
 		sim.Policy = newManyToOne(sim.Machine)
 	}
 	rt.shared.cursor = sccsim.SharedBase
-	rt.shared.seq = make(map[*interp.Proc]int)
 	rt.mpb.cursor = sccsim.MPBBase
-	rt.mpb.seq = make(map[*interp.Proc]int)
 	sim.Runtime = rt
 	return rt, nil
+}
+
+// release empties rt and parks it for the next New: every table keeps
+// its capacity, everything else is zero. Run calls it once its Result
+// is built.
+func (rt *Runtime) release() {
+	clear(rt.seen)
+	clear(rt.rankByCore)
+	clear(rt.barrier.waiting)
+	*rt = Runtime{
+		uesBuf:     rt.uesBuf[:0],
+		rankByProc: rt.rankByProc[:0],
+		rankByCore: rt.rankByCore[:0],
+		seen:       rt.seen[:0],
+		shared:     allocator{allocs: rt.shared.allocs[:0], seq: rt.shared.seq[:0]},
+		mpb:        allocator{allocs: rt.mpb.allocs[:0], seq: rt.mpb.seq[:0]},
+		barrier:    barrier{waiting: rt.barrier.waiting[:0]},
+	}
+	parked.Put(rt)
 }
 
 // NumUEs returns the number of participating units of execution.
@@ -169,15 +231,20 @@ func (rt *Runtime) NumUEs() int { return len(rt.ues) }
 // RankOf returns the rank of a context: by registration when spawned via
 // Run, by core otherwise (single-UE-per-core sessions built by hand).
 func (rt *Runtime) RankOf(p *interp.Proc) int {
-	if r, ok := rt.rankByProc[p]; ok {
-		return r
+	if p.ID < len(rt.rankByProc) && rt.rankByProc[p.ID] >= 0 {
+		return rt.rankByProc[p.ID]
 	}
 	return rt.rankByCore[p.Core]
 }
 
 // RegisterRank binds a spawned context to its rank; Run does this for
 // every UE it creates.
-func (rt *Runtime) RegisterRank(p *interp.Proc, rank int) { rt.rankByProc[p] = rank }
+func (rt *Runtime) RegisterRank(p *interp.Proc, rank int) {
+	for len(rt.rankByProc) <= p.ID {
+		rt.rankByProc = append(rt.rankByProc, -1)
+	}
+	rt.rankByProc[p.ID] = rank
+}
 
 // OnExit implements interp.Runtime.
 func (rt *Runtime) OnExit(p *interp.Proc) {}
@@ -386,8 +453,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 // allocation's span is checked before the cursor moves: a negative size
 // or one past the shared range is a run error.
 func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
-	idx := rt.shared.seq[p]
-	rt.shared.seq[p] = idx + 1
+	idx := rt.shared.next(p)
 	if idx < len(rt.shared.allocs) {
 		a := rt.shared.allocs[idx]
 		if a.size != size {
@@ -412,8 +478,7 @@ func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 // allocations are striped across the participants' MPB sections unless
 // disabled. A negative size is a run error before the cursor moves.
 func (rt *Runtime) mpbmalloc(p *interp.Proc, name string, size int) (uint32, error) {
-	idx := rt.mpb.seq[p]
-	rt.mpb.seq[p] = idx + 1
+	idx := rt.mpb.next(p)
 	if idx < len(rt.mpb.allocs) {
 		a := rt.mpb.allocs[idx]
 		if a.size != size {
@@ -592,21 +657,26 @@ func EntryPoint(pr *interp.Program) *ast.FuncDecl {
 }
 
 // Run executes pr on machine m with one process per UE, starting every
-// rank at time zero (the SCC launcher starts all cores together).
+// rank at time zero (the SCC launcher starts all cores together). On
+// every return path it releases the session and the runtime's tables
+// once the Result is built.
 func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
+	defer sim.Release()
 	sim.Observe(opts.Observers)
 	rt, err := New(sim, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer rt.release()
 	entry := EntryPoint(pr)
 	if entry == nil {
 		return nil, fmt.Errorf("rcce: program has neither RCCE_APP nor main")
 	}
 	// RCCE_APP(int *argc, char **argv) receives null pointers; the
-	// benchmarks do not read their arguments.
-	var args []interp.Value
+	// benchmarks do not read their arguments. Spawn copies them.
+	var argBuf [2]interp.Value
+	args := argBuf[:0]
 	for range entry.Params {
 		args = append(args, interp.IntValue(types.IntType, 0))
 	}

@@ -164,7 +164,6 @@ func newMachine(cfg Config, st *storage) *Machine {
 		dirtyEvict:   Time(cfg.DirtyEvictCycles) * period,
 		coresPerTile: cfg.TileCores(),
 		mpbStride:    cfg.MPBStride(),
-		mcPos:        computeMCPositions(&cfg),
 		cores:        st.cores,
 		mcs:          make([]memController, cfg.MemControllers),
 		shared:       st.shared,
@@ -172,7 +171,8 @@ func newMachine(cfg Config, st *storage) *Machine {
 		store:        st,
 	}
 	st.cores, st.shared = nil, PageMem{}
-	m.computeMeshMap()
+	mm := meshMapOf(&cfg)
+	m.mcPos, m.coreMC, m.coreMCHops = mm.mcPos, mm.coreMC, mm.coreMCHops
 	// The storage is empty (takeStorage), but its counters and clocks
 	// are whatever its last run left: every core starts from zero here.
 	for i := range m.cores {

@@ -601,10 +601,9 @@ func TestMachineFootprint(t *testing.T) {
 	}
 
 	// The same run again, on the storage a released machine of the
-	// shape left: New builds no core slab, and the run's first touches
-	// take spare pages and the page tables, cache blocks and MPB array
-	// already there. The pool may drop what it is given (the race
-	// detector makes it drop some on purpose), so a miss starts over.
+	// shape left: the first New after the Release gets it, builds no core
+	// slab, and the run's first touches take spare pages and the page
+	// tables, cache blocks and MPB array already there.
 	touch := func(m *Machine) {
 		for c := 1000; c < 1003; c++ {
 			m.Load(c, PrivateBase, buf[:], 0)
@@ -616,21 +615,18 @@ func TestMachineFootprint(t *testing.T) {
 		m.Store(5, MPBBase+uint32(5*wide.MPBStride()), buf[:], 0)
 	}
 	newBytes, touchBytes := ^uint64(0), ^uint64(0)
-	for tries, reused := 0, 0; reused < 3; tries++ {
-		if tries == 40 {
-			t.Fatalf("%d of %d New calls after a Release reused the released storage", reused, tries)
-		}
+	for try := 0; try < 3; try++ {
 		prev := MustNew(wide)
 		touch(prev)
 		st := prev.store
 		prev.Release()
 		var again *Machine
 		b := allocatedOnce(func() { again = MustNew(wide) })
-		if again.store == st {
-			reused++
-			newBytes = min(newBytes, b)
-			touchBytes = min(touchBytes, allocatedOnce(func() { touch(again) }))
+		if again.store != st {
+			t.Fatalf("try %d: the first New after a Release of the same shape built new storage", try)
 		}
+		newBytes = min(newBytes, b)
+		touchBytes = min(touchBytes, allocatedOnce(func() { touch(again) }))
 		again.Release()
 	}
 	if newBytes > 32<<10 {

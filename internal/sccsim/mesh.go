@@ -1,5 +1,7 @@
 package sccsim
 
+import "sync"
+
 // The SCC places two cores per tile on a 6x4 mesh (thesis Figure 5.1);
 // scaled configurations widen the tiles (Config.CoresPerTile) and the
 // mesh. Routing is dimension-ordered (X then Y), so the distance between
@@ -10,8 +12,8 @@ package sccsim
 // in contention per memory controller" in the paper's 32-core runs.
 //
 // Controller assignment and hop counts depend only on the configuration,
-// so they are resolved once at machine construction (computeMeshMap);
-// dramTime — the per-access hot path — reads two array entries instead
+// so they are resolved once per mesh geometry (meshMapOf) and shared by
+// every machine of it; dramTime — the per-access hot path — reads two array entries instead
 // of re-running a nearest-controller search per DRAM request.
 
 // TileOf returns the tile index of a core.
@@ -100,24 +102,74 @@ func perimeterWalk(w, h int) []meshPos {
 	return out
 }
 
-// computeMeshMap resolves every core's memory controller and hop count
-// (nearest controller by Manhattan distance, ties toward the lower
-// index — the SCC quadrant rule, now derived from geometry).
-func (m *Machine) computeMeshMap() {
-	m.coreMC = make([]int32, m.cfg.Cores)
-	m.coreMCHops = make([]int32, m.cfg.Cores)
-	for core := 0; core < m.cfg.Cores; core++ {
-		cx, cy := m.CoreXY(core)
+// meshGeometry is what a machine's controller placement and per-core
+// controller map depend on in a Config.
+type meshGeometry struct {
+	cores, coresPerTile, tilesX, tilesY, controllers int
+}
+
+// meshMap is one geometry's controller positions and, per core, its
+// memory controller and hop count to it. It is read-only once built, and
+// every machine of the geometry shares it.
+type meshMap struct {
+	mcPos      []meshPos
+	coreMC     []int32
+	coreMCHops []int32
+}
+
+// meshMaps holds the map of each geometry built so far, up to
+// maxMeshMaps of them; a geometry past that builds its own every time.
+var meshMaps struct {
+	sync.Mutex
+	of map[meshGeometry]*meshMap
+}
+
+const maxMeshMaps = 64
+
+// meshMapOf returns cfg's mesh map, building it on its geometry's first
+// use.
+func meshMapOf(cfg *Config) *meshMap {
+	g := meshGeometry{cfg.Cores, cfg.TileCores(), cfg.TilesX, cfg.TilesY, cfg.MemControllers}
+	meshMaps.Lock()
+	defer meshMaps.Unlock()
+	if mm := meshMaps.of[g]; mm != nil {
+		return mm
+	}
+	mm := computeMeshMap(cfg)
+	if meshMaps.of == nil {
+		meshMaps.of = make(map[meshGeometry]*meshMap)
+	}
+	if len(meshMaps.of) < maxMeshMaps {
+		meshMaps.of[g] = mm
+	}
+	return mm
+}
+
+// computeMeshMap places the controllers and resolves every core's
+// memory controller and hop count (nearest controller by Manhattan
+// distance, ties toward the lower index — the SCC quadrant rule, now
+// derived from geometry).
+func computeMeshMap(cfg *Config) *meshMap {
+	mm := &meshMap{
+		mcPos:      computeMCPositions(cfg),
+		coreMC:     make([]int32, cfg.Cores),
+		coreMCHops: make([]int32, cfg.Cores),
+	}
+	cpt := cfg.TileCores()
+	for core := 0; core < cfg.Cores; core++ {
+		tile := core / cpt
+		cx, cy := tile%cfg.TilesX, tile/cfg.TilesX
 		best, bestDist := 0, 1<<30
-		for i := range m.mcPos {
-			d := abs(cx-m.mcPos[i].x) + abs(cy-m.mcPos[i].y)
+		for i, p := range mm.mcPos {
+			d := abs(cx-p.x) + abs(cy-p.y)
 			if d < bestDist {
 				best, bestDist = i, d
 			}
 		}
-		m.coreMC[core] = int32(best)
-		m.coreMCHops[core] = int32(bestDist)
+		mm.coreMC[core] = int32(best)
+		mm.coreMCHops[core] = int32(bestDist)
 	}
+	return mm
 }
 
 // ControllerOf returns the memory controller serving a core.

@@ -1,6 +1,6 @@
 package sccsim
 
-import "sync"
+import "hsmcc/internal/park"
 
 // storage is the part of a machine that grows with what its runs touch:
 // the per-core slab (caches, private memory, counters), shared memory,
@@ -40,25 +40,17 @@ func shapeOf(cfg *Config) storageShape {
 	}
 }
 
-// storagePools maps a storageShape to the *sync.Pool of parked storage
-// of that shape. A pool empties under GC, so a shape no longer in use
-// costs nothing for long.
-var storagePools sync.Map
-
-func storagePool(shape storageShape) *sync.Pool {
-	if p, ok := storagePools.Load(shape); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := storagePools.LoadOrStore(shape, new(sync.Pool))
-	return p.(*sync.Pool)
-}
+// parked holds released storage by shape. A lot never misses while the
+// demand for a shape holds, and sheds what two GC cycles did not need,
+// so a shape no longer in use costs nothing for long (package park).
+var parked park.Lots[storageShape, *storage]
 
 // takeStorage returns parked storage of cfg's shape, or builds empty
 // storage when none is parked. Either way no page, page table, cache
 // block or MPB byte exists that the run has not touched or that an
 // earlier run did not leave zeroed.
 func takeStorage(cfg *Config) *storage {
-	if st, ok := storagePool(shapeOf(cfg)).Get().(*storage); ok {
+	if st, ok := parked.Take(shapeOf(cfg)); ok {
 		return st
 	}
 	return newStorage(cfg)
@@ -91,7 +83,7 @@ func newStorage(cfg *Config) *storage {
 // the run that reuses its storage. Releasing it again does nothing.
 func (m *Machine) Release() {
 	if st := m.empty(); st != nil {
-		storagePool(st.shape).Put(st)
+		parked.Put(st.shape, st)
 	}
 }
 

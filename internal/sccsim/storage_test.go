@@ -133,23 +133,18 @@ func neverUsed(cfg Config) *Machine { return newMachine(cfg, newStorage(&cfg)) }
 
 // reusedAfter drives a machine of cfg with the seeded stream, releases it
 // and returns the next New of cfg, which must be built on the storage
-// just released. A sync.Pool may drop what it is given (the race
-// detector makes it drop some on purpose), so a miss starts over.
+// just released.
 func reusedAfter(t *testing.T, cfg Config, seed int64, n int) *Machine {
 	t.Helper()
-	for try := 0; try < 40; try++ {
-		m := MustNew(cfg)
-		driveRecorded(m, seed, n)
-		st := m.store
-		m.Release()
-		again := MustNew(cfg)
-		if again.store == st {
-			return again
-		}
-		again.Release()
+	m := MustNew(cfg)
+	driveRecorded(m, seed, n)
+	st := m.store
+	m.Release()
+	again := MustNew(cfg)
+	if again.store != st {
+		t.Fatal("the first New after a Release of the same shape built new storage")
 	}
-	t.Fatal("40 New calls after a Release never reused the released storage")
-	return nil
+	return again
 }
 
 // requireEmpty checks that m holds no trace of an earlier run: no page

@@ -121,13 +121,13 @@ type Divergence struct {
 
 // Report is the outcome of one Run.
 type Report struct {
-	Scenario        string           `json:"scenario"`
-	Seed            int64            `json:"seed"`
-	Requests        int              `json:"requests"`
-	Concurrency     int              `json:"concurrency"`
-	GOMAXPROCS      int              `json:"gomaxprocs"`
-	DurationMs      int64            `json:"duration_ms"`
-	Throughput      float64          `json:"throughput_rps"`
+	Scenario    string  `json:"scenario"`
+	Seed        int64   `json:"seed"`
+	Requests    int     `json:"requests"`
+	Concurrency int     `json:"concurrency"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
+	DurationMs  int64   `json:"duration_ms"`
+	Throughput  float64 `json:"throughput_rps"`
 	// Client-observed end-to-end latency percentiles (including retry
 	// backoff), in milliseconds.
 	LatencyP50Ms float64 `json:"latency_p50_ms"`
@@ -136,8 +136,8 @@ type Report struct {
 	// BadRequestIDs counts responses whose X-Request-Id header was
 	// missing or malformed — every response, success or error, must
 	// carry one (see RequestIDPattern).
-	BadRequestIDs int64         `json:"bad_request_ids"`
-	StatusCounts  map[int]int64 `json:"status_counts"`
+	BadRequestIDs   int64            `json:"bad_request_ids"`
+	StatusCounts    map[int]int64    `json:"status_counts"`
 	KindCounts      map[Kind]int64   `json:"kind_counts"`
 	DivergenceCount int              `json:"divergence_count"`
 	Divergences     []Divergence     `json:"divergences,omitempty"`

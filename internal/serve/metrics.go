@@ -119,9 +119,9 @@ type EndpointSnapshot struct {
 
 // MetricsSnapshot is the /metrics document.
 type MetricsSnapshot struct {
-	UptimeMs   int64                       `json:"uptime_ms"`
-	InFlight   int                         `json:"in_flight"`
-	Goroutines int                         `json:"goroutines"`
+	UptimeMs   int64 `json:"uptime_ms"`
+	InFlight   int   `json:"in_flight"`
+	Goroutines int   `json:"goroutines"`
 	// Panics counts recovered panics (handler and compute); each cost
 	// exactly one request, never the process.
 	Panics int64 `json:"panics"`

@@ -47,9 +47,9 @@ type schedule struct {
 // mixCounts is the integer realisation of the requested fractions over
 // one loop body.
 type mixCounts struct {
-	body                   int
-	nonMem                 int
-	privLoad, privStore    int
+	body                    int
+	nonMem                  int
+	privLoad, privStore     int
 	sharedLoad, sharedStore int
 }
 

@@ -123,8 +123,8 @@ func (r *Recorder) Export() *Export {
 				Name: "run", Ph: "X", Pid: int(e.Core), Tid: int(e.Ctx),
 				Ts: us(e.Start), Dur: us(e.Time - e.Start),
 				Args: sliceArgs{
-					End:     suspendName(e.Kind, e.Reason),
-					Loads:   e.Loads, Stores: e.Stores,
+					End:   suspendName(e.Kind, e.Reason),
+					Loads: e.Loads, Stores: e.Stores,
 					Private: e.Private, Shared: e.Shared,
 					MPB: e.MPB, MPBRemote: e.MPBRemote,
 					L1Hits: e.L1Hits, L1Misses: e.L1Misses,
