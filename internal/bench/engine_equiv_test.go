@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
@@ -12,7 +13,7 @@ import (
 // output AND identical simulated-time/cycle statistics versus the
 // tree-walk reference, over the whole workload corpus, on both the
 // Pthread baseline and the translated RCCE pipeline. The same source
-// text is compiled twice — interp.Compile and interp.CompileReference —
+// text is compiled twice — interp.Compile and interpref.Compile —
 // and both Programs go through the Program-taking run seams. Only
 // host-side work may differ; the virtual-clock model must not.
 
@@ -31,7 +32,7 @@ func baselineBoth(t *testing.T, w Workload, cfg Config) (compiled, reference *Ru
 		}
 		return res
 	}
-	return run("compiled", interp.Compile), run("tree-walk", interp.CompileReference)
+	return run("compiled", interp.Compile), run("tree-walk", interpref.Compile)
 }
 
 // rcceBoth translates w once and runs the emitted source compiled and
@@ -43,7 +44,7 @@ func rcceBoth(t *testing.T, w Workload, cfg Config, pol partition.Policy) (compi
 		t.Fatalf("translate %v: %v", pol, err)
 	}
 	refTr := *tr
-	if refTr.Program, err = interp.CompileReference(w.Key+"_rcce.c", tr.Source); err != nil {
+	if refTr.Program, err = interpref.Compile(w.Key+"_rcce.c", tr.Source); err != nil {
 		t.Fatalf("tree-walk rcce %v compile: %v", pol, err)
 	}
 	if compiled, err = RunRCCEProgram(w, tr, cfg, pol); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
@@ -38,7 +39,7 @@ func TestHostileBuiltinSizesAreRunErrors(t *testing.T) {
 		},
 	}
 	programs := map[string]func(name, src string) (*interp.Program, error){
-		"compiled": interp.Compile, "reference": interp.CompileReference,
+		"compiled": interp.Compile, "reference": interpref.Compile,
 	}
 	for _, c := range cases {
 		src := "int a[8]; int b[8];\nint main() { int l[4]; char *p; char *q; " + c.stmt + " printf(\"survived\\n\"); return 0; }\n"

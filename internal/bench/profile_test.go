@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/profile"
 )
@@ -71,7 +72,7 @@ func TestProfileByteIdenticalAcrossEngines(t *testing.T) {
 			return buf
 		}
 		compiled := run("compiled", interp.Compile)
-		treewalk := run("tree-walk", interp.CompileReference)
+		treewalk := run("tree-walk", interpref.Compile)
 		if string(compiled) != string(treewalk) {
 			t.Errorf("%s: profiles differ from the reference\ncompiled:\n%s\ntreewalk:\n%s", w, compiled, treewalk)
 		}

@@ -6,13 +6,14 @@ import (
 
 	"hsmcc/internal/bench"
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/synth"
 )
 
 // runBothPrograms runs w's baseline source and its size-policy
 // translation on Programs built by compile — interp.Compile for the
-// coroutine engine, interp.CompileReference for the tree-walk oracle —
+// coroutine engine, interpref.Compile for the tree-walk oracle —
 // through the Program-taking run seams, so both sides execute the same
 // source text.
 func runBothPrograms(w bench.Workload, cfg bench.Config, compile func(name, src string) (*interp.Program, error)) (base, conv *bench.RunResult, err error) {
@@ -42,7 +43,7 @@ func requireEnginesAgree(t *testing.T, what string, w bench.Workload, cfg bench.
 	if err != nil {
 		t.Fatalf("%s compiled: %v", what, err)
 	}
-	rBase, rConv, err := runBothPrograms(w, cfg, interp.CompileReference)
+	rBase, rConv, err := runBothPrograms(w, cfg, interpref.Compile)
 	if err != nil {
 		t.Fatalf("%s tree-walk: %v", what, err)
 	}

@@ -7,32 +7,33 @@ import (
 	"hsmcc/internal/cc/types"
 )
 
-// C binary arithmetic over Values exists once, here: applyBinary charges
-// and folds for the generic closures and the tree-walk reference alike,
+// C binary arithmetic over Values exists once, here: ApplyBinary charges
+// and folds for the generic closures and the tree-walk reference
+// (package interpref) alike,
 // and foldBinary is the pure core the constant folder shares. The fused
 // closures of fuse.go fold payload words instead (folds), and
 // TestFoldsMatchFoldBinary pins every one of those to foldBinary.
 
 // binCost is the cycle charge for one binary operation, as a pure table
-// so that applyBinary has a single charge site (which is what makes it
+// so that ApplyBinary has a single charge site (which is what makes it
 // resumable with one frame under the coroutine engine).
 func binCost(op token.Kind, float bool) int {
 	switch op {
 	case token.Star:
 		if float {
-			return costFMul
+			return CostFMul
 		}
-		return costIMul
+		return CostIMul
 	case token.Slash, token.Percent:
 		if float {
-			return costFDiv
+			return CostFDiv
 		}
-		return costIDiv
+		return CostIDiv
 	default:
 		if float {
-			return costFAdd
+			return CostFAdd
 		}
-		return costALU
+		return CostALU
 	}
 }
 
@@ -43,6 +44,7 @@ func sintTag(t *types.Type) bool {
 	return t != nil && t.Kind >= types.Char && t.Kind <= types.Long
 }
 
+// compoundOps maps each compound assignment to its binary operator.
 var compoundOps = map[token.Kind]token.Kind{
 	token.AddAssign: token.Plus,
 	token.SubAssign: token.Minus,
@@ -56,12 +58,19 @@ var compoundOps = map[token.Kind]token.Kind{
 	token.ShrAssign: token.Shr,
 }
 
-// applyBinary computes x op y, charging the operation cost. The single
+// CompoundOp returns the binary operator of compound assignment op (+=
+// gives +); ok is false for any other kind.
+func CompoundOp(op token.Kind) (bin token.Kind, ok bool) {
+	bin, ok = compoundOps[op]
+	return bin, ok
+}
+
+// ApplyBinary computes x op y, charging the operation cost. The single
 // charge site is what makes it resumable in compiled contexts: a yield
 // at the charge saves the pure outcome (value or fold error) in the
 // frame, so re-entry — with any operands; callers pass empty ones —
 // just returns it.
-func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
+func (p *Proc) ApplyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	if p.coResuming {
 		fr := p.popKRef()
 		if e, ok := fr.x.(error); ok {
@@ -69,7 +78,7 @@ func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, er
 		}
 		return fr.v, nil
 	}
-	cost := costALU // pointer arithmetic charges one ALU cycle
+	cost := CostALU // pointer arithmetic charges one ALU cycle
 	if xt := x.T; xt == nil || !xt.IsPointerLike() || (op != token.Plus && op != token.Minus) {
 		cost = binCost(op, x.IsFloat() || y.IsFloat())
 	}
@@ -81,7 +90,7 @@ func (p *Proc) applyBinary(op token.Kind, x, y Value, rt *types.Type) (Value, er
 	return applyBinaryFold(op, x, y, rt)
 }
 
-// applyBinaryFold is applyBinary's pure compute half: pointer
+// applyBinaryFold is ApplyBinary's pure compute half: pointer
 // arithmetic, then the shared numeric fold.
 func applyBinaryFold(op token.Kind, x, y Value, rt *types.Type) (Value, error) {
 	// Pointer arithmetic: scale the integer side by the element size.

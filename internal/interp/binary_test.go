@@ -40,10 +40,10 @@ func errText(err error) string {
 // TestFoldsMatchFoldBinary: every entry of the fused closures' folds
 // table gives, over the integer and floating edge values under every tag
 // a fused closure can prove, the word of foldBinary's value after the
-// result conversion and the same error text, and applyBinary charges
+// result conversion and the same error text, and ApplyBinary charges
 // those operands what binCost charges the fused site. A reversed entry
 // folds its operands swapped; a conversion entry is Convert. A yield
-// forced at applyBinary's charge leaves one frame and resumes to the
+// forced at ApplyBinary's charge leaves one frame and resumes to the
 // same outcome.
 func TestFoldsMatchFoldBinary(t *testing.T) {
 	pr, err := Compile("k.c", "int main() { return 0; }")
@@ -105,10 +105,10 @@ func TestFoldsMatchFoldBinary(t *testing.T) {
 				}
 				for _, rt := range results {
 					p.Clock, p.lastYield = 0, 0
-					want, werr := p.applyBinary(op, a, b, rt)
+					want, werr := p.ApplyBinary(op, a, b, rt)
 					cycles := binCost(op, dbl)
 					if errText(gerr) != errText(werr) || werr == nil && got != word(want) || p.Clock != sccsim.Time(cycles)*period {
-						t.Fatalf("fold %#x of %+v, %+v -> %v: (%#x, %v) at %d cycles; applyBinary (%+v, %v) in %d ps",
+						t.Fatalf("fold %#x of %+v, %+v -> %v: (%#x, %v) at %d cycles; ApplyBinary (%+v, %v) in %d ps",
 							i, x, y, rt, got, gerr, cycles, want, werr, p.Clock)
 					}
 				}
@@ -142,14 +142,14 @@ func TestFoldsMatchFoldBinary(t *testing.T) {
 					name := fmt.Sprintf("%s -> %v of %v, %v", op, rt, x.T, y.T)
 					p := idleProcs(t, pr)
 					p.Clock = yieldHorizonPs
-					if _, err := p.applyBinary(op, x, y, rt); !isYield(err) {
+					if _, err := p.ApplyBinary(op, x, y, rt); !isYield(err) {
 						t.Fatalf("%s: charge at the horizon returned %v, want a yield", name, err)
 					}
 					if len(p.kstack) != 1 {
 						t.Fatalf("%s: yield left %d frames, want 1", name, len(p.kstack))
 					}
 					p.coResuming = true
-					got, gerr := p.applyBinary(op, Value{}, Value{}, rt)
+					got, gerr := p.ApplyBinary(op, Value{}, Value{}, rt)
 					want, werr := applyBinaryFold(op, x, y, rt)
 					if !sameValue(got, want) || errText(gerr) != errText(werr) {
 						t.Fatalf("%s across a yield: (%+v, %v), applyBinaryFold (%+v, %v)", name, got, gerr, want, werr)

@@ -6,81 +6,14 @@ import (
 	"strconv"
 	"strings"
 
-	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/sccsim"
 )
 
-// evalCall dispatches a call: defined functions first (directly by name
-// or through a function pointer), then the runtime's builtins, then the
-// interpreter's common libc subset.
-func (p *Proc) evalCall(n *ast.CallExpr) (Value, error) {
-	name := n.FuncName()
-
-	// Indirect call through an expression or function-valued variable.
-	if name == "" || (n.Fun.ResultType() != nil && p.Sim.Program.Funcs[name] == nil && !isKnownBuiltin(name)) {
-		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Sym != nil && id.Sym.Kind != ast.SymFunc {
-			fv, err := p.evalExpr(n.Fun)
-			if err != nil {
-				return Value{}, err
-			}
-			if fn := p.Sim.Program.FuncByValue(fv); fn != nil {
-				args, err := p.evalArgs(n.Args)
-				if err != nil {
-					return Value{}, err
-				}
-				return p.callTree(fn, args)
-			}
-		}
-	}
-
-	if fn, ok := p.Sim.Program.Funcs[name]; ok && fn.Body != nil {
-		args, err := p.evalArgs(n.Args)
-		if err != nil {
-			return Value{}, err
-		}
-		return p.callTree(fn, args)
-	}
-
-	args, err := p.evalArgs(n.Args)
-	if err != nil {
-		return Value{}, err
-	}
-	if rt := p.Sim.Runtime; rt != nil {
-		v, handled, err := rt.CallBuiltin(p, name, args)
-		if err != nil {
-			return Value{}, err
-		}
-		if handled {
-			return v, nil
-		}
-	}
-	v, handled, err := p.commonBuiltin(name, args)
-	if err != nil {
-		return Value{}, err
-	}
-	if handled {
-		return v, nil
-	}
-	return Value{}, fmt.Errorf("%s: call of unknown function %s", n.Pos(), name)
-}
-
-func (p *Proc) evalArgs(exprs []ast.Expr) ([]Value, error) {
-	args := make([]Value, len(exprs))
-	for i, e := range exprs {
-		v, err := p.evalExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-		if err := p.chargeCycles(costALU); err != nil { // argument push
-			return nil, err
-		}
-	}
-	return args, nil
-}
-
-func isKnownBuiltin(name string) bool {
+// IsBuiltin reports whether name is a builtin's: the common libc
+// subset's or a runtime's (pthread_*, RCCE_*). Call sites use it to tell
+// a call through a function-valued variable from a builtin call.
+func IsBuiltin(name string) bool {
 	return commonBuiltinID(name) != bNone ||
 		strings.HasPrefix(name, "pthread_") || strings.HasPrefix(name, "RCCE_")
 }
@@ -142,9 +75,17 @@ func commonBuiltinID(name string) builtinID {
 	return bNone
 }
 
-// commonBuiltin implements the runtime-independent libc subset (the
-// tree-walk's string-keyed entry point).
-func (p *Proc) commonBuiltin(name string, args []Value) (Value, bool, error) {
+// CallBuiltin dispatches a call of name, which is no function of the
+// program, by name: the runtime's builtins first, then the common libc
+// subset. handled=false means neither knows the name. A compiled call
+// site resolves the same dispatch once (compileCall); the tree-walk
+// reference calls this on every call.
+func (p *Proc) CallBuiltin(name string, args []Value) (v Value, handled bool, err error) {
+	if rt := p.Sim.Runtime; rt != nil {
+		if v, handled, err = rt.CallBuiltin(p, name, args); err != nil || handled {
+			return v, handled, err
+		}
+	}
 	return p.commonBuiltinByID(commonBuiltinID(name), args)
 }
 
@@ -175,7 +116,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			if err != nil {
 				return Value{}, true, err
 			}
-			if err := p.chargeCycles(costCall + len(out)); err != nil { // I/O cost proportional to text
+			if err := p.chargeCycles(CostCall + len(out)); err != nil { // I/O cost proportional to text
 				p.pushK(kframe{step: 1, x: out})
 				return Value{}, true, err
 			}
@@ -192,7 +133,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			if addr, err = p.heapAlloc("malloc", args[0].Int(), 1); err != nil {
 				return Value{}, true, err
 			}
-			if err := p.chargeCycles(costCall * 4); err != nil {
+			if err := p.chargeCycles(CostCall * 4); err != nil {
 				p.pushK(kframe{step: 1, a: addr})
 				return Value{}, true, err
 			}
@@ -208,7 +149,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			}
 			// PageMem zero-fills fresh pages; the bump allocator never
 			// reuses, so the region is already zero.
-			if err := p.chargeCycles(costCall*4 + int(args[0].Int()*args[1].Int())/8); err != nil {
+			if err := p.chargeCycles(CostCall*4 + int(args[0].Int()*args[1].Int())/8); err != nil {
 				p.pushK(kframe{step: 1, a: addr})
 				return Value{}, true, err
 			}
@@ -217,7 +158,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 
 	case bFree:
 		if fr.step == 0 {
-			if err := p.chargeCycles(costCall); err != nil {
+			if err := p.chargeCycles(CostCall); err != nil {
 				p.pushK(kframe{step: 1})
 				return Value{}, true, err
 			}
@@ -279,7 +220,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			s := p.ReadCString(args[0].Addr())
 			iv, _ := strconv.Atoi(strings.TrimSpace(s))
 			v = int64(iv)
-			if err := p.chargeCycles(costCall + 4*len(s)); err != nil {
+			if err := p.chargeCycles(CostCall + 4*len(s)); err != nil {
 				p.pushK(kframe{step: 1, n: v})
 				return Value{}, true, err
 			}
@@ -297,7 +238,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 
 	case bFabs:
 		if fr.step == 0 {
-			if err := p.chargeCycles(costFAdd); err != nil {
+			if err := p.chargeCycles(CostFAdd); err != nil {
 				p.pushK(kframe{step: 1})
 				return Value{}, true, err
 			}
@@ -306,7 +247,7 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 
 	case bWallclock:
 		if fr.step == 0 {
-			if err := p.chargeCycles(costCall); err != nil {
+			if err := p.chargeCycles(CostCall); err != nil {
 				p.pushK(kframe{step: 1})
 				return Value{}, true, err
 			}

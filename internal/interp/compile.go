@@ -274,7 +274,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					return ctrlNone, err
 				}
 				cb = w != 0
-				if err := p.chargeCycles(costALU); err != nil {
+				if err := p.chargeCycles(CostALU); err != nil {
 					p.pushK(kframe{step: 2, n: b2i(cb)})
 					return ctrlNone, err
 				}
@@ -372,7 +372,7 @@ func (c *compiler) compileStmt(s ast.Stmt) execFn {
 					return ctrlNone, err
 				}
 				tagI = tv.Int()
-				if err := p.chargeCycles(costALU); err != nil {
+				if err := p.chargeCycles(CostALU); err != nil {
 					p.pushK(kframe{step: 2, n: tagI})
 					return ctrlNone, err
 				}
@@ -502,7 +502,7 @@ func loop(init execFn, cond rawFn, body, post execFn, bodyFirst bool) execFn {
 					return ctrlNone, err
 				}
 				cb := w != 0
-				if err := p.chargeCycles(costALU); err != nil {
+				if err := p.chargeCycles(CostALU); err != nil {
 					p.pushK(kframe{step: 3, n: b2i(cb)})
 					return ctrlNone, err
 				}

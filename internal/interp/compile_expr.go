@@ -89,7 +89,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 				return Value{}, err
 			}
 			if (v.IsFloat() && toInt) || (!v.IsFloat() && toFloat) {
-				if err := p.chargeCycles(costConv); err != nil {
+				if err := p.chargeCycles(CostConv); err != nil {
 					p.pushK(kframe{step: 1, v: v})
 					return Value{}, err
 				}
@@ -140,7 +140,7 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 				return Value{}, err
 			}
 			cb := v.Bool()
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.chargeCycles(CostALU); err != nil {
 				p.pushK(kframe{step: 1, n: b2i(cb)})
 				return Value{}, err
 			}
@@ -200,13 +200,13 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 	// or the store (step 3).
 	tail := func(p *Proc, addr uint32, old Value, step int) (Value, error) {
 		if step <= 2 {
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.chargeCycles(CostALU); err != nil {
 				p.pushK(kframe{step: 3, a: addr, v: old})
 				return Value{}, err
 			}
 		}
 		res := old
-		upd := p.stepValue(old, st, delta)
+		upd := p.StepValue(old, st, delta)
 		if prefix {
 			res = upd
 		}
@@ -246,8 +246,8 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 	}
 }
 
-// stepValue adds delta respecting pointer scaling.
-func (p *Proc) stepValue(v Value, t *types.Type, delta int64) Value {
+// StepValue adds delta respecting pointer scaling.
+func (p *Proc) StepValue(v Value, t *types.Type, delta int64) Value {
 	if t.Kind == types.Pointer && t.Elem != nil {
 		return PtrValue(t, uint32(v.Int()+delta*int64(t.Elem.Size())))
 	}
@@ -291,7 +291,7 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 			return func(p *Proc) (Value, error) {
 				if p.coResuming {
 					p.popKRef()
-				} else if err := p.chargeCycles(costALU); err != nil {
+				} else if err := p.chargeCycles(CostALU); err != nil {
 					p.pushK(kframe{step: 1})
 					return Value{}, err
 				}
@@ -319,7 +319,7 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 			return func(p *Proc) (Value, error) {
 				if p.coResuming {
 					p.popKRef()
-				} else if err := p.chargeCycles(costALU); err != nil {
+				} else if err := p.chargeCycles(CostALU); err != nil {
 					p.pushK(kframe{step: 1})
 					return Value{}, err
 				}
@@ -541,7 +541,7 @@ func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			return 0, nil, err
 		}
 		iv := v.Int()
-		if err := p.chargeCycles(costALU); err != nil {
+		if err := p.chargeCycles(CostALU); err != nil {
 			p.pushK(kframe{step: 3, a: base, n: iv})
 			return 0, nil, err
 		}
@@ -591,7 +591,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 				return 0, nil, err
 			}
 			base := v.Addr()
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.chargeCycles(CostALU); err != nil {
 				p.pushK(kframe{step: 2, a: base})
 				return 0, nil, err
 			}
@@ -628,7 +628,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 			}
 			return 0, nil, err
 		}
-		if err := p.chargeCycles(costALU); err != nil {
+		if err := p.chargeCycles(CostALU); err != nil {
 			p.pushK(kframe{step: 2, a: base})
 			return 0, nil, err
 		}
@@ -674,7 +674,7 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 				ptr = types.PointerTo(t)
 			}
 			v := PtrValue(ptr, addr)
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.chargeCycles(CostALU); err != nil {
 				p.pushK(kframe{step: 1, v: v})
 				return Value{}, err
 			}
@@ -695,16 +695,16 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 	case token.Minus:
 		apply = func(v Value) (Value, int) {
 			if v.IsFloat() {
-				return FloatValue(v.T, -v.F), costFAdd
+				return FloatValue(v.T, -v.F), CostFAdd
 			}
-			return IntValue(v.T, -v.I), costALU
+			return IntValue(v.T, -v.I), CostALU
 		}
 	case token.Plus:
 		return x
 	case token.Bang:
-		apply = func(v Value) (Value, int) { return IntValue(types.IntType, b2i(!v.Bool())), costALU }
+		apply = func(v Value) (Value, int) { return IntValue(types.IntType, b2i(!v.Bool())), CostALU }
 	case token.Tilde:
-		apply = func(v Value) (Value, int) { return IntValue(v.T, int64(int32(^uint32(v.Int())))), costALU }
+		apply = func(v Value) (Value, int) { return IntValue(v.T, int64(int32(^uint32(v.Int())))), CostALU }
 	default:
 		err := fmt.Errorf("%s: unary %s unsupported", n.Pos(), n.Op)
 		return func(p *Proc) (Value, error) { // transparent
@@ -794,7 +794,7 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	// operands — a suspended apply saved its own outcome); rhsTail
 	// from the RHS (step 2); a store-yield saves the result (step 5).
 	applyTail := func(p *Proc, addr uint32, old, rhs Value) (Value, error) {
-		res, err := p.applyBinary(op, old, rhs, st)
+		res, err := p.ApplyBinary(op, old, rhs, st)
 		if err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 3, a: addr})
@@ -864,7 +864,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 		if p.coResuming {
 			fr := p.popKRef()
 			if fr.step == 2 {
-				return p.applyBinary(op, Value{}, Value{}, rt)
+				return p.ApplyBinary(op, Value{}, Value{}, rt)
 			}
 			step, xv = fr.step, fr.v
 		}
@@ -884,7 +884,7 @@ func (c *compiler) compileBinary(n *ast.BinaryExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		v, err := p.applyBinary(op, xv, yv, rt)
+		v, err := p.ApplyBinary(op, xv, yv, rt)
 		if isYield(err) {
 			p.pushK(kframe{step: 2})
 		}
@@ -945,7 +945,7 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 	}
 
 	indirect := false
-	if name == "" || (n.Fun.ResultType() != nil && pr.Funcs[name] == nil && !isKnownBuiltin(name)) {
+	if name == "" || (n.Fun.ResultType() != nil && pr.Funcs[name] == nil && !IsBuiltin(name)) {
 		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Sym != nil && id.Sym.Kind != ast.SymFunc {
 			indirect = true
 		}

@@ -1,7 +1,6 @@
 package interp
 
 import (
-	goast "go/ast"
 	goparser "go/parser"
 	"go/token"
 	"io/fs"
@@ -149,31 +148,6 @@ func TestFrameSlotsDoNotOverlap(t *testing.T) {
 	}
 }
 
-// TestRecursionEngineParity runs a recursion-heavy program compiled and
-// as the tree-walk reference: identical output and makespan means
-// recursive frames reuse layouts at distinct addresses with identical
-// timing.
-func TestRecursionEngineParity(t *testing.T) {
-	src := `
-int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
-int fact(int n) { int acc = 1; if (n > 1) acc = n * fact(n - 1); return acc; }
-int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
-	a, err := tryRunMainWith(Compile, src)
-	if err != nil {
-		t.Fatalf("compiled: %v", err)
-	}
-	b, err := tryRunMainWith(CompileReference, src)
-	if err != nil {
-		t.Fatalf("tree-walk: %v", err)
-	}
-	if a.Output() != b.Output() || a.Makespan() != b.Makespan() {
-		t.Fatalf("engines diverge: %q/%d vs %q/%d", a.Output(), a.Makespan(), b.Output(), b.Makespan())
-	}
-	if a.Output() != "1597 3628800\n" {
-		t.Fatalf("wrong answer: %q", a.Output())
-	}
-}
-
 // TestLoadRejectsUnlowerable: a tree the compiler cannot lower — here a
 // checked program whose AST is then stripped of a type sema always fills
 // in — is a Load error naming the function, never a Program that falls
@@ -240,12 +214,10 @@ int main() { return ok(broken(1)); }`
 }
 
 // TestReferenceIsTestOnly keeps the tree-walk reference out of every
-// production path: no non-test file of the root module may mention
-// CompileReference or LoadReference, except package interp where they
-// are defined.
+// production path: no non-test file of the root module outside package
+// interpref imports it.
 func TestReferenceIsTestOnly(t *testing.T) {
-	reference := map[string]bool{"CompileReference": true, "LoadReference": true}
-	const root = "../.."
+	const root, reference = "../..", `"hsmcc/internal/interp/interpref"`
 	files := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -255,26 +227,23 @@ func TestReferenceIsTestOnly(t *testing.T) {
 			if _, nested := os.Stat(filepath.Join(path, "go.mod")); path != root && (nested == nil || d.Name() == ".git") {
 				return filepath.SkipDir // another module (benchmark/), not this one
 			}
+			if d.Name() == "interpref" {
+				return filepath.SkipDir
+			}
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := goparser.ParseFile(token.NewFileSet(), path, nil, goparser.SkipObjectResolution)
+		f, err := goparser.ParseFile(token.NewFileSet(), path, nil, goparser.ImportsOnly)
 		if err != nil {
 			return err
 		}
 		files++
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*goast.FuncDecl); ok && f.Name.Name == "interp" && reference[fn.Name.Name] {
-				continue // the definitions themselves
+		for _, imp := range f.Imports {
+			if imp.Path.Value == reference {
+				t.Errorf("%s: non-test code imports %s", path, reference)
 			}
-			goast.Inspect(decl, func(n goast.Node) bool {
-				if id, ok := n.(*goast.Ident); ok && reference[id.Name] {
-					t.Errorf("%s: non-test code references %s", path, id.Name)
-				}
-				return true
-			})
 		}
 		return nil
 	})

@@ -10,8 +10,9 @@ import "fmt"
 // resumption frame, and the loop later re-enters the context from the
 // top, each closure popping its frame and jumping straight back to the
 // suspended child. No goroutines are created and no channel is touched
-// on any context switch. (Only the contexts of a test-only reference
-// Program, which walk the AST, park on goroutines instead.)
+// on any context switch. (Only the contexts of a Program from
+// interpref.Compile, the test-only tree walk, park on goroutines
+// instead, behind the Walker seam.)
 //
 // Frame discipline (the whole protocol):
 //
@@ -216,7 +217,7 @@ func (p *Proc) adoptScratch() {
 	} else {
 		sc = &procScratch{
 			kstack:   make([]kmeta, 0, 64),
-			retSlots: make([]Value, maxCallDepth+1),
+			retSlots: make([]Value, MaxCallDepth+1),
 		}
 	}
 	p.scratch = sc

@@ -1,8 +1,10 @@
-package interp
+package interp_test
 
 import (
 	"testing"
 
+	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/sccsim"
 )
 
@@ -23,17 +25,56 @@ int main() {
 
 // compileBoth builds src twice: the compiled Program and its tree-walk
 // reference.
-func compileBoth(t *testing.T, name, src string) (compiled, reference *Program) {
+func compileBoth(t *testing.T, name, src string) (compiled, reference *interp.Program) {
 	t.Helper()
-	compiled, err := Compile(name, src)
+	compiled, err := interp.Compile(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err = CompileReference(name, src)
+	reference, err = interpref.Compile(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return compiled, reference
+}
+
+// tryRunMainWith runs src's main on core 0 of a Program built by
+// compile: interp.Compile, or interpref.Compile for the tree-walk oracle.
+func tryRunMainWith(compile func(name, src string) (*interp.Program, error), src string) (*interp.Sim, error) {
+	pr, err := compile("test.c", src)
+	if err != nil {
+		return nil, err
+	}
+	sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
+		return nil, err
+	}
+	return sim, sim.Run()
+}
+
+// TestRecursionEngineParity runs a recursion-heavy program compiled and
+// as the tree-walk reference: identical output and makespan means
+// recursive frames reuse layouts at distinct addresses with identical
+// timing.
+func TestRecursionEngineParity(t *testing.T) {
+	src := `
+int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
+int fact(int n) { int acc = 1; if (n > 1) acc = n * fact(n - 1); return acc; }
+int main() { printf("%d %d\n", fib(17), fact(10)); return 0; }`
+	a, err := tryRunMainWith(interp.Compile, src)
+	if err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	b, err := tryRunMainWith(interpref.Compile, src)
+	if err != nil {
+		t.Fatalf("tree-walk: %v", err)
+	}
+	if a.Output() != b.Output() || a.Makespan() != b.Makespan() {
+		t.Fatalf("engines diverge: %q/%d vs %q/%d", a.Output(), a.Makespan(), b.Output(), b.Makespan())
+	}
+	if a.Output() != "1597 3628800\n" {
+		t.Fatalf("wrong answer: %q", a.Output())
+	}
 }
 
 // TestCoroutineModeEngaged pins what decides how a session runs: a
@@ -48,8 +89,8 @@ func TestCoroutineModeEngaged(t *testing.T) {
 	if refPr.FullyCompiled() {
 		t.Fatal("a reference Program must not report itself compiled")
 	}
-	run := func(pr *Program) *Sim {
-		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	run := func(pr *interp.Program) *interp.Sim {
+		sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
 		if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -87,10 +128,10 @@ int worker(int me) {
   printf("v%d %d\n", me, noret(20000));
   return 0;
 }`)
-	run := func(pr *Program) *Sim {
-		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	run := func(pr *interp.Program) *interp.Sim {
+		sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
 		for core := 0; core < 2; core++ {
-			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
+			if _, err := sim.Spawn(core, pr.Funcs["worker"], []interp.Value{interp.IntValue(nil, int64(core))}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -110,7 +151,7 @@ int worker(int me) {
 // contexts interleaving through yields must produce byte-identical
 // output and identical per-context clocks with either policy.
 func TestSchedulerParityHeapVsLinearCoroutine(t *testing.T) {
-	pr, err := Compile("p.c", `
+	pr, err := interp.Compile("p.c", `
 int a[64];
 int worker(int me) {
   int i; int s;
@@ -122,21 +163,21 @@ int worker(int me) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(pol Policy) (*Sim, error) {
-		sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	run := func(pol interp.Policy) (*interp.Sim, error) {
+		sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
 		sim.Policy = pol
 		for core := 0; core < 4; core++ {
-			if _, err := sim.Spawn(core, pr.Funcs["worker"], []Value{IntValue(nil, int64(core))}, 0); err != nil {
+			if _, err := sim.Spawn(core, pr.Funcs["worker"], []interp.Value{interp.IntValue(nil, int64(core))}, 0); err != nil {
 				return nil, err
 			}
 		}
 		return sim, sim.Run()
 	}
-	heap, err := run(NewMinClockHeap())
+	heap, err := run(interp.NewMinClockHeap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	linear, err := run(MinClock{})
+	linear, err := run(interp.MinClock{})
 	if err != nil {
 		t.Fatal(err)
 	}

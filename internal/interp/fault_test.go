@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
@@ -50,7 +51,7 @@ func TestWildMPBAddressIsARunError(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := interp.CompileReference("wild.c", src)
+				reference, err := interpref.Compile("wild.c", src)
 				if err != nil {
 					t.Fatal(err)
 				}

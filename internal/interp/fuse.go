@@ -254,7 +254,7 @@ func (c *compiler) compileRaw(o operand) rawFn {
 		if x.dbl() {
 			op |= fopDbl
 		}
-		return c.fuseBinary(folds[op], costConv, x, operand{shape: shConst})
+		return c.fuseBinary(folds[op], CostConv, x, operand{shape: shConst})
 	}
 	lf, _ := c.compileLValue(o.e)
 	size, sext, _ := wordOf(o.tag)
@@ -518,7 +518,7 @@ func rawLogic(andand bool, x, y rawFn) rawFn {
 				return 0, p.suspended(err, 0, 0, 0)
 			}
 			xb = truth(w != 0)
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.chargeCycles(CostALU); err != nil {
 				return 0, p.suspended(err, 1, 0, xb)
 			}
 		}
@@ -558,7 +558,7 @@ func (c *compiler) compileEffect(e ast.Expr, tick uint64) execFn {
 		return nil
 	}
 	var fold foldFn
-	cost := costALU
+	cost := CostALU
 	if op != token.Assign {
 		if op == token.PlusPlus || op == token.MinusMinus {
 			// One of the target's kind, added or subtracted under an
@@ -798,7 +798,7 @@ func (p *Proc) indexTail(err error, addr uint32, elem *types.Type) (uint32, *typ
 	if err != nil {
 		return 0, nil, p.suspended(err, 2, addr, 0)
 	}
-	if err := p.chargeCycles(costALU); err != nil {
+	if err := p.chargeCycles(CostALU); err != nil {
 		return 0, nil, p.suspended(err, 3, addr, 0)
 	}
 	return addr, elem, nil

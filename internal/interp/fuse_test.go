@@ -1,10 +1,11 @@
-package interp
+package interp_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"hsmcc/internal/interp"
 	"hsmcc/internal/sccsim"
 )
 
@@ -130,7 +131,7 @@ struct pair pt; struct pair *pp;
 // kernelOutcome is everything the two Programs must agree on.
 type kernelOutcome struct {
 	out, err string
-	rets     []Value
+	rets     []interp.Value
 	clocks   []sccsim.Time
 	ops      []uint64
 	stats    sccsim.CoreStats
@@ -150,9 +151,9 @@ func (o kernelOutcome) String() string {
 }
 
 // runKernel runs k on `contexts` contexts of core 0 of a fresh scc48.
-func runKernel(t *testing.T, pr *Program, contexts int) kernelOutcome {
+func runKernel(t *testing.T, pr *interp.Program, contexts int) kernelOutcome {
 	t.Helper()
-	sim := NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+	sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
 	for i := 0; i < contexts; i++ {
 		if _, err := sim.Spawn(0, pr.Funcs["k"], nil, 0); err != nil {
 			t.Fatal(err)
@@ -165,6 +166,13 @@ func runKernel(t *testing.T, pr *Program, contexts int) kernelOutcome {
 		o.ops = append(o.ops, p.Ops)
 	}
 	return o
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // checkKernel requires the compiled Program and the reference to agree
@@ -197,19 +205,19 @@ func TestFusedShapesMatchReference(t *testing.T) {
 // touching memory: `7 / 3;` is 41 cycles, `1 + 1;` one.
 func TestFusedShapesResumeAtEverySite(t *testing.T) {
 	period := sccsim.MustNew(sccsim.DefaultConfig()).CorePeriodOf(0)
-	horizon := int(yieldHorizonPs / period)
+	horizon := int(interp.YieldHorizonPs / period)
 	sweep := 160
 	if testing.Short() {
 		sweep = 40
 	}
 	for _, k := range fusedKernels {
-		for n := 0; n < YieldEvery; n++ {
+		for n := 0; n < interp.YieldEvery; n++ {
 			prefix := "int dummy;" + strings.Repeat(" dummy = 0;", n)
 			checkKernel(t, fmt.Sprintf("%s/cadence %d", k.name, n), fusedKernelSource(k.ret, k.body, prefix), 2)
 		}
 		for j := 0; j < sweep; j++ {
 			cycles := horizon - j
-			prefix := strings.Repeat(" 7 / 3;", cycles/costIDiv) + strings.Repeat(" 1 + 1;", cycles%costIDiv)
+			prefix := strings.Repeat(" 7 / 3;", cycles/interp.CostIDiv) + strings.Repeat(" 1 + 1;", cycles%interp.CostIDiv)
 			checkKernel(t, fmt.Sprintf("%s/horizon -%d", k.name, j), fusedKernelSource(k.ret, k.body, prefix), 2)
 		}
 		if t.Failed() {

@@ -14,6 +14,7 @@ import (
 
 	"hsmcc/internal/bench"
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/sccsim"
 )
@@ -116,7 +117,7 @@ func FuzzSourceDiff(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)
-		got, want := sourceOutcome(interp.Compile, src), sourceOutcome(interp.CompileReference, src)
+		got, want := sourceOutcome(interp.Compile, src), sourceOutcome(interpref.Compile, src)
 		if got != want {
 			t.Fatalf("compiled and reference Programs diverge\ncompiled:  %s\nreference: %s\n--- source\n%s", got, want, src)
 		}

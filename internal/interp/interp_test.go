@@ -18,12 +18,9 @@ func runMain(t *testing.T, src string) *Sim {
 	return s
 }
 
-func tryRunMain(src string) (*Sim, error) { return tryRunMainWith(Compile, src) }
-
-// tryRunMainWith runs src's main on a Program built by compile: Compile,
-// or CompileReference for the tree-walk oracle.
-func tryRunMainWith(compile func(name, src string) (*Program, error), src string) (*Sim, error) {
-	pr, err := compile("test.c", src)
+// tryRunMain compiles src and runs its main on core 0.
+func tryRunMain(src string) (*Sim, error) {
+	pr, err := Compile("test.c", src)
 	if err != nil {
 		return nil, err
 	}

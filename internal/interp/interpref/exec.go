@@ -1,52 +1,129 @@
-package interp
+package interpref
 
 import (
 	"fmt"
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
+	"hsmcc/internal/interp"
 )
 
-// callTree runs fn(args) to completion in a fresh tree-walk frame. The
-// tree-walk only runs on a reference context's goroutine, where the
-// yield-capable primitives park internally and never return the yield
-// sentinel.
-func (p *Proc) callTree(fn *ast.FuncDecl, args []Value) (Value, error) {
+// ctrl is statement-level control flow.
+type ctrl int
+
+const (
+	ctrlNone ctrl = iota
+	ctrlBreak
+	ctrlContinue
+	ctrlReturn
+)
+
+// frame is one activation record.
+type frame struct {
+	slots map[*ast.Symbol]uint32
+	saved uint32 // stack pointer to restore
+}
+
+// callTree runs fn(args) to completion in a fresh tree-walk frame. It
+// runs only on the walk's own goroutine, where the yield-capable
+// primitives park internally and never return the yield sentinel.
+func (p *walk) callTree(fn *ast.FuncDecl, args []interp.Value) (interp.Value, error) {
 	if fn.Body == nil {
-		return Value{}, fmt.Errorf("call of undefined function %s", fn.Name)
+		return interp.Value{}, fmt.Errorf("call of undefined function %s", fn.Name)
 	}
 	p.Calls++
-	if err := p.chargeCycles(costCall); err != nil {
-		return Value{}, err
+	if err := p.ChargeCycles(interp.CostCall); err != nil {
+		return interp.Value{}, err
 	}
 	fr, err := p.pushFrame(fn)
 	if err != nil {
-		return Value{}, err
+		return interp.Value{}, err
 	}
 	defer p.popFrame()
 	for i, prm := range fn.Params {
 		if prm.Sym == nil {
 			continue
 		}
-		var v Value
+		var v interp.Value
 		if i < len(args) {
 			v = args[i]
 		}
-		if err := p.storeValue(fr.slots[prm.Sym], prm.Type, v); err != nil {
-			return Value{}, err
+		if err := p.StoreTyped(fr.slots[prm.Sym], prm.Type, v); err != nil {
+			return interp.Value{}, err
 		}
 	}
-	var ret Value
+	var ret interp.Value
 	if _, err := p.execBlock(fn.Body, &ret); err != nil {
-		return Value{}, err
+		return interp.Value{}, err
 	}
-	if err := p.chargeCycles(costReturn); err != nil {
-		return Value{}, err
+	if err := p.ChargeCycles(interp.CostReturn); err != nil {
+		return interp.Value{}, err
 	}
 	return ret, nil
 }
 
-func (p *Proc) execBlock(b *ast.BlockStmt, ret *Value) (ctrl, error) {
+// addrOfSymbol finds a variable's address: innermost frame slot first,
+// then the globals image.
+func (p *walk) addrOfSymbol(sym *ast.Symbol) (uint32, bool) {
+	if len(p.frames) > 0 {
+		if a, ok := p.frames[len(p.frames)-1].slots[sym]; ok {
+			return a, true
+		}
+	}
+	if a, ok := p.Sim.Program.GlobalAddr(sym); ok {
+		return a, true
+	}
+	return 0, false
+}
+
+// pushFrame allocates the activation record for fn: one aligned stack
+// slot per parameter and per local declaration anywhere in the body
+// (slots are assigned once, like a compiled frame).
+func (p *walk) pushFrame(fn *ast.FuncDecl) (*frame, error) {
+	if len(p.frames) >= interp.MaxCallDepth {
+		return nil, fmt.Errorf("call depth exceeds %d in %s", interp.MaxCallDepth, fn.Name)
+	}
+	fr := &frame{slots: make(map[*ast.Symbol]uint32), saved: p.sp}
+	sp := p.sp
+	alloc := func(sym *ast.Symbol, t *types.Type) {
+		size := uint32(t.Size())
+		if size == 0 {
+			size = 4
+		}
+		a := uint32(t.Align())
+		if a == 0 {
+			a = 4
+		}
+		sp -= size
+		sp &^= a - 1
+		fr.slots[sym] = sp
+	}
+	for _, prm := range fn.Params {
+		if prm.Sym != nil {
+			alloc(prm.Sym, prm.Type)
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if d, ok := n.(*ast.DeclStmt); ok && d.Decl.Sym != nil {
+			alloc(d.Decl.Sym, d.Decl.Type)
+		}
+		return true
+	})
+	if p.StackTop()-sp > interp.StackBytes {
+		return nil, fmt.Errorf("stack overflow in %s", fn.Name)
+	}
+	p.sp = sp
+	p.frames = append(p.frames, fr)
+	return fr, nil
+}
+
+func (p *walk) popFrame() {
+	fr := p.frames[len(p.frames)-1]
+	p.frames = p.frames[:len(p.frames)-1]
+	p.sp = fr.saved
+}
+
+func (p *walk) execBlock(b *ast.BlockStmt, ret *interp.Value) (ctrl, error) {
 	for _, s := range b.List {
 		c, err := p.execStmt(s, ret)
 		if err != nil || c != ctrlNone {
@@ -56,7 +133,7 @@ func (p *Proc) execBlock(b *ast.BlockStmt, ret *Value) (ctrl, error) {
 	return ctrlNone, nil
 }
 
-func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
+func (p *walk) execStmt(s ast.Stmt, ret *interp.Value) (ctrl, error) {
 	p.Ops++
 	switch n := s.(type) {
 	case *ast.BlockStmt:
@@ -76,7 +153,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			if err != nil {
 				return ctrlNone, err
 			}
-			if err := p.storeValue(addr, d.Type, v); err != nil {
+			if err := p.StoreTyped(addr, d.Type, v); err != nil {
 				return ctrlNone, err
 			}
 		}
@@ -89,7 +166,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			if err != nil {
 				return ctrlNone, err
 			}
-			if err := p.storeValue(addr+uint32(i*elem.Size()), elem, v); err != nil {
+			if err := p.StoreTyped(addr+uint32(i*elem.Size()), elem, v); err != nil {
 				return ctrlNone, err
 			}
 		}
@@ -97,9 +174,9 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 		// zeroed but the slot may be reused stack memory.
 		if len(n.Decl.InitLst) > 0 && d.Type.Kind == types.Array {
 			elem := d.Type.Elem
-			zero := IntValue(types.IntType, 0)
+			zero := interp.IntValue(types.IntType, 0)
 			for i := len(n.Decl.InitLst); i < d.Type.Len; i++ {
-				if err := p.storeValue(addr+uint32(i*elem.Size()), elem, zero); err != nil {
+				if err := p.StoreTyped(addr+uint32(i*elem.Size()), elem, zero); err != nil {
 					return ctrlNone, err
 				}
 			}
@@ -115,7 +192,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 		if err != nil {
 			return ctrlNone, err
 		}
-		if err := p.chargeCycles(costALU); err != nil {
+		if err := p.ChargeCycles(interp.CostALU); err != nil {
 			return ctrlNone, err
 		}
 		if cond.Bool() {
@@ -136,14 +213,14 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			// A for without a condition still pays its back-edge branch:
 			// an iteration that charges nothing would never reach a
 			// scheduling point, and `for (;;);` would hang the host.
-			cond := IntValue(types.IntType, 1)
+			cond := interp.IntValue(types.IntType, 1)
 			if n.Cond != nil {
 				var err error
 				if cond, err = p.evalExpr(n.Cond); err != nil {
 					return ctrlNone, err
 				}
 			}
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.ChargeCycles(interp.CostALU); err != nil {
 				return ctrlNone, err
 			}
 			if !cond.Bool() {
@@ -173,7 +250,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			if err != nil {
 				return ctrlNone, err
 			}
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.ChargeCycles(interp.CostALU); err != nil {
 				return ctrlNone, err
 			}
 			if !cond.Bool() {
@@ -207,7 +284,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 			if err != nil {
 				return ctrlNone, err
 			}
-			if err := p.chargeCycles(costALU); err != nil {
+			if err := p.ChargeCycles(interp.CostALU); err != nil {
 				return ctrlNone, err
 			}
 			if !cond.Bool() {
@@ -220,7 +297,7 @@ func (p *Proc) execStmt(s ast.Stmt, ret *Value) (ctrl, error) {
 		if err != nil {
 			return ctrlNone, err
 		}
-		if err := p.chargeCycles(costALU); err != nil {
+		if err := p.ChargeCycles(interp.CostALU); err != nil {
 			return ctrlNone, err
 		}
 		matched := false

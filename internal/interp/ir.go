@@ -7,10 +7,9 @@ import (
 
 // This file defines the compiled (lowered) form of a program: the result
 // of the one-time compile pass in compile.go. The tree-walking evaluator
-// in eval.go/exec.go is kept unchanged as the reference a test builds
-// with CompileReference; the golden equivalence tests pin the compiled
-// form to byte-identical output and identical cycle statistics against
-// it.
+// lives on as the reference a test builds with interpref.Compile; the
+// golden equivalence tests pin the compiled form to byte-identical
+// output and identical cycle statistics against it.
 
 // evalFn is a lowered expression: evaluate to an rvalue.
 type evalFn func(p *Proc) (Value, error)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/sccsim"
 )
@@ -18,8 +17,8 @@ var errThreadExit = errors.New("thread exit")
 // return it from CallBuiltin to terminate the calling thread cleanly.
 func ThreadExitError() error { return errThreadExit }
 
-// maxCallDepth bounds recursion in interpreted programs.
-const maxCallDepth = 256
+// MaxCallDepth bounds recursion in interpreted programs.
+const MaxCallDepth = 256
 
 // Proc is one execution context: a Pthread thread or an RCCE process.
 type Proc struct {
@@ -34,16 +33,10 @@ type Proc struct {
 	// stores the quantum start here).
 	Slice sccsim.Time
 
-	fn *ast.FuncDecl
-	// rootCF is fn's compiled form, resolved at spawn so every resume
-	// skips the map lookup (nil for a reference context).
-	rootCF *compiledFunc
-	args   []Value
-	// resume wakes a reference context's goroutine; compiled contexts
-	// have no goroutine and leave it nil.
-	resume chan struct{}
-
-	frames    []*frame
+	// rootCF is the entry function's compiled form, resolved at spawn
+	// so every resume skips the map lookup (nil for a walked context).
+	rootCF    *compiledFunc
+	args      []Value
 	stackIdx  int
 	stackTop  uint32
 	stackPtr  uint32
@@ -71,8 +64,8 @@ type Proc struct {
 	kxs        []any
 	kscratch   kframe
 	coResuming bool
-	// scratch is the pooled bundle the buffers above came from (nil for
-	// a reference context); finish returns it for the next spawn.
+	// scratch is the pooled bundle the buffers above came from; finish
+	// returns it for the next spawn.
 	scratch *procScratch
 	// timer is the machine's cycle-to-time handle for this context's
 	// core (stable across DVFS changes), mach the machine itself: both
@@ -94,13 +87,6 @@ type Proc struct {
 	Calls uint64
 }
 
-// frame is one activation record.
-type frame struct {
-	fn    *ast.FuncDecl
-	slots map[*ast.Symbol]uint32
-	saved uint32 // stack pointer to restore
-}
-
 // ---------------------------------------------------------------------------
 // Time accounting and memory access
 // ---------------------------------------------------------------------------
@@ -108,17 +94,18 @@ type frame struct {
 // Per-operation compute costs in core cycles, P54C-flavoured: the Pentium
 // is in-order with a slow divider and blocking loads. The same table
 // applies to baseline and translated runs, so runtime ratios are driven
-// by parallel structure and the memory system.
+// by parallel structure and the memory system, and to the tree-walk
+// reference, which charges the same costs in the same order.
 const (
-	costALU    = 1  // integer add/sub/logic/compare, branches
-	costIMul   = 9  // integer multiply
-	costIDiv   = 41 // integer divide / modulo
-	costFAdd   = 3  // FP add/sub/compare
-	costFMul   = 3  // FP multiply
-	costFDiv   = 39 // FP divide
-	costConv   = 3  // int<->float conversion
-	costCall   = 5  // call + frame setup
-	costReturn = 3
+	CostALU    = 1  // integer add/sub/logic/compare, branches
+	CostIMul   = 9  // integer multiply
+	CostIDiv   = 41 // integer divide / modulo
+	CostFAdd   = 3  // FP add/sub/compare
+	CostFMul   = 3  // FP multiply
+	CostFDiv   = 39 // FP divide
+	CostConv   = 3  // int<->float conversion
+	CostCall   = 5  // call + frame setup
+	CostReturn = 3
 )
 
 // yieldHorizonPs bounds how far a context's virtual clock may run ahead
@@ -221,22 +208,8 @@ func (p *Proc) storeValue(addr uint32, t *types.Type, v Value) error {
 }
 
 // ---------------------------------------------------------------------------
-// Address resolution
+// Heap and stack
 // ---------------------------------------------------------------------------
-
-// addrOfSymbol finds a variable's address: innermost frame slot first,
-// then the globals image.
-func (p *Proc) addrOfSymbol(sym *ast.Symbol) (uint32, bool) {
-	if len(p.frames) > 0 {
-		if a, ok := p.frames[len(p.frames)-1].slots[sym]; ok {
-			return a, true
-		}
-	}
-	if a, ok := p.Sim.Program.GlobalAddr(sym); ok {
-		return a, true
-	}
-	return 0, false
-}
 
 // heapAlloc bump-allocates n*m bytes from the core's private heap for
 // builtin name. A negative or overflowing size, or one that would carry
@@ -254,52 +227,9 @@ func (p *Proc) heapAlloc(name string, n, m int64) (uint32, error) {
 	return addr, nil
 }
 
-// pushFrame allocates the activation record for fn: one aligned stack
-// slot per parameter and per local declaration anywhere in the body
-// (slots are assigned once, like a compiled frame).
-func (p *Proc) pushFrame(fn *ast.FuncDecl) (*frame, error) {
-	if len(p.frames) >= maxCallDepth {
-		return nil, fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, fn.Name)
-	}
-	fr := &frame{fn: fn, slots: make(map[*ast.Symbol]uint32), saved: p.stackPtr}
-	sp := p.stackPtr
-	alloc := func(sym *ast.Symbol, t *types.Type) {
-		size := uint32(t.Size())
-		if size == 0 {
-			size = 4
-		}
-		a := uint32(t.Align())
-		if a == 0 {
-			a = 4
-		}
-		sp -= size
-		sp &^= a - 1
-		fr.slots[sym] = sp
-	}
-	for _, prm := range fn.Params {
-		if prm.Sym != nil {
-			alloc(prm.Sym, prm.Type)
-		}
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if d, ok := n.(*ast.DeclStmt); ok && d.Decl.Sym != nil {
-			alloc(d.Decl.Sym, d.Decl.Type)
-		}
-		return true
-	})
-	if p.stackTop-sp > StackBytes {
-		return nil, fmt.Errorf("stack overflow in %s", fn.Name)
-	}
-	p.stackPtr = sp
-	p.frames = append(p.frames, fr)
-	return fr, nil
-}
-
-func (p *Proc) popFrame() {
-	fr := p.frames[len(p.frames)-1]
-	p.frames = p.frames[:len(p.frames)-1]
-	p.stackPtr = fr.saved
-}
+// StackTop is the address the context's stack grows down from: the
+// compiled engine's frames start there, and so do a tree walk's.
+func (p *Proc) StackTop() uint32 { return p.stackTop }
 
 // ---------------------------------------------------------------------------
 // Compiled-engine frames and calls
@@ -309,11 +239,12 @@ func (p *Proc) popFrame() {
 func (p *Proc) slotAddr(idx int) uint32 { return p.slotMem[p.cfp+idx] }
 
 // pushCFrame materialises cf's precomputed layout: the same subtract-and-
-// align walk pushFrame performs, but over a resolved slot list instead of
-// a fresh AST inspection, into a reused arena instead of a fresh map.
+// align walk the tree-walk reference performs per call, but over a
+// resolved slot list instead of a fresh AST inspection, into a reused
+// arena instead of a fresh map.
 func (p *Proc) pushCFrame(cf *compiledFunc) error {
-	if len(p.cframes) >= maxCallDepth {
-		return fmt.Errorf("call depth exceeds %d in %s", maxCallDepth, cf.name)
+	if len(p.cframes) >= MaxCallDepth {
+		return fmt.Errorf("call depth exceeds %d in %s", MaxCallDepth, cf.name)
 	}
 	base := len(p.slotMem)
 	sp := p.stackPtr
@@ -344,10 +275,11 @@ func (p *Proc) popCFrame() {
 	}
 }
 
-// callCompiled is the compiled twin of callTree: identical cycle charges,
-// identical timed parameter stores, no per-call allocation. Resumable at
-// every suspension point: after the call charge (1), between parameter
-// stores (2), inside the body (3) and after the return charge (4).
+// callCompiled calls a compiled function with the tree-walk reference's
+// cycle charges and timed parameter stores, and no per-call allocation.
+// Resumable at every suspension point: after the call charge (1),
+// between parameter stores (2), inside the body (3) and after the
+// return charge (4).
 func (p *Proc) callCompiled(cf *compiledFunc, args []Value) (Value, error) {
 	if cf.body == nil {
 		return Value{}, fmt.Errorf("call of undefined function %s", cf.name)
@@ -383,7 +315,7 @@ func (p *Proc) callCompiled(cf *compiledFunc, args []Value) (Value, error) {
 		}
 	}
 	p.Calls++
-	if err := p.chargeCycles(costCall); err != nil {
+	if err := p.chargeCycles(CostCall); err != nil {
 		p.pushK(kframe{step: 1})
 		return Value{}, err
 	}
@@ -458,7 +390,7 @@ func (p *Proc) runCompiledBodyAt(cf *compiledFunc, depth int) (Value, error) {
 	}
 	rv := *ret
 	p.popCFrame()
-	if err := p.chargeCycles(costReturn); err != nil {
+	if err := p.chargeCycles(CostReturn); err != nil {
 		p.pushK(kframe{step: 4, v: rv})
 		return Value{}, err
 	}
@@ -466,8 +398,8 @@ func (p *Proc) runCompiledBodyAt(cf *compiledFunc, depth int) (Value, error) {
 }
 
 // evalCompiledArgs evaluates call arguments into the Proc's argument
-// arena, charging one ALU cycle per argument push as evalArgs does. The
-// caller truncates the arena back to base when the call returns; builtins
+// arena, charging one ALU cycle per argument push as the tree walk does.
+// The caller truncates the arena back to base when the call returns; builtins
 // receive the arena-backed slice and must not retain it (none do). On a
 // yield the arena stays extended — evaluated arguments live there across
 // the suspension — and the frame records the next argument to evaluate.
@@ -498,7 +430,7 @@ func (p *Proc) evalCompiledArgs(fns []evalFn) ([]Value, int, error) {
 			return nil, 0, err
 		}
 		p.argArena[base+i] = v
-		if err := p.chargeCycles(costALU); err != nil {
+		if err := p.chargeCycles(CostALU); err != nil {
 			p.pushK(kframe{a: uint32(base), n: int64(i + 1)})
 			return nil, 0, err
 		}

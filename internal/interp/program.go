@@ -55,10 +55,9 @@ type Program struct {
 	// function values decode to their compiled form without a map lookup.
 	compiled     map[*ast.FuncDecl]*compiledFunc
 	compiledList []*compiledFunc
-	// reference marks a Program built by LoadReference: nothing is
-	// lowered, and its contexts walk the AST (eval.go, exec.go) on
-	// goroutines. Tests build one to check the compiled form against.
-	reference bool
+	// walker runs the contexts of a Program built by LoadWalked, where
+	// nothing is lowered; nil for a Program Load built.
+	walker Walker
 }
 
 // imageRun is one initialised stretch of the program image.
@@ -68,9 +67,9 @@ type imageRun struct {
 }
 
 // FullyCompiled reports whether every defined function lowered to the
-// compiled form. Load returns no other kind of Program; only a
-// reference Program reports false.
-func (pr *Program) FullyCompiled() bool { return !pr.reference }
+// compiled form. Load returns no other kind of Program; only a Program
+// LoadWalked built (the reference of package interpref) reports false.
+func (pr *Program) FullyCompiled() bool { return pr.walker == nil }
 
 // FuncValue returns the value encoding of a defined function.
 func (pr *Program) FuncValue(fn *ast.FuncDecl) Value {
@@ -117,15 +116,15 @@ func Load(file *ast.File, info *sema.Info) (*Program, error) {
 	return pr, nil
 }
 
-// LoadReference lays out a checked file into a reference Program: the
-// tree-walk oracle of the engine-equivalence suites. Only tests may call
-// it (TestReferenceIsTestOnly).
-func LoadReference(file *ast.File, info *sema.Info) (*Program, error) {
+// LoadWalked lays out a checked file into a Program that lowers
+// nothing: w runs its contexts instead. It is the seam the tree-walk
+// reference of package interpref plugs into.
+func LoadWalked(file *ast.File, info *sema.Info, w Walker) (*Program, error) {
 	pr, err := layout(file, info)
 	if err != nil {
 		return nil, err
 	}
-	pr.reference = true
+	pr.walker = w
 	return pr, nil
 }
 
@@ -222,15 +221,6 @@ func (pr *Program) foldGlobal(d *ast.VarDecl, addr uint32) error {
 
 // Compile parses, checks and loads C source in one step.
 func Compile(name, src string) (*Program, error) {
-	return compileWith(name, src, Load)
-}
-
-// CompileReference is Compile for a reference Program (see LoadReference).
-func CompileReference(name, src string) (*Program, error) {
-	return compileWith(name, src, LoadReference)
-}
-
-func compileWith(name, src string, load func(*ast.File, *sema.Info) (*Program, error)) (*Program, error) {
 	file, err := parser.Parse(name, src)
 	if err != nil {
 		return nil, err
@@ -239,12 +229,18 @@ func compileWith(name, src string, load func(*ast.File, *sema.Info) (*Program, e
 	if err != nil {
 		return nil, err
 	}
-	return load(file, info)
+	return Load(file, info)
 }
 
 // GlobalAddr returns the private address of a global symbol.
 func (pr *Program) GlobalAddr(sym *ast.Symbol) (uint32, bool) {
 	a, ok := pr.globalAddrs[sym]
+	return a, ok
+}
+
+// StringAddr returns the private address of a string literal's bytes.
+func (pr *Program) StringAddr(lit *ast.StringLit) (uint32, bool) {
+	a, ok := pr.stringAddrs[lit]
 	return a, ok
 }
 

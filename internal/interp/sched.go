@@ -3,7 +3,6 @@ package interp
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 
@@ -63,6 +62,25 @@ type Runtime interface {
 	OnExit(p *Proc)
 }
 
+// Walker runs the contexts of a Program built by LoadWalked — the
+// tree-walk reference of package interpref — each on a goroutine it
+// owns, handing control to and from the stepping loop so that one
+// context runs at a time. The scheduler calls it from Spawn, step,
+// suspend and the end of Run, and nowhere else.
+type Walker interface {
+	// Spawn starts p's walk of fn(args), parked until its first Step.
+	Spawn(p *Proc, fn *ast.FuncDecl, args []Value)
+	// Step runs p's walk until it suspends (done false) or returns
+	// (done true, with the entry function's result).
+	Step(p *Proc) (done bool, v Value, err error)
+	// Suspend, called from inside p's walk, returns control to the
+	// stepping loop and returns once the loop steps p again.
+	Suspend(p *Proc)
+	// Join ends the walks of s that did not finish and returns once
+	// every goroutine s's walks started has exited.
+	Join(s *Sim)
+}
+
 // YieldEvery is how many timed memory accesses a context performs before
 // cooperatively yielding, bounding how far one context's virtual clock can
 // run ahead between scheduling decisions.
@@ -120,9 +138,6 @@ type Sim struct {
 	// stepping loop, so each scheduling event makes exactly one
 	// Policy.Next call.
 	elected *Proc
-	// parked returns control from a reference context's goroutine to the
-	// stepping loop (reference Programs only; see Proc.suspend).
-	parked chan struct{}
 }
 
 // session is the part of a Sim that grows with what its runs spawn:
@@ -159,10 +174,7 @@ var sessions park.Lot[*session]
 // contexts, tables and buffers come from one a Release parked when
 // there is one.
 func NewSim(m *sccsim.Machine, pr *Program) *Sim {
-	var k *session
-	if !pr.reference {
-		k, _ = sessions.Take()
-	}
+	k, _ := sessions.Take()
 	if k == nil {
 		k = new(session)
 	}
@@ -175,9 +187,6 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 	s.Out = *bytes.NewBuffer(k.out)
 	k.out = nil
 	s.Policy = &k.minClock
-	if pr.reference {
-		s.parked = make(chan struct{})
-	}
 	return s
 }
 
@@ -187,11 +196,10 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 // Sim used afterwards panics instead of reaching a session another run
 // now uses. Kept, emptied: the contexts, the scan list, the per-core
 // tables, the per-context buffers, the min-clock heap's array and the
-// output buffer. Releasing again does nothing. A session of a reference
-// Program is never parked: its goroutines can outlive Run.
+// output buffer. Releasing again does nothing.
 func (s *Sim) Release() {
 	k := s.session
-	if k == nil || s.Program.reference {
+	if k == nil {
 		return
 	}
 	for _, p := range k.spawned[:s.nextID] {
@@ -234,8 +242,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if core < 0 || core >= s.Machine.Cores() {
 		return nil, fmt.Errorf("interp: spawn on core %d of %d", core, s.Machine.Cores())
 	}
-	rootCF := s.Program.compiled[fn]
-	if rootCF == nil && !s.Program.reference {
+	if s.Program.Funcs[fn.Name] != fn {
 		return nil, fmt.Errorf("interp: spawn of %s, which is not a function of the program", fn.Name)
 	}
 	if s.heaps[core] == 0 {
@@ -268,8 +275,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 		Clock:    start,
 		State:    Runnable,
 		stackIdx: idx,
-		fn:       fn,
-		rootCF:   rootCF,
+		rootCF:   s.Program.compiled[fn],
 		prof:     s.Profiler,
 		trace:    s.Trace,
 	}
@@ -283,12 +289,6 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	if p.trace != nil {
 		p.trace.TraceSpawn(p.ID, p.Core, start)
 	}
-	if s.Program.reference {
-		p.args = append([]Value(nil), args...)
-		p.resume = make(chan struct{})
-		go p.top()
-		return p, nil
-	}
 	// Adopt the session's spare buffers: the resumption stack comes
 	// pre-reserved (growth inside an unwind would add allocation noise to
 	// the hot switch path) and a recycled bundle carries every arena at
@@ -297,6 +297,9 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	// for every re-descent of the context's life.
 	p.adoptScratch()
 	p.args = append(p.args[:0], args...)
+	if w := s.Program.walker; w != nil {
+		w.Spawn(p, fn, p.args)
+	}
 	return p, nil
 }
 
@@ -306,9 +309,12 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 // deadlocks, or a context fails. The policy sees one Next per yield,
 // block or exit, so stateful policies (round-robin quanta, many-to-one
 // core multiplexing) observe the same transitions whichever kind of
-// Program the session runs.
+// Program the session runs. A walked Program's goroutines have all
+// exited when Run returns.
 func (s *Sim) Run() error {
-	defer s.stopAll()
+	if w := s.Program.walker; w != nil {
+		defer w.Join(s)
+	}
 	next := s.pickNext()
 	for next != nil {
 		next.State = Running
@@ -429,16 +435,6 @@ func (s *Sim) stateSummary() string {
 	return buf
 }
 
-// stopAll ends the goroutines of reference contexts the session leaves
-// unfinished (error, cancellation, deadlock); each is parked in acquire.
-func (s *Sim) stopAll() {
-	for _, p := range s.procs {
-		if p.State != Done && p.resume != nil {
-			close(p.resume)
-		}
-	}
-}
-
 // fail records the first runtime error.
 func (s *Sim) fail(err error) {
 	if s.err == nil {
@@ -449,12 +445,14 @@ func (s *Sim) fail(err error) {
 // step enters or resumes a context and runs it to its next suspension
 // point; true means the context finished (bookkeeping done). A compiled
 // context re-descends from its root callee, resolved once at spawn; a
-// reference context's goroutine is woken and waited for.
+// walked context is handed to its Program's walker.
 func (p *Proc) step() bool {
-	if p.resume != nil {
-		p.resume <- struct{}{}
-		<-p.Sim.parked
-		return p.State == Done
+	if w := p.Sim.Program.walker; w != nil {
+		done, v, err := w.Step(p)
+		if done {
+			p.finish(v, err)
+		}
+		return done
 	}
 	if len(p.kstack) > 0 {
 		p.coResuming = true
@@ -467,36 +465,19 @@ func (p *Proc) step() bool {
 	return true
 }
 
-// top is a reference context's goroutine body.
-func (p *Proc) top() {
-	p.acquire()
-	v, err := p.callTree(p.fn, p.args)
-	p.finish(v, err)
-	p.Sim.parked <- struct{}{}
-}
-
-// acquire parks a reference context's goroutine until the stepping loop
-// steps it; a torn-down session ends the goroutine instead.
-func (p *Proc) acquire() {
-	if _, ok := <-p.resume; !ok {
-		runtime.Goexit()
-	}
-}
-
 // suspend hands control back to the stepping loop with next as the
 // elected successor. A compiled context returns the yield sentinel,
 // which its callers propagate (each pushing its resumption frame); a
-// reference context parks its goroutine here and returns nil once the
-// loop steps it again.
+// walked context parks in its walker and returns nil once the loop
+// steps it again.
 func (p *Proc) suspend(next *Proc) error {
 	s := p.Sim
 	s.elected = next
-	if p.resume == nil {
-		return errYield
+	if w := s.Program.walker; w != nil {
+		w.Suspend(p)
+		return nil
 	}
-	s.parked <- struct{}{}
-	p.acquire()
-	return nil
+	return errYield
 }
 
 // Yield cooperatively gives up the processor while staying runnable.

@@ -10,8 +10,9 @@
 // coroutines stepped from one scheduler loop with zero goroutines and
 // zero channel operations per switch (coro.go). Exactly one context runs
 // at a time and all virtual-time decisions are deterministic
-// (DESIGN.md §8). The tree-walk evaluator (eval.go, exec.go) survives as
-// the reference Program tests compare the compiled form against.
+// (DESIGN.md §8). The tree-walk evaluator survives in package
+// interpref (interpref.Compile) as the reference Program tests compare
+// the compiled form against.
 package interp
 
 import (

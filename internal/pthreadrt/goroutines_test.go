@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"hsmcc/internal/interp"
 	"hsmcc/internal/sccsim"
@@ -29,9 +28,6 @@ func TestCoroutineZeroGoroutinesMesh1024(t *testing.T) {
 // machine built from mcfg and asserts the host goroutine count never
 // rises, sampled at every scheduling decision (Sim.Cancel is polled
 // there) — including while threads are being created and joined mid-run.
-// A rising count is the regression; a falling one is another test's
-// goroutine (a reference-Program context finishing its Goexit) exiting,
-// so the count is let settle before it is taken.
 func checkZeroGoroutines(t *testing.T, mcfg sccsim.Config, nthreads int) {
 	t.Helper()
 	src := fmt.Sprintf(`
@@ -78,7 +74,7 @@ int main() {
 	}
 	rt.bind(root)
 
-	before := settledGoroutines()
+	before := runtime.NumGoroutine()
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,19 +92,4 @@ int main() {
 	if got, want := sim.Output(), fmt.Sprintf("g %d\n", nthreads*19900); got != want {
 		t.Errorf("output = %q, want %q", got, want)
 	}
-}
-
-// settledGoroutines returns the host goroutine count once it has held
-// still for a few scheduler rounds (or after a bounded wait).
-func settledGoroutines() int {
-	n, still := runtime.NumGoroutine(), 0
-	for i := 0; i < 1000 && still < 5; i++ {
-		time.Sleep(time.Millisecond)
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
-		}
-	}
-	return n
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/profile"
 	"hsmcc/internal/sccsim"
 )
@@ -61,7 +62,7 @@ int main() {
 	}
 
 	compiled := run(interp.Compile)
-	treewalk := run(interp.CompileReference)
+	treewalk := run(interpref.Compile)
 	if !reflect.DeepEqual(compiled, treewalk) {
 		t.Errorf("baseline profiles differ from the reference:\ncompiled: %+v\ntreewalk: %+v", compiled, treewalk)
 	}

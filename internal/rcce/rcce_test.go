@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/sccsim"
 )
 
@@ -182,7 +183,7 @@ func TestHostileRCCESizesAreRunErrors(t *testing.T) {
 		{"recv negative", `if (me == 0) RCCE_send(a, 64, 1); else RCCE_recv(a, -64, 0);`, "RCCE_recv", "-64 bytes"},
 		{"recv past the heap", `if (me == 0) RCCE_send(a, 64, 1); else RCCE_recv(a, 2000000000, 0);`, "RCCE_recv", "2000000000 bytes"},
 	}
-	programs := []func(name, src string) (*interp.Program, error){interp.Compile, interp.CompileReference}
+	programs := []func(name, src string) (*interp.Program, error){interp.Compile, interpref.Compile}
 	for _, c := range cases {
 		src := "char a[64]; char b[64]; char *p; char *q;\nint RCCE_APP(int *argc, char **argv) {\n" +
 			"    RCCE_init(argc, argv); int me = RCCE_ue();\n    " + c.stmt +

@@ -24,12 +24,11 @@ import (
 
 // CompileResponse answers /v1/compile.
 type CompileResponse struct {
-	Workload      string  `json:"workload"`
-	Cores         int     `json:"cores"`
-	Scale         float64 `json:"scale"`
-	Funcs         int     `json:"funcs"`
-	FullyCompiled bool    `json:"fully_compiled"`
-	SourceBytes   int     `json:"source_bytes"`
+	Workload    string  `json:"workload"`
+	Cores       int     `json:"cores"`
+	Scale       float64 `json:"scale"`
+	Funcs       int     `json:"funcs"`
+	SourceBytes int     `json:"source_bytes"`
 	// Spans is the request's span tree, present only with ?spans=1
 	// (wall-clock timings are not deterministic).
 	Spans *Span `json:"spans,omitempty"`
@@ -192,12 +191,11 @@ func (s *Server) compile(ctx context.Context, c *simCall) (*CompileResponse, err
 		return nil, err
 	}
 	resp := &CompileResponse{
-		Workload:      c.req.Workload,
-		Cores:         c.req.Cores,
-		Scale:         c.req.Scale,
-		Funcs:         len(pr.Funcs),
-		FullyCompiled: pr.FullyCompiled(),
-		SourceBytes:   len(c.workload.Source(c.req.Cores, c.req.Scale)),
+		Workload:    c.req.Workload,
+		Cores:       c.req.Cores,
+		Scale:       c.req.Scale,
+		Funcs:       len(pr.Funcs),
+		SourceBytes: len(c.workload.Source(c.req.Cores, c.req.Scale)),
 	}
 	if c.spans {
 		resp.Spans = spansFrom(ctx).tree()

@@ -434,12 +434,11 @@ func (o *oracle) direct(path string, req serve.SimRequest) (any, error) {
 			return nil, err
 		}
 		return &serve.CompileResponse{
-			Workload:      req.Workload,
-			Cores:         req.Cores,
-			Scale:         req.Scale,
-			Funcs:         len(pr.Funcs),
-			FullyCompiled: pr.FullyCompiled(),
-			SourceBytes:   len(w.Source(req.Cores, req.Scale)),
+			Workload:    req.Workload,
+			Cores:       req.Cores,
+			Scale:       req.Scale,
+			Funcs:       len(pr.Funcs),
+			SourceBytes: len(w.Source(req.Cores, req.Scale)),
 		}, nil
 	case "/v1/translate":
 		tr, err := bench.TranslateWorkload(w, cfg, policy)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hsmcc/internal/interp"
+	"hsmcc/internal/interp/interpref"
 	"hsmcc/internal/pthreadrt"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
@@ -89,7 +90,7 @@ int RCCE_APP(int *argc, char **argv) {
 }`
 
 // compileFn builds the Program a run executes: interp.Compile for the
-// coroutine engine, interp.CompileReference for the tree-walk oracle.
+// coroutine engine, interpref.Compile for the tree-walk oracle.
 type compileFn func(name, src string) (*interp.Program, error)
 
 func (compile compileFn) program(t *testing.T, src string) *interp.Program {
@@ -144,7 +145,7 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("rcce", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		tw := runRCCE(t, rcceProgram, 4, interp.CompileReference, recTW)
+		tw := runRCCE(t, rcceProgram, 4, interpref.Compile, recTW)
 		co := runRCCE(t, rcceProgram, 4, interp.Compile, recCO)
 		if tw.Output != co.Output || tw.Makespan != co.Makespan {
 			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
@@ -157,7 +158,7 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("pthread", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		tw := runPthread(t, pthreadProgram, interp.CompileReference, recTW)
+		tw := runPthread(t, pthreadProgram, interpref.Compile, recTW)
 		co := runPthread(t, pthreadProgram, interp.Compile, recCO)
 		if tw.Output != co.Output || tw.Makespan != co.Makespan {
 			t.Fatalf("engines diverge: %q/%d vs %q/%d", tw.Output, tw.Makespan, co.Output, co.Makespan)
@@ -169,7 +170,7 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 	t.Run("sendrecv", func(t *testing.T) {
 		recTW := trace.NewRecorder(nil, 0)
 		recCO := trace.NewRecorder(nil, 0)
-		runRCCE(t, sendrecvProgram, 2, interp.CompileReference, recTW)
+		runRCCE(t, sendrecvProgram, 2, interpref.Compile, recTW)
 		runRCCE(t, sendrecvProgram, 2, interp.Compile, recCO)
 		if !bytes.Equal(exportJSON(t, recTW), exportJSON(t, recCO)) {
 			t.Fatal("trace exports differ between engines")
@@ -180,7 +181,7 @@ func TestCrossEngineByteIdentity(t *testing.T) {
 // TestTracingDoesNotPerturb: attaching a recorder must not change the
 // simulation — identical output, makespan and cycle statistics.
 func TestTracingDoesNotPerturb(t *testing.T) {
-	for eng, compile := range map[string]compileFn{"tree-walk": interp.CompileReference, "compiled": interp.Compile} {
+	for eng, compile := range map[string]compileFn{"tree-walk": interpref.Compile, "compiled": interp.Compile} {
 		plain := runRCCE(t, rcceProgram, 4, compile, nil)
 		traced := runRCCE(t, rcceProgram, 4, compile, trace.NewRecorder(nil, 0))
 		if plain.Output != traced.Output {
