@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"hsmcc/internal/conformance"
-	"hsmcc/internal/synth"
 )
 
 func main() {
@@ -72,16 +71,17 @@ func main() {
 	}
 	eng := conformance.NewEngine()
 	eng.Matrix = matrix
+	kernelFor, mode := conformance.Grammar(eng.Gen), "conformance"
+	if *doSynth {
+		kernelFor, mode = conformance.Synthetic, "synth conformance"
+	}
 
 	if *doPrint {
+		k := kernelFor(*seed)
 		if *doSynth {
-			p := synth.ParamsForSeed(*seed)
-			fmt.Printf("// %s\n", p.Key())
-			fmt.Print(p.Source(matrix.Cores[0]))
-			return
+			fmt.Printf("// %s\n", k.(conformance.SynthKernel).Key())
 		}
-		spec := conformance.SpecForSeed(*seed, eng.Gen)
-		fmt.Print(spec.Source(matrix.Cores[0]))
+		fmt.Print(k.Source(matrix.Cores[0]))
 		return
 	}
 
@@ -91,22 +91,11 @@ func main() {
 	start := time.Now()
 	base := *seed
 	totalKernels := 0
-	mode := "conformance"
-	if *doSynth {
-		mode = "synth conformance"
-	}
 	var failures []*conformance.Failure
-	var synthFailures []*conformance.SynthFailure
 	for batch := 0; ; batch++ {
-		if *doSynth {
-			rep := eng.RunSynth(base, *n, *parallel, logf)
-			totalKernels += rep.Kernels
-			synthFailures = append(synthFailures, rep.Failures...)
-		} else {
-			rep := eng.Run(base, *n, *parallel, logf)
-			totalKernels += rep.Kernels
-			failures = append(failures, rep.Failures...)
-		}
+		rep := eng.Run(base, *n, *parallel, kernelFor, logf)
+		totalKernels += rep.Kernels
+		failures = append(failures, rep.Failures...)
 		base += int64(*n)
 		if *soak <= 0 || time.Since(start) >= *soak {
 			break
@@ -115,22 +104,15 @@ func main() {
 			batch+1, totalKernels, time.Since(start).Round(time.Second))
 	}
 
-	nfail := len(failures) + len(synthFailures)
 	fmt.Printf("%s: %d kernels x %d RCCE cells each (seeds %d..%d, policies %s, budgets %s, oversub %s): %d failure(s)\n",
-		mode, totalKernels, matrix.Cells(), *seed, base-1, *policies, *budgets, *oversub, nfail)
-	if nfail == 0 {
+		mode, totalKernels, matrix.Cells(), *seed, base-1, *policies, *budgets, *oversub, len(failures))
+	if len(failures) == 0 {
 		return
 	}
 	if err := persistFailures(*out, failures); err != nil {
 		fatal(err)
 	}
-	if err := persistSynthFailures(*out, synthFailures); err != nil {
-		fatal(err)
-	}
 	for _, f := range failures {
-		fmt.Printf("FAIL %s\n", f.Div)
-	}
-	for _, f := range synthFailures {
 		fmt.Printf("FAIL %s\n", f.Div)
 	}
 	fmt.Printf("minimized reproducers written to %s\n", *out)
@@ -139,13 +121,18 @@ func main() {
 
 // persistFailures writes each failure's minimized kernel and repro
 // metadata into dir — the format docs/TESTING.md documents for
-// promoting a crasher to a regression seed.
+// promoting a crasher to a regression seed. Synthetic failures take a
+// synth_ prefix, so both families can share one directory.
 func persistFailures(dir string, failures []*conformance.Failure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, f := range failures {
-		stem := filepath.Join(dir, fmt.Sprintf("seed%d", f.Seed))
+		stem := fmt.Sprintf("seed%d", f.Seed)
+		if f.Div.Synth {
+			stem = "synth_" + stem
+		}
+		stem = filepath.Join(dir, stem)
 		if err := os.WriteFile(stem+".c", []byte(f.MinSource), 0o644); err != nil {
 			return err
 		}
@@ -156,51 +143,12 @@ func persistFailures(dir string, failures []*conformance.Failure) error {
 			Failure *conformance.Failure `json:"failure"`
 		}{
 			SeedMeta: conformance.SeedMeta{
-				Seed:   f.Seed,
-				Cores:  f.Div.Cores,
-				Policy: f.Div.Policy,
-				Budget: f.Div.Budget,
-				Note:   "minimized by hsmconf; .c is the minimized reproducer",
-			},
-			Failure: f,
-		}, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(stem+".json", append(meta, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// persistSynthFailures writes synthetic failures in the same
-// SeedMeta-embedding shape (the .c holds the minimized kernel, so the
-// pair replays through the ordinary seed-corpus loader), plus the full
-// parameter vectors for parameter-space triage.
-func persistSynthFailures(dir string, failures []*conformance.SynthFailure) error {
-	if len(failures) == 0 {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, f := range failures {
-		stem := filepath.Join(dir, fmt.Sprintf("synth_seed%d", f.Seed))
-		if err := os.WriteFile(stem+".c", []byte(f.MinSource), 0o644); err != nil {
-			return err
-		}
-		meta, err := json.MarshalIndent(struct {
-			conformance.SeedMeta
-			Failure *conformance.SynthFailure `json:"synth_failure"`
-		}{
-			SeedMeta: conformance.SeedMeta{
 				Seed:    f.Seed,
 				Cores:   f.Div.Cores,
 				Policy:  f.Div.Policy,
 				Budget:  f.Div.Budget,
 				Oversub: f.Div.Oversub,
-				Note:    fmt.Sprintf("synthetic vector %s minimized to %s by hsmconf -synth", f.Params.Key(), f.Minimized.Key()),
+				Note:    "minimized by hsmconf; .c is the minimized reproducer",
 			},
 			Failure: f,
 		}, "", "  ")

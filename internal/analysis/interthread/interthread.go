@@ -104,7 +104,7 @@ func (r *Result) scanExpr(e ast.Expr, caller string, inLoop bool) {
 		if !ok || call.FuncName() != "pthread_create" || len(call.Args) < 4 {
 			return true
 		}
-		fnName := threadFuncName(call.Args[2])
+		fnName := ThreadFuncName(call.Args[2])
 		if fnName == "" {
 			return true
 		}
@@ -126,17 +126,17 @@ func (r *Result) scanExpr(e ast.Expr, caller string, inLoop bool) {
 	})
 }
 
-// threadFuncName extracts the function name from pthread_create's third
+// ThreadFuncName extracts the function name from pthread_create's third
 // argument, stripping casts and a leading &.
-func threadFuncName(e ast.Expr) string {
+func ThreadFuncName(e ast.Expr) string {
 	switch n := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return n.Name
 	case *ast.CastExpr:
-		return threadFuncName(n.X)
+		return ThreadFuncName(n.X)
 	case *ast.UnaryExpr:
 		if n.Op == token.Amp {
-			return threadFuncName(n.X)
+			return ThreadFuncName(n.X)
 		}
 	}
 	return ""

@@ -418,7 +418,7 @@ func (s *solver) baseVar(e ast.Expr) *scope.VarInfo {
 func (s *solver) handleCall(call *ast.CallExpr) {
 	name := call.FuncName()
 	if name == "pthread_create" && len(call.Args) >= 4 {
-		if fnName := threadFuncName(call.Args[2]); fnName != "" {
+		if fnName := interthread.ThreadFuncName(call.Args[2]); fnName != "" {
 			if fd := s.r.Inter.Scope.Info.File.FindFunc(fnName); fd != nil && len(fd.Params) > 0 {
 				if prm := s.r.Inter.Scope.BySym[fd.Params[0].Sym]; prm != nil {
 					s.handleAssign(prm, call.Args[3], false)
@@ -570,18 +570,4 @@ func (r *Result) Dump() string {
 		fmt.Fprintf(&sb, "%s -> %s (%s)\n", rel.Ptr.Name, rel.Target.Name(), kind)
 	}
 	return sb.String()
-}
-
-func threadFuncName(e ast.Expr) string {
-	switch n := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return n.Name
-	case *ast.CastExpr:
-		return threadFuncName(n.X)
-	case *ast.UnaryExpr:
-		if n.Op == token.Amp {
-			return threadFuncName(n.X)
-		}
-	}
-	return ""
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"hsmcc/internal/core"
 	"hsmcc/internal/partition"
-	"hsmcc/internal/sccsim"
 )
 
 // Fig61Row is one bar of thesis Figure 6.1: the speedup of the converted
@@ -59,7 +57,7 @@ type Fig62Row struct {
 	OffChipS  float64
 	OnChipS   float64
 	Gain      float64
-	OnChipB   int // bytes Stage 4 placed on-chip
+	OnChipB   int // bytes the on-chip run placed in the MPB
 	ResultsOK bool
 }
 
@@ -75,19 +73,12 @@ func Fig62(cfg Config) ([]Fig62Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Recompute the Stage 4 decision for reporting.
-		src := w.Source(cfg.Threads, cfg.Scale)
-		pipe, err := core.Analyze(w.Key+".c", src, core.Config{Cores: cfg.Threads})
-		if err != nil {
-			return nil, err
-		}
-		part := partition.Partition(pipe.SharedVars(), sccsim.DefaultConfig().MPBTotal(), partition.PolicySizeAscending)
 		rows = append(rows, Fig62Row{
 			Workload:  w.Name,
 			OffChipS:  off.Seconds(),
 			OnChipS:   on.Seconds(),
 			Gain:      float64(off.Makespan) / float64(on.Makespan),
-			OnChipB:   part.OnChipBytes,
+			OnChipB:   on.OnChipBytes,
 			ResultsOK: SameResults(off.Output, on.Output),
 		})
 	}
@@ -161,7 +152,7 @@ func FormatFig63(rows []Fig63Row) string {
 	return sb.String()
 }
 
-// Table61 renders the SCC configuration table.
+// Table61 renders the configuration table of cfg's machine.
 func Table61(cfg Config) string {
-	return sccsim.DefaultConfig().Table61(cfg.Threads)
+	return cfg.MachineConfig().Table61(cfg.Threads)
 }

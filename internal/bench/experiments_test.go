@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"hsmcc/internal/partition"
 )
 
 // TestFig61ShapesAtReducedScale: the experiment function preserves the
@@ -75,6 +77,29 @@ func TestFig62Shapes(t *testing.T) {
 	}
 	if !strings.Contains(FormatFig62(rows), "MPB bytes") {
 		t.Error("FormatFig62 missing header")
+	}
+}
+
+// TestFig62ReportsPlacedBytes: under a small MPB budget, Fig62 reports
+// the bytes the on-chip run placed, never more than the budget.
+func TestFig62ReportsPlacedBytes(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Threads = 4
+	cfg.Scale = 0.05
+	cfg.MPBCapacity = 512
+	rows, err := Fig62(cfg)
+	if err != nil {
+		t.Fatalf("Fig62: %v", err)
+	}
+	for i, w := range Thesis() {
+		on, err := RunRCCE(w, cfg, partition.PolicySizeAscending)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := rows[i]; r.OnChipB != on.OnChipBytes || r.OnChipB > cfg.MPBCapacity {
+			t.Errorf("%s: Fig62 reports %d on-chip bytes, the run placed %d under a %d-byte budget",
+				r.Workload, r.OnChipB, on.OnChipBytes, cfg.MPBCapacity)
+		}
 	}
 }
 

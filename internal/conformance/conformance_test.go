@@ -1,7 +1,9 @@
 package conformance
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -39,7 +41,7 @@ func TestConformanceSuite(t *testing.T) {
 	if n < 200 {
 		t.Fatalf("suite must check at least 200 kernels, -conformance.n=%d", n)
 	}
-	rep := eng.Run(*flagSeed, n, runtime.NumCPU(), t.Errorf)
+	rep := eng.Run(*flagSeed, n, runtime.NumCPU(), Grammar(eng.Gen), t.Errorf)
 	t.Logf("checked %d kernels x %d RCCE cells each (base seed %d, policies %v, budgets %v)",
 		rep.Kernels, eng.Matrix.Cells(), rep.BaseSeed, eng.Matrix.Policies, eng.Matrix.Budgets)
 	if len(rep.Failures) != 0 {
@@ -232,6 +234,39 @@ func TestShrinkIsDeterministic(t *testing.T) {
 	b := buggy.Shrink(spec, div).Source(div.Cores)
 	if a != b {
 		t.Fatalf("shrink is nondeterministic:\n--- first\n%s\n--- second\n%s", a, b)
+	}
+}
+
+// TestRunFailuresInSeedOrder: Run reports failures, and logs them, in
+// seed order whatever order its workers finish in, so two runs over the
+// same seeds report byte-identically.
+func TestRunFailuresInSeedOrder(t *testing.T) {
+	buggy := NewEngine()
+	buggy.Matrix = Matrix{Cores: []int{2}, Policies: []string{"offchip"}, Budgets: []int{0}}
+	buggy.Mutate = func(src string) string {
+		return strings.ReplaceAll(src, "(void *)(myID)", "(void *)(0)")
+	}
+	run := func() (*Report, string) {
+		var log strings.Builder
+		rep := buggy.Run(1, 8, 4, Grammar(buggy.Gen), func(format string, args ...any) {
+			fmt.Fprintf(&log, format+"\n", args...)
+		})
+		return rep, log.String()
+	}
+	a, logA := run()
+	b, logB := run()
+	if len(a.Failures) < 2 {
+		t.Fatalf("want several failures to order, got %d", len(a.Failures))
+	}
+	for i, f := range a.Failures {
+		if i > 0 && f.Seed <= a.Failures[i-1].Seed {
+			t.Fatalf("failure %d has seed %d after seed %d", i, f.Seed, a.Failures[i-1].Seed)
+		}
+	}
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if string(ja) != string(jb) || logA != logB {
+		t.Fatalf("two runs over the same seeds differ:\n--- first\n%s\n--- second\n%s", logA, logB)
 	}
 }
 

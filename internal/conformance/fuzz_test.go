@@ -76,7 +76,7 @@ func FuzzSynthDiff(f *testing.F) {
 		}
 
 		// ...and differential agreement.
-		if div := eng.CheckSynth(p); div != nil {
+		if div := eng.Check(SynthKernel{p}); div != nil {
 			t.Fatalf("synthetic divergence: %s\n--- kernel\n%s\n--- baseline output\n%s\n--- rcce output\n%s",
 				div, div.Source, div.BaseOut, div.RCCEOut)
 		}

@@ -181,7 +181,9 @@ func (d *Divergence) String() string {
 // Engine runs kernels through both backends across a matrix.
 type Engine struct {
 	Matrix Matrix
-	Gen    GenOptions
+	// Gen bounds the grammar generator: Grammar(e.Gen) is the
+	// seed→kernel function hsmconf runs in grammar mode.
+	Gen GenOptions
 	// Mutate, when non-nil, corrupts the translated RCCE source before
 	// it is re-parsed and executed (runRCCE) — the fault-injection seam
 	// used to prove the oracle catches translator bugs.
@@ -258,11 +260,40 @@ func (e *Engine) cellConfig(cores, budget, oversub int, cache *bench.Cache) benc
 	return cfg
 }
 
-// CheckCell runs spec through both backends at one matrix cell and
-// returns the divergence, or nil when the backends agree.
-func (e *Engine) CheckCell(spec *Spec, cores int, policy string, budget, oversub int) *Divergence {
-	ues := cores * max(oversub, 1)
-	return e.CheckSource(spec.Seed, spec.Source(ues), cores, policy, budget, oversub)
+// Kernel is one generated program the oracle checks. Two families
+// implement it: the grammar generator's *Spec and SynthKernel, a
+// synthetic parameter vector. Everything around the differential check
+// — the matrix sweep, the one-cell replay, the shrinker, the worker
+// pool and the failure record — is written once against this
+// interface.
+type Kernel interface {
+	// Source emits the kernel's Pthread C for ues UEs.
+	Source(ues int) string
+	// reductions returns the one-step-smaller candidates the shrinker
+	// tries, in the order it tries them.
+	reductions() []Kernel
+	// size is the measure shrinking minimises.
+	size() int
+	// label is how a divergence names the kernel: its seed and, for a
+	// synthetic vector, the vector's canonical key ("" otherwise).
+	label() (seed int64, synthKey string)
+}
+
+// named stamps a synthetic kernel's key on div (nil stays nil).
+func named(div *Divergence, synthKey string) *Divergence {
+	if div != nil && synthKey != "" {
+		div.Synth = true
+		div.SynthKey = synthKey
+	}
+	return div
+}
+
+// CheckCell runs k through both backends at one matrix cell and returns
+// the divergence, or nil when the backends agree.
+func (e *Engine) CheckCell(k Kernel, cores int, policy string, budget, oversub int) *Divergence {
+	seed, key := k.label()
+	src := k.Source(cores * max(oversub, 1))
+	return named(e.CheckSource(seed, src, cores, policy, budget, oversub), key)
 }
 
 // CheckSource differentially checks fixed kernel source at one cell —
@@ -296,21 +327,20 @@ func (e *Engine) CheckSource(seed int64, src string, cores int, policy string, b
 	return div
 }
 
-// Check runs spec across the whole matrix, compiling the kernel once
+// Check runs k across the whole matrix, compiling the kernel once
 // per cores value and sharing one baseline run, and returns the first
 // divergence (cores-ascending, policy-major) or nil. Sharing matters
 // twice over: the matrix's RCCE cells all diff against the same
 // reference execution, and the per-kernel compile cache means the
 // baseline source and each distinct translated source compile exactly
 // once for the whole matrix instead of once per cell.
-func (e *Engine) Check(spec *Spec) *Divergence {
-	return e.checkMatrix(spec.Seed, spec.Source)
+func (e *Engine) Check(k Kernel) *Divergence {
+	seed, key := k.label()
+	return named(e.checkMatrix(seed, k.Source), key)
 }
 
-// checkMatrix is the matrix loop shared by the spec oracle (Check) and
-// the synthetic-vector oracle (CheckSynth): srcFor emits the kernel for
-// a UE count, and the sweep walks every (cores, oversub, policy,
-// budget) cell.
+// checkMatrix walks every (cores, oversub, policy, budget) cell of the
+// matrix; srcFor emits the kernel for a UE count.
 func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergence {
 	cache := bench.NewCache()
 	for _, cores := range e.Matrix.Cores {
@@ -360,60 +390,75 @@ func SpecForSeed(seed int64, opts GenOptions) *Spec {
 	return s
 }
 
-// Failure is one failed kernel with its shrunken reproducer.
+// Grammar returns the grammar family's seed→kernel function under
+// opts: Run over it checks SpecForSeed kernels.
+func Grammar(opts GenOptions) func(seed int64) Kernel {
+	return func(seed int64) Kernel { return SpecForSeed(seed, opts) }
+}
+
+// Failure is one failed kernel with its shrunken reproducer. MinSource
+// is Minimized emitted for the failing cell's cores×oversub UEs.
 type Failure struct {
 	Seed      int64       `json:"seed"`
 	Div       *Divergence `json:"divergence"`
-	Spec      *Spec       `json:"spec"`
-	Minimized *Spec       `json:"minimized,omitempty"`
+	Kernel    Kernel      `json:"kernel"`
+	Minimized Kernel      `json:"minimized,omitempty"`
 	MinSource string      `json:"min_source,omitempty"`
 }
 
-// Report summarises an engine run.
+// Report summarises an engine run; Failures are in seed order.
 type Report struct {
 	BaseSeed int64
 	Kernels  int
 	Failures []*Failure
 }
 
-// Run generates and checks n kernels with seeds base..base+n-1 across a
-// worker pool, shrinking any failures to minimal reproducers. logf, when
-// non-nil, receives one line per failure as it happens.
-func (e *Engine) Run(base int64, n, parallel int, logf func(format string, args ...any)) *Report {
-	if parallel < 1 {
-		parallel = 1
-	}
-	rep := &Report{BaseSeed: base, Kernels: n}
-	var mu sync.Mutex
-	jobs := make(chan int64)
+// Run checks the n kernels kernelFor derives from seeds base..base+n-1
+// across a worker pool, shrinking any failures to minimal reproducers.
+// Kernel i reproduces directly via -seed base+i -n 1. Failures come
+// back, and go to logf (when non-nil) one line each, in seed order, so
+// two runs over the same seeds report identically at any parallelism.
+func (e *Engine) Run(base int64, n, parallel int, kernelFor func(seed int64) Kernel, logf func(format string, args ...any)) *Report {
+	found := make([]*Failure, n)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for range max(parallel, 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for seed := range jobs {
-				spec := SpecForSeed(seed, e.Gen)
-				div := e.Check(spec)
-				if div == nil {
-					continue
-				}
-				min := e.Shrink(spec, div)
-				f := &Failure{Seed: seed, Div: div, Spec: spec, Minimized: min,
-					MinSource: min.Source(div.Cores)}
-				mu.Lock()
-				rep.Failures = append(rep.Failures, f)
-				mu.Unlock()
-				if logf != nil {
-					logf("conformance: FAIL %s\nminimized (%d lines):\n%s",
-						div, strings.Count(f.MinSource, "\n"), f.MinSource)
-				}
+			for i := range jobs {
+				found[i] = e.checkSeed(base+int64(i), kernelFor)
 			}
 		}()
 	}
-	for i := int64(0); i < int64(n); i++ {
-		jobs <- base + i
+	for i := range n {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
+	rep := &Report{BaseSeed: base, Kernels: n}
+	for _, f := range found {
+		if f == nil {
+			continue
+		}
+		rep.Failures = append(rep.Failures, f)
+		if logf != nil {
+			logf("conformance: FAIL %s\nminimized (%d lines):\n%s",
+				f.Div, strings.Count(f.MinSource, "\n"), f.MinSource)
+		}
+	}
 	return rep
+}
+
+// checkSeed checks the kernel of one seed and returns its shrunken
+// failure, or nil when it passes.
+func (e *Engine) checkSeed(seed int64, kernelFor func(seed int64) Kernel) *Failure {
+	k := kernelFor(seed)
+	div := e.Check(k)
+	if div == nil {
+		return nil
+	}
+	min := e.Shrink(k, div)
+	return &Failure{Seed: seed, Div: div, Kernel: k, Minimized: min,
+		MinSource: min.Source(div.Cores * max(div.Oversub, 1))}
 }

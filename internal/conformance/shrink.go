@@ -8,39 +8,40 @@ import (
 // execute; each evaluation re-runs both backends at the failing cell.
 const maxShrinkEvals = 400
 
-// Shrink reduces a failing spec to a minimal reproducer: it repeatedly
-// tries structural reductions (drop rounds, statements, arrays; shrink
-// loops to slot writes; replace expressions by their subtrees) and keeps
-// any candidate that still fails at the originally-failing matrix cell.
-// Greedy first-improvement to a fixpoint — the classic delta-debugging
-// loop specialised to the Spec shape, which is why shrinking happens on
-// the spec rather than on C text: every candidate is well-typed and
-// race-free by construction.
-func (e *Engine) Shrink(spec *Spec, div *Divergence) *Spec {
+// Shrink reduces a failing kernel to a minimal reproducer at the
+// originally-failing matrix cell: it keeps any one-step reduction that
+// still fails there. A spec sheds structure (rounds, statements,
+// arrays, loops, subexpressions) and stays well-typed and race-free by
+// construction; a synthetic vector moves toward the trivial corner of
+// its parameter space.
+func (e *Engine) Shrink(k Kernel, div *Divergence) Kernel {
+	return shrink(k, func(c Kernel) bool {
+		return e.CheckCell(c, div.Cores, div.Policy, div.Budget, div.Oversub) != nil
+	})
+}
+
+// shrink is greedy first-improvement descent to a fixpoint — the
+// classic delta-debugging loop: take the first strictly smaller
+// reduction for which fails holds and start over from it, at most
+// maxShrinkEvals evaluations in all.
+func shrink(k Kernel, fails func(Kernel) bool) Kernel {
 	evals := 0
-	fails := func(s *Spec) bool {
-		if evals >= maxShrinkEvals {
-			return false
-		}
-		evals++
-		return e.CheckCell(s, div.Cores, div.Policy, div.Budget, div.Oversub) != nil
-	}
-	cur := cloneSpec(spec)
+descend:
 	for {
-		improved := false
-		for _, cand := range reductions(cur) {
-			if cand.size() >= cur.size() {
+		for _, cand := range k.reductions() {
+			if cand.size() >= k.size() {
 				continue
 			}
+			if evals == maxShrinkEvals {
+				return k
+			}
+			evals++
 			if fails(cand) {
-				cur = cand
-				improved = true
-				break
+				k = cand
+				continue descend
 			}
 		}
-		if !improved || evals >= maxShrinkEvals {
-			return cur
-		}
+		return k
 	}
 }
 
@@ -98,14 +99,16 @@ func exprSize(e *Expr) int {
 	return 1 + exprSize(e.X) + exprSize(e.Y) + exprSize(e.Idx)
 }
 
+func (s *Spec) label() (int64, string) { return s.Seed, "" }
+
 // reductions enumerates one-step-smaller candidate specs. Order matters
 // for the greedy loop: the cheap per-round feature drops (print, crit,
 // serial wrapper) come first so that when a fault is observable through
 // several program features at once, shrinking strips the expensive
 // scaffolding (mutex, serial loop) before structural drops can commit
 // the spec to a local minimum that needs it.
-func reductions(s *Spec) []*Spec {
-	var out []*Spec
+func (s *Spec) reductions() []Kernel {
+	var out []Kernel
 	add := func(f func(*Spec)) {
 		c := cloneSpec(s)
 		f(c)
@@ -175,7 +178,7 @@ func reductions(s *Spec) []*Spec {
 	}
 	// Shrink the slice width.
 	if s.PerThread > 1 {
-		add(func(c *Spec) { c.PerThread = 1; c.stripOpI() })
+		add(func(c *Spec) { c.PerThread = 1 })
 	}
 	// Per-round structural reductions.
 	for i := range s.Rounds {
@@ -333,10 +336,6 @@ func (s *Spec) dropArray(a int) {
 		// array remains (it always does — Arrays is never emptied).
 	}
 }
-
-// stripOpI is a no-op placeholder kept for symmetry: OpI stays valid at
-// any PerThread (the loop still exists until a round turns on Slot).
-func (s *Spec) stripOpI() {}
 
 func (s *Spec) anyCrit() bool {
 	for _, r := range s.Rounds {

@@ -21,7 +21,7 @@ func TestSynthConformanceSuite(t *testing.T) {
 		t.Skip("runs dozens of simulated kernels over the full matrix")
 	}
 	eng := NewEngine()
-	rep := eng.RunSynth(1, *flagSynthN, runtime.NumCPU(), t.Errorf)
+	rep := eng.Run(1, *flagSynthN, runtime.NumCPU(), Synthetic, t.Errorf)
 	t.Logf("checked %d synthetic kernels x %d RCCE cells each", rep.Kernels, eng.Matrix.Cells())
 	if len(rep.Failures) != 0 {
 		t.Fatalf("%d of %d synthetic kernels diverged", len(rep.Failures), rep.Kernels)
@@ -37,7 +37,7 @@ func TestSynthDivergenceReproLine(t *testing.T) {
 		return strings.ReplaceAll(src, "(void *)(myID)", "(void *)(0)")
 	}
 	p := synthFatParams()
-	div := buggy.CheckSynth(p)
+	div := buggy.Check(SynthKernel{p})
 	if div == nil {
 		t.Fatal("injected thread-ID bug not caught on a synthetic kernel")
 	}
@@ -76,7 +76,7 @@ func TestInjectedBugCaughtOnSynthAndShrunk(t *testing.T) {
 	p := synthFatParams()
 
 	clean := NewEngine()
-	if div := clean.CheckSynth(p); div != nil {
+	if div := clean.Check(SynthKernel{p}); div != nil {
 		t.Fatalf("clean pipeline must pass the fat synthetic kernel, got %s\n%s", div, div.Source)
 	}
 
@@ -84,27 +84,51 @@ func TestInjectedBugCaughtOnSynthAndShrunk(t *testing.T) {
 	buggy.Mutate = func(src string) string {
 		return strings.ReplaceAll(src, "(void *)(myID)", "(void *)(0)")
 	}
-	div := buggy.CheckSynth(p)
+	div := buggy.Check(SynthKernel{p})
 	if div == nil {
 		t.Fatal("injected translate bug was not caught on the synthetic kernel")
 	}
 	t.Logf("caught: %s", div)
 
-	min := buggy.ShrinkSynth(p, div)
+	min := buggy.Shrink(SynthKernel{p}, div).(SynthKernel)
 	if min.Complexity() >= p.Complexity() {
 		t.Fatalf("shrink did not reduce the vector: %+v", min)
 	}
-	min2 := buggy.ShrinkSynth(p, div)
+	min2 := buggy.Shrink(SynthKernel{p}, div).(SynthKernel)
 	if min != min2 {
 		t.Fatalf("synth shrink is nondeterministic: %+v vs %+v", min, min2)
 	}
-	if buggy.CheckSynthCell(min, div.Cores, div.Policy, div.Budget, div.Oversub) == nil {
+	if buggy.CheckCell(min, div.Cores, div.Policy, div.Budget, div.Oversub) == nil {
 		t.Fatal("minimized vector no longer reproduces the injected bug")
 	}
-	if d := clean.CheckSynthCell(min, div.Cores, div.Policy, div.Budget, div.Oversub); d != nil {
+	if d := clean.CheckCell(min, div.Cores, div.Policy, div.Budget, div.Oversub); d != nil {
 		t.Fatalf("minimized vector fails even without the injected bug: %s", d)
 	}
 	t.Logf("minimized %s -> %s", p.Key(), min.Key())
+}
+
+// TestShrinkMonotonePredicate pins the one shrink loop on a synthetic
+// vector: with a predicate that keeps failing as long as sharing
+// traffic exists, greedy shrinking must reach the minimal
+// sharing-bearing vector, identically on repeat runs.
+func TestShrinkMonotonePredicate(t *testing.T) {
+	p := SynthKernel{synth.Params{Seed: 11, Ops: 48, MemFrac: 1, LoadFrac: 0.5, SharedFrac: 1,
+		Sharing: 8, SharedAddrs: 32, PrivateAddrs: 16, Rounds: 3, Double: true}}
+	fails := func(k Kernel) bool {
+		c := k.(SynthKernel)
+		return c.MemFrac > 0 && c.SharedFrac > 0
+	}
+	a := shrink(p, fails).(SynthKernel)
+	b := shrink(p, fails).(SynthKernel)
+	if a != b {
+		t.Fatalf("Shrink not deterministic: %+v vs %+v", a, b)
+	}
+	if !fails(a) {
+		t.Fatalf("Shrink left the failing set: %+v", a)
+	}
+	if a.Ops != synth.MinOps || a.Rounds != 1 || a.Sharing != 1 || a.Double {
+		t.Fatalf("Shrink under-reduced: %+v", a)
+	}
 }
 
 // TestSynthOversubscribedCells checks the §7.2 many-to-one mapping on
@@ -114,7 +138,7 @@ func TestSynthOversubscribedCells(t *testing.T) {
 	eng := NewEngine()
 	eng.Matrix = Matrix{Cores: []int{2}, Policies: []string{"offchip", "size"}, Budgets: []int{0}, Oversub: []int{2}}
 	for seed := int64(100); seed < 106; seed++ {
-		if div := eng.CheckSynth(synth.ParamsForSeed(seed)); div != nil {
+		if div := eng.Check(Synthetic(seed)); div != nil {
 			t.Fatalf("seed %d oversubscribed: %s\n%s", seed, div, div.Source)
 		}
 	}

@@ -53,29 +53,3 @@ func Reductions(p Params) []Params {
 	add(func(c *Params) { c.PrivateAddrs = 1 })
 	return out
 }
-
-// Shrink greedily reduces a failing vector to a minimal reproducer:
-// first-improvement descent over Reductions, keeping any candidate for
-// which fails still holds, bounded by maxShrinkRun evaluations (each
-// evaluation re-runs both backends at the failing cell).
-func Shrink(p Params, fails func(Params) bool) Params {
-	evals := 0
-	cur := p
-	for {
-		improved := false
-		for _, cand := range Reductions(cur) {
-			if evals >= maxShrinkRun {
-				return cur
-			}
-			evals++
-			if fails(cand) {
-				cur = cand
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			return cur
-		}
-	}
-}

@@ -67,15 +67,14 @@ type Params struct {
 // under the full conformance matrix; MaxSharing matches the SCC's 48
 // cores.
 const (
-	MinOps       = 4
-	MaxOps       = 1 << 16
-	MaxSharing   = 48
-	MaxAddrs     = 1 << 12
-	MaxRounds    = 8
-	keyPrefix    = "synth:"
-	fracGrid     = 20 // ParamsForSeed draws fractions on a 1/20 grid
-	intModulus   = 9973
-	maxShrinkRun = 200 // Shrink's candidate-evaluation bound
+	MinOps     = 4
+	MaxOps     = 1 << 16
+	MaxSharing = 48
+	MaxAddrs   = 1 << 12
+	MaxRounds  = 8
+	keyPrefix  = "synth:"
+	fracGrid   = 20 // ParamsForSeed draws fractions on a 1/20 grid
+	intModulus = 9973
 )
 
 // Corners returns the four corners of the MemFrac×Sharing plane —

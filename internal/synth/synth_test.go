@@ -290,9 +290,11 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-// TestReductions pins the shrinker's contract: every candidate is a
-// valid vector of strictly smaller complexity, and greedy shrinking
-// with a monotone predicate reaches a deterministic fixpoint.
+// TestReductions pins the reductions' contract: every candidate is a
+// valid vector of strictly smaller complexity, so greedy shrinking
+// terminates. The shrink loop itself, and its monotone-predicate
+// fixpoint on a vector, are tested in internal/conformance
+// (TestShrinkMonotonePredicate).
 func TestReductions(t *testing.T) {
 	for _, p := range sampleParams(t, 30) {
 		for _, c := range Reductions(p) {
@@ -303,23 +305,6 @@ func TestReductions(t *testing.T) {
 				t.Fatalf("%s: reduction %+v does not shrink complexity", p.Key(), c)
 			}
 		}
-	}
-	// A predicate that keeps failing as long as sharing traffic exists
-	// must shrink to the minimal sharing-bearing vector, identically on
-	// repeat runs.
-	p := Params{Seed: 11, Ops: 48, MemFrac: 1, LoadFrac: 0.5, SharedFrac: 1,
-		Sharing: 8, SharedAddrs: 32, PrivateAddrs: 16, Rounds: 3, Double: true}
-	fails := func(c Params) bool { return c.MemFrac > 0 && c.SharedFrac > 0 }
-	a := Shrink(p, fails)
-	b := Shrink(p, fails)
-	if a != b {
-		t.Fatalf("Shrink not deterministic: %+v vs %+v", a, b)
-	}
-	if !fails(a) {
-		t.Fatalf("Shrink left the failing set: %+v", a)
-	}
-	if a.Ops != MinOps || a.Rounds != 1 || a.Sharing != 1 || a.Double {
-		t.Fatalf("Shrink under-reduced: %+v", a)
 	}
 }
 
