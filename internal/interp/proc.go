@@ -29,9 +29,6 @@ type Proc struct {
 	State ProcState
 	// Ret is the entry function's return value once State is Done.
 	Ret Value
-	// Slice is runtime-private scheduling state (the pthread runtime
-	// stores the quantum start here).
-	Slice sccsim.Time
 
 	// rootCF is the entry function's compiled form, resolved at spawn
 	// so every resume skips the map lookup (nil for a walked context).

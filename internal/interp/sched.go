@@ -307,10 +307,9 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 // error, if any: a plain loop on the calling goroutine steps whichever
 // context the policy elects until everything is done, something
 // deadlocks, or a context fails. The policy sees one Next per yield,
-// block or exit, so stateful policies (round-robin quanta, many-to-one
-// core multiplexing) observe the same transitions whichever kind of
-// Program the session runs. A walked Program's goroutines have all
-// exited when Run returns.
+// block or exit, so a stateful policy (time-shared cores) observes the
+// same transitions whichever kind of Program the session runs. A walked
+// Program's goroutines have all exited when Run returns.
 func (s *Sim) Run() error {
 	if w := s.Program.walker; w != nil {
 		defer w.Join(s)
@@ -362,7 +361,7 @@ func (s *Sim) pickNext() *Proc {
 		s.fail(err)
 		return nil
 	}
-	if s.done >= 64 && s.done*2 >= len(s.procs) {
+	if s.done >= compactMin && s.done*2 >= len(s.procs) {
 		s.compact()
 	}
 	return s.Policy.Next(s.procs)
@@ -376,9 +375,14 @@ func (s *Sim) noteRunnable(p *Proc) {
 	}
 }
 
+// compactMin is how many finished contexts the scan list holds before
+// compact may drop them (a variable so tests can disable compaction).
+var compactMin = 64
+
 // compact drops finished contexts from the scheduling scan once they
 // outnumber the live ones, keeping Next() cheap for programs that spawn
-// thousands of short-lived threads.
+// thousands of short-lived threads. Policies see the scan list only, so
+// none may depend on when this happens.
 func (s *Sim) compact() {
 	live := s.procs[:0]
 	for _, p := range s.procs {
@@ -482,9 +486,9 @@ func (p *Proc) suspend(next *Proc) error {
 
 // Yield cooperatively gives up the processor while staying runnable.
 // When the policy re-elects the yielding context — the common case under
-// both the round-robin baseline (within a quantum) and min-clock once a
-// context owns the smallest time — control returns without suspending at
-// all: no unwind, no frames.
+// both TimeShare (within a quantum) and min-clock once a context owns
+// the smallest time — control returns without suspending at all: no
+// unwind, no frames.
 func (p *Proc) Yield() error {
 	p.State = Runnable
 	p.lastYield = p.Clock

@@ -2,8 +2,8 @@
 // evaluation: a Pthread runtime in which every thread of a multithreaded
 // program shares ONE core of the SCC ("multithreaded applications do run
 // on the SCC, however they can only take advantage of a single core",
-// thesis Chapter 6). Threads time-share the core under a round-robin
-// scheduler with a fixed quantum; each context switch costs scheduler
+// thesis Chapter 6). Threads time-share the core round-robin with a
+// fixed quantum (interp.TimeShare); each context switch costs scheduler
 // cycles and flushes the L1 (TLB/cache pollution), which is what makes
 // the paper's 32-thread single-core baseline substantially slower than a
 // single thread doing the same work.
@@ -59,10 +59,8 @@ func DefaultOptions() Options {
 type Runtime struct {
 	sim  *interp.Sim
 	opts Options
-	pol  rrPolicy
-
-	quantum   sccsim.Time
-	coreClock sccsim.Time
+	// pol time-shares the core among the threads.
+	pol interp.TimeShare
 	// byTID resolves a thread ID to its context. IDs are dense: main is
 	// 0 and every pthread_create takes the next one.
 	byTID []*interp.Proc
@@ -70,9 +68,8 @@ type Runtime struct {
 	// session), -1 for a context that is not one of the runtime's threads.
 	tidOf []int64
 	// joiners are the contexts waiting in pthread_join, by thread ID.
-	joiners  [][]*interp.Proc
-	mutexes  map[uint32]*mutexState
-	switches uint64
+	joiners [][]*interp.Proc
+	mutexes map[uint32]*mutexState
 }
 
 type mutexState struct {
@@ -83,7 +80,7 @@ type mutexState struct {
 // parked holds the tables of finished runs for the next New.
 var parked park.Lot[*Runtime]
 
-// New attaches a baseline runtime (and its round-robin policy) to sim.
+// New attaches a baseline runtime (and its time-sharing policy) to sim.
 // Its tables come from a finished run's when one is parked.
 func New(sim *interp.Sim, opts Options) *Runtime {
 	rt, _ := parked.Take()
@@ -93,13 +90,13 @@ func New(sim *interp.Sim, opts Options) *Runtime {
 	*rt = Runtime{
 		sim:     sim,
 		opts:    opts,
-		quantum: sccsim.Time(opts.QuantumCycles) * sim.Machine.CorePeriodOf(opts.Core),
+		pol:     rt.pol,
 		byTID:   rt.byTID,
 		tidOf:   rt.tidOf,
 		joiners: rt.joiners,
 		mutexes: rt.mutexes,
 	}
-	rt.pol.rt = rt
+	rt.pol.Reset(opts.QuantumCycles, opts.SwitchCycles, opts.FlushOnSwitch)
 	sim.Runtime = rt
 	sim.Policy = &rt.pol
 	return rt
@@ -115,7 +112,9 @@ func (rt *Runtime) release() {
 		rt.joiners[i] = rt.joiners[i][:0]
 	}
 	clear(rt.mutexes)
+	rt.pol.Reset(0, 0, false)
 	*rt = Runtime{
+		pol:     rt.pol,
 		byTID:   rt.byTID[:0],
 		tidOf:   rt.tidOf[:0],
 		joiners: rt.joiners[:0],
@@ -156,74 +155,6 @@ func (rt *Runtime) thread(tid int64) *interp.Proc {
 		return nil
 	}
 	return rt.byTID[tid]
-}
-
-// Switches reports how many context switches occurred.
-func (rt *Runtime) Switches() uint64 { return rt.switches }
-
-// rrPolicy keeps the current thread on the core until its quantum expires
-// or it blocks, then rotates round-robin. Switching in a thread advances
-// its clock to the core's time and charges the switch overhead. Current
-// is tracked by pointer: the scheduler compacts finished contexts out of
-// the scan list, so indices are not stable.
-type rrPolicy struct {
-	rt  *Runtime
-	cur *interp.Proc
-}
-
-// Next implements interp.Policy.
-func (pol *rrPolicy) Next(procs []*interp.Proc) *interp.Proc {
-	if len(procs) == 0 {
-		return nil
-	}
-	rt := pol.rt
-	// The common case, answered before anything scans the thread list:
-	// the current thread keeps its quantum. Only it ran since the last
-	// call — whatever it spawned or unblocked starts no later than its own
-	// clock — so folding that clock in keeps coreClock the furthest any
-	// thread has run.
-	if cur := pol.cur; cur != nil && cur.State == interp.Runnable && cur.Clock-cur.Slice < rt.quantum {
-		if cur.Clock > rt.coreClock {
-			rt.coreClock = cur.Clock
-		}
-		return cur
-	}
-	// Core time is the furthest any thread has run.
-	coreClock := rt.coreClock
-	for _, p := range procs {
-		if p.Clock > coreClock {
-			coreClock = p.Clock
-		}
-	}
-	rt.coreClock = coreClock
-	cur := len(procs) - 1
-	for i, p := range procs {
-		if p == pol.cur {
-			cur = i
-			break
-		}
-	}
-	// Rotate to the next runnable thread.
-	for off := 1; off <= len(procs); off++ {
-		p := procs[(cur+off)%len(procs)]
-		if p.State != interp.Runnable {
-			continue
-		}
-		if p != pol.cur {
-			rt.switches++
-			if p.Clock < coreClock {
-				p.Clock = coreClock
-			}
-			p.Clock += rt.sim.Machine.ComputeTime(p.Core, rt.opts.SwitchCycles)
-			if rt.opts.FlushOnSwitch {
-				p.Clock += rt.sim.Machine.FlushL1(p.Core)
-			}
-		}
-		p.Slice = p.Clock
-		pol.cur = p
-		return p
-	}
-	return nil
 }
 
 // OnExit wakes joiners of a finished thread.
@@ -439,7 +370,7 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	return &Result{
 		Makespan: sim.Makespan(),
 		Output:   sim.Output(),
-		Switches: rt.switches,
+		Switches: rt.pol.Switches(),
 		Stats:    m.TotalStats(),
 	}, nil
 }

@@ -137,14 +137,21 @@ type Runtime struct {
 	barrier barrier
 	// sendrecv tracks two-sided messaging (sendrecv.go).
 	sendrecv *sendState
+	// pol time-shares the cores UEs share (many-to-one mode).
+	pol interp.TimeShare
 }
+
+// Many-to-one mode (thesis §7.2, after Cichowski et al. [6], who run
+// several RCCE UEs on one core): a UE keeps its core for quantumCycles,
+// and each change of UE on a core costs switchCycles and an L1 flush.
+const quantumCycles, switchCycles = 10_000, 1_500
 
 // parked holds the tables of finished runs for the next New.
 var parked park.Lot[*Runtime]
 
 // New attaches an RCCE runtime to sim. Scheduling uses the session's
-// default min-clock policy. Its tables come from a finished run's when
-// one is parked.
+// default min-clock policy, or time-shared cores when UEs share them. Its
+// tables come from a finished run's when one is parked.
 func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 	rt, _ := parked.Take()
 	if rt == nil {
@@ -198,7 +205,8 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 	}
 	if shared {
 		// UEs sharing a core are serialised in virtual time.
-		sim.Policy = newManyToOne(sim.Machine)
+		rt.pol.Reset(quantumCycles, switchCycles, true)
+		sim.Policy = &rt.pol
 	}
 	rt.shared.cursor = sccsim.SharedBase
 	rt.mpb.cursor = sccsim.MPBBase
@@ -213,6 +221,7 @@ func (rt *Runtime) release() {
 	clear(rt.seen)
 	clear(rt.rankByCore)
 	clear(rt.barrier.waiting)
+	rt.pol.Reset(0, 0, false)
 	*rt = Runtime{
 		uesBuf:     rt.uesBuf[:0],
 		rankByProc: rt.rankByProc[:0],
@@ -221,6 +230,7 @@ func (rt *Runtime) release() {
 		shared:     allocator{allocs: rt.shared.allocs[:0], seq: rt.shared.seq[:0]},
 		mpb:        allocator{allocs: rt.mpb.allocs[:0], seq: rt.mpb.seq[:0]},
 		barrier:    barrier{waiting: rt.barrier.waiting[:0]},
+		pol:        rt.pol,
 	}
 	parked.Put(rt)
 }

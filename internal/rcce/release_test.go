@@ -12,7 +12,8 @@ import (
 // TestReleaseEmptiesTables: a run that deadlocks in a barrier after
 // symmetric allocations leaves tables that Run's release empties: every
 // table is empty and zero up to its capacity, and every other field is
-// zero.
+// zero. The run is made once with a UE per core and once with UEs
+// sharing cores, whose time-sharing policy parks with the runtime.
 func TestReleaseEmptiesTables(t *testing.T) {
 	pr, err := interp.Compile("dl.c", `
 int RCCE_APP(int *argc, char **argv) {
@@ -30,14 +31,25 @@ int RCCE_APP(int *argc, char **argv) {
 	}
 	restore := park.Hold()
 	defer restore()
-	if _, err := Run(pr, sccsim.MustNew(sccsim.DefaultConfig()), DefaultOptions(4)); err == nil {
-		t.Fatal("the run did not deadlock")
+	shared := DefaultOptions(50) // 50 UEs on 48 cores
+	shared.AllowOversubscribe = true
+	for _, opts := range []Options{DefaultOptions(4), shared} {
+		if _, err := Run(pr, sccsim.MustNew(sccsim.DefaultConfig()), opts); err == nil {
+			t.Fatalf("the run of %d UEs did not deadlock", opts.NumUEs)
+		}
+		rt, ok := parked.Take()
+		if !ok {
+			t.Fatal("Run parked no tables")
+		}
+		checkParked(t, rt, opts.AllowOversubscribe)
+		parked.Put(rt)
 	}
-	rt, ok := parked.Take()
-	if !ok {
-		t.Fatal("Run parked no tables")
-	}
-	defer parked.Put(rt)
+}
+
+// checkParked checks the tables of a parked runtime; withPolicy says the
+// run time-shared cores, so its policy holds tables of its own.
+func checkParked(t *testing.T, rt *Runtime, withPolicy bool) {
+	t.Helper()
 	tables := map[string]any{
 		"uesBuf":          rt.uesBuf,
 		"rankByProc":      rt.rankByProc,
@@ -64,10 +76,27 @@ int RCCE_APP(int *argc, char **argv) {
 			}
 		}
 	}
+	// The policy's tables: empty, zero up to their capacity, and kept
+	// when the run used them.
+	pol := reflect.ValueOf(&rt.pol).Elem()
+	for i := 0; i < pol.NumField(); i++ {
+		f, name := pol.Field(i), pol.Type().Field(i).Name
+		switch {
+		case f.Kind() != reflect.Slice:
+			if !f.IsZero() {
+				t.Errorf("parked policy keeps %s", name)
+			}
+		case f.Len() != 0 || (f.Cap() == 0) == withPolicy:
+			t.Errorf("parked policy's %s holds %d entries and kept capacity %d", name, f.Len(), f.Cap())
+		case !allZero(f.Slice(0, f.Cap())):
+			t.Errorf("parked policy's %s is not zero past its length", name)
+		}
+	}
 	rest := *rt
 	rest.uesBuf, rest.rankByProc, rest.rankByCore, rest.seen = nil, nil, nil, nil
 	rest.shared.allocs, rest.shared.seq, rest.mpb.allocs, rest.mpb.seq = nil, nil, nil, nil
 	rest.barrier.waiting = nil
+	rest.pol = interp.TimeShare{}
 	if !reflect.ValueOf(rest).IsZero() {
 		t.Errorf("parked runtime keeps run state: %+v", rest)
 	}
