@@ -27,12 +27,14 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// A Program is immutable: one compile serves every clock setting.
+	pr, err := interp.Compile("pi_rcce.c", translated.Output)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("%8s %10s %10s %10s\n", "MHz", "time (ms)", "power (W)", "energy (J)")
 	for _, mhz := range []int{200, 400, 533, 800, 1000} {
-		pr, err := interp.Compile("pi_rcce.c", translated.Output)
-		if err != nil {
-			log.Fatal(err)
-		}
 		machine := sccsim.MustNew(sccsim.DefaultConfig())
 		for d := 0; d < machine.VoltageDomains(); d++ {
 			if err := machine.SetDomainMHz(d, mhz); err != nil {

@@ -61,9 +61,10 @@ type Config struct {
 	// and Hooks.TraceRCCE.
 	RCCE rcce.Options
 	// Cache, when non-nil, memoizes every configuration-pure stage —
-	// source compile, translation, baseline run, profiling pass,
-	// placement — so one computed value serves every cell, and every
-	// concurrent worker, with the same inputs. Nil computes every time.
+	// source analysis, source compile, translation, baseline run,
+	// profiling pass, placement — so one computed value serves every
+	// cell, and every concurrent worker, with the same inputs. Nil
+	// computes every time.
 	Cache *Cache
 	// Hooks are the per-request seams (cancellation, fault injection,
 	// spans, the RCCE trace sink).
@@ -274,12 +275,18 @@ func machineName(mcfg sccsim.Config) string {
 	return fmt.Sprintf("custom-%dcore", mcfg.Cores)
 }
 
-// compile returns the compiled form of (name, src), compiling at most
-// once per distinct source even under concurrent lookups.
+// compile returns the Pthread program (name, src), lowered from the
+// source's shared analysis at most once per distinct source even under
+// concurrent lookups. Translated programs never come here: each
+// translation lowers its own tree (Config.translation).
 func (cfg Config) compile(name, src string) (*interp.Program, error) {
 	return memo(cfg.Cache, key{stage: stageCompile, name: name, src: src}, func() (*interp.Program, error) {
 		return runStage(cfg.Hooks, stageCompile, name, func() (*interp.Program, error) {
-			return interp.Compile(name, src)
+			an, err := cfg.analysis(name, src)
+			if err != nil {
+				return nil, err
+			}
+			return interp.Load(an.File, an.Sema)
 		})
 	})
 }
@@ -334,8 +341,8 @@ func RunBaseline(w Workload, cfg Config) (*RunResult, error) {
 }
 
 // Translation is the compiled outcome of the five-stage pipeline for one
-// placement: the emitted RCCE C source, its immutable compiled Program,
-// and the Stage 4 on-chip footprint.
+// placement: the emitted RCCE C source, the immutable Program lowered
+// from the tree it was printed from, and the Stage 4 on-chip footprint.
 type Translation struct {
 	Source      string
 	Program     *interp.Program
@@ -345,12 +352,12 @@ type Translation struct {
 	Placement *profile.Placement
 }
 
-// TranslateWorkload runs the translate pipeline for one cell and
-// compiles the emitted source, reusing cfg.Cache for both stages: the
-// pipeline is keyed by (workload, threads, scale, machine, policy,
-// capacity, placement digest) and the compile by the emitted text, so
-// cells whose placements print identical programs share one compiled
-// image. For the profiled policy it first obtains the workload's access
+// TranslateWorkload runs the translate pipeline for one cell, reusing
+// cfg.Cache: the translation — the emitted source and the Program
+// lowered from the translated tree — is keyed by (workload, threads,
+// scale, machine, policy, capacity, placement digest), and every
+// translation of one source copies that source's one shared analysis.
+// For the profiled policy it first obtains the workload's access
 // profile (memoized per configuration) and optimizes the placement for
 // the cell's effective budget.
 func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Translation, error) {
@@ -375,11 +382,7 @@ func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Transl
 	if err != nil {
 		return nil, err
 	}
-	pr, err := cfg.compile(w.Key+"_rcce.c", tr.source)
-	if err != nil {
-		return nil, fmt.Errorf("%s reparse translated source: %w\n---\n%s", w.Key, err, tr.source)
-	}
-	return &Translation{Source: tr.source, Program: pr, OnChipBytes: tr.onChipBytes, Placement: pl}, nil
+	return &Translation{Source: tr.source, Program: tr.program, OnChipBytes: tr.onChipBytes, Placement: pl}, nil
 }
 
 // RunRCCEProgram executes a translated program with one process per UE.
@@ -417,9 +420,10 @@ func RunRCCEProgram(w Workload, tr *Translation, cfg Config, policy partition.Po
 }
 
 // RunRCCE translates the Pthread program through the five-stage pipeline
-// with the given Stage 4 policy, re-parses the emitted C source (so the
-// experiment exercises exactly what the translator prints), and executes
-// it with one process per core.
+// with the given Stage 4 policy and executes the translated program with
+// one process per core. The program is lowered from the translated tree;
+// that it is exactly what the translator prints is a test
+// (TestPrintedIsWhatRuns), not a re-parse on this path.
 func RunRCCE(w Workload, cfg Config, policy partition.Policy) (*RunResult, error) {
 	tr, err := TranslateWorkload(w, cfg, policy)
 	if err != nil {

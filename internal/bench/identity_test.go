@@ -191,9 +191,9 @@ func TestHooksNeverReachAKey(t *testing.T) {
 
 // TestIdentityFieldsSeparate changes one identity input at a time and
 // requires a second compute of exactly the stages that read it. The
-// compile stage is content-addressed — it recomputes when, and only
-// when, an upstream stage printed different text — so it is pinned only
-// where the text provably cannot change.
+// analysis and compile stages are keyed by the Pthread text, which only
+// the thread count and the scale shape; the compile column keeps the
+// unknown pins it had when it also compiled printed translations.
 func TestIdentityFieldsSeparate(t *testing.T) {
 	w, _ := ByKey("dot")
 	handPlaced := func(onChip string) *profile.Placement {
@@ -208,41 +208,41 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 		again   = 1
 		unknown = -1
 	)
-	type recompute struct{ compile, translate, baseline, profile, placement int }
+	type recompute struct{ compile, translate, baseline, profile, placement, analyze int }
 	rows := []struct {
 		name   string
 		change func(cfg *Config, p *identityProbe)
 		want   recompute
 	}{
 		{"nothing", func(*Config, *identityProbe) {},
-			recompute{same, same, same, same, same}},
+			recompute{same, same, same, same, same, same}},
 		{"threads", func(cfg *Config, _ *identityProbe) { cfg.Threads = 2 },
-			recompute{again, again, again, again, again}},
+			recompute{again, again, again, again, again, again}},
 		{"scale", func(cfg *Config, _ *identityProbe) { cfg.Scale = 0.1 },
-			recompute{again, again, again, again, again}},
+			recompute{again, again, again, again, again, again}},
 		{"machine preset", func(cfg *Config, _ *identityProbe) {
 			cache := cfg.Cache
 			*cfg = identityConfig(t, "mesh256")
 			cfg.Cache = cache
-		}, recompute{unknown, again, again, again, again}},
+		}, recompute{unknown, again, again, again, again, same}},
 		{"Baseline.QuantumCycles", func(cfg *Config, _ *identityProbe) { cfg.Baseline.QuantumCycles = 5_000 },
-			recompute{same, same, again, same, same}},
+			recompute{same, same, again, same, same, same}},
 		{"RCCE.StripeMPB", func(cfg *Config, _ *identityProbe) { cfg.RCCE.StripeMPB = false },
-			recompute{same, same, same, again, again}},
+			recompute{same, same, same, again, again, same}},
 		{"UE map", func(cfg *Config, _ *identityProbe) { cfg.RCCE.Cores = []int{3, 2, 1, 0} },
-			recompute{same, same, same, again, again}},
+			recompute{same, same, same, again, again, same}},
 		{"budget", func(cfg *Config, _ *identityProbe) { cfg.MPBCapacity = 2048 },
-			recompute{unknown, again, same, same, again}},
+			recompute{unknown, again, same, same, again, same}},
 		{"policy size to freq", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyFrequencyDensity },
-			recompute{unknown, again, same, same, same}},
+			recompute{unknown, again, same, same, same, same}},
 		{"policy size to offchip", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyOffChipOnly },
 			// The off-chip translation is the profiling pass's reference
 			// placement: already computed.
-			recompute{same, same, same, same, same}},
+			recompute{same, same, same, same, same, same}},
 		{"policy size to profiled", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyProfiled },
-			recompute{same, same, same, same, same}},
+			recompute{same, same, same, same, same, same}},
 		{"placement digest", func(_ *Config, p *identityProbe) { p.placement = handPlaced("a") },
-			recompute{unknown, again, same, same, same}},
+			recompute{unknown, again, same, same, same, same}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -251,10 +251,11 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 			probe := identityProbe{policy: partition.PolicySizeAscending, placement: handPlaced("psum")}
 			probe.run(t, w, cfg)
 			first := cfg.Cache.computes
-			if first[stageBaseline] != 1 || first[stageProfile] != 1 || first[stagePlacement] != 1 || first[stageTranslate] != 4 {
+			if first[stageAnalyze] != 1 || first[stageBaseline] != 1 || first[stageProfile] != 1 || first[stagePlacement] != 1 || first[stageTranslate] != 4 {
 				// size, the off-chip reference, the measured placement and the
-				// hand-built one: four translations that must not share.
-				t.Fatalf("first probe computed %v, want one baseline, profile and placement and four translations", first)
+				// hand-built one: four translations that must not share, of
+				// one analysed source.
+				t.Fatalf("first probe computed %v, want one analysis, baseline, profile and placement and four translations", first)
 			}
 			row.change(&cfg, &probe)
 			probe.run(t, w, cfg)
@@ -265,7 +266,7 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 			}{
 				{stageCompile, row.want.compile}, {stageTranslate, row.want.translate},
 				{stageBaseline, row.want.baseline}, {stageProfile, row.want.profile},
-				{stagePlacement, row.want.placement},
+				{stagePlacement, row.want.placement}, {stageAnalyze, row.want.analyze},
 			} {
 				delta := second[c.st] - first[c.st]
 				if (c.want == same && delta != 0) || (c.want == again && delta == 0) {

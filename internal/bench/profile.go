@@ -31,16 +31,12 @@ func ProfileWorkload(w Workload, cfg Config) (*profile.Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s profile translate: %w", w.Key, err)
 			}
-			pr, err := cfg.compile(w.Key+"_rcce.c", tr.source)
-			if err != nil {
-				return nil, fmt.Errorf("%s profile reparse: %w", w.Key, err)
-			}
-			return profileProgram(w, cfg, tr, pr)
+			return profileProgram(w, cfg, tr, tr.program)
 		})
 	})
 }
 
-// profileProgram executes pr — the compiled form of the off-chip
+// profileProgram executes pr — a compiled form of the off-chip
 // translation tr — with a collector attached and distills the report.
 func profileProgram(w Workload, cfg Config, tr *translation, pr *interp.Program) (*profile.Report, error) {
 	col := profile.NewCollector(profile.Spec{OffChip: tr.offChipAllocs, OnChip: tr.onChipAllocs})

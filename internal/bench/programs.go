@@ -1,15 +1,17 @@
 package bench
 
-// Compile-once batching. A compiled interp.Program is immutable, so one
-// compile can serve every matrix cell (and every concurrent worker) that
-// executes the same source. The Cache memoizes the compile-side stages
-// of a harness run — the Pthread source compile and the
-// translate→emit→re-parse pipeline — plus the run-level results that
-// are pure functions of their configuration: the single-core baseline
-// execution (identical across every policy and budget of a sweep), the
-// access-profiling pass (identical across every budget) and the
-// placement optimized from it. A grid
-// sweep or a conformance matrix therefore compiles each workload
+// Analyse-once batching. A compiled interp.Program is immutable, and so
+// is an analysed source, so one computation can serve every matrix cell
+// (and every concurrent worker) that reads the same inputs. The Cache
+// memoizes the compile-side stages of a harness run — the analysis of
+// each Pthread source (parse, sema, Stages 1-3), the baseline Program
+// lowered from the analysed tree, and the translation (Stages 4-5 on a
+// copy of that tree, printed, checked and lowered) — plus the run-level
+// results that are pure functions of their configuration: the
+// single-core baseline execution (identical across every policy and
+// budget of a sweep), the access-profiling pass (identical across every
+// budget) and the placement optimized from it. A grid sweep or a
+// conformance matrix therefore parses and analyses each workload
 // exactly once per distinct source, runs its baseline once per
 // (workload, cores) and profiles it once per (workload, cores), fanning
 // the cells out across host cores against the shared results.
@@ -26,7 +28,8 @@ import (
 )
 
 // stage names one memoized computation. The first five are also the
-// stage names the Hooks.Fault and Hooks.Span seams are called with.
+// stage names the Hooks.Fault and Hooks.Span seams are called with; the
+// analysis runs inside whichever of compile and translate asks first.
 type stage uint8
 
 const (
@@ -36,11 +39,12 @@ const (
 	stageSimulate
 	stageProfile
 	stagePlacement
+	stageAnalyze
 	numStages
 )
 
 func (st stage) String() string {
-	return [numStages]string{"compile", "translate", "baseline", "simulate", "profile", "placement"}[st]
+	return [numStages]string{"compile", "translate", "baseline", "simulate", "profile", "placement", "analyze"}[st]
 }
 
 // key identifies one memoized value: the stage that computes it and
@@ -49,10 +53,15 @@ func (st stage) String() string {
 // itself — nothing in-tree carries a key across a process boundary, so
 // there is no digest.
 //
-//	compile    name, src — the text is the identity, so cells whose
-//	           placements emit identical C (e.g. budgets above the
-//	           working-set size) share one compile
-//	translate  spec.source(), policy, capacity, placement
+//	analyze    name, src — the Pthread text is the identity: parse,
+//	           sema and Stages 1-3, none of which reads the policy, the
+//	           budget or the placement, so the baseline's compile and
+//	           every translation of the source share one analysis
+//	compile    name, src — the Pthread program lowered from that
+//	           analysis (translated programs are lowered by translate)
+//	translate  spec.source(), policy, capacity, placement — Stages 4-5
+//	           on a copy of the analysed tree, and the Program lowered
+//	           from the translated tree
 //	baseline   spec.baselineRun()
 //	profile    spec.rcceRun() — measured under the uniform off-chip
 //	           reference placement, so every budget shares one pass
@@ -79,10 +88,11 @@ type key struct {
 	name, src string
 }
 
-// translation is the cached output of the pipeline: the emitted source,
-// before it is compiled.
+// translation is the cached output of the pipeline: the emitted source
+// and the Program lowered from the translated tree it was printed from.
 type translation struct {
 	source      string
+	program     *interp.Program
 	onChipBytes int
 	// offChipAllocs/onChipAllocs name the program's shared allocations
 	// in runtime call order per region (translate.Unit.Allocs): the
@@ -131,12 +141,19 @@ func NewCacheSized(maxCostBytes int64) *Cache {
 // an order of magnitude without deep-walking every AST.
 func cost(k key, v any) int64 {
 	switch v := v.(type) {
+	case *core.Pipeline:
+		// The tree, its symbol tables and the Stage 1-3 results.
+		return 1024 + 8*int64(len(v.Source))
 	case *interp.Program:
-		// Compiled closures, frame layouts and the AST together run a
-		// small multiple of the source text.
+		// Compiled closures and frame layouts (the tree is the
+		// analysis's) run a small multiple of the source text.
 		return 512 + 6*int64(len(k.src))
 	case *translation:
 		n := 256 + int64(len(v.source))
+		if v.program != nil {
+			// A Program as above, which owns its translated tree.
+			n += 512 + 6*int64(len(v.source))
+		}
 		for _, s := range v.offChipAllocs {
 			n += int64(len(s)) + 16
 		}
@@ -158,6 +175,10 @@ func cost(k key, v any) int64 {
 // (as opposed to served from the cache), plus the lookup and eviction
 // counters (the last three zero-valued for unbounded caches).
 type CacheStats struct {
+	// AnalyzeRuns counts parses with Stages 1-3 (one per distinct
+	// source); ProgramCompiles counts Pthread programs lowered from
+	// them. A translated program is lowered inside its translate run.
+	AnalyzeRuns     int64
 	ProgramCompiles int64
 	TranslateRuns   int64
 	BaselineRuns    int64
@@ -192,6 +213,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := CacheStats{
+		AnalyzeRuns:     c.computes[stageAnalyze],
 		ProgramCompiles: c.computes[stageCompile],
 		TranslateRuns:   c.computes[stageTranslate],
 		BaselineRuns:    c.computes[stageBaseline],
@@ -208,9 +230,19 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// translation runs (or reuses) the five-stage pipeline for w at cfg's
-// thread count and scale. pl carries the profile-guided placement for
-// PolicyProfiled cells (nil for the static policies).
+// analysis parses and checks (name, src) and runs Stages 1-3 at most
+// once per distinct source. The pipeline is shared and only read: the
+// baseline lowers its tree and every translation copies it.
+func (cfg Config) analysis(name, src string) (*core.Pipeline, error) {
+	return memo(cfg.Cache, key{stage: stageAnalyze, name: name, src: src}, func() (*core.Pipeline, error) {
+		return core.Analyze(name, src, core.Config{})
+	})
+}
+
+// translation runs (or reuses) Stages 4-5 for w at cfg's thread count
+// and scale on the source's shared analysis, and lowers the translated
+// tree. pl carries the profile-guided placement for PolicyProfiled cells
+// (nil for the static policies).
 func (cfg Config) translation(w Workload, policy partition.Policy, capacity int, pl *profile.Placement) (*translation, error) {
 	k := key{stage: stageTranslate, spec: cfg.spec(w.Key).source(), policy: policy, capacity: capacity}
 	if pl != nil {
@@ -218,6 +250,10 @@ func (cfg Config) translation(w Workload, policy partition.Policy, capacity int,
 	}
 	return memo(cfg.Cache, k, func() (*translation, error) {
 		return runStage(cfg.Hooks, stageTranslate, w.Key, func() (*translation, error) {
+			an, err := cfg.analysis(w.Key+".c", w.Source(cfg.Threads, cfg.Scale))
+			if err != nil {
+				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
+			}
 			cc := core.Config{
 				Cores:       cfg.Threads,
 				Policy:      policy,
@@ -226,11 +262,15 @@ func (cfg Config) translation(w Workload, policy partition.Policy, capacity int,
 			if pl != nil {
 				cc.Placement = pl.OnChip()
 			}
-			pipe, err := core.Run(w.Key+".c", w.Source(cfg.Threads, cfg.Scale), cc)
+			pipe, err := an.Translate(cc)
 			if err != nil {
 				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
 			}
-			t := &translation{source: pipe.Output, onChipBytes: pipe.Part.OnChipBytes}
+			pr, err := interp.Load(pipe.File, pipe.Sema)
+			if err != nil {
+				return nil, fmt.Errorf("%s load translated program: %w\n---\n%s", w.Key, err, pipe.Output)
+			}
+			t := &translation{source: pipe.Output, program: pr, onChipBytes: pipe.Part.OnChipBytes}
 			for _, a := range pipe.Unit.Allocs {
 				if a.OnChip {
 					t.onChipAllocs = append(t.onChipAllocs, a.Var)

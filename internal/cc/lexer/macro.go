@@ -29,7 +29,10 @@ type macroTable map[string][]token.Token
 func TokenizeWithMacros(src string) ([]token.Token, error) {
 	lx := New(src)
 	macros := make(macroTable)
-	var out []token.Token
+	// C source spends two to four bytes per token (the corpus, the
+	// synthetic and the grammar kernels all do), so half the length is
+	// room enough without regrowth for nearly every input.
+	out := make([]token.Token, 0, len(src)/2)
 	for {
 		t, err := lx.nextAllowDefine()
 		if err != nil {
@@ -46,11 +49,9 @@ func TokenizeWithMacros(src string) ([]token.Token, error) {
 			macros[name] = repl
 			continue
 		}
-		expanded, err := expand(t, macros, nil)
-		if err != nil {
+		if out, err = expand(out, t, macros, nil); err != nil {
 			return nil, err
 		}
-		out = append(out, expanded...)
 	}
 }
 
@@ -111,15 +112,16 @@ func parseDefine(t token.Token) (string, []token.Token, error) {
 	return name, repl, nil
 }
 
-// expand splices t if it names a macro, recursively; expanding is the set
-// of names already being expanded (self-reference guard).
-func expand(t token.Token, macros macroTable, expanding map[string]bool) ([]token.Token, error) {
+// expand appends t to out, spliced if it names a macro, recursively;
+// expanding is the set of names already being expanded (self-reference
+// guard).
+func expand(out []token.Token, t token.Token, macros macroTable, expanding map[string]bool) ([]token.Token, error) {
 	if t.Kind != token.Ident {
-		return []token.Token{t}, nil
+		return append(out, t), nil
 	}
 	repl, ok := macros[t.Text]
 	if !ok || expanding[t.Text] {
-		return []token.Token{t}, nil
+		return append(out, t), nil
 	}
 	if len(expanding) > 64 {
 		return nil, fmt.Errorf("%s: macro expansion too deep at %q", t.Pos, t.Text)
@@ -129,14 +131,12 @@ func expand(t token.Token, macros macroTable, expanding map[string]bool) ([]toke
 		inner[k] = true
 	}
 	inner[t.Text] = true
-	var out []token.Token
 	for _, rt := range repl {
 		rt.Pos = t.Pos // expansions report the use site
-		ex, err := expand(rt, macros, inner)
-		if err != nil {
+		var err error
+		if out, err = expand(out, rt, macros, inner); err != nil {
 			return nil, err
 		}
-		out = append(out, ex...)
 	}
 	return out, nil
 }

@@ -13,6 +13,7 @@ package parser
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/lexer"
@@ -49,8 +50,16 @@ type parser struct {
 	pendingFunc *ast.FuncDecl
 }
 
+// parses counts Parse calls in this process (Parses).
+var parses atomic.Int64
+
+// Parses returns how many times Parse has run in this process. Tests use
+// it to pin how often a pipeline parses one source.
+func Parses() int64 { return parses.Load() }
+
 // Parse parses src (with name used in diagnostics) into an ast.File.
 func Parse(name, src string) (*ast.File, error) {
+	parses.Add(1)
 	toks, err := lexer.TokenizeWithMacros(src)
 	if err != nil {
 		return nil, err

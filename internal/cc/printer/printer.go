@@ -1,7 +1,8 @@
 // Package printer serialises the hsmcc IR back to compilable C source.
 // It is the final stage of the paper's source-to-source pipeline: the
 // translated RCCE program emitted here is what would be handed to icc on
-// the SCC (and what our simulator re-parses and executes).
+// the SCC. The simulator runs the tree this prints; that printing and
+// re-parsing gives back that tree is tested (bench.TestPrintedIsWhatRuns).
 package printer
 
 import (

@@ -203,8 +203,8 @@ func NewEngine() *Engine {
 
 // config assembles the bench harness configuration for one cell. The
 // cache — typically one per kernel — lets every matrix cell share the
-// kernel's compiled baseline Program and each distinct translated
-// source's compiled image (compile once, run the whole matrix).
+// kernel's one analysis, its compiled baseline Program and each
+// translation (analyse once, run the whole matrix).
 func (e *Engine) config(cores, budget int, cache *bench.Cache) bench.Config {
 	e.cfgOnce.Do(func() { e.baseCfg = bench.DefaultConfig().PrecomputeMachineEnv() })
 	cfg := e.baseCfg
@@ -327,13 +327,13 @@ func (e *Engine) CheckSource(seed int64, src string, cores int, policy string, b
 	return div
 }
 
-// Check runs k across the whole matrix, compiling the kernel once
-// per cores value and sharing one baseline run, and returns the first
+// Check runs k across the whole matrix, analysing the kernel once per
+// distinct source and sharing one baseline run, and returns the first
 // divergence (cores-ascending, policy-major) or nil. Sharing matters
 // twice over: the matrix's RCCE cells all diff against the same
-// reference execution, and the per-kernel compile cache means the
-// baseline source and each distinct translated source compile exactly
-// once for the whole matrix instead of once per cell.
+// reference execution, and the per-kernel cache means each source is
+// parsed and analysed once for the whole matrix, every policy and
+// budget translating a copy of that one analysis.
 func (e *Engine) Check(k Kernel) *Divergence {
 	seed, key := k.label()
 	return named(e.checkMatrix(seed, k.Source), key)

@@ -8,8 +8,9 @@
 //	Stage 5  source-to-source translation (internal/translate)
 //
 // The entry points mirror CETUS's AnalysisPass/TransformPass driver: Analyze
-// runs Stages 1-3 and returns the per-variable findings; Run continues
-// through Stages 4-5 and yields the RCCE program as C source.
+// runs Stages 1-3 and returns the per-variable findings; Translate runs
+// Stages 4-5 on a copy of the analysed tree, so one analysis serves every
+// placement; Run chains the two and yields the RCCE program as C source.
 package core
 
 import (
@@ -69,6 +70,9 @@ type Pipeline struct {
 	Source string
 	Config Config
 
+	// File and Sema are the Pthread program and its symbol tables after
+	// Analyze, and the RCCE program — a separate tree — and its own
+	// tables after Translate.
 	File   *ast.File
 	Sema   *sema.Info
 	Scope  *scope.Result
@@ -103,43 +107,53 @@ func Analyze(name, src string, cfg Config) (*Pipeline, error) {
 }
 
 // Run executes the full five-stage pipeline over src and returns the
-// pipeline with Output holding the translated RCCE C source.
+// translated pipeline, with Output holding the RCCE C source.
 func Run(name, src string, cfg Config) (*Pipeline, error) {
 	p, err := Analyze(name, src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Translate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p.Translate(cfg)
 }
 
-// Translate runs Stages 4-5 on an analysed pipeline, mutating p.File into
-// the RCCE program and rendering it to p.Output.
-func (p *Pipeline) Translate() error {
+// Translate runs Stages 4-5 for cfg on a deep copy of the analysed tree
+// and returns a new pipeline: its File is the RCCE program, Sema that
+// program's own symbol tables, Output its printed source, and Scope,
+// Inter and Points the shared Stage 1-3 results. p itself — tree,
+// symbols and analyses — is only read, so one analysis can serve any
+// number of translations, concurrently. cfg.PropagatePossible is p's:
+// it shaped the analysis.
+func (p *Pipeline) Translate(cfg Config) (*Pipeline, error) {
 	if p.Points == nil {
-		return fmt.Errorf("core: pipeline has not been analysed")
+		return nil, fmt.Errorf("core: pipeline has not been analysed")
 	}
-	capacity := p.Config.MPBCapacity
-	if p.Config.Policy == partition.PolicyOffChipOnly {
+	cfg = cfg.withDefaults()
+	cfg.PropagatePossible = p.Config.PropagatePossible
+	capacity := cfg.MPBCapacity
+	if cfg.Policy == partition.PolicyOffChipOnly {
 		capacity = 0
 	}
-	if p.Config.Policy == partition.PolicyProfiled {
-		if p.Config.Placement == nil {
-			return fmt.Errorf("core: the profiled policy needs an explicit placement map (run the profiler first)")
+	t := *p
+	t.Config = cfg
+	if cfg.Policy == partition.PolicyProfiled {
+		if cfg.Placement == nil {
+			return nil, fmt.Errorf("core: the profiled policy needs an explicit placement map (run the profiler first)")
 		}
-		p.Part = partition.PartitionExplicit(p.Scope.SharedVars(), capacity, p.Config.Placement)
+		t.Part = partition.PartitionExplicit(p.Scope.SharedVars(), capacity, cfg.Placement)
 	} else {
-		p.Part = partition.Partition(p.Scope.SharedVars(), capacity, p.Config.Policy)
+		t.Part = partition.Partition(p.Scope.SharedVars(), capacity, cfg.Policy)
 	}
-	unit, err := translate.Translate(p.File, p.Points, p.Part, translate.Options{Cores: p.Config.Cores})
+	t.File = ast.Clone(p.File)
+	unit, err := translate.Translate(t.File, p.Points, t.Part, translate.Options{Cores: cfg.Cores})
 	if err != nil {
-		return fmt.Errorf("translate %s: %w", p.Name, err)
+		return nil, fmt.Errorf("translate %s: %w", p.Name, err)
 	}
-	p.Unit = unit
-	p.Output = printer.Print(p.File)
-	return nil
+	t.Unit = unit
+	t.Output = printer.Print(t.File)
+	if t.Sema, err = sema.Analyze(t.File); err != nil {
+		return nil, fmt.Errorf("sema of translated %s: %w", p.Name, err)
+	}
+	return &t, nil
 }
 
 // SharedVars returns the Stage 1-3 shared set in declaration order.

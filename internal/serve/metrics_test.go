@@ -54,6 +54,7 @@ func fixtureSnapshot() MetricsSnapshot {
 		},
 		EndpointNames: []string{"metrics", "simulate"},
 		Cache: bench.CacheStats{
+			AnalyzeRuns:     9,
 			ProgramCompiles: 12,
 			TranslateRuns:   11,
 			BaselineRuns:    10,

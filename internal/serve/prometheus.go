@@ -100,7 +100,9 @@ func renderPrometheus(w io.Writer, snap MetricsSnapshot) {
 		fmt.Fprintf(w, "hsmccd_request_duration_seconds_count{endpoint=%q} %d\n", name, cum)
 	}
 
-	promHeader(w, "hsmccd_cache_program_compiles_total", "counter", "Pthread program compilations executed by the shared cache.")
+	promHeader(w, "hsmccd_cache_analyze_runs_total", "counter", "Source analyses (parse, sema, Stages 1-3) executed by the shared cache, one per distinct Pthread source.")
+	fmt.Fprintf(w, "hsmccd_cache_analyze_runs_total %d\n", snap.Cache.AnalyzeRuns)
+	promHeader(w, "hsmccd_cache_program_compiles_total", "counter", "Pthread-source program compiles executed by the shared cache; a translated program is lowered inside its translation run.")
 	fmt.Fprintf(w, "hsmccd_cache_program_compiles_total %d\n", snap.Cache.ProgramCompiles)
 	promHeader(w, "hsmccd_cache_translate_runs_total", "counter", "Translation runs executed by the shared cache.")
 	fmt.Fprintf(w, "hsmccd_cache_translate_runs_total %d\n", snap.Cache.TranslateRuns)

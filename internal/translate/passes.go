@@ -394,8 +394,16 @@ func (sharedToExplicit) Run(u *Unit) error {
 		allocs = append(allocs, allocAssign(name, fn, elem, count))
 		u.Allocs = append(u.Allocs, AllocSite{Var: name, OnChip: fn == "RCCE_mpbmalloc"})
 	}
+	// Declarations are found in u.File, not through v.Sym.Decl: the
+	// analysis may be of the tree u.File was cloned from, whose symbols
+	// u.File still links to (ast.Clone). Symbols are only read; other
+	// translations share them.
+	decls := make(map[*ast.Symbol]*ast.VarDecl)
+	for _, d := range u.File.Globals() {
+		decls[d.Sym] = d
+	}
 	for _, v := range u.sharedGlobals() {
-		d, ok := v.Sym.Decl.(*ast.VarDecl)
+		d, ok := decls[v.Sym]
 		if !ok {
 			continue
 		}
@@ -424,7 +432,6 @@ func (sharedToExplicit) Run(u *Unit) error {
 			d.Type = types.PointerTo(elem)
 			d.Init = nil
 			d.InitLst = nil
-			v.Sym.Type = d.Type
 			emit(d.Name, allocFn, elem, count)
 			u.logf("SharedToExplicit: array %s -> %s (%s)", d.Name, allocFn, placement)
 		case types.Pointer:
@@ -437,7 +444,6 @@ func (sharedToExplicit) Run(u *Unit) error {
 			init := d.Init
 			d.Type = types.PointerTo(elem)
 			d.Init = nil
-			v.Sym.Type = d.Type
 			emit(d.Name, allocFn, elem, 1)
 			if init != nil {
 				allocs = append(allocs, assignStmt(

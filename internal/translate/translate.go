@@ -105,8 +105,10 @@ func Passes() []Pass {
 }
 
 // Translate runs all passes over file, mutating it into the RCCE program.
-// points carries the Stage 1-3 results for file, and part the Stage 4
-// placements of the shared variables.
+// points carries the Stage 1-3 results for file — or for the tree file
+// was cloned from, as core translates a copy of its analysed tree — and
+// part the Stage 4 placements of the shared variables. Neither the
+// analysis nor its symbols are written.
 func Translate(file *ast.File, points *pointsto.Result, part *partition.Result, opts Options) (*Unit, error) {
 	if opts.Cores <= 0 {
 		opts.Cores = 32
