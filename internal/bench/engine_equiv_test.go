@@ -131,8 +131,9 @@ func TestEngineEquivalenceSynth(t *testing.T) {
 }
 
 // TestEngineEquivalenceOversubscribed covers the §7.2 many-to-one
-// scheduler (more UEs than cores), which exercises interp.TimeShare
-// across several cores and its context-switch charges.
+// scheduler (more UEs than cores), which exercises the session's
+// scheduler across several time-shared cores and its context-switch
+// charges.
 func TestEngineEquivalenceOversubscribed(t *testing.T) {
 	w, ok := ByKey("pi")
 	if !ok {

@@ -163,7 +163,8 @@ int RCCE_APP(int *argc, char **argv) {
 
 // Programs that end a session early, each with contexts live when it
 // ends: a runtime error, a deadlock, and (with a Cancel hook) any
-// program cancelled mid-run.
+// program cancelled mid-run, rcceSpins among them with two UEs per
+// core.
 const (
 	pthreadFails = `
 int g;
@@ -207,6 +208,16 @@ int RCCE_APP(int *argc, char **argv) {
   RCCE_finalize();
   return 0;
 }`
+	rcceSpins = `
+int RCCE_APP(int *argc, char **argv) {
+  int i;
+  int x;
+  RCCE_init(argc, argv);
+  x = 0;
+  for (i = 0; i < 100000; i++) x = x + i;
+  RCCE_finalize();
+  return x;
+}`
 )
 
 // cancelAfter returns a Cancel hook that cancels at its n-th poll.
@@ -235,8 +246,20 @@ func spoil(t *testing.T, way int, c sessionCase) {
 	case 2:
 		_, _, errB = runBaseline(mustCompile(t, pthreadDeadlocks), mcfg, interp.Observers{})
 		_, _, errR = runRCCE(mustCompile(t, rcceDeadlocks), 4, mcfg, interp.Observers{})
+	case 3:
+		// Many-to-one: 96 UEs on 48 cores. RCCE_init charges 50 000
+		// cycles, yielding at every 2.5 µs clock-skew horizon, about
+		// eight times a 10 000-cycle quantum; the 200th decision, about
+		// four yields into each core's first quantum, cancels.
+		_, _, errB = runBaseline(c.base, mcfg, interp.Observers{Cancel: cancelAfter(40)})
+		opts := rcce.DefaultOptions(2 * mcfg.Cores)
+		opts.AllowOversubscribe = true
+		opts.Cancel = cancelAfter(200)
+		m := sccsim.MustNew(mcfg)
+		defer m.Release()
+		_, errR = rcce.Run(mustCompile(t, rcceSpins), m, opts)
 	}
-	want := []string{"division by zero", "canceled", "deadlock"}[way]
+	want := []string{"division by zero", "canceled", "deadlock", "canceled"}[way]
 	for _, err := range []error{errB, errR} {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("spoiler %d: got error %v, want one naming %q", way, err, want)
@@ -278,7 +301,8 @@ func runCase(t *testing.T, c sessionCase) sessionResult {
 // workload and synthetic corner exactly as never-used ones do — output,
 // makespan, counters, context switches and the whole scheduling event
 // stream — whether the run before ended cleanly, in a runtime error, a
-// cancellation or a deadlock.
+// cancellation, a deadlock, or a cancellation of UEs time-sharing cores
+// mid-quantum.
 func TestReleasedSessionIsFresh(t *testing.T) {
 	for i, c := range sessionCases(t) {
 		var fresh sessionResult
@@ -296,11 +320,11 @@ func TestReleasedSessionIsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s rcce: %v", c.name, err)
 		}
-		spoil(t, i%3, c)
+		spoil(t, i%4, c)
 		reused := runCase(t, c)
 		if !reflect.DeepEqual(fresh, reused) {
 			t.Errorf("%s after spoiler %d: a released session's run differs from a never-used one's:\n%s",
-				c.name, i%3, describeDiff(fresh, reused))
+				c.name, i%4, describeDiff(fresh, reused))
 		}
 	}
 }

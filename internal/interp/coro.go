@@ -277,7 +277,6 @@ func (p *Proc) finish(v Value, err error) {
 	}
 	p.State = Done
 	s := p.Sim
-	s.done++
 	s.freeStacks[p.Core] = append(s.freeStacks[p.Core], p.stackIdx)
 	p.releaseScratch()
 	if s.Runtime != nil {

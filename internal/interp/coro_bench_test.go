@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"testing"
 
 	"hsmcc/internal/sccsim"
@@ -80,28 +79,44 @@ func BenchmarkContextSwitchDeep(b *testing.B) {
 	}
 }
 
-// BenchmarkPickNext measures one scheduling election at 1024 runnable
-// contexts: the MinClockHeap pop/push pair that every context switch of
-// a mesh1024-scale simulation pays.
+// BenchmarkPickNext measures one decision of a session's scheduler, as
+// every context switch pays it, at the one-to-one default (no quantum,
+// so each decision refreshes the last elected context's core): one
+// context per core at 48 and at 1024 contexts, the cross-core heap of a
+// mesh1024-scale simulation, and 1024 contexts on 32 cores and on one
+// core, where the per-core rotation scan adds its length.
 func BenchmarkPickNext(b *testing.B) {
-	for _, n := range []int{48, 1024} {
-		b.Run(fmt.Sprintf("contexts=%d", n), func(b *testing.B) {
-			pol := NewMinClockHeap()
-			procs := make([]*Proc, n)
-			for i := range procs {
-				procs[i] = &Proc{ID: i, State: Runnable, Clock: sccsim.Time(i * 977)}
-				pol.NoteRunnable(procs[i])
+	pr, err := Compile("main.c", "int main() { return 0; }")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sh := range []struct {
+		name            string
+		contexts, cores int
+	}{
+		{"contexts=48", 48, 48},
+		{"contexts=1024", 1024, 1024},
+		{"contexts=1024,cores=32", 1024, 32},
+		{"contexts=1024,cores=1", 1024, 1},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			sim := NewSim(sccsim.MustNew(sccsim.MustPreset("mesh1024")), pr)
+			defer sim.Release()
+			m := sim.Machine
+			for i := 0; i < sh.contexts; i++ {
+				core := i % sh.cores
+				sim.sched.add(&Proc{Sim: sim, ID: i, Core: core, State: Runnable, Clock: sccsim.Time(i * 977),
+					timer: m.Timer(core), mach: m})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := pol.Next(procs)
+				p := sim.sched.next()
 				if p == nil {
 					b.Fatal("no runnable context")
 				}
-				// Advance the elected context and requeue it, as a yield does.
+				// Advance the elected context, as a yield does.
 				p.Clock += 104729
-				pol.NoteRunnable(p)
 			}
 		})
 	}

@@ -145,52 +145,3 @@ int worker(int me) {
 		t.Errorf("fall-off-the-end return diverged:\ncoroutine:\n%s\ntree-walk:\n%s", coro.Output(), ref.Output())
 	}
 }
-
-// TestSchedulerParityHeapVsLinearCoroutine pins the min-clock heap
-// against the linear-scan oracle: multiple
-// contexts interleaving through yields must produce byte-identical
-// output and identical per-context clocks with either policy.
-func TestSchedulerParityHeapVsLinearCoroutine(t *testing.T) {
-	pr, err := interp.Compile("p.c", `
-int a[64];
-int worker(int me) {
-  int i; int s;
-  s = 0;
-  for (i = 0; i < 6000; i++) { a[(i + me) % 64] = a[(i + me) % 64] + me; s = s + a[(i + me) % 64]; }
-  printf("w%d %d\n", me, s);
-  return s;
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(pol interp.Policy) (*interp.Sim, error) {
-		sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
-		sim.Policy = pol
-		for core := 0; core < 4; core++ {
-			if _, err := sim.Spawn(core, pr.Funcs["worker"], []interp.Value{interp.IntValue(nil, int64(core))}, 0); err != nil {
-				return nil, err
-			}
-		}
-		return sim, sim.Run()
-	}
-	heap, err := run(interp.NewMinClockHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear, err := run(interp.MinClock{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heap.Output() != linear.Output() {
-		t.Errorf("policy outputs diverge:\nheap:\n%s\nlinear:\n%s", heap.Output(), linear.Output())
-	}
-	if heap.Makespan() != linear.Makespan() {
-		t.Errorf("policy makespans diverge: %d vs %d", heap.Makespan(), linear.Makespan())
-	}
-	hp, lp := heap.Procs(), linear.Procs()
-	for i := range hp {
-		if hp[i].Clock != lp[i].Clock {
-			t.Errorf("proc %d clock: heap %d vs linear %d", i, hp[i].Clock, lp[i].Clock)
-		}
-	}
-}

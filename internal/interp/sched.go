@@ -22,31 +22,6 @@ const (
 	Done
 )
 
-// Policy picks the next context to run. Next must return nil only when no
-// proc is Runnable.
-type Policy interface {
-	Next(procs []*Proc) *Proc
-}
-
-// MinClock schedules the runnable context with the smallest virtual time
-// (ties broken by lowest ID): the policy for multi-core RCCE execution,
-// which keeps cross-core memory events approximately time-ordered.
-type MinClock struct{}
-
-// Next implements Policy.
-func (MinClock) Next(procs []*Proc) *Proc {
-	var best *Proc
-	for _, p := range procs {
-		if p.State != Runnable {
-			continue
-		}
-		if best == nil || p.Clock < best.Clock || (p.Clock == best.Clock && p.ID < best.ID) {
-			best = p
-		}
-	}
-	return best
-}
-
 // Runtime supplies the environment-specific builtins (pthread or RCCE)
 // and scheduling hooks.
 type Runtime interface {
@@ -121,7 +96,6 @@ type Sim struct {
 	Machine *sccsim.Machine
 	Program *Program
 	Runtime Runtime
-	Policy  Policy
 	// Observers are the session's per-run hooks, installed by Observe.
 	Observers
 	Out bytes.Buffer
@@ -130,13 +104,10 @@ type Sim struct {
 	// once released.
 	*session
 	nextID int
-	// doneMax preserves the completion times of compacted contexts.
-	doneMax sccsim.Time
-	done    int // finished contexts still in procs
-	err     error
+	err    error
 	// elected carries the successor a suspending context chose to the
 	// stepping loop, so each scheduling event makes exactly one
-	// Policy.Next call.
+	// decision.
 	elected *Proc
 }
 
@@ -145,10 +116,10 @@ type Sim struct {
 // per-core tables are dense slices indexed by core; contexts are
 // indexed by ID, which is dense within a session.
 type session struct {
-	// spawned is every context of the session by ID, compacted or not.
+	// spawned is every context of the session by ID.
 	spawned []*Proc
-	// procs is the scheduling scan list (compact drops finished ones).
-	procs []*Proc
+	// sched is the session's scheduler.
+	sched scheduler
 	// heaps is each core's bump allocator (threads share their core's
 	// heap), zero until the program image is instantiated there.
 	heaps []uint32
@@ -160,8 +131,6 @@ type session struct {
 	freeStacks [][]int
 	// scratch is the free list of per-context buffers (coro.go).
 	scratch []*procScratch
-	// minClock is the default policy, installed by NewSim.
-	minClock MinClockHeap
 	// out is the output buffer's storage while the session is parked.
 	out []byte
 }
@@ -183,10 +152,10 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 	k.heaps = slices.Grow(k.heaps, n)[:n]
 	k.stacks = slices.Grow(k.stacks, n)[:n]
 	k.freeStacks = slices.Grow(k.freeStacks, n)[:n]
+	k.sched.cores = slices.Grow(k.sched.cores, n)[:n]
 	s := &Sim{Machine: m, Program: pr, session: k}
 	s.Out = *bytes.NewBuffer(k.out)
 	k.out = nil
-	s.Policy = &k.minClock
 	return s
 }
 
@@ -194,9 +163,9 @@ func NewSim(m *sccsim.Machine, pr *Program) *Sim {
 // sccsim.Machine.Release. Call it once the run's results have been
 // read: every context the session spawned is zeroed, so a Proc or the
 // Sim used afterwards panics instead of reaching a session another run
-// now uses. Kept, emptied: the contexts, the scan list, the per-core
-// tables, the per-context buffers, the min-clock heap's array and the
-// output buffer. Releasing again does nothing.
+// now uses. Kept, emptied: the contexts, the per-core tables, the
+// scheduler's tables, the per-context buffers and the output buffer.
+// Releasing again does nothing.
 func (s *Sim) Release() {
 	k := s.session
 	if k == nil {
@@ -206,15 +175,13 @@ func (s *Sim) Release() {
 		p.releaseScratch() // a context the run left unfinished
 		*p = Proc{}
 	}
-	clear(k.procs)
 	clear(k.heaps)
 	clear(k.stacks)
 	for i := range k.freeStacks {
 		k.freeStacks[i] = k.freeStacks[i][:0]
 	}
-	clear(k.minClock.h)
-	k.procs, k.heaps, k.stacks, k.freeStacks = k.procs[:0], k.heaps[:0], k.stacks[:0], k.freeStacks[:0]
-	k.minClock.h = k.minClock.h[:0]
+	k.sched.reset()
+	k.heaps, k.stacks, k.freeStacks = k.heaps[:0], k.stacks[:0], k.freeStacks[:0]
 	s.Out.Reset()
 	k.out = s.Out.Bytes()
 	*s = Sim{}
@@ -231,8 +198,8 @@ func (s *Sim) Observe(o Observers) {
 	}
 }
 
-// Procs returns the spawned contexts.
-func (s *Sim) Procs() []*Proc { return s.procs }
+// Procs returns the spawned contexts by ID.
+func (s *Sim) Procs() []*Proc { return s.spawned[:s.nextID] }
 
 // Spawn creates an execution context on core that will run fn(args) when
 // first scheduled, starting at virtual time start. The context keeps its
@@ -284,8 +251,7 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 	p.timer = s.Machine.Timer(core)
 	p.mach = s.Machine
 	s.nextID++
-	s.procs = append(s.procs, p)
-	s.noteRunnable(p)
+	s.sched.add(p)
 	if p.trace != nil {
 		p.trace.TraceSpawn(p.ID, p.Core, start)
 	}
@@ -305,11 +271,11 @@ func (s *Sim) Spawn(core int, fn *ast.FuncDecl, args []Value, start sccsim.Time)
 
 // Run executes the session to completion and returns the first runtime
 // error, if any: a plain loop on the calling goroutine steps whichever
-// context the policy elects until everything is done, something
-// deadlocks, or a context fails. The policy sees one Next per yield,
-// block or exit, so a stateful policy (time-shared cores) observes the
-// same transitions whichever kind of Program the session runs. A walked
-// Program's goroutines have all exited when Run returns.
+// context the scheduler elects until everything is done, something
+// deadlocks, or a context fails. The scheduler makes one decision per
+// yield, block or exit, so it observes the same transitions whichever
+// kind of Program the session runs. A walked Program's goroutines have
+// all exited when Run returns.
 func (s *Sim) Run() error {
 	if w := s.Program.walker; w != nil {
 		defer w.Join(s)
@@ -342,11 +308,11 @@ func (s *Sim) Run() error {
 	return fmt.Errorf("interp: deadlock: %s", s.stateSummary())
 }
 
-// pickNext compacts if due and asks the policy for the next context.
-// It is the single choke point every scheduling decision passes
-// through, so it also polls the session's Cancel hook and the machine's
-// access fault: on either it records the error and elects nobody, which
-// ends the stepping loop. An access outside the memory map is at or
+// pickNext asks the scheduler for the next context. It is the single
+// choke point every scheduling decision passes through, so it also
+// polls the session's Cancel hook and the machine's access fault: on
+// either it records the error and elects nobody, which ends the
+// stepping loop. An access outside the memory map is at or
 // above sccsim.SharedBase, where the memory-op cadence yields at once,
 // so a typed access that faults is the last thing its context does; a
 // bulk builtin's fault surfaces at the context's next yield or exit.
@@ -361,47 +327,20 @@ func (s *Sim) pickNext() *Proc {
 		s.fail(err)
 		return nil
 	}
-	if s.done >= compactMin && s.done*2 >= len(s.procs) {
-		s.compact()
+	if linearNext != nil {
+		return linearNext(&s.sched, s.Procs())
 	}
-	return s.Policy.Next(s.procs)
+	return s.sched.next()
 }
 
-// noteRunnable tells a notification-aware policy (the min-clock heap)
-// that p became runnable or changed clock while runnable.
-func (s *Sim) noteRunnable(p *Proc) {
-	if n, ok := s.Policy.(runnableNotifier); ok {
-		n.NoteRunnable(p)
-	}
-}
-
-// compactMin is how many finished contexts the scan list holds before
-// compact may drop them (a variable so tests can disable compaction).
-var compactMin = 64
-
-// compact drops finished contexts from the scheduling scan once they
-// outnumber the live ones, keeping Next() cheap for programs that spawn
-// thousands of short-lived threads. Policies see the scan list only, so
-// none may depend on when this happens.
-func (s *Sim) compact() {
-	live := s.procs[:0]
-	for _, p := range s.procs {
-		if p.State == Done {
-			if p.Clock > s.doneMax {
-				s.doneMax = p.Clock
-			}
-			continue
-		}
-		live = append(live, p)
-	}
-	s.procs = live
-	s.done = 0
-}
+// linearNext, when set, elects in place of the scheduler's index by
+// scanning every context: the test oracle (export_test.go).
+var linearNext func(t *scheduler, procs []*Proc) *Proc
 
 // Makespan returns the latest completion time across contexts.
 func (s *Sim) Makespan() sccsim.Time {
-	end := s.doneMax
-	for _, p := range s.procs {
+	var end sccsim.Time
+	for _, p := range s.Procs() {
 		if p.Clock > end {
 			end = p.Clock
 		}
@@ -413,7 +352,7 @@ func (s *Sim) Makespan() sccsim.Time {
 func (s *Sim) Output() string { return s.Out.String() }
 
 func (s *Sim) allDone() bool {
-	for _, p := range s.procs {
+	for _, p := range s.Procs() {
 		if p.State != Done {
 			return false
 		}
@@ -423,7 +362,7 @@ func (s *Sim) allDone() bool {
 
 func (s *Sim) stateSummary() string {
 	counts := map[ProcState]int{}
-	for _, p := range s.procs {
+	for _, p := range s.Procs() {
 		counts[p.State]++
 	}
 	var keys []int
@@ -485,15 +424,15 @@ func (p *Proc) suspend(next *Proc) error {
 }
 
 // Yield cooperatively gives up the processor while staying runnable.
-// When the policy re-elects the yielding context — the common case under
-// both TimeShare (within a quantum) and min-clock once a context owns
-// the smallest time — control returns without suspending at all: no
-// unwind, no frames.
+// When the scheduler re-elects the yielding context — the common case
+// for a core's occupant within its quantum, and for a context alone on
+// its core once it owns the earliest start — control returns without
+// suspending at all: no unwind, no frames. The yielding context was the
+// last elected, so the scheduler refreshes its core unasked.
 func (p *Proc) Yield() error {
 	p.State = Runnable
 	p.lastYield = p.Clock
 	s := p.Sim
-	s.noteRunnable(p)
 	next := s.pickNext()
 	if next == p {
 		p.State = Running
@@ -529,7 +468,7 @@ func (p *Proc) Unblock(at sccsim.Time) {
 		}
 	}
 	if p.State == Runnable {
-		p.Sim.noteRunnable(p)
+		p.Sim.sched.mark(p.Core)
 	}
 }
 

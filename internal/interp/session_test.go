@@ -2,6 +2,7 @@ package interp
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -26,10 +27,11 @@ int work(int n) {
 }`
 
 // TestReleaseEmptiesSession: whatever state a run leaves behind —
-// contexts cut off mid-loop by a cancellation, heap entries, stack slots,
-// scratch in use, output — Release parks a session in which every
-// context is zero and every table and buffer is empty, its capacity
-// zeroed, so that NewSim starts from nothing but capacity.
+// contexts cut off mid-loop by a cancellation, time-shared cores'
+// scheduling state, stack slots, scratch in use, output — Release parks
+// a session in which every context is zero and every table and buffer
+// is empty, its capacity zeroed, so that NewSim starts from nothing but
+// capacity.
 func TestReleaseEmptiesSession(t *testing.T) {
 	pr, err := Compile("loop.c", sessionLoop)
 	if err != nil {
@@ -37,6 +39,7 @@ func TestReleaseEmptiesSession(t *testing.T) {
 	}
 	m := sccsim.MustNew(sccsim.DefaultConfig())
 	sim := NewSim(m, pr)
+	sim.TimeShare(10_000, 1_500, true)
 	polls := 0
 	sim.Cancel = func() error {
 		if polls++; polls > 200 {
@@ -53,8 +56,14 @@ func TestReleaseEmptiesSession(t *testing.T) {
 	if err := sim.Run(); err == nil {
 		t.Fatal("the run was not cancelled")
 	}
-	if sim.done == 0 || sim.done == len(sim.procs) {
-		t.Fatalf("%d of %d contexts finished; want some cut off", sim.done, len(sim.procs))
+	done := 0
+	for _, p := range sim.Procs() {
+		if p.State == Done {
+			done++
+		}
+	}
+	if done == 0 || done == len(sim.Procs()) || sim.Switches() == 0 {
+		t.Fatalf("%d of %d contexts finished after %d switches; want some cut off", done, len(sim.Procs()), sim.Switches())
 	}
 	k := sim.session
 	spawned := sim.spawned[:sim.nextID]
@@ -71,10 +80,24 @@ func TestReleaseEmptiesSession(t *testing.T) {
 	if len(k.spawned) != 6 {
 		t.Errorf("the session parks %d contexts, want 6", len(k.spawned))
 	}
-	requireEmptyZero(t, "procs", k.procs)
 	requireEmptyZero(t, "heaps", k.heaps)
 	requireEmptyZero(t, "stacks", k.stacks)
-	requireEmptyZero(t, "min-clock heap", k.minClock.h)
+	requireEmptyZero(t, "scheduler heap", k.sched.heap)
+	requireEmptyZero(t, "scheduler refresh list", k.sched.dirty)
+	if len(k.sched.cores) != 0 || cap(k.sched.cores) < 3 {
+		t.Errorf("the scheduler parks %d cores of %d, want none of at least 3", len(k.sched.cores), cap(k.sched.cores))
+	}
+	for i, c := range k.sched.cores[:cap(k.sched.cores)] {
+		requireEmptyZero(t, fmt.Sprintf("core %d's contexts", i), c.procs)
+		if c.procs = nil; !reflect.ValueOf(c).IsZero() {
+			t.Errorf("core %d's scheduling state is not zero", i)
+		}
+	}
+	rest := k.sched
+	rest.cores, rest.heap, rest.dirty = nil, nil, nil
+	if !reflect.ValueOf(rest).IsZero() {
+		t.Errorf("the parked scheduler keeps run state: %+v", rest)
+	}
 	if len(k.freeStacks) != 0 {
 		t.Errorf("freeStacks has %d cores", len(k.freeStacks))
 	}

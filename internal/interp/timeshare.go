@@ -1,32 +1,40 @@
 package interp
 
-import (
-	"slices"
+import "hsmcc/internal/sccsim"
 
-	"hsmcc/internal/sccsim"
-)
-
-// TimeShare time-shares cores: every thread on one core for the Pthread
-// baseline (thesis Chapter 6), several UEs per core for RCCE's
-// many-to-one mode (thesis §7.2). A core's occupant keeps it while its
-// quantum lasts; then the core rotates by context ID to the next
-// runnable context on it, wrapping around. A new occupant starts no
-// earlier than the core is free and is charged the switch cycles and,
-// if asked, an L1 flush. Across cores the candidate with the earliest
-// effective start runs, ties going to the lower ID.
+// scheduler is a session's one scheduling policy: it time-shares cores.
+// The Pthread baseline runs every thread on one core (thesis Chapter
+// 6), RCCE's many-to-one mode several UEs per core (thesis §7.2), and a
+// one-to-one RCCE run one context per core, which is the session's
+// default: no switch cost, no flush. A core's occupant keeps it while
+// its quantum lasts, measured at the core's current period; then the
+// core rotates by context ID to the next runnable context on it,
+// wrapping around. A new occupant starts no earlier than the core is
+// free and is charged the switch cycles and, if asked, an L1 flush.
+// Across cores the candidate with the earliest effective start runs,
+// ties going to the lower ID.
 //
-// A core's free time is folded from the clock of each context elected
-// there, and rotation reads IDs, so when the session compacts its scan
-// list changes nothing. Like the min-clock heap it must see every
-// spawn, so it is installed before the first. Reset configures it.
-type TimeShare struct {
+// It is indexed. A core's candidate depends only on that core: its
+// contexts, its occupant, its free time and its period. Each core lists
+// its contexts in ID order (spawn order) and caches its candidate; a
+// lazy min-heap holds one entry per cached candidate, keyed on
+// (effective start, ID). A core is refreshed at the next decision after
+// one of its contexts is spawned or unblocked, after its period
+// changes, and after it ran the last elected context, which covers
+// every yield, block and exit. Per-core rotation stays a scan of the
+// core's list, which drops finished contexts as it passes them.
+type scheduler struct {
 	quantumCycles, switchCycles int
 	flushL1                     bool
 
-	// cores is each core's state by core; active lists the cores in use.
-	cores  []coreShare
-	active []int
-	// last is the context Next elected last.
+	// cores is each core's state by core.
+	cores []coreShare
+	// heap holds the cached candidates; an entry that no longer matches
+	// its core's is stale and discarded when it reaches the top.
+	heap []entry
+	// dirty lists the cores to refresh at the next decision.
+	dirty []int
+	// last is the context the last decision elected.
 	last     *Proc
 	switches uint64
 }
@@ -38,102 +46,256 @@ type coreShare struct {
 	start sccsim.Time
 	// free is the latest clock of a context elected on the core.
 	free sccsim.Time
-	used bool
-	// next (the first runnable context after occ by ID) and first (the
-	// first runnable one) are one Next call's scan.
-	next, first *Proc
+	// procs is the core's contexts in ID order; finished ones are
+	// dropped by the next rotation scan.
+	procs []*Proc
+	// cand is the cached candidate, to start at eff; nil when the core
+	// has none queued (none runnable, or elected since).
+	cand  *Proc
+	eff   sccsim.Time
+	dirty bool
 }
 
-// Reset empties t for a session with the given quantum and switch cost
-// in core cycles, flushing the L1 on a switch when flushL1 is set. It
-// keeps the tables' capacity, so a runtime parks t with its own tables.
-func (t *TimeShare) Reset(quantumCycles, switchCycles int, flushL1 bool) {
-	clear(t.cores[:cap(t.cores)])
-	clear(t.active[:cap(t.active)])
-	*t = TimeShare{quantumCycles: quantumCycles, switchCycles: switchCycles, flushL1: flushL1,
-		cores: t.cores[:0], active: t.active[:0]}
+// entry is a heap entry: core's candidate id, to start at eff.
+type entry struct {
+	eff      sccsim.Time
+	id, core int32
+}
+
+// TimeShare sets how the session time-shares its cores: a quantum and a
+// switch cost in core cycles, and whether a change of occupant flushes
+// the core's L1. NewSim's default is the one-to-one case, 0, 0, false.
+// Call it before Run.
+func (s *Sim) TimeShare(quantumCycles, switchCycles int, flushL1 bool) {
+	s.sched.quantumCycles, s.sched.switchCycles, s.sched.flushL1 = quantumCycles, switchCycles, flushL1
 }
 
 // Switches reports how many times a core changed occupant, the first
 // occupant of each core included.
-func (t *TimeShare) Switches() uint64 { return t.switches }
+func (s *Sim) Switches() uint64 { return s.sched.switches }
 
-// NoteRunnable implements runnableNotifier: a core's first context puts
-// it in use.
-func (t *TimeShare) NoteRunnable(p *Proc) {
-	if p.Core >= len(t.cores) {
-		t.cores = slices.Grow(t.cores, p.Core+1-len(t.cores))[:p.Core+1]
+// SetDomainMHz changes the clock of a voltage domain's cores, as
+// sccsim.Machine.SetDomainMHz does. A quantum is counted at the core's
+// current period, so the domain's cores are refreshed too.
+func (s *Sim) SetDomainMHz(domain, mhz int) error {
+	if err := s.Machine.SetDomainMHz(domain, mhz); err != nil {
+		return err
 	}
-	if c := &t.cores[p.Core]; !c.used {
-		c.used = true
-		t.active = append(t.active, p.Core)
+	lo := domain * sccsim.VoltageDomainCores
+	for c := lo; c < min(lo+sccsim.VoltageDomainCores, len(s.sched.cores)); c++ {
+		s.sched.mark(c)
+	}
+	return nil
+}
+
+// reset empties t for the next session, keeping every table's capacity:
+// each is empty and zero up to its capacity, and so is each core's list.
+func (t *scheduler) reset() {
+	for i := range t.cores {
+		c := &t.cores[i]
+		clear(c.procs)
+		*c = coreShare{procs: c.procs[:0]}
+	}
+	clear(t.heap[:cap(t.heap)])
+	clear(t.dirty[:cap(t.dirty)])
+	*t = scheduler{cores: t.cores[:0], heap: t.heap[:0], dirty: t.dirty[:0]}
+}
+
+// add lists a spawned context on its core.
+func (t *scheduler) add(p *Proc) {
+	c := &t.cores[p.Core]
+	c.procs = append(c.procs, p)
+	t.mark(p.Core)
+}
+
+// mark queues a core for refresh at the next decision.
+func (t *scheduler) mark(core int) {
+	if c := &t.cores[core]; !c.dirty {
+		c.dirty = true
+		t.dirty = append(t.dirty, core)
 	}
 }
 
 // inQuantum reports whether c's occupant is runnable and inside its
-// quantum at the core's current period.
-func (t *TimeShare) inQuantum(c *coreShare) bool {
+// quantum at the core's current period. Without a quantum it reads
+// neither the occupant nor its core's timer.
+func (t *scheduler) inQuantum(c *coreShare) bool {
 	p := c.occ
-	return p != nil && p.State == Runnable &&
+	return t.quantumCycles > 0 && p != nil && p.State == Runnable &&
 		p.Clock-c.start < sccsim.Time(t.quantumCycles)*p.timer.Period
 }
 
-// Next implements Policy.
-func (t *TimeShare) Next(procs []*Proc) *Proc {
+// next elects the context to run next, or nil when none is runnable,
+// and charges a change of occupant.
+func (t *scheduler) next() *Proc {
 	if l := t.last; l != nil {
 		c := &t.cores[l.Core]
 		c.free = max(c.free, l.Clock)
-		// One core: its occupant inside its quantum runs on, unscanned.
-		if len(t.active) == 1 && t.inQuantum(c) {
+		// An occupant inside its quantum runs on unless another core
+		// is due for a refresh or has a candidate that goes first.
+		if t.inQuantum(c) && t.keeps(l, c.free) {
 			return l
 		}
+		t.refresh(l.Core)
 	}
-	for _, i := range t.active {
-		t.cores[i].next, t.cores[i].first = nil, nil
+	for _, i := range t.dirty {
+		t.refresh(i)
 	}
-	for _, p := range procs { // in ID order
+	t.dirty = t.dirty[:0]
+	p := t.pop()
+	t.last = p
+	if p != nil {
+		t.occupy(p)
+	}
+	return p
+}
+
+// occupy starts the elected p on its core: unless p is the occupant
+// inside its quantum, p starts no earlier than the core is free, and a
+// change of occupant is charged.
+func (t *scheduler) occupy(p *Proc) {
+	c := &t.cores[p.Core]
+	if t.inQuantum(c) {
+		return
+	}
+	p.Clock = max(p.Clock, c.free)
+	if p != c.occ {
+		t.switches++
+		p.Clock += p.mach.ComputeTime(p.Core, t.switchCycles)
+		if t.flushL1 {
+			p.Clock += p.mach.FlushL1(p.Core)
+		}
+		c.occ = p
+	}
+	c.start = p.Clock
+}
+
+// keeps reports whether l, to start at eff, goes before every other
+// core's candidate: no other core is due for a refresh, and the heap's
+// top (a live candidate, or a stale entry) does not go first.
+func (t *scheduler) keeps(l *Proc, eff sccsim.Time) bool {
+	if len(t.dirty) > 1 || len(t.dirty) == 1 && t.dirty[0] != l.Core {
+		return false
+	}
+	return len(t.heap) == 0 || !less(t.heap[0], entry{eff, int32(l.ID), 0})
+}
+
+// refresh caches core i's candidate and queues it when it changed.
+func (t *scheduler) refresh(i int) {
+	c := &t.cores[i]
+	c.dirty = false
+	p := c.occ
+	if !t.inQuantum(c) {
+		p = c.rotate()
+	}
+	if p == nil {
+		c.cand = nil
+		return
+	}
+	if eff := max(p.Clock, c.free); p != c.cand || eff != c.eff {
+		c.cand, c.eff = p, eff
+		t.push(entry{eff, int32(p.ID), int32(i)})
+	}
+}
+
+// rotate returns the core's first runnable context after its occupant by
+// ID, wrapping around, and drops the finished contexts it passes.
+func (c *coreShare) rotate() *Proc {
+	var first, next *Proc
+	live := 0
+	for i, p := range c.procs {
+		if p.State == Done {
+			continue
+		}
+		if live != i {
+			c.procs[live] = p
+		}
+		live++
 		if p.State != Runnable {
 			continue
 		}
-		c := &t.cores[p.Core]
-		if c.first == nil {
-			c.first = p
+		if first == nil {
+			first = p
 		}
-		if c.next == nil && c.occ != nil && p.ID > c.occ.ID {
-			c.next = p
-		}
-	}
-	var best *Proc
-	var bestEff sccsim.Time
-	for _, i := range t.active {
-		c := &t.cores[i]
-		p := c.next
-		if t.inQuantum(c) {
-			p = c.occ
-		} else if p == nil {
-			p = c.first
-		}
-		if p == nil {
-			continue
-		}
-		if eff := max(p.Clock, c.free); best == nil || eff < bestEff || (eff == bestEff && p.ID < best.ID) {
-			best, bestEff = p, eff
+		if next == nil && c.occ != nil && p.ID > c.occ.ID {
+			next = p
 		}
 	}
-	t.last = best
-	if best == nil || t.inQuantum(&t.cores[best.Core]) {
-		return best
+	if live < len(c.procs) {
+		clear(c.procs[live:])
+		c.procs = c.procs[:live]
 	}
-	c := &t.cores[best.Core]
-	best.Clock = bestEff
-	if best != c.occ {
-		t.switches++
-		best.Clock += best.mach.ComputeTime(best.Core, t.switchCycles)
-		if t.flushL1 {
-			best.Clock += best.mach.FlushL1(best.Core)
+	if next != nil {
+		return next
+	}
+	return first
+}
+
+// pop takes the earliest live candidate off the heap, discarding the
+// stale entries above it. A core's cached candidate always has an entry
+// in the heap, so discarding the others loses none.
+func (t *scheduler) pop() *Proc {
+	for len(t.heap) > 0 {
+		e := t.heap[0]
+		t.down()
+		c := &t.cores[e.core]
+		if p := c.cand; p != nil && c.eff == e.eff && int32(p.ID) == e.id {
+			c.cand = nil
+			return p
 		}
-		c.occ = best
 	}
-	c.start = best.Clock
-	return best
+	return nil
+}
+
+// less orders entries by (effective start, ID).
+func less(a, b entry) bool {
+	return a.eff < b.eff || (a.eff == b.eff && a.id < b.id)
+}
+
+// push and down sift with a hole instead of pairwise swaps: the moving
+// entry stays in a register-resident local while displaced entries
+// shift one slot, so each level costs one store rather than three. At
+// 1024 cores the heap is ten levels deep and every decision of a
+// one-to-one run pays one push and at least one pop.
+func (t *scheduler) push(e entry) {
+	t.heap = append(t.heap, e)
+	t.up(len(t.heap)-1, e)
+}
+
+// up sifts e up from the hole at i.
+func (t *scheduler) up(i int, e entry) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(e, t.heap[parent]) {
+			break
+		}
+		t.heap[i] = t.heap[parent]
+		i = parent
+	}
+	t.heap[i] = e
+}
+
+// down removes the top entry. The root hole moves down to a leaf along
+// the smaller children, one comparison per level, and the last entry
+// sifts up from there: it came from the bottom, so it rarely climbs.
+func (t *scheduler) down() {
+	n := len(t.heap) - 1
+	e := t.heap[n]
+	t.heap = t.heap[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		small := 2*i + 1
+		if small >= n {
+			break
+		}
+		if r := small + 1; r < n && less(t.heap[r], t.heap[small]) {
+			small = r
+		}
+		t.heap[i] = t.heap[small]
+		i = small
+	}
+	t.up(i, e)
 }

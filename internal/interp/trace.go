@@ -27,8 +27,8 @@ import "hsmcc/internal/sccsim"
 //
 // The suspend event carries the context's clock at the moment it gave
 // up the processor; the resume event carries its clock when it next got
-// it (which may be later — a policy can charge switch costs inside
-// Next). A recorder reconstructs per-context run slices as
+// it (which may be later — the scheduler charges a change of occupant
+// when it elects). A recorder reconstructs per-context run slices as
 // [resume clock, suspend clock] and blocked intervals as
 // [suspend clock, unblock clock].
 

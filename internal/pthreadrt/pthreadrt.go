@@ -3,7 +3,7 @@
 // program shares ONE core of the SCC ("multithreaded applications do run
 // on the SCC, however they can only take advantage of a single core",
 // thesis Chapter 6). Threads time-share the core round-robin with a
-// fixed quantum (interp.TimeShare); each context switch costs scheduler
+// fixed quantum (Sim.TimeShare); each context switch costs scheduler
 // cycles and flushes the L1 (TLB/cache pollution), which is what makes
 // the paper's 32-thread single-core baseline substantially slower than a
 // single thread doing the same work.
@@ -59,8 +59,6 @@ func DefaultOptions() Options {
 type Runtime struct {
 	sim  *interp.Sim
 	opts Options
-	// pol time-shares the core among the threads.
-	pol interp.TimeShare
 	// byTID resolves a thread ID to its context. IDs are dense: main is
 	// 0 and every pthread_create takes the next one.
 	byTID []*interp.Proc
@@ -80,8 +78,8 @@ type mutexState struct {
 // parked holds the tables of finished runs for the next New.
 var parked park.Lot[*Runtime]
 
-// New attaches a baseline runtime (and its time-sharing policy) to sim.
-// Its tables come from a finished run's when one is parked.
+// New attaches a baseline runtime to sim and sets how sim time-shares
+// the core. Its tables come from a finished run's when one is parked.
 func New(sim *interp.Sim, opts Options) *Runtime {
 	rt, _ := parked.Take()
 	if rt == nil {
@@ -90,15 +88,13 @@ func New(sim *interp.Sim, opts Options) *Runtime {
 	*rt = Runtime{
 		sim:     sim,
 		opts:    opts,
-		pol:     rt.pol,
 		byTID:   rt.byTID,
 		tidOf:   rt.tidOf,
 		joiners: rt.joiners,
 		mutexes: rt.mutexes,
 	}
-	rt.pol.Reset(opts.QuantumCycles, opts.SwitchCycles, opts.FlushOnSwitch)
+	sim.TimeShare(opts.QuantumCycles, opts.SwitchCycles, opts.FlushOnSwitch)
 	sim.Runtime = rt
-	sim.Policy = &rt.pol
 	return rt
 }
 
@@ -112,9 +108,7 @@ func (rt *Runtime) release() {
 		rt.joiners[i] = rt.joiners[i][:0]
 	}
 	clear(rt.mutexes)
-	rt.pol.Reset(0, 0, false)
 	*rt = Runtime{
-		pol:     rt.pol,
 		byTID:   rt.byTID[:0],
 		tidOf:   rt.tidOf[:0],
 		joiners: rt.joiners[:0],
@@ -370,7 +364,7 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	return &Result{
 		Makespan: sim.Makespan(),
 		Output:   sim.Output(),
-		Switches: rt.pol.Switches(),
+		Switches: sim.Switches(),
 		Stats:    m.TotalStats(),
 	}, nil
 }

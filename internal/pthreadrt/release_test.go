@@ -12,8 +12,7 @@ import (
 // TestReleaseEmptiesTables: a run that deadlocks with a joiner, a mutex
 // waiter and unfinished threads leaves tables that Run's release
 // empties: every table is empty and zero up to its capacity, each
-// thread's joiner list and the policy's per-core tables too, and every
-// other field is zero.
+// thread's joiner list too, and every other field is zero.
 func TestReleaseEmptiesTables(t *testing.T) {
 	pr, err := interp.Compile("dl.c", `
 pthread_mutex_t mu;
@@ -55,43 +54,11 @@ int main() {
 			t.Errorf("thread %d's joiner list holds %d contexts or stale ones past its length", tid, len(js))
 		}
 	}
-	checkParkedPolicy(t, &rt.pol)
 	rest := *rt
 	rest.byTID, rest.tidOf, rest.joiners, rest.mutexes = nil, nil, nil, nil
-	rest.pol = interp.TimeShare{}
 	if !reflect.ValueOf(rest).IsZero() {
 		t.Errorf("parked runtime keeps run state: %+v", rest)
 	}
-}
-
-// checkParkedPolicy checks a parked policy as the runtime's own tables
-// are checked: each of its tables is empty, kept its capacity and is
-// zero up to it, and every other field is zero.
-func checkParkedPolicy(t *testing.T, pol *interp.TimeShare) {
-	t.Helper()
-	v := reflect.ValueOf(pol).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), v.Type().Field(i).Name
-		switch {
-		case f.Kind() != reflect.Slice:
-			if !f.IsZero() {
-				t.Errorf("parked policy keeps %s", name)
-			}
-		case f.Len() != 0 || f.Cap() == 0:
-			t.Errorf("parked policy's %s holds %d entries and kept capacity %d", name, f.Len(), f.Cap())
-		case !allZero(f.Slice(0, f.Cap())):
-			t.Errorf("parked policy's %s is not zero past its length", name)
-		}
-	}
-}
-
-func allZero(v reflect.Value) bool {
-	for i := 0; i < v.Len(); i++ {
-		if !v.Index(i).IsZero() {
-			return false
-		}
-	}
-	return true
 }
 
 func allNil(ps []*interp.Proc) bool {

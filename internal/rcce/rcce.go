@@ -137,8 +137,6 @@ type Runtime struct {
 	barrier barrier
 	// sendrecv tracks two-sided messaging (sendrecv.go).
 	sendrecv *sendState
-	// pol time-shares the cores UEs share (many-to-one mode).
-	pol interp.TimeShare
 }
 
 // Many-to-one mode (thesis §7.2, after Cichowski et al. [6], who run
@@ -149,9 +147,9 @@ const quantumCycles, switchCycles = 10_000, 1_500
 // parked holds the tables of finished runs for the next New.
 var parked park.Lot[*Runtime]
 
-// New attaches an RCCE runtime to sim. Scheduling uses the session's
-// default min-clock policy, or time-shared cores when UEs share them. Its
-// tables come from a finished run's when one is parked.
+// New attaches an RCCE runtime to sim. Scheduling keeps the session's
+// one-to-one default unless UEs share cores. Its tables come from a
+// finished run's when one is parked.
 func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 	rt, _ := parked.Take()
 	if rt == nil {
@@ -205,8 +203,7 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 	}
 	if shared {
 		// UEs sharing a core are serialised in virtual time.
-		rt.pol.Reset(quantumCycles, switchCycles, true)
-		sim.Policy = &rt.pol
+		sim.TimeShare(quantumCycles, switchCycles, true)
 	}
 	rt.shared.cursor = sccsim.SharedBase
 	rt.mpb.cursor = sccsim.MPBBase
@@ -221,7 +218,6 @@ func (rt *Runtime) release() {
 	clear(rt.seen)
 	clear(rt.rankByCore)
 	clear(rt.barrier.waiting)
-	rt.pol.Reset(0, 0, false)
 	*rt = Runtime{
 		uesBuf:     rt.uesBuf[:0],
 		rankByProc: rt.rankByProc[:0],
@@ -230,7 +226,6 @@ func (rt *Runtime) release() {
 		shared:     allocator{allocs: rt.shared.allocs[:0], seq: rt.shared.seq[:0]},
 		mpb:        allocator{allocs: rt.mpb.allocs[:0], seq: rt.mpb.seq[:0]},
 		barrier:    barrier{waiting: rt.barrier.waiting[:0]},
-		pol:        rt.pol,
 	}
 	parked.Put(rt)
 }
@@ -442,7 +437,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 			}
 		}
 		dom := rt.sim.Machine.DomainOf(p.Core)
-		if err := rt.sim.Machine.SetDomainMHz(dom, int(args[0].Int())); err != nil {
+		if err := rt.sim.SetDomainMHz(dom, int(args[0].Int())); err != nil {
 			return interp.IntValue(types.IntType, -1), true, nil
 		}
 		return zero, true, nil

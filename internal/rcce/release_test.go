@@ -13,7 +13,7 @@ import (
 // symmetric allocations leaves tables that Run's release empties: every
 // table is empty and zero up to its capacity, and every other field is
 // zero. The run is made once with a UE per core and once with UEs
-// sharing cores, whose time-sharing policy parks with the runtime.
+// sharing cores.
 func TestReleaseEmptiesTables(t *testing.T) {
 	pr, err := interp.Compile("dl.c", `
 int RCCE_APP(int *argc, char **argv) {
@@ -41,14 +41,13 @@ int RCCE_APP(int *argc, char **argv) {
 		if !ok {
 			t.Fatal("Run parked no tables")
 		}
-		checkParked(t, rt, opts.AllowOversubscribe)
+		checkParked(t, rt)
 		parked.Put(rt)
 	}
 }
 
-// checkParked checks the tables of a parked runtime; withPolicy says the
-// run time-shared cores, so its policy holds tables of its own.
-func checkParked(t *testing.T, rt *Runtime, withPolicy bool) {
+// checkParked checks the tables of a parked runtime.
+func checkParked(t *testing.T, rt *Runtime) {
 	t.Helper()
 	tables := map[string]any{
 		"uesBuf":          rt.uesBuf,
@@ -76,27 +75,10 @@ func checkParked(t *testing.T, rt *Runtime, withPolicy bool) {
 			}
 		}
 	}
-	// The policy's tables: empty, zero up to their capacity, and kept
-	// when the run used them.
-	pol := reflect.ValueOf(&rt.pol).Elem()
-	for i := 0; i < pol.NumField(); i++ {
-		f, name := pol.Field(i), pol.Type().Field(i).Name
-		switch {
-		case f.Kind() != reflect.Slice:
-			if !f.IsZero() {
-				t.Errorf("parked policy keeps %s", name)
-			}
-		case f.Len() != 0 || (f.Cap() == 0) == withPolicy:
-			t.Errorf("parked policy's %s holds %d entries and kept capacity %d", name, f.Len(), f.Cap())
-		case !allZero(f.Slice(0, f.Cap())):
-			t.Errorf("parked policy's %s is not zero past its length", name)
-		}
-	}
 	rest := *rt
 	rest.uesBuf, rest.rankByProc, rest.rankByCore, rest.seen = nil, nil, nil, nil
 	rest.shared.allocs, rest.shared.seq, rest.mpb.allocs, rest.mpb.seq = nil, nil, nil, nil
 	rest.barrier.waiting = nil
-	rest.pol = interp.TimeShare{}
 	if !reflect.ValueOf(rest).IsZero() {
 		t.Errorf("parked runtime keeps run state: %+v", rest)
 	}
