@@ -79,10 +79,11 @@ func commonBuiltinID(name string) builtinID {
 // program, by name: the runtime's builtins first, then the common libc
 // subset. handled=false means neither knows the name. A compiled call
 // site resolves the same dispatch once (compileCall); the tree-walk
-// reference calls this on every call.
+// reference calls this on every call, and its contexts never re-enter a
+// builtin, so the runtime always starts at step 0 with no state.
 func (p *Proc) CallBuiltin(name string, args []Value) (v Value, handled bool, err error) {
 	if rt := p.Sim.Runtime; rt != nil {
-		if v, handled, err = rt.CallBuiltin(p, name, args); err != nil || handled {
+		if v, handled, err = rt.CallBuiltin(p, name, args, 0, 0); err != nil || handled {
 			return v, handled, err
 		}
 	}
@@ -94,7 +95,8 @@ func (p *Proc) CallBuiltin(name string, args []Value) (v Value, handled bool, er
 // not repeat (output formatting, heap allocation, machine accesses)
 // happen before the single trailing charge, and a frame carries whatever
 // the post-charge epilogue needs (the formatted text, the allocated
-// address, the computed result).
+// address, the computed result). A builtin whose result is known before
+// the charge returns it with the charge's outcome; a yield discards it.
 func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error) {
 	if int(id) < len(builtinArity) && len(args) < builtinArity[id] {
 		return Value{}, true, fmt.Errorf("builtin called with %d arguments, wants %d", len(args), builtinArity[id])
@@ -105,23 +107,22 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	}
 	switch id {
 	case bPrintf:
-		var out string
+		out, _ := fr.x.(string)
 		if fr.step == 0 {
 			if len(args) == 0 {
 				return Value{}, true, fmt.Errorf("printf without format")
 			}
-			format := p.ReadCString(args[0].Addr())
 			var err error
-			out, err = p.formatC(format, args[1:])
-			if err != nil {
+			if out, err = p.formatC(p.ReadCString(args[0].Addr()), args[1:]); err != nil {
 				return Value{}, true, err
 			}
-			if err := p.chargeCycles(CostCall + len(out)); err != nil { // I/O cost proportional to text
+			// I/O cost proportional to text. Not chargeStep: its frame
+			// argument would box the text on every call, not only on a
+			// yield.
+			if err := p.chargeCycles(CostCall + len(out)); err != nil {
 				p.pushK(kframe{step: 1, x: out})
 				return Value{}, true, err
 			}
-		} else {
-			out = fr.x.(string)
 		}
 		p.Sim.Out.WriteString(out)
 		return IntValue(types.IntType, int64(len(out))), true, nil
@@ -133,12 +134,8 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			if addr, err = p.heapAlloc("malloc", args[0].Int(), 1); err != nil {
 				return Value{}, true, err
 			}
-			if err := p.chargeCycles(CostCall * 4); err != nil {
-				p.pushK(kframe{step: 1, a: addr})
-				return Value{}, true, err
-			}
 		}
-		return PtrValue(voidPtrType, addr), true, nil
+		return PtrValue(voidPtrType, addr), true, p.chargeStep(fr.step, CostCall*4, kframe{a: addr})
 
 	case bCalloc:
 		addr := fr.a
@@ -147,27 +144,19 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			if addr, err = p.heapAlloc("calloc", args[0].Int(), args[1].Int()); err != nil {
 				return Value{}, true, err
 			}
-			// PageMem zero-fills fresh pages; the bump allocator never
-			// reuses, so the region is already zero.
-			if err := p.chargeCycles(CostCall*4 + int(args[0].Int()*args[1].Int())/8); err != nil {
-				p.pushK(kframe{step: 1, a: addr})
-				return Value{}, true, err
-			}
 		}
-		return PtrValue(voidPtrType, addr), true, nil
+		// PageMem zero-fills fresh pages; the bump allocator never
+		// reuses, so the region is already zero.
+		n := CostCall*4 + int(args[0].Int()*args[1].Int())/8
+		return PtrValue(voidPtrType, addr), true, p.chargeStep(fr.step, n, kframe{a: addr})
 
 	case bFree:
-		if fr.step == 0 {
-			if err := p.chargeCycles(CostCall); err != nil {
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
-		}
-		return Value{T: types.VoidType}, true, nil
+		return Value{T: types.VoidType}, true, p.chargeStep(fr.step, CostCall, kframe{})
 
 	case bMemset:
+		n := int(args[2].Int())
 		if fr.step == 0 {
-			addr, val, n := args[0].Addr(), byte(args[1].Int()), int(args[2].Int())
+			addr, val := args[0].Addr(), byte(args[1].Int())
 			if err := p.CheckSpan("memset", addr, args[2].Int()); err != nil {
 				return Value{}, true, err
 			}
@@ -182,16 +171,13 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 			if p.prof != nil {
 				p.prof.NoteAccess(p.Core, addr, true)
 			}
-			if err := p.chargeCycles(n / 4); err != nil {
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
 		}
-		return args[0], true, nil
+		return args[0], true, p.chargeStep(fr.step, n/4, kframe{})
 
 	case bMemcpy:
+		n := int(args[2].Int())
 		if fr.step == 0 {
-			dst, src, n := args[0].Addr(), args[1].Addr(), int(args[2].Int())
+			dst, src := args[0].Addr(), args[1].Addr()
 			for _, a := range []uint32{src, dst} {
 				if err := p.CheckSpan("memcpy", a, args[2].Int()); err != nil {
 					return Value{}, true, err
@@ -204,53 +190,30 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 				p.prof.NoteAccess(p.Core, src, false)
 				p.prof.NoteAccess(p.Core, dst, true)
 			}
-			if err := p.chargeCycles(n / 4); err != nil {
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
 		}
-		return args[0], true, nil
+		return args[0], true, p.chargeStep(fr.step, n/4, kframe{})
 
 	case bExit:
 		return Value{}, true, errThreadExit
 
 	case bAtoi:
-		v := fr.n
+		v, cost := fr.n, 0
 		if fr.step == 0 {
 			s := p.ReadCString(args[0].Addr())
 			iv, _ := strconv.Atoi(strings.TrimSpace(s))
-			v = int64(iv)
-			if err := p.chargeCycles(CostCall + 4*len(s)); err != nil {
-				p.pushK(kframe{step: 1, n: v})
-				return Value{}, true, err
-			}
+			v, cost = int64(iv), CostCall+4*len(s)
 		}
-		return IntValue(types.IntType, v), true, nil
+		return IntValue(types.IntType, v), true, p.chargeStep(fr.step, cost, kframe{n: v})
 
-	case bSqrt:
-		if fr.step == 0 {
-			if err := p.chargeCycles(70); err != nil { // P54C FSQRT
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
-		}
-		return FloatValue(types.DoubleType, math.Sqrt(args[0].Float())), true, nil
+	case bSqrt: // P54C FSQRT
+		return FloatValue(types.DoubleType, math.Sqrt(args[0].Float())), true, p.chargeStep(fr.step, 70, kframe{})
 
 	case bFabs:
-		if fr.step == 0 {
-			if err := p.chargeCycles(CostFAdd); err != nil {
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
-		}
-		return FloatValue(types.DoubleType, math.Abs(args[0].Float())), true, nil
+		return FloatValue(types.DoubleType, math.Abs(args[0].Float())), true, p.chargeStep(fr.step, CostFAdd, kframe{})
 
 	case bWallclock:
-		if fr.step == 0 {
-			if err := p.chargeCycles(CostCall); err != nil {
-				p.pushK(kframe{step: 1})
-				return Value{}, true, err
-			}
+		if err := p.chargeStep(fr.step, CostCall, kframe{}); err != nil {
+			return Value{}, true, err
 		}
 		return FloatValue(types.DoubleType, p.Seconds()), true, nil
 	}

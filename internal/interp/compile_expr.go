@@ -909,17 +909,21 @@ func (c *compiler) compileCall(n *ast.CallExpr) evalFn {
 	cid := commonBuiltinID(name)
 	unknownErr := fmt.Errorf("%s: call of unknown function %s", n.Pos(), name)
 	// builtinTail dispatches runtime-then-common builtins, resumable at
-	// either: step 0 re-enters the runtime builtin, step 1 skips the
-	// runtime (it declined without side effects) and re-enters the
-	// common builtin.
+	// either: step 0 re-enters the runtime builtin with the step and
+	// state of the frame it saved, step 1 skips the runtime (it
+	// declined without side effects) and re-enters the common builtin.
 	builtinTail := func(p *Proc, argv []Value) (Value, error) {
-		step := 0
+		step, rstep, rstate := 0, 0, int64(0)
 		if p.coResuming {
 			step = p.popKRef().step
+			if step == 0 && p.coResuming {
+				fr := p.popKRef()
+				rstep, rstate = fr.step, fr.n
+			}
 		}
 		if step <= 0 {
 			if rt := p.Sim.Runtime; rt != nil {
-				v, handled, err := rt.CallBuiltin(p, name, argv)
+				v, handled, err := rt.CallBuiltin(p, name, argv, rstep, rstate)
 				if err != nil {
 					if isYield(err) {
 						p.pushK(kframe{step: 0})

@@ -168,21 +168,32 @@ func (p *Proc) popKRef() *kframe {
 	return fr
 }
 
-// Resuming reports whether the context is re-descending to a suspension
-// point. Runtime packages check it at the top of a builtin and pop
-// their frame with PopResume.
-func (p *Proc) Resuming() bool { return p.coResuming }
-
 // PushResume saves a runtime builtin's continuation before it
-// propagates a yield: step selects where to re-enter, x carries any
-// state the re-entry needs.
-func (p *Proc) PushResume(step int, x any) { p.pushK(kframe{step: step, x: x}) }
+// propagates a yield: step selects where to re-enter, state carries
+// what the re-entry needs (an address, a backoff). The interpreter pops
+// the frame and passes both to Runtime.CallBuiltin when the context is
+// re-entered.
+func (p *Proc) PushResume(step int, state int64) { p.pushK(kframe{step: step, n: state}) }
 
-// PopResume pops the frame pushed by PushResume. Call only when
-// Resuming reports true.
-func (p *Proc) PopResume() (int, any) {
-	fr := p.popK()
-	return fr.step, fr.x
+// ChargeStep is a runtime builtin's step-0 charge: at step 0 it charges
+// n cycles and, when the charge yields, saves step 1 with state; at any
+// later step the charge is done and it does nothing.
+func (p *Proc) ChargeStep(step, n int, state int64) error {
+	return p.chargeStep(step, n, kframe{n: state})
+}
+
+// chargeStep is ChargeStep for the common builtins, whose frame may
+// carry any kframe payload.
+func (p *Proc) chargeStep(step, n int, fr kframe) error {
+	if step != 0 {
+		return nil
+	}
+	err := p.chargeCycles(n)
+	if err != nil {
+		fr.step = 1
+		p.pushK(fr)
+	}
+	return err
 }
 
 // procScratch bundles every growable per-context buffer of the compiled

@@ -165,16 +165,15 @@ func TestDeadlockDetected(t *testing.T) {
 // it.
 type blockForever struct{}
 
-func (blockForever) CallBuiltin(p *Proc, name string, args []Value) (Value, bool, error) {
+func (blockForever) CallBuiltin(p *Proc, name string, args []Value, step int, _ int64) (Value, bool, error) {
 	if name != "park" {
 		return Value{}, false, nil
 	}
-	if p.Resuming() {
-		p.PopResume()
+	if step > 0 {
 		return Value{}, true, nil
 	}
 	if err := p.Block(); err != nil {
-		p.PushResume(1, nil)
+		p.PushResume(1, 0)
 		return Value{}, true, err
 	}
 	return Value{}, true, nil

@@ -22,17 +22,26 @@ const (
 	Done
 )
 
-// Runtime supplies the environment-specific builtins (pthread or RCCE)
-// and scheduling hooks.
+// Runtime supplies the environment-specific builtins (pthread or RCCE).
+//
+// The builtin protocol: a builtin commits to handling its call before
+// anything can yield, and before it propagates a yield from a
+// yield-capable primitive (ChargeCycles, Block, Yield, the typed
+// accessors) it saves its continuation with PushResume. When the
+// context is re-entered the interpreter pops that frame and passes its
+// step and state to CallBuiltin; a first entry, and every call of a
+// walked context, passes (0, 0). Side effects that must not repeat
+// sit strictly before the suspension that follows them. ChargeStep is
+// the common first step: a charge whose yield saves step 1.
+//
+// A context's ID is its thread ID (pthread_self) and its rank
+// (RCCE_ue): a session numbers contexts densely from 0 in spawn order
+// and never reuses an ID, and both runtimes spawn in that order.
 type Runtime interface {
-	// CallBuiltin dispatches a runtime function; handled=false passes the
-	// call to the interpreter's common builtins. A builtin that calls a
-	// yield-capable primitive (ChargeCycles, Block, Yield, the typed
-	// accessors) must follow the coroutine resumption protocol: push a
-	// continuation with PushResume before propagating a yield, pop it
-	// with PopResume when re-entered with Resuming true, and never
-	// yield before committing to handle the call.
-	CallBuiltin(p *Proc, name string, args []Value) (v Value, handled bool, err error)
+	// CallBuiltin dispatches a runtime function at the given step;
+	// handled=false passes the call to the interpreter's common
+	// builtins.
+	CallBuiltin(p *Proc, name string, args []Value, step int, state int64) (v Value, handled bool, err error)
 	// OnExit runs when a context finishes (wakes joiners, etc.).
 	OnExit(p *Proc)
 }

@@ -60,7 +60,7 @@ int main() {
 		t.Fatal("program should compile fully")
 	}
 	sim := interp.NewSim(sccsim.MustNew(mcfg), pr)
-	rt := New(sim, DefaultOptions())
+	newBaseline(sim, DefaultOptions())
 	var samples, peak int
 	sim.Cancel = func() error {
 		peak = max(peak, runtime.NumGoroutine())
@@ -68,11 +68,9 @@ int main() {
 		return nil
 	}
 
-	root, err := sim.Spawn(0, pr.Funcs["main"], nil, 0)
-	if err != nil {
+	if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	rt.bind(root)
 
 	before := runtime.NumGoroutine()
 	if err := sim.Run(); err != nil {

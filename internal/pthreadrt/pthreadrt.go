@@ -11,6 +11,7 @@ package pthreadrt
 
 import (
 	"fmt"
+	"slices"
 
 	"hsmcc/internal/cc/types"
 	"hsmcc/internal/interp"
@@ -55,16 +56,12 @@ func DefaultOptions() Options {
 	}}
 }
 
-// Runtime implements interp.Runtime for the single-core Pthread baseline.
-type Runtime struct {
+// baseline implements interp.Runtime for the single-core Pthread
+// baseline. A thread's ID is its context's Proc.ID: main is spawned
+// first and every pthread_create spawns the next context.
+type baseline struct {
 	sim  *interp.Sim
 	opts Options
-	// byTID resolves a thread ID to its context. IDs are dense: main is
-	// 0 and every pthread_create takes the next one.
-	byTID []*interp.Proc
-	// tidOf is each context's thread ID by Proc.ID (dense within the
-	// session), -1 for a context that is not one of the runtime's threads.
-	tidOf []int64
 	// joiners are the contexts waiting in pthread_join, by thread ID.
 	joiners [][]*interp.Proc
 	mutexes map[uint32]*mutexState
@@ -75,176 +72,117 @@ type mutexState struct {
 	waiters []*interp.Proc
 }
 
-// parked holds the tables of finished runs for the next New.
-var parked park.Lot[*Runtime]
+// parked holds the tables of finished runs for the next newBaseline.
+var parked park.Lot[*baseline]
 
-// New attaches a baseline runtime to sim and sets how sim time-shares
-// the core. Its tables come from a finished run's when one is parked.
-func New(sim *interp.Sim, opts Options) *Runtime {
+// newBaseline attaches a baseline runtime to sim and sets how sim
+// time-shares the core. Its tables come from a finished run's when one
+// is parked.
+func newBaseline(sim *interp.Sim, opts Options) *baseline {
 	rt, _ := parked.Take()
 	if rt == nil {
-		rt = &Runtime{mutexes: make(map[uint32]*mutexState)}
+		rt = &baseline{mutexes: make(map[uint32]*mutexState)}
 	}
-	*rt = Runtime{
-		sim:     sim,
-		opts:    opts,
-		byTID:   rt.byTID,
-		tidOf:   rt.tidOf,
-		joiners: rt.joiners,
-		mutexes: rt.mutexes,
-	}
+	*rt = baseline{sim: sim, opts: opts, joiners: rt.joiners, mutexes: rt.mutexes}
 	sim.TimeShare(opts.QuantumCycles, opts.SwitchCycles, opts.FlushOnSwitch)
 	sim.Runtime = rt
 	return rt
 }
 
-// release empties rt's tables and parks them for the next New; Run calls
-// it once its Result is built. The emptied tables keep their capacity,
-// and each thread's joiner list its own.
-func (rt *Runtime) release() {
-	clear(rt.byTID)
+// release empties rt's tables and parks them for the next newBaseline;
+// Run calls it once its Result is built. The emptied tables keep their
+// capacity, and each thread's joiner list its own.
+func (rt *baseline) release() {
 	for i := range rt.joiners {
 		clear(rt.joiners[i])
 		rt.joiners[i] = rt.joiners[i][:0]
 	}
 	clear(rt.mutexes)
-	*rt = Runtime{
-		byTID:   rt.byTID[:0],
-		tidOf:   rt.tidOf[:0],
-		joiners: rt.joiners[:0],
-		mutexes: rt.mutexes,
-	}
+	*rt = baseline{joiners: rt.joiners[:0], mutexes: rt.mutexes}
 	parked.Put(rt)
-}
-
-// bind makes p the next thread and returns its thread ID.
-func (rt *Runtime) bind(p *interp.Proc) int64 {
-	tid := int64(len(rt.byTID))
-	rt.byTID = append(rt.byTID, p)
-	if n := len(rt.joiners); n < cap(rt.joiners) {
-		rt.joiners = rt.joiners[:n+1] // keeps the parked list there
-	} else {
-		rt.joiners = append(rt.joiners, nil)
-	}
-	for len(rt.tidOf) <= p.ID {
-		rt.tidOf = append(rt.tidOf, -1)
-	}
-	rt.tidOf[p.ID] = tid
-	return tid
-}
-
-// tid returns p's thread ID, or false when p is not one of the
-// runtime's threads.
-func (rt *Runtime) tid(p *interp.Proc) (int64, bool) {
-	if p.ID < len(rt.tidOf) && rt.tidOf[p.ID] >= 0 {
-		return rt.tidOf[p.ID], true
-	}
-	return 0, false
 }
 
 // thread returns the context of thread ID tid, or nil when there is
 // none.
-func (rt *Runtime) thread(tid int64) *interp.Proc {
-	if tid < 0 || tid >= int64(len(rt.byTID)) {
+func (rt *baseline) thread(tid int64) *interp.Proc {
+	procs := rt.sim.Procs()
+	if tid < 0 || tid >= int64(len(procs)) {
 		return nil
 	}
-	return rt.byTID[tid]
+	return procs[tid]
 }
 
 // OnExit wakes joiners of a finished thread.
-func (rt *Runtime) OnExit(p *interp.Proc) {
-	tid, ok := rt.tid(p)
-	if !ok {
+func (rt *baseline) OnExit(p *interp.Proc) {
+	if p.ID >= len(rt.joiners) {
 		return
 	}
-	js := rt.joiners[tid]
+	js := rt.joiners[p.ID]
 	for _, j := range js {
 		j.Unblock(p.Clock)
 	}
 	clear(js)
-	rt.joiners[tid] = js[:0]
+	rt.joiners[p.ID] = js[:0]
 }
 
 // pthreadT is the type pthread_create stores a thread ID as, built once
 // rather than per call.
 var pthreadT = types.OpaqueOf("pthread_t")
 
-// CallBuiltin implements the Pthread API subset of thesis Algorithms 4-8.
-//
-// Every builtin follows the coroutine resumption protocol: a yield from
-// ChargeCycles/StoreTyped/Block propagates with a PushResume frame whose
-// step marks the continuation, and re-entry (Resuming true) pops the
-// frame and skips everything already done. Side effects that must not
-// repeat (Spawn, TID bookkeeping, waiter registration) sit strictly
-// before the suspension that follows them. No builtin yields before
-// committing to handle its call, so an unhandled name never touches the
-// frame stack.
-func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value) (interp.Value, bool, error) {
+// CallBuiltin implements the Pthread API subset of thesis Algorithms 4-8
+// under the builtin protocol of interp.Runtime. Side effects that must
+// not repeat (Spawn, waiter registration) sit strictly before the
+// suspension that follows them.
+func (rt *baseline) CallBuiltin(p *interp.Proc, name string, args []interp.Value, step int, _ int64) (interp.Value, bool, error) {
 	zero := interp.IntValue(types.IntType, 0)
-	step := 0
-	if p.Resuming() {
-		step, _ = p.PopResume()
-	}
 	switch name {
 	case "pthread_create":
-		// Steps: 0 charge; 1 spawn + bookkeeping + tid store; 2 done.
-		if step == 0 {
-			if len(args) < 4 {
-				return zero, true, fmt.Errorf("pthread_create: want 4 arguments, got %d", len(args))
-			}
-			if rt.sim.Program.FuncByValue(args[2]) == nil {
-				return zero, true, fmt.Errorf("pthread_create: third argument is not a function")
-			}
-			if err := p.ChargeCycles(rt.opts.CreateCycles); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		// Steps: 0 charge; 1 spawn + thread ID store; 2 done.
+		if len(args) < 4 {
+			return zero, true, fmt.Errorf("pthread_create: want 4 arguments, got %d", len(args))
 		}
-		if step <= 1 {
-			fn := rt.sim.Program.FuncByValue(args[2])
-			arg := [1]interp.Value{args[3]} // Spawn copies it
-			child, err := rt.sim.Spawn(rt.opts.Core, fn, arg[:], p.Clock)
-			if err != nil {
-				return zero, true, err
+		fn := rt.sim.Program.FuncByValue(args[2])
+		if fn == nil {
+			return zero, true, fmt.Errorf("pthread_create: third argument is not a function")
+		}
+		if err := p.ChargeStep(step, rt.opts.CreateCycles, 0); err != nil || step > 1 {
+			return zero, true, err
+		}
+		arg := [1]interp.Value{args[3]} // Spawn copies it
+		child, err := rt.sim.Spawn(rt.opts.Core, fn, arg[:], p.Clock)
+		if err != nil {
+			return zero, true, err
+		}
+		if addr := args[0].Addr(); addr != 0 {
+			err := p.StoreTyped(addr, pthreadT, interp.IntValue(types.IntType, int64(child.ID)))
+			if interp.IsYield(err) {
+				p.PushResume(2, 0)
 			}
-			tid := rt.bind(child)
-			if addr := args[0].Addr(); addr != 0 {
-				if err := p.StoreTyped(addr, pthreadT, interp.IntValue(types.IntType, tid)); err != nil {
-					if interp.IsYield(err) {
-						p.PushResume(2, nil)
-					}
-					return zero, true, err
-				}
-			}
+			return zero, true, err
 		}
 		return zero, true, nil
 
 	case "pthread_join":
 		// Steps: 0 charge; 1 join test + block; 2 woken after the child
 		// exited (the unblocker only wakes joiners from OnExit).
-		if step == 0 {
-			if len(args) < 1 {
-				return zero, true, fmt.Errorf("pthread_join: missing thread ID")
-			}
-			tid := args[0].Int()
-			if rt.thread(tid) == nil {
-				return zero, true, fmt.Errorf("pthread_join: unknown thread %d", tid)
-			}
-			if err := p.ChargeCycles(200); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if len(args) < 1 {
+			return zero, true, fmt.Errorf("pthread_join: missing thread ID")
 		}
-		if step <= 1 {
-			tid := args[0].Int()
-			child := rt.thread(tid)
-			if child.State != interp.Done {
-				rt.joiners[tid] = append(rt.joiners[tid], p)
-				if err := p.BlockFor(interp.ReasonJoin); err != nil {
-					p.PushResume(2, nil)
-					return zero, true, err
-				}
-			}
+		tid := args[0].Int()
+		child := rt.thread(tid)
+		if child == nil {
+			return zero, true, fmt.Errorf("pthread_join: unknown thread %d", tid)
+		}
+		if err := p.ChargeStep(step, 200, 0); err != nil || step > 1 || child.State == interp.Done {
+			return zero, true, err
+		}
+		if n := int(tid) + 1; len(rt.joiners) < n {
+			rt.joiners = slices.Grow(rt.joiners, n-len(rt.joiners))[:n] // keeps parked lists there
+		}
+		rt.joiners[tid] = append(rt.joiners[tid], p)
+		if err := p.BlockFor(interp.ReasonJoin); err != nil {
+			p.PushResume(2, 0)
+			return zero, true, err
 		}
 		return zero, true, nil
 
@@ -252,24 +190,11 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		return zero, true, interp.ThreadExitError()
 
 	case "pthread_self":
-		if step == 0 {
-			if err := p.ChargeCycles(10); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		tid, _ := rt.tid(p)
-		return interp.IntValue(types.IntType, tid), true, nil
+		return interp.IntValue(types.IntType, int64(p.ID)), true, p.ChargeStep(step, 10, 0)
 
 	case "pthread_mutex_init", "pthread_mutex_destroy",
 		"pthread_attr_init", "pthread_attr_destroy", "pthread_attr_setdetachstate":
-		if step == 0 {
-			if err := p.ChargeCycles(50); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return zero, true, nil
+		return zero, true, p.ChargeStep(step, 50, 0)
 
 	case "pthread_mutex_lock":
 		// Steps: 0 charge; 1 acquire loop (a woken waiter re-enters the
@@ -279,16 +204,13 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 			return zero, true, fmt.Errorf("pthread_mutex_lock: missing mutex")
 		}
 		mu := rt.mutex(args[0].Addr())
-		if step == 0 {
-			if err := p.ChargeCycles(25); err != nil { // futex fast path
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if err := p.ChargeStep(step, 25, 0); err != nil { // futex fast path
+			return zero, true, err
 		}
 		for mu.owner != nil && mu.owner != p {
 			mu.waiters = append(mu.waiters, p)
 			if err := p.BlockFor(interp.ReasonMutex); err != nil {
-				p.PushResume(1, nil)
+				p.PushResume(1, 0)
 				return zero, true, err
 			}
 		}
@@ -300,14 +222,11 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 			return zero, true, fmt.Errorf("pthread_mutex_unlock: missing mutex")
 		}
 		mu := rt.mutex(args[0].Addr())
-		if step == 0 {
-			if mu.owner != p {
-				return zero, true, fmt.Errorf("pthread_mutex_unlock: not the owner")
-			}
-			if err := p.ChargeCycles(25); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if step == 0 && mu.owner != p {
+			return zero, true, fmt.Errorf("pthread_mutex_unlock: not the owner")
+		}
+		if err := p.ChargeStep(step, 25, 0); err != nil {
+			return zero, true, err
 		}
 		mu.owner = nil
 		if len(mu.waiters) > 0 {
@@ -320,7 +239,7 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 	return interp.Value{}, false, nil
 }
 
-func (rt *Runtime) mutex(addr uint32) *mutexState {
+func (rt *baseline) mutex(addr uint32) *mutexState {
 	mu, ok := rt.mutexes[addr]
 	if !ok {
 		mu = &mutexState{}
@@ -347,17 +266,15 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
 	defer sim.Release()
 	sim.Observe(opts.Observers)
-	rt := New(sim, opts)
+	rt := newBaseline(sim, opts)
 	defer rt.release()
 	main := pr.Funcs["main"]
 	if main == nil {
 		return nil, fmt.Errorf("pthreadrt: program has no main")
 	}
-	root, err := sim.Spawn(opts.Core, main, nil, 0)
-	if err != nil {
+	if _, err := sim.Spawn(opts.Core, main, nil, 0); err != nil {
 		return nil, err
 	}
-	rt.bind(root)
 	if err := sim.Run(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package pthreadrt
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -103,20 +104,36 @@ int main() {
 	}
 }
 
+// TestPthreadSelf: a thread's ID is the value pthread_create stores for
+// it and what it reads from pthread_self. IDs are dense in creation
+// order after main's 0 and never reused: the second round of create and
+// join gets 3, not a finished thread's ID.
 func TestPthreadSelf(t *testing.T) {
 	res := run(t, `
 void *tf(void *a) {
-    printf("tid>0 %d\n", pthread_self() > 0);
+    printf("child %d self %d\n", (int)a, (int)pthread_self());
     pthread_exit(NULL);
 }
 int main() {
-    pthread_t x;
-    pthread_create(&x, NULL, tf, NULL);
-    pthread_join(x, NULL);
+    pthread_t x[3];
+    int i;
+    printf("main self %d\n", (int)pthread_self());
+    for (i = 0; i < 2; i++) pthread_create(&x[i], NULL, tf, (void*)i);
+    for (i = 0; i < 2; i++) pthread_join(x[i], NULL);
+    pthread_create(&x[2], NULL, tf, (void*)2);
+    pthread_join(x[2], NULL);
+    for (i = 0; i < 3; i++) printf("created %d as %d\n", i, (int)x[i]);
     return 0;
 }`, DefaultOptions())
-	if res.Output != "tid>0 1\n" {
-		t.Errorf("output = %q", res.Output)
+	want := []string{
+		"child 0 self 1", "child 1 self 2", "child 2 self 3",
+		"created 0 as 1", "created 1 as 2", "created 2 as 3",
+		"main self 0",
+	}
+	got := strings.Split(strings.TrimRight(res.Output, "\n"), "\n")
+	sort.Strings(got)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("output lines = %q, want %q", got, want)
 	}
 }
 

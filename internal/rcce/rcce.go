@@ -116,20 +116,16 @@ type barrier struct {
 	waiting []*interp.Proc
 }
 
-// Runtime implements interp.Runtime for translated RCCE programs.
-type Runtime struct {
+// library implements interp.Runtime for translated RCCE programs. A
+// rank is its context's Proc.ID: Run spawns the ranks in order on a
+// fresh session.
+type library struct {
 	sim  *interp.Sim
 	opts Options
 	ues  []int // rank -> core
 	// uesBuf holds ues when Options.Cores is nil.
 	uesBuf []int
-	// rankByProc resolves a context to its rank by Proc.ID, -1 for one
-	// not registered; with many-to-one mapping several contexts share a
-	// core, so core identity is not enough.
-	rankByProc []int
-	// rankByCore is each core's rank (the last rank placed there).
-	rankByCore []int
-	// seen marks the cores New has met in the UE list.
+	// seen marks the cores newLibrary has met in the UE list.
 	seen []bool
 
 	shared  allocator
@@ -144,16 +140,16 @@ type Runtime struct {
 // and each change of UE on a core costs switchCycles and an L1 flush.
 const quantumCycles, switchCycles = 10_000, 1_500
 
-// parked holds the tables of finished runs for the next New.
-var parked park.Lot[*Runtime]
+// parked holds the tables of finished runs for the next newLibrary.
+var parked park.Lot[*library]
 
-// New attaches an RCCE runtime to sim. Scheduling keeps the session's
-// one-to-one default unless UEs share cores. Its tables come from a
-// finished run's when one is parked.
-func New(sim *interp.Sim, opts Options) (*Runtime, error) {
+// newLibrary attaches an RCCE runtime to sim. Scheduling keeps the
+// session's one-to-one default unless UEs share cores. Its tables come
+// from a finished run's when one is parked.
+func newLibrary(sim *interp.Sim, opts Options) (*library, error) {
 	rt, _ := parked.Take()
 	if rt == nil {
-		rt = new(Runtime)
+		rt = new(library)
 	}
 	cores := sim.Machine.Cores()
 	ues := opts.Cores
@@ -168,8 +164,7 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 		ues = rt.uesBuf
 	}
 	// Cores outside the machine are counted here and rejected by Spawn.
-	// release leaves seen and rankByCore empty and zero up to their
-	// capacity.
+	// release leaves seen empty and zero up to its capacity.
 	rt.seen = slices.Grow(rt.seen, cores)[:cores]
 	shared, distinct := false, 0
 	var outside map[int]bool
@@ -195,12 +190,6 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 			len(ues), distinct)
 	}
 	rt.sim, rt.opts, rt.ues = sim, opts, ues
-	rt.rankByCore = slices.Grow(rt.rankByCore, cores)[:cores]
-	for r, c := range ues {
-		if c >= 0 && c < cores {
-			rt.rankByCore[c] = r
-		}
-	}
 	if shared {
 		// UEs sharing a core are serialised in virtual time.
 		sim.TimeShare(quantumCycles, switchCycles, true)
@@ -211,179 +200,90 @@ func New(sim *interp.Sim, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// release empties rt and parks it for the next New: every table keeps
-// its capacity, everything else is zero. Run calls it once its Result
-// is built.
-func (rt *Runtime) release() {
+// release empties rt and parks it for the next newLibrary: every table
+// keeps its capacity, everything else is zero. Run calls it once its
+// Result is built.
+func (rt *library) release() {
 	clear(rt.seen)
-	clear(rt.rankByCore)
 	clear(rt.barrier.waiting)
-	*rt = Runtime{
-		uesBuf:     rt.uesBuf[:0],
-		rankByProc: rt.rankByProc[:0],
-		rankByCore: rt.rankByCore[:0],
-		seen:       rt.seen[:0],
-		shared:     allocator{allocs: rt.shared.allocs[:0], seq: rt.shared.seq[:0]},
-		mpb:        allocator{allocs: rt.mpb.allocs[:0], seq: rt.mpb.seq[:0]},
-		barrier:    barrier{waiting: rt.barrier.waiting[:0]},
+	*rt = library{
+		uesBuf:  rt.uesBuf[:0],
+		seen:    rt.seen[:0],
+		shared:  allocator{allocs: rt.shared.allocs[:0], seq: rt.shared.seq[:0]},
+		mpb:     allocator{allocs: rt.mpb.allocs[:0], seq: rt.mpb.seq[:0]},
+		barrier: barrier{waiting: rt.barrier.waiting[:0]},
 	}
 	parked.Put(rt)
 }
 
-// NumUEs returns the number of participating units of execution.
-func (rt *Runtime) NumUEs() int { return len(rt.ues) }
-
-// RankOf returns the rank of a context: by registration when spawned via
-// Run, by core otherwise (single-UE-per-core sessions built by hand).
-func (rt *Runtime) RankOf(p *interp.Proc) int {
-	if p.ID < len(rt.rankByProc) && rt.rankByProc[p.ID] >= 0 {
-		return rt.rankByProc[p.ID]
-	}
-	return rt.rankByCore[p.Core]
-}
-
-// RegisterRank binds a spawned context to its rank; Run does this for
-// every UE it creates.
-func (rt *Runtime) RegisterRank(p *interp.Proc, rank int) {
-	for len(rt.rankByProc) <= p.ID {
-		rt.rankByProc = append(rt.rankByProc, -1)
-	}
-	rt.rankByProc[p.ID] = rank
-}
-
 // OnExit implements interp.Runtime.
-func (rt *Runtime) OnExit(p *interp.Proc) {}
+func (rt *library) OnExit(p *interp.Proc) {}
 
 // voidPtrType is the type of the pointers the allocators return, built
 // once rather than per call.
 var voidPtrType = types.PointerTo(types.VoidType)
 
-// CallBuiltin implements the RCCE API.
-//
-// Every builtin follows the coroutine resumption protocol (see
-// interp.Runtime): the single frame popped here carries the step to
-// continue from plus any loop state (acquireLock's backoff), and is
-// routed into whichever builtin the name dispatches to. Side effects
-// that must not repeat (symmetric allocations, barrier arrival, message
-// staging) sit strictly before the suspension that follows them, and no
-// builtin yields before committing to handle its call.
-func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value) (interp.Value, bool, error) {
-	step := 0
-	var sx any
-	if p.Resuming() {
-		step, sx = p.PopResume()
-	}
+// CallBuiltin implements the RCCE API under the builtin protocol of
+// interp.Runtime: the step and state of the builtin's saved frame are
+// routed into whichever builtin the name dispatches to, the state being
+// an allocator's address or acquireLock's backoff. Side effects that
+// must not repeat (symmetric allocations, barrier arrival, message
+// staging) sit strictly before the suspension that follows them.
+func (rt *library) CallBuiltin(p *interp.Proc, name string, args []interp.Value, step int, state int64) (interp.Value, bool, error) {
 	if v, handled, err := rt.sendrecvBuiltin(p, name, args, step); handled || err != nil {
 		return v, handled, err
 	}
 	zero := interp.IntValue(types.IntType, 0)
 	switch name {
 	case "RCCE_init":
-		if step == 0 {
-			if err := p.ChargeCycles(rt.opts.InitCycles); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return zero, true, nil
+		return zero, true, p.ChargeStep(step, rt.opts.InitCycles, 0)
 
 	case "RCCE_finalize":
-		if step == 0 {
-			if err := p.ChargeCycles(1_000); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return zero, true, nil
+		return zero, true, p.ChargeStep(step, 1_000, 0)
 
 	case "RCCE_ue":
-		if step == 0 {
-			if err := p.ChargeCycles(10); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return interp.IntValue(types.IntType, int64(rt.RankOf(p))), true, nil
+		return interp.IntValue(types.IntType, int64(p.ID)), true, p.ChargeStep(step, 10, 0)
 
 	case "RCCE_num_ues":
-		if step == 0 {
-			if err := p.ChargeCycles(10); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return interp.IntValue(types.IntType, int64(len(rt.ues))), true, nil
+		return interp.IntValue(types.IntType, int64(len(rt.ues))), true, p.ChargeStep(step, 10, 0)
 
 	case "RCCE_wtime", "wallclock":
-		if step == 0 {
-			if err := p.ChargeCycles(15); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if err := p.ChargeStep(step, 15, 0); err != nil {
+			return zero, true, err
 		}
 		return interp.FloatValue(types.DoubleType, p.Seconds()), true, nil
 
-	case "RCCE_shmalloc":
-		// The symmetric allocator advances a per-context sequence; it
+	case "RCCE_shmalloc", "RCCE_mpbmalloc", "RCCE_malloc":
+		// The symmetric allocators advance a per-context sequence; they
 		// must run exactly once, so the charge-yield saves the address.
-		addr, _ := sx.(uint32)
-		if step == 0 {
-			if len(args) < 1 {
-				return zero, true, fmt.Errorf("RCCE_shmalloc: missing size")
-			}
-			var err error
-			addr, err = rt.shmalloc(p, int(args[0].Int()))
-			if err != nil {
-				return zero, true, err
-			}
-			if err := p.ChargeCycles(300); err != nil {
-				p.PushResume(1, addr)
-				return zero, true, err
-			}
-		}
-		return interp.PtrValue(voidPtrType, addr), true, nil
-
-	case "RCCE_shfree":
-		if step == 0 {
-			if err := p.ChargeCycles(50); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return zero, true, nil
-
-	case "RCCE_mpbmalloc", "RCCE_malloc":
-		addr, _ := sx.(uint32)
+		addr := uint32(state)
 		if step == 0 {
 			if len(args) < 1 {
 				return zero, true, fmt.Errorf("%s: missing size", name)
 			}
 			var err error
-			addr, err = rt.mpbmalloc(p, name, int(args[0].Int()))
+			if name == "RCCE_shmalloc" {
+				addr, err = rt.shmalloc(p, int(args[0].Int()))
+			} else {
+				addr, err = rt.mpbmalloc(p, name, int(args[0].Int()))
+			}
 			if err != nil {
 				return zero, true, err
 			}
-			if err := p.ChargeCycles(300); err != nil {
-				p.PushResume(1, addr)
-				return zero, true, err
-			}
 		}
-		return interp.PtrValue(voidPtrType, addr), true, nil
+		return interp.PtrValue(voidPtrType, addr), true, p.ChargeStep(step, 300, int64(addr))
+
+	case "RCCE_shfree":
+		return zero, true, p.ChargeStep(step, 50, 0)
 
 	case "RCCE_barrier":
-		if err := rt.doBarrier(p, step); err != nil {
-			return zero, true, err
-		}
-		return zero, true, nil
+		return zero, true, rt.doBarrier(p, step)
 
 	case "RCCE_acquire_lock":
-		if step == 0 && len(args) < 1 {
+		if len(args) < 1 {
 			return zero, true, fmt.Errorf("RCCE_acquire_lock: missing UE")
 		}
-		if err := rt.acquireLock(p, int(args[0].Int()), step, sx); err != nil {
-			return zero, true, err
-		}
-		return zero, true, nil
+		return zero, true, rt.acquireLock(p, int(args[0].Int()), step, int(state))
 
 	case "RCCE_release_lock":
 		if len(args) < 1 {
@@ -395,46 +295,31 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		return zero, true, nil
 
 	case "RCCE_put", "RCCE_get":
-		if step == 0 && len(args) < 3 {
+		if len(args) < 3 {
 			return zero, true, fmt.Errorf("%s: want (dst, src, size, ue)", name)
 		}
-		if err := rt.bulkCopy(p, name, args[0].Addr(), args[1].Addr(), int(args[2].Int()), step); err != nil {
-			return zero, true, err
-		}
-		return zero, true, nil
+		return zero, true, rt.bulkCopy(p, name, args[0].Addr(), args[1].Addr(), int(args[2].Int()), step)
 
 	// Power management (thesis §5.1: "procedure calls to the power
 	// management API"; frequency changes act on the caller's voltage
 	// domain, as on the real chip).
 	case "RCCE_power_domain":
-		if step == 0 {
-			if err := p.ChargeCycles(10); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
-		}
-		return interp.IntValue(types.IntType, int64(rt.sim.Machine.DomainOf(p.Core))), true, nil
+		return interp.IntValue(types.IntType, int64(rt.sim.Machine.DomainOf(p.Core))), true, p.ChargeStep(step, 10, 0)
 
 	case "RCCE_get_frequency":
-		if step == 0 {
-			if err := p.ChargeCycles(10); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if err := p.ChargeStep(step, 10, 0); err != nil {
+			return zero, true, err
 		}
 		mhz := rt.sim.Machine.DomainMHz(rt.sim.Machine.DomainOf(p.Core))
 		return interp.IntValue(types.IntType, int64(mhz)), true, nil
 
 	case "RCCE_set_frequency":
-		if step == 0 {
-			if len(args) < 1 {
-				return zero, true, fmt.Errorf("RCCE_set_frequency: missing MHz")
-			}
-			// Changing a domain's voltage and clock stalls it briefly.
-			if err := p.ChargeCycles(20_000); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if len(args) < 1 {
+			return zero, true, fmt.Errorf("RCCE_set_frequency: missing MHz")
+		}
+		// Changing a domain's voltage and clock stalls it briefly.
+		if err := p.ChargeStep(step, 20_000, 0); err != nil {
+			return zero, true, err
 		}
 		dom := rt.sim.Machine.DomainOf(p.Core)
 		if err := rt.sim.SetDomainMHz(dom, int(args[0].Int())); err != nil {
@@ -443,11 +328,8 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 		return zero, true, nil
 
 	case "RCCE_chip_power":
-		if step == 0 {
-			if err := p.ChargeCycles(100); err != nil {
-				p.PushResume(1, nil)
-				return zero, true, err
-			}
+		if err := p.ChargeStep(step, 100, 0); err != nil {
+			return zero, true, err
 		}
 		return interp.FloatValue(types.DoubleType, rt.sim.Machine.PowerEstimate()), true, nil
 	}
@@ -457,13 +339,13 @@ func (rt *Runtime) CallBuiltin(p *interp.Proc, name string, args []interp.Value)
 // shmalloc is the symmetric off-chip shared allocator. A fresh
 // allocation's span is checked before the cursor moves: a negative size
 // or one past the shared range is a run error.
-func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
+func (rt *library) shmalloc(p *interp.Proc, size int) (uint32, error) {
 	idx := rt.shared.next(p)
 	if idx < len(rt.shared.allocs) {
 		a := rt.shared.allocs[idx]
 		if a.size != size {
 			return 0, fmt.Errorf("rcce: rank %d shmalloc #%d size %d diverges from %d",
-				rt.RankOf(p), idx, size, a.size)
+				p.ID, idx, size, a.size)
 		}
 		return a.addr, nil
 	}
@@ -482,13 +364,13 @@ func (rt *Runtime) shmalloc(p *interp.Proc, size int) (uint32, error) {
 // mpbmalloc is the symmetric on-chip allocator behind the builtin name;
 // allocations are striped across the participants' MPB sections unless
 // disabled. A negative size is a run error before the cursor moves.
-func (rt *Runtime) mpbmalloc(p *interp.Proc, name string, size int) (uint32, error) {
+func (rt *library) mpbmalloc(p *interp.Proc, name string, size int) (uint32, error) {
 	idx := rt.mpb.next(p)
 	if idx < len(rt.mpb.allocs) {
 		a := rt.mpb.allocs[idx]
 		if a.size != size {
 			return 0, fmt.Errorf("rcce: rank %d mpbmalloc #%d size %d diverges from %d",
-				rt.RankOf(p), idx, size, a.size)
+				p.ID, idx, size, a.size)
 		}
 		return a.addr, nil
 	}
@@ -520,44 +402,41 @@ func (rt *Runtime) mpbmalloc(p *interp.Proc, name string, size int) (uint32, err
 // doBarrier implements a dissemination-cost barrier: everyone waits for
 // the last arriver, then resumes at the release time. Steps: 0 the
 // arrival charge; 1 arrival bookkeeping + block; 2 woken at release.
-func (rt *Runtime) doBarrier(p *interp.Proc, step int) error {
-	if step == 0 {
-		if err := p.ChargeCycles(rt.opts.BarrierCycles); err != nil {
-			p.PushResume(1, nil)
-			return err
-		}
+func (rt *library) doBarrier(p *interp.Proc, step int) error {
+	if err := p.ChargeStep(step, rt.opts.BarrierCycles, 0); err != nil || step > 1 {
+		return err
 	}
-	if step <= 1 {
-		b := &rt.barrier
-		if p.Clock > b.release {
-			b.release = p.Clock
+	b := &rt.barrier
+	if p.Clock > b.release {
+		b.release = p.Clock
+	}
+	b.arrived++
+	if b.arrived == len(rt.ues) {
+		release := b.release
+		for _, w := range b.waiting {
+			w.Unblock(release)
 		}
-		b.arrived++
-		if b.arrived == len(rt.ues) {
-			release := b.release
-			for _, w := range b.waiting {
-				w.Unblock(release)
-			}
-			b.waiting = b.waiting[:0]
-			b.arrived = 0
-			b.release = 0
-			if release > p.Clock {
-				p.Clock = release
-			}
-			return nil
+		b.waiting = b.waiting[:0]
+		b.arrived = 0
+		b.release = 0
+		if release > p.Clock {
+			p.Clock = release
 		}
-		b.waiting = append(b.waiting, p)
-		if err := p.BlockFor(interp.ReasonBarrier); err != nil {
-			p.PushResume(2, nil)
-			return err
-		}
+		return nil
+	}
+	b.waiting = append(b.waiting, p)
+	if err := p.BlockFor(interp.ReasonBarrier); err != nil {
+		p.PushResume(2, 0)
+		return err
 	}
 	return nil
 }
 
 // lockTarget maps a UE number to the core whose test-and-set register
-// backs that lock.
-func (rt *Runtime) lockTarget(ue int) int {
+// backs that lock. A number past the last UE falls back to rank 0's
+// register: the translator turns mutex k into lock k, and a program may
+// have more mutexes than UEs.
+func (rt *library) lockTarget(ue int) int {
 	if ue >= 0 && ue < len(rt.ues) {
 		return rt.ues[ue]
 	}
@@ -566,14 +445,13 @@ func (rt *Runtime) lockTarget(ue int) int {
 
 // acquireLock spins on the target core's test-and-set register. The
 // spin iteration has two suspension points — the backoff charge and the
-// explicit yield — so the frame carries the current backoff: step 1
-// resumes before the doubling (charge done), step 2 after the yield
-// (iteration complete, test again).
-func (rt *Runtime) acquireLock(p *interp.Proc, ue int, step int, sx any) error {
+// explicit yield — so the frame carries the current backoff (0 before
+// the first round): step 1 resumes before the doubling (charge done),
+// step 2 after the yield (iteration complete, test again).
+func (rt *library) acquireLock(p *interp.Proc, ue int, step int, backoff int) error {
 	target := rt.lockTarget(ue)
-	backoff := 50
-	if b, ok := sx.(int); ok {
-		backoff = b
+	if backoff == 0 {
+		backoff = 50
 	}
 	for {
 		if step == 0 {
@@ -585,17 +463,16 @@ func (rt *Runtime) acquireLock(p *interp.Proc, ue int, step int, sx any) error {
 			// One failed round, reported before the backoff charge can
 			// suspend (the step guard keeps it exactly-once per round).
 			p.NoteSpin(backoff)
-			if err := p.ChargeCycles(backoff); err != nil {
-				p.PushResume(1, backoff)
-				return err
-			}
+		}
+		if err := p.ChargeStep(step, backoff, int64(backoff)); err != nil {
+			return err
 		}
 		if step <= 1 {
 			if backoff < 800 {
 				backoff *= 2
 			}
 			if err := p.Yield(); err != nil {
-				p.PushResume(2, backoff)
+				p.PushResume(2, int64(backoff))
 				return err
 			}
 		}
@@ -607,7 +484,7 @@ func (rt *Runtime) acquireLock(p *interp.Proc, ue int, step int, sx any) error {
 // transfer cost of RCCE_put/RCCE_get (name). Both spans are checked
 // before anything is copied or charged. Only the trailing charge can
 // yield; the copies complete before it.
-func (rt *Runtime) bulkCopy(p *interp.Proc, name string, dst, src uint32, size int, step int) error {
+func (rt *library) bulkCopy(p *interp.Proc, name string, dst, src uint32, size int, step int) error {
 	if step != 0 {
 		return nil
 	}
@@ -616,24 +493,27 @@ func (rt *Runtime) bulkCopy(p *interp.Proc, name string, dst, src uint32, size i
 			return err
 		}
 	}
-	const line = 32
-	buf := make([]byte, line)
+	var buf [lineBytes]byte
 	m := rt.sim.Machine
-	for off := 0; off < size; off += line {
-		n := line
-		if size-off < n {
-			n = size - off
-		}
-		p.Clock += m.Load(p.Core, src+uint32(off), buf[:n], p.Clock)
-		p.Clock += m.Store(p.Core, dst+uint32(off), buf[:n], p.Clock)
-		p.ProfileAccess(src+uint32(off), false)
-		p.ProfileAccess(dst+uint32(off), true)
+	eachLine(size, func(off uint32, n int) {
+		p.Clock += m.Load(p.Core, src+off, buf[:n], p.Clock)
+		p.Clock += m.Store(p.Core, dst+off, buf[:n], p.Clock)
+		p.ProfileAccess(src+off, false)
+		p.ProfileAccess(dst+off, true)
+	})
+	return p.ChargeStep(step, costPerCall+size/lineBytes, 0)
+}
+
+// lineBytes is the granularity of every RCCE copy: one cache line.
+const lineBytes = 32
+
+// eachLine calls f(off, n) for each line of a size-byte span in order,
+// n being the line's length (the last may be shorter): the walk shared
+// by put/get and the send/recv staging and drain.
+func eachLine(size int, f func(off uint32, n int)) {
+	for off := 0; off < size; off += lineBytes {
+		f(uint32(off), min(lineBytes, size-off))
 	}
-	if err := p.ChargeCycles(costPerCall + size/line); err != nil {
-		p.PushResume(1, nil)
-		return err
-	}
-	return nil
 }
 
 const costPerCall = 40
@@ -652,9 +532,9 @@ type Result struct {
 // Seconds returns the makespan in seconds.
 func (r *Result) Seconds() float64 { return float64(r.Makespan) / sccsim.PsPerSecond }
 
-// EntryPoint returns the program's RCCE entry function: RCCE_APP if
+// entryPoint returns the program's RCCE entry function: RCCE_APP if
 // present (translated programs), else main (hand-written RCCE programs).
-func EntryPoint(pr *interp.Program) *ast.FuncDecl {
+func entryPoint(pr *interp.Program) *ast.FuncDecl {
 	if fn := pr.Funcs["RCCE_APP"]; fn != nil {
 		return fn
 	}
@@ -669,12 +549,12 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	sim := interp.NewSim(m, pr)
 	defer sim.Release()
 	sim.Observe(opts.Observers)
-	rt, err := New(sim, opts)
+	rt, err := newLibrary(sim, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.release()
-	entry := EntryPoint(pr)
+	entry := entryPoint(pr)
 	if entry == nil {
 		return nil, fmt.Errorf("rcce: program has neither RCCE_APP nor main")
 	}
@@ -685,12 +565,10 @@ func Run(pr *interp.Program, m *sccsim.Machine, opts Options) (*Result, error) {
 	for range entry.Params {
 		args = append(args, interp.IntValue(types.IntType, 0))
 	}
-	for rank, core := range rt.ues {
-		p, err := sim.Spawn(core, entry, args, 0)
-		if err != nil {
+	for _, core := range rt.ues {
+		if _, err := sim.Spawn(core, entry, args, 0); err != nil {
 			return nil, err
 		}
-		rt.RegisterRank(p, rank)
 	}
 	if err := sim.Run(); err != nil {
 		return nil, err

@@ -34,18 +34,31 @@ func sortedLines(s string) []string {
 	return lines
 }
 
+// TestUEIdentity: rank i is the UE the core map lists at index i, on
+// that core's voltage domain, also when UEs share cores and the map is
+// not in core order.
 func TestUEIdentity(t *testing.T) {
-	res := run(t, `
+	const src = `
 int RCCE_APP(int *argc, char **argv) {
     RCCE_init(argc, argv);
-    printf("ue %d of %d\n", RCCE_ue(), RCCE_num_ues());
+    printf("ue %d of %d domain %d\n", RCCE_ue(), RCCE_num_ues(), RCCE_power_domain());
     RCCE_finalize();
     return 0;
-}`, DefaultOptions(4))
-	want := []string{"ue 0 of 4", "ue 1 of 4", "ue 2 of 4", "ue 3 of 4"}
-	got := sortedLines(res.Output)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("output lines = %v, want %v", got, want)
+}`
+	permuted := DefaultOptions(5)
+	permuted.Cores = []int{40, 9, 40, 0, 9} // domains 5, 1, 5, 0, 1
+	permuted.AllowOversubscribe = true
+	for _, tc := range []struct {
+		opts Options
+		want []string
+	}{
+		{DefaultOptions(4), []string{"ue 0 of 4 domain 0", "ue 1 of 4 domain 0", "ue 2 of 4 domain 0", "ue 3 of 4 domain 0"}},
+		{permuted, []string{"ue 0 of 5 domain 5", "ue 1 of 5 domain 1", "ue 2 of 5 domain 5", "ue 3 of 5 domain 0", "ue 4 of 5 domain 1"}},
+	} {
+		got := sortedLines(run(t, src, tc.opts).Output)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("cores %v: output lines = %v, want %v", tc.opts.Cores, got, tc.want)
+		}
 	}
 }
 
@@ -118,25 +131,32 @@ int RCCE_APP(int *argc, char **argv) {
 	}
 }
 
+// TestLocksMutualExclusion: four UEs add to one counter under a lock.
+// Locks numbered at or past the UE count share rank 0's register (the
+// translator turns mutex k into lock k, so a program may have more
+// mutexes than UEs), so UEs alternating between locks 4 and 5 still
+// exclude each other.
 func TestLocksMutualExclusion(t *testing.T) {
-	res := run(t, `
+	for _, lock := range []string{"0", "4 + RCCE_ue() % 2"} {
+		res := run(t, strings.ReplaceAll(`
 int *counter;
 int RCCE_APP(int *argc, char **argv) {
     RCCE_init(argc, argv);
     counter = (int*)RCCE_shmalloc(sizeof(int));
     int i;
     for (i = 0; i < 200; i++) {
-        RCCE_acquire_lock(0);
+        RCCE_acquire_lock(LOCK);
         *counter = *counter + 1;
-        RCCE_release_lock(0);
+        RCCE_release_lock(LOCK);
     }
     RCCE_barrier(&RCCE_COMM_WORLD);
     if (RCCE_ue() == 0) printf("%d\n", *counter);
     RCCE_finalize();
     return 0;
-}`, DefaultOptions(4))
-	if res.Output != "800\n" {
-		t.Errorf("output = %q, want 800", res.Output)
+}`, "LOCK", lock), DefaultOptions(4))
+		if res.Output != "800\n" {
+			t.Errorf("lock %s: output = %q, want 800", lock, res.Output)
+		}
 	}
 }
 

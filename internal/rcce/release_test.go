@@ -47,12 +47,10 @@ int RCCE_APP(int *argc, char **argv) {
 }
 
 // checkParked checks the tables of a parked runtime.
-func checkParked(t *testing.T, rt *Runtime) {
+func checkParked(t *testing.T, rt *library) {
 	t.Helper()
 	tables := map[string]any{
 		"uesBuf":          rt.uesBuf,
-		"rankByProc":      rt.rankByProc,
-		"rankByCore":      rt.rankByCore,
 		"seen":            rt.seen,
 		"shared.allocs":   rt.shared.allocs,
 		"shared.seq":      rt.shared.seq,
@@ -68,7 +66,7 @@ func checkParked(t *testing.T, rt *Runtime) {
 		if v.Cap() == 0 {
 			t.Errorf("%s kept no capacity", name)
 		}
-		if name == "seen" || name == "rankByCore" || name == "barrier.waiting" {
+		if name == "seen" || name == "barrier.waiting" {
 			// Read past their length by the next run: must be zero.
 			if !allZero(v.Slice(0, v.Cap())) {
 				t.Errorf("%s is not zero past its length", name)
@@ -76,7 +74,7 @@ func checkParked(t *testing.T, rt *Runtime) {
 		}
 	}
 	rest := *rt
-	rest.uesBuf, rest.rankByProc, rest.rankByCore, rest.seen = nil, nil, nil, nil
+	rest.uesBuf, rest.seen = nil, nil
 	rest.shared.allocs, rest.shared.seq, rest.mpb.allocs, rest.mpb.seq = nil, nil, nil, nil
 	rest.barrier.waiting = nil
 	if !reflect.ValueOf(rest).IsZero() {

@@ -43,7 +43,7 @@ type sendState struct {
 
 const maxRanks = 1 << 10
 
-func (rt *Runtime) sends() *sendState {
+func (rt *library) sends() *sendState {
 	if rt.sendrecv == nil {
 		rt.sendrecv = &sendState{
 			pending:     make(map[int]*message),
@@ -60,14 +60,14 @@ func pairKey(src, dst int) int { return src*maxRanks + dst }
 // copies charge the machine directly (no yield cadence), so the only
 // suspension is the rendezvous block: step 1 means the receiver drained
 // and released us.
-func (rt *Runtime) send(p *interp.Proc, buf uint32, size, dst int, step int) error {
+func (rt *library) send(p *interp.Proc, buf uint32, size, dst int, step int) error {
 	if step != 0 {
 		return nil
 	}
 	if err := p.CheckSpan("RCCE_send", buf, int64(size)); err != nil {
 		return err
 	}
-	me := rt.RankOf(p)
+	me := p.ID
 	if dst < 0 || dst >= len(rt.ues) {
 		return fmt.Errorf("RCCE_send: no rank %d", dst)
 	}
@@ -90,7 +90,7 @@ func (rt *Runtime) send(p *interp.Proc, buf uint32, size, dst int, step int) err
 	}
 	// Rendezvous: the sender blocks until the receiver drains.
 	if err := p.BlockFor(interp.ReasonSend); err != nil {
-		p.PushResume(1, nil)
+		p.PushResume(1, 0)
 		return err
 	}
 	return nil
@@ -100,11 +100,11 @@ func (rt *Runtime) send(p *interp.Proc, buf uint32, size, dst int, step int) err
 // send, drain the payload into buf, release the sender. A woken
 // receiver (step 1) re-enters the wait loop and finds its message; the
 // drain path has no suspension points.
-func (rt *Runtime) recv(p *interp.Proc, buf uint32, size, src int, step int) error {
+func (rt *library) recv(p *interp.Proc, buf uint32, size, src int, step int) error {
 	if err := p.CheckSpan("RCCE_recv", buf, int64(size)); err != nil {
 		return err
 	}
-	me := rt.RankOf(p)
+	me := p.ID
 	if src < 0 || src >= len(rt.ues) {
 		return fmt.Errorf("RCCE_recv: no rank %d", src)
 	}
@@ -116,7 +116,7 @@ func (rt *Runtime) recv(p *interp.Proc, buf uint32, size, src int, step int) err
 		}
 		st.recvWaiting[key] = p
 		if err := p.BlockFor(interp.ReasonRecv); err != nil {
-			p.PushResume(1, nil)
+			p.PushResume(1, 0)
 			return err
 		}
 	}
@@ -139,18 +139,13 @@ func (rt *Runtime) recv(p *interp.Proc, buf uint32, size, src int, step int) err
 }
 
 // stageCopy charges the sender's read of its payload (line granularity).
-func (rt *Runtime) stageCopy(p *interp.Proc, src uint32, size int) {
-	const line = 32
-	buf := make([]byte, line)
+func (rt *library) stageCopy(p *interp.Proc, src uint32, size int) {
+	var buf [lineBytes]byte
 	m := rt.sim.Machine
-	for off := 0; off < size; off += line {
-		n := line
-		if size-off < n {
-			n = size - off
-		}
-		p.Clock += m.Load(p.Core, src+uint32(off), buf[:n], p.Clock)
-		p.ProfileAccess(src+uint32(off), false)
-	}
+	eachLine(size, func(off uint32, n int) {
+		p.Clock += m.Load(p.Core, src+off, buf[:n], p.Clock)
+		p.ProfileAccess(src+off, false)
+	})
 }
 
 // drainCopy moves the payload from the sender's buffer into the receive
@@ -158,24 +153,19 @@ func (rt *Runtime) stageCopy(p *interp.Proc, src uint32, size int) {
 // the sender's core makes private payload buffers work: shared and MPB
 // addresses resolve identically from any core, private ones belong to
 // the sender.
-func (rt *Runtime) drainCopy(p *interp.Proc, senderCore int, src, dst uint32, size int) {
-	const line = 32
-	buf := make([]byte, line)
+func (rt *library) drainCopy(p *interp.Proc, senderCore int, src, dst uint32, size int) {
+	var buf [lineBytes]byte
 	m := rt.sim.Machine
-	for off := 0; off < size; off += line {
-		n := line
-		if size-off < n {
-			n = size - off
-		}
-		m.ReadBytes(senderCore, src+uint32(off), buf[:n])
-		p.Clock += m.Store(p.Core, dst+uint32(off), buf[:n], p.Clock)
-		p.ProfileAccess(dst+uint32(off), true)
-	}
+	eachLine(size, func(off uint32, n int) {
+		m.ReadBytes(senderCore, src+off, buf[:n])
+		p.Clock += m.Store(p.Core, dst+off, buf[:n], p.Clock)
+		p.ProfileAccess(dst+off, true)
+	})
 }
 
 // sendrecvBuiltin dispatches the two-sided API; step is the resumption
 // step popped by CallBuiltin, routed into the suspended half.
-func (rt *Runtime) sendrecvBuiltin(p *interp.Proc, name string, args []interp.Value, step int) (interp.Value, bool, error) {
+func (rt *library) sendrecvBuiltin(p *interp.Proc, name string, args []interp.Value, step int) (interp.Value, bool, error) {
 	zero := interp.IntValue(types.IntType, 0)
 	switch name {
 	case "RCCE_send":
