@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hsmcc/internal/partition"
 	"hsmcc/internal/sccsim"
@@ -164,28 +165,11 @@ func (g Grid) MachineName() string {
 	return g.Machine
 }
 
-// CellResult is the machine-readable outcome of one cell: the baseline
-// and translated timings, the correctness check, and the simulator
-// counters that explain the placement effect.
+// CellResult is one cell's line of a report: the cell, what it
+// measured, and how it ran.
 type CellResult struct {
 	Cell
-	// BaselinePs/RCCEPs are simulated makespans in picoseconds — exact
-	// integers, so reports diff cleanly across runs.
-	BaselinePs uint64 `json:"baseline_ps"`
-	RCCEPs     uint64 `json:"rcce_ps"`
-	// Speedup is BaselinePs/RCCEPs.
-	Speedup float64 `json:"speedup"`
-	// Match is the end-to-end validation: the translated RCCE program
-	// printed the same distinct result lines as the Pthread baseline.
-	Match bool `json:"match"`
-	// OnChipBytes is what Stage 4 placed in the MPB.
-	OnChipBytes int `json:"onchip_bytes"`
-	// PlacementDigest fingerprints the profile-guided placement map
-	// (profiled cells only).
-	PlacementDigest string `json:"placement_digest,omitempty"`
-	// MPBAccesses/SharedAccesses are the RCCE run's memory counters.
-	MPBAccesses    uint64 `json:"mpb_accesses"`
-	SharedAccesses uint64 `json:"shared_accesses"`
+	Outcome
 	// Error is set (and the metrics zero) if the cell failed.
 	Error string `json:"error,omitempty"`
 	// Cached reports whether the semantic result is shared with an
@@ -214,9 +198,9 @@ type RunOptions struct {
 	// remaining cells are marked with that error instead of running.
 	Hooks Hooks
 	// OnResult, when non-nil, receives every finished cell in
-	// deterministic index order (a reorder buffer sequences the
-	// concurrent workers), before RunGrid returns. Callbacks are
-	// serialized — the daemon streams NDJSON straight from here.
+	// deterministic index order, one call at a time on RunGrid's
+	// goroutine, before RunGrid returns (it is InOrder's done) — the
+	// daemon streams NDJSON straight from here.
 	OnResult func(CellResult)
 	// TraceDir, when non-empty, attaches a trace.Recorder to every
 	// RCCE simulation the sweep actually executes and writes one Chrome
@@ -285,7 +269,7 @@ func (r *gridRunner) cellKey(c Cell, policy partition.Policy) key {
 	return key{stage: stageSimulate, spec: cfg.spec(c.Workload).rcceRun(), policy: policy, capacity: budget}
 }
 
-// RunGrid executes the grid's cells across a worker pool and returns
+// RunGrid executes the grid's cells on InOrder's workers and returns
 // the report in deterministic cell order. Per-cell failures are
 // recorded in CellResult.Error rather than aborting the sweep; only
 // invalid specs and shards error out.
@@ -308,17 +292,6 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 		cells = mine
 		rep.Shard = fmt.Sprintf("%d/%d", opt.ShardIndex, opt.ShardCount)
 	}
-	workers := opt.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	r := &gridRunner{grid: g, cfg: DefaultConfig(), cells: NewCache(), traceDir: opt.TraceDir}
 	r.cfg.Scale = g.Scale
 	if r.cfg.Scale == 0 {
@@ -355,56 +328,56 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	}
 
 	results := make([]CellResult, len(cells))
-	// The reorder buffer behind OnResult: workers finish cells in any
-	// order, the callback sees them in index order.
-	var emit func(i int)
+	var done func(i int)
 	if opt.OnResult != nil {
-		var emu sync.Mutex
-		ready := make([]bool, len(cells))
-		next := 0
-		emit = func(i int) {
-			emu.Lock()
-			defer emu.Unlock()
-			ready[i] = true
-			for next < len(cells) && ready[next] {
-				opt.OnResult(results[next])
-				next++
+		done = func(i int) { opt.OnResult(results[i]) }
+	}
+	InOrder(len(cells), opt.Parallel, func(i int) {
+		if cancel := opt.Hooks.Cancel; cancel != nil {
+			if err := cancel(); err != nil {
+				results[i] = CellResult{Cell: cells[i], Error: fmt.Sprintf("canceled: %v", err), Cached: dup[i]}
+				return
 			}
 		}
+		results[i] = r.safeRunCell(cells[i])
+		results[i].Cached = dup[i]
+	}, done)
+	rep.Results = results
+	return rep, nil
+}
+
+// InOrder runs do(i) for every i in [0, n) on min(max(workers, 1), n)
+// goroutines, where workers <= 0 means GOMAXPROCS. It calls done(i) on
+// the calling goroutine, one call at a time and in index order, as soon
+// as do(0..i) have all returned; done may be nil. It returns after the
+// last done. It recovers no panics: do must not panic.
+func InOrder(n, workers int, do, done func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	jobs := make(chan int)
+	var claimed atomic.Int64
+	finished := make(chan int, n) // one send per index, so no worker ever blocks
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				if cancel := opt.Hooks.Cancel; cancel != nil {
-					if err := cancel(); err != nil {
-						results[i] = CellResult{Cell: cells[i], Error: fmt.Sprintf("canceled: %v", err)}
-						results[i].Cached = dup[i]
-						if emit != nil {
-							emit(i)
-						}
-						continue
-					}
-				}
-				results[i] = r.safeRunCell(cells[i])
-				results[i].Cached = dup[i]
-				if emit != nil {
-					emit(i)
-				}
+			for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
+				do(i)
+				finished <- i
 			}
 		}()
 	}
-	for i := range cells {
-		jobs <- i
+	ready := make([]bool, n)
+	for next := 0; next < n; {
+		ready[<-finished] = true
+		for ; next < n && ready[next]; next++ {
+			if done != nil {
+				done(next)
+			}
+		}
 	}
-	close(jobs)
 	wg.Wait()
-
-	rep.Results = results
-	return rep, nil
 }
 
 // safeRunCell is runCell behind a panic boundary: a panicking cell
@@ -482,14 +455,7 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 			return res
 		}
 	}
-	res.BaselinePs = base.Makespan
-	res.RCCEPs = conv.Makespan
-	res.Speedup = Speedup(base, conv)
-	res.Match = SameResults(base.Output, conv.Output)
-	res.MPBAccesses = conv.Stats.MPBAccesses
-	res.SharedAccesses = conv.Stats.SharedAccesses
-	res.OnChipBytes = conv.OnChipBytes
-	res.PlacementDigest = conv.PlacementDigest
+	res.Outcome = (&BothResult{Baseline: base, RCCE: conv, Match: SameResults(base.Output, conv.Output)}).Outcome()
 	return res
 }
 

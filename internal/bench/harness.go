@@ -442,6 +442,44 @@ type BothResult struct {
 	Match bool
 }
 
+// Outcome is what one cell measures: the baseline and translated
+// timings, the correctness check, and the simulator counters that
+// explain the placement effect. Grid reports and the daemon's simulate
+// responses embed it, so its JSON layout is theirs.
+type Outcome struct {
+	// BaselinePs/RCCEPs are simulated makespans in picoseconds — exact
+	// integers, so reports diff cleanly across runs.
+	BaselinePs uint64 `json:"baseline_ps"`
+	RCCEPs     uint64 `json:"rcce_ps"`
+	// Speedup is BaselinePs/RCCEPs.
+	Speedup float64 `json:"speedup"`
+	// Match is the end-to-end validation: the translated RCCE program
+	// printed the same distinct result lines as the Pthread baseline.
+	Match bool `json:"match"`
+	// OnChipBytes is what Stage 4 placed in the MPB.
+	OnChipBytes int `json:"onchip_bytes"`
+	// PlacementDigest fingerprints the profile-guided placement map
+	// (profiled cells only).
+	PlacementDigest string `json:"placement_digest,omitempty"`
+	// MPBAccesses/SharedAccesses are the RCCE run's memory counters.
+	MPBAccesses    uint64 `json:"mpb_accesses"`
+	SharedAccesses uint64 `json:"shared_accesses"`
+}
+
+// Outcome reads the cell's measured fields off the two runs.
+func (b *BothResult) Outcome() Outcome {
+	return Outcome{
+		BaselinePs:      uint64(b.Baseline.Makespan),
+		RCCEPs:          uint64(b.RCCE.Makespan),
+		Speedup:         Speedup(b.Baseline, b.RCCE),
+		Match:           b.Match,
+		OnChipBytes:     b.RCCE.OnChipBytes,
+		PlacementDigest: b.RCCE.PlacementDigest,
+		MPBAccesses:     b.RCCE.Stats.MPBAccesses,
+		SharedAccesses:  b.RCCE.Stats.SharedAccesses,
+	}
+}
+
 // RunBothBackends runs w through the single-core Pthread baseline and
 // through the full translate→RCCE→sccsim pipeline under the given
 // Stage 4 policy, then compares their outputs. This is the validation

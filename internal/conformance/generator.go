@@ -21,8 +21,6 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"hsmcc/internal/cc/ast"
 	"hsmcc/internal/cc/printer"
@@ -548,8 +546,8 @@ func (em *emitter) threadFunc(r int) *ast.FuncDecl {
 	rd := em.spec.Rounds[r]
 	ctx := exprCtx{em: em, round: r}
 	var body []ast.Stmt
-	body = append(body, declStmt("me", types.IntType,
-		&ast.CastExpr{To: types.IntType, X: ident("tid")}))
+	body = append(body, ast.Var("me", types.IntType,
+		&ast.CastExpr{To: types.IntType, X: ast.Id("tid")}))
 	slot := rd.Slot && em.spec.PerThread == 1
 	if slot {
 		ctx.slotForm = true
@@ -557,18 +555,14 @@ func (em *emitter) threadFunc(r int) *ast.FuncDecl {
 			body = append(body, em.assignStmt(st, ctx))
 		}
 	} else if len(rd.Loop) > 0 {
-		body = append(body, declStmt("lo", types.IntType, mulFold(ident("me"), em.spec.PerThread)))
-		body = append(body, declStmt("i", types.IntType, nil))
+		body = append(body, ast.Var("lo", types.IntType, ast.Mul(ast.Id("me"), em.spec.PerThread)))
+		body = append(body, ast.Var("i", types.IntType, nil))
 		var inner []ast.Stmt
 		for _, st := range rd.Loop {
 			inner = append(inner, em.assignStmt(st, ctx))
 		}
-		body = append(body, &ast.ForStmt{
-			Init: exprStmt(assign(ident("i"), ident("lo"))),
-			Cond: bin(token.Lt, ident("i"), bin(token.Plus, ident("lo"), intLit(int64(em.spec.PerThread)))),
-			Post: &ast.PostfixExpr{Op: token.PlusPlus, X: ident("i")},
-			Body: nested(inner),
-		})
+		body = append(body, ast.Loop("i", ast.Id("lo"),
+			ast.Bin(token.Plus, ast.Id("lo"), ast.Int(int64(em.spec.PerThread))), ast.Nest(inner)))
 	}
 	if rd.Solo != nil {
 		k := rd.Solo.Thread % em.threads
@@ -576,27 +570,27 @@ func (em *emitter) threadFunc(r int) *ast.FuncDecl {
 			k = 0
 		}
 		slot := k*em.spec.PerThread + rd.Solo.Idx%em.spec.PerThread
-		target := &ast.IndexExpr{X: ident(arrName(rd.Solo.Arr)), Index: intLit(int64(slot))}
-		task := exprStmt(assign(target, em.expr(rd.Solo.RHS, em.spec.Arrays[rd.Solo.Arr], ctx)))
+		target := &ast.IndexExpr{X: ast.Id(arrName(rd.Solo.Arr)), Index: ast.Int(int64(slot))}
+		task := ast.Eval(ast.Assign(target, em.expr(rd.Solo.RHS, em.spec.Arrays[rd.Solo.Arr], ctx)))
 		body = append(body, &ast.IfStmt{
-			Cond: bin(token.EqEq, ident("me"), intLit(int64(k))),
+			Cond: ast.Bin(token.EqEq, ast.Id("me"), ast.Int(int64(k))),
 			Then: &ast.BlockStmt{List: []ast.Stmt{task}},
 		})
 	}
 	if rd.Crit != nil {
 		body = append(body,
-			callStmt("pthread_mutex_lock", addr("mu")),
-			exprStmt(assign(ident("gsum"), bin(token.Plus, ident("gsum"), em.expr(rd.Crit, KInt, ctx)))),
-			callStmt("pthread_mutex_unlock", addr("mu")),
+			ast.CallStmt("pthread_mutex_lock", addr("mu")),
+			ast.Eval(ast.Assign(ast.Id("gsum"), ast.Bin(token.Plus, ast.Id("gsum"), em.expr(rd.Crit, KInt, ctx)))),
+			ast.CallStmt("pthread_mutex_unlock", addr("mu")),
 		)
 	}
 	if rd.Print {
-		probe := &ast.IndexExpr{X: ident(arrName(0)), Index: mulFold(ident("me"), em.spec.PerThread)}
+		probe := &ast.IndexExpr{X: ast.Id(arrName(0)), Index: ast.Mul(ast.Id("me"), em.spec.PerThread)}
 		verb, arg := "%d", em.cast(probe, em.spec.Arrays[0], KInt)
-		body = append(body, callStmt("printf",
-			strLit(fmt.Sprintf("p%d %%d %s\n", r, verb)), ident("me"), arg))
+		body = append(body, ast.CallStmt("printf",
+			ast.Str(fmt.Sprintf("p%d %%d %s\n", r, verb)), ast.Id("me"), arg))
 	}
-	body = append(body, callStmt("pthread_exit", ident("NULL")))
+	body = append(body, ast.CallStmt("pthread_exit", ast.Id("NULL")))
 	return &ast.FuncDecl{
 		Name:   stepName(r),
 		Result: types.PointerTo(types.VoidType),
@@ -613,16 +607,16 @@ func (em *emitter) assignStmt(st Stmt, ctx exprCtx) ast.Stmt {
 	if st.Ptr > 0 {
 		base = ptrName(st.Ptr - 1)
 	}
-	target := &ast.IndexExpr{X: ident(base), Index: ctx.indexExpr(em)}
+	target := &ast.IndexExpr{X: ast.Id(base), Index: ctx.indexExpr(em)}
 	rhs := em.expr(st.RHS, em.spec.Arrays[st.Arr], ctx)
 	if st.AddTo {
-		rhs = bin(token.Plus, &ast.IndexExpr{X: ident(base), Index: ctx.indexExpr(em)}, rhs)
+		rhs = ast.Bin(token.Plus, &ast.IndexExpr{X: ast.Id(base), Index: ctx.indexExpr(em)}, rhs)
 	}
-	var out ast.Stmt = exprStmt(assign(target, rhs))
+	var out ast.Stmt = ast.Eval(ast.Assign(target, rhs))
 	if st.Guard != nil {
-		cond := bin(token.EqEq,
-			bin(token.Percent, &ast.ParenExpr{X: em.expr(st.Guard, KInt, ctx)}, intLit(2)),
-			intLit(0))
+		cond := ast.Bin(token.EqEq,
+			ast.Bin(token.Percent, &ast.ParenExpr{X: em.expr(st.Guard, KInt, ctx)}, ast.Int(2)),
+			ast.Int(0))
 		out = &ast.IfStmt{Cond: cond, Then: out}
 	}
 	return out
@@ -635,7 +629,7 @@ func (em *emitter) mainFunc() *ast.FuncDecl {
 	body = append(body,
 		&ast.DeclStmt{Decl: &ast.VarDecl{Name: "th",
 			Type: types.ArrayOf(types.OpaqueOf("pthread_t"), em.threads)}},
-		declStmt("t", types.IntType, nil),
+		ast.Var("t", types.IntType, nil),
 	)
 	hasSerial := false
 	for _, rd := range s.Rounds {
@@ -644,56 +638,35 @@ func (em *emitter) mainFunc() *ast.FuncDecl {
 		}
 	}
 	if hasSerial {
-		body = append(body, declStmt("r", types.IntType, nil))
+		body = append(body, ast.Var("r", types.IntType, nil))
 	}
 	if s.Mutex {
-		body = append(body, callStmt("pthread_mutex_init", addr("mu"), ident("NULL")))
+		body = append(body, ast.CallStmt("pthread_mutex_init", addr("mu"), ast.Id("NULL")))
 	}
 	// Bind the shared pointers before any launch: every thread reads a
 	// pointer main wrote while still single-threaded.
 	for j, pt := range s.Ptrs {
-		var rhs ast.Expr = ident(arrName(pt.Arr))
+		var rhs ast.Expr = ast.Id(arrName(pt.Arr))
 		if pt.Off > 0 {
-			rhs = bin(token.Plus, rhs, intLit(int64(pt.Off)))
+			rhs = ast.Bin(token.Plus, rhs, ast.Int(int64(pt.Off)))
 		}
-		body = append(body, exprStmt(assign(ident(ptrName(j)), rhs)))
+		body = append(body, ast.Eval(ast.Assign(ast.Id(ptrName(j)), rhs)))
 	}
 	for r, rd := range s.Rounds {
-		launch := []ast.Stmt{
-			&ast.ForStmt{
-				Init: exprStmt(assign(ident("t"), intLit(0))),
-				Cond: bin(token.Lt, ident("t"), intLit(int64(em.threads))),
-				Post: &ast.PostfixExpr{Op: token.PlusPlus, X: ident("t")},
-				Body: callStmt("pthread_create",
-					&ast.UnaryExpr{Op: token.Amp, X: &ast.IndexExpr{X: ident("th"), Index: ident("t")}},
-					ident("NULL"), ident(stepName(r)),
-					&ast.CastExpr{To: types.PointerTo(types.VoidType), X: ident("t")}),
-			},
-			&ast.ForStmt{
-				Init: exprStmt(assign(ident("t"), intLit(0))),
-				Cond: bin(token.Lt, ident("t"), intLit(int64(em.threads))),
-				Post: &ast.PostfixExpr{Op: token.PlusPlus, X: ident("t")},
-				Body: callStmt("pthread_join",
-					&ast.IndexExpr{X: ident("th"), Index: ident("t")}, ident("NULL")),
-			},
-		}
+		launch := ast.CreateJoin(stepName(r), em.threads)
 		if rd.Serial > 1 {
-			serialBody := append([]ast.Stmt{exprStmt(assign(ident(rrName(r)), ident("r")))}, launch...)
-			body = append(body, &ast.ForStmt{
-				Init: exprStmt(assign(ident("r"), intLit(0))),
-				Cond: bin(token.Lt, ident("r"), intLit(int64(rd.Serial))),
-				Post: &ast.PostfixExpr{Op: token.PlusPlus, X: ident("r")},
-				Body: &ast.BlockStmt{List: serialBody},
-			})
+			serialBody := append([]ast.Stmt{ast.Eval(ast.Assign(ast.Id(rrName(r)), ast.Id("r")))}, launch...)
+			body = append(body, ast.Loop("r", ast.Int(0), ast.Int(int64(rd.Serial)),
+				&ast.BlockStmt{List: serialBody}))
 		} else {
 			body = append(body, launch...)
 		}
 	}
 	body = append(body, em.reduction()...)
 	if s.Mutex {
-		body = append(body, callStmt("printf", strLit("g %d\n"), ident("gsum")))
+		body = append(body, ast.CallStmt("printf", ast.Str("g %d\n"), ast.Id("gsum")))
 	}
-	body = append(body, &ast.ReturnStmt{Result: intLit(0)})
+	body = append(body, &ast.ReturnStmt{Result: ast.Int(0)})
 	return &ast.FuncDecl{
 		Name:   "main",
 		Result: types.IntType,
@@ -711,11 +684,11 @@ func (em *emitter) reduction() []ast.Stmt {
 		for a, k := range s.Arrays {
 			var sum ast.Expr
 			for e := 0; e < em.n; e++ {
-				term := &ast.IndexExpr{X: ident(arrName(a)), Index: intLit(int64(e))}
+				term := &ast.IndexExpr{X: ast.Id(arrName(a)), Index: ast.Int(int64(e))}
 				if sum == nil {
 					sum = term
 				} else {
-					sum = bin(token.Plus, sum, term)
+					sum = ast.Bin(token.Plus, sum, term)
 				}
 			}
 			out = append(out, em.checkPrintf(a, k, sum))
@@ -723,39 +696,34 @@ func (em *emitter) reduction() []ast.Stmt {
 		return out
 	}
 	var out []ast.Stmt
-	out = append(out, declStmt("k", types.IntType, nil))
+	out = append(out, ast.Var("k", types.IntType, nil))
 	for a, k := range s.Arrays {
 		if k == KDouble {
-			out = append(out, declStmt(ckName(a), types.DoubleType, nil),
-				exprStmt(assign(ident(ckName(a)), floatLit(0.0))))
+			out = append(out, ast.Var(ckName(a), types.DoubleType, nil),
+				ast.Eval(ast.Assign(ast.Id(ckName(a)), ast.Float(0.0))))
 		} else {
-			out = append(out, declStmt(ckName(a), types.IntType, nil),
-				exprStmt(assign(ident(ckName(a)), intLit(0))))
+			out = append(out, ast.Var(ckName(a), types.IntType, nil),
+				ast.Eval(ast.Assign(ast.Id(ckName(a)), ast.Int(0))))
 		}
 	}
 	var accum []ast.Stmt
 	for a := range s.Arrays {
-		accum = append(accum, exprStmt(assign(ident(ckName(a)),
-			bin(token.Plus, ident(ckName(a)),
-				&ast.IndexExpr{X: ident(arrName(a)), Index: ident("k")}))))
+		accum = append(accum, ast.Eval(ast.Assign(ast.Id(ckName(a)),
+			ast.Bin(token.Plus, ast.Id(ckName(a)),
+				&ast.IndexExpr{X: ast.Id(arrName(a)), Index: ast.Id("k")}))))
 	}
-	out = append(out, &ast.ForStmt{
-		Init: exprStmt(assign(ident("k"), intLit(0))),
-		Cond: bin(token.Lt, ident("k"), intLit(int64(em.n))),
-		Post: &ast.PostfixExpr{Op: token.PlusPlus, X: ident("k")},
-		Body: nested(accum),
-	})
+	out = append(out, ast.Loop("k", ast.Int(0), ast.Int(int64(em.n)), ast.Nest(accum)))
 	for a, k := range s.Arrays {
-		out = append(out, em.checkPrintf(a, k, ident(ckName(a))))
+		out = append(out, em.checkPrintf(a, k, ast.Id(ckName(a))))
 	}
 	return out
 }
 
 func (em *emitter) checkPrintf(a int, k ElemKind, val ast.Expr) ast.Stmt {
 	if k == KDouble {
-		return callStmt("printf", strLit(fmt.Sprintf("c%d %%.6f\n", a)), val)
+		return ast.CallStmt("printf", ast.Str(fmt.Sprintf("c%d %%.6f\n", a)), val)
 	}
-	return callStmt("printf", strLit(fmt.Sprintf("c%d %%d\n", a)), val)
+	return ast.CallStmt("printf", ast.Str(fmt.Sprintf("c%d %%d\n", a)), val)
 }
 
 func ckName(a int) string { return fmt.Sprintf("c%d", a) }
@@ -771,9 +739,9 @@ type exprCtx struct {
 // or the thread's own slot in slot form.
 func (c exprCtx) indexExpr(em *emitter) ast.Expr {
 	if c.slotForm {
-		return ident("me")
+		return ast.Id("me")
 	}
-	return ident("i")
+	return ast.Id("i")
 }
 
 // expr renders e, coercing the result to want with an explicit cast when
@@ -792,98 +760,43 @@ func (em *emitter) cast(x ast.Expr, have, want ElemKind) ast.Expr {
 func (em *emitter) exprRaw(e *Expr, ctx exprCtx) ast.Expr {
 	switch e.Op {
 	case OpIntLit:
-		return intLit(e.Val)
+		return ast.Int(e.Val)
 	case OpFloatLit:
-		return floatLit(e.FVal)
+		return ast.Float(e.FVal)
 	case OpMe:
-		return ident("me")
+		return ast.Id("me")
 	case OpI:
 		if ctx.slotForm {
-			return ident("me")
+			return ast.Id("me")
 		}
-		return ident("i")
+		return ast.Id("i")
 	case OpRR:
-		return ident(rrName(ctx.round))
+		return ast.Id(rrName(ctx.round))
 	case OpRead:
 		if e.Via > 0 {
 			pt := em.spec.Ptrs[e.Via-1]
 			window := em.n - pt.Off
-			idx := &ast.ParenExpr{X: bin(token.Percent,
-				&ast.ParenExpr{X: em.expr(e.Idx, KInt, ctx)}, intLit(int64(window)))}
-			return &ast.IndexExpr{X: ident(ptrName(e.Via - 1)), Index: idx}
+			idx := &ast.ParenExpr{X: ast.Bin(token.Percent,
+				&ast.ParenExpr{X: em.expr(e.Idx, KInt, ctx)}, ast.Int(int64(window)))}
+			return &ast.IndexExpr{X: ast.Id(ptrName(e.Via - 1)), Index: idx}
 		}
-		return &ast.IndexExpr{X: ident(arrName(e.Arr)), Index: em.expr(e.Idx, KInt, ctx)}
+		return &ast.IndexExpr{X: ast.Id(arrName(e.Arr)), Index: em.expr(e.Idx, KInt, ctx)}
 	case OpAdd, OpSub, OpMul:
 		ops := map[Op]token.Kind{OpAdd: token.Plus, OpSub: token.Minus, OpMul: token.Star}
-		return &ast.ParenExpr{X: bin(ops[e.Op],
+		return &ast.ParenExpr{X: ast.Bin(ops[e.Op],
 			em.expr(e.X, e.K, ctx), em.expr(e.Y, e.K, ctx))}
 	case OpMod:
-		return &ast.ParenExpr{X: bin(token.Percent,
+		return &ast.ParenExpr{X: ast.Bin(token.Percent,
 			em.expr(e.X, KInt, ctx), em.expr(e.Y, KInt, ctx))}
 	case OpModN:
-		return &ast.ParenExpr{X: bin(token.Percent,
-			em.expr(e.X, KInt, ctx), intLit(int64(em.n)))}
+		return &ast.ParenExpr{X: ast.Bin(token.Percent,
+			em.expr(e.X, KInt, ctx), ast.Int(int64(em.n)))}
 	default:
-		return intLit(0)
+		return ast.Int(0)
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Small AST builders
-// ---------------------------------------------------------------------------
-
-func ident(name string) *ast.Ident { return &ast.Ident{Name: name} }
-
-func intLit(v int64) *ast.IntLit {
-	return &ast.IntLit{Value: v, Text: strconv.FormatInt(v, 10)}
-}
-
-func floatLit(v float64) *ast.FloatLit {
-	t := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(t, ".eE") {
-		t += ".0"
-	}
-	return &ast.FloatLit{Value: v, Text: t}
-}
-
-func strLit(s string) *ast.StringLit { return &ast.StringLit{Value: s} }
-
-func bin(op token.Kind, x, y ast.Expr) *ast.BinaryExpr {
-	return &ast.BinaryExpr{Op: op, X: x, Y: y}
-}
-
-func assign(lhs, rhs ast.Expr) *ast.AssignExpr {
-	return &ast.AssignExpr{Op: token.Assign, LHS: lhs, RHS: rhs}
-}
-
-func exprStmt(e ast.Expr) ast.Stmt { return &ast.ExprStmt{X: e} }
-
-func callStmt(name string, args ...ast.Expr) ast.Stmt {
-	return exprStmt(&ast.CallExpr{Fun: ident(name), Args: args})
-}
-
+// addr is &name.
 func addr(name string) ast.Expr {
-	return &ast.UnaryExpr{Op: token.Amp, X: ident(name)}
-}
-
-func declStmt(name string, t *types.Type, init ast.Expr) ast.Stmt {
-	return &ast.DeclStmt{Decl: &ast.VarDecl{Name: name, Type: t, Init: init}}
-}
-
-// mulFold emits name*k with the ×1 case folded to just the identifier —
-// the fold that keeps minimal reproducers readable.
-func mulFold(x ast.Expr, k int) ast.Expr {
-	if k == 1 {
-		return x
-	}
-	return bin(token.Star, x, intLit(int64(k)))
-}
-
-// nested wraps a statement list for use as a loop body: a single
-// statement stays bare (printed without braces), several become a block.
-func nested(list []ast.Stmt) ast.Stmt {
-	if len(list) == 1 {
-		return list[0]
-	}
-	return &ast.BlockStmt{List: list}
+	return &ast.UnaryExpr{Op: token.Amp, X: ast.Id(name)}
 }

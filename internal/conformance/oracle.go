@@ -414,39 +414,27 @@ type Report struct {
 }
 
 // Run checks the n kernels kernelFor derives from seeds base..base+n-1
-// across a worker pool, shrinking any failures to minimal reproducers.
-// Kernel i reproduces directly via -seed base+i -n 1. Failures come
-// back, and go to logf (when non-nil) one line each, in seed order, so
-// two runs over the same seeds report identically at any parallelism.
+// on parallel workers (<= 0 = GOMAXPROCS; bench.InOrder), shrinking any
+// failures to minimal reproducers. Kernel i reproduces directly via
+// -seed base+i -n 1. Failures come back, and go to logf (when non-nil)
+// one line each, in seed order, so two runs over the same seeds report
+// identically at any parallelism.
 func (e *Engine) Run(base int64, n, parallel int, kernelFor func(seed int64) Kernel, logf func(format string, args ...any)) *Report {
 	found := make([]*Failure, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for range max(parallel, 1) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				found[i] = e.checkSeed(base+int64(i), kernelFor)
-			}
-		}()
-	}
-	for i := range n {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	rep := &Report{BaseSeed: base, Kernels: n}
-	for _, f := range found {
+	bench.InOrder(n, parallel, func(i int) {
+		found[i] = e.checkSeed(base+int64(i), kernelFor)
+	}, func(i int) {
+		f := found[i]
 		if f == nil {
-			continue
+			return
 		}
 		rep.Failures = append(rep.Failures, f)
 		if logf != nil {
 			logf("conformance: FAIL %s\nminimized (%d lines):\n%s",
 				f.Div, strings.Count(f.MinSource, "\n"), f.MinSource)
 		}
-	}
+	})
 	return rep
 }
 

@@ -6,19 +6,16 @@ package serve
 // the whole computation succeeded, so a deadline that fires
 // mid-simulation yields a clean 504 and never a partial result. The
 // streaming endpoints (grid, batch) emit NDJSON lines in deterministic
-// input/index order (a reorder buffer sequences the concurrent
-// workers), so repeated identical requests produce byte-identical
-// streams.
+// input/index order (bench.InOrder sequences the concurrent workers),
+// so repeated identical requests produce byte-identical streams.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 
 	"hsmcc/internal/bench"
-	"hsmcc/internal/synth"
 	"hsmcc/internal/trace"
 )
 
@@ -52,19 +49,12 @@ type TranslateResponse struct {
 // runs of one cell plus the differential check, in exact simulated
 // picoseconds — deterministic, so repeats are byte-identical.
 type SimulateResponse struct {
-	Workload        string  `json:"workload"`
-	Cores           int     `json:"cores"`
-	Scale           float64 `json:"scale"`
-	Policy          string  `json:"policy"`
-	MPBBudget       int     `json:"mpb_budget"`
-	BaselinePs      uint64  `json:"baseline_ps"`
-	RCCEPs          uint64  `json:"rcce_ps"`
-	Speedup         float64 `json:"speedup"`
-	Match           bool    `json:"match"`
-	OnChipBytes     int     `json:"onchip_bytes"`
-	PlacementDigest string  `json:"placement_digest,omitempty"`
-	MPBAccesses     uint64  `json:"mpb_accesses"`
-	SharedAccesses  uint64  `json:"shared_accesses"`
+	Workload  string  `json:"workload"`
+	Cores     int     `json:"cores"`
+	Scale     float64 `json:"scale"`
+	Policy    string  `json:"policy"`
+	MPBBudget int     `json:"mpb_budget"`
+	bench.Outcome
 	// Trace is the Chrome trace_event document of the translated
 	// (RCCE) simulation, present only with ?trace=1 — bulky, and only
 	// recorded when this request actually ran the simulation.
@@ -111,13 +101,14 @@ type BatchLine struct {
 	Simulate  *SimulateResponse  `json:"simulate,omitempty"`
 }
 
-// Admission weights: how many gate slots one unit of work charges. A
-// simulate runs two simulations (baseline + translated), a grid one
-// slot per cell, a batch the sum of its items.
-const (
-	weightCompile  = 1
-	weightSimulate = 2
-)
+// op is one entry of the op table (Server.ops) behind the
+// single-object endpoints and batch items: weight is how many admission
+// gate slots it charges, run computes its response. A grid charges one
+// slot per cell, a batch the sum of its items' weights.
+type op struct {
+	weight int
+	run    func(context.Context, *simCall) (any, error)
+}
 
 // admit charges weight slots against the in-flight gate, blocking (in
 // the bounded FIFO queue) until slots free or ctx ends. On a shed it
@@ -163,28 +154,32 @@ func (s *Server) decodeSim(w http.ResponseWriter, r *http.Request) (*simCall, bo
 	return call, true
 }
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	call, ok := s.decodeSim(w, r)
-	if !ok {
-		return
+// handleOp serves one single-object op: decode, deadline, admit, run,
+// write.
+func (s *Server) handleOp(o op) func(http.ResponseWriter, *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request) {
+		call, ok := s.decodeSim(w, r)
+		if !ok {
+			return
+		}
+		ctx, cancel := s.withDeadline(r.Context(), call.req.DeadlineMs)
+		defer cancel()
+		release, ok := s.admit(ctx, w, o.weight)
+		if !ok {
+			return
+		}
+		defer release()
+		resp, err := o.run(ctx, call)
+		if err != nil {
+			status, msg := s.statusOf(err)
+			writeError(w, status, msg)
+			return
+		}
+		writeJSON(w, resp)
 	}
-	ctx, cancel := s.withDeadline(r.Context(), call.req.DeadlineMs)
-	defer cancel()
-	release, ok := s.admit(ctx, w, weightCompile)
-	if !ok {
-		return
-	}
-	defer release()
-	resp, err := s.compile(ctx, call)
-	if err != nil {
-		status, msg := s.statusOf(err)
-		writeError(w, status, msg)
-		return
-	}
-	writeJSON(w, resp)
 }
 
-func (s *Server) compile(ctx context.Context, c *simCall) (*CompileResponse, error) {
+func (s *Server) compile(ctx context.Context, c *simCall) (any, error) {
 	cfg := s.config(ctx, c)
 	pr, err := bench.CompileBaseline(c.workload, cfg)
 	if err != nil {
@@ -203,28 +198,7 @@ func (s *Server) compile(ctx context.Context, c *simCall) (*CompileResponse, err
 	return resp, nil
 }
 
-func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
-	call, ok := s.decodeSim(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.withDeadline(r.Context(), call.req.DeadlineMs)
-	defer cancel()
-	release, ok := s.admit(ctx, w, weightCompile)
-	if !ok {
-		return
-	}
-	defer release()
-	resp, err := s.translate(ctx, call)
-	if err != nil {
-		status, msg := s.statusOf(err)
-		writeError(w, status, msg)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) translate(ctx context.Context, c *simCall) (*TranslateResponse, error) {
+func (s *Server) translate(ctx context.Context, c *simCall) (any, error) {
 	cfg := s.config(ctx, c)
 	tr, err := bench.TranslateWorkload(c.workload, cfg, c.policy)
 	if err != nil {
@@ -248,28 +222,7 @@ func (s *Server) translate(ctx context.Context, c *simCall) (*TranslateResponse,
 	return resp, nil
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	call, ok := s.decodeSim(w, r)
-	if !ok {
-		return
-	}
-	ctx, cancel := s.withDeadline(r.Context(), call.req.DeadlineMs)
-	defer cancel()
-	release, ok := s.admit(ctx, w, weightSimulate)
-	if !ok {
-		return
-	}
-	defer release()
-	resp, err := s.simulate(ctx, call)
-	if err != nil {
-		status, msg := s.statusOf(err)
-		writeError(w, status, msg)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, error) {
+func (s *Server) simulate(ctx context.Context, c *simCall) (any, error) {
 	cfg := s.config(ctx, c)
 	var rec *trace.Recorder
 	if c.trace {
@@ -284,19 +237,12 @@ func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, e
 		return nil, err
 	}
 	resp := &SimulateResponse{
-		Workload:        c.req.Workload,
-		Cores:           c.req.Cores,
-		Scale:           c.req.Scale,
-		Policy:          c.req.Policy,
-		MPBBudget:       c.req.MPBBudget,
-		BaselinePs:      uint64(both.Baseline.Makespan),
-		RCCEPs:          uint64(both.RCCE.Makespan),
-		Speedup:         bench.Speedup(both.Baseline, both.RCCE),
-		Match:           both.Match,
-		OnChipBytes:     both.RCCE.OnChipBytes,
-		PlacementDigest: both.RCCE.PlacementDigest,
-		MPBAccesses:     both.RCCE.Stats.MPBAccesses,
-		SharedAccesses:  both.RCCE.Stats.SharedAccesses,
+		Workload:  c.req.Workload,
+		Cores:     c.req.Cores,
+		Scale:     c.req.Scale,
+		Policy:    c.req.Policy,
+		MPBBudget: c.req.MPBBudget,
+		Outcome:   both.Outcome(),
 	}
 	if rec != nil {
 		resp.Trace = rec.Export()
@@ -307,40 +253,30 @@ func (s *Server) simulate(ctx context.Context, c *simCall) (*SimulateResponse, e
 	return resp, nil
 }
 
-// validateGrid admits a grid spec under the server limits.
-func (s *Server) validateGrid(g bench.Grid) error {
+// validateGrid admits a grid spec under the server limits and returns
+// its cell count. The count is the product of the axis lengths, taken
+// without building a cell and cut short once it passes the limit (the
+// refusal names the product so far), so a small body cannot make the
+// daemon build millions of cells to refuse them.
+func (s *Server) validateGrid(g bench.Grid) (int, error) {
 	if err := g.Validate(); err != nil {
-		return errBadRequest("%v", err)
+		return 0, errBadRequest("%v", err)
 	}
-	cells := g.Cells()
-	if len(cells) > s.limits.MaxGridCells {
-		return errBadRequest("grid has %d cells, limit %d", len(cells), s.limits.MaxGridCells)
+	workloads := len(g.Workloads)
+	if workloads == 0 {
+		workloads = len(bench.All())
+	}
+	cells := 1
+	for _, axis := range []int{workloads, len(g.Cores), len(g.Policies), max(len(g.MPBBudgets), 1)} {
+		if cells *= axis; cells > s.limits.MaxGridCells {
+			return 0, errBadRequest("grid has %d cells, limit %d", cells, s.limits.MaxGridCells)
+		}
 	}
 	scale := g.Scale
 	if scale == 0 {
 		scale = 1.0
 	}
-	if scale < 0 || scale > s.limits.MaxScale {
-		return errBadRequest("scale %g out of range (0,%g]", scale, s.limits.MaxScale)
-	}
-	for _, n := range g.Cores {
-		if n < 1 || n > s.limits.MaxCores {
-			return errBadRequest("cores %d out of range [1,%d]", n, s.limits.MaxCores)
-		}
-	}
-	for _, wk := range g.Workloads {
-		if !synth.IsKey(wk) {
-			continue
-		}
-		p, err := synth.ParseKey(wk)
-		if err != nil {
-			return errBadRequest("bad synth key: %v", err)
-		}
-		if ops := p.Scaled(scale).Ops * p.Rounds; ops > s.limits.MaxSynthOps {
-			return errBadRequest("synth op budget %d exceeds limit %d", ops, s.limits.MaxSynthOps)
-		}
-	}
-	return nil
+	return cells, s.checkWork(scale, g.Cores, g.Workloads)
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
@@ -354,14 +290,15 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, msg)
 		return
 	}
-	if err := s.validateGrid(req.Grid); err != nil {
+	cells, err := s.validateGrid(req.Grid)
+	if err != nil {
 		status, msg := s.statusOf(err)
 		writeError(w, status, msg)
 		return
 	}
 	ctx, cancel := s.withDeadline(r.Context(), req.DeadlineMs)
 	defer cancel()
-	release, ok := s.admit(ctx, w, len(req.Grid.Cells()))
+	release, ok := s.admit(ctx, w, cells)
 	if !ok {
 		return
 	}
@@ -370,7 +307,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	started := false
-	_, err := bench.RunGrid(req.Grid, bench.RunOptions{
+	_, err = bench.RunGrid(req.Grid, bench.RunOptions{
 		Parallel: req.Parallel,
 		Cache:    s.cache,
 		Hooks:    bench.Hooks{Cancel: ctx.Err, Fault: s.fault},
@@ -438,11 +375,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	weight := 0
 	for _, item := range req.Items {
-		if item.Op == "simulate" {
-			weight += weightSimulate
-		} else {
-			weight += weightCompile
-		}
+		weight += max(s.ops[item.Op].weight, 1) // an unknown op still charges one slot
 	}
 	release, ok := s.admit(ctx, w, weight)
 	if !ok {
@@ -453,37 +386,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	emitter := newOrderedEmitter(len(req.Items), func(line any) {
-		enc.Encode(line)
+	lines := make([]BatchLine, len(req.Items))
+	bench.InOrder(len(req.Items), req.Parallel, func(i int) {
+		lines[i] = s.runBatchItemSafe(ctx, i, req.Items[i])
+	}, func(i int) {
+		enc.Encode(lines[i])
 		if flusher != nil {
 			flusher.Flush()
 		}
 	})
-
-	workers := req.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(req.Items) {
-		workers = len(req.Items)
-	}
-	jobs := make(chan int)
-	done := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		go func() {
-			for idx := range jobs {
-				emitter.emit(idx, s.runBatchItemSafe(ctx, idx, req.Items[idx]))
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range req.Items {
-		jobs <- i
-	}
-	close(jobs)
-	for i := 0; i < workers; i++ {
-		<-done
-	}
 }
 
 // runBatchItemSafe is runBatchItem behind a panic boundary: batch items
@@ -517,27 +428,21 @@ func (s *Server) runBatchItem(ctx context.Context, idx int, item BatchItem) Batc
 	if err != nil {
 		return fail(err)
 	}
-	switch item.Op {
-	case "compile":
-		resp, err := s.compile(ctx, call)
-		if err != nil {
-			return fail(err)
-		}
-		line.Compile = resp
-	case "translate":
-		resp, err := s.translate(ctx, call)
-		if err != nil {
-			return fail(err)
-		}
-		line.Translate = resp
-	case "simulate":
-		resp, err := s.simulate(ctx, call)
-		if err != nil {
-			return fail(err)
-		}
-		line.Simulate = resp
-	default:
+	o, ok := s.ops[item.Op]
+	if !ok {
 		return fail(errBadRequest("unknown op %q (want compile, translate or simulate)", item.Op))
+	}
+	resp, err := o.run(ctx, call)
+	if err != nil {
+		return fail(err)
+	}
+	switch resp := resp.(type) {
+	case *CompileResponse:
+		line.Compile = resp
+	case *TranslateResponse:
+		line.Translate = resp
+	case *SimulateResponse:
+		line.Simulate = resp
 	}
 	return line
 }

@@ -464,19 +464,12 @@ func (o *oracle) direct(path string, req serve.SimRequest) (any, error) {
 			return nil, err
 		}
 		return &serve.SimulateResponse{
-			Workload:        req.Workload,
-			Cores:           req.Cores,
-			Scale:           req.Scale,
-			Policy:          req.Policy,
-			MPBBudget:       req.MPBBudget,
-			BaselinePs:      uint64(both.Baseline.Makespan),
-			RCCEPs:          uint64(both.RCCE.Makespan),
-			Speedup:         bench.Speedup(both.Baseline, both.RCCE),
-			Match:           both.Match,
-			OnChipBytes:     both.RCCE.OnChipBytes,
-			PlacementDigest: both.RCCE.PlacementDigest,
-			MPBAccesses:     both.RCCE.Stats.MPBAccesses,
-			SharedAccesses:  both.RCCE.Stats.SharedAccesses,
+			Workload:  req.Workload,
+			Cores:     req.Cores,
+			Scale:     req.Scale,
+			Policy:    req.Policy,
+			MPBBudget: req.MPBBudget,
+			Outcome:   both.Outcome(),
 		}, nil
 	}
 	return nil, fmt.Errorf("no oracle op for %s", path)

@@ -86,26 +86,14 @@ func (s *Server) resolve(req *SimRequest) (*simCall, error) {
 	if req.Workload == "" {
 		return nil, errBadRequest("workload is required")
 	}
-	if req.Cores < 1 || req.Cores > s.limits.MaxCores {
-		return nil, errBadRequest("cores %d out of range [1,%d]", req.Cores, s.limits.MaxCores)
-	}
-	if req.Scale < 0 || req.Scale > s.limits.MaxScale {
-		return nil, errBadRequest("scale %g out of range (0,%g]", req.Scale, s.limits.MaxScale)
+	if err := s.checkWork(req.Scale, []int{req.Cores}, []string{req.Workload}); err != nil {
+		return nil, err
 	}
 	if req.MPBBudget < 0 {
 		return nil, errBadRequest("mpb_budget %d is negative (use 0 for the full MPB)", req.MPBBudget)
 	}
 	if _, err := bench.EffectiveBudget(req.MPBBudget, s.baseCfg.MachineConfig()); err != nil {
 		return nil, errBadRequest("%v", err)
-	}
-	if synth.IsKey(req.Workload) {
-		p, err := synth.ParseKey(req.Workload)
-		if err != nil {
-			return nil, errBadRequest("bad synth key: %v", err)
-		}
-		if ops := p.Scaled(req.Scale).Ops * p.Rounds; ops > s.limits.MaxSynthOps {
-			return nil, errBadRequest("synth op budget %d exceeds limit %d", ops, s.limits.MaxSynthOps)
-		}
 	}
 	w, ok := bench.ByKey(req.Workload)
 	if !ok {
@@ -116,6 +104,33 @@ func (s *Server) resolve(req *SimRequest) (*simCall, error) {
 		return nil, errBadRequest("%v", err)
 	}
 	return &simCall{req: *req, workload: w, policy: policy}, nil
+}
+
+// checkWork applies the limits a single-object request and a grid
+// share: the scale, every core count, and every synthetic workload's
+// scheduled op budget at that scale.
+func (s *Server) checkWork(scale float64, cores []int, workloads []string) error {
+	if scale < 0 || scale > s.limits.MaxScale {
+		return errBadRequest("scale %g out of range (0,%g]", scale, s.limits.MaxScale)
+	}
+	for _, n := range cores {
+		if n < 1 || n > s.limits.MaxCores {
+			return errBadRequest("cores %d out of range [1,%d]", n, s.limits.MaxCores)
+		}
+	}
+	for _, wk := range workloads {
+		if !synth.IsKey(wk) {
+			continue
+		}
+		p, err := synth.ParseKey(wk)
+		if err != nil {
+			return errBadRequest("bad synth key: %v", err)
+		}
+		if ops := p.Scaled(scale).Ops * p.Rounds; ops > s.limits.MaxSynthOps {
+			return errBadRequest("synth op budget %d exceeds limit %d", ops, s.limits.MaxSynthOps)
+		}
+	}
+	return nil
 }
 
 // config derives the per-request bench.Config: the server template

@@ -172,6 +172,8 @@ type Server struct {
 	// the simulations through interp.Sim.Cancel.
 	stopCtx    context.Context
 	stopCancel context.CancelFunc
+	// ops is the op table keyed by op name, built once in New.
+	ops map[string]op
 	// baseCfg is the template every request's bench.Config derives
 	// from: the paper's machine, with the machine-config fingerprint
 	// precomputed once so per-request cache keys never build a
@@ -194,9 +196,14 @@ func New(opts Options) *Server {
 	s.stopCtx, s.stopCancel = context.WithCancel(context.Background())
 	s.baseCfg = bench.DefaultConfig().PrecomputeMachineEnv()
 	s.baseCfg.Cache = s.cache
-	s.mux.HandleFunc("/v1/compile", s.instrument("compile", s.handleCompile))
-	s.mux.HandleFunc("/v1/translate", s.instrument("translate", s.handleTranslate))
-	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
+	s.ops = map[string]op{
+		"compile":   {weight: 1, run: s.compile},
+		"translate": {weight: 1, run: s.translate},
+		"simulate":  {weight: 2, run: s.simulate}, // baseline + translated run
+	}
+	for name, o := range s.ops {
+		s.mux.HandleFunc("/v1/"+name, s.instrument(name, s.handleOp(o)))
+	}
 	s.mux.HandleFunc("/v1/grid", s.instrument("grid", s.handleGrid))
 	s.mux.HandleFunc("/v1/batch", s.instrument("batch", s.handleBatch))
 	s.mux.HandleFunc("/metrics", s.instrument("metrics", s.handleMetrics))

@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -292,5 +293,55 @@ func TestBodyTooLarge(t *testing.T) {
 	status, _ := do(t, ts, "POST", "/v1/simulate", big)
 	if status != 400 {
 		t.Fatalf("oversized body got status %d, want 400", status)
+	}
+}
+
+// TestGridOverLimitRefusedUnbuilt pins the cell limit's cost: a 6 KB
+// body asking for 10^6 cells (1000 copies of one core count times 1000
+// copies of one budget) is refused with the limit message before a
+// single cell is built.
+func TestGridOverLimitRefusedUnbuilt(t *testing.T) {
+	s := New(Options{})
+	body := `{"grid":{"name":"t","workloads":["pi"],"cores":[4` + strings.Repeat(",4", 999) +
+		`],"policies":["size"],"mpb_budgets":[0` + strings.Repeat(",0", 999) + `]}}`
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest("POST", "/v1/grid", strings.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Handler().ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	want := `{"error":"grid has 1000000 cells, limit 4096","status":400}` + "\n"
+	if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("status %d body %q, want 400 %q", rec.Code, rec.Body.String(), want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("refusing the grid allocated %d bytes, want under 1 MiB", alloc)
+	}
+}
+
+// TestBatchDeterminism is TestGridDeterminism for batches: one body,
+// mixing every op, a profiled placement and failing items, answers
+// byte-identically with one worker and with eight.
+func TestBatchDeterminism(t *testing.T) {
+	const items = `"items":[` +
+		`{"op":"simulate","workload":"dot","cores":4,"scale":0.02},` +
+		`{"op":"compile","workload":"pi","cores":2,"scale":0.01},` +
+		`{"op":"translate","workload":"hist","cores":2,"scale":0.01,"policy":"profiled"},` +
+		`{"op":"explode","workload":"pi"},` +
+		`{"op":"simulate","workload":"pi","cores":-1},` +
+		`{"op":"simulate","workload":"hist","cores":3,"scale":0.01,"policy":"offchip","mpb_budget":512},` +
+		`{"op":"simulate","workload":"nope"},` +
+		`{"op":"compile","workload":"stream","cores":4,"scale":0.01}]`
+	var streams [2]string
+	for i, parallel := range []int{1, 8} {
+		_, ts := newTestServer(t, Options{})
+		status, got := do(t, ts, "POST", "/v1/batch", fmt.Sprintf(`{%s,"parallel":%d}`, items, parallel))
+		if status != http.StatusOK || strings.Count(got, "\n") != 8 {
+			t.Fatalf("parallel %d: status %d, want 200 and 8 lines:\n%s", parallel, status, got)
+		}
+		streams[i] = got
+	}
+	if streams[0] != streams[1] {
+		t.Errorf("batch stream differs between parallel 1 and 8\n--- 1 ---\n%s--- 8 ---\n%s", streams[0], streams[1])
 	}
 }

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"hsmcc/internal/cc/ast"
@@ -157,53 +156,48 @@ func (em *synthEmitter) hasWarm() bool { return em.u.priv || em.u.table }
 func (em *synthEmitter) warmFunc() *ast.FuncDecl {
 	lay := em.lay
 	var body []ast.Stmt
-	body = append(body, sDecl("me", types.IntType,
-		&ast.CastExpr{To: types.IntType, X: sIdent("tid")}))
-	body = append(body, sDecl("j", types.IntType, nil))
+	body = append(body, ast.Var("me", types.IntType,
+		&ast.CastExpr{To: types.IntType, X: ast.Id("tid")}))
+	body = append(body, ast.Var("j", types.IntType, nil))
 	fill := func(target ast.Expr) ast.Stmt {
 		// (me*7 + j*3) keeps windows distinguishable; the value form is
 		// bounded per the emitter invariant.
-		mixIdx := sBin(token.Plus,
-			sBin(token.Star, sIdent("me"), sInt(7)),
-			sBin(token.Star, sIdent("j"), sInt(3)))
+		mixIdx := ast.Bin(token.Plus,
+			ast.Bin(token.Star, ast.Id("me"), ast.Int(7)),
+			ast.Bin(token.Star, ast.Id("j"), ast.Int(3)))
 		var val ast.Expr
 		if em.p.Double {
-			val = sBin(token.Plus,
-				sBin(token.Star,
-					&ast.CastExpr{To: types.DoubleType, X: &ast.ParenExpr{X: sBin(token.Percent, &ast.ParenExpr{X: mixIdx}, sInt(8))}},
-					sFloat(0.25)),
-				sFloat(0.5))
+			val = ast.Bin(token.Plus,
+				ast.Bin(token.Star,
+					&ast.CastExpr{To: types.DoubleType, X: &ast.ParenExpr{X: ast.Bin(token.Percent, &ast.ParenExpr{X: mixIdx}, ast.Int(8))}},
+					ast.Float(0.25)),
+				ast.Float(0.5))
 		} else {
-			val = &ast.ParenExpr{X: sBin(token.Percent,
-				&ast.ParenExpr{X: sBin(token.Plus, mixIdx, sInt(1))}, sInt(intModulus))}
+			val = &ast.ParenExpr{X: ast.Bin(token.Percent,
+				&ast.ParenExpr{X: ast.Bin(token.Plus, mixIdx, ast.Int(1))}, ast.Int(intModulus))}
 		}
-		return sExpr(sAssign(target, val))
+		return ast.Eval(ast.Assign(target, val))
 	}
 	forJ := func(bound int, st ast.Stmt) ast.Stmt {
-		return &ast.ForStmt{
-			Init: sExpr(sAssign(sIdent("j"), sInt(0))),
-			Cond: sBin(token.Lt, sIdent("j"), sInt(int64(bound))),
-			Post: &ast.PostfixExpr{Op: token.PlusPlus, X: sIdent("j")},
-			Body: st,
-		}
+		return ast.Loop("j", ast.Int(0), ast.Int(int64(bound)), st)
 	}
 	if em.u.priv {
-		target := &ast.IndexExpr{X: sIdent(privName),
-			Index: sBin(token.Plus, sMul(sIdent("me"), lay.pa), sIdent("j"))}
+		target := &ast.IndexExpr{X: ast.Id(privName),
+			Index: ast.Bin(token.Plus, ast.Mul(ast.Id("me"), lay.pa), ast.Id("j"))}
 		body = append(body, forJ(lay.pa, fill(target)))
 	}
 	if em.u.table {
-		target := &ast.IndexExpr{X: sIdent(tableName),
-			Index: sBin(token.Plus, sMul(em.groupOf("me"), lay.sa), sIdent("j"))}
+		target := &ast.IndexExpr{X: ast.Id(tableName),
+			Index: ast.Bin(token.Plus, ast.Mul(em.groupOf("me"), lay.sa), ast.Id("j"))}
 		loop := forJ(lay.sa, fill(target))
 		body = append(body, &ast.IfStmt{
-			Cond: sBin(token.EqEq,
-				&ast.ParenExpr{X: sBin(token.Percent, sIdent("me"), sInt(int64(lay.deg)))},
-				sInt(0)),
+			Cond: ast.Bin(token.EqEq,
+				&ast.ParenExpr{X: ast.Bin(token.Percent, ast.Id("me"), ast.Int(int64(lay.deg)))},
+				ast.Int(0)),
 			Then: &ast.BlockStmt{List: []ast.Stmt{loop}},
 		})
 	}
-	body = append(body, sCall("pthread_exit", sIdent("NULL")))
+	body = append(body, ast.CallStmt("pthread_exit", ast.Id("NULL")))
 	return threadFuncDecl(warmName, body)
 }
 
@@ -211,9 +205,9 @@ func (em *synthEmitter) warmFunc() *ast.FuncDecl {
 // when every thread is its own group).
 func (em *synthEmitter) groupOf(name string) ast.Expr {
 	if em.lay.deg == 1 {
-		return sIdent(name)
+		return ast.Id(name)
 	}
-	return &ast.ParenExpr{X: sBin(token.Slash, sIdent(name), sInt(int64(em.lay.deg)))}
+	return &ast.ParenExpr{X: ast.Bin(token.Slash, ast.Id(name), ast.Int(int64(em.lay.deg)))}
 }
 
 // mixFunc emits compute round r: the accumulator loop iterating the
@@ -221,37 +215,32 @@ func (em *synthEmitter) groupOf(name string) ast.Expr {
 // its own out slot.
 func (em *synthEmitter) mixFunc(r int) *ast.FuncDecl {
 	var body []ast.Stmt
-	body = append(body, sDecl("me", types.IntType,
-		&ast.CastExpr{To: types.IntType, X: sIdent("tid")}))
+	body = append(body, ast.Var("me", types.IntType,
+		&ast.CastExpr{To: types.IntType, X: ast.Id("tid")}))
 	if em.p.Double {
-		body = append(body, sDecl("acc", types.DoubleType, sFloat(0.5)))
+		body = append(body, ast.Var("acc", types.DoubleType, ast.Float(0.5)))
 	} else {
-		body = append(body, sDecl("acc", types.IntType, sInt(int64(1+r))))
+		body = append(body, ast.Var("acc", types.IntType, ast.Int(int64(1+r))))
 	}
-	body = append(body, sDecl("i", types.IntType, nil))
+	body = append(body, ast.Var("i", types.IntType, nil))
 	var inner []ast.Stmt
 	for _, o := range em.s.rounds[r] {
 		inner = append(inner, em.opStmt(o, r))
 	}
 	if len(inner) > 0 {
-		body = append(body, &ast.ForStmt{
-			Init: sExpr(sAssign(sIdent("i"), sInt(0))),
-			Cond: sBin(token.Lt, sIdent("i"), sInt(int64(em.s.iters))),
-			Post: &ast.PostfixExpr{Op: token.PlusPlus, X: sIdent("i")},
-			Body: sNested(inner),
-		})
+		body = append(body, ast.Loop("i", ast.Int(0), ast.Int(int64(em.s.iters)), ast.Nest(inner)))
 	}
-	slot := &ast.IndexExpr{X: sIdent(outName), Index: sIdent("me")}
-	body = append(body, sExpr(sAssign(slot,
-		sBin(token.Plus, &ast.IndexExpr{X: sIdent(outName), Index: sIdent("me")}, sIdent("acc")))))
-	body = append(body, sCall("pthread_exit", sIdent("NULL")))
+	slot := &ast.IndexExpr{X: ast.Id(outName), Index: ast.Id("me")}
+	body = append(body, ast.Eval(ast.Assign(slot,
+		ast.Bin(token.Plus, &ast.IndexExpr{X: ast.Id(outName), Index: ast.Id("me")}, ast.Id("acc")))))
+	body = append(body, ast.CallStmt("pthread_exit", ast.Id("NULL")))
 	return threadFuncDecl(mixName(r), body)
 }
 
 // wrapIdx is the bounded in-window offset (i*stride + off) % width.
 func wrapIdx(o op, width int) ast.Expr {
-	lin := sBin(token.Plus, sMul(sIdent("i"), o.stride), sInt(int64(o.off)))
-	return &ast.ParenExpr{X: sBin(token.Percent, &ast.ParenExpr{X: lin}, sInt(int64(width)))}
+	lin := ast.Bin(token.Plus, ast.Mul(ast.Id("i"), o.stride), ast.Int(int64(o.off)))
+	return &ast.ParenExpr{X: ast.Bin(token.Percent, &ast.ParenExpr{X: lin}, ast.Int(int64(width)))}
 }
 
 // opStmt lowers one scheduled operation of round r to a statement.
@@ -264,30 +253,30 @@ func (em *synthEmitter) opStmt(o op, r int) ast.Stmt {
 	case opNonMem:
 		if em.p.Double {
 			// acc = acc * F1 + F2;
-			return sExpr(sAssign(sIdent("acc"), sBin(token.Plus,
-				sBin(token.Star, sIdent("acc"), sFloat(doubleScales[o.f1])),
-				sFloat(doubleOffsets[o.f2]))))
+			return ast.Eval(ast.Assign(ast.Id("acc"), ast.Bin(token.Plus,
+				ast.Bin(token.Star, ast.Id("acc"), ast.Float(doubleScales[o.f1])),
+				ast.Float(doubleOffsets[o.f2]))))
 		}
 		// acc = (acc * C1 + C2) % M;
-		return sExpr(sAssign(sIdent("acc"), sModM(sBin(token.Plus,
-			sBin(token.Star, sIdent("acc"), sInt(int64(o.c1))), sInt(int64(o.c2))))))
+		return ast.Eval(ast.Assign(ast.Id("acc"), sModM(ast.Bin(token.Plus,
+			ast.Bin(token.Star, ast.Id("acc"), ast.Int(int64(o.c1))), ast.Int(int64(o.c2))))))
 	case opPrivLoad:
-		idx := sBin(token.Plus, sMul(sIdent("me"), lay.pa), wrapIdx(o, lay.pa))
-		return em.loadStmt(&ast.IndexExpr{X: sIdent(privName), Index: idx})
+		idx := ast.Bin(token.Plus, ast.Mul(ast.Id("me"), lay.pa), wrapIdx(o, lay.pa))
+		return em.loadStmt(&ast.IndexExpr{X: ast.Id(privName), Index: idx})
 	case opPrivStore:
-		idx := sBin(token.Plus, sMul(sIdent("me"), lay.pa), wrapIdx(o, lay.pa))
-		return em.storeStmt(&ast.IndexExpr{X: sIdent(privName), Index: idx}, o)
+		idx := ast.Bin(token.Plus, ast.Mul(ast.Id("me"), lay.pa), wrapIdx(o, lay.pa))
+		return em.storeStmt(&ast.IndexExpr{X: ast.Id(privName), Index: idx}, o)
 	case opSharedLoad:
 		if o.fromSW {
 			width := lay.deg * lay.sa
-			idx := sBin(token.Plus, sMulE(em.groupOf("me"), width), wrapIdx(o, width))
-			return em.loadStmt(&ast.IndexExpr{X: sIdent(swapName(1 - r%2)), Index: idx})
+			idx := ast.Bin(token.Plus, ast.Mul(em.groupOf("me"), width), wrapIdx(o, width))
+			return em.loadStmt(&ast.IndexExpr{X: ast.Id(swapName(1 - r%2)), Index: idx})
 		}
-		idx := sBin(token.Plus, sMulE(em.groupOf("me"), lay.sa), wrapIdx(o, lay.sa))
-		return em.loadStmt(&ast.IndexExpr{X: sIdent(tableName), Index: idx})
+		idx := ast.Bin(token.Plus, ast.Mul(em.groupOf("me"), lay.sa), wrapIdx(o, lay.sa))
+		return em.loadStmt(&ast.IndexExpr{X: ast.Id(tableName), Index: idx})
 	case opSharedStore:
-		idx := sBin(token.Plus, sMul(sIdent("me"), lay.sa), wrapIdx(o, lay.sa))
-		return em.storeStmt(&ast.IndexExpr{X: sIdent(swapName(r % 2)), Index: idx}, o)
+		idx := ast.Bin(token.Plus, ast.Mul(ast.Id("me"), lay.sa), wrapIdx(o, lay.sa))
+		return em.storeStmt(&ast.IndexExpr{X: ast.Id(swapName(r % 2)), Index: idx}, o)
 	}
 	panic("synth: unknown op kind")
 }
@@ -296,12 +285,12 @@ func (em *synthEmitter) opStmt(o op, r int) ast.Stmt {
 // int `acc = (acc + X) % M;`, double `acc = acc * 0.5 + X * 0.5;`.
 func (em *synthEmitter) loadStmt(read ast.Expr) ast.Stmt {
 	if em.p.Double {
-		return sExpr(sAssign(sIdent("acc"), sBin(token.Plus,
-			sBin(token.Star, sIdent("acc"), sFloat(0.5)),
-			sBin(token.Star, read, sFloat(0.5)))))
+		return ast.Eval(ast.Assign(ast.Id("acc"), ast.Bin(token.Plus,
+			ast.Bin(token.Star, ast.Id("acc"), ast.Float(0.5)),
+			ast.Bin(token.Star, read, ast.Float(0.5)))))
 	}
-	return sExpr(sAssign(sIdent("acc"),
-		sModM(sBin(token.Plus, sIdent("acc"), read))))
+	return ast.Eval(ast.Assign(ast.Id("acc"),
+		sModM(ast.Bin(token.Plus, ast.Id("acc"), read))))
 }
 
 // storeStmt writes a bounded function of the accumulator; the RHS reads
@@ -309,12 +298,12 @@ func (em *synthEmitter) loadStmt(read ast.Expr) ast.Stmt {
 // store.
 func (em *synthEmitter) storeStmt(target ast.Expr, o op) ast.Stmt {
 	if em.p.Double {
-		return sExpr(sAssign(target, sBin(token.Plus,
-			sBin(token.Star, sIdent("acc"), sFloat(0.5)),
-			sFloat(doubleOffsets[o.f2]))))
+		return ast.Eval(ast.Assign(target, ast.Bin(token.Plus,
+			ast.Bin(token.Star, ast.Id("acc"), ast.Float(0.5)),
+			ast.Float(doubleOffsets[o.f2]))))
 	}
-	return sExpr(sAssign(target,
-		sModM(sBin(token.Plus, sIdent("acc"), sInt(int64(o.c2))))))
+	return ast.Eval(ast.Assign(target,
+		sModM(ast.Bin(token.Plus, ast.Id("acc"), ast.Int(int64(o.c2))))))
 }
 
 // mainFunc emits launch/join rounds (warm first when present) and the
@@ -325,36 +314,16 @@ func (em *synthEmitter) mainFunc() *ast.FuncDecl {
 	body = append(body,
 		&ast.DeclStmt{Decl: &ast.VarDecl{Name: "th",
 			Type: types.ArrayOf(types.OpaqueOf("pthread_t"), lay.threads)}},
-		sDecl("t", types.IntType, nil),
+		ast.Var("t", types.IntType, nil),
 	)
-	launch := func(fn string) []ast.Stmt {
-		return []ast.Stmt{
-			&ast.ForStmt{
-				Init: sExpr(sAssign(sIdent("t"), sInt(0))),
-				Cond: sBin(token.Lt, sIdent("t"), sInt(int64(lay.threads))),
-				Post: &ast.PostfixExpr{Op: token.PlusPlus, X: sIdent("t")},
-				Body: sCall("pthread_create",
-					&ast.UnaryExpr{Op: token.Amp, X: &ast.IndexExpr{X: sIdent("th"), Index: sIdent("t")}},
-					sIdent("NULL"), sIdent(fn),
-					&ast.CastExpr{To: types.PointerTo(types.VoidType), X: sIdent("t")}),
-			},
-			&ast.ForStmt{
-				Init: sExpr(sAssign(sIdent("t"), sInt(0))),
-				Cond: sBin(token.Lt, sIdent("t"), sInt(int64(lay.threads))),
-				Post: &ast.PostfixExpr{Op: token.PlusPlus, X: sIdent("t")},
-				Body: sCall("pthread_join",
-					&ast.IndexExpr{X: sIdent("th"), Index: sIdent("t")}, sIdent("NULL")),
-			},
-		}
-	}
 	if em.hasWarm() {
-		body = append(body, launch(warmName)...)
+		body = append(body, ast.CreateJoin(warmName, lay.threads)...)
 	}
 	for r := 0; r < em.p.Rounds; r++ {
-		body = append(body, launch(mixName(r))...)
+		body = append(body, ast.CreateJoin(mixName(r), lay.threads)...)
 	}
 	body = append(body, em.reduction()...)
-	body = append(body, &ast.ReturnStmt{Result: sInt(0)})
+	body = append(body, &ast.ReturnStmt{Result: ast.Int(0)})
 	return &ast.FuncDecl{
 		Name:   "main",
 		Result: types.IntType,
@@ -366,31 +335,26 @@ func (em *synthEmitter) mainFunc() *ast.FuncDecl {
 // (`c<idx> <sum>`), one accumulation loop per array since sizes differ.
 func (em *synthEmitter) reduction() []ast.Stmt {
 	var out []ast.Stmt
-	out = append(out, sDecl("k", types.IntType, nil))
+	out = append(out, ast.Var("k", types.IntType, nil))
 	arrays := em.arrays()
 	for i := range arrays {
 		name := fmt.Sprintf("c%d", i)
 		if em.p.Double {
-			out = append(out, sDecl(name, types.DoubleType, sFloat(0.0)))
+			out = append(out, ast.Var(name, types.DoubleType, ast.Float(0.0)))
 		} else {
-			out = append(out, sDecl(name, types.IntType, sInt(0)))
+			out = append(out, ast.Var(name, types.IntType, ast.Int(0)))
 		}
 	}
 	for i, a := range arrays {
 		name := fmt.Sprintf("c%d", i)
-		out = append(out, &ast.ForStmt{
-			Init: sExpr(sAssign(sIdent("k"), sInt(0))),
-			Cond: sBin(token.Lt, sIdent("k"), sInt(int64(a.size))),
-			Post: &ast.PostfixExpr{Op: token.PlusPlus, X: sIdent("k")},
-			Body: sExpr(sAssign(sIdent(name),
-				sBin(token.Plus, sIdent(name), &ast.IndexExpr{X: sIdent(a.name), Index: sIdent("k")}))),
-		})
+		out = append(out, ast.Loop("k", ast.Int(0), ast.Int(int64(a.size)), ast.Eval(ast.Assign(ast.Id(name),
+			ast.Bin(token.Plus, ast.Id(name), &ast.IndexExpr{X: ast.Id(a.name), Index: ast.Id("k")})))))
 		verb := "%d"
 		if em.p.Double {
 			verb = "%.6f"
 		}
-		out = append(out, sCall("printf",
-			&ast.StringLit{Value: fmt.Sprintf("c%d %s\n", i, verb)}, sIdent(name)))
+		out = append(out, ast.CallStmt("printf",
+			ast.Str(fmt.Sprintf("c%d %s\n", i, verb)), ast.Id(name)))
 	}
 	return out
 }
@@ -404,64 +368,8 @@ func threadFuncDecl(name string, body []ast.Stmt) *ast.FuncDecl {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Small AST builders (the conformance emitter's idiom, package-local)
-// ---------------------------------------------------------------------------
-
-func sIdent(name string) *ast.Ident { return &ast.Ident{Name: name} }
-
-func sInt(v int64) *ast.IntLit {
-	return &ast.IntLit{Value: v, Text: strconv.FormatInt(v, 10)}
-}
-
-func sFloat(v float64) *ast.FloatLit {
-	t := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(t, ".eE") {
-		t += ".0"
-	}
-	return &ast.FloatLit{Value: v, Text: t}
-}
-
-func sBin(op token.Kind, x, y ast.Expr) *ast.BinaryExpr {
-	return &ast.BinaryExpr{Op: op, X: x, Y: y}
-}
-
-func sAssign(lhs, rhs ast.Expr) *ast.AssignExpr {
-	return &ast.AssignExpr{Op: token.Assign, LHS: lhs, RHS: rhs}
-}
-
-func sExpr(e ast.Expr) ast.Stmt { return &ast.ExprStmt{X: e} }
-
-func sCall(name string, args ...ast.Expr) ast.Stmt {
-	return sExpr(&ast.CallExpr{Fun: sIdent(name), Args: args})
-}
-
-func sDecl(name string, t *types.Type, init ast.Expr) ast.Stmt {
-	return &ast.DeclStmt{Decl: &ast.VarDecl{Name: name, Type: t, Init: init}}
-}
-
-// sMul emits x*k with the ×1 case folded to x.
-func sMul(x ast.Expr, k int) ast.Expr {
-	if k == 1 {
-		return x
-	}
-	return sBin(token.Star, x, sInt(int64(k)))
-}
-
-// sMulE is sMul over a non-identifier base.
-func sMulE(x ast.Expr, k int) ast.Expr { return sMul(x, k) }
-
 // sModM reduces an int expression modulo the fixed prime:
 // `(<e>) % 9973`.
 func sModM(e ast.Expr) ast.Expr {
-	return &ast.ParenExpr{X: sBin(token.Percent, &ast.ParenExpr{X: e}, sInt(intModulus))}
-}
-
-// sNested wraps a loop body: one statement stays bare, several become a
-// block.
-func sNested(list []ast.Stmt) ast.Stmt {
-	if len(list) == 1 {
-		return list[0]
-	}
-	return &ast.BlockStmt{List: list}
+	return &ast.ParenExpr{X: ast.Bin(token.Percent, &ast.ParenExpr{X: e}, ast.Int(intModulus))}
 }
