@@ -8,17 +8,20 @@
 // but disabled must stay within 2% of the base commit — and it emits a
 // benchstat-style delta report for the CI artifact.
 //
-// With -manifest the two files are instead the output of
+// With -manifest the files are instead outputs of
 // `bash benchmark/run.sh --workload w ...` at base and head (the last
 // line of each is the result object), and the gate is the one
 // BENCHMARK.json declares: head fails when any end_to_end metric is
 // worse than base by more than that metric's bound, or when a larger
-// share of its operations failed.
+// share of its operations failed. -old and -new may repeat: each side
+// is then the per-metric median of its runs and the sum of their
+// operations, so runs taken as alternating base/head pairs cancel the
+// host's drift between them.
 //
 // Usage:
 //
 //	benchguard -old base.txt -new head.txt -max-overhead 0.02 -out delta.txt
-//	benchguard -manifest BENCHMARK.json -old base.out -new head.out -out delta.txt
+//	benchguard -manifest BENCHMARK.json -old base1.out -new head1.out -old base2.out -new head2.out -out delta.txt
 package main
 
 import (
@@ -35,23 +38,25 @@ import (
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(\d+(?:\.\d+)?) ns/op`)
 
-// parse collects ns/op samples per benchmark name.
-func parse(path string) (map[string][]float64, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
+// parse collects ns/op samples per benchmark name over the files.
+func parse(files []string) (map[string][]float64, error) {
 	out := make(map[string][]float64)
-	for _, line := range strings.Split(string(b), "\n") {
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		v, err := strconv.ParseFloat(m[2], 64)
+	for _, path := range files {
+		b, err := os.ReadFile(path)
 		if err != nil {
-			continue
+			return nil, err
 		}
-		out[m[1]] = append(out[m[1]], v)
+		for _, line := range strings.Split(string(b), "\n") {
+			m := benchLine.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			v, err := strconv.ParseFloat(m[2], 64)
+			if err != nil {
+				continue
+			}
+			out[m[1]] = append(out[m[1]], v)
+		}
 	}
 	return out, nil
 }
@@ -79,13 +84,21 @@ type manifest struct {
 
 // result is the object `benchmark/run.sh --workload` prints last.
 type result struct {
-	Correct   bool `json:"correct"`
-	Attempted int  `json:"attempted"`
-	Failed    int  `json:"failed"`
-	Metrics   map[string]struct {
-		Value float64 `json:"value"`
-	} `json:"metrics"`
+	Correct   bool              `json:"correct"`
+	Attempted int               `json:"attempted"`
+	Failed    int               `json:"failed"`
+	Metrics   map[string]metric `json:"metrics"`
 }
+
+type metric struct {
+	Value float64 `json:"value"`
+}
+
+// paths is a flag that may repeat.
+type paths []string
+
+func (p *paths) String() string     { return strings.Join(*p, ",") }
+func (p *paths) Set(v string) error { *p = append(*p, v); return nil }
 
 // parseResult reads the result object off the last non-empty line.
 func parseResult(path string) (*result, error) {
@@ -102,6 +115,25 @@ func parseResult(path string) (*result, error) {
 		return nil, fmt.Errorf("benchguard: %s: result object carries no operations or no metrics", path)
 	}
 	return &r, nil
+}
+
+// medianResult is one side of the gate over several runs: each metric's
+// median over the runs that report it, and the runs' operations summed.
+func medianResult(rs []*result) *result {
+	m := &result{Correct: true, Metrics: map[string]metric{}}
+	samples := map[string][]float64{}
+	for _, r := range rs {
+		m.Correct = m.Correct && r.Correct
+		m.Attempted += r.Attempted
+		m.Failed += r.Failed
+		for name, v := range r.Metrics {
+			samples[name] = append(samples[name], v.Value)
+		}
+	}
+	for name, v := range samples {
+		m.Metrics[name] = metric{median(v)}
+	}
+	return m
 }
 
 // compareEndToEnd renders one row per declared end-to-end metric and
@@ -139,7 +171,7 @@ func compareEndToEnd(mf *manifest, base, head *result) (report string, broken []
 }
 
 // runEndToEnd is the -manifest mode.
-func runEndToEnd(manifestPath, oldPath, newPath, outPath string) error {
+func runEndToEnd(manifestPath string, oldPaths, newPaths []string, outPath string) error {
 	b, err := os.ReadFile(manifestPath)
 	if err != nil {
 		return err
@@ -151,15 +183,19 @@ func runEndToEnd(manifestPath, oldPath, newPath, outPath string) error {
 	if len(mf.EndToEnd) == 0 {
 		return fmt.Errorf("benchguard: %s declares no end_to_end metrics", manifestPath)
 	}
-	base, err := parseResult(oldPath)
-	if err != nil {
-		return err
+	var sides [2]*result
+	for i, ps := range [2][]string{oldPaths, newPaths} {
+		var rs []*result
+		for _, p := range ps {
+			r, err := parseResult(p)
+			if err != nil {
+				return err
+			}
+			rs = append(rs, r)
+		}
+		sides[i] = medianResult(rs)
 	}
-	head, err := parseResult(newPath)
-	if err != nil {
-		return err
-	}
-	report, broken := compareEndToEnd(&mf, base, head)
+	report, broken := compareEndToEnd(&mf, sides[0], sides[1])
 	fmt.Print(report)
 	if outPath != "" {
 		if err := os.WriteFile(outPath, []byte(report), 0o644); err != nil {
@@ -174,23 +210,24 @@ func runEndToEnd(manifestPath, oldPath, newPath, outPath string) error {
 }
 
 func run() error {
-	oldPath := flag.String("old", "", "benchmark output at the base commit")
-	newPath := flag.String("new", "", "benchmark output at the head commit")
+	var oldPaths, newPaths paths
+	flag.Var(&oldPaths, "old", "benchmark output at the base commit (repeatable)")
+	flag.Var(&newPaths, "new", "benchmark output at the head commit (repeatable)")
 	maxOverhead := flag.Float64("max-overhead", 0.02, "pass while geomean new/old <= 1+this")
 	manifestPath := flag.String("manifest", "", "BENCHMARK.json: compare two benchmark/run.sh --workload outputs against its end_to_end bounds")
 	outPath := flag.String("out", "", "optional delta report file")
 	flag.Parse()
-	if *oldPath == "" || *newPath == "" {
+	if len(oldPaths) == 0 || len(newPaths) == 0 {
 		return fmt.Errorf("benchguard: -old and -new are required")
 	}
 	if *manifestPath != "" {
-		return runEndToEnd(*manifestPath, *oldPath, *newPath, *outPath)
+		return runEndToEnd(*manifestPath, oldPaths, newPaths, *outPath)
 	}
-	oldRes, err := parse(*oldPath)
+	oldRes, err := parse(oldPaths)
 	if err != nil {
 		return err
 	}
-	newRes, err := parse(*newPath)
+	newRes, err := parse(newPaths)
 	if err != nil {
 		return err
 	}
@@ -201,7 +238,7 @@ func run() error {
 		}
 	}
 	if len(names) == 0 {
-		return fmt.Errorf("benchguard: no common benchmarks between %s and %s", *oldPath, *newPath)
+		return fmt.Errorf("benchguard: no common benchmarks between %s and %s", &oldPaths, &newPaths)
 	}
 	sort.Strings(names)
 	var sb strings.Builder

@@ -50,7 +50,47 @@ func TestEndToEndGate(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			head := write("head.out", c.head)
-			err := runEndToEnd(mf, base, head, filepath.Join(dir, "delta.txt"))
+			err := runEndToEnd(mf, []string{base}, []string{head}, filepath.Join(dir, "delta.txt"))
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("want pass, got %v", err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("want error containing %q, got %v", c.wantErr, err)
+			}
+		})
+	}
+}
+
+// TestEndToEndMedians: with repeated runs each side is its per-metric
+// median, so one outlying run on either side neither fails nor passes
+// the gate alone, and the sides' operations add up.
+func TestEndToEndMedians(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mf := write("BENCHMARK.json", testManifest)
+	base := []string{write("b1", runOutput(20, 40, 1000, 0)), write("b2", runOutput(9, 90, 1000, 0)), write("b3", runOutput(21, 41, 1000, 0))}
+	cases := []struct {
+		name    string
+		head    [3]string
+		wantErr string
+	}{
+		{"one slow head run", [3]string{runOutput(20, 40, 1000, 0), runOutput(10, 80, 1000, 0), runOutput(19, 42, 1000, 0)}, ""},
+		{"two slow head runs", [3]string{runOutput(14, 60, 1000, 0), runOutput(10, 80, 1000, 0), runOutput(19, 42, 1000, 0)}, "ops_per_s worse by 30.0%"},
+		{"one failing head run", [3]string{runOutput(20, 40, 1000, 0), runOutput(20, 40, 1000, 1), runOutput(20, 40, 1000, 0)}, "failed 1 of 300"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var head []string
+			for i, h := range c.head {
+				head = append(head, write(fmt.Sprintf("h%d", i), h))
+			}
+			err := runEndToEnd(mf, base, head, "")
 			switch {
 			case c.wantErr == "" && err != nil:
 				t.Fatalf("want pass, got %v", err)

@@ -15,7 +15,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"hsmcc/internal/synth"
 )
@@ -441,15 +440,4 @@ int main() {
 `, threads, n*n, n)
 		},
 	}
-}
-
-// indent is a test helper exposed for the golden-source tests.
-func indent(s string, pad string) string {
-	lines := strings.Split(s, "\n")
-	for i, l := range lines {
-		if l != "" {
-			lines[i] = pad + l
-		}
-	}
-	return strings.Join(lines, "\n")
 }

@@ -1,9 +1,10 @@
 package ast
 
-// Builders for generated kernels: the synthetic-workload and
-// conformance generators assemble their Pthread programs from these, so
-// both print the same shapes the same way. The nodes carry no position
-// and no type.
+// Builders for generated code: the synthetic-workload and conformance
+// generators assemble their Pthread programs from these, and the
+// translator its RCCE statements, so all print the same shapes the same
+// way. The nodes carry no position and no type, but for an integer
+// literal's, which is int as the parser gives it.
 
 import (
 	"strconv"
@@ -17,7 +18,9 @@ import (
 func Id(name string) *Ident { return &Ident{Name: name} }
 
 // Int is the decimal literal v.
-func Int(v int64) *IntLit { return &IntLit{Value: v, Text: strconv.FormatInt(v, 10)} }
+func Int(v int64) *IntLit {
+	return &IntLit{Value: v, Text: strconv.FormatInt(v, 10), Typ: types.IntType}
+}
 
 // Float is the shortest literal that reads back as v, always with a
 // point or an exponent so C reads it as a double.

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -94,9 +95,10 @@ func (p *Proc) CallBuiltin(name string, args []Value) (v Value, handled bool, er
 // follows the coroutine resumption protocol: all side effects that must
 // not repeat (output formatting, heap allocation, machine accesses)
 // happen before the single trailing charge, and a frame carries whatever
-// the post-charge epilogue needs (the formatted text, the allocated
-// address, the computed result). A builtin whose result is known before
-// the charge returns it with the charge's outcome; a yield discards it.
+// the post-charge epilogue needs (the allocated address, the computed
+// result; printf's text waits in the context's buffer). A builtin whose
+// result is known before the charge returns it with the charge's
+// outcome; a yield discards it.
 func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error) {
 	if int(id) < len(builtinArity) && len(args) < builtinArity[id] {
 		return Value{}, true, fmt.Errorf("builtin called with %d arguments, wants %d", len(args), builtinArity[id])
@@ -107,25 +109,26 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	}
 	switch id {
 	case bPrintf:
-		out, _ := fr.x.(string)
 		if fr.step == 0 {
 			if len(args) == 0 {
 				return Value{}, true, fmt.Errorf("printf without format")
 			}
+			// The format, then the text after it, in the context's
+			// buffer, which keeps the text across a yield.
+			format := p.appendCString(p.text[:0], args[0].Addr())
+			n := len(format)
 			var err error
-			if out, err = p.formatC(p.ReadCString(args[0].Addr()), args[1:]); err != nil {
+			if p.text, err = p.formatC(format, format[:n:n], args[1:]); err != nil {
 				return Value{}, true, err
 			}
-			// I/O cost proportional to text. Not chargeStep: its frame
-			// argument would box the text on every call, not only on a
-			// yield.
-			if err := p.chargeCycles(CostCall + len(out)); err != nil {
-				p.pushK(kframe{step: 1, x: out})
-				return Value{}, true, err
-			}
+			p.text = p.text[:copy(p.text, p.text[n:])]
 		}
-		p.Sim.Out.WriteString(out)
-		return IntValue(types.IntType, int64(len(out))), true, nil
+		// I/O cost proportional to text.
+		if err := p.chargeStep(fr.step, CostCall+len(p.text), kframe{}); err != nil {
+			return Value{}, true, err
+		}
+		p.Sim.Out.Write(p.text)
+		return IntValue(types.IntType, int64(len(p.text))), true, nil
 
 	case bMalloc: // private heap (also RCCE_malloc_request)
 		addr := fr.a
@@ -199,9 +202,9 @@ func (p *Proc) commonBuiltinByID(id builtinID, args []Value) (Value, bool, error
 	case bAtoi:
 		v, cost := fr.n, 0
 		if fr.step == 0 {
-			s := p.ReadCString(args[0].Addr())
-			iv, _ := strconv.Atoi(strings.TrimSpace(s))
-			v, cost = int64(iv), CostCall+4*len(s)
+			p.text = p.appendCString(p.text[:0], args[0].Addr())
+			iv, _ := strconv.Atoi(string(bytes.TrimSpace(p.text)))
+			v, cost = int64(iv), CostCall+4*len(p.text)
 		}
 		return IntValue(types.IntType, v), true, p.chargeStep(fr.step, cost, kframe{n: v})
 
@@ -251,92 +254,101 @@ func (p *Proc) CheckSpan(name string, addr uint32, n int64) error {
 	return nil
 }
 
-// formatC renders a C printf format with the given arguments.
-func (p *Proc) formatC(format string, args []Value) (string, error) {
-	var sb strings.Builder
+// formatC appends the text of a C printf format with the given
+// arguments to dst. The plain %d, %i, %u, %f, %.Nf, %c, %s and %p append
+// without fmt; any other spec takes fmt.Appendf.
+func (p *Proc) formatC(dst, format []byte, args []Value) ([]byte, error) {
 	ai := 0
-	next := func() (Value, error) {
-		if ai >= len(args) {
-			return Value{}, fmt.Errorf("printf: missing argument %d for %q", ai, format)
-		}
-		v := args[ai]
-		ai++
-		return v, nil
-	}
 	for i := 0; i < len(format); i++ {
 		c := format[i]
 		if c != '%' {
-			sb.WriteByte(c)
+			dst = append(dst, c)
 			continue
 		}
 		// Collect the spec: flags, width, precision, length modifiers.
 		j := i + 1
-		for j < len(format) && strings.ContainsRune("-+ #0123456789.", rune(format[j])) {
+		for j < len(format) && strings.IndexByte("-+ #0123456789.", format[j]) >= 0 {
 			j++
 		}
 		for j < len(format) && (format[j] == 'l' || format[j] == 'h') {
 			j++
 		}
 		if j >= len(format) {
-			sb.WriteByte('%')
+			dst = append(dst, '%')
 			break
 		}
-		spec := strings.Map(func(r rune) rune {
-			if r == 'l' || r == 'h' {
-				return -1
+		var sb [16]byte
+		spec := sb[:0]
+		for _, b := range format[i+1 : j] {
+			if b != 'l' && b != 'h' {
+				spec = append(spec, b)
 			}
-			return r
-		}, format[i+1:j])
+		}
 		verb := format[j]
 		i = j
+		if verb == '%' {
+			dst = append(dst, '%')
+			continue
+		}
+		if strings.IndexByte("diuxXocfFeEgGsp", verb) < 0 {
+			return dst, fmt.Errorf("printf: unsupported verb %%%c", verb)
+		}
+		if ai >= len(args) {
+			return dst, fmt.Errorf("printf: missing argument %d for %q", ai, string(format))
+		}
+		v := args[ai]
+		ai++
+		prec, plain := precision(spec)
 		switch verb {
-		case '%':
-			sb.WriteByte('%')
 		case 'd', 'i':
-			v, err := next()
-			if err != nil {
-				return "", err
+			if len(spec) == 0 {
+				dst = strconv.AppendInt(dst, v.Int(), 10)
+			} else {
+				dst = fmt.Appendf(dst, "%"+string(spec)+"d", v.Int())
 			}
-			fmt.Fprintf(&sb, "%"+spec+"d", v.Int())
 		case 'u':
-			v, err := next()
-			if err != nil {
-				return "", err
+			if len(spec) == 0 {
+				dst = strconv.AppendUint(dst, uint64(uint32(v.Int())), 10)
+			} else {
+				dst = fmt.Appendf(dst, "%"+string(spec)+"d", uint32(v.Int()))
 			}
-			fmt.Fprintf(&sb, "%"+spec+"d", uint32(v.Int()))
 		case 'x', 'X', 'o':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&sb, "%"+spec+string(verb), uint32(v.Int()))
+			dst = fmt.Appendf(dst, "%"+string(spec)+string(verb), uint32(v.Int()))
 		case 'c':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			sb.WriteByte(byte(v.Int()))
+			dst = append(dst, byte(v.Int()))
 		case 'f', 'F', 'e', 'E', 'g', 'G':
-			v, err := next()
-			if err != nil {
-				return "", err
+			if verb == 'f' && plain {
+				dst = strconv.AppendFloat(dst, v.Float(), 'f', prec, 64)
+			} else {
+				dst = fmt.Appendf(dst, "%"+string(spec)+string(verb), v.Float())
 			}
-			fmt.Fprintf(&sb, "%"+spec+string(verb), v.Float())
 		case 's':
-			v, err := next()
-			if err != nil {
-				return "", err
+			if len(spec) == 0 {
+				dst = p.appendCString(dst, v.Addr())
+			} else {
+				s := string(p.appendCString(dst, v.Addr())[len(dst):])
+				dst = fmt.Appendf(dst, "%"+string(spec)+"s", s)
 			}
-			fmt.Fprintf(&sb, "%"+spec+"s", p.ReadCString(v.Addr()))
 		case 'p':
-			v, err := next()
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&sb, "0x%x", uint32(v.Int()))
-		default:
-			return "", fmt.Errorf("printf: unsupported verb %%%c", verb)
+			dst = strconv.AppendUint(append(dst, "0x"...), uint64(uint32(v.Int())), 16)
 		}
 	}
-	return sb.String(), nil
+	return dst, nil
+}
+
+// precision reads a spec that is at most a precision: "" (6) or ".N".
+func precision(spec []byte) (prec int, plain bool) {
+	if len(spec) == 0 {
+		return 6, true
+	}
+	if spec[0] != '.' {
+		return 0, false
+	}
+	for _, d := range spec[1:] {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		prec = prec*10 + int(d-'0')
+	}
+	return prec, true
 }

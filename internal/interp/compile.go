@@ -95,11 +95,9 @@ func (cf *compiledFunc) buildLayout() error {
 	}
 	cf.paramSlot = make([]int, len(fn.Params))
 	cf.paramType = make([]*types.Type, len(fn.Params))
-	cf.paramStore = make([]typedStore, len(fn.Params))
 	for i, prm := range fn.Params {
 		cf.paramSlot[i] = -1
 		cf.paramType[i] = prm.Type
-		cf.paramStore[i] = makeStore(prm.Type)
 		if prm.Sym != nil {
 			cf.paramSlot[i] = add(prm.Sym, prm.Type, prm.Pos())
 		}
@@ -591,7 +589,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 						}
 						return ctrlNone, ierr
 					}
-					if serr := p.storeValue(p.slotAddr(idx), typ, v); serr != nil {
+					if serr := p.StoreTyped(p.slotAddr(idx), typ, v); serr != nil {
 						if isYield(serr) {
 							p.pushK(kframe{step: 2})
 						}
@@ -609,11 +607,6 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 		if d.Type.Kind == types.Array {
 			zeroFrom, zeroTo = len(d.InitLst), d.Type.Len
 		}
-	}
-	sf := makeStore(typ)
-	var elemStore typedStore
-	if elem != nil {
-		elemStore = makeStore(elem)
 	}
 	return func(p *Proc, ret *Value) (ctrl, error) {
 		step := 0
@@ -638,7 +631,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 				}
 				return ctrlNone, err
 			}
-			if _, err := sf(p, p.slotAddr(idx), v); err != nil {
+			if err := p.StoreTyped(p.slotAddr(idx), typ, v); err != nil {
 				if isYield(err) {
 					p.pushK(kframe{step: 2})
 				}
@@ -654,7 +647,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 					}
 					return ctrlNone, err
 				}
-				if _, err := elemStore(p, p.slotAddr(idx)+uint32(i)*elemSize, v); err != nil {
+				if err := p.StoreTyped(p.slotAddr(idx)+uint32(i)*elemSize, elem, v); err != nil {
 					if isYield(err) {
 						p.pushK(kframe{step: 3, n: int64(i + 1)})
 					}
@@ -665,7 +658,7 @@ func (c *compiler) compileDecl(n *ast.DeclStmt) execFn {
 		if zeroTo > zFrom {
 			zero := IntValue(types.IntType, 0)
 			for i := zFrom; i < zeroTo; i++ {
-				if _, err := elemStore(p, p.slotAddr(idx)+uint32(i)*elemSize, zero); err != nil {
+				if err := p.StoreTyped(p.slotAddr(idx)+uint32(i)*elemSize, elem, zero); err != nil {
 					if isYield(err) {
 						p.pushK(kframe{step: 5, n: int64(i + 1)})
 					}

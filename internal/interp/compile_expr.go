@@ -18,9 +18,9 @@ import (
 // it is the straight-line pre-coroutine code plus push-on-yield.
 
 func (c *compiler) compileExpr(e ast.Expr) evalFn {
-	// A local, or an operator or cast over operands, of provable tag
-	// lowers fused (fuse.go), boxed for this generic context.
-	if o := c.classify(e); o.shape == shSlot || o.shape == shExpr && !o.lvalue {
+	// A scalar local or lvalue, or an operator or cast over operands, of
+	// provable tag lowers fused (fuse.go), boxed for this generic context.
+	if o := c.classify(e); o.shape == shSlot || o.shape == shExpr {
 		return boxed(c.lower(o), o.tag)
 	}
 	switch n := e.(type) {
@@ -173,10 +173,10 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 
 	case *ast.MemberExpr:
 		lf, st := c.compileLValue(n)
-		if st == nil {
-			return failing(lf)
+		if st != nil && st.Kind == types.Array {
+			return failing(lf, noWord("load", st)) // an array member does not decay: the reference loads it, and fails
 		}
-		return loadThrough(lf, st) // an array member does not decay: the reference loads it, and fails
+		return c.compileLoadOf(lf, st)
 
 	default:
 		return errEval(fmt.Errorf("%s: cannot evaluate %T", e.Pos(), e))
@@ -189,13 +189,12 @@ func (c *compiler) compileExpr(e ast.Expr) evalFn {
 func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 	lf, st := c.compileLValue(lhs)
 	if st == nil {
-		return failing(lf)
+		return failing(lf, errUnresolved)
 	}
 	delta := int64(1)
 	if minus {
 		delta = -1
 	}
-	ld, sf := makeLoad(st), makeStore(st)
 	// tail finishes the operation from the post-load charge (step 2)
 	// or the store (step 3).
 	tail := func(p *Proc, addr uint32, old Value, step int) (Value, error) {
@@ -210,7 +209,7 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 		if prefix {
 			res = upd
 		}
-		if _, err := sf(p, addr, upd); err != nil {
+		if err := p.StoreTyped(addr, st, upd); err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 4, v: res})
 			}
@@ -235,7 +234,7 @@ func (c *compiler) compileIncDec(lhs ast.Expr, minus, prefix bool) evalFn {
 			}
 			return Value{}, err
 		}
-		old, err := ld(p, addr)
+		old, err := p.LoadTyped(addr, st)
 		if err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 2, a: addr, v: old})
@@ -285,125 +284,67 @@ func (c *compiler) compileIdent(n *ast.Ident) evalFn {
 		c.fail(n.Pos(), n.Name+" has no type")
 		return nil
 	}
-	if idx, ok := c.slotIdx[n.Sym]; ok {
-		if typ.Kind == types.Array {
-			pt := types.PointerTo(typ.Elem)
-			return func(p *Proc) (Value, error) {
-				if p.coResuming {
-					p.popKRef()
-				} else if err := p.chargeCycles(CostALU); err != nil {
-					p.pushK(kframe{step: 1})
-					return Value{}, err
-				}
-				return PtrValue(pt, p.slotAddr(idx)), nil
-			}
-		}
-		ld := makeLoad(typ)
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				return p.popKRef().v, nil
-			}
-			v, err := ld(p, p.slotAddr(idx))
-			if err != nil {
-				if isYield(err) {
-					p.pushK(kframe{v: v})
-				}
-				return Value{}, err
-			}
-			return v, nil
-		}
+	idx, local := c.slotIdx[n.Sym]
+	addr, global := c.pr.GlobalAddr(n.Sym)
+	switch {
+	case !local && !global:
+		return errEval(fmt.Errorf("%s: no storage for %s", n.Pos(), n.Name))
+	case typ.Kind != types.Array:
+		// A scalar is classified, loaded and boxed before it gets here.
+		return errEval(noWord("load", typ))
 	}
-	if addr, ok := c.pr.GlobalAddr(n.Sym); ok {
-		if typ.Kind == types.Array {
-			v := PtrValue(types.PointerTo(typ.Elem), addr)
-			return func(p *Proc) (Value, error) {
-				if p.coResuming {
-					p.popKRef()
-				} else if err := p.chargeCycles(CostALU); err != nil {
-					p.pushK(kframe{step: 1})
-					return Value{}, err
-				}
-				return v, nil
-			}
-		}
-		ld := makeLoad(typ)
-		return func(p *Proc) (Value, error) {
-			if p.coResuming {
-				return p.popKRef().v, nil
-			}
-			v, err := ld(p, addr)
-			if err != nil {
-				if isYield(err) {
-					p.pushK(kframe{v: v})
-				}
-				return Value{}, err
-			}
-			return v, nil
-		}
-	}
-	return errEval(fmt.Errorf("%s: no storage for %s", n.Pos(), n.Name))
-}
-
-// compileLoadOf turns a compiled lvalue into an rvalue closure: arrays
-// decay to element pointers, everything else loads through the typed
-// accessor.
-func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
-	if st == nil {
-		return failing(lf)
-	}
-	if st.Kind == types.Array {
-		pt := types.PointerTo(st.Elem)
-		// Transparent: the decay after the lvalue resolves is pure.
-		return func(p *Proc) (Value, error) {
-			addr, _, err := lf(p)
-			if err != nil {
-				return Value{}, err
-			}
-			return PtrValue(pt, addr), nil
-		}
-	}
-	return loadThrough(lf, st)
-}
-
-// loadThrough loads a value of type st at the address lf resolves.
-// Units: 0 lvalue, 1 loaded (the value saved).
-func loadThrough(lf lvalFn, st *types.Type) evalFn {
-	ld := makeLoad(st)
+	pt := types.PointerTo(typ.Elem)
 	return func(p *Proc) (Value, error) {
 		if p.coResuming {
-			fr := p.popKRef()
-			if fr.step != 0 {
-				return fr.v, nil
-			}
-		}
-		addr, _, err := lf(p)
-		if err != nil {
-			if isYield(err) {
-				p.pushK(kframe{})
-			}
+			p.popKRef()
+		} else if err := p.chargeCycles(CostALU); err != nil {
+			p.pushK(kframe{step: 1})
 			return Value{}, err
 		}
-		v, err := ld(p, addr)
-		if err != nil {
-			if isYield(err) {
-				p.pushK(kframe{step: 1, v: v})
-			}
-			return Value{}, err
+		if local {
+			return PtrValue(pt, p.slotAddr(idx)), nil
 		}
-		return v, nil
+		return PtrValue(pt, addr), nil
 	}
 }
 
-// failing lowers a use of an lvalue whose stored type lowering could not
-// resolve. Such a resolver never produces an address — every nil-typed
-// return of compileLValue fails at run time, after evaluating what the
-// reference evaluates first — so its error is the use's outcome.
-// Transparent.
-func failing(lf lvalFn) evalFn {
+// compileLoadOf turns a compiled lvalue into an rvalue closure: a
+// scalar is a word load plus a box, an array decays to its element
+// pointer, and any other type fails once the lvalue resolves.
+func (c *compiler) compileLoadOf(lf lvalFn, st *types.Type) evalFn {
+	if st == nil {
+		return failing(lf, errUnresolved)
+	}
+	if k, ok := wordOf(st); ok {
+		return boxed(rawLoadOf(lf, k.size, k.sext), st)
+	}
+	if st.Kind != types.Array {
+		return failing(lf, noWord("load", st))
+	}
+	pt := types.PointerTo(st.Elem)
+	// Transparent: the decay after the lvalue resolves is pure.
 	return func(p *Proc) (Value, error) {
-		_, _, err := lf(p)
-		if err == nil {
-			err = errors.New("interp: lvalue of unresolved type")
+		addr, _, err := lf(p)
+		if err != nil {
+			return Value{}, err
+		}
+		return PtrValue(pt, addr), nil
+	}
+}
+
+// errUnresolved is the use of an lvalue whose stored type lowering could
+// not resolve, should its resolver ever produce an address.
+var errUnresolved = errors.New("interp: lvalue of unresolved type")
+
+// failing lowers a use of an lvalue that resolves but cannot be used:
+// err is the use's outcome once the resolver has run (every nil-typed
+// return of compileLValue itself fails at run time, after evaluating
+// what the reference evaluates first, and that error wins).
+// Transparent.
+func failing(lf lvalFn, err error) evalFn {
+	return func(p *Proc) (Value, error) {
+		if _, _, lerr := lf(p); lerr != nil {
+			return Value{}, lerr
 		}
 		return Value{}, err
 	}
@@ -464,7 +405,7 @@ func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 		}, elem
 
 	case *ast.IndexExpr:
-		return c.compileIndexLValue(n)
+		return c.fuseIndex(n)
 
 	case *ast.MemberExpr:
 		return c.compileMemberLValue(n)
@@ -475,138 +416,38 @@ func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 	}
 }
 
-// compileIndexLValue lowers x[i], replicating indexBase: array-typed
-// bases use their storage address, pointer bases load the pointer first.
-// Units: 0 base resolve, 1 index eval (a = base), 2 address charge
-// (a = base, n = index), 3 done.
-func (c *compiler) compileIndexLValue(n *ast.IndexExpr) (lvalFn, *types.Type) {
-	if lf, elem := c.fuseIndex(n); lf != nil {
-		return lf, elem
-	}
-	idxFn := c.compileExpr(n.Index)
-	bt := n.X.ResultType()
-	var elem *types.Type
-	var baseFn lvalFn
-	if bt != nil && bt.Kind == types.Array {
-		var staticT *types.Type
-		if baseFn, staticT = c.compileLValue(n.X); staticT == nil {
-			return baseFn, nil
-		}
-		if elem = staticT.Elem; elem == nil {
-			c.fail(n.Pos(), "indexed array has no element type")
-			return nil, nil
-		}
-	} else {
-		xFn := c.compileExpr(n.X)
-		nullErr := fmt.Errorf("%s: indexing a null pointer", n.Pos())
-		baseFn = func(p *Proc) (uint32, *types.Type, error) { // transparent
-			bv, err := xFn(p)
-			if err == nil && bv.Addr() == 0 {
-				err = nullErr
-			}
-			return bv.Addr(), nil, err
-		}
-		if bt != nil && bt.IsPointerLike() {
-			elem = bt.Decay().Elem
-		}
-		if elem == nil {
-			elem = types.IntType
-		}
-	}
-	elemSize := int64(elem.Size())
-	return func(p *Proc) (uint32, *types.Type, error) {
-		var base uint32
-		step := 0
-		if p.coResuming {
-			fr := p.popKRef()
-			if fr.step == 3 {
-				return fr.a + uint32(fr.n*elemSize), elem, nil
-			}
-			step, base = fr.step, fr.a
-		}
-		if step == 0 {
-			var err error
-			if base, _, err = baseFn(p); err != nil {
-				if isYield(err) {
-					p.pushK(kframe{})
-				}
-				return 0, nil, err
-			}
-		}
-		v, err := idxFn(p)
-		if err != nil {
-			if isYield(err) {
-				p.pushK(kframe{step: 1, a: base})
-			}
-			return 0, nil, err
-		}
-		iv := v.Int()
-		if err := p.chargeCycles(CostALU); err != nil {
-			p.pushK(kframe{step: 3, a: base, n: iv})
-			return 0, nil, err
-		}
-		return base + uint32(iv*elemSize), elem, nil
-	}, elem
-}
-
-// compileMemberLValue lowers x.f / x->f with the field offset resolved
-// at compile time whenever the struct type is statically known.
-// Units: 0 base, 1 offset charge (a = base), 2 done.
+// compileMemberLValue lowers x.f and x->f: the base is x's address or
+// x's value, the field offset is resolved at compile time.
+// Units: 0 base, 2 offset charged (a = base).
 func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) {
-	// evalThenErr preserves the reference error flow: evaluate the inner
-	// expression for its effects, then report the structural error.
-	evalThenErr := func(x evalFn, err error) lvalFn {
-		return func(p *Proc) (uint32, *types.Type, error) { // transparent
-			if _, e := x(p); e != nil {
-				return 0, nil, e
-			}
-			return 0, nil, err
-		}
-	}
+	var base lvalFn
+	var st *types.Type
+	var err error
 	if n.Arrow {
-		t := n.X.ResultType()
-		if t == nil || t.Elem == nil {
-			return evalThenErr(c.compileExpr(n.X), fmt.Errorf("%s: -> on non-pointer", n.Pos())), nil
-		}
-		st := t.Elem
-		f, ok := st.Field(n.Name)
-		if !ok {
-			return evalThenErr(c.compileExpr(n.X), fmt.Errorf("%s: no field %s in %s", n.Pos(), n.Name, st)), nil
-		}
 		x := c.compileExpr(n.X)
-		off := uint32(f.Offset)
-		ft := f.Type
-		return func(p *Proc) (uint32, *types.Type, error) {
-			if p.coResuming {
-				fr := p.popKRef()
-				if fr.step != 0 { // 2: offset charge complete
-					return fr.a + off, ft, nil
-				}
-			}
+		base = func(p *Proc) (uint32, *types.Type, error) { // transparent
 			v, err := x(p)
-			if err != nil {
-				if isYield(err) {
-					p.pushK(kframe{})
-				}
-				return 0, nil, err
-			}
-			base := v.Addr()
-			if err := p.chargeCycles(CostALU); err != nil {
-				p.pushK(kframe{step: 2, a: base})
-				return 0, nil, err
-			}
-			return base + off, ft, nil
-		}, ft
+			return v.Addr(), nil, err
+		}
+		if t := n.X.ResultType(); t != nil && t.Elem != nil {
+			st = t.Elem
+		} else {
+			err = fmt.Errorf("%s: -> on non-pointer", n.Pos())
+		}
+	} else if base, st = c.compileLValue(n.X); st == nil {
+		return base, nil
 	}
-	baseFn, staticT := c.compileLValue(n.X)
-	if staticT == nil {
-		return baseFn, nil
+	var f types.Field
+	if err == nil {
+		var ok bool
+		if f, ok = st.Field(n.Name); !ok {
+			err = fmt.Errorf("%s: no field %s in %s", n.Pos(), n.Name, st)
+		}
 	}
-	f, ok := staticT.Field(n.Name)
-	if !ok {
-		err := fmt.Errorf("%s: no field %s in %s", n.Pos(), n.Name, staticT)
+	if err != nil {
+		// The reference evaluates the base for its effects, then fails.
 		return func(p *Proc) (uint32, *types.Type, error) { // transparent
-			if _, _, e := baseFn(p); e != nil {
+			if _, _, e := base(p); e != nil {
 				return 0, nil, e
 			}
 			return 0, nil, err
@@ -621,7 +462,7 @@ func (c *compiler) compileMemberLValue(n *ast.MemberExpr) (lvalFn, *types.Type) 
 				return fr.a + off, ft, nil
 			}
 		}
-		base, _, err := baseFn(p)
+		base, _, err := base(p)
 		if err != nil {
 			if isYield(err) {
 				p.pushK(kframe{})
@@ -741,10 +582,9 @@ func (c *compiler) compileUnary(n *ast.UnaryExpr) evalFn {
 func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 	lf, st := c.compileLValue(n.LHS)
 	if st == nil {
-		return failing(lf)
+		return failing(lf, errUnresolved)
 	}
 	rf := c.compileExpr(n.RHS)
-	sf := makeStore(st)
 	if n.Op == token.Assign {
 		// Units: 0 lvalue, 1 RHS (a = address), 3 stored (the converted
 		// value saved).
@@ -774,8 +614,8 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 				}
 				return Value{}, err
 			}
-			cv, err := sf(p, addr, rhs)
-			if err != nil {
+			cv := Convert(rhs, st)
+			if err := p.StoreTyped(addr, st, cv); err != nil {
 				if isYield(err) {
 					p.pushK(kframe{step: 3, v: cv})
 				}
@@ -789,7 +629,6 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 		c.fail(n.Pos(), "assignment op "+n.Op.String()+" unsupported")
 		return nil
 	}
-	ld := makeLoad(st)
 	// applyTail re-enters from the binary op (step 3 passes empty
 	// operands — a suspended apply saved its own outcome); rhsTail
 	// from the RHS (step 2); a store-yield saves the result (step 5).
@@ -801,8 +640,8 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		sv, err := sf(p, addr, res)
-		if err != nil {
+		sv := Convert(res, st)
+		if err := p.StoreTyped(addr, st, sv); err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 5, v: sv})
 			}
@@ -839,7 +678,7 @@ func (c *compiler) compileAssign(n *ast.AssignExpr) evalFn {
 			}
 			return Value{}, err
 		}
-		old, err := ld(p, addr)
+		old, err := p.LoadTyped(addr, st)
 		if err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 2, a: addr, v: old})

@@ -214,6 +214,7 @@ type procScratch struct {
 	argArena []Value
 	retSlots []Value
 	args     []Value
+	text     []byte
 }
 
 // adoptScratch attaches a bundle from the session's free list, or a new
@@ -240,6 +241,7 @@ func (p *Proc) adoptScratch() {
 	p.argArena = sc.argArena
 	p.retSlots = sc.retSlots
 	p.args = sc.args
+	p.text = sc.text
 }
 
 // releaseScratch returns the buffers (with their grown capacities) to
@@ -268,8 +270,9 @@ func (p *Proc) releaseScratch() {
 	sc.argArena = p.argArena[:0]
 	sc.retSlots = p.retSlots
 	sc.args = p.args[:0]
+	sc.text = p.text[:0]
 	p.kstack, p.kvals, p.kxs = nil, nil, nil
-	p.cframes, p.slotMem, p.argArena, p.retSlots, p.args = nil, nil, nil, nil, nil
+	p.cframes, p.slotMem, p.argArena, p.retSlots, p.args, p.text = nil, nil, nil, nil, nil, nil
 	s := p.Sim
 	s.scratch = append(s.scratch, sc)
 }

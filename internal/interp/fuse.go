@@ -11,10 +11,11 @@ import (
 )
 
 // Fused shapes. Where lowering can prove the tag a generic closure's
-// Value would carry — a char/short/int/long or double local, a literal,
-// an operator or cast over such operands, a load through an lvalue of
-// such a type — the expression lowers to a rawFn returning the payload
-// word alone (the sign-extended integer, or the double's bits), and each
+// Value would carry — a scalar local, a literal, a load through a scalar
+// lvalue, a char/short/int/long or double operator or cast over such
+// operands — the expression lowers to a rawFn returning the payload
+// word alone (the loaded word, as its codec extends it, or the
+// operator's sign-extended integer or double bits), and each
 // operator picks ONE closure for the shape of its operands, decided
 // here and never tested at run time: a constant is captured, a local is
 // loaded in line, anything else is a rawFn child. A fused closure issues
@@ -24,25 +25,11 @@ import (
 // word, a an address. Everything else lowers as before.
 type rawFn func(p *Proc) (uint64, error)
 
-// slotRef is a word-typed local: its frame slot, access width and the
-// shift that sign-extends its word (0 for a double).
+// slotRef is a scalar local: its frame slot and its codec's width and
+// sign-extension shift.
 type slotRef struct {
 	idx, size int
 	sext      uint
-}
-
-// wordOf reports how a value of type t rides in a word, for the types
-// whose tag a fused closure can prove: char, short, int, long and double,
-// which fold, and pointers, which only load (an index base, a truth).
-func wordOf(t *types.Type) (size int, sext uint, ok bool) {
-	switch {
-	case t == nil:
-	case t.Kind == types.Double:
-		return 8, 0, true
-	case sintTag(t) || t.Kind == types.Pointer:
-		return intWord(t)
-	}
-	return 0, 0, false
 }
 
 // shape is what lowering knows about an operand.
@@ -83,9 +70,9 @@ func (c *compiler) classify(e ast.Expr) operand {
 		if n.Sym == nil || n.Sym.Kind == ast.SymFunc {
 			return operand{}
 		}
-		size, sext, ok := wordOf(n.Sym.Type)
+		k, ok := wordOf(n.Sym.Type)
 		if idx, local := c.slotIdx[n.Sym]; ok && local {
-			return operand{shape: shSlot, tag: n.Sym.Type, slot: slotRef{idx, size, sext}}
+			return operand{shape: shSlot, tag: n.Sym.Type, slot: slotRef{idx, k.size, k.sext}}
 		}
 		if _, global := c.pr.GlobalAddr(n.Sym); ok && global {
 			return operand{shape: shExpr, tag: n.Sym.Type, e: n, lvalue: true}
@@ -104,11 +91,11 @@ func (c *compiler) classify(e ast.Expr) operand {
 			return operand{shape: shExpr, tag: n.To, e: n}
 		}
 	case *ast.UnaryExpr:
-		if _, _, ok := wordOf(n.Typ); ok && n.Op == token.Star {
+		if _, ok := wordOf(n.Typ); ok && n.Op == token.Star {
 			return operand{shape: shExpr, tag: n.Typ, e: n, lvalue: true}
 		}
 	case *ast.IndexExpr, *ast.MemberExpr:
-		if _, _, ok := wordOf(e.ResultType()); ok {
+		if _, ok := wordOf(e.ResultType()); ok {
 			return operand{shape: shExpr, tag: e.ResultType(), e: e, lvalue: true}
 		}
 	}
@@ -257,15 +244,15 @@ func (c *compiler) compileRaw(o operand) rawFn {
 		return c.fuseBinary(folds[op], CostConv, x, operand{shape: shConst})
 	}
 	lf, _ := c.compileLValue(o.e)
-	size, sext, _ := wordOf(o.tag)
-	return rawLoadOf(lf, size, sext)
+	k, _ := wordOf(o.tag)
+	return rawLoadOf(lf, k.size, k.sext)
 }
 
 // compileTruth lowers e to its C truth as a word: what a condition, &&
 // and || consume, with no boxed 0/1 and no Value.Bool() where e fuses.
 func (c *compiler) compileTruth(e ast.Expr) rawFn {
-	if o := c.classify(e); o.shape != shNone && !o.dbl() {
-		return c.lower(o) // an int or a pointer: the word is the truth
+	if o := c.classify(e); o.shape != shNone && !o.tag.IsFloat() {
+		return c.lower(o) // an integer or a pointer: the word is the truth
 	}
 	f := c.compileExpr(e)
 	return func(p *Proc) (uint64, error) { // transparent
@@ -274,16 +261,31 @@ func (c *compiler) compileTruth(e ast.Expr) rawFn {
 	}
 }
 
-// boxed is a fused expression in a generic context: the Value its
-// generic closure would have returned. Transparent.
+// lowerWord lowers e, classified as o, to its value as an integer word,
+// for an index or a pointer base: e's own word where it fuses, else its
+// generic closure's Value.Int().
+func (c *compiler) lowerWord(o operand, e ast.Expr) rawFn {
+	if o.shape != shNone && !o.tag.IsFloat() {
+		return c.lower(o)
+	}
+	f := c.compileExpr(e)
+	return func(p *Proc) (uint64, error) { // transparent
+		v, err := f(p)
+		return uint64(v.Int()), err
+	}
+}
+
+// boxed is a fused expression or a word load in a generic context: the
+// Value its tag's codec boxes the word into. Transparent.
 func boxed(r rawFn, tag *types.Type) evalFn {
-	if tag.Kind == types.Double {
+	k, _ := wordOf(tag)
+	if !tag.IsFloat() {
 		return func(p *Proc) (Value, error) {
 			w, err := r(p)
 			if err != nil {
 				return Value{}, err
 			}
-			return Value{T: tag, F: fv(w)}, nil
+			return Value{T: tag, I: int64(w)}, nil
 		}
 	}
 	return func(p *Proc) (Value, error) {
@@ -291,22 +293,8 @@ func boxed(r rawFn, tag *types.Type) evalFn {
 		if err != nil {
 			return Value{}, err
 		}
-		return Value{T: tag, I: int64(w)}, nil
+		return k.box(tag, w), nil
 	}
-}
-
-// loadWord and storeWord are a fused closure's timed access: makeLoad's
-// and makeStore's word variants over a payload word. Leaves.
-func (p *Proc) loadWord(addr uint32, size int, sext uint) (uint64, error) {
-	w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
-	p.Clock += lat
-	return uint64(int64(w<<(sext&63)) >> (sext & 63)), p.noteMemOp(addr, false)
-}
-
-func (p *Proc) storeWord(addr uint32, size int, sext uint, w uint64) error {
-	w = uint64(int64(w) << (sext & 63) >> (sext & 63))
-	p.Clock += p.mach.StoreWord(p.Core, addr, size, w, p.Clock)
-	return p.noteMemOp(addr, true)
 }
 
 // suspended pushes a fused closure's frame when err is a yield.
@@ -594,11 +582,11 @@ func (c *compiler) compileEffect(e ast.Expr, tick uint64) execFn {
 		return effSlot(tick, t.slot, c.lower(rhs))
 	}
 	lf, _ := c.compileLValue(lhs)
-	size, sext, _ := wordOf(t.tag)
+	k, _ := wordOf(t.tag)
 	if fold != nil {
-		return effUpdate(tick, fold, cost, lf, size, sext, c.lower(rhs))
+		return effUpdate(tick, fold, cost, lf, k.size, k.sext, c.lower(rhs))
 	}
-	return effStore(tick, lf, size, sext, c.lower(rhs))
+	return effStore(tick, lf, k.size, c.lower(rhs))
 }
 
 // effSlot is local = rhs. Steps: 0 in rhs, 1 stored.
@@ -613,7 +601,7 @@ func effSlot(tick uint64, s slotRef, rhs rawFn) execFn {
 		if err != nil {
 			return ctrlNone, p.suspended(err, 0, 0, 0)
 		}
-		if err := p.storeWord(p.slotMem[p.cfp+s.idx], s.size, s.sext, w); err != nil {
+		if err := p.storeWord(p.slotMem[p.cfp+s.idx], s.size, w); err != nil {
 			return ctrlNone, p.suspended(err, 1, 0, 0)
 		}
 		return ctrlNone, nil
@@ -622,7 +610,7 @@ func effSlot(tick uint64, s slotRef, rhs rawFn) execFn {
 
 // effStore is lvalue = rhs. Steps: 0 in lf, 1 in rhs (a the address),
 // 2 stored.
-func effStore(tick uint64, lf lvalFn, size int, sext uint, rhs rawFn) execFn {
+func effStore(tick uint64, lf lvalFn, size int, rhs rawFn) execFn {
 	return func(p *Proc, _ *Value) (ctrl, error) {
 		var addr uint32
 		step := 0
@@ -643,7 +631,7 @@ func effStore(tick uint64, lf lvalFn, size int, sext uint, rhs rawFn) execFn {
 		if err != nil {
 			return ctrlNone, p.suspended(err, 1, addr, 0)
 		}
-		if err := p.storeWord(addr, size, sext, w); err != nil {
+		if err := p.storeWord(addr, size, w); err != nil {
 			return ctrlNone, p.suspended(err, 2, 0, 0)
 		}
 		return ctrlNone, nil
@@ -689,42 +677,65 @@ func effUpdate(tick uint64, fold foldFn, cost int, lf lvalFn, size int, sext uin
 				return ctrlNone, err
 			}
 		}
-		if err := p.storeWord(addr, size, sext, r); err != nil {
+		if err := p.storeWord(addr, size, r); err != nil {
 			return ctrlNone, p.suspended(err, 4, 0, 0)
 		}
 		return ctrlNone, nil
 	}
 }
 
-// fuseIndex lowers a[i] where a names an array or a pointer — the
-// element scale a lowering-time constant — and i fuses; nil otherwise.
-// A global array's base is captured, any other is a rawFn child: a
-// local array's slot address, or the pointer's load. Steps: 0 in the
-// base, 1 in the index (a the base), 2 index in hand with the address
-// charge pending (a the address), 3 charged.
+// fuseIndex is the one lowering of x[i]. The base is an array lvalue's
+// address or, for any other x, its value as a pointer, null-checked;
+// the index is any integer expression and the element scale a
+// lowering-time constant. A global array's base is captured and an
+// index that is a local loads in line; anything else is a rawFn child.
+// Steps: 0 in the base, 1 in the index (a the base), 2 index in hand
+// with the address charge pending (a the address), 3 charged.
 func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
-	id, ok := ast.Unparen(n.X).(*ast.Ident)
-	i := c.classify(n.Index)
-	if !ok || id.Sym == nil || id.Sym.Type == nil || id.Sym.Type.Elem == nil || !i.sint() {
+	bt := n.X.ResultType()
+	var base rawFn
+	var elem *types.Type
+	var nullErr error
+	k, global := uint32(0), false
+	if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && id.Sym != nil && id.Sym.Type != nil && id.Sym.Type.Kind == types.Array {
+		elem = id.Sym.Type.Elem
+		if bs, local := c.slotIdx[id.Sym]; local {
+			base = func(p *Proc) (uint64, error) { return uint64(p.slotMem[p.cfp+bs]), nil }
+		} else {
+			k, global = c.pr.GlobalAddr(id.Sym)
+		}
+	}
+	switch {
+	case base != nil || global:
+	case bt != nil && bt.Kind == types.Array:
+		lf, st := c.compileLValue(n.X)
+		if st == nil {
+			return lf, nil
+		}
+		elem = st.Elem
+		base = func(p *Proc) (uint64, error) { // transparent
+			a, _, err := lf(p)
+			return uint64(a), err
+		}
+	default:
+		base = c.lowerWord(c.classify(n.X), n.X)
+		nullErr = fmt.Errorf("%s: indexing a null pointer", n.Pos())
+		if bt != nil && bt.IsPointerLike() {
+			elem = bt.Decay().Elem
+		}
+		if elem == nil {
+			elem = types.IntType
+		}
+	}
+	if elem == nil {
+		c.fail(n.Pos(), "indexed array has no element type")
 		return nil, nil
 	}
-	elem, is := id.Sym.Type.Elem, i.slot
 	scale := int64(elem.Size())
-	var base rawFn
-	bs, local := c.slotIdx[id.Sym]
-	k, global := c.pr.GlobalAddr(id.Sym)
+	i := c.classify(n.Index)
+	is, slot := i.slot, i.shape == shSlot && !i.tag.IsFloat()
 	switch {
-	case id.Sym.Type.Kind == types.Pointer:
-		b := c.classify(id)
-		if b.shape == shNone {
-			return nil, nil
-		}
-		base = c.lower(b)
-	case id.Sym.Type.Kind != types.Array || !local && !global:
-		return nil, nil
-	case local:
-		base = func(p *Proc) (uint64, error) { return uint64(p.slotMem[p.cfp+bs]), nil }
-	case i.shape == shSlot:
+	case global && slot:
 		return func(p *Proc) (uint32, *types.Type, error) {
 			if p.coResuming {
 				return p.indexResume(p.popKRef(), elem)
@@ -732,8 +743,8 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			w, err := p.loadWord(p.slotMem[p.cfp+is.idx], is.size, is.sext)
 			return p.indexTail(err, k+uint32(int64(w)*scale), elem)
 		}, elem
-	default:
-		idx := c.lower(i)
+	case global:
+		idx := c.lowerWord(i, n.Index)
 		return func(p *Proc) (uint32, *types.Type, error) {
 			if p.coResuming {
 				if fr := p.popKRef(); fr.step != 1 {
@@ -747,8 +758,7 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			return p.indexTail(nil, k+uint32(int64(w)*scale), elem)
 		}, elem
 	}
-	nullErr := fmt.Errorf("%s: indexing a null pointer", n.Pos())
-	if i.shape == shSlot {
+	if slot {
 		return func(p *Proc) (uint32, *types.Type, error) {
 			if p.coResuming {
 				if fr := p.popKRef(); fr.step != 0 {
@@ -758,14 +768,14 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			b, err := base(p)
 			if err != nil {
 				return 0, nil, p.suspended(err, 0, 0, 0)
-			} else if b == 0 {
+			} else if nullErr != nil && uint32(b) == 0 {
 				return 0, nil, nullErr
 			}
 			w, err := p.loadWord(p.slotMem[p.cfp+is.idx], is.size, is.sext)
 			return p.indexTail(err, uint32(b)+uint32(int64(w)*scale), elem)
 		}, elem
 	}
-	idx := c.lower(i)
+	idx := c.lowerWord(i, n.Index)
 	return func(p *Proc) (uint32, *types.Type, error) {
 		var b uint64
 		step := 0
@@ -780,7 +790,7 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			var err error
 			if b, err = base(p); err != nil {
 				return 0, nil, p.suspended(err, 0, 0, 0)
-			} else if b == 0 {
+			} else if nullErr != nil && uint32(b) == 0 {
 				return 0, nil, nullErr
 			}
 		}

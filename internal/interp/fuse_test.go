@@ -115,6 +115,31 @@ var fusedKernels = []struct{ name, ret, body string }{
 		x += 1; x /= 0; return x;`},
 	{"null pointer index", "int", `int i = 1; %[1]s
 		gp = NULL; gp[i] = 3; return 1;`},
+	{"index shapes", "int", `int l2[3][4]; unsigned u = 0; char ch = 1; int i; int j; int s = 0; %[1]s
+		for (i = 0; i < 4; i++) { for (j = 0; j < 4; j++) { g2[i][j] = i * 4 + j; } for (j = 0; j < 3; j++) { l2[j][i] = g2[i][j] + 1; } }
+		bp = &bx; gp = ga;
+		for (i = 0; i < 4; i++) { bx.v[i] = i * 5; bp->v[3 - i] += i; ga[i] = i + 7; gd[i] = 0.5; }
+		for (i = 0; i < 3; i++) { (ga + 1)[i] += g2[i][u]; gbase()[ch] -= 1; (gp + 2)[u] = l2[u][ch] * 2; bp->v[ch] *= 2; gd[ch] += 1.0;
+			s += g2[i + 1][i] + l2[i][u] + bx.v[i] + bp->v[i + 1] + ga[u] + ga[ch] + (int)gd[u] + (ga + 1)[i] + (gp + 2)[ch] + gbase()[i] + gbase()[u] + ga[u + 1] + ga[sq(i)] + l2[sq(1)][u + 1]; u++; ch++; }
+		return s + g2[3][ch] + l2[2][u];`},
+	{"scalar kinds local global pointer", "int", `unsigned lu = 3000000000; float lf = 0.1; int *lq = ga; unsigned *pu = &gu; float *pf = &gf; int **pq = &gq; short sh = -5; short *ps = &sh; char c = 'x'; char *pc = &c; float fz = -0.0; int i; int s = 0; %[1]s
+		gu = 4000000000; gf = 2.5; gq = ga + 2;
+		for (i = 0; i < 4; i++) {
+			lu = lu + gu; gu = lu * 3; *pu = *pu + lu; *pu += 7; lu++; gu--;
+			lf = lf * 1.5; gf = gf + lf; *pf = *pf * 0.5; *pf += lf; gf++;
+			lq = lq + 1; gq = lq; *pq = *pq + 1; lq[0] = i; (*pq)[1] = i * 2;
+			*ps = *ps * 3; sh = sh + *ps; *pc = *pc + 1; if (fz) s += 1000; if (lf) s += 1; if (gu && lu) s += 2;
+			s += (lu > 5) + (gu > lu) + (int)lf + (int)gf + (int)*pf + *lq + (*pq)[0] + (lq < gq) + sh + *ps + c + *pc + (*pu %% 7) + (gu %% 5);
+		}
+		return s + (int)(gq - ga) + (int)(lq - ga);`},
+	{"struct loaded whole", "int", `struct pair q; %[1]s
+		pt.a = 1; q = pt; return q.a;`},
+	{"word-size struct loaded whole", "int", `%[1]s
+		o1.a = 1; o2 = o1; return o2.a;`},
+	{"indirect calls", "int", `void *lfn = sq; int s = 0; int i; %[1]s
+		gfn = &tw;
+		for (i = 0; i < 4; i++) { s += lfn(i) + gfn(i + 1); s = s + lfn(gfn(i)); }
+		return s;`},
 }
 
 // fusedKernelSource wraps a kernel body with the globals the kernels
@@ -122,8 +147,15 @@ var fusedKernels = []struct{ name, ret, body string }{
 func fusedKernelSource(ret, body, prefix string) string {
 	return fmt.Sprintf(`
 struct pair { int a; double w; };
+struct box { int n; int v[4]; };
+struct one { int a; };
 int ga[16]; double gd[16]; int gs; double gds; int *gp; double *gdp;
 struct pair pt; struct pair *pp;
+int g2[4][4]; struct box bx; struct box *bp; struct one o1; struct one o2;
+unsigned gu; float gf; int *gq; void *gfn;
+int *gbase() { return ga; }
+int sq(int x) { return x * x; }
+int tw(int x) { return x + x; }
 %s k() { %s }
 `, ret, fmt.Sprintf(body, prefix))
 }

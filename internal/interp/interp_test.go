@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,6 +210,55 @@ int main() {
     return 0;
 }`)
 	want := "hello world hx\n   42|42   |00042\n"
+	if s.Output() != want {
+		t.Errorf("output = %q, want %q", s.Output(), want)
+	}
+}
+
+// TestPrintfVerbs: the verbs printf appends itself and those it hands
+// to fmt print as fmt prints them, and a bad format fails naming it.
+func TestPrintfVerbs(t *testing.T) {
+	s := runMain(t, `
+int main() {
+    printf("%d|%i|%ld|%u|%x|%X|%o|%p|%c|%s|%-6s|%hd\n", -7, 8, -9, -1, 255, 255, 8, 4096, 'z', "ab", "ab", 5);
+    printf("%f|%.2f|%.f|%8.3f|%e|%g|%%|%.10f\n", 1.5, 2.345, 2.5, -3.14159, 12345.678, 0.0001, 1.0 / 3.0);
+    return 0;
+}`)
+	want := fmt.Sprintf("%d|%d|%d|%d|%x|%X|%o|0x%x|%c|%s|%-6s|%d\n", -7, 8, -9, uint32(1<<32-1), 255, 255, 8, 4096, 'z', "ab", "ab", 5) +
+		fmt.Sprintf("%f|%.2f|%.f|%8.3f|%e|%g|%%|%.10f\n", 1.5, 2.345, 2.5, -3.14159, 12345.678, 0.0001, 1.0/3.0)
+	if s.Output() != want {
+		t.Errorf("output = %q, want %q", s.Output(), want)
+	}
+	for _, c := range []struct{ call, err string }{
+		{`printf("%d %d\n", 1)`, `printf: missing argument 1 for "%d %d\n"`},
+		{`printf("%y %d\n")`, `printf: unsupported verb %y`},
+	} {
+		_, err := tryRunMain("int main() { " + c.call + "; return 0; }")
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want %q", c.call, err, c.err)
+		}
+	}
+}
+
+// TestScalarKindsLoadAndStore: a value of each scalar kind stored and
+// loaded again as a local, as a global and through a pointer keeps its
+// width, its signedness and its representation.
+func TestScalarKindsLoadAndStore(t *testing.T) {
+	s := runMain(t, `
+unsigned gu; float gf; short gs; char gc;
+int main() {
+    unsigned lu = 4000000000; float lf = 1.25; short ls = -300; char lc = -5;
+    unsigned *pu = &gu; float *pf = &gf; short *ps = &gs; char *pc = &gc;
+    *pu = lu + 300000000;
+    *pf = lf * 3.0;
+    *ps = ls * 200;
+    *pc = lc * 30;
+    gu++; gf++; gs--; gc--;
+    printf("%u %u %.2f %.2f %d %d %d %d\n", lu, gu, lf, gf, ls, gs, lc, gc);
+    printf("%.1f %.1f %.2f %d %d\n", (double)lu, (double)*pu, *pf, *ps, *pc);
+    return 0;
+}`)
+	want := "4000000000 5032705 1.25 4.75 -300 5535 -5 105\n4000000000.0 5032705.0 4.75 5535 105\n"
 	if s.Output() != want {
 		t.Errorf("output = %q, want %q", s.Output(), want)
 	}

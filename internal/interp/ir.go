@@ -49,9 +49,8 @@ type compiledFunc struct {
 	// push (a subtract and mask per slot) into the Proc's slot arena.
 	slots []slotDef
 	// paramSlot maps parameter index -> slot index (-1: unnamed param).
-	paramSlot  []int
-	paramType  []*types.Type
-	paramStore []typedStore
+	paramSlot []int
+	paramType []*types.Type
 
 	body execFn
 }

@@ -1,11 +1,12 @@
 package interp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
-	"hsmcc/internal/cc/types"
 	"hsmcc/internal/sccsim"
 )
 
@@ -52,6 +53,9 @@ type Proc struct {
 	// ret pointer does not escape to the heap; fixed capacity because
 	// active bodies hold interior pointers across nested calls.
 	retSlots []Value
+	// text holds printf's format and formatted output, and atoi's
+	// string, between calls.
+	text []byte
 	// Coroutine state: the resumption stacks a suspension unwinds into
 	// (pointer-free meta plus payload side stacks), the pop scratch
 	// slot, and the flag marking a re-descent to the suspension point
@@ -127,9 +131,9 @@ func (p *Proc) chargeCycles(n int) error {
 }
 
 // MemProfiler observes the timed data-memory accesses a context
-// performs (the typed load/store accessors and the generic
-// loadValue/storeValue). Implementations must be cheap and need no
-// locking: the scheduler runs one context of a session at a time.
+// performs (loadWord and storeWord, access.go). Implementations must be
+// cheap and need no locking: the scheduler runs one context of a session
+// at a time.
 // Each access is reported exactly once, before any cooperative yield
 // propagates (the coroutine leaf convention: the access has completed
 // and is never re-issued on resume), so counters are byte-identical
@@ -169,39 +173,6 @@ func (p *Proc) noteMemOp(addr uint32, write bool) error {
 func (p *Proc) yieldMemOp() error {
 	p.memOps = 0
 	return p.Yield()
-}
-
-// loadValue reads a typed value from simulated memory, charging latency.
-// The access and decode complete before a yield propagates; the real
-// value rides alongside errYield for the caller to save.
-func (p *Proc) loadValue(addr uint32, t *types.Type) (Value, error) {
-	size := t.Size()
-	if size <= 0 || size > 8 {
-		return Value{}, fmt.Errorf("load of %d-byte type %s", size, t)
-	}
-	w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
-	p.Clock += lat
-	yerr := p.noteMemOp(addr, false)
-	v, err := decodeWord(t, w)
-	if err != nil {
-		return Value{}, err
-	}
-	return v, yerr
-}
-
-// storeValue writes a typed value to simulated memory, charging latency.
-// The store is complete before a yield propagates.
-func (p *Proc) storeValue(addr uint32, t *types.Type, v Value) error {
-	size := t.Size()
-	if size <= 0 || size > 8 {
-		return fmt.Errorf("store of %d-byte type %s", size, t)
-	}
-	w, err := encodeWord(t, Convert(v, t))
-	if err != nil {
-		return err
-	}
-	p.Clock += p.mach.StoreWord(p.Core, addr, size, w, p.Clock)
-	return p.noteMemOp(addr, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +315,7 @@ func (p *Proc) storeParams(cf *compiledFunc, args []Value, from int) error {
 		if i < len(args) {
 			v = args[i]
 		}
-		if _, err := cf.paramStore[i](p, p.slotMem[p.cfp+si], v); err != nil {
+		if err := p.StoreTyped(p.slotMem[p.cfp+si], cf.paramType[i], v); err != nil {
 			if isYield(err) {
 				p.pushK(kframe{step: 2, n: int64(i + 1)})
 				return err
@@ -435,19 +406,6 @@ func (p *Proc) evalCompiledArgs(fns []evalFn) ([]Value, int, error) {
 	return p.argArena[base : base+len(fns) : base+len(fns)], base, nil
 }
 
-// LoadTyped reads a typed value with timing; for runtime packages. The
-// coroutine leaf convention applies: on a yield the access has completed
-// and the real value is returned alongside the sentinel.
-func (p *Proc) LoadTyped(addr uint32, t *types.Type) (Value, error) {
-	return p.loadValue(addr, t)
-}
-
-// StoreTyped writes a typed value with timing; for runtime packages.
-// On a yield the store has completed.
-func (p *Proc) StoreTyped(addr uint32, t *types.Type, v Value) error {
-	return p.storeValue(addr, t, v)
-}
-
 // ChargeCycles adds compute cycles; for runtime packages. On a yield
 // the charge has completed.
 func (p *Proc) ChargeCycles(n int) error { return p.chargeCycles(n) }
@@ -463,24 +421,44 @@ func (p *Proc) ProfileAccess(addr uint32, write bool) {
 	}
 }
 
-// Printf appends to the session output.
-func (p *Proc) Printf(format string, args ...any) {
-	fmt.Fprintf(&p.Sim.Out, format, args...)
-}
+// maxCString bounds a C string read out of simulated memory.
+const maxCString = 1 << 16
 
-// ReadCString copies a NUL-terminated string out of simulated memory.
-func (p *Proc) ReadCString(addr uint32) string {
-	var out []byte
-	var b [1]byte
-	for len(out) < 1<<16 {
-		p.Sim.Machine.ReadBytes(p.Core, addr, b[:])
-		if b[0] == 0 {
-			break
+// cstrChunk is appendCString's read size; an aligned chunk never
+// crosses a page.
+const cstrChunk = 64
+
+// appendCString appends the NUL-terminated string at addr (at most
+// maxCString bytes, without the NUL) to dst. It reads aligned chunks cut
+// at the MPB's end, so beyond the NUL it touches nothing outside the
+// NUL's page, and it records the machine faults a byte-at-a-time read
+// would: a read past the MPB's end is one byte, and moves no data, so
+// the last byte read repeats.
+func (p *Proc) appendCString(dst []byte, addr uint32) []byte {
+	m := p.Sim.Machine
+	mpbEnd := uint64(sccsim.MPBBase) + uint64(m.Config().MPBTotal())
+	var last byte
+	for read := 0; read < maxCString; {
+		n := cstrChunk - int(addr%cstrChunk)
+		switch a := uint64(addr); {
+		case a >= mpbEnd:
+			n = 1
+		case a+uint64(n) > mpbEnd:
+			n = int(mpbEnd - a)
 		}
-		out = append(out, b[0])
-		addr++
+		n = min(n, maxCString-read)
+		dst = slices.Grow(dst, n)
+		chunk := dst[len(dst) : len(dst)+n]
+		chunk[0] = last
+		m.ReadBytes(p.Core, addr, chunk)
+		if i := bytes.IndexByte(chunk, 0); i >= 0 {
+			return dst[:len(dst)+i]
+		}
+		dst, last = dst[:len(dst)+n], chunk[n-1]
+		read += n
+		addr += uint32(n)
 	}
-	return string(out)
+	return dst
 }
 
 // Seconds converts the context clock to seconds.

@@ -192,12 +192,12 @@ func (pr *Program) foldGlobal(d *ast.VarDecl, addr uint32) error {
 		if err != nil {
 			return fmt.Errorf("interp: global %s%s: %w", d.Name, what, err)
 		}
-		w, err := encodeWord(t, Convert(v, t))
-		if err != nil {
-			return err
+		k, ok := wordOf(t)
+		if !ok {
+			return fmt.Errorf("interp: cannot store value of type %s", t)
 		}
-		// The low t.Size() bytes of the word, as a store writes them.
-		run.data = binary.LittleEndian.AppendUint64(run.data, w)[:len(run.data)+t.Size()]
+		// The low bytes of the word, as a store writes them.
+		run.data = binary.LittleEndian.AppendUint64(run.data, k.unbox(v))[:len(run.data)+k.size]
 		return nil
 	}
 	if d.Init != nil {

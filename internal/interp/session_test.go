@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hsmcc/internal/cc/types"
@@ -173,5 +174,54 @@ func TestSpawnRunFinishAllocatesNothing(t *testing.T) {
 	sim.Release()
 	if n := testing.AllocsPerRun(runs, func() { NewSim(m, pr).Release() }); n != 1 {
 		t.Errorf("NewSim and Release allocate %v times, want 1 (the Sim)", n)
+	}
+}
+
+// printLoop's lines take printf's appending verbs: a string argument, a
+// decimal, a fixed precision, the default precision, an unsigned and a
+// literal percent sign.
+const printLoop = `
+double gd = 0.25;
+int lines(int n) {
+  int i;
+  for (i = 0; i < n; i++) {
+    printf("%s %d: %.2f %f %u%%\n", "row", i, gd * i, gd, i);
+  }
+  return n;
+}`
+
+// TestPrintfAllocatesNothing: printf reads its format and formats its
+// text in the context's reused buffer, so on a released session a
+// context printing 2N lines allocates no more than one printing N.
+func TestPrintfAllocatesNothing(t *testing.T) {
+	pr, err := Compile("print.c", printLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sccsim.MustNew(sccsim.DefaultConfig())
+	sim := NewSim(m, pr)
+	defer sim.Release()
+	allocs := func(n int) float64 {
+		args := []Value{IntValue(types.IntType, int64(n))}
+		cycle := func() {
+			sim.Out.Reset()
+			if _, err := sim.Spawn(0, pr.Funcs["lines"], args, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			cycle()
+		}
+		return testing.AllocsPerRun(20, cycle)
+	}
+	const n = 50
+	if a, b := allocs(n), allocs(2*n); b-a >= 1 {
+		t.Errorf("printing %d lines allocates %v times, %d lines %v: %.1f per line", n, a, 2*n, b, (b-a)/n)
+	}
+	if want := "row 0: 0.00 0.250000 0%\nrow 1: 0.25 0.250000 1%\n"; !strings.HasPrefix(sim.Output(), want) {
+		t.Errorf("output starts %.60q, want %q", sim.Output(), want)
 	}
 }

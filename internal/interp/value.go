@@ -15,12 +15,7 @@
 // the compiled form against.
 package interp
 
-import (
-	"fmt"
-	"math"
-
-	"hsmcc/internal/cc/types"
-)
+import "hsmcc/internal/cc/types"
 
 // Value is one C rvalue: integers and pointers ride in I, floats in F.
 // The type tag drives arithmetic and memory encoding.
@@ -94,41 +89,5 @@ func Convert(v Value, t *types.Type) Value {
 		return Value{T: t, I: int64(uint32(v.Int()))}
 	default:
 		return Value{T: t, I: v.Int()}
-	}
-}
-
-// encodeWord returns v's representation for type t as a little-endian
-// word (ILP32): the low t.Size() bytes are what a store writes.
-func encodeWord(t *types.Type, v Value) (uint64, error) {
-	switch t.Kind {
-	case types.Char, types.Short, types.Int, types.Long, types.UInt, types.Pointer, types.Opaque:
-		return uint64(v.Int()), nil
-	case types.Float:
-		return uint64(math.Float32bits(float32(v.Float()))), nil
-	case types.Double:
-		return math.Float64bits(v.Float()), nil
-	default:
-		return 0, fmt.Errorf("interp: cannot store value of type %s", t)
-	}
-}
-
-// decodeWord reads a value of type t from the zero-extended word a load
-// of t.Size() bytes returned.
-func decodeWord(t *types.Type, w uint64) (Value, error) {
-	switch t.Kind {
-	case types.Char:
-		return Value{T: t, I: int64(int8(w))}, nil
-	case types.Short:
-		return Value{T: t, I: int64(int16(w))}, nil
-	case types.Int, types.Long:
-		return Value{T: t, I: int64(int32(w))}, nil
-	case types.UInt, types.Pointer, types.Opaque:
-		return Value{T: t, I: int64(uint32(w))}, nil
-	case types.Float:
-		return Value{T: t, F: float64(math.Float32frombits(uint32(w)))}, nil
-	case types.Double:
-		return Value{T: t, F: math.Float64frombits(w)}, nil
-	default:
-		return Value{}, fmt.Errorf("interp: cannot load value of type %s", t)
 	}
 }

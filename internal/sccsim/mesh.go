@@ -34,12 +34,6 @@ func (m *Machine) Hops(coreA, coreB int) int {
 	return abs(ax-bx) + abs(ay-by)
 }
 
-// mcPosition returns the mesh coordinates of memory controller i.
-func (m *Machine) mcPosition(i int) (x, y int) {
-	p := m.mcPos[i]
-	return p.x, p.y
-}
-
 // computeMCPositions places the memory controllers on the mesh. The
 // first four take the corners in the SCC's order (preserving the
 // original quadrant partition bit-for-bit on legacy configs); beyond

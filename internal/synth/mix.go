@@ -23,23 +23,6 @@ func (m Mix) Stores() int { return m.PrivStores + m.SharedStores }
 func (m Mix) Mem() int    { return m.Loads() + m.Stores() }
 func (m Mix) Total() int  { return m.Mem() + m.NonMem }
 
-// MemFrac is the realised fraction of operations that access memory.
-func (m Mix) MemFrac() float64 { return ratio(m.Mem(), m.Total()) }
-
-// LoadFrac is the realised fraction of memory operations that are loads.
-func (m Mix) LoadFrac() float64 { return ratio(m.Loads(), m.Mem()) }
-
-// SharedFrac is the realised fraction of memory operations on shared
-// addresses.
-func (m Mix) SharedFrac() float64 { return ratio(m.SharedLoads+m.SharedStores, m.Mem()) }
-
-func ratio(n, d int) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
-}
-
 func isSharedArray(name string) bool {
 	return name == tableName || name == swapAName || name == swapBName
 }

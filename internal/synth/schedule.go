@@ -53,10 +53,6 @@ type mixCounts struct {
 	sharedLoad, sharedStore int
 }
 
-func (c mixCounts) loads() int  { return c.privLoad + c.sharedLoad }
-func (c mixCounts) stores() int { return c.privStore + c.sharedStore }
-func (c mixCounts) mem() int    { return c.loads() + c.stores() }
-
 // splitCounts rounds the requested fractions to integer counts over a
 // body of n operations. Rounding is nested (mem first, then load within
 // mem, then shared within each of load/store) so every bucket is within

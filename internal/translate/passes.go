@@ -50,10 +50,9 @@ func (threadsToProcesses) Run(u *Unit) error {
 		if fnName == "" {
 			return keep(s)
 		}
-		newCall := &ast.CallExpr{Fun: ident(fnName), Args: []ast.Expr{threadArg(u, call, nil)}}
 		guarded := &ast.IfStmt{
-			Cond: &ast.BinaryExpr{Op: token.EqEq, X: ident(CoreIDName), Y: intLit(int64(order))},
-			Then: &ast.BlockStmt{List: []ast.Stmt{&ast.ExprStmt{X: newCall}}},
+			Cond: ast.Bin(token.EqEq, ast.Id(CoreIDName), ast.Int(int64(order))),
+			Then: &ast.BlockStmt{List: []ast.Stmt{ast.CallStmt(fnName, threadArg(u, call, nil))}},
 		}
 		u.logf("ThreadsToProcesses: launch of %s -> guarded call on core %d", fnName, order)
 		order++
@@ -99,15 +98,14 @@ func rewriteLaunchLoop(u *Unit, n *ast.ForStmt, s ast.Stmt) []ast.Stmt {
 				out = append(out, bs)
 				continue
 			}
-			newCall := &ast.CallExpr{Fun: ident(fnName), Args: []ast.Expr{threadArg(u, call, &indVar)}}
-			out = append(out, &ast.ExprStmt{X: newCall})
+			out = append(out, ast.CallStmt(fnName, threadArg(u, call, &indVar)))
 			u.logf("ThreadsToProcesses: loop launch of %s -> direct call with core ID", fnName)
 			continue
 		}
 		// Keep other statements, with the induction variable replaced by
 		// the core ID (each core performs its own slice of the work).
 		if indVar != "" {
-			substIdent(bs, indVar, func() ast.Expr { return ident(CoreIDName) })
+			substIdent(bs, indVar, func() ast.Expr { return ast.Id(CoreIDName) })
 		}
 		out = append(out, bs)
 	}
@@ -130,9 +128,7 @@ func rewriteLaunchLoopW(u *Unit, n *ast.WhileStmt, s ast.Stmt) []ast.Stmt {
 	for _, bs := range body {
 		if call := callIn(bs, "pthread_create"); call != nil {
 			if fnName := launchFuncName(call); fnName != "" {
-				out = append(out, &ast.ExprStmt{X: &ast.CallExpr{
-					Fun: ident(fnName), Args: []ast.Expr{threadArg(u, call, nil)},
-				}})
+				out = append(out, ast.CallStmt(fnName, threadArg(u, call, nil)))
 			}
 			continue
 		}
@@ -179,7 +175,7 @@ func threadArg(u *Unit, call *ast.CallExpr, indVar *string) ast.Expr {
 		})
 	}
 	if usesInd {
-		return &ast.CastExpr{To: types.PointerTo(types.VoidType), X: &ast.ParenExpr{X: ident(CoreIDName)}}
+		return &ast.CastExpr{To: types.PointerTo(types.VoidType), X: &ast.ParenExpr{X: ast.Id(CoreIDName)}}
 	}
 	return arg
 }
@@ -228,7 +224,7 @@ func (joinsToBarriers) Run(u *Unit) error {
 				continue
 			}
 			if indVar != "" {
-				substIdent(bs, indVar, func() ast.Expr { return ident(CoreIDName) })
+				substIdent(bs, indVar, func() ast.Expr { return ast.Id(CoreIDName) })
 			}
 			out = append(out, bs)
 		}
@@ -249,7 +245,7 @@ func (joinsToBarriers) Run(u *Unit) error {
 }
 
 func barrierStmt() ast.Stmt {
-	return callStmt("RCCE_barrier", &ast.UnaryExpr{Op: token.Amp, X: ident("RCCE_COMM_WORLD")})
+	return ast.CallStmt("RCCE_barrier", &ast.UnaryExpr{Op: token.Amp, X: ast.Id("RCCE_COMM_WORLD")})
 }
 
 // collapseBarriers removes a barrier immediately following another barrier.
@@ -279,7 +275,7 @@ func (selfToUE) Run(u *Unit) error {
 	for _, fn := range u.File.Funcs() {
 		rewriteExprsInStmt(fn.Body, func(e ast.Expr) ast.Expr {
 			if c, ok := e.(*ast.CallExpr); ok && c.FuncName() == "pthread_self" {
-				return &ast.CallExpr{Fun: ident("RCCE_ue"), PosInfo: c.PosInfo}
+				return &ast.CallExpr{Fun: ast.Id("RCCE_ue"), PosInfo: c.PosInfo}
 			}
 			return e
 		})
@@ -325,7 +321,7 @@ func (mutexToLocks) Run(u *Unit) error {
 				if c.FuncName() == "pthread_mutex_unlock" {
 					newName = "RCCE_release_lock"
 				}
-				return &ast.CallExpr{Fun: ident(newName), Args: []ast.Expr{intLit(int64(id))}, PosInfo: c.PosInfo}
+				return &ast.CallExpr{Fun: ast.Id(newName), Args: []ast.Expr{ast.Int(int64(id))}, PosInfo: c.PosInfo}
 			}
 			return e
 		})
@@ -446,14 +442,14 @@ func (sharedToExplicit) Run(u *Unit) error {
 			d.Init = nil
 			emit(d.Name, allocFn, elem, 1)
 			if init != nil {
-				allocs = append(allocs, assignStmt(
-					&ast.UnaryExpr{Op: token.Star, X: ident(d.Name)}, init))
+				allocs = append(allocs, ast.Eval(ast.Assign(
+					&ast.UnaryExpr{Op: token.Star, X: ast.Id(d.Name)}, init)))
 			}
 			name := d.Name
 			for _, fn := range u.File.Funcs() {
 				rewriteExprsInStmt(fn.Body, func(e ast.Expr) ast.Expr {
 					if id, ok := e.(*ast.Ident); ok && id.Name == name && id.Sym == v.Sym {
-						return &ast.ParenExpr{X: &ast.UnaryExpr{Op: token.Star, X: ident(name)}}
+						return &ast.ParenExpr{X: &ast.UnaryExpr{Op: token.Star, X: ast.Id(name)}}
 					}
 					return e
 				})
@@ -469,12 +465,12 @@ func (sharedToExplicit) Run(u *Unit) error {
 func allocAssign(name, fn string, elem *types.Type, count int) ast.Stmt {
 	var size ast.Expr = &ast.SizeofExpr{OfType: elem, Typ: types.UIntType}
 	if count != 1 {
-		size = &ast.BinaryExpr{Op: token.Star, X: size, Y: intLit(int64(count))}
+		size = ast.Bin(token.Star, size, ast.Int(int64(count)))
 	}
-	return assignStmt(ident(name), &ast.CastExpr{
+	return ast.Eval(ast.Assign(ast.Id(name), &ast.CastExpr{
 		To: types.PointerTo(elem),
-		X:  &ast.ParenExpr{X: &ast.CallExpr{Fun: ident(fn), Args: []ast.Expr{size}}},
-	})
+		X:  &ast.ParenExpr{X: &ast.CallExpr{Fun: ast.Id(fn), Args: []ast.Expr{size}}},
+	}))
 }
 
 // ---------------------------------------------------------------------------
@@ -565,9 +561,9 @@ func (mainToRCCEApp) Run(u *Unit) error {
 	// Prologue: RCCE_init(&argc,&argv); <allocs already at top>; then
 	// int myID; myID = RCCE_ue(); inserted after the allocations.
 	prologue := []ast.Stmt{
-		callStmt("RCCE_init",
-			&ast.UnaryExpr{Op: token.Amp, X: ident("argc")},
-			&ast.UnaryExpr{Op: token.Amp, X: ident("argv")}),
+		ast.CallStmt("RCCE_init",
+			&ast.UnaryExpr{Op: token.Amp, X: ast.Id("argc")},
+			&ast.UnaryExpr{Op: token.Amp, X: ast.Id("argv")}),
 	}
 	// Find the end of the alloc block (RCCE_shmalloc / RCCE_mpbmalloc
 	// assignments inserted by SharedToExplicit sit at the top).
@@ -589,7 +585,7 @@ func (mainToRCCEApp) Run(u *Unit) error {
 		break
 	}
 	idDecl := &ast.DeclStmt{Decl: &ast.VarDecl{Name: CoreIDName, Type: types.IntType}}
-	idInit := assignStmt(ident(CoreIDName), &ast.CallExpr{Fun: ident("RCCE_ue")})
+	idInit := ast.Eval(ast.Assign(ast.Id(CoreIDName), &ast.CallExpr{Fun: ast.Id("RCCE_ue")}))
 
 	rest := m.Body.List[allocEnd:]
 	newList := make([]ast.Stmt, 0, len(m.Body.List)+4)
@@ -599,7 +595,7 @@ func (mainToRCCEApp) Run(u *Unit) error {
 	newList = append(newList, rest...)
 
 	// RCCE_finalize before the final return (Algorithm 10), or appended.
-	fin := callStmt("RCCE_finalize")
+	fin := ast.CallStmt("RCCE_finalize")
 	if len(newList) > 0 {
 		if _, isRet := newList[len(newList)-1].(*ast.ReturnStmt); isRet {
 			last := newList[len(newList)-1]

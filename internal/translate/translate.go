@@ -36,8 +36,6 @@ import (
 	"hsmcc/internal/analysis/pointsto"
 	"hsmcc/internal/analysis/scope"
 	"hsmcc/internal/cc/ast"
-	"hsmcc/internal/cc/token"
-	"hsmcc/internal/cc/types"
 	"hsmcc/internal/partition"
 )
 
@@ -359,22 +357,4 @@ func substIdent(s ast.Stmt, name string, repl func() ast.Expr) {
 		}
 		return e
 	})
-}
-
-// ident builds an identifier expression.
-func ident(name string) *ast.Ident { return &ast.Ident{Name: name} }
-
-// intLit builds an integer literal expression.
-func intLit(v int64) *ast.IntLit {
-	return &ast.IntLit{Value: v, Text: fmt.Sprintf("%d", v), Typ: types.IntType}
-}
-
-// callStmt builds `name(args...);`.
-func callStmt(name string, args ...ast.Expr) ast.Stmt {
-	return &ast.ExprStmt{X: &ast.CallExpr{Fun: ident(name), Args: args}}
-}
-
-// assignStmt builds `lhs = rhs;`.
-func assignStmt(lhs, rhs ast.Expr) ast.Stmt {
-	return &ast.ExprStmt{X: &ast.AssignExpr{Op: token.Assign, LHS: lhs, RHS: rhs}}
 }
