@@ -52,7 +52,7 @@ func main() {
 	synthSharing := flag.String("synth-sharing", "", "-synth: comma-separated degrees of sharing (empty = 1,2,4,8)")
 	synthFootprint := flag.String("synth-footprint", "", "-synth: comma-separated shared addresses per group (empty = 64,256,1024)")
 	machine := flag.String("machine", "", "machine preset: scc48, mesh256 or mesh1024 (empty = scc48)")
-	traceDir := flag.String("trace-dir", "", "grid mode: write one Chrome trace_event JSON file per executed RCCE simulation into this directory")
+	traceDir := flag.String("trace-dir", "", "grid mode: write one Chrome trace_event JSON file per executed RCCE simulation into this directory, named <workload>_<cores>c_onchip-<set>.trace.json after the on-chip set it ran (cells sharing a set share one run)")
 	flag.Parse()
 
 	// Any explicitly set grid flag selects grid mode; combining one with

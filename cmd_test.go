@@ -231,13 +231,15 @@ func TestCmdHsmccdDrain(t *testing.T) {
 		t.Error("in-flight simulate never completed — drain cancel did not reach it")
 	}
 
+	// Read stderr to its end before Wait, which closes the pipe: waiting
+	// first can drop the last log lines.
+	<-done
 	if err := cmd.Wait(); err != nil {
 		t.Errorf("daemon exit after SIGTERM: %v (want clean exit 0)", err)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("drain took %s, want grace+deadline+slack (< 10s)", elapsed)
 	}
-	<-done
 	for _, want := range []string{"draining (grace", "drained, exiting"} {
 		if !strings.Contains(logs.String(), want) {
 			t.Errorf("daemon log missing %q:\n%s", want, logs.String())

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"hsmcc/internal/partition"
+	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
 	"hsmcc/internal/trace"
 )
@@ -172,10 +173,13 @@ type CellResult struct {
 	Outcome
 	// Error is set (and the metrics zero) if the cell failed.
 	Error string `json:"error,omitempty"`
-	// Cached reports whether the semantic result is shared with an
-	// earlier-indexed identical cell (e.g. budget 0 vs the explicit
-	// full MPB). Determined by enumeration order, not execution order,
-	// so reports stay byte-identical across worker counts.
+	// Cached reports whether an earlier-indexed cell has the same
+	// workload, cores, policy and effective budget (e.g. budget 0 vs
+	// the explicit full MPB), so the two are one semantic result.
+	// Determined by enumeration order, not execution order, so reports
+	// stay byte-identical across worker counts. Cells that differ in
+	// policy or budget but pick the same on-chip set also share one
+	// translation and one simulation; they are not marked.
 	Cached bool `json:"cached"`
 }
 
@@ -204,10 +208,13 @@ type RunOptions struct {
 	OnResult func(CellResult)
 	// TraceDir, when non-empty, attaches a trace.Recorder to every
 	// RCCE simulation the sweep actually executes and writes one Chrome
-	// trace_event file per distinct run into the directory, named after
-	// the cell's semantic key. Cells served from the cell cache (dups,
-	// warm daemon caches) write nothing — only real simulations have a
-	// timeline.
+	// trace_event file per executed run into the directory, named after
+	// what the run reads: <workload>_<cores>c_onchip-<set>.trace.json,
+	// where <set> lists the declaration indices of the shared variables
+	// Stage 4 placed in the MPB, joined by "-" ("none" when it placed
+	// none; e.g. pi_4c_onchip-0-1.trace.json). Every cell that
+	// picks that set shares the run and writes nothing more, so the
+	// file set does not depend on the worker count.
 	TraceDir string
 }
 
@@ -242,31 +249,19 @@ func (r *Report) Filename() string {
 type gridRunner struct {
 	grid Grid
 	cfg  Config
-	// cells memoizes the sweep's RCCE runs by their simulate-stage key:
-	// cells with different spec budgets can resolve to the same effective
-	// work (budget 0 is "the full MPB"). It lives and dies with the sweep
-	// and is never the shared Cache — a daemon-lifetime cache would serve
-	// RCCE runs across requests, and a ?trace=1 request would stop seeing
-	// its own simulation. (Baseline runs need no per-grid memo:
-	// RunBaseline memoizes through the shared Cache, so every policy and
-	// budget cell at one (workload, cores) point shares a single run.)
+	// cells memoizes the sweep's RCCE runs by their simulate-stage key,
+	// (workload, cores, on-chip set): cells of different policies and
+	// budgets often pick the same set, and so run the same program. It
+	// lives and dies with the sweep and is never the shared Cache — a
+	// daemon-lifetime cache would serve RCCE runs across requests, and a
+	// ?trace=1 request would stop seeing its own simulation. (Baseline
+	// runs need no per-grid memo: RunBaseline memoizes through the
+	// shared Cache, so every policy and budget cell at one (workload,
+	// cores) point shares a single run.)
 	cells *Cache
 	// traceDir, when non-empty, receives one Chrome trace file per
 	// distinct RCCE simulation (RunOptions.TraceDir).
 	traceDir string
-}
-
-// cellKey is a cell's cache identity: budget 0 and an explicit full-MPB
-// budget are the same work. Validate has vetted the budget. The
-// placement digest is filled in by runCell once the (memoized) profile
-// pass has produced it; for duplicate-marking before execution the
-// empty digest is enough, because the digest is itself a deterministic
-// function of the other key fields.
-func (r *gridRunner) cellKey(c Cell, policy partition.Policy) key {
-	cfg := r.cfg
-	cfg.Threads = c.Cores
-	budget, _ := EffectiveBudget(c.MPBBudget, cfg.machineCfg)
-	return key{stage: stageSimulate, spec: cfg.spec(c.Workload).rcceRun(), policy: policy, capacity: budget}
 }
 
 // RunGrid executes the grid's cells on InOrder's workers and returns
@@ -312,19 +307,20 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	}
 	r.cfg.Hooks = opt.Hooks
 
-	// Mark duplicate cells (same semantic key as an earlier-indexed
-	// cell) up front, so the Cached flag does not depend on which
-	// worker won the race to compute the shared entry. The machine
-	// config is fixed across the sweep: fingerprint it once here so
-	// per-cell cache-key construction never builds a throwaway machine.
+	// Mark duplicate cells (same workload, cores, policy and effective
+	// budget as an earlier-indexed cell) up front, so the Cached flag
+	// does not depend on which worker won the race to compute the
+	// shared entry. The machine config is fixed across the sweep:
+	// fingerprint it once here so per-cell cache-key construction never
+	// builds a throwaway machine.
 	r.cfg = r.cfg.PrecomputeMachineEnv()
-	seen := make(map[key]bool)
+	seen := make(map[Cell]bool)
 	dup := make([]bool, len(cells))
 	for i, c := range cells {
-		policy, _ := ParsePolicy(c.Policy) // vetted by Validate
-		k := r.cellKey(c, policy)
-		dup[i] = seen[k]
-		seen[k] = true
+		c.Index = 0
+		c.MPBBudget, _ = EffectiveBudget(c.MPBBudget, r.cfg.machineCfg) // vetted by Validate
+		dup[i] = seen[c]
+		seen[c] = true
 	}
 
 	results := make([]CellResult, len(cells))
@@ -421,35 +417,38 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 		res.Error = err.Error()
 		return res
 	}
-	k := r.cellKey(cell, policy)
-	if policy == partition.PolicyProfiled {
-		// Resolve the measured placement (profile pass memoized in the
-		// shared Cache) so its digest becomes part of the cell's cache
-		// identity.
-		pl, err := PlacementFor(w, cfg, k.capacity)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		k.placement = pl.Digest()
+	tr, pl, err := cfg.translate(w, policy)
+	if err != nil {
+		res.Error = err.Error()
+		return res
 	}
-	// With a trace directory, the cell that actually simulates (the
-	// winner of the memo's race) records its run and writes the Chrome
-	// trace named by the semantic key; cache hits write nothing.
+	// The run reads the translated program, so cells that picked one
+	// on-chip set share it. With a trace directory, the cell that
+	// actually simulates (the winner of the memo's race) records the run
+	// and writes the Chrome trace named by the shared identity; cache
+	// hits write nothing.
+	k := key{stage: stageSimulate, spec: cfg.spec(w.Key).rcceRun(), onChip: tr.onChip}
 	var rec *trace.Recorder
-	conv, err := memo(r.cells, k, func() (*RunResult, error) {
-		if r.traceDir != "" {
-			rec = trace.NewRecorder(nil, 0)
-			cfg.Hooks.TraceRCCE = rec
-		}
-		return RunRCCE(w, cfg, policy)
+	run, err := memo(r.cells, k, func() (*rcce.Result, error) {
+		return runStage(cfg.Hooks, stageSimulate, w.Key, func() (*rcce.Result, error) {
+			if r.traceDir != "" {
+				rec = trace.NewRecorder(nil, 0)
+				cfg.Hooks.TraceRCCE = rec
+			}
+			return cfg.runRCCE(tr.program)
+		})
 	})
+	conv, err := tr.export(pl).result(w, cfg, policy, run, err)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
 	if rec != nil {
-		name := fmt.Sprintf("%s_%dc_%s_%d.trace.json", cell.Workload, cell.Cores, cell.Policy, k.capacity)
+		set := tr.onChip
+		if set == "" {
+			set = "none"
+		}
+		name := fmt.Sprintf("%s_%dc_onchip-%s.trace.json", cell.Workload, cell.Cores, set)
 		if werr := rec.WriteFile(filepath.Join(r.traceDir, name)); werr != nil {
 			res.Error = fmt.Sprintf("write trace: %v", werr)
 			return res

@@ -353,70 +353,101 @@ type Translation struct {
 }
 
 // TranslateWorkload runs the translate pipeline for one cell, reusing
-// cfg.Cache: the translation — the emitted source and the Program
-// lowered from the translated tree — is keyed by (workload, threads,
-// scale, machine, policy, capacity, placement digest), and every
-// translation of one source copies that source's one shared analysis.
-// For the profiled policy it first obtains the workload's access
-// profile (memoized per configuration) and optimizes the placement for
-// the cell's effective budget.
+// cfg.Cache: Stage 4's decision is keyed by (workload, threads, scale,
+// machine, policy, capacity, placement digest) and names the on-chip
+// set; the translation — the emitted source and the Program lowered
+// from the translated tree — is keyed by (workload, threads, scale,
+// machine, on-chip set), so every cell whose decision picks one set
+// shares it, and every translation of one source copies that source's
+// one shared analysis. For the profiled policy it first obtains the
+// workload's access profile (memoized per configuration) and optimizes
+// the placement for the cell's effective budget.
 func TranslateWorkload(w Workload, cfg Config, policy partition.Policy) (*Translation, error) {
+	tr, pl, err := cfg.translate(w, policy)
+	if err != nil {
+		return nil, err
+	}
+	return tr.export(pl), nil
+}
+
+// export is the cell's view of a shared translation: pl is the cell's
+// own placement.
+func (tr *translation) export(pl *profile.Placement) *Translation {
+	return &Translation{Source: tr.source, Program: tr.program, OnChipBytes: tr.onChipBytes, Placement: pl}
+}
+
+// translate resolves one cell's budget and, for the profiled policy,
+// its placement, and returns the shared translation and the placement.
+func (cfg Config) translate(w Workload, policy partition.Policy) (*translation, *profile.Placement, error) {
 	capacity, err := EffectiveBudget(cfg.MPBCapacity, cfg.MachineConfig())
 	if err != nil {
-		return nil, fmt.Errorf("%s translate: %w", w.Key, err)
+		return nil, nil, fmt.Errorf("%s translate: %w", w.Key, err)
 	}
 	var pl *profile.Placement
 	if policy == partition.PolicyProfiled {
 		pl, err = PlacementFor(w, cfg, capacity)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if policy == partition.PolicyOffChipOnly {
 		// Stage 4 ignores the capacity when everything goes off-chip;
-		// normalising the cache identity lets every budget share one
-		// pipeline run.
+		// normalising the decision's identity lets every budget share
+		// one decision.
 		capacity = 0
 	}
 	tr, err := cfg.translation(w, policy, capacity, pl)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Translation{Source: tr.source, Program: tr.program, OnChipBytes: tr.onChipBytes, Placement: pl}, nil
+	return tr, pl, nil
 }
 
 // RunRCCEProgram executes a translated program with one process per UE.
 func RunRCCEProgram(w Workload, tr *Translation, cfg Config, policy partition.Policy) (*RunResult, error) {
 	return runStage(cfg.Hooks, stageSimulate, w.Key, func() (*RunResult, error) {
-		mode := "rcce-offchip"
-		switch policy {
-		case partition.PolicyOffChipOnly:
-		case partition.PolicyProfiled:
-			mode = "rcce-profiled"
-		default:
-			mode = "rcce-onchip"
-		}
-		m := cfg.Machine()
-		defer m.Release()
-		res, err := rcce.Run(tr.Program, m, cfg.rcceOptions())
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", w.Key, mode, err)
-		}
-		r := &RunResult{
-			Workload:         w.Key,
-			Mode:             mode,
-			Threads:          cfg.Threads,
-			Makespan:         res.Makespan,
-			Output:           res.Output,
-			Stats:            res.Stats,
-			TranslatedSource: tr.Source,
-			OnChipBytes:      tr.OnChipBytes,
-		}
-		if tr.Placement != nil {
-			r.PlacementDigest = tr.Placement.Digest()
-		}
-		return r, nil
+		run, err := cfg.runRCCE(tr.Program)
+		return tr.result(w, cfg, policy, run, err)
 	})
+}
+
+// runRCCE runs pr with one process per UE: the part of an RCCE cell
+// that reads neither its policy nor its budget, only the program they
+// translated to, which a grid shares between every cell of one on-chip
+// set.
+func (cfg Config) runRCCE(pr *interp.Program) (*rcce.Result, error) {
+	m := cfg.Machine()
+	defer m.Release()
+	return rcce.Run(pr, m, cfg.rcceOptions())
+}
+
+// result labels one cell's run of tr, or its error, with the cell's own
+// mode and placement; run itself is only read.
+func (tr *Translation) result(w Workload, cfg Config, policy partition.Policy, run *rcce.Result, err error) (*RunResult, error) {
+	mode := "rcce-onchip"
+	switch policy {
+	case partition.PolicyOffChipOnly:
+		mode = "rcce-offchip"
+	case partition.PolicyProfiled:
+		mode = "rcce-profiled"
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", w.Key, mode, err)
+	}
+	r := &RunResult{
+		Workload:         w.Key,
+		Mode:             mode,
+		Threads:          cfg.Threads,
+		Makespan:         run.Makespan,
+		Output:           run.Output,
+		Stats:            run.Stats,
+		TranslatedSource: tr.Source,
+		OnChipBytes:      tr.OnChipBytes,
+	}
+	if tr.Placement != nil {
+		r.PlacementDigest = tr.Placement.Digest()
+	}
+	return r, nil
 }
 
 // RunRCCE translates the Pthread program through the five-stage pipeline

@@ -194,6 +194,9 @@ func TestHooksNeverReachAKey(t *testing.T) {
 // analysis and compile stages are keyed by the Pthread text, which only
 // the thread count and the scale shape; the compile column keeps the
 // unknown pins it had when it also compiled printed translations.
+// Policy, budget and placement digest separate Stage 4's decision
+// (partition); the translation reads only the on-chip set the decision
+// picks, so it is computed again only when the set changes.
 func TestIdentityFieldsSeparate(t *testing.T) {
 	w, _ := ByKey("dot")
 	handPlaced := func(onChip string) *profile.Placement {
@@ -208,41 +211,50 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 		again   = 1
 		unknown = -1
 	)
-	type recompute struct{ compile, translate, baseline, profile, placement, analyze int }
+	type recompute struct{ compile, partition, translate, baseline, profile, placement, analyze int }
 	rows := []struct {
 		name   string
 		change func(cfg *Config, p *identityProbe)
 		want   recompute
 	}{
 		{"nothing", func(*Config, *identityProbe) {},
-			recompute{same, same, same, same, same, same}},
+			recompute{same, same, same, same, same, same, same}},
 		{"threads", func(cfg *Config, _ *identityProbe) { cfg.Threads = 2 },
-			recompute{again, again, again, again, again, again}},
+			recompute{again, again, again, again, again, again, again}},
 		{"scale", func(cfg *Config, _ *identityProbe) { cfg.Scale = 0.1 },
-			recompute{again, again, again, again, again, again}},
+			recompute{again, again, again, again, again, again, again}},
 		{"machine preset", func(cfg *Config, _ *identityProbe) {
 			cache := cfg.Cache
 			*cfg = identityConfig(t, "mesh256")
 			cfg.Cache = cache
-		}, recompute{unknown, again, again, again, again, same}},
+		}, recompute{unknown, again, again, again, again, again, same}},
 		{"Baseline.QuantumCycles", func(cfg *Config, _ *identityProbe) { cfg.Baseline.QuantumCycles = 5_000 },
-			recompute{same, same, again, same, same, same}},
+			recompute{same, same, same, again, same, same, same}},
+		// A runtime parameter reaches a decision only through the
+		// measured placement's digest, when the new profile moves it.
 		{"RCCE.StripeMPB", func(cfg *Config, _ *identityProbe) { cfg.RCCE.StripeMPB = false },
-			recompute{same, same, same, again, again, same}},
+			recompute{same, unknown, same, same, again, again, same}},
 		{"UE map", func(cfg *Config, _ *identityProbe) { cfg.RCCE.Cores = []int{3, 2, 1, 0} },
-			recompute{same, same, same, again, again, same}},
+			recompute{same, unknown, same, same, again, again, same}},
+		// dot's shared set is a and b (6528 bytes each) and psum (32).
+		// At 2048 bytes size places psum alone on-chip, the set the
+		// hand-built placement already translated; at 6600 it adds a.
 		{"budget", func(cfg *Config, _ *identityProbe) { cfg.MPBCapacity = 2048 },
-			recompute{unknown, again, same, same, again, same}},
+			recompute{unknown, again, same, same, same, again, same}},
+		{"budget to a new set", func(cfg *Config, _ *identityProbe) { cfg.MPBCapacity = 6600 },
+			recompute{unknown, again, again, same, same, again, same}},
+		// Both policies place the whole shared set at the full budget:
+		// two decisions, one translation.
 		{"policy size to freq", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyFrequencyDensity },
-			recompute{unknown, again, same, same, same, same}},
+			recompute{unknown, again, same, same, same, same, same}},
 		{"policy size to offchip", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyOffChipOnly },
-			// The off-chip translation is the profiling pass's reference
-			// placement: already computed.
-			recompute{same, same, same, same, same, same}},
+			// The off-chip decision and translation are the profiling
+			// pass's reference placement: already computed.
+			recompute{same, same, same, same, same, same, same}},
 		{"policy size to profiled", func(_ *Config, p *identityProbe) { p.policy = partition.PolicyProfiled },
-			recompute{same, same, same, same, same, same}},
+			recompute{same, same, same, same, same, same, same}},
 		{"placement digest", func(_ *Config, p *identityProbe) { p.placement = handPlaced("a") },
-			recompute{unknown, again, same, same, same, same}},
+			recompute{unknown, again, again, same, same, same, same}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -251,11 +263,13 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 			probe := identityProbe{policy: partition.PolicySizeAscending, placement: handPlaced("psum")}
 			probe.run(t, w, cfg)
 			first := cfg.Cache.computes
-			if first[stageAnalyze] != 1 || first[stageBaseline] != 1 || first[stageProfile] != 1 || first[stagePlacement] != 1 || first[stageTranslate] != 4 {
+			if first[stageAnalyze] != 1 || first[stageBaseline] != 1 || first[stageProfile] != 1 || first[stagePlacement] != 1 ||
+				first[stagePartition] != 4 || first[stageTranslate] != 3 {
 				// size, the off-chip reference, the measured placement and the
-				// hand-built one: four translations that must not share, of
-				// one analysed source.
-				t.Fatalf("first probe computed %v, want one analysis, baseline, profile and placement and four translations", first)
+				// hand-built one: four decisions of one analysed source. Size
+				// and the measured placement both put the whole shared set
+				// on-chip, so they share one of three translations.
+				t.Fatalf("first probe computed %v, want one analysis, baseline, profile and placement, four decisions and three translations", first)
 			}
 			row.change(&cfg, &probe)
 			probe.run(t, w, cfg)
@@ -264,7 +278,7 @@ func TestIdentityFieldsSeparate(t *testing.T) {
 				st   stage
 				want int
 			}{
-				{stageCompile, row.want.compile}, {stageTranslate, row.want.translate},
+				{stageCompile, row.want.compile}, {stagePartition, row.want.partition}, {stageTranslate, row.want.translate},
 				{stageBaseline, row.want.baseline}, {stageProfile, row.want.profile},
 				{stagePlacement, row.want.placement}, {stageAnalyze, row.want.analyze},
 			} {

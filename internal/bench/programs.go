@@ -5,22 +5,26 @@ package bench
 // (and every concurrent worker) that reads the same inputs. The Cache
 // memoizes the compile-side stages of a harness run — the analysis of
 // each Pthread source (parse, sema, Stages 1-3), the baseline Program
-// lowered from the analysed tree, and the translation (Stages 4-5 on a
+// lowered from the analysed tree, Stage 4's decision (the on-chip set)
+// and the translation of each distinct on-chip set (Stages 4-5 on a
 // copy of that tree, printed, checked and lowered) — plus the run-level
 // results that are pure functions of their configuration: the
 // single-core baseline execution (identical across every policy and
 // budget of a sweep), the access-profiling pass (identical across every
 // budget) and the placement optimized from it. A grid sweep or a
 // conformance matrix therefore parses and analyses each workload
-// exactly once per distinct source, runs its baseline once per
-// (workload, cores) and profiles it once per (workload, cores), fanning
-// the cells out across host cores against the shared results.
+// exactly once per distinct source, translates it once per distinct
+// on-chip set, runs its baseline once per (workload, cores) and
+// profiles it once per (workload, cores), fanning the cells out across
+// host cores against the shared results.
 
 import (
 	"container/list"
 	"fmt"
+	"strconv"
 	"sync"
 
+	"hsmcc/internal/analysis/scope"
 	"hsmcc/internal/core"
 	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
@@ -29,7 +33,8 @@ import (
 
 // stage names one memoized computation. The first five are also the
 // stage names the Hooks.Fault and Hooks.Span seams are called with; the
-// analysis runs inside whichever of compile and translate asks first.
+// analysis runs inside whichever of compile, partition and translate
+// asks first, and partition, like placement, fires no hook.
 type stage uint8
 
 const (
@@ -40,11 +45,12 @@ const (
 	stageProfile
 	stagePlacement
 	stageAnalyze
+	stagePartition
 	numStages
 )
 
 func (st stage) String() string {
-	return [numStages]string{"compile", "translate", "baseline", "simulate", "profile", "placement", "analyze"}[st]
+	return [numStages]string{"compile", "translate", "baseline", "simulate", "profile", "placement", "analyze", "partition"}[st]
 }
 
 // key identifies one memoized value: the stage that computes it and
@@ -59,38 +65,51 @@ func (st stage) String() string {
 //	           every translation of the source share one analysis
 //	compile    name, src — the Pthread program lowered from that
 //	           analysis (translated programs are lowered by translate)
-//	translate  spec.source(), policy, capacity, placement — Stages 4-5
-//	           on a copy of the analysed tree, and the Program lowered
-//	           from the translated tree
+//	partition  spec.source(), policy, capacity, placement — Stage 4's
+//	           decision, the on-chip set; the one stage that reads the
+//	           policy
+//	translate  spec.source(), onChip — Stages 4-5 on a copy of the
+//	           analysed tree, and the Program lowered from the
+//	           translated tree: Stage 5 reads one placement bit per
+//	           shared variable and nothing else of Stage 4, so every
+//	           policy, budget and placement that picks one set shares
+//	           one translation
 //	baseline   spec.baselineRun()
 //	profile    spec.rcceRun() — measured under the uniform off-chip
 //	           reference placement, so every budget shares one pass
 //	placement  spec.rcceRun(), capacity — the optimizer's output, so a
 //	           profiled cell's digest lookup and its translation share one
 //	           knapsack solve
-//	simulate   spec.rcceRun(), policy, capacity, placement — the grid
-//	           runner's per-sweep cell memo (never in a shared Cache: an
-//	           RCCE run is what a request traces)
+//	simulate   spec.rcceRun(), onChip — the grid runner's per-sweep
+//	           memo of an RCCE run, which reads the translated program
+//	           (never in a shared Cache: an RCCE run is what a request
+//	           traces)
 //
 // placement is the profile-guided placement map digest ("" for the
-// static policies), so two profiled translations at the same (cores,
+// static policies), so two profiled decisions at the same (cores,
 // capacity) but with different measured placements — and a profiled
-// cell versus a static-policy cell — can never share an entry. The
-// machine fingerprint inside spec keeps a value placed or timed for one
-// machine's geometry from ever serving a cell on another, even when the
-// effective byte capacities coincide.
+// cell versus a static-policy cell — are decided apart; they share a
+// translation only when they pick the same set. onChip is that set
+// (onChipSet). The machine fingerprint inside spec keeps a value placed
+// or timed for one machine's geometry from ever serving a cell on
+// another, even when the effective byte capacities coincide.
 type key struct {
 	stage     stage
 	spec      spec
 	policy    partition.Policy
 	capacity  int
 	placement string
+	onChip    string
 	name, src string
 }
 
 // translation is the cached output of the pipeline: the emitted source
 // and the Program lowered from the translated tree it was printed from.
+// One translation serves every cell whose decision picks its on-chip
+// set, so nothing is ever written into one after it is made.
 type translation struct {
+	// onChip is the on-chip set the translation applies (onChipSet).
+	onChip      string
 	source      string
 	program     *interp.Program
 	onChipBytes int
@@ -167,6 +186,11 @@ func cost(k key, v any) int64 {
 		return 256 + 96*int64(len(v.Vars))
 	case *profile.Placement:
 		return 256 + 64*int64(len(v.Choices))
+	case string:
+		// A partition decision: the on-chip set. The translation it
+		// names is its own entry, counted once however many decisions
+		// share it.
+		return 64 + int64(len(v))
 	}
 	return 1
 }
@@ -242,18 +266,47 @@ func (cfg Config) analysis(name, src string) (*core.Pipeline, error) {
 // translation runs (or reuses) Stages 4-5 for w at cfg's thread count
 // and scale on the source's shared analysis, and lowers the translated
 // tree. pl carries the profile-guided placement for PolicyProfiled cells
-// (nil for the static policies).
+// (nil for the static policies). Two memo levels: the decision, keyed
+// by what Stage 4 reads, names the on-chip set, and the translation is
+// keyed by the set. A warm lookup is two map hits: no source text, no
+// analysis lookup and no partition.
 func (cfg Config) translation(w Workload, policy partition.Policy, capacity int, pl *profile.Placement) (*translation, error) {
-	k := key{stage: stageTranslate, spec: cfg.spec(w.Key).source(), policy: policy, capacity: capacity}
+	source := cfg.spec(w.Key).source()
+	k := key{stage: stagePartition, spec: source, policy: policy, capacity: capacity}
 	if pl != nil {
 		k.placement = pl.Digest()
 	}
-	return memo(cfg.Cache, k, func() (*translation, error) {
+	// A cold decision leaves its analysis here for a cold translation.
+	var an *core.Pipeline
+	analysis := func() (*core.Pipeline, error) {
+		if an != nil {
+			return an, nil
+		}
+		var err error
+		if an, err = cfg.analysis(w.Key+".c", w.Source(cfg.Threads, cfg.Scale)); err != nil {
+			return nil, fmt.Errorf("%s translate: %w", w.Key, err)
+		}
+		return an, nil
+	}
+	set, err := memo(cfg.Cache, k, func() (string, error) {
+		an, err := analysis()
+		if err != nil {
+			return "", err
+		}
+		shared := an.SharedVars()
+		return onChipSet(shared, decide(shared, policy, capacity, pl)), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return memo(cfg.Cache, key{stage: stageTranslate, spec: source, onChip: set}, func() (*translation, error) {
 		return runStage(cfg.Hooks, stageTranslate, w.Key, func() (*translation, error) {
-			an, err := cfg.analysis(w.Key+".c", w.Source(cfg.Threads, cfg.Scale))
+			an, err := analysis()
 			if err != nil {
-				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
+				return nil, err
 			}
+			// Any decision that picked set translates to the same program,
+			// so this cell's own inputs stand for all of them.
 			cc := core.Config{
 				Cores:       cfg.Threads,
 				Policy:      policy,
@@ -266,11 +319,14 @@ func (cfg Config) translation(w Workload, policy partition.Policy, capacity int,
 			if err != nil {
 				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
 			}
+			if got := onChipSet(an.SharedVars(), pipe.Part); got != set {
+				return nil, fmt.Errorf("%s translate: Stage 4 placed {%s} on-chip, its decision said {%s}", w.Key, got, set)
+			}
 			pr, err := interp.Load(pipe.File, pipe.Sema)
 			if err != nil {
 				return nil, fmt.Errorf("%s load translated program: %w\n---\n%s", w.Key, err, pipe.Output)
 			}
-			t := &translation{source: pipe.Output, program: pr, onChipBytes: pipe.Part.OnChipBytes}
+			t := &translation{onChip: set, source: pipe.Output, program: pr, onChipBytes: pipe.Part.OnChipBytes}
 			for _, a := range pipe.Unit.Allocs {
 				if a.OnChip {
 					t.onChipAllocs = append(t.onChipAllocs, a.Var)
@@ -281,4 +337,32 @@ func (cfg Config) translation(w Workload, policy partition.Policy, capacity int,
 			return t, nil
 		})
 	})
+}
+
+// decide is Stage 4 for one cell. The capacity is effective (positive)
+// or, for the off-chip policy, which ignores it, 0; the translation
+// checks that core.Pipeline.Translate picks the same set.
+func decide(shared []*scope.VarInfo, policy partition.Policy, capacity int, pl *profile.Placement) *partition.Result {
+	if policy == partition.PolicyProfiled {
+		return partition.PartitionExplicit(shared, capacity, pl.OnChip())
+	}
+	return partition.Partition(shared, capacity, policy)
+}
+
+// onChipSet is the identity of a Stage 4 decision: the declaration
+// indices, within shared, of the variables part places in the MPB,
+// joined by "-" ("" when everything is off-chip). It is plain
+// comparable data and safe in a file name.
+func onChipSet(shared []*scope.VarInfo, part *partition.Result) string {
+	var b []byte
+	for i, v := range shared {
+		if part.Placement(v) != partition.OnChip {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+	}
+	return string(b)
 }

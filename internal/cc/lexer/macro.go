@@ -24,15 +24,24 @@ import (
 type macroTable map[string][]token.Token
 
 // TokenizeWithMacros scans src handling #define directives and expanding
-// object-like macros. Tokenize delegates here, so all parsing picks up
-// macro support.
+// object-like macros, into a slice the caller owns. The parser lexes
+// through AppendTokens into a buffer it reuses.
 func TokenizeWithMacros(src string) ([]token.Token, error) {
+	return AppendTokens(nil, src)
+}
+
+// AppendTokens is TokenizeWithMacros appending to out. C source spends
+// two to four bytes per token (the corpus, the synthetic and the grammar
+// kernels all do), so unless out has room for half of src's length in
+// tokens it first moves to a slice that has, which is room enough
+// without regrowth for nearly every input. On an error it returns a nil
+// slice.
+func AppendTokens(out []token.Token, src string) ([]token.Token, error) {
+	if need := len(out) + len(src)/2; cap(out) < need {
+		out = append(make([]token.Token, 0, need), out...)
+	}
 	lx := New(src)
 	macros := make(macroTable)
-	// C source spends two to four bytes per token (the corpus, the
-	// synthetic and the grammar kernels all do), so half the length is
-	// room enough without regrowth for nearly every input.
-	out := make([]token.Token, 0, len(src)/2)
 	for {
 		t, err := lx.nextAllowDefine()
 		if err != nil {

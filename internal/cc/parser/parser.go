@@ -19,6 +19,7 @@ import (
 	"hsmcc/internal/cc/lexer"
 	"hsmcc/internal/cc/token"
 	"hsmcc/internal/cc/types"
+	"hsmcc/internal/park"
 )
 
 // Error is a parse error with position.
@@ -57,13 +58,26 @@ var parses atomic.Int64
 // it to pin how often a pipeline parses one source.
 func Parses() int64 { return parses.Load() }
 
+// tokenBufs parks token slices between parses. No tree node keeps a
+// token, so Parse's slice is free again once it returns.
+var tokenBufs park.Lot[[]token.Token]
+
 // Parse parses src (with name used in diagnostics) into an ast.File.
 func Parse(name, src string) (*ast.File, error) {
 	parses.Add(1)
-	toks, err := lexer.TokenizeWithMacros(src)
+	buf, _ := tokenBufs.Take()
+	toks, err := lexer.AppendTokens(buf, src)
 	if err != nil {
+		// The lexer may have written tokens into buf's spare capacity.
+		clear(buf[:cap(buf)])
+		tokenBufs.Put(buf)
 		return nil, err
 	}
+	defer func() {
+		// Drop the tokens' hold on src before the slice waits for reuse.
+		clear(toks)
+		tokenBufs.Put(toks[:0])
+	}()
 	p := &parser{
 		toks:     toks,
 		typedefs: make(map[string]*types.Type),

@@ -16,16 +16,30 @@ func (p *parser) parseBlock() (*ast.BlockStmt, error) {
 		if p.at(token.EOF) {
 			return nil, p.errorf("unexpected EOF inside block")
 		}
-		s, err := p.parseStmt()
-		if err != nil {
+		if blk.List, err = p.appendStmt(blk.List); err != nil {
 			return nil, err
-		}
-		if s != nil {
-			blk.List = append(blk.List, s)
 		}
 	}
 	p.next() // }
 	return blk, nil
+}
+
+// appendStmt parses one statement of a statement list onto list. A
+// declaration's declarators become one DeclStmt each, side by side in
+// the list, so every name is declared in the list's own scope.
+func (p *parser) appendStmt(list []ast.Stmt) ([]ast.Stmt, error) {
+	if p.isTypeStart() {
+		decls, err := p.parseLocalDecls()
+		if err != nil {
+			return nil, err
+		}
+		return append(list, decls...), nil
+	}
+	s, err := p.parseStmt()
+	if err != nil {
+		return nil, err
+	}
+	return append(list, s), nil
 }
 
 // parseStmt parses one statement.
@@ -75,7 +89,16 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 		return &ast.ContinueStmt{PosInfo: t.Pos}, nil
 	}
 	if p.isTypeStart() {
-		return p.parseLocalDecl()
+		// A declaration where one statement stands (C allows none here):
+		// its declarators are scoped to a block of their own.
+		decls, err := p.parseLocalDecls()
+		if err != nil {
+			return nil, err
+		}
+		if len(decls) == 1 {
+			return decls[0], nil
+		}
+		return &ast.BlockStmt{List: decls, PosInfo: t.Pos}, nil
 	}
 	// Expression statement.
 	e, err := p.parseExpr()
@@ -88,31 +111,28 @@ func (p *parser) parseStmt() (ast.Stmt, error) {
 	return &ast.ExprStmt{X: e, PosInfo: t.Pos}, nil
 }
 
-// parseLocalDecl parses one local declaration line. Multiple declarators
-// become a block of DeclStmts flattened by the caller via blockOrSingle.
-func (p *parser) parseLocalDecl() (ast.Stmt, error) {
+// parseLocalDecls parses one local declaration line into one DeclStmt
+// per declarator, in order; a line that declares no variable (a struct
+// definition) is one EmptyStmt. The caller puts them in the scope that
+// encloses the line.
+func (p *parser) parseLocalDecls() ([]ast.Stmt, error) {
 	pos := p.cur().Pos
 	nodes, err := p.parseDeclOrFunc()
 	if err != nil {
 		return nil, err
 	}
-	var stmts []ast.Stmt
-	for _, n := range nodes {
+	if len(nodes) == 0 {
+		return []ast.Stmt{&ast.EmptyStmt{PosInfo: pos}}, nil
+	}
+	stmts := make([]ast.Stmt, len(nodes))
+	for i, n := range nodes {
 		vd, ok := n.(*ast.VarDecl)
 		if !ok {
 			return nil, p.errorf("function declarations are not allowed inside blocks")
 		}
-		stmts = append(stmts, &ast.DeclStmt{Decl: vd, PosInfo: vd.PosInfo})
+		stmts[i] = &ast.DeclStmt{Decl: vd, PosInfo: vd.PosInfo}
 	}
-	switch len(stmts) {
-	case 0:
-		return &ast.EmptyStmt{PosInfo: pos}, nil
-	case 1:
-		return stmts[0], nil
-	default:
-		// Keep a flat structure: return a block the printer flattens.
-		return &ast.BlockStmt{List: stmts, PosInfo: pos}, nil
-	}
+	return stmts, nil
 }
 
 func (p *parser) parseIf() (ast.Stmt, error) {
@@ -148,13 +168,21 @@ func (p *parser) parseFor() (ast.Stmt, error) {
 		return nil, err
 	}
 	fs := &ast.ForStmt{PosInfo: pos}
+	// decls holds a declaration's declarators when there is more than
+	// one: for (T a, b; c; n) s is { T a; T b; for (; c; n) s }, which
+	// scopes a and b to the loop as C does.
+	var decls []ast.Stmt
 	if !p.at(token.Semi) {
 		if p.isTypeStart() {
-			d, err := p.parseLocalDecl()
+			d, err := p.parseLocalDecls()
 			if err != nil {
 				return nil, err
 			}
-			fs.Init = d
+			if len(d) == 1 {
+				fs.Init = d[0]
+			} else {
+				decls = d
+			}
 		} else {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -193,6 +221,9 @@ func (p *parser) parseFor() (ast.Stmt, error) {
 		return nil, err
 	}
 	fs.Body = body
+	if decls != nil {
+		return &ast.BlockStmt{List: append(decls, fs), PosInfo: pos}, nil
+	}
 	return fs, nil
 }
 
@@ -274,11 +305,9 @@ func (p *parser) parseSwitch() (ast.Stmt, error) {
 			return nil, err
 		}
 		for !p.at(token.KwCase) && !p.at(token.KwDefault) && !p.at(token.RBrace) {
-			s, err := p.parseStmt()
-			if err != nil {
+			if cc.Body, err = p.appendStmt(cc.Body); err != nil {
 				return nil, err
 			}
-			cc.Body = append(cc.Body, s)
 		}
 		sw.Cases = append(sw.Cases, cc)
 	}

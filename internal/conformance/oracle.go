@@ -217,8 +217,10 @@ func (e *Engine) config(cores, budget int, cache *bench.Cache) bench.Config {
 // runRCCE runs the translated program of one cell. With Mutate set, the
 // translation's source is mutated and recompiled in its place — after
 // the translation memo, and outside the cache, so a mutated program
-// never serves an unmutated lookup.
-func (e *Engine) runRCCE(w bench.Workload, cfg bench.Config, pol partition.Policy) (*bench.RunResult, error) {
+// never serves an unmutated lookup. Otherwise runs, when non-nil, maps
+// each Program already run under cfg's runtime parameters to its run,
+// and a cell whose translation is one of them runs nothing.
+func (e *Engine) runRCCE(w bench.Workload, cfg bench.Config, pol partition.Policy, runs map[*interp.Program]*bench.RunResult) (*bench.RunResult, error) {
 	tr, err := bench.TranslateWorkload(w, cfg, pol)
 	if err != nil {
 		return nil, err
@@ -228,8 +230,16 @@ func (e *Engine) runRCCE(w bench.Workload, cfg bench.Config, pol partition.Polic
 		if tr.Program, err = interp.Compile(w.Key+"_rcce.c", tr.Source); err != nil {
 			return nil, fmt.Errorf("%s reparse mutated source: %w\n---\n%s", w.Key, err, tr.Source)
 		}
+		return bench.RunRCCEProgram(w, tr, cfg, pol)
 	}
-	return bench.RunRCCEProgram(w, tr, cfg, pol)
+	if run, ok := runs[tr.Program]; ok {
+		return run, nil
+	}
+	run, err := bench.RunRCCEProgram(w, tr, cfg, pol)
+	if err == nil && runs != nil {
+		runs[tr.Program] = run
+	}
+	return run, err
 }
 
 // workload wraps fixed kernel source as a bench workload. The source is
@@ -313,7 +323,7 @@ func (e *Engine) CheckSource(seed int64, src string, cores int, policy string, b
 		div.Err = err.Error()
 		return div
 	}
-	conv, err := e.runRCCE(w, cfg, pol)
+	conv, err := e.runRCCE(w, cfg, pol, nil)
 	if err != nil {
 		div.Err = err.Error()
 		return div
@@ -340,7 +350,10 @@ func (e *Engine) Check(k Kernel) *Divergence {
 }
 
 // checkMatrix walks every (cores, oversub, policy, budget) cell of the
-// matrix; srcFor emits the kernel for a UE count.
+// matrix; srcFor emits the kernel for a UE count. Within one (cores,
+// oversub) point, cells whose decisions pick one on-chip set translate
+// to one shared Program, and it runs once: a later cell reuses the
+// earlier cell's run, which passed (a failing one returns first).
 func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergence {
 	cache := bench.NewCache()
 	for _, cores := range e.Matrix.Cores {
@@ -354,6 +367,7 @@ func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergenc
 					Policy: e.Matrix.Policies[0], Budget: e.Matrix.Budgets[0],
 					Source: src, Err: "baseline: " + err.Error()}
 			}
+			runs := make(map[*interp.Program]*bench.RunResult)
 			for _, policy := range e.Matrix.Policies {
 				pol, err := bench.ParsePolicy(policy)
 				if err != nil {
@@ -363,7 +377,7 @@ func (e *Engine) checkMatrix(seed int64, srcFor func(ues int) string) *Divergenc
 				for _, budget := range e.Matrix.Budgets {
 					div := &Divergence{Seed: seed, Cores: cores, Oversub: factor,
 						Policy: policy, Budget: budget, Source: src}
-					conv, err := e.runRCCE(w, e.cellConfig(cores, budget, factor, cache), pol)
+					conv, err := e.runRCCE(w, e.cellConfig(cores, budget, factor, cache), pol, runs)
 					if err != nil {
 						div.Err = err.Error()
 						return div
