@@ -32,8 +32,9 @@ type Grid struct {
 	// Cores are the thread/core counts to sweep.
 	Cores []int `json:"cores"`
 	// Policies are Stage 4 policy names: "offchip", "size", "freq", or
-	// "profiled" (profile-guided placement; each profiled cell first
-	// takes a memoized profiling pass at its (workload, cores) point).
+	// "profiled" (profile-guided placement; the profiled cells of a
+	// (workload, cores) point read one profiling pass, the point's
+	// off-chip run).
 	Policies []string `json:"policies"`
 	// MPBBudgets are Stage 4 on-chip byte budgets; 0 = the machine's
 	// full MPB. Empty = [0].
@@ -198,8 +199,9 @@ type RunOptions struct {
 	// requests.
 	Cache *Cache
 	// Hooks are threaded into every cell's Config (see Hooks). Cancel is
-	// also polled before each cell starts: once it returns non-nil,
-	// remaining cells are marked with that error instead of running.
+	// also polled before each cell and each shared run of a point
+	// starts: once it returns non-nil, remaining cells are marked with
+	// that error instead of running, and no shared run starts.
 	Hooks Hooks
 	// OnResult, when non-nil, receives every finished cell in
 	// deterministic index order, one call at a time on RunGrid's
@@ -214,7 +216,9 @@ type RunOptions struct {
 	// Stage 4 placed in the MPB, joined by "-" ("none" when it placed
 	// none; e.g. pi_4c_onchip-0-1.trace.json). Every cell that
 	// picks that set shares the run and writes nothing more, so the
-	// file set does not depend on the worker count.
+	// file set does not depend on the worker count. At a point with a
+	// profiled cell, the "none" file traces the profiling pass, which
+	// is the off-chip run.
 	TraceDir string
 }
 
@@ -251,21 +255,79 @@ type gridRunner struct {
 	cfg  Config
 	// cells memoizes the sweep's RCCE runs by their simulate-stage key,
 	// (workload, cores, on-chip set): cells of different policies and
-	// budgets often pick the same set, and so run the same program. It
+	// budgets often pick the same set, and so run the same program. At a
+	// point with a profiled cell, the entry of the empty set, the
+	// off-chip run, is also the point's profiling pass (simulate). It
 	// lives and dies with the sweep and is never the shared Cache — a
 	// daemon-lifetime cache would serve RCCE runs across requests, and a
 	// ?trace=1 request would stop seeing its own simulation. (Baseline
-	// runs need no per-grid memo: RunBaseline memoizes through the
-	// shared Cache, so every policy and budget cell at one (workload,
-	// cores) point shares a single run.)
+	// runs and profiles need no per-grid memo: RunBaseline and
+	// ProfileWorkload memoize through the shared Cache, so every policy
+	// and budget cell at one (workload, cores) point shares a single
+	// run.)
 	cells *Cache
 	// traceDir, when non-empty, receives one Chrome trace file per
 	// distinct RCCE simulation (RunOptions.TraceDir).
 	traceDir string
 }
 
-// RunGrid executes the grid's cells on InOrder's workers and returns
-// the report in deterministic cell order. Per-cell failures are
+// jobKind is what one unit of a sweep's work runs.
+type jobKind uint8
+
+const (
+	// cellJob runs one cell.
+	cellJob jobKind = iota
+	// baselineJob and offChipJob run one of a point's shared runs: its
+	// baseline, and the run of its off-chip translation.
+	baselineJob
+	offChipJob
+)
+
+// job is one unit of a sweep's work: a cell, or one of the shared runs
+// of a (workload, cores) point, which the job list puts just before
+// the point's cells so that workers start them side by side instead of
+// queueing on one memo entry behind the point's first cells.
+type job struct {
+	kind jobKind
+	// cell indexes the sweep's cells; a shared run's is the first cell
+	// of its point.
+	cell int
+	// offChip and profiled report whether the point has an offchip and
+	// a profiled cell: both read the off-chip run, which is the
+	// profiling pass at a profiled point.
+	offChip, profiled bool
+}
+
+// jobs lists cells with each point's shared runs ahead of its cells.
+// Cells enumerates a point's cells one after another, so they stay in
+// cell order.
+func jobs(cells []Cell) []job {
+	var out []job
+	for first := 0; first < len(cells); {
+		end := first
+		pt := job{cell: first}
+		for ; end < len(cells) && cells[end].Workload == cells[first].Workload && cells[end].Cores == cells[first].Cores; end++ {
+			pt.offChip = pt.offChip || cells[end].Policy == "offchip"
+			pt.profiled = pt.profiled || cells[end].Policy == "profiled"
+		}
+		pt.kind = baselineJob
+		out = append(out, pt)
+		if pt.offChip || pt.profiled {
+			pt.kind = offChipJob
+			out = append(out, pt)
+		}
+		pt.kind = cellJob
+		for ; first < end; first++ {
+			pt.cell = first
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// RunGrid executes the grid's cells, each point's shared runs ahead of
+// them (jobs), on InOrder's workers and returns the report in
+// deterministic cell order. Per-cell failures are
 // recorded in CellResult.Error rather than aborting the sweep; only
 // invalid specs and shards error out.
 func RunGrid(g Grid, opt RunOptions) (*Report, error) {
@@ -324,19 +386,31 @@ func RunGrid(g Grid, opt RunOptions) (*Report, error) {
 	}
 
 	results := make([]CellResult, len(cells))
+	work := jobs(cells)
 	var done func(i int)
 	if opt.OnResult != nil {
-		done = func(i int) { opt.OnResult(results[i]) }
+		done = func(i int) {
+			if j := work[i]; j.kind == cellJob {
+				opt.OnResult(results[j.cell])
+			}
+		}
 	}
-	InOrder(len(cells), opt.Parallel, func(i int) {
+	InOrder(len(work), opt.Parallel, func(i int) {
+		j := work[i]
 		if cancel := opt.Hooks.Cancel; cancel != nil {
 			if err := cancel(); err != nil {
-				results[i] = CellResult{Cell: cells[i], Error: fmt.Sprintf("canceled: %v", err), Cached: dup[i]}
+				if j.kind == cellJob {
+					results[j.cell] = CellResult{Cell: cells[j.cell], Error: fmt.Sprintf("canceled: %v", err), Cached: dup[j.cell]}
+				}
 				return
 			}
 		}
-		results[i] = r.safeRunCell(cells[i])
-		results[i].Cached = dup[i]
+		if j.kind != cellJob {
+			r.runShared(cells[j.cell], j)
+			return
+		}
+		results[j.cell] = r.safeRunCell(cells[j.cell], j.profiled)
+		results[j.cell].Cached = dup[j.cell]
 	}, done)
 	rep.Results = results
 	return rep, nil
@@ -382,18 +456,42 @@ func InOrder(n, workers int, do, done func(i int)) {
 // the rest of the sweep. Panics inside memoized computes are already
 // captured by the cache layer (evict.go); this catches the rest of the
 // per-cell path.
-func (r *gridRunner) safeRunCell(cell Cell) (res CellResult) {
+func (r *gridRunner) safeRunCell(cell Cell, profiled bool) (res CellResult) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = CellResult{Cell: cell, Error: fmt.Sprintf("panic: %v", v)}
 		}
 	}()
-	return r.runCell(cell)
+	return r.runCell(cell, profiled)
+}
+
+// runShared runs one of the shared runs of at's point ahead of its
+// cells. What it leaves is the memo entry it fills; a failure or a
+// panic is not cached, so each cell that reads the run meets it again
+// and reports it as it would have without this job.
+func (r *gridRunner) runShared(at Cell, j job) {
+	defer func() { _ = recover() }()
+	w, _ := ByKey(at.Workload) // vetted by Validate
+	cfg := r.cfg
+	cfg.Threads = at.Cores
+	if j.kind == baselineJob {
+		_, _ = RunBaseline(w, cfg)
+		return
+	}
+	if !j.offChip && cfg.Cache.holds(key{stage: stageProfile, spec: cfg.spec(w.Key).rcceRun()}) {
+		// Only profiled cells read the run here, and only for its
+		// profile, which the shared cache already holds.
+		return
+	}
+	if tr, err := cfg.translation(w, partition.PolicyOffChipOnly, 0, nil); err == nil {
+		_, _ = r.simulate(w, cfg, tr, j.profiled)
+	}
 }
 
 // runCell executes one grid cell (baseline + translated run), pulling
-// both halves through the memoizing caches.
-func (r *gridRunner) runCell(cell Cell) CellResult {
+// both halves through the memoizing caches. profiled reports whether
+// the cell's point has a profiled cell (simulate).
+func (r *gridRunner) runCell(cell Cell, profiled bool) CellResult {
 	res := CellResult{Cell: cell}
 	w, ok := ByKey(cell.Workload)
 	if !ok {
@@ -422,40 +520,61 @@ func (r *gridRunner) runCell(cell Cell) CellResult {
 		res.Error = err.Error()
 		return res
 	}
-	// The run reads the translated program, so cells that picked one
-	// on-chip set share it. With a trace directory, the cell that
-	// actually simulates (the winner of the memo's race) records the run
-	// and writes the Chrome trace named by the shared identity; cache
-	// hits write nothing.
-	k := key{stage: stageSimulate, spec: cfg.spec(w.Key).rcceRun(), onChip: tr.onChip}
-	var rec *trace.Recorder
-	run, err := memo(r.cells, k, func() (*rcce.Result, error) {
-		return runStage(cfg.Hooks, stageSimulate, w.Key, func() (*rcce.Result, error) {
-			if r.traceDir != "" {
-				rec = trace.NewRecorder(nil, 0)
-				cfg.Hooks.TraceRCCE = rec
-			}
-			return cfg.runRCCE(tr.program)
-		})
-	})
+	run, err := r.simulate(w, cfg, tr, profiled)
 	conv, err := tr.export(pl).result(w, cfg, policy, run, err)
 	if err != nil {
 		res.Error = err.Error()
 		return res
 	}
-	if rec != nil {
+	res.Outcome = (&BothResult{Baseline: base, RCCE: conv, Match: SameResults(base.Output, conv.Output)}).Outcome()
+	return res
+}
+
+// simulate returns the sweep's run of tr at cfg's point: the run reads
+// the translated program, so every cell that picked tr's on-chip set
+// shares one run. At a point with a profiled cell (profiled), the
+// off-chip run is also the point's profiling pass, unless the shared
+// cache already holds the profile: the collector only observes, so its
+// run is the one the off-chip cells read, and its report fills the
+// cache's profile entry that PlacementFor reads; if the pass fails, the
+// cells that read the run report the pass's error. With a trace
+// directory, whoever runs the simulation records it and writes the
+// Chrome trace named by the shared identity; cache hits write nothing.
+func (r *gridRunner) simulate(w Workload, cfg Config, tr *translation, profiled bool) (*rcce.Result, error) {
+	return memo(r.cells, key{stage: stageSimulate, spec: cfg.spec(w.Key).rcceRun(), onChip: tr.onChip}, func() (*rcce.Result, error) {
+		profiling := profiled && tr.onChip == ""
+		var rec *trace.Recorder
+		if r.traceDir != "" {
+			rec = trace.NewRecorder(nil, 0)
+			cfg.Hooks.TraceRCCE = rec
+		} else if profiling {
+			// The profiling pass fills the shared cache: it records into
+			// the sweep's trace recorder only.
+			cfg.Hooks.TraceRCCE = nil
+		}
+		var run *rcce.Result
+		var err error
+		if profiling {
+			_, run, err = cfg.profile(w, tr)
+		}
+		if run == nil && err == nil {
+			run, err = runStage(cfg.Hooks, stageSimulate, w.Key, func() (*rcce.Result, error) {
+				return cfg.runRCCE(tr.program)
+			})
+		}
+		if err != nil || rec == nil {
+			return run, err
+		}
 		set := tr.onChip
 		if set == "" {
 			set = "none"
 		}
-		name := fmt.Sprintf("%s_%dc_onchip-%s.trace.json", cell.Workload, cell.Cores, set)
-		if werr := rec.WriteFile(filepath.Join(r.traceDir, name)); werr != nil {
-			res.Error = fmt.Sprintf("write trace: %v", werr)
-			return res
+		name := fmt.Sprintf("%s_%dc_onchip-%s.trace.json", w.Key, cfg.Threads, set)
+		if err := rec.WriteFile(filepath.Join(r.traceDir, name)); err != nil {
+			return nil, fmt.Errorf("write trace: %w", err)
 		}
-	}
-	res.Outcome = (&BothResult{Baseline: base, RCCE: conv, Match: SameResults(base.Output, conv.Output)}).Outcome()
-	return res
+		return run, nil
+	})
 }
 
 // FormatReport renders the grid results as a text table (the

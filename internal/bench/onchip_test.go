@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"errors"
+	"maps"
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,8 +19,11 @@ import (
 // keyed by: the on-chip set Stage 4 picks. Cells with equal sets share
 // one translate compute and one simulation, cells with different sets
 // share neither, and each shared translation is the one the cell
-// produces alone in a fresh cache. The traces written per executed
-// simulation are one file per set, the same at any worker count.
+// produces alone in a fresh cache. The off-chip run is the point's
+// profiling pass, so the RCCE simulations of a point, simulate-stage
+// and profile-stage runs together, are one per set. The traces written
+// per executed simulation are one file per set, the profiling pass's
+// included, the same at any worker count.
 func TestGridSharesByOnChipSet(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
@@ -36,14 +42,7 @@ func TestGridSharesByOnChipSet(t *testing.T) {
 				MPBBudgets: []int{2048, 65536, 0},
 				Scale:      0.04,
 			}
-			var mu sync.Mutex
-			visits := make(map[string]int)
-			count := func(stage string) error {
-				mu.Lock()
-				visits[stage]++
-				mu.Unlock()
-				return nil
-			}
+			count, visited := stageVisits()
 			cache := NewCache()
 			traces := make(map[int][]string)
 			var reports [][]byte
@@ -128,10 +127,189 @@ func TestGridSharesByOnChipSet(t *testing.T) {
 			if n := cache.computes[stageTranslate]; n != int64(len(bySet)) {
 				t.Errorf("%d translate computes for %d on-chip sets", n, len(bySet))
 			}
-			if visits["translate"] != len(bySet) || visits["simulate"] != len(bySet) {
-				t.Errorf("translate ran %d times and simulate %d times for %d on-chip sets", visits["translate"], visits["simulate"], len(bySet))
+			if visits := visited(); visits["translate"] != len(bySet) || visits["simulate"]+visits["profile"] != len(bySet) || visits["profile"] != 1 {
+				t.Errorf("translate ran %d times, simulate %d times and profile %d times for %d on-chip sets; want one simulation per set, one of them the profiling pass",
+					visits["translate"], visits["simulate"], visits["profile"], len(bySet))
 			}
 		})
+	}
+}
+
+// stageVisits returns a Fault hook that counts the stages it sees.
+func stageVisits() (func(string) error, func() map[string]int) {
+	var mu sync.Mutex
+	visits := make(map[string]int)
+	return func(stage string) error {
+			mu.Lock()
+			visits[stage]++
+			mu.Unlock()
+			return nil
+		}, func() map[string]int {
+			mu.Lock()
+			defer mu.Unlock()
+			return maps.Clone(visits)
+		}
+}
+
+// TestGridStaticOnlyRunsNoOffChip sweeps a point whose cells all place
+// their whole shared set on-chip, so no cell reads the off-chip run: a
+// size-only grid, and a profiled-only grid whose profile the shared
+// cache already holds. Neither runs nor traces the off-chip run, and
+// neither profiles.
+func TestGridStaticOnlyRunsNoOffChip(t *testing.T) {
+	g := Grid{
+		Name:       "on-chip-only",
+		Workloads:  []string{"dot"},
+		Cores:      []int{8},
+		MPBBudgets: []int{65536, 0},
+		Scale:      0.04,
+	}
+	cache := NewCache()
+	warm := g
+	warm.Policies = []string{"profiled"}
+	if _, err := RunGrid(warm, RunOptions{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []string{"size", "profiled"} {
+		g.Policies = []string{policy}
+		count, visits := stageVisits()
+		dir := t.TempDir()
+		before := cache.Stats().ProfileRuns
+		rep, err := RunGrid(g, RunOptions{Parallel: 2, Cache: cache, TraceDir: dir, Hooks: Hooks{Fault: count}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rep.Results {
+			if r.Error != "" || !r.Match {
+				t.Fatalf("%s cell %d: error %q, match %v", policy, r.Index, r.Error, r.Match)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if v := visits(); v["simulate"] != 1 || v["profile"] != 0 || len(names) != 1 || strings.Contains(names[0], "onchip-none") {
+			t.Errorf("%s: simulate ran %d times and profile %d times, traces %v; want the one on-chip run and no off-chip run",
+				policy, v["simulate"], v["profile"], names)
+		}
+		if n := cache.Stats().ProfileRuns - before; n != 0 {
+			t.Errorf("%s: %d profiling passes", policy, n)
+		}
+	}
+}
+
+// TestGridStreamsCellsInOrder streams a two-point grid: the shared runs
+// the sweep schedules ahead of each point's cells are not results, so
+// OnResult sees exactly the report's cells, in cell order, each one
+// before RunGrid returns.
+func TestGridStreamsCellsInOrder(t *testing.T) {
+	g := Grid{
+		Name:       "stream",
+		Workloads:  []string{"pi", "dot"},
+		Cores:      []int{2, 4},
+		Policies:   []string{"offchip", "size", "profiled"},
+		MPBBudgets: []int{2048, 0},
+		Scale:      0.04,
+	}
+	for _, parallel := range []int{1, 4} {
+		var got []CellResult
+		rep, err := RunGrid(g, RunOptions{Parallel: parallel, OnResult: func(r CellResult) { got = append(got, r) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rep.Results) {
+			t.Fatalf("parallel %d: streamed %d cells unlike the report's %d", parallel, len(got), len(rep.Results))
+		}
+		for i, r := range got {
+			if r.Index != i || r.Error != "" || !r.Match {
+				t.Errorf("parallel %d: streamed cell %d is cell %d (error %q, match %v)", parallel, i, r.Index, r.Error, r.Match)
+			}
+		}
+	}
+}
+
+// TestGridCanceledStartsNoRun cancels a sweep before it starts: every
+// cell reports the cancellation, and no job, shared runs included,
+// computes anything.
+func TestGridCanceledStartsNoRun(t *testing.T) {
+	g := Grid{
+		Name:      "canceled",
+		Workloads: []string{"pi", "dot"},
+		Cores:     []int{4},
+		Policies:  []string{"offchip", "size", "profiled"},
+		Scale:     0.04,
+	}
+	count, visits := stageVisits()
+	cache := NewCache()
+	stop := errors.New("stop")
+	rep, err := RunGrid(g, RunOptions{Parallel: 2, Cache: cache, Hooks: Hooks{Cancel: func() error { return stop }, Fault: count}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Results {
+		if r.Error != "canceled: stop" {
+			t.Errorf("cell %d: error %q, want the cancellation", r.Index, r.Error)
+		}
+	}
+	if v, misses := visits(), cache.Stats().Misses; len(v) != 0 || misses != 0 {
+		t.Errorf("a canceled sweep ran %v and computed %d cache entries", v, misses)
+	}
+}
+
+// TestGridProfiledCellsReportOffChipRunError fails every profiling
+// pass mid-run. The sweep's off-chip run is the pass, and it fails; the
+// point's profiled cells must report what a single cell's profiling
+// pass reports, as they did when the pass was a run of its own.
+func TestGridProfiledCellsReportOffChipRunError(t *testing.T) {
+	g := Grid{
+		Name:       "failing-pass",
+		Workloads:  []string{"dot"},
+		Cores:      []int{4},
+		Policies:   []string{"offchip", "size", "profiled"},
+		MPBBudgets: []int{2048, 0},
+		Scale:      0.04,
+	}
+	// One worker, so a run inside the profile stage's span is the
+	// profiling pass.
+	var profiling bool
+	failed := errors.New("profiling pass failed")
+	hooks := Hooks{
+		Span: func(stage string) func() {
+			if stage != "profile" {
+				return func() {}
+			}
+			profiling = true
+			return func() { profiling = false }
+		},
+		Cancel: func() error {
+			if profiling {
+				return failed
+			}
+			return nil
+		},
+	}
+	w, _ := ByKey("dot")
+	cfg := DefaultConfig()
+	cfg.Threads, cfg.Scale, cfg.Cache, cfg.Hooks = 4, g.Scale, NewCache(), hooks
+	_, alone := ProfileWorkload(w, cfg)
+	if alone == nil {
+		t.Fatal("the injected failure did not fail a profiling pass")
+	}
+	rep, err := RunGrid(g, RunOptions{Parallel: 1, Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Results {
+		switch {
+		case r.Policy == "profiled" && r.Error != alone.Error():
+			t.Errorf("profiled cell %d: error %q, want %q", r.Index, r.Error, alone.Error())
+		case r.Policy == "offchip" && !strings.Contains(r.Error, failed.Error()):
+			t.Errorf("offchip cell %d: error %q, want the off-chip run's failure", r.Index, r.Error)
+		}
 	}
 }
 
@@ -201,5 +379,34 @@ func TestWarmTranslateReadsNoSource(t *testing.T) {
 			t.Errorf("policy %v: a warm translate generated the source %d times, computed %v and allocated %.0f times; want 0, nothing and 1",
 				policy, texts, diffStages(cfg.Cache.computes, before), allocs)
 		}
+	}
+}
+
+// TestWarmProfiledTranslateAllocatesAsStatic pins the cost of a warm
+// profiled translate: the placement's digest, part of the decision key
+// and of the cell's result, is computed once with the placement, so a
+// warm lookup allocates no more than a static policy's.
+func TestWarmProfiledTranslateAllocatesAsStatic(t *testing.T) {
+	w, _ := ByKey("dot")
+	cfg := identityConfig(t, "scc48").PrecomputeMachineEnv()
+	cfg.Cache = NewCache()
+	cfg.MPBCapacity = 2048
+	warm := func(policy partition.Policy) float64 {
+		if _, err := TranslateWorkload(w, cfg, policy); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			tr, err := TranslateWorkload(w, cfg, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if policy == partition.PolicyProfiled && tr.Placement.Digest() == "" {
+				t.Fatal("a profiled translation without a placement digest")
+			}
+		})
+	}
+	size, profiled := warm(partition.PolicySizeAscending), warm(partition.PolicyProfiled)
+	if profiled > size {
+		t.Errorf("a warm profiled translate allocates %.0f times, a warm size translate %.0f", profiled, size)
 	}
 }

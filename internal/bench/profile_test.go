@@ -41,6 +41,36 @@ func TestProfiledPolicyEndToEndCorpus(t *testing.T) {
 	}
 }
 
+// TestProfilingObservesOnly pins the premise that lets a grid's off-chip
+// run be its profiling pass: with a profile.Collector as Profiler and
+// AllocObserver, the run of every corpus workload's off-chip translation
+// on scc48 returns the same makespan, counters, MPB footprint and
+// output as the unobserved run.
+func TestProfilingObservesOnly(t *testing.T) {
+	for _, threads := range []int{4, 8} {
+		cfg := profCfg(threads)
+		for _, w := range All() {
+			tr, err := cfg.translation(w, partition.PolicyOffChipOnly, 0, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Key, err)
+			}
+			plain, err := cfg.runRCCE(tr.program)
+			if err != nil {
+				t.Fatalf("%s at %d cores: %v", w.Key, threads, err)
+			}
+			_, observed, err := profileProgram(w, cfg, tr, tr.program)
+			if err != nil {
+				t.Fatalf("%s at %d cores, profiled: %v", w.Key, threads, err)
+			}
+			if plain.Makespan != observed.Makespan || plain.Stats != observed.Stats ||
+				plain.OnChipBytes != observed.OnChipBytes || plain.Output != observed.Output {
+				t.Errorf("%s at %d cores: the profiled run differs from the plain one\nplain:    %d ps, %d on-chip B, %+v\nprofiled: %d ps, %d on-chip B, %+v",
+					w.Key, threads, plain.Makespan, plain.OnChipBytes, plain.Stats, observed.Makespan, observed.OnChipBytes, observed.Stats)
+			}
+		}
+	}
+}
+
 // TestProfileByteIdenticalAcrossEngines pins the engine-parity contract:
 // the compiled Program and its tree-walk reference perform the same
 // memory accesses in the same amounts, so their profiles serialize to
@@ -61,7 +91,7 @@ func TestProfileByteIdenticalAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (%s): %v", w, what, err)
 			}
-			rep, err := profileProgram(wl, cfg, tr, pr)
+			rep, _, err := profileProgram(wl, cfg, tr, pr)
 			if err != nil {
 				t.Fatalf("%s (%s): %v", w, what, err)
 			}

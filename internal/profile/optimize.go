@@ -47,6 +47,8 @@ type Placement struct {
 	OnChipBytes    int      `json:"onchip_bytes"`
 	OnChipAccesses uint64   `json:"onchip_accesses"`
 	Choices        []Choice `json:"choices"`
+	// digest is Digest, computed by Optimize once the choices are final.
+	digest string
 }
 
 // OnChip returns the placement as the map Stage 4 consumes.
@@ -65,7 +67,16 @@ func (p *Placement) OnChip() map[string]bool {
 // translations at the same (cores, policy-name, budget) tuple but with
 // different measured placements can never collide — and a profiled cell
 // can never collide with a static-policy cell, whose digest is empty.
+// Optimize computes it once, when it builds the placement; a placement
+// built by hand computes it on every call.
 func (p *Placement) Digest() string {
+	if p.digest != "" {
+		return p.digest
+	}
+	return p.computeDigest()
+}
+
+func (p *Placement) computeDigest() string {
 	h := fnv.New64a()
 	for _, c := range p.Choices {
 		region := "off"
@@ -157,6 +168,7 @@ func Optimize(rep *Report, budget int) *Placement {
 			pl.OnChipAccesses += it.accesses
 		}
 	}
+	pl.digest = pl.computeDigest()
 	return pl
 }
 
