@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
 	"hsmcc/internal/rcce"
 	"hsmcc/internal/sccsim"
@@ -216,9 +217,10 @@ type RunOptions struct {
 	// Stage 4 placed in the MPB, joined by "-" ("none" when it placed
 	// none; e.g. pi_4c_onchip-0-1.trace.json). Every cell that
 	// picks that set shares the run and writes nothing more, so the
-	// file set does not depend on the worker count. At a point with a
-	// profiled cell, the "none" file traces the profiling pass, which
-	// is the off-chip run.
+	// file set does not depend on the worker count. At a point with an
+	// offchip and a profiled cell, the "none" file traces the profiling
+	// pass, which is the off-chip run. A failed write is the error of
+	// every cell of that set.
 	TraceDir string
 }
 
@@ -292,27 +294,28 @@ type job struct {
 	// cell indexes the sweep's cells; a shared run's is the first cell
 	// of its point.
 	cell int
-	// offChip and profiled report whether the point has an offchip and
-	// a profiled cell: both read the off-chip run, which is the
-	// profiling pass at a profiled point.
-	offChip, profiled bool
+	// profiled reports whether the point has a profiled cell, whose
+	// profiling pass is then the point's off-chip run (simulate).
+	profiled bool
 }
 
-// jobs lists cells with each point's shared runs ahead of its cells.
-// Cells enumerates a point's cells one after another, so they stay in
-// cell order.
+// jobs lists cells with each point's shared runs ahead of its cells: its
+// baseline, and its off-chip run when an offchip cell reads it. Cells
+// enumerates a point's cells one after another, so they stay in cell
+// order.
 func jobs(cells []Cell) []job {
 	var out []job
 	for first := 0; first < len(cells); {
 		end := first
 		pt := job{cell: first}
+		offChip := false
 		for ; end < len(cells) && cells[end].Workload == cells[first].Workload && cells[end].Cores == cells[first].Cores; end++ {
-			pt.offChip = pt.offChip || cells[end].Policy == "offchip"
+			offChip = offChip || cells[end].Policy == "offchip"
 			pt.profiled = pt.profiled || cells[end].Policy == "profiled"
 		}
 		pt.kind = baselineJob
 		out = append(out, pt)
-		if pt.offChip || pt.profiled {
+		if offChip {
 			pt.kind = offChipJob
 			out = append(out, pt)
 		}
@@ -478,11 +481,6 @@ func (r *gridRunner) runShared(at Cell, j job) {
 		_, _ = RunBaseline(w, cfg)
 		return
 	}
-	if !j.offChip && cfg.Cache.holds(key{stage: stageProfile, spec: cfg.spec(w.Key).rcceRun()}) {
-		// Only profiled cells read the run here, and only for its
-		// profile, which the shared cache already holds.
-		return
-	}
 	if tr, err := cfg.translation(w, partition.PolicyOffChipOnly, 0, nil); err == nil {
 		_, _ = r.simulate(w, cfg, tr, j.profiled)
 	}
@@ -530,51 +528,74 @@ func (r *gridRunner) runCell(cell Cell, profiled bool) CellResult {
 	return res
 }
 
+// simulated is one run of the sweep's memo and the error of writing its
+// trace, which every cell that reads the run reports.
+type simulated struct {
+	run   *rcce.Result
+	trace error
+}
+
 // simulate returns the sweep's run of tr at cfg's point: the run reads
 // the translated program, so every cell that picked tr's on-chip set
 // shares one run. At a point with a profiled cell (profiled), the
 // off-chip run is also the point's profiling pass, unless the shared
 // cache already holds the profile: the collector only observes, so its
 // run is the one the off-chip cells read, and its report fills the
-// cache's profile entry that PlacementFor reads; if the pass fails, the
-// cells that read the run report the pass's error. With a trace
-// directory, whoever runs the simulation records it and writes the
-// Chrome trace named by the shared identity; cache hits write nothing.
+// cache's profile entry that PlacementFor reads. If the pass fails but
+// is not canceled, the run is made again unobserved, so the off-chip
+// cells read a run of their own, and the profiled cells meet the pass's
+// failure when they profile. With a trace directory, whoever runs the
+// simulation records it and writes the Chrome trace named by the shared
+// identity; cache hits write nothing.
 func (r *gridRunner) simulate(w Workload, cfg Config, tr *translation, profiled bool) (*rcce.Result, error) {
-	return memo(r.cells, key{stage: stageSimulate, spec: cfg.spec(w.Key).rcceRun(), onChip: tr.onChip}, func() (*rcce.Result, error) {
-		profiling := profiled && tr.onChip == ""
+	sim, err := memo(r.cells, key{stage: stageSimulate, spec: cfg.spec(w.Key).rcceRun(), onChip: tr.onChip}, func() (*simulated, error) {
 		var rec *trace.Recorder
-		if r.traceDir != "" {
-			rec = trace.NewRecorder(nil, 0)
-			cfg.Hooks.TraceRCCE = rec
-		} else if profiling {
-			// The profiling pass fills the shared cache: it records into
-			// the sweep's trace recorder only.
-			cfg.Hooks.TraceRCCE = nil
+		// traced is cfg recording into a fresh recorder for the trace
+		// directory, if there is one, and else into sink.
+		traced := func(sink interp.TraceSink) Config {
+			if r.traceDir != "" {
+				rec = trace.NewRecorder(nil, 0)
+				sink = rec
+			}
+			c := cfg
+			c.Hooks.TraceRCCE = sink
+			return c
 		}
 		var run *rcce.Result
 		var err error
-		if profiling {
-			_, run, err = cfg.profile(w, tr)
+		if profiled && tr.onChip == "" {
+			// The profiling pass fills the shared cache: it records into
+			// the sweep's trace recorder only.
+			if _, run, err = traced(nil).profile(w, tr); err != nil && !isCancelErr(err) {
+				run, err = nil, nil
+			}
 		}
 		if run == nil && err == nil {
-			run, err = runStage(cfg.Hooks, stageSimulate, w.Key, func() (*rcce.Result, error) {
-				return cfg.runRCCE(tr.program)
+			c := traced(cfg.Hooks.TraceRCCE)
+			run, err = runStage(c.Hooks, stageSimulate, w.Key, func() (*rcce.Result, error) {
+				return c.runRCCE(tr.program)
 			})
 		}
-		if err != nil || rec == nil {
-			return run, err
+		if err != nil {
+			return nil, err
 		}
-		set := tr.onChip
-		if set == "" {
-			set = "none"
+		sim := &simulated{run: run}
+		if rec != nil {
+			set := tr.onChip
+			if set == "" {
+				set = "none"
+			}
+			name := fmt.Sprintf("%s_%dc_onchip-%s.trace.json", w.Key, cfg.Threads, set)
+			if err := rec.WriteFile(filepath.Join(r.traceDir, name)); err != nil {
+				sim.trace = fmt.Errorf("write trace: %w", err)
+			}
 		}
-		name := fmt.Sprintf("%s_%dc_onchip-%s.trace.json", w.Key, cfg.Threads, set)
-		if err := rec.WriteFile(filepath.Join(r.traceDir, name)); err != nil {
-			return nil, fmt.Errorf("write trace: %w", err)
-		}
-		return run, nil
+		return sim, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return sim.run, sim.trace
 }
 
 // FormatReport renders the grid results as a text table (the

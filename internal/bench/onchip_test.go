@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -154,8 +155,9 @@ func stageVisits() (func(string) error, func() map[string]int) {
 // TestGridStaticOnlyRunsNoOffChip sweeps a point whose cells all place
 // their whole shared set on-chip, so no cell reads the off-chip run: a
 // size-only grid, and a profiled-only grid whose profile the shared
-// cache already holds. Neither runs nor traces the off-chip run, and
-// neither profiles.
+// cache already holds. The sweep schedules an off-chip run only where an
+// offchip cell reads it, so neither runs nor traces the off-chip run,
+// and neither profiles.
 func TestGridStaticOnlyRunsNoOffChip(t *testing.T) {
 	g := Grid{
 		Name:       "on-chip-only",
@@ -260,11 +262,12 @@ func TestGridCanceledStartsNoRun(t *testing.T) {
 	}
 }
 
-// TestGridProfiledCellsReportOffChipRunError fails every profiling
-// pass mid-run. The sweep's off-chip run is the pass, and it fails; the
-// point's profiled cells must report what a single cell's profiling
-// pass reports, as they did when the pass was a run of its own.
-func TestGridProfiledCellsReportOffChipRunError(t *testing.T) {
+// TestGridFailedProfilingPass fails every profiling pass mid-run. The
+// sweep's off-chip run is the pass, and it fails; the point's profiled
+// cells must report what a single cell's profiling pass reports, and its
+// offchip cells must read a run of their own, as they did when the pass
+// was a run of its own.
+func TestGridFailedProfilingPass(t *testing.T) {
 	g := Grid{
 		Name:       "failing-pass",
 		Workloads:  []string{"dot"},
@@ -307,9 +310,38 @@ func TestGridProfiledCellsReportOffChipRunError(t *testing.T) {
 		switch {
 		case r.Policy == "profiled" && r.Error != alone.Error():
 			t.Errorf("profiled cell %d: error %q, want %q", r.Index, r.Error, alone.Error())
-		case r.Policy == "offchip" && !strings.Contains(r.Error, failed.Error()):
-			t.Errorf("offchip cell %d: error %q, want the off-chip run's failure", r.Index, r.Error)
+		case r.Policy != "profiled" && (r.Error != "" || !r.Match):
+			t.Errorf("%s cell %d: error %q, match %v; want the cell's own run", r.Policy, r.Index, r.Error, r.Match)
 		}
+	}
+}
+
+// TestGridTraceWriteFailureRunsOnce points the trace directory at a
+// path that does not exist. Every cell reports the failed write of its
+// set's trace, and each set still runs once: a run that succeeded is
+// kept although its trace could not be written.
+func TestGridTraceWriteFailureRunsOnce(t *testing.T) {
+	g := Grid{
+		Name:       "unwritable",
+		Workloads:  []string{"pi"},
+		Cores:      []int{8},
+		Policies:   []string{"offchip", "size", "profiled"},
+		MPBBudgets: []int{2048, 0},
+		Scale:      0.04,
+	}
+	count, visits := stageVisits()
+	dir := filepath.Join(t.TempDir(), "missing")
+	rep, err := RunGrid(g, RunOptions{Parallel: 1, TraceDir: dir, Hooks: Hooks{Fault: count}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Results {
+		if !strings.Contains(r.Error, "write trace: ") {
+			t.Errorf("cell %d: error %q, want the failed trace write", r.Index, r.Error)
+		}
+	}
+	if v := visits(); v["simulate"]+v["profile"] != 2 {
+		t.Errorf("simulate ran %d times and profile %d times for 2 on-chip sets", v["simulate"], v["profile"])
 	}
 }
 

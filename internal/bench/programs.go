@@ -254,18 +254,6 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// holds reports whether k has an entry, computed or in flight, without
-// counting a lookup.
-func (c *Cache) holds(k key) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[k]
-	return ok
-}
-
 // analysis parses and checks (name, src) and runs Stages 1-3 at most
 // once per distinct source. The pipeline is shared and only read: the
 // baseline lowers its tree and every translation copies it.
