@@ -231,10 +231,10 @@ const heapLimit = sccsim.PrivateBase + (sccsim.PrivateLimit-sccsim.PrivateBase)/
 // anything is copied, charged or allocated for it: a negative length, or
 // one reaching past the end of the address class it starts in (the
 // private range splitting at heapLimit, since nothing a program owns
-// straddles it; an MPB span need only be no longer than the MPB — where
-// it lies is the machine's fault to report). The error names the
-// builtin, the size and the address. Runtime packages call it for their
-// own bulk builtins.
+// straddles it; an MPB span need only be no longer than the MPB). Where
+// a span lies in the memory map is the machine's fault to report. The
+// error names the builtin, the size and the address. Runtime packages
+// call it for their own bulk builtins.
 func (p *Proc) CheckSpan(name string, addr uint32, n int64) error {
 	end := uint64(heapLimit)
 	switch {

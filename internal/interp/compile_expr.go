@@ -391,15 +391,12 @@ func (c *compiler) compileLValue(e ast.Expr) (lvalFn, *types.Type) {
 		if elem == nil {
 			elem = types.IntType
 		}
-		nullErr := fmt.Errorf("%s: null pointer dereference", e.Pos())
-		// Transparent: only the pointer expression can suspend.
+		// Transparent: only the pointer expression can suspend. A null
+		// or wild pointer is the machine's fault to report.
 		return func(p *Proc) (uint32, *types.Type, error) {
 			v, err := x(p)
 			if err != nil {
 				return 0, nil, err
-			}
-			if v.Addr() == 0 {
-				return 0, nil, nullErr
 			}
 			return v.Addr(), elem, nil
 		}, elem

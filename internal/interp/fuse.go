@@ -2,7 +2,6 @@ package interp
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"hsmcc/internal/cc/ast"
@@ -695,7 +694,6 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 	bt := n.X.ResultType()
 	var base rawFn
 	var elem *types.Type
-	var nullErr error
 	k, global := uint32(0), false
 	if id, ok := ast.Unparen(n.X).(*ast.Ident); ok && id.Sym != nil && id.Sym.Type != nil && id.Sym.Type.Kind == types.Array {
 		elem = id.Sym.Type.Elem
@@ -719,7 +717,6 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 		}
 	default:
 		base = c.lowerWord(c.classify(n.X), n.X)
-		nullErr = fmt.Errorf("%s: indexing a null pointer", n.Pos())
 		if bt != nil && bt.IsPointerLike() {
 			elem = bt.Decay().Elem
 		}
@@ -768,8 +765,6 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			b, err := base(p)
 			if err != nil {
 				return 0, nil, p.suspended(err, 0, 0, 0)
-			} else if nullErr != nil && uint32(b) == 0 {
-				return 0, nil, nullErr
 			}
 			w, err := p.loadWord(p.slotMem[p.cfp+is.idx], is.size, is.sext)
 			return p.indexTail(err, uint32(b)+uint32(int64(w)*scale), elem)
@@ -790,8 +785,6 @@ func (c *compiler) fuseIndex(n *ast.IndexExpr) (lvalFn, *types.Type) {
 			var err error
 			if b, err = base(p); err != nil {
 				return 0, nil, p.suspended(err, 0, 0, 0)
-			} else if nullErr != nil && uint32(b) == 0 {
-				return 0, nil, nullErr
 			}
 		}
 		w, err := idx(p)

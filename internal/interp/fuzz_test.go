@@ -72,8 +72,9 @@ func sourceOutcome(compile func(name, src string) (*interp.Program, error), src 
 // reject, or both produce the same output, error text, final clock and
 // CoreStats; never a panic, never an unbounded run. It checks every
 // fused shape of fuse.go against the tree-walk on inputs no generator
-// writes. Seeds: testdata/, the C sources of examples/, the corpus, and
-// the hostile programs that used to panic, exhaust or hang the host.
+// writes. Seeds: testdata/, the C sources of examples/, the corpus, the
+// hostile programs that used to panic, exhaust or hang the host, and the
+// wild addresses of wildPrograms.
 //
 // Soak with: go test ./internal/interp -fuzz FuzzSourceDiff
 func FuzzSourceDiff(f *testing.F) {
@@ -114,6 +115,9 @@ func FuzzSourceDiff(f *testing.F) {
 		`int main() { int i = 2147483647; int j = ++i; double d = (double)i / 0.0; return j % (i - i); }`,
 	} {
 		f.Add([]byte(s))
+	}
+	for _, w := range wildPrograms {
+		f.Add([]byte(wildSource(w.decls, w.body)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)

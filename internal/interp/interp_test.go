@@ -387,8 +387,8 @@ func TestDivideByZeroError(t *testing.T) {
 
 func TestNullDerefError(t *testing.T) {
 	_, err := tryRunMain(`int main() { int *p = NULL; return *p; }`)
-	if err == nil || !strings.Contains(err.Error(), "null pointer") {
-		t.Errorf("err = %v, want null pointer", err)
+	if want := "core 0: load of 4 bytes at 0x0: unmapped"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want %q", err, want)
 	}
 }
 

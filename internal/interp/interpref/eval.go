@@ -195,9 +195,6 @@ func (p *walk) evalLValue(e ast.Expr) (uint32, *types.Type, error) {
 		if elem == nil {
 			elem = types.IntType
 		}
-		if v.Addr() == 0 {
-			return 0, nil, fmt.Errorf("%s: null pointer dereference", e.Pos())
-		}
 		return v.Addr(), elem, nil
 
 	case *ast.IndexExpr:
@@ -270,9 +267,6 @@ func (p *walk) indexBase(n *ast.IndexExpr) (uint32, *types.Type, error) {
 	}
 	if elem == nil {
 		elem = types.IntType
-	}
-	if v.Addr() == 0 {
-		return 0, nil, fmt.Errorf("%s: indexing a null pointer", n.Pos())
 	}
 	return v.Addr(), elem, nil
 }

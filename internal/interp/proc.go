@@ -144,11 +144,13 @@ type MemProfiler interface {
 }
 
 // noteMemOp finishes a timed access: it reports it to the profiler (if
-// any) and implements the cooperative yield cadence. Accesses to shared
-// regions (shared DRAM, MPB) yield immediately: those are the points
-// where cross-core contention is modelled, and letting one context run a
-// burst ahead would serialize whole bursts at the memory controllers
-// instead of interleaving requests in virtual-time order. Private
+// any) and implements the cooperative yield cadence. Accesses outside
+// the private range (below PrivateBase the subtraction wraps) yield
+// immediately. Shared DRAM and the MPB are the points where cross-core
+// contention is modelled, and letting one context run a burst ahead
+// would serialize whole bursts at the memory controllers instead of
+// interleaving requests in virtual-time order; an unmapped address is
+// the machine's fault, so the access is its context's last. Private
 // accesses that hit a cache cannot contend, and yield only every
 // YieldEvery ops to keep scheduling overhead low; a private L2 miss does
 // contend — it queues at its memController's freeAt like a shared
@@ -162,7 +164,7 @@ func (p *Proc) noteMemOp(addr uint32, write bool) error {
 		p.prof.NoteAccess(p.Core, addr, write)
 	}
 	p.memOps++
-	if addr >= sccsim.SharedBase || p.memOps >= YieldEvery ||
+	if addr-sccsim.PrivateBase >= sccsim.PrivateLimit-sccsim.PrivateBase || p.memOps >= YieldEvery ||
 		p.Clock-p.lastYield >= yieldHorizonPs {
 		return p.yieldMemOp()
 	}
@@ -431,13 +433,12 @@ const cstrChunk = 64
 // appendCString appends the NUL-terminated string at addr (at most
 // maxCString bytes, without the NUL) to dst. It reads aligned chunks cut
 // at the MPB's end, so beyond the NUL it touches nothing outside the
-// NUL's page, and it records the machine faults a byte-at-a-time read
-// would: a read past the MPB's end is one byte, and moves no data, so
-// the last byte read repeats.
+// NUL's page (the private range's ends are page-aligned), and it faults
+// where a byte-at-a-time read would: a read past the MPB's end is one
+// byte. A faulting read reads zeros, so the string ends there.
 func (p *Proc) appendCString(dst []byte, addr uint32) []byte {
 	m := p.Sim.Machine
 	mpbEnd := uint64(sccsim.MPBBase) + uint64(m.Config().MPBTotal())
-	var last byte
 	for read := 0; read < maxCString; {
 		n := cstrChunk - int(addr%cstrChunk)
 		switch a := uint64(addr); {
@@ -449,12 +450,11 @@ func (p *Proc) appendCString(dst []byte, addr uint32) []byte {
 		n = min(n, maxCString-read)
 		dst = slices.Grow(dst, n)
 		chunk := dst[len(dst) : len(dst)+n]
-		chunk[0] = last
 		m.ReadBytes(p.Core, addr, chunk)
 		if i := bytes.IndexByte(chunk, 0); i >= 0 {
 			return dst[:len(dst)+i]
 		}
-		dst, last = dst[:len(dst)+n], chunk[n-1]
+		dst = dst[:len(dst)+n]
 		read += n
 		addr += uint32(n)
 	}

@@ -30,7 +30,7 @@ const PsPerSecond = 1e12
 // Address classes of the simulated 32-bit physical address space. The
 // layout mirrors the SCC lookup-table configuration used by RCCE: a
 // private range per core, a shared uncacheable DRAM window, and the
-// memory-mapped MPB.
+// memory-mapped MPB. An access to anything else is a fault (Machine.Fault).
 const (
 	// PrivateBase..PrivateLimit is the per-core private cacheable range.
 	// Each core has its own backing store for this window (the LUT maps

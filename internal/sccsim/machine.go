@@ -222,46 +222,16 @@ func (m *Machine) ComputeTime(core int, cycles int) Time {
 // fall-through of the word path; a typed access of at most eight bytes
 // goes through LoadWord/StoreWord.
 func (m *Machine) Load(core int, addr uint32, buf []byte, now Time) Time {
-	cs := &m.cores[core]
-	switch {
-	case addr >= MPBBase:
-		// mpbSpan's range test in line (mpbSpan is past the inlining
-		// budget): an in-range access pays the compare and the copy.
-		if off := int(addr - MPBBase); off+len(buf) <= len(m.mpb) {
-			copy(buf, m.mpb[off:])
-		} else {
-			copy(buf, m.mpbSpan(core, addr, len(buf), "load"))
-		}
-	case addr >= SharedBase:
-		m.shared.Read(addr-SharedBase, buf)
-	default:
-		cs.priv.Read(addr, buf)
-	}
-	cs.stats.Loads++
-	lat := m.accessTime(cs, core, addr, false, now)
-	cs.stats.MemTime += lat
-	return lat
+	m.move(core, addr, buf, false, "load")
+	m.cores[core].stats.Loads++
+	return m.accessTime(core, addr, false, now)
 }
 
 // Store writes data at addr on behalf of core and returns the latency.
 func (m *Machine) Store(core int, addr uint32, data []byte, now Time) Time {
-	cs := &m.cores[core]
-	switch {
-	case addr >= MPBBase:
-		if off := int(addr - MPBBase); off+len(data) <= len(m.mpb) {
-			copy(m.mpb[off:], data)
-		} else {
-			copy(m.mpbSpan(core, addr, len(data), "store"), data)
-		}
-	case addr >= SharedBase:
-		m.shared.Write(addr-SharedBase, data)
-	default:
-		cs.priv.Write(addr, data)
-	}
-	cs.stats.Stores++
-	lat := m.accessTime(cs, core, addr, true, now)
-	cs.stats.MemTime += lat
-	return lat
+	m.move(core, addr, data, true, "store")
+	m.cores[core].stats.Stores++
+	return m.accessTime(core, addr, true, now)
 }
 
 // LoadWord reads the little-endian word of size bytes (1, 2, 4 or 8) at
@@ -286,8 +256,8 @@ func (m *Machine) StoreWord(core int, addr uint32, size int, v uint64, now Time)
 // resident page or the MPB array, and one timing function — the same
 // one accessTime hands a bulk access of that class. Whatever the
 // straight line does not cover (a word straddling a page, an MPB not
-// yet allocated, an address outside it) takes the bulk path, which
-// counts and times the access identically.
+// yet allocated, an address outside the map) takes the bulk path, which
+// counts and times the access identically and records any fault.
 func (m *Machine) word(core int, addr uint32, size int, write bool, v uint64, now Time) (uint64, Time) {
 	cs := &m.cores[core]
 	off := int(addr & pageMask)
@@ -306,6 +276,8 @@ func (m *Machine) word(core int, addr uint32, size int, write bool, v uint64, no
 	case addr >= SharedBase:
 		b = m.shared.page(addr - SharedBase)[off:]
 		lat = m.sharedTime(cs, core, addr, write, now)
+	case addr-PrivateBase >= PrivateLimit-PrivateBase:
+		return m.wordBulk(core, addr, size, write, v, now)
 	default:
 		b = cs.priv.page(addr)[off:]
 		lat = m.privateTime(cs, core, addr, write, now)
@@ -353,47 +325,77 @@ func (m *Machine) wordBulk(core int, addr uint32, size int, write bool, v uint64
 // ReadBytes copies memory without charging time (used by the runtime for
 // printf formatting and by tests).
 func (m *Machine) ReadBytes(core int, addr uint32, buf []byte) {
-	priv := &m.cores[core].priv // first: a released machine panics here, whatever the class
-	switch {
-	case addr >= MPBBase:
-		copy(buf, m.mpbSpan(core, addr, len(buf), "read"))
-	case addr >= SharedBase:
-		m.shared.Read(addr-SharedBase, buf)
-	default:
-		priv.Read(addr, buf)
-	}
+	m.move(core, addr, buf, false, "read")
 }
 
 // WriteBytes stores memory without charging time (program loading).
 func (m *Machine) WriteBytes(core int, addr uint32, data []byte) {
-	priv := &m.cores[core].priv // first: a released machine panics here, whatever the class
+	m.move(core, addr, data, true, "write")
+}
+
+// move copies p into memory at addr (write) or memory at addr into p on
+// behalf of core: the bulk path's one address-class switch, and with
+// word's the only code that knows the memory map. A span that does not
+// lie wholly inside one class of the map — below SharedBase outside
+// [PrivateBase, PrivateLimit), across SharedLimit, or past the MPB's
+// end — is the op's fault: it moves no data, and a read reads zeros.
+func (m *Machine) move(core int, addr uint32, p []byte, write bool, op string) {
+	mem := &m.cores[core].priv // first: a released machine panics here, whatever the class
 	switch {
 	case addr >= MPBBase:
-		copy(m.mpbSpan(core, addr, len(data), "write"), data)
-	case addr >= SharedBase:
-		m.shared.Write(addr-SharedBase, data)
-	default:
-		priv.Write(addr, data)
+		// mpbSpan's range test in line (mpbSpan is past the inlining
+		// budget): an in-range access pays the compare and the copy.
+		var b []byte // nil on a fault
+		if off := int(addr - MPBBase); off+len(p) <= len(m.mpb) {
+			b = m.mpb[off : off+len(p)]
+		} else {
+			b = m.mpbSpan(core, addr, len(p), op)
+		}
+		if write {
+			copy(b, p)
+		} else {
+			clear(p[copy(p, b):])
+		}
+		return
+	case addr >= SharedBase && len(p) <= int(SharedLimit-addr):
+		mem, addr = &m.shared, addr-SharedBase
+	case addr-PrivateBase >= PrivateLimit-PrivateBase || len(p) > int(PrivateLimit-addr):
+		m.fail(core, op, len(p), addr, "unmapped")
+		if !write {
+			clear(p)
+		}
+		return
+	}
+	if write {
+		mem.Write(addr, p)
+	} else {
+		mem.Read(addr, p)
 	}
 }
 
 // mpbSpan returns the n bytes of the MPB at addr, growing the backing
-// array to cover them, or nil — recording the run's first fault — when
-// they do not all lie inside the MPB. A program can form any address (a
-// cast constant, an index run wild), so this is input checking, not an
+// array to cover them, or nil — recording the fault — when they do not
+// all lie inside the MPB. A program can form any address (a cast
+// constant, an index run wild), so this is input checking, not an
 // invariant.
 func (m *Machine) mpbSpan(core int, addr uint32, n int, op string) []byte {
 	off := int(addr - MPBBase)
 	if total := m.cfg.MPBTotal(); off+n > total {
-		if m.fault == nil {
-			m.fault = fmt.Errorf("core %d: %s of %d bytes at %#x: outside the MPB (%d bytes)", core, op, n, addr, total)
-		}
+		m.fail(core, op, n, addr, fmt.Sprintf("outside the MPB (%d bytes)", total))
 		return nil
 	}
 	if off+n > len(m.mpb) {
 		m.growMPB(off + n)
 	}
 	return m.mpb[off : off+n]
+}
+
+// fail records core's op of n bytes at addr, which why says the memory
+// map does not hold, as the run's fault unless an earlier one was.
+func (m *Machine) fail(core int, op string, n int, addr uint32, why string) {
+	if m.fault == nil {
+		m.fault = fmt.Errorf("core %d: %s of %d bytes at %#x: %s", core, op, n, addr, why)
+	}
 }
 
 // growMPB extends the MPB's backing array to hold at least its first n
@@ -417,27 +419,32 @@ func (m *Machine) growMPB(n int) {
 }
 
 // Fault returns the first access that fell outside the memory map (nil
-// when none did). A faulting access moves no data — a load reads zeros —
-// and is otherwise counted and timed like any other; whoever steps the
-// machine polls this at its scheduling points and fails the run.
+// when none did; see move). A faulting access moves no data — a read
+// reads zeros — and is otherwise counted and timed like any other access
+// at its address; whoever steps the machine polls this at its scheduling
+// points and fails the run.
 func (m *Machine) Fault() error { return m.fault }
 
 // ---------------------------------------------------------------------------
 // Timing
 // ---------------------------------------------------------------------------
 
-// accessTime computes the latency of one bulk access according to the
-// address class (see the package comment for the model): the same three
-// per-class functions the word path calls from its own classification.
-func (m *Machine) accessTime(cs *coreState, core int, addr uint32, write bool, now Time) Time {
+// accessTime computes and accounts the latency of one bulk access
+// according to the address class (see the package comment for the
+// model): the same three per-class functions the word path calls from
+// its own classification.
+func (m *Machine) accessTime(core int, addr uint32, write bool, now Time) (lat Time) {
+	cs := &m.cores[core]
 	switch {
 	case addr >= MPBBase:
-		return m.mpbTime(cs, core, addr, write)
+		lat = m.mpbTime(cs, core, addr, write)
 	case addr >= SharedBase:
-		return m.sharedTime(cs, core, addr, write, now)
+		lat = m.sharedTime(cs, core, addr, write, now)
 	default:
-		return m.privateTime(cs, core, addr, write, now)
+		lat = m.privateTime(cs, core, addr, write, now)
 	}
+	cs.stats.MemTime += lat
+	return lat
 }
 
 // privateTime is an access to the core's private, cacheable DRAM.

@@ -149,45 +149,107 @@ func matchWordAndBulk(t *testing.T, storage string, cfg Config, word, bulk *Mach
 	return word.TotalStats()
 }
 
-// TestMPBFault: an access that does not lie wholly inside the MPB moves
-// nothing, panics nowhere and is reported by Fault — first fault wins —
-// on the word path, the bulk path and the untimed path alike.
-func TestMPBFault(t *testing.T) {
-	total := DefaultConfig().MPBTotal()
-	end := MPBBase + uint32(total)
-	cases := []struct {
-		name string
-		do   func(m *Machine)
-		want string
-	}{
-		{"word load", func(m *Machine) { m.LoadWord(1, 0xFFFFFFF0, 4, 0) }, "core 1: load of 4 bytes at 0xfffffff0: outside the MPB (393216 bytes)"},
-		{"word store", func(m *Machine) { m.StoreWord(0, 0xC0100000, 4, 5, 0) }, "core 0: store of 4 bytes at 0xc0100000: outside the MPB (393216 bytes)"},
-		{"word past the end", func(m *Machine) { m.StoreWord(0, end-2, 4, 5, 0) }, "store of 4 bytes"},
-		{"bulk load past the end", func(m *Machine) { m.Load(2, end-16, make([]byte, 32), 0) }, "core 2: load of 32 bytes"},
-		{"bulk store", func(m *Machine) { m.Store(0, end, make([]byte, 1), 0) }, "store of 1 bytes"},
-		{"untimed read", func(m *Machine) { m.ReadBytes(0, end+4096, make([]byte, 1)) }, "read of 1 bytes"},
+// faultCase is one access that must fault: do issues it and returns the
+// bytes it read (nil for a write), which must all be zero.
+type faultCase struct {
+	name string
+	do   func(m *Machine) []byte
+	want string
+}
+
+// checkFaults runs each case on a fresh machine whose in-range words at
+// both ends of the private range and of the MPB hold data: the access
+// faults with want, reads zeros, moves no data in any class — no page
+// or MPB byte is touched, and the in-range words keep their values —
+// and the first fault wins over a later one.
+func checkFaults(t *testing.T, cases []faultCase) {
+	end := MPBBase + uint32(DefaultConfig().MPBTotal())
+	inRange := []struct {
+		addr uint32
+		size int
+		v    uint64
+	}{{PrivateBase, 4, 0x1111}, {PrivateLimit - 8, 8, 0x2222_0000_3333}, {end - 4, 4, 0xdeadbeef}}
+	footprint := func(m *Machine) (n int) {
+		for c := range m.cores {
+			n += m.cores[c].priv.Touched()
+		}
+		return n + m.shared.Touched() + len(m.mpb)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m := testMachine(t)
-			m.StoreWord(0, end-4, 4, 0xdeadbeef, 0) // the last word is in range
-			if err := m.Fault(); err != nil {
-				t.Fatalf("last word of the MPB faulted: %v", err)
+			for _, w := range inRange {
+				m.StoreWord(0, w.addr, w.size, w.v, 0)
+				if err := m.Fault(); err != nil {
+					t.Fatalf("in-range word at %#x faulted: %v", w.addr, err)
+				}
 			}
-			c.do(m)
+			before := footprint(m)
+			got := c.do(m)
 			err := m.Fault()
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Fault() = %v, want it to contain %q", err, c.want)
 			}
+			if !bytes.Equal(got, make([]byte, len(got))) {
+				t.Errorf("faulting read read % x, want zeros", got)
+			}
+			if after := footprint(m); after != before {
+				t.Errorf("faulting access touched memory: footprint %d, was %d", after, before)
+			}
 			m.LoadWord(3, 0xFFFFFFFF, 1, 0)
+			m.LoadWord(3, 0, 1, 0)
 			if again := m.Fault(); again != err {
 				t.Errorf("a later fault replaced the first: %v", again)
 			}
-			if v, _ := m.LoadWord(0, end-4, 4, 0); v != 0xdeadbeef {
-				t.Errorf("last word of the MPB reads %#x after the fault, want 0xdeadbeef", v)
+			for _, w := range inRange {
+				if v, _ := m.LoadWord(0, w.addr, w.size, 0); v != w.v {
+					t.Errorf("word at %#x reads %#x after the fault, want %#x", w.addr, v, w.v)
+				}
 			}
 		})
 	}
+}
+
+// garbage is a read buffer the faulting access must overwrite with zeros.
+func garbage(n int) []byte { return bytes.Repeat([]byte{0xAA}, n) }
+
+// wordRead is a word load as the bytes it read.
+func wordRead(m *Machine, core int, addr uint32, size int) []byte {
+	v, _ := m.LoadWord(core, addr, size, 0)
+	return binary.LittleEndian.AppendUint64(nil, v)
+}
+
+// TestMPBFault: an access at or above MPBBase that does not lie wholly
+// inside the MPB is a fault, on the word path, the bulk path and the
+// untimed path alike.
+func TestMPBFault(t *testing.T) {
+	end := MPBBase + uint32(DefaultConfig().MPBTotal())
+	checkFaults(t, []faultCase{
+		{"word load", func(m *Machine) []byte { return wordRead(m, 1, 0xFFFFFFF0, 4) }, "core 1: load of 4 bytes at 0xfffffff0: outside the MPB (393216 bytes)"},
+		{"word store", func(m *Machine) []byte { m.StoreWord(0, 0xC0100000, 4, 5, 0); return nil }, "core 0: store of 4 bytes at 0xc0100000: outside the MPB (393216 bytes)"},
+		{"word past the end", func(m *Machine) []byte { m.StoreWord(0, end-2, 4, 5, 0); return nil }, "store of 4 bytes"},
+		{"bulk load past the end", func(m *Machine) []byte { b := garbage(32); m.Load(2, end-16, b, 0); return b }, "core 2: load of 32 bytes"},
+		{"bulk store", func(m *Machine) []byte { m.Store(0, end, make([]byte, 1), 0); return nil }, "store of 1 bytes"},
+		{"untimed read", func(m *Machine) []byte { b := garbage(1); m.ReadBytes(0, end+4096, b); return b }, "read of 1 bytes"},
+	})
+}
+
+// TestUnmappedFault: below SharedBase, an access that does not lie wholly
+// inside [PrivateBase, PrivateLimit) — a null pointer, the gap above the
+// private range, a span across either end — is a fault on every path,
+// and so is a span from shared DRAM into the MPB. The in-range words at
+// both ends of the private range (checkFaults) are not.
+func TestUnmappedFault(t *testing.T) {
+	checkFaults(t, []faultCase{
+		{"word load at null", func(m *Machine) []byte { return wordRead(m, 0, 0, 4) }, "core 0: load of 4 bytes at 0x0: unmapped"},
+		{"word store below the range", func(m *Machine) []byte { m.StoreWord(0, PrivateBase-4, 4, 5, 0); return nil }, "core 0: store of 4 bytes at 0xffc: unmapped"},
+		{"word across the range's start", func(m *Machine) []byte { return wordRead(m, 0, 0xFFE, 4) }, "core 0: load of 4 bytes at 0xffe: unmapped"},
+		{"bulk load across the range's end", func(m *Machine) []byte { b := garbage(8); m.Load(1, PrivateLimit-4, b, 0); return b }, "core 1: load of 8 bytes at 0x3ffffffc: unmapped"},
+		{"bulk store in the gap", func(m *Machine) []byte { m.Store(0, 0x5000_0000, make([]byte, 16), 0); return nil }, "core 0: store of 16 bytes at 0x50000000: unmapped"},
+		{"untimed read at null", func(m *Machine) []byte { b := garbage(64); m.ReadBytes(0, 0, b); return b }, "core 0: read of 64 bytes at 0x0: unmapped"},
+		{"untimed write across the range's end", func(m *Machine) []byte { m.WriteBytes(2, PrivateLimit-2, []byte{1, 2, 3, 4}); return nil }, "core 2: write of 4 bytes at 0x3ffffffe: unmapped"},
+		{"word across the shared window's end", func(m *Machine) []byte { m.StoreWord(0, SharedLimit-4, 8, 5, 0); return nil }, "core 0: store of 8 bytes at 0xbffffffc: unmapped"},
+	})
 }
 
 // BenchmarkWordAccess prices one simulated access per address class on
