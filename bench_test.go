@@ -47,7 +47,7 @@ func example41Source(b *testing.B) string {
 func BenchmarkTable41(b *testing.B) {
 	src := example41Source(b)
 	for i := 0; i < b.N; i++ {
-		p, err := core.Analyze("example41.c", src, core.Config{})
+		p, err := core.Analyze("example41.c", src)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkTable41(b *testing.B) {
 func BenchmarkTable42(b *testing.B) {
 	src := example41Source(b)
 	for i := 0; i < b.N; i++ {
-		p, err := core.Analyze("example41.c", src, core.Config{})
+		p, err := core.Analyze("example41.c", src)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -325,9 +325,9 @@ func analysisPipeline() (*core.Pipeline, error) {
 	if err != nil {
 		// Fall back to the embedded copy so the binary works from any
 		// directory.
-		return core.Analyze("example41.c", example41, core.Config{})
+		return core.Analyze("example41.c", example41)
 	}
-	return core.Analyze("example41.c", string(src), core.Config{})
+	return core.Analyze("example41.c", string(src))
 }
 
 const example41 = `

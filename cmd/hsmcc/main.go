@@ -20,9 +20,9 @@ import (
 )
 
 func main() {
-	cores := flag.Int("cores", 32, "number of SCC cores the program targets")
+	cores := flag.Int("cores", 32, "number of SCC cores the program targets (the emitted program reads its UE count at run time and does not depend on this value)")
 	policyName := flag.String("policy", "size", "Stage 4 policy: size (Algorithm 3), freq, offchip")
-	mpb := flag.Int("mpb", 0, "on-chip shared memory budget in bytes (0 = full 384 KB MPB)")
+	mpb := flag.Int("mpb", 0, "on-chip shared memory budget in bytes (0 = full 384 KB MPB; negative or larger is an error)")
 	tables := flag.Bool("tables", false, "print the Tables 4.1/4.2 analysis to stderr")
 	log := flag.Bool("log", false, "print the Stage 5 pass log to stderr")
 	out := flag.String("o", "", "output file (default stdout)")

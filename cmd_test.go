@@ -55,6 +55,17 @@ func TestCmdHsmcc(t *testing.T) {
 	if err := exec.Command(bin).Run(); err == nil {
 		t.Error("missing input accepted")
 	}
+	// A budget the machine does not have exits 1 with the one budget
+	// rule's text (bench.EffectiveBudget).
+	for _, c := range []struct{ mpb, want string }{
+		{"-5", "hsmcc: negative MPB budget -5 (use 0 for the full MPB)\n"},
+		{"99999999", "hsmcc: MPB budget 99999999 exceeds the 393216-byte MPB of machine scc48\n"},
+	} {
+		out, err := exec.Command(bin, "-mpb", c.mpb, "testdata/example41.c").CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || string(out) != c.want {
+			t.Errorf("-mpb %s: %v, output %q; want exit 1 and %q", c.mpb, err, out, c.want)
+		}
+	}
 }
 
 func TestCmdHsmsim(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"hsmcc/internal/bench"
 	"hsmcc/internal/core"
 	"hsmcc/internal/interp"
 	"hsmcc/internal/partition"
@@ -49,11 +50,13 @@ const (
 
 // Options configures the translation pipeline.
 type Options struct {
-	// Cores is the number of SCC cores the translated program targets
-	// (default 32, the paper's configuration).
+	// Cores is the number of SCC cores the translated program targets.
+	// The emitted program reads its UE count at run time and does not
+	// depend on this value.
 	Cores int
 	// MPBCapacity is the on-chip shared memory budget in bytes for
-	// Stage 4 (default: the SCC's full 384 KB MPB).
+	// Stage 4: 0 is the SCC's full 384 KB MPB, and a negative budget or
+	// one past the MPB is an error.
 	MPBCapacity int
 	// Policy is the Stage 4 partitioning heuristic.
 	Policy PartitionPolicy
@@ -73,13 +76,19 @@ type Result struct {
 // returns the translated RCCE program (in Result.Output) along with all
 // analysis artifacts.
 func Translate(name, source string, opts Options) (*Result, error) {
-	p, err := core.Run(name, source, core.Config{
-		Cores:       opts.Cores,
-		MPBCapacity: opts.MPBCapacity,
-		Policy:      opts.Policy,
-		Placement:   opts.Placement,
-	})
+	capacity, err := bench.EffectiveBudget(opts.MPBCapacity, sccsim.DefaultConfig())
 	if err != nil {
+		return nil, err
+	}
+	p, err := core.Analyze(name, source)
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.Decide(p.SharedVars(), opts.Policy, capacity, opts.Placement)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = p.Translate(part); err != nil {
 		return nil, err
 	}
 	return &Result{Pipeline: p}, nil
@@ -95,13 +104,9 @@ func TranslateFile(path string, opts Options) (*Result, error) {
 }
 
 // Analyze runs Stages 1-3 only (no transformation): the per-variable
-// facts of Tables 4.1/4.2.
-func Analyze(name, source string, opts Options) (*Result, error) {
-	p, err := core.Analyze(name, source, core.Config{
-		Cores:       opts.Cores,
-		MPBCapacity: opts.MPBCapacity,
-		Policy:      opts.Policy,
-	})
+// facts of Tables 4.1/4.2. None of opts reaches these stages.
+func Analyze(name, source string, _ Options) (*Result, error) {
+	p, err := core.Analyze(name, source)
 	if err != nil {
 		return nil, err
 	}

@@ -83,6 +83,18 @@ func TestTranslatePolicies(t *testing.T) {
 	}
 }
 
+// TestTranslateFullMPBByDefault: a zero budget is the SCC's whole
+// 384 KB MPB (8 KB per core across 48 cores, thesis §5.1).
+func TestTranslateFullMPBByDefault(t *testing.T) {
+	res, err := Translate("f.c", facadeProgram, Options{MPBCapacity: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Part.Capacity != 393216 {
+		t.Errorf("default MPB capacity = %d, want 393216", res.Part.Capacity)
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	if _, err := Translate("bad.c", "int main( {", Options{}); err == nil {
 		t.Error("parse error not surfaced")

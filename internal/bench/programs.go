@@ -6,10 +6,10 @@ package bench
 // memoizes the compile-side stages of a harness run — the analysis of
 // each Pthread source (parse, sema, Stages 1-3), the baseline Program
 // lowered from the analysed tree, Stage 4's decision (the on-chip set)
-// and the translation of each distinct on-chip set (Stages 4-5 on a
-// copy of that tree, printed, checked and lowered) — plus the run-level
-// results that are pure functions of their configuration: the
-// single-core baseline execution (identical across every policy and
+// and the translation of each distinct on-chip set (Stage 5 with that
+// decision on a copy of that tree, printed, checked and lowered) — plus
+// the run-level results that are pure functions of their configuration:
+// the single-core baseline execution (identical across every policy and
 // budget of a sweep), the access-profiling pass (identical across every
 // budget) and the placement optimized from it. A grid sweep or a
 // conformance matrix therefore parses and analyses each workload
@@ -68,9 +68,9 @@ func (st stage) String() string {
 //	partition  spec.source(), policy, capacity, placement — Stage 4's
 //	           decision, the on-chip set; the one stage that reads the
 //	           policy
-//	translate  spec.source(), onChip — Stages 4-5 on a copy of the
-//	           analysed tree, and the Program lowered from the
-//	           translated tree: Stage 5 reads one placement bit per
+//	translate  spec.source(), onChip — Stage 5 with the decision on a
+//	           copy of the analysed tree, and the Program lowered from
+//	           the translated tree: Stage 5 reads one placement bit per
 //	           shared variable and nothing else of Stage 4, so every
 //	           policy, budget and placement that picks one set shares
 //	           one translation
@@ -259,74 +259,69 @@ func (c *Cache) Stats() CacheStats {
 // baseline lowers its tree and every translation copies it.
 func (cfg Config) analysis(name, src string) (*core.Pipeline, error) {
 	return memo(cfg.Cache, key{stage: stageAnalyze, name: name, src: src}, func() (*core.Pipeline, error) {
-		return core.Analyze(name, src, core.Config{})
+		return core.Analyze(name, src)
 	})
 }
 
-// translation runs (or reuses) Stages 4-5 for w at cfg's thread count
-// and scale on the source's shared analysis, and lowers the translated
-// tree. pl carries the profile-guided placement for PolicyProfiled cells
-// (nil for the static policies). Two memo levels: the decision, keyed
-// by what Stage 4 reads, names the on-chip set, and the translation is
-// keyed by the set. A warm lookup is two map hits: no source text, no
-// analysis lookup and no partition.
+// translation decides Stage 4 for w at cfg's thread count and scale on
+// the source's shared analysis, runs (or reuses) Stage 5 with that
+// decision, and lowers the translated tree. pl carries the profile-guided
+// placement for PolicyProfiled cells (nil for the static policies). Two
+// memo levels: the decision, keyed by what Stage 4 reads, names the
+// on-chip set, and the translation is keyed by the set. A warm lookup is
+// two map hits: no source text, no analysis lookup and no partition.
 func (cfg Config) translation(w Workload, policy partition.Policy, capacity int, pl *profile.Placement) (*translation, error) {
 	source := cfg.spec(w.Key).source()
 	k := key{stage: stagePartition, spec: source, policy: policy, capacity: capacity}
 	if pl != nil {
 		k.placement = pl.Digest()
 	}
-	// A cold decision leaves its analysis here for a cold translation.
+	// A cold decision leaves its analysis and result here for a cold
+	// translation; a translation after a warm decision decides again.
 	var an *core.Pipeline
-	analysis := func() (*core.Pipeline, error) {
-		if an != nil {
-			return an, nil
+	var part *partition.Result
+	decide := func() error {
+		if part != nil {
+			return nil
 		}
 		var err error
 		if an, err = cfg.analysis(w.Key+".c", w.Source(cfg.Threads, cfg.Scale)); err != nil {
-			return nil, fmt.Errorf("%s translate: %w", w.Key, err)
+			return fmt.Errorf("%s translate: %w", w.Key, err)
 		}
-		return an, nil
+		var onChip map[string]bool
+		if pl != nil {
+			onChip = pl.OnChip()
+		}
+		if part, err = partition.Decide(an.SharedVars(), policy, capacity, onChip); err != nil {
+			return fmt.Errorf("%s translate: %w", w.Key, err)
+		}
+		return nil
 	}
 	set, err := memo(cfg.Cache, k, func() (string, error) {
-		an, err := analysis()
-		if err != nil {
+		if err := decide(); err != nil {
 			return "", err
 		}
-		shared := an.SharedVars()
-		return onChipSet(shared, decide(shared, policy, capacity, pl)), nil
+		return onChipSet(an.SharedVars(), part), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return memo(cfg.Cache, key{stage: stageTranslate, spec: source, onChip: set}, func() (*translation, error) {
 		return runStage(cfg.Hooks, stageTranslate, w.Key, func() (*translation, error) {
-			an, err := analysis()
-			if err != nil {
+			// Stage 5 reads only the placements, so any decision that
+			// picked set translates to the same program as this one.
+			if err := decide(); err != nil {
 				return nil, err
 			}
-			// Any decision that picked set translates to the same program,
-			// so this cell's own inputs stand for all of them.
-			cc := core.Config{
-				Cores:       cfg.Threads,
-				Policy:      policy,
-				MPBCapacity: capacity,
-			}
-			if pl != nil {
-				cc.Placement = pl.OnChip()
-			}
-			pipe, err := an.Translate(cc)
+			pipe, err := an.Translate(part)
 			if err != nil {
 				return nil, fmt.Errorf("%s translate: %w", w.Key, err)
-			}
-			if got := onChipSet(an.SharedVars(), pipe.Part); got != set {
-				return nil, fmt.Errorf("%s translate: Stage 4 placed {%s} on-chip, its decision said {%s}", w.Key, got, set)
 			}
 			pr, err := interp.Load(pipe.File, pipe.Sema)
 			if err != nil {
 				return nil, fmt.Errorf("%s load translated program: %w\n---\n%s", w.Key, err, pipe.Output)
 			}
-			t := &translation{onChip: set, source: pipe.Output, program: pr, onChipBytes: pipe.Part.OnChipBytes}
+			t := &translation{onChip: set, source: pipe.Output, program: pr, onChipBytes: part.OnChipBytes}
 			for _, a := range pipe.Unit.Allocs {
 				if a.OnChip {
 					t.onChipAllocs = append(t.onChipAllocs, a.Var)
@@ -337,16 +332,6 @@ func (cfg Config) translation(w Workload, policy partition.Policy, capacity int,
 			return t, nil
 		})
 	})
-}
-
-// decide is Stage 4 for one cell. The capacity is effective (positive)
-// or, for the off-chip policy, which ignores it, 0; the translation
-// checks that core.Pipeline.Translate picks the same set.
-func decide(shared []*scope.VarInfo, policy partition.Policy, capacity int, pl *profile.Placement) *partition.Result {
-	if policy == partition.PolicyProfiled {
-		return partition.PartitionExplicit(shared, capacity, pl.OnChip())
-	}
-	return partition.Partition(shared, capacity, policy)
 }
 
 // onChipSet is the identity of a Stage 4 decision: the declaration

@@ -43,7 +43,7 @@ func TestWorkloadsAnalyzeShared(t *testing.T) {
 		"prodcons": {"buf", "psum", "rr"},
 	}
 	for _, w := range All() {
-		p, err := core.Analyze(w.Key+".c", w.Source(8, 0.05), core.Config{Cores: 8})
+		p, err := core.Analyze(w.Key+".c", w.Source(8, 0.05))
 		if err != nil {
 			t.Fatalf("%s: %v", w.Key, err)
 		}

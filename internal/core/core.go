@@ -9,8 +9,8 @@
 //
 // The entry points mirror CETUS's AnalysisPass/TransformPass driver: Analyze
 // runs Stages 1-3 and returns the per-variable findings; Translate runs
-// Stages 4-5 on a copy of the analysed tree, so one analysis serves every
-// placement; Run chains the two and yields the RCCE program as C source.
+// Stage 5 with a Stage 4 decision (partition.Decide over SharedVars) on a
+// copy of the analysed tree, so one analysis serves every placement.
 package core
 
 import (
@@ -29,46 +29,10 @@ import (
 	"hsmcc/internal/translate"
 )
 
-// DefaultMPBCapacity is the SCC's usable on-chip shared SRAM: 8 KB per core
-// across 48 cores (thesis §5.1). The partitioner sees the whole buffer, as
-// Algorithm 3 treats the MPB as one on-chip pool.
-const DefaultMPBCapacity = 48 * 8 * 1024
-
-// Config parameterises a pipeline run.
-type Config struct {
-	// Cores is the number of SCC cores (UEs) the translated program
-	// targets. Defaults to 32, the paper's configuration.
-	Cores int
-	// MPBCapacity is the on-chip shared memory budget in bytes for
-	// Stage 4. Defaults to DefaultMPBCapacity. Ignored when Policy is
-	// PolicyOffChipOnly.
-	MPBCapacity int
-	// Policy selects the Stage 4 heuristic. The zero value is the
-	// paper's Algorithm 3 (size-ascending greedy).
-	Policy partition.Policy
-	// Placement is the explicit per-variable placement map (name ->
-	// on-chip) consumed when Policy is partition.PolicyProfiled — the
-	// output of the access-profiling optimizer (internal/profile).
-	Placement map[string]bool
-	// PropagatePossible extends Stage 3 to "possibly" relationships.
-	PropagatePossible bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Cores <= 0 {
-		c.Cores = 32
-	}
-	if c.MPBCapacity <= 0 {
-		c.MPBCapacity = DefaultMPBCapacity
-	}
-	return c
-}
-
 // Pipeline carries every artifact produced while translating one program.
 type Pipeline struct {
 	Name   string
 	Source string
-	Config Config
 
 	// File and Sema are the Pthread program and its symbol tables after
 	// Analyze, and the RCCE program — a separate tree — and its own
@@ -89,8 +53,7 @@ type Pipeline struct {
 // Analyze parses src and runs Stages 1-3, leaving the program untranslated.
 // The returned pipeline exposes the Table 4.1/4.2 data via its Scope and
 // Points fields.
-func Analyze(name, src string, cfg Config) (*Pipeline, error) {
-	cfg = cfg.withDefaults()
+func Analyze(name, src string) (*Pipeline, error) {
 	file, err := parser.Parse(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("parse %s: %w", name, err)
@@ -99,52 +62,28 @@ func Analyze(name, src string, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sema %s: %w", name, err)
 	}
-	p := &Pipeline{Name: name, Source: src, Config: cfg, File: file, Sema: info}
+	p := &Pipeline{Name: name, Source: src, File: file, Sema: info}
 	p.Scope = scope.Analyze(info)
 	p.Inter = interthread.Analyze(p.Scope)
-	p.Points = pointsto.Analyze(p.Inter, pointsto.Options{PropagatePossible: cfg.PropagatePossible})
+	p.Points = pointsto.Analyze(p.Inter, pointsto.Options{})
 	return p, nil
 }
 
-// Run executes the full five-stage pipeline over src and returns the
-// translated pipeline, with Output holding the RCCE C source.
-func Run(name, src string, cfg Config) (*Pipeline, error) {
-	p, err := Analyze(name, src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Translate(cfg)
-}
-
-// Translate runs Stages 4-5 for cfg on a deep copy of the analysed tree
-// and returns a new pipeline: its File is the RCCE program, Sema that
-// program's own symbol tables, Output its printed source, and Scope,
-// Inter and Points the shared Stage 1-3 results. p itself — tree,
-// symbols and analyses — is only read, so one analysis can serve any
-// number of translations, concurrently. cfg.PropagatePossible is p's:
-// it shaped the analysis.
-func (p *Pipeline) Translate(cfg Config) (*Pipeline, error) {
+// Translate runs Stage 5 with part, the Stage 4 decision over p's shared
+// variables, on a deep copy of the analysed tree and returns a new
+// pipeline: its File is the RCCE program, Sema that program's own symbol
+// tables, Part the decision, Output its printed source, and Scope, Inter
+// and Points the shared Stage 1-3 results. p itself — tree, symbols and
+// analyses — is only read, so one analysis can serve any number of
+// translations, concurrently.
+func (p *Pipeline) Translate(part *partition.Result) (*Pipeline, error) {
 	if p.Points == nil {
 		return nil, fmt.Errorf("core: pipeline has not been analysed")
 	}
-	cfg = cfg.withDefaults()
-	cfg.PropagatePossible = p.Config.PropagatePossible
-	capacity := cfg.MPBCapacity
-	if cfg.Policy == partition.PolicyOffChipOnly {
-		capacity = 0
-	}
 	t := *p
-	t.Config = cfg
-	if cfg.Policy == partition.PolicyProfiled {
-		if cfg.Placement == nil {
-			return nil, fmt.Errorf("core: the profiled policy needs an explicit placement map (run the profiler first)")
-		}
-		t.Part = partition.PartitionExplicit(p.Scope.SharedVars(), capacity, cfg.Placement)
-	} else {
-		t.Part = partition.Partition(p.Scope.SharedVars(), capacity, cfg.Policy)
-	}
+	t.Part = part
 	t.File = ast.Clone(p.File)
-	unit, err := translate.Translate(t.File, p.Points, t.Part, translate.Options{Cores: cfg.Cores})
+	unit, err := translate.Translate(t.File, p.Points, part, translate.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("translate %s: %w", p.Name, err)
 	}

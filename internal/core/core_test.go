@@ -7,6 +7,7 @@ import (
 
 	"hsmcc/internal/analysis/scope"
 	"hsmcc/internal/partition"
+	"hsmcc/internal/sccsim"
 )
 
 func example41(t *testing.T) string {
@@ -18,9 +19,23 @@ func example41(t *testing.T) string {
 	return string(src)
 }
 
+// run chains the five stages: Stage 4 decides under policy at the SCC's
+// full MPB, and Stage 5 translates that decision.
+func run(name, src string, policy partition.Policy) (*Pipeline, error) {
+	p, err := Analyze(name, src)
+	if err != nil {
+		return nil, err
+	}
+	part, err := partition.Decide(p.SharedVars(), policy, sccsim.DefaultConfig().MPBTotal(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return p.Translate(part)
+}
+
 func analyze41(t *testing.T) *Pipeline {
 	t.Helper()
-	p, err := Analyze("example41.c", example41(t), Config{})
+	p, err := Analyze("example41.c", example41(t))
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -115,7 +130,7 @@ func TestTable42(t *testing.T) {
 // TestTranslateExample41 checks the translated program against the load-
 // bearing features of thesis Example Code 4.2.
 func TestTranslateExample41(t *testing.T) {
-	p, err := Run("example41.c", example41(t), Config{Cores: 3, Policy: partition.PolicyOffChipOnly})
+	p, err := run("example41.c", example41(t), partition.PolicyOffChipOnly)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -170,27 +185,16 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestConfigDefaults verifies default parameters match the paper's setup.
-func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Cores != 32 {
-		t.Errorf("default cores = %d, want 32", c.Cores)
-	}
-	if c.MPBCapacity != 48*8*1024 {
-		t.Errorf("default MPB capacity = %d, want 393216", c.MPBCapacity)
-	}
-}
-
 // TestRunNoMain checks the error path for a program without main.
 func TestRunNoMain(t *testing.T) {
-	if _, err := Run("x.c", "int f() { return 0; }", Config{}); err == nil {
+	if _, err := run("x.c", "int f() { return 0; }", partition.PolicySizeAscending); err == nil {
 		t.Fatal("expected error for program without main")
 	}
 }
 
 // TestAnalyzeParseError propagates lexer/parser failures.
 func TestAnalyzeParseError(t *testing.T) {
-	if _, err := Analyze("bad.c", "int main( {", Config{}); err == nil {
+	if _, err := Analyze("bad.c", "int main( {"); err == nil {
 		t.Fatal("expected parse error")
 	}
 }
@@ -199,7 +203,7 @@ func TestAnalyzeParseError(t *testing.T) {
 // with ample on-chip capacity the shared data is allocated via
 // RCCE_mpbmalloc instead of RCCE_shmalloc.
 func TestMPBPartitioningAppliesOnChipAlloc(t *testing.T) {
-	p, err := Run("example41.c", example41(t), Config{Cores: 3})
+	p, err := run("example41.c", example41(t), partition.PolicySizeAscending)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -23,7 +23,7 @@ func TestGoldenTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	p, err := Run("example41.c", string(src), Config{Cores: 3, Policy: partition.PolicyOffChipOnly})
+	p, err := run("example41.c", string(src), partition.PolicyOffChipOnly)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestGoldenExecutes(t *testing.T) {
 	}
 	// Re-parse and run via the public-facing components to keep this
 	// test independent of the translator.
-	p, err := Analyze("golden.c", string(want), Config{})
+	p, err := Analyze("golden.c", string(want))
 	if err != nil {
 		t.Fatalf("golden file does not re-analyze: %v", err)
 	}

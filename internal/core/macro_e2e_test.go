@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"hsmcc/internal/partition"
 )
 
 // TestMacroProgramTranslates: thesis §7.1 end to end — a macro-
@@ -27,7 +29,7 @@ int main() {
     }
     return acc[0];
 }`
-	p, err := Run("macro.c", src, Config{Cores: 4})
+	p, err := run("macro.c", src, partition.PolicySizeAscending)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -77,13 +77,13 @@ func noWord(op string, t *types.Type) error {
 func (p *Proc) loadWord(addr uint32, size int, sext uint) (uint64, error) {
 	w, lat := p.mach.LoadWord(p.Core, addr, size, p.Clock)
 	p.Clock += lat
-	return uint64(int64(w<<(sext&63)) >> (sext & 63)), p.noteMemOp(addr, false)
+	return uint64(int64(w<<(sext&63)) >> (sext & 63)), p.noteMemOp(addr, size, false)
 }
 
 // storeWord writes the low size bytes of w at addr.
 func (p *Proc) storeWord(addr uint32, size int, w uint64) error {
 	p.Clock += p.mach.StoreWord(p.Core, addr, size, w, p.Clock)
-	return p.noteMemOp(addr, true)
+	return p.noteMemOp(addr, size, true)
 }
 
 // LoadTyped reads a value of type t with timing; for runtime packages

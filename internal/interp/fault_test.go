@@ -15,13 +15,13 @@ import (
 // to a pointer at or above MPBBase but outside the MPB, which indexes
 // past the backing array unless the machine checks it; a null pointer
 // under each lvalue shape (*p, p[i], q->f, (*q).f) and each bulk reader
-// and writer; the unmapped gap above the private range; and a word from
-// shared DRAM into the MPB. main's body follows decls. FuzzSourceDiff
+// and writer; the unmapped gap above the private range; a word across
+// the private range's end; and a word from shared DRAM into the MPB. main's body follows decls. FuzzSourceDiff
 // starts from them too.
 var wildPrograms = []struct{ name, decls, body, want string }{
 	{"load", "", `int *p = (int*)0xFFFFFFF0; int v = *p; printf("%d\n", v);`,
 		"core 0: load of 4 bytes at 0xfffffff0: outside the MPB (393216 bytes)"},
-	{"store", "", `*(int*)0xC0100000 = 5; printf("done\n");`,
+	{"store", "", `*(int*)0xC0100000 = 5; printf("after\n");`,
 		"core 0: store of 4 bytes at 0xc0100000: outside the MPB (393216 bytes)"},
 	{"past the end", "", `double *p = (double*)0xC005FFFC; *p = 1.0;`,
 		"core 0: store of 8 bytes at 0xc005fffc: outside the MPB (393216 bytes)"},
@@ -31,15 +31,17 @@ var wildPrograms = []struct{ name, decls, body, want string }{
 		"core 0: load of 32 bytes at 0xc005fff0: outside the MPB (393216 bytes)"},
 	{"null deref load", "", `int *p = NULL; int v = *p; printf("%d\n", v);`,
 		"core 0: load of 4 bytes at 0x0: unmapped"},
-	{"null index store", "", `int *p = NULL; int i = 2; p[i] = 7; printf("done\n");`,
+	{"null index store", "", `int *p = NULL; int i = 2; p[i] = 7; printf("after\n");`,
 		"core 0: store of 4 bytes at 0x8: unmapped"},
 	{"null arrow", "struct pair { int k; double w; };", `struct pair *q = NULL; q->w = 2.5; printf("%f\n", q->w);`,
 		"core 0: store of 8 bytes at 0x8: unmapped"},
 	{"null deref member", "struct pair { int k; double w; };", `struct pair *q = NULL; (*q).w = 2.5; printf("%f\n", (*q).w);`,
 		"core 0: store of 8 bytes at 0x8: unmapped"},
-	{"private gap", "", `*(int*)0x40000000 = 3; printf("done\n");`,
+	{"private gap", "", `*(int*)0x40000000 = 3; printf("after\n");`,
 		"core 0: store of 4 bytes at 0x40000000: unmapped"},
-	{"across the shared window's end", "", `double *p = (double*)0xBFFFFFFC; *p = 1.0; printf("done\n");`,
+	{"across the private range's end", "", `double *p = (double*)0x3FFFFFFC; *p = 1.0; printf("after\n");`,
+		"core 0: store of 8 bytes at 0x3ffffffc: unmapped"},
+	{"across the shared window's end", "", `double *p = (double*)0xBFFFFFFC; *p = 1.0; printf("after\n");`,
 		"core 0: store of 8 bytes at 0xbffffffc: unmapped"},
 	{"memset null", "", `memset(NULL, 0, 8);`,
 		"core 0: store of 8 bytes at 0x0: unmapped"},
@@ -55,7 +57,9 @@ func wildSource(decls, body string) string {
 // TestWildMPBAddressIsARunError: every wildPrograms row is a run error —
 // like integer division by zero — the machine's fault, under both
 // runtimes, from the compiled Program and its reference with the same
-// text, and from the bulk builtins as from a typed access.
+// text, and from the bulk builtins as from a typed access. A typed
+// access that faults is its context's last: on a bare session, whose
+// output outlives the error, no row's "after" prints.
 func TestWildMPBAddressIsARunError(t *testing.T) {
 	runtimes := []struct {
 		name string
@@ -91,5 +95,20 @@ func TestWildMPBAddressIsARunError(t *testing.T) {
 				}
 			})
 		}
+		t.Run(prog.name+"/session", func(t *testing.T) {
+			for _, compile := range []func(name, src string) (*interp.Program, error){interp.Compile, interpref.Compile} {
+				pr, err := compile("wild.c", src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim := interp.NewSim(sccsim.MustNew(sccsim.DefaultConfig()), pr)
+				if _, err := sim.Spawn(0, pr.Funcs["main"], nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := sim.Run(); err == nil || !strings.Contains(err.Error(), prog.want) || strings.Contains(sim.Output(), "after") {
+					t.Fatalf("error %v, output %q; want %q and nothing printed after the fault", err, sim.Output(), prog.want)
+				}
+			}
+		})
 	}
 }

@@ -143,9 +143,10 @@ type MemProfiler interface {
 	NoteAccess(core int, addr uint32, write bool)
 }
 
-// noteMemOp finishes a timed access: it reports it to the profiler (if
-// any) and implements the cooperative yield cadence. Accesses outside
-// the private range (below PrivateBase the subtraction wraps) yield
+// noteMemOp finishes a timed access of size bytes at addr: it reports it
+// to the profiler (if any) and implements the cooperative yield cadence.
+// Accesses not wholly inside the private range (below PrivateBase the
+// subtraction wraps; a word straddling PrivateLimit ends past it) yield
 // immediately. Shared DRAM and the MPB are the points where cross-core
 // contention is modelled, and letting one context run a burst ahead
 // would serialize whole bursts at the memory controllers instead of
@@ -159,12 +160,12 @@ type MemProfiler interface {
 // horizon, and unmeasured (ROADMAP item 1). The yield itself is
 // outlined: this is the one call a typed accessor makes after its
 // Machine access.
-func (p *Proc) noteMemOp(addr uint32, write bool) error {
+func (p *Proc) noteMemOp(addr uint32, size int, write bool) error {
 	if p.prof != nil {
 		p.prof.NoteAccess(p.Core, addr, write)
 	}
 	p.memOps++
-	if addr-sccsim.PrivateBase >= sccsim.PrivateLimit-sccsim.PrivateBase || p.memOps >= YieldEvery ||
+	if addr-sccsim.PrivateBase > sccsim.PrivateLimit-sccsim.PrivateBase-uint32(size) || p.memOps >= YieldEvery ||
 		p.Clock-p.lastYield >= yieldHorizonPs {
 		return p.yieldMemOp()
 	}

@@ -322,9 +322,8 @@ func (s *Sim) Run() error {
 // polls the session's Cancel hook and the machine's access fault: on
 // either it records the error and elects nobody, which ends the
 // stepping loop. The memory-op cadence yields at once outside the
-// private range, so a typed access that faults is its context's last
-// (bar a word straddling PrivateLimit); a bulk builtin's fault, and that
-// one, surface at the context's next yield or exit.
+// private range, so a typed access that faults is its context's last;
+// a bulk builtin's fault surfaces at the context's next yield or exit.
 func (s *Sim) pickNext() *Proc {
 	if s.Cancel != nil && s.err == nil {
 		if err := s.Cancel(); err != nil {

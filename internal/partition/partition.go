@@ -57,7 +57,7 @@ const (
 	// PolicyProfiled places by an explicit per-variable map produced by
 	// the access-profiling subsystem (internal/profile): the placement
 	// is decided from measured counters, not static estimates, and is
-	// applied through PartitionExplicit.
+	// applied through Decide.
 	PolicyProfiled
 )
 
@@ -105,99 +105,86 @@ func (r *Result) Placement(v *scope.VarInfo) Placement {
 	return OffChip
 }
 
+// Decide is Stage 4, the one decision Stage 5 applies: it places the
+// shared variables for policy within capacity bytes of on-chip memory.
+// The off-chip policy ignores the capacity and reports 0. The profiled
+// policy applies onChip, the measured placement map (variable name ->
+// on-chip), in declaration order: a mapped variable that no longer fits
+// falls back to off-chip (the optimizer never chooses such a set, but a
+// stale or hand-written map must degrade instead of overflowing the
+// MPB), and unmapped variables go off-chip. The static policies ignore
+// onChip.
+func Decide(shared []*scope.VarInfo, policy Policy, capacity int, onChip map[string]bool) (*Result, error) {
+	switch policy {
+	case PolicyOffChipOnly:
+		return Partition(shared, 0, policy), nil
+	case PolicyProfiled:
+		if onChip == nil {
+			return nil, fmt.Errorf("the profiled policy needs an explicit placement map (run the profiler first)")
+		}
+		r := newResult(capacity, len(shared))
+		for _, v := range shared {
+			r.place(v, onChip[v.Name])
+		}
+		return r, nil
+	}
+	return Partition(shared, capacity, policy), nil
+}
+
 // Partition runs Algorithm 3 (or the selected policy) over the shared
 // variables with the given on-chip capacity in bytes.
 func Partition(shared []*scope.VarInfo, capacity int, policy Policy) *Result {
-	r := &Result{Capacity: capacity, ByVar: make(map[*scope.VarInfo]*Assignment)}
-
-	place := func(v *scope.VarInfo, p Placement) {
-		a := Assignment{Var: v, Placement: p}
-		if p == OnChip {
-			a.Offset = r.OnChipBytes
-			r.OnChipBytes += v.MemSize
-		} else {
-			a.Offset = r.OffChipBytes
-			r.OffChipBytes += v.MemSize
-		}
-		r.Assignments = append(r.Assignments, a)
-		r.ByVar[v] = &r.Assignments[len(r.Assignments)-1]
-	}
-
-	if policy == PolicyOffChipOnly {
-		for _, v := range shared {
-			place(v, OffChip)
-		}
-		return r
-	}
-
+	r := newResult(capacity, len(shared))
 	total := 0
 	for _, v := range shared {
 		total += v.MemSize
 	}
-	if total <= capacity {
-		// Best case: everything fits on-chip (Algorithm 3 lines 4-12).
-		for _, v := range shared {
-			place(v, OnChip)
+	// When everything fits, everything goes on-chip in declaration order
+	// (Algorithm 3 lines 4-12); otherwise the policy orders the greedy.
+	ordered := shared
+	if total > capacity {
+		switch policy {
+		case PolicySizeAscending:
+			// Algorithm 3 line 14: sort by size ascending.
+			ordered = scope.SortedByMemSize(shared)
+		case PolicyFrequencyDensity:
+			ordered = append([]*scope.VarInfo(nil), shared...)
+			sort.SliceStable(ordered, func(i, j int) bool {
+				di := density(ordered[i])
+				dj := density(ordered[j])
+				if di != dj {
+					return di > dj
+				}
+				return ordered[i].Name < ordered[j].Name
+			})
 		}
-		return r
 	}
-
-	ordered := append([]*scope.VarInfo(nil), shared...)
-	switch policy {
-	case PolicySizeAscending:
-		// Algorithm 3 line 14: sort by size ascending.
-		ordered = scope.SortedByMemSize(ordered)
-	case PolicyFrequencyDensity:
-		sort.SliceStable(ordered, func(i, j int) bool {
-			di := density(ordered[i])
-			dj := density(ordered[j])
-			if di != dj {
-				return di > dj
-			}
-			return ordered[i].Name < orderedName(ordered[j])
-		})
-	}
-
-	remaining := capacity
 	for _, v := range ordered {
-		if v.MemSize <= remaining {
-			place(v, OnChip)
-			remaining -= v.MemSize
-		} else {
-			place(v, OffChip)
-		}
+		r.place(v, policy != PolicyOffChipOnly)
 	}
 	return r
 }
 
-// PartitionExplicit applies an explicit placement map (variable name ->
-// on-chip) over the shared set — Stage 4 for the profile-guided
-// `profiled` policy. Variables are placed in declaration order; a
-// variable the map sends on-chip still falls back to off-chip if it no
-// longer fits the capacity (the optimizer never chooses such a set, but
-// a stale or hand-written map must degrade instead of overflowing the
-// MPB), and unmapped variables go off-chip.
-func PartitionExplicit(shared []*scope.VarInfo, capacity int, onchip map[string]bool) *Result {
-	r := &Result{Capacity: capacity, ByVar: make(map[*scope.VarInfo]*Assignment)}
-	remaining := capacity
-	for _, v := range shared {
-		p := OffChip
-		if onchip[v.Name] && v.MemSize <= remaining {
-			p = OnChip
-			remaining -= v.MemSize
-		}
-		a := Assignment{Var: v, Placement: p}
-		if p == OnChip {
-			a.Offset = r.OnChipBytes
-			r.OnChipBytes += v.MemSize
-		} else {
-			a.Offset = r.OffChipBytes
-			r.OffChipBytes += v.MemSize
-		}
-		r.Assignments = append(r.Assignments, a)
-		r.ByVar[v] = &r.Assignments[len(r.Assignments)-1]
+func newResult(capacity, n int) *Result {
+	return &Result{
+		Capacity:    capacity,
+		Assignments: make([]Assignment, 0, n),
+		ByVar:       make(map[*scope.VarInfo]*Assignment, n),
 	}
-	return r
+}
+
+// place puts v on-chip if want and it still fits the capacity, off-chip
+// otherwise, at the next free offset of its region.
+func (r *Result) place(v *scope.VarInfo, want bool) {
+	a := Assignment{Var: v, Placement: OffChip, Offset: r.OffChipBytes}
+	if want && v.MemSize <= r.Capacity-r.OnChipBytes {
+		a.Placement, a.Offset = OnChip, r.OnChipBytes
+		r.OnChipBytes += v.MemSize
+	} else {
+		r.OffChipBytes += v.MemSize
+	}
+	r.Assignments = append(r.Assignments, a)
+	r.ByVar[v] = &r.Assignments[len(r.Assignments)-1]
 }
 
 func density(v *scope.VarInfo) float64 {
@@ -206,8 +193,6 @@ func density(v *scope.VarInfo) float64 {
 	}
 	return float64(v.Reads+v.Writes) / float64(v.MemSize)
 }
-
-func orderedName(v *scope.VarInfo) string { return v.Name }
 
 // Dump renders the partitioning decision for diagnostics and tests.
 func (r *Result) Dump() string {

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,6 +105,58 @@ func TestOffChipOnly(t *testing.T) {
 	if r.OnChipBytes != 0 {
 		t.Errorf("on-chip bytes = %d, want 0", r.OnChipBytes)
 	}
+}
+
+// TestDecide: Stage 4's one entry point over all four policies. The
+// off-chip policy ignores the capacity; the profiled policy needs its
+// map and applies it in declaration order, a mapped variable that no
+// longer fits falling back to off-chip; the static policies ignore the
+// map and are Partition field for field.
+func TestDecide(t *testing.T) {
+	vars := []*scope.VarInfo{mkvar("a", 100, 1, 1), mkvar("b", 200, 9, 9), mkvar("c", 50, 1, 1)}
+	all := map[string]bool{"a": true, "b": true, "c": true}
+	for _, tc := range []struct {
+		name   string
+		policy Policy
+		onChip map[string]bool
+		want   string // the decision; "" for an error
+	}{
+		{"offchip", PolicyOffChipOnly, all, "capacity 0, on 0, off 350: a off-chip@0 b off-chip@100 c off-chip@300"},
+		{"profiled without a map", PolicyProfiled, nil, ""},
+		{"profiled past the capacity", PolicyProfiled, all, "capacity 250, on 150, off 200: a on-chip@0 b off-chip@0 c on-chip@100"},
+		{"profiled unmapped", PolicyProfiled, map[string]bool{"b": true, "c": true}, "capacity 250, on 250, off 100: a off-chip@0 b on-chip@0 c on-chip@200"},
+		{"size", PolicySizeAscending, all, "capacity 250, on 150, off 200: c on-chip@0 a on-chip@50 b off-chip@0"},
+		{"freq", PolicyFrequencyDensity, all, "capacity 250, on 250, off 100: b on-chip@0 c on-chip@200 a off-chip@0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Decide(vars, tc.policy, 250, tc.onChip)
+			if tc.want == "" {
+				if err == nil {
+					t.Errorf("Decide = %s, want an error", decision(r))
+				}
+				return
+			}
+			if err != nil || decision(r) != tc.want {
+				t.Fatalf("Decide = %s, %v; want %s", decision(r), err, tc.want)
+			}
+			if static := tc.policy == PolicySizeAscending || tc.policy == PolicyFrequencyDensity; static &&
+				!reflect.DeepEqual(r, Partition(vars, 250, tc.policy)) {
+				t.Errorf("Decide differs from Partition: %+v", r)
+			}
+		})
+	}
+}
+
+// decision renders r's totals and assignments in decision order.
+func decision(r *Result) string {
+	if r == nil {
+		return "<nil>"
+	}
+	s := fmt.Sprintf("capacity %d, on %d, off %d:", r.Capacity, r.OnChipBytes, r.OffChipBytes)
+	for _, a := range r.Assignments {
+		s += fmt.Sprintf(" %s %s@%d", a.Var.Name, a.Placement, a.Offset)
+	}
+	return s
 }
 
 // TestOffsetsContiguous: offsets within each region are contiguous and

@@ -45,8 +45,10 @@ const CoreIDName = "myID"
 
 // Options configures the translation.
 type Options struct {
-	// Cores is the number of UEs the program will run on (informational;
-	// the generated code reads its rank at runtime via RCCE_ue()).
+	// Cores is the number of UEs the program will run on. It is not
+	// read: the emitted program reads its rank at run time (RCCE_ue),
+	// and its UE count is the run's, so its text does not depend on
+	// this value.
 	Cores int
 }
 
@@ -55,7 +57,6 @@ type Unit struct {
 	File   *ast.File
 	Points *pointsto.Result
 	Part   *partition.Result
-	Opts   Options
 
 	// Main is the program's main function (renamed late in the pipeline).
 	Main *ast.FuncDecl
@@ -107,15 +108,11 @@ func Passes() []Pass {
 // was cloned from, as core translates a copy of its analysed tree — and
 // part the Stage 4 placements of the shared variables. Neither the
 // analysis nor its symbols are written.
-func Translate(file *ast.File, points *pointsto.Result, part *partition.Result, opts Options) (*Unit, error) {
-	if opts.Cores <= 0 {
-		opts.Cores = 32
-	}
+func Translate(file *ast.File, points *pointsto.Result, part *partition.Result, _ Options) (*Unit, error) {
 	u := &Unit{
 		File:     file,
 		Points:   points,
 		Part:     part,
-		Opts:     opts,
 		mutexIDs: make(map[string]int),
 	}
 	u.Main = file.FindFunc("main")
